@@ -46,6 +46,14 @@ fi
 echo "== cargo build --release =="
 cargo build --release
 
+# The end-to-end benchmark (BENCHMARK.json) is a detached crate that is
+# frozen between benchmark PRs, lock file included. Checking it --locked
+# here turns an API break against it, or any drift in the crate graph its
+# Cargo.lock records, into a tier-1 failure instead of a surprise at
+# benchmark time.
+echo "== frozen e2e benchmark still compiles (--locked) =="
+cargo check --offline --locked --manifest-path crates/bench/e2e/Cargo.toml
+
 echo "== cargo test --workspace =="
 cargo test --workspace -q
 

@@ -22,5 +22,5 @@ pub mod system;
 pub mod workload;
 
 pub use estimator::{build_estimator, QueryFeatures, RandomEstimator};
-pub use system::{AqpPolicy, AqpRunResult, AqpServeRun, AqpSystem, AqpSystemConfig};
+pub use system::{AqpPolicy, AqpRunResult, AqpSystem, AqpSystemConfig};
 pub use workload::{AqpJobSpec, ClassMix, WorkloadBuilder};

@@ -26,12 +26,13 @@ use rotary_core::SimTime;
 use rotary_engine::memory::{estimate_memory_mb, BatchCostModel};
 use rotary_engine::online::{compute_ground_truth_with, GroundTruth, OnlineAggregation};
 use rotary_engine::{query, IndexCache, QueryClass, QueryId, QueryPlan};
+use rotary_faults::arbiter::{self as arb, Arbiter, Event, Job, JobBase, Loop, Marks, Run};
 use rotary_faults::{EpochFault, FaultPlan};
 use rotary_sim::{
-    CheckpointModel, CpuPool, EventQueue, MaterializationManager, MaterializationPolicy,
-    PlacementSpan, WorkloadMetrics, WorkloadSummary,
+    CheckpointModel, CpuPool, MaterializationManager, MaterializationPolicy, PlacementSpan,
+    WorkloadMetrics, WorkloadSummary,
 };
-use rotary_store::{DurableConfig, DurableOutcome, SnapshotStore};
+use rotary_store::{DurableConfig, DurableOutcome};
 use rotary_tpch::TpchData;
 
 use crate::estimator::{build_estimator, QueryFeatures, RandomEstimator};
@@ -201,20 +202,11 @@ impl AqpRunResult {
     }
 }
 
-#[derive(Debug)]
-enum Event {
-    Arrival(usize),
-    EpochDone(usize),
-    /// An injected crash ends this job's in-flight epoch, losing its work.
-    EpochFailed(usize),
-    /// A crashed job's retry backoff has elapsed; it may re-enter arbitration.
-    RetryReady(usize),
-    DeadlineCheck(usize),
-}
-
-struct RunJob<'a> {
+/// One job's run state: the shared bookkeeping plus the bound executor,
+/// its estimators, and the grant it last held.
+pub struct RunJob<'a> {
+    base: JobBase,
     spec: AqpJobSpec,
-    core: JobState,
     online: OnlineAggregation<'a>,
     envelopes: Vec<EnvelopeDetector>,
     estimator: JointCurveEstimator,
@@ -223,17 +215,19 @@ struct RunJob<'a> {
     epoch_batches: usize,
     fraction_per_epoch: f64,
     declaration_margin: f64,
-    in_memory: bool,
-    epoch_start: SimTime,
     threads: u32,
     last_threads: u32,
     pending_persist: SimTime,
-    /// Failed attempts at the current epoch; reset on success.
-    fault_attempts: u32,
-    /// Restores performed so far — indexes the restore-fault stream.
-    restores: u64,
-    /// Checkpoint writes so far — indexes the write-fault stream.
-    ckpt_writes: u64,
+}
+
+impl Job for RunJob<'_> {
+    fn base(&self) -> &JobBase {
+        &self.base
+    }
+
+    fn base_mut(&mut self) -> &mut JobBase {
+        &mut self.base
+    }
 }
 
 impl RunJob<'_> {
@@ -302,20 +296,11 @@ impl RunJob<'_> {
     }
 }
 
-/// Mid-run state of one workload execution: everything the event loop
-/// carries between steps, lifted out of [`AqpSystem::run`] so durable
-/// snapshotting can pause at an epoch boundary and resume later.
-struct AqpRunState<'a> {
-    jobs: Vec<RunJob<'a>>,
-    events: EventQueue<Event>,
+/// The AQP-specific half of a run, next to the shared [`Loop`].
+pub struct AqpRunExt {
     pool: CpuPool,
-    metrics: WorkloadMetrics,
     material: MaterializationManager,
     random_est: RandomEstimator,
-    rr_cursor: usize,
-    makespan: SimTime,
-    /// Completed epochs across all jobs — the snapshot cadence counter.
-    epochs_done: u64,
     /// Incremental control-plane state; rebuilt lazily, never snapshotted
     /// (the indexed and dense paths are byte-equivalent, so a restored run
     /// rebuilds the caches from job state at the first post-resume event).
@@ -352,10 +337,6 @@ struct AqpFingerprint {
 /// O(changes × log n) instead of O(n log n).
 #[derive(Debug, Default)]
 struct AqpArbCaches {
-    /// True once the lazy first build ran (decides `enabled`).
-    built: bool,
-    /// Indexed path active (policy is Rotary/Relaqs and not forced dense).
-    enabled: bool,
     /// Standing priority order over feasible arbitrable jobs.
     feasible: PriorityIndex<OrdF64>,
     /// Standing priority order over infeasible arbitrable jobs (ranked
@@ -371,11 +352,6 @@ struct AqpArbCaches {
     flips: BTreeSet<(SimTime, u32)>,
     /// Reverse map of `flips` for O(log n) rescheduling.
     flip_of: BTreeMap<u32, SimTime>,
-    /// Jobs whose state changed since the last arbitration (re-key these).
-    dirty: Vec<u32>,
-    /// Jobs whose *progress* may have changed since the last metrics row
-    /// (superset of dirty; drained by sparse snapshot recording).
-    touched: Vec<u32>,
     /// Per-job `(service_ms, epochs_run)` contribution to the fleet sums.
     contrib: Vec<(u64, u64)>,
     /// Exact integer fleet sums: total isolated service time (ms) and total
@@ -386,44 +362,6 @@ struct AqpArbCaches {
     avg_bucket: f64,
     /// Decision memoization over the non-job arbitration inputs.
     memo: DecisionCache<AqpFingerprint>,
-}
-
-impl AqpArbCaches {
-    /// Marks a job dirty (re-key at next arbitration) and touched (candidate
-    /// for the next sparse metrics row). No-op until the first build decides
-    /// the indexed path is active — the build re-keys everything anyway.
-    fn mark(&mut self, i: usize) {
-        if self.enabled {
-            self.dirty.push(i as u32);
-            self.touched.push(i as u32);
-        }
-    }
-}
-
-/// Benchmark-only opaque handle over a mid-run state (see
-/// [`AqpSystem::bench_start`]).
-#[doc(hidden)]
-pub struct AqpBenchRun<'a>(AqpRunState<'a>);
-
-/// Streaming-service handle: an open-ended run that admits jobs one at a
-/// time instead of taking the whole workload up front (the seam the
-/// `rotary-serve` daemon drives). The handle accumulates the admitted
-/// specs so a durable snapshot of the stream is exactly a snapshot of the
-/// equivalent batch run over those specs.
-pub struct AqpServeRun<'a> {
-    st: AqpRunState<'a>,
-    policy: AqpPolicy,
-    specs: Vec<AqpJobSpec>,
-    /// Per-job flag: terminal outcome already handed out by
-    /// [`AqpSystem::serve_drain_finished`].
-    reported: Vec<bool>,
-}
-
-impl AqpServeRun<'_> {
-    /// The specs admitted so far, in admission order.
-    pub fn specs(&self) -> &[AqpJobSpec] {
-        &self.specs
-    }
 }
 
 /// The multi-tenant AQP system bound to one dataset.
@@ -575,617 +513,62 @@ impl<'a> AqpSystem<'a> {
         specs: &[AqpJobSpec],
         policy: AqpPolicy,
     ) -> rotary_core::Result<AqpRunResult> {
-        let mut st = self.start_run(specs, policy)?;
-        while self.step(&mut st, policy) {}
-        Ok(self.finish_run(st, specs, policy))
+        arb::run(self, specs, policy)
     }
 
-    /// Runs a workload with durable snapshotting: after every
-    /// `durable.every` completed epochs the full arbitrator state is
-    /// committed to the snapshot store (and, when the fault plan says so,
-    /// damaged on the way to disk). With `halt_after` set the run stops
-    /// right after committing that generation, simulating a process kill.
-    ///
-    /// With snapshotting disabled entirely (use [`AqpSystem::run`]) traces
-    /// are byte-identical to a build without the durability layer.
+    /// [`AqpSystem::run`] with durable snapshotting — see
+    /// [`arb::run_durable`].
     pub fn run_durable(
         &mut self,
         specs: &[AqpJobSpec],
         policy: AqpPolicy,
         durable: &DurableConfig,
     ) -> rotary_core::Result<DurableOutcome<AqpRunResult>> {
-        durable.validate()?;
-        self.config.checkpoint.validate()?;
-        let store = SnapshotStore::open(&durable.dir)?;
-        let st = self.start_run(specs, policy)?;
-        self.drive(st, specs, policy, durable, &store, 0)
+        arb::run_durable(self, specs, policy, durable)
     }
 
     /// Resumes a killed [`AqpSystem::run_durable`] run from the newest
-    /// *valid* snapshot in `durable.dir` (corrupt newer generations are
-    /// skipped) and continues to completion — or to the next `halt_after`.
-    /// The resumed run's final trace is byte-identical to an uninterrupted
-    /// run of the same workload. With no usable snapshot the run starts
-    /// from scratch, which is trivially equivalent.
-    ///
-    /// The workload, policy, and system configuration must match the run
-    /// that wrote the snapshot; a fingerprint mismatch is rejected with
-    /// [`RotaryError::InvalidConfig`].
+    /// valid snapshot — see [`arb::resume_durable`].
     pub fn resume_durable(
         &mut self,
         specs: &[AqpJobSpec],
         policy: AqpPolicy,
         durable: &DurableConfig,
     ) -> rotary_core::Result<DurableOutcome<AqpRunResult>> {
-        durable.validate()?;
-        self.config.checkpoint.validate()?;
-        let store = SnapshotStore::open(&durable.dir)?;
-        match store.latest_valid()? {
-            Some((generation, records)) => {
-                let st = snapshot::restore_run(self, specs, policy, &records)?;
-                self.drive(st, specs, policy, durable, &store, generation)
-            }
-            None => {
-                let st = self.start_run(specs, policy)?;
-                self.drive(st, specs, policy, durable, &store, 0)
-            }
-        }
+        arb::resume_durable(self, specs, policy, durable)
     }
 
-    /// The durable event loop: step until the queue drains, committing a
-    /// snapshot each time the completed-epoch count crosses the cadence.
-    fn drive(
-        &mut self,
-        mut st: AqpRunState<'a>,
-        specs: &[AqpJobSpec],
-        policy: AqpPolicy,
-        durable: &DurableConfig,
-        store: &SnapshotStore,
-        mut generation: u64,
-    ) -> rotary_core::Result<DurableOutcome<AqpRunResult>> {
-        loop {
-            if !self.step(&mut st, policy) {
-                return Ok(DurableOutcome::Completed(self.finish_run(st, specs, policy)));
-            }
-            if st.epochs_done >= (generation + 1).saturating_mul(durable.every) {
-                generation += 1;
-                let records = snapshot::snapshot_records(self, &st, specs, policy, generation)?;
-                let damage = self.config.faults.snapshot_fault(generation);
-                store.commit(generation, &records, damage.as_ref())?;
-                if durable.halt_after == Some(generation) {
-                    return Ok(DurableOutcome::Halted { generation });
-                }
-            }
-        }
-    }
-
-    /// Binds every spec to an executor and builds its initial run state —
-    /// shared by fresh starts and snapshot restores (which overwrite the
-    /// mutable per-job state afterwards).
-    fn build_jobs(
-        &mut self,
-        specs: &[AqpJobSpec],
-        policy: AqpPolicy,
-    ) -> rotary_core::Result<Vec<RunJob<'a>>> {
-        let mut jobs: Vec<RunJob<'_>> = Vec::with_capacity(specs.len());
-        for (i, spec) in specs.iter().enumerate() {
-            jobs.push(self.build_job(i, spec, policy)?);
-        }
-        Ok(jobs)
-    }
-
-    /// Binds one spec at global job index `i`. The index seeds the job's
-    /// batch permutation, so a job admitted mid-run through the streaming
-    /// seam binds identically to the same spec at the same position in a
-    /// batch run — the property the serve-restore path relies on.
-    fn build_job(
-        &mut self,
-        i: usize,
-        spec: &AqpJobSpec,
-        policy: AqpPolicy,
-    ) -> rotary_core::Result<RunJob<'a>> {
-        let plan = &self.plans[&spec.query.0];
-        let batch_rows = Self::batch_rows_for(plan, self.data, self.config.batch_fraction);
-        let fact_rows = self.data.table(&plan.fact).map(|t| t.rows()).unwrap_or(1);
-        let online = OnlineAggregation::new(
-            plan,
-            self.data,
-            &mut self.cache,
-            self.truths[&spec.query.0].clone(),
-            self.config.seed ^ ((i as u64 + 1) * 0x9e37),
-            batch_rows,
-        )?;
-        let envelopes = (0..plan.aggregates.len())
-            .map(|_| EnvelopeDetector::new(self.config.envelope_window, 0.01))
-            .collect();
-        let memory_mb = self.memory[&spec.query.0];
-        let features = QueryFeatures::of(plan, memory_mb);
-        let estimator = match policy {
-            AqpPolicy::Rotary | AqpPolicy::RotaryRandomEstimator => {
-                build_estimator(&features, &self.history, self.config.top_k)
-            }
-            // ReLAQS and the others estimate from real-time data only.
-            _ => JointCurveEstimator::new(CurveBasis::LogShifted, Vec::new()),
-        };
-        let epoch_batches = match policy {
-            AqpPolicy::Rotary | AqpPolicy::RotaryRandomEstimator if self.config.adaptive_epochs => {
-                // Adaptive running epochs: "the AQP jobs that consume
-                // larger memory … deserve a longer running epoch"
-                // (§IV-A). The base length is the floor — lighter jobs
-                // keep the baseline epoch; heavier jobs get epochs
-                // proportional to their memory footprint.
-                let scaled = self.config.base_epoch_batches as f64 * memory_mb as f64
-                    / self.reference_memory.max(1.0);
-                (scaled.round() as usize)
-                    .clamp(self.config.base_epoch_batches, self.config.max_epoch_batches)
-            }
-            _ => self.config.base_epoch_batches,
-        };
-        let mut core = JobState::new(JobId(i as u64), JobKind::Aqp, spec.criterion(), spec.arrival);
-        core.status = JobStatus::Pending;
-        Ok(RunJob {
-            spec: spec.clone(),
-            core,
-            online,
-            envelopes,
-            estimator,
-            features,
-            memory_mb,
-            epoch_batches,
-            fraction_per_epoch: batch_rows as f64 / fact_rows as f64,
-            declaration_margin: self.config.declaration_margin,
-            in_memory: false,
-            epoch_start: SimTime::ZERO,
-            threads: 0,
-            last_threads: 1,
-            pending_persist: SimTime::ZERO,
-            fault_attempts: 0,
-            restores: 0,
-            ckpt_writes: 0,
-        })
-    }
-
-    /// Builds the initial run state for a workload: bound jobs plus the
-    /// arrival and deadline events.
-    fn start_run(
-        &mut self,
-        specs: &[AqpJobSpec],
-        policy: AqpPolicy,
-    ) -> rotary_core::Result<AqpRunState<'a>> {
-        let jobs = self.build_jobs(specs, policy)?;
-        let mut events: EventQueue<Event> = EventQueue::new();
-        for (i, job) in jobs.iter().enumerate() {
-            events.schedule(job.spec.arrival, Event::Arrival(i));
-            events.schedule(job.deadline_at(), Event::DeadlineCheck(i));
-        }
-        Ok(AqpRunState {
-            jobs,
-            events,
-            pool: CpuPool::new(self.config.pool),
-            metrics: WorkloadMetrics::new(),
-            material: MaterializationManager::new(
-                self.config.materialization,
-                self.config.checkpoint,
-            ),
-            random_est: RandomEstimator::new(self.config.seed ^ 0xabcd),
-            rr_cursor: 0,
-            makespan: SimTime::ZERO,
-            epochs_done: 0,
-            arb: AqpArbCaches::default(),
-        })
-    }
-
-    /// Benchmark hook: builds a run state without driving it, so the
-    /// `bench_arbitration` harness can time individual control-plane steps.
-    /// Not part of the public API contract.
+    /// Benchmark hook: starts a run without driving it, so a harness can
+    /// time individual control-plane steps. Not part of the public API
+    /// contract.
     #[doc(hidden)]
     pub fn bench_start(
         &mut self,
         specs: &[AqpJobSpec],
         policy: AqpPolicy,
-    ) -> rotary_core::Result<AqpBenchRun<'a>> {
-        Ok(AqpBenchRun(self.start_run(specs, policy)?))
+    ) -> rotary_core::Result<Run<Self>> {
+        Run::start(self, specs, policy)
     }
 
     /// Benchmark hook: processes one event of a [`AqpSystem::bench_start`]
     /// run; returns `false` once the event queue has drained.
     #[doc(hidden)]
-    pub fn bench_step(&mut self, run: &mut AqpBenchRun<'a>, policy: AqpPolicy) -> bool {
-        self.step(&mut run.0, policy)
+    pub fn bench_step(&mut self, run: &mut Run<Self>, _policy: AqpPolicy) -> bool {
+        run.step(self)
     }
 
-    /// Opens an empty streaming run for the serve daemon: no jobs, no
-    /// pending events — work arrives later through
-    /// [`AqpSystem::serve_admit`].
-    pub fn serve_start(&mut self, policy: AqpPolicy) -> rotary_core::Result<AqpServeRun<'a>> {
-        Ok(AqpServeRun {
-            st: self.start_run(&[], policy)?,
-            policy,
-            specs: Vec::new(),
-            reported: Vec::new(),
-        })
-    }
-
-    /// Admits one job into a streaming run, returning its job index. The
-    /// spec's `arrival` must not precede the run's clock (the daemon
-    /// guarantees this: it only admits at its own monotone virtual time).
-    ///
-    /// The job binds exactly as it would at the same index in a batch run
-    /// — same seed, same adaptive epoch length — and the control-plane
-    /// caches grow in place: the indexed arbitration path keeps its
-    /// standing order and re-keys only the newcomer.
-    ///
-    /// # Errors
-    /// [`RotaryError::PlanBind`](rotary_core::RotaryError::PlanBind) when
-    /// the spec fails to bind; the run is untouched and the daemon reports
-    /// the submission as failed without disturbing admitted work.
-    pub fn serve_admit(
-        &mut self,
-        run: &mut AqpServeRun<'a>,
-        spec: AqpJobSpec,
-    ) -> rotary_core::Result<usize> {
-        let i = run.st.jobs.len();
-        let job = self.build_job(i, &spec, run.policy)?;
-        run.st.events.schedule(spec.arrival, Event::Arrival(i));
-        run.st.events.schedule(job.deadline_at(), Event::DeadlineCheck(i));
-        run.st.jobs.push(job);
-        if run.st.arb.built && run.st.arb.enabled {
-            // The first cache build sized `contrib` to the job count it
-            // saw; grow it before marking so the re-key can fold the
-            // newcomer into the fleet sums.
-            run.st.arb.contrib.push((0, 0));
-            run.st.arb.mark(i);
-        }
-        run.specs.push(spec);
-        run.reported.push(false);
-        Ok(i)
-    }
-
-    /// The virtual time of the run's next internal event, if any.
-    pub fn serve_peek(&self, run: &AqpServeRun<'a>) -> Option<SimTime> {
-        run.st.events.peek_time()
-    }
-
-    /// Processes one event of a streaming run; returns `false` when the
-    /// event queue has drained (more admissions may refill it).
-    pub fn serve_step(&mut self, run: &mut AqpServeRun<'a>) -> bool {
-        let policy = run.policy;
-        self.step(&mut run.st, policy)
-    }
-
-    /// Drains the jobs that reached a terminal status since the last call:
-    /// `(job index, terminal status, finish time)`. Each job is reported
-    /// exactly once across the run's lifetime, including across a
-    /// snapshot/restore boundary (restored terminals count as already
-    /// reported — their outcomes live in the daemon's own ledger).
-    pub fn serve_drain_finished(
-        &mut self,
-        run: &mut AqpServeRun<'a>,
-    ) -> Vec<(usize, JobStatus, SimTime)> {
-        let mut out = Vec::new();
-        for (i, job) in run.st.jobs.iter().enumerate() {
-            if !run.reported[i] && job.core.status.is_terminal() {
-                run.reported[i] = true;
-                out.push((i, job.core.status, job.core.finished_at.unwrap_or(run.st.makespan)));
-            }
-        }
-        out
-    }
-
-    /// Jobs admitted but not yet terminal.
-    pub fn serve_inflight(&self, run: &AqpServeRun<'a>) -> usize {
-        run.st.jobs.iter().filter(|j| !j.core.status.is_terminal()).count()
-    }
-
-    /// Serialises the streaming run as named snapshot records — the same
-    /// layout a batch [`AqpSystem::run_durable`] writes for the admitted
-    /// specs.
-    ///
-    /// # Errors
-    /// Serialization failures pass through as typed errors.
-    pub fn serve_snapshot(
-        &self,
-        run: &AqpServeRun<'a>,
-        generation: u64,
-    ) -> rotary_core::Result<Vec<(String, Vec<u8>)>> {
-        snapshot::snapshot_records(self, &run.st, &run.specs, run.policy, generation)
-    }
-
-    /// Rebuilds a streaming run from records written by
-    /// [`AqpSystem::serve_snapshot`]. `specs` must be the admitted specs in
-    /// admission order (the serve layer snapshots them alongside).
-    ///
-    /// # Errors
-    /// [`RotaryError::SnapshotCorrupt`](rotary_core::RotaryError::SnapshotCorrupt)
-    /// on structural damage; `InvalidConfig` when the snapshot belongs to a
-    /// different workload, policy, or config.
-    pub fn serve_restore(
-        &mut self,
-        specs: Vec<AqpJobSpec>,
-        policy: AqpPolicy,
-        records: &[(String, Vec<u8>)],
-    ) -> rotary_core::Result<AqpServeRun<'a>> {
-        let st = snapshot::restore_run(self, &specs, policy, records)?;
-        let reported = st.jobs.iter().map(|j| j.core.status.is_terminal()).collect();
-        Ok(AqpServeRun { st, policy, specs, reported })
-    }
-
-    /// Processes one event and re-arbitrates. Returns `false` when the
-    /// queue has drained — the run is over.
-    fn step(&mut self, st: &mut AqpRunState<'a>, policy: AqpPolicy) -> bool {
-        let Some((now, event)) = st.events.pop() else {
-            return false;
-        };
-        // Only an epoch-completion event can leave a job Active and in
-        // memory, so the trailing checkpoint pass has at most this one
-        // candidate to examine (validated against the dense full scan by
-        // the property suite).
-        let ckpt_candidate = match &event {
-            Event::EpochDone(i) => Some(*i),
-            _ => None,
-        };
-        match event {
-            Event::Arrival(i) => {
-                if st.jobs[i].core.status == JobStatus::Pending {
-                    st.jobs[i].core.status = JobStatus::Active;
-                    st.arb.mark(i);
-                }
-            }
-            Event::EpochDone(i) => {
-                self.complete_epoch(&mut st.jobs[i], now, &mut st.pool, &mut st.metrics);
-                st.epochs_done += 1;
-                st.arb.mark(i);
-                if st.jobs[i].core.status.is_terminal() {
-                    st.material.forget(st.jobs[i].core.id.0);
-                    st.makespan = st.makespan.max(now);
-                }
-            }
-            Event::EpochFailed(i) => {
-                self.fail_epoch(
-                    i,
-                    &mut st.jobs[i],
-                    now,
-                    &mut st.pool,
-                    &mut st.metrics,
-                    &mut st.events,
-                );
-                st.arb.mark(i);
-                if st.jobs[i].core.status.is_terminal() {
-                    st.material.forget(st.jobs[i].core.id.0);
-                    st.makespan = st.makespan.max(now);
-                }
-            }
-            Event::RetryReady(i) => {
-                let job = &mut st.jobs[i];
-                if job.core.status == JobStatus::Recovering {
-                    if now >= job.deadline_at() {
-                        job.core.finish(JobStatus::DeadlineMissed, now);
-                        st.material.forget(job.core.id.0);
-                        self.archive(job);
-                        st.makespan = st.makespan.max(now);
-                    } else {
-                        // Back from backoff: re-enters arbitration from
-                        // its last checkpoint.
-                        job.core.status = JobStatus::Checkpointed;
-                    }
-                    st.arb.mark(i);
-                }
-            }
-            Event::DeadlineCheck(i) => {
-                // Catches jobs stuck waiting in the queue (or sitting
-                // out a retry backoff) past their deadline; running jobs
-                // are checked at epoch end.
-                let job = &mut st.jobs[i];
-                let waiting =
-                    job.core.status.is_arbitrable() || job.core.status == JobStatus::Recovering;
-                if waiting && now >= job.deadline_at() {
-                    job.core.finish(JobStatus::DeadlineMissed, now);
-                    st.material.forget(job.core.id.0);
-                    self.archive(job);
-                    st.makespan = st.makespan.max(now);
-                    st.arb.mark(i);
-                }
-            }
-        }
-
-        self.arbitrate(
-            &mut st.jobs,
-            now,
-            &mut st.pool,
-            &mut st.events,
-            policy,
-            &mut st.material,
-            &mut st.random_est,
-            &mut st.rr_cursor,
-            &mut st.metrics,
-            &mut st.arb,
-            ckpt_candidate,
-        );
-        if st.arb.enabled && st.metrics.snapshot_count() > 0 {
-            // Delta row: only jobs an event or a grant touched can have
-            // moved; the recorder bit-compares and drops the unchanged.
-            let touched = std::mem::take(&mut st.arb.touched);
-            let candidates: Vec<(JobId, f64)> = touched
-                .iter()
-                .map(|&id| {
-                    let j = &st.jobs[id as usize];
-                    (j.core.id, Self::snapshot_progress(j))
-                })
-                .collect();
-            st.metrics.record_snapshot_sparse(now, &candidates);
-        } else {
-            st.arb.touched.clear();
-            st.metrics.record_snapshot(
-                now,
-                st.jobs.iter().map(|j| (j.core.id, Self::snapshot_progress(j))).collect(),
-            );
-        }
-        true
-    }
-
-    /// The per-job value reported in progress snapshots.
-    fn snapshot_progress(j: &RunJob<'_>) -> f64 {
-        if j.core.status == JobStatus::Attained || j.core.status == JobStatus::FalselyAttained {
-            1.0
-        } else {
-            j.progress()
-        }
-    }
-
-    /// Condenses a drained run state into the run result.
-    fn finish_run(
-        &self,
-        st: AqpRunState<'_>,
-        specs: &[AqpJobSpec],
-        policy: AqpPolicy,
-    ) -> AqpRunResult {
-        let states: Vec<JobState> = st.jobs.iter().map(|j| j.core.clone()).collect();
-        let summary = WorkloadSummary::from_jobs(&states, st.makespan);
-        AqpRunResult {
-            policy,
-            jobs: specs.iter().cloned().zip(states).collect(),
-            summary,
-            metrics: st.metrics,
-            makespan: st.makespan,
-        }
-    }
-
-    fn complete_epoch(
-        &mut self,
-        job: &mut RunJob<'_>,
-        now: SimTime,
-        pool: &mut CpuPool,
-        metrics: &mut WorkloadMetrics,
-    ) {
-        pool.release(job.core.id).expect("completing job must hold a grant");
-        let service = now - job.epoch_start;
-        job.last_threads = job.threads.max(1);
-        job.fault_attempts = 0;
-        // What this epoch would have cost isolated with a full grant — the
-        // baseline of the Fig. 7b waiting-time metric.
-        let eff = |t: u32| 1.0 + (t.max(1) - 1) as f64 * 0.85;
-        job.core.add_isolated_service(
-            service.scale(eff(job.last_threads) / eff(self.config.max_threads_per_job)),
-        );
-        job.threads = 0;
-
-        // Observe the epoch's results: envelope per column, estimator point.
-        let values = job.online.executor().state().combined_all();
-        for (env, v) in job.envelopes.iter_mut().zip(&values) {
-            env.observe(v.unwrap_or(0.0));
-        }
-        let est_acc = job.estimated_accuracy();
-        job.estimator.observe(job.online.fraction_processed(), est_acc);
-
-        let epoch = job.core.epochs_run + 1;
-        job.core.record_epoch(
-            IntermediateState { epoch, at: now, metric_value: est_acc, progress: job.progress() },
-            service,
-        );
-
-        // Criterion check: declaration by envelope, verification by ground
-        // truth (the simulator's oracle) — Fig. 7a's false attainment.
-        // The deadline takes precedence: Fig. 6 counts "jobs that met their
-        // convergence criteria *before* their deadline", so a declaration
-        // landing on an epoch that finishes late is still a miss.
-        let declared = job.declares_attained();
-        let missed = now >= job.deadline_at();
-        let status = if missed {
-            Some(JobStatus::DeadlineMissed)
-        } else if declared {
-            if job.online.current_accuracy() >= job.spec.threshold {
-                Some(JobStatus::Attained)
-            } else {
-                Some(JobStatus::FalselyAttained)
-            }
-        } else {
-            None
-        };
-
-        metrics.record_span(PlacementSpan {
-            job: job.core.id,
-            resource: "cpu".into(),
-            start: job.epoch_start,
-            end: now,
-            attained_at_end: matches!(status, Some(JobStatus::Attained)),
-        });
-
-        match status {
-            Some(s) => {
-                job.core.finish(s, now);
-                self.archive(job);
-            }
-            None => job.core.status = JobStatus::Active,
-        }
-    }
-
-    /// Handles an injected epoch crash: the in-flight epoch's work is lost,
-    /// the grant is released, and the job either backs off for a retry
-    /// (restoring from its last checkpoint when re-granted), misses its
-    /// deadline, or — with retries exhausted — fails terminally.
-    fn fail_epoch(
-        &mut self,
-        i: usize,
-        job: &mut RunJob<'_>,
-        now: SimTime,
-        pool: &mut CpuPool,
-        metrics: &mut WorkloadMetrics,
-        events: &mut EventQueue<Event>,
-    ) {
-        pool.release(job.core.id).expect("crashed job must hold a grant");
-        job.threads = 0;
-        job.fault_attempts += 1;
-        let epoch = job.core.epochs_run + 1;
-        let attempts = job.fault_attempts;
-        // The wasted occupancy still shows in the placement timeline.
-        metrics.record_span(PlacementSpan {
-            job: job.core.id,
-            resource: "cpu".into(),
-            start: job.epoch_start,
-            end: now,
-            attained_at_end: false,
-        });
-        job.core.record_lost_epoch(RotaryError::EpochFailed {
-            job: job.core.id.0,
-            epoch,
-            attempts,
-        });
-        let counters = metrics.recovery_of(job.core.id);
-        counters.crashes += 1;
-        counters.epochs_lost += 1;
-        // The crash destroyed the in-memory state: the next launch restores
-        // from the last checkpoint (checkpoint-based recovery).
-        job.in_memory = false;
-
-        if now >= job.deadline_at() {
-            job.core.finish(JobStatus::DeadlineMissed, now);
-            self.archive(job);
-            return;
-        }
-        match self.config.faults.retry().evaluate(job.core.id.0, epoch, attempts) {
-            Ok(backoff) if now + backoff < job.deadline_at() => {
-                job.core.retries += 1;
-                metrics.recovery_of(job.core.id).retries += 1;
-                job.core.status = JobStatus::Recovering;
-                events.schedule(now + backoff, Event::RetryReady(i));
-            }
-            Ok(_) => {
-                // The backoff alone overruns the deadline — the retry could
-                // never complete an epoch in time.
-                job.core.finish(JobStatus::DeadlineMissed, now);
-                self.archive(job);
-            }
-            Err(e) => {
-                job.core.failure = Some(e);
-                job.core.finish(JobStatus::Failed, now);
-                self.archive(job);
-            }
-        }
+    /// Schedules what brings job `i` into arbitration: its arrival and its
+    /// deadline check.
+    fn schedule_job(lp: &mut Loop<RunJob<'a>>, i: usize) {
+        let job = &lp.jobs[i];
+        lp.events.schedule(job.spec.arrival, Event::Arrival(i));
+        lp.events.schedule(job.deadline_at(), Event::DeadlineCheck(i));
     }
 
     /// Stores a finished job's observed curve in the repository.
     fn archive(&mut self, job: &RunJob<'_>) {
         let curve: Vec<(f64, f64)> = job
+            .base
             .core
             .history
             .iter()
@@ -1201,8 +584,8 @@ impl<'a> AqpSystem<'a> {
             tags: job.features.tags(),
             numeric_features: BTreeMap::from([("memory_mb".into(), job.memory_mb as f64)]),
             curve,
-            final_metric: job.core.latest().map(|s| s.metric_value).unwrap_or(0.0),
-            epochs: job.core.epochs_run,
+            final_metric: job.base.core.latest().map(|s| s.metric_value).unwrap_or(0.0),
+            epochs: job.base.core.epochs_run,
         });
     }
 
@@ -1228,11 +611,12 @@ impl<'a> AqpSystem<'a> {
         };
         let per_epoch_frac = job.fraction_per_epoch * job.epoch_batches as f64;
         let epochs_needed = ((frac_needed - frac_now) / per_epoch_frac.max(1e-9)).ceil();
-        let per_epoch_secs = if job.core.epochs_run > 0 {
+        let per_epoch_secs = if job.base.core.epochs_run > 0 {
             // Normalise the observed epoch duration to the best-case grant:
             // the policy compares jobs by what they could do with a full
             // allocation, not by how starved they have been so far.
-            let observed = job.core.service_time.as_secs_f64() / job.core.epochs_run as f64;
+            let observed =
+                job.base.core.service_time.as_secs_f64() / job.base.core.epochs_run as f64;
             let eff = |t: u32| 1.0 + (t.max(1) - 1) as f64 * 0.85;
             observed * eff(job.last_threads) / eff(max_threads)
         } else {
@@ -1267,7 +651,7 @@ impl<'a> AqpSystem<'a> {
     /// flip instant is exact). The indexed control plane queues these flip
     /// times instead of re-evaluating every job per event.
     fn feasible_until(&self, job: &RunJob<'_>) -> Feasibility {
-        if !self.config.feasibility_check || job.core.epochs_run == 0 {
+        if !self.config.feasibility_check || job.base.core.epochs_run == 0 {
             // Jobs that have not run yet are optimistically feasible.
             return Feasibility::Always;
         }
@@ -1283,7 +667,7 @@ impl<'a> AqpSystem<'a> {
         // Project at the best-case grant: feasibility asks whether *any*
         // allocation could still save the job, not whether its current
         // (possibly starved) rate suffices.
-        let observed = job.core.service_time.as_secs_f64() / job.core.epochs_run as f64;
+        let observed = job.base.core.service_time.as_secs_f64() / job.base.core.epochs_run as f64;
         let eff = |t: u32| 1.0 + (t.max(1) - 1) as f64 * 0.85;
         let best_case = observed * eff(job.last_threads) / eff(self.config.max_threads_per_job);
         let projected = SimTime::from_secs_f64(epochs_needed * best_case);
@@ -1353,7 +737,10 @@ impl<'a> AqpSystem<'a> {
                 // (exact integer sums shared with the indexed path, so both
                 // paths key identically).
                 let (sum_ms, sum_epochs) = indices.iter().fold((0u128, 0u64), |(s, e), &i| {
-                    (s + jobs[i].core.service_time.as_millis() as u128, e + jobs[i].core.epochs_run)
+                    (
+                        s + jobs[i].base.core.service_time.as_millis() as u128,
+                        e + jobs[i].base.core.epochs_run,
+                    )
                 });
                 let avg_epoch_secs = Self::fleet_avg_epoch_secs(sum_ms, sum_epochs);
                 let mut keyed: Vec<(usize, bool, OrdF64)> = indices
@@ -1479,14 +866,15 @@ impl<'a> AqpSystem<'a> {
     fn build_caches(
         &self,
         arb: &mut AqpArbCaches,
+        marks: &mut Marks,
         jobs: &[RunJob<'_>],
         now: SimTime,
         policy: AqpPolicy,
     ) {
-        arb.built = true;
-        arb.enabled = !self.config.dense_control_plane
+        marks.built = true;
+        marks.enabled = !self.config.dense_control_plane
             && matches!(policy, AqpPolicy::Rotary | AqpPolicy::Relaqs);
-        if !arb.enabled {
+        if !marks.enabled {
             // EDF keys are already cheap; LAF/RoundRobin/RandomEstimator
             // mutate rank-time state (cursor, RNG draws), which memoization
             // must not skip. They keep the dense path.
@@ -1506,7 +894,7 @@ impl<'a> AqpSystem<'a> {
         // fires before `enabled` is known): every job is a metrics
         // candidate for the next row; the recorder's bit-compare drops the
         // unchanged ones.
-        arb.touched = (0..jobs.len() as u32).collect();
+        marks.touched = (0..jobs.len() as u32).collect();
     }
 
     /// Folds job `i`'s `(service_ms, epochs_run)` into the exact fleet
@@ -1515,8 +903,12 @@ impl<'a> AqpSystem<'a> {
     /// only, and the two must key identically.
     fn update_contrib(arb: &mut AqpArbCaches, jobs: &[RunJob<'_>], i: usize) {
         let j = &jobs[i];
-        let alive = !j.core.status.is_terminal() && j.core.status != JobStatus::Pending;
-        let new = if alive { (j.core.service_time.as_millis(), j.core.epochs_run) } else { (0, 0) };
+        let alive = !j.base.core.status.is_terminal() && j.base.core.status != JobStatus::Pending;
+        let new = if alive {
+            (j.base.core.service_time.as_millis(), j.base.core.epochs_run)
+        } else {
+            (0, 0)
+        };
         let old = arb.contrib[i];
         if new != old {
             arb.sum_service_ms = arb.sum_service_ms + new.0 as u128 - old.0 as u128;
@@ -1541,7 +933,7 @@ impl<'a> AqpSystem<'a> {
     ) {
         let id = i as u32;
         let j = &jobs[i];
-        let alive = !j.core.status.is_terminal() && j.core.status != JobStatus::Pending;
+        let alive = !j.base.core.status.is_terminal() && j.base.core.status != JobStatus::Pending;
         if !alive {
             arb.feasible.remove(id);
             arb.infeasible.remove(id);
@@ -1553,7 +945,7 @@ impl<'a> AqpSystem<'a> {
         }
         // Cold jobs (no epochs yet) key off the fleet average under Rotary;
         // track the set so a fleet-average drift re-keys exactly them.
-        if j.core.epochs_run == 0 && policy != AqpPolicy::Relaqs {
+        if j.base.core.epochs_run == 0 && policy != AqpPolicy::Relaqs {
             arb.cold.insert(id);
         } else {
             arb.cold.remove(&id);
@@ -1605,6 +997,7 @@ impl<'a> AqpSystem<'a> {
     fn indexed_ranked(
         &self,
         arb: &mut AqpArbCaches,
+        marks: &mut Marks,
         jobs: &[RunJob<'_>],
         now: SimTime,
         policy: AqpPolicy,
@@ -1624,7 +1017,7 @@ impl<'a> AqpSystem<'a> {
                 break;
             }
         }
-        let dirty = std::mem::take(&mut arb.dirty);
+        let dirty = std::mem::take(&mut marks.dirty);
         for &id in &dirty {
             Self::update_contrib(arb, jobs, id as usize);
         }
@@ -1694,48 +1087,226 @@ impl<'a> AqpSystem<'a> {
         material: &mut MaterializationManager,
         metrics: &mut WorkloadMetrics,
     ) {
-        if job.core.status == JobStatus::Active && job.in_memory {
-            job.in_memory = false;
-            job.core.checkpoints += 1;
-            job.core.status = JobStatus::Checkpointed;
-            job.pending_persist = material.pause(job.core.id.0, job.memory_mb);
-            job.ckpt_writes += 1;
-            if config.faults.checkpoint_write(job.core.id.0, job.ckpt_writes).is_err() {
+        if job.base.core.status == JobStatus::Active && job.base.in_memory {
+            job.base.in_memory = false;
+            job.base.core.checkpoints += 1;
+            job.base.core.status = JobStatus::Checkpointed;
+            job.pending_persist = material.pause(job.base.core.id.0, job.memory_mb);
+            job.base.ckpt_writes += 1;
+            if config.faults.checkpoint_write(job.base.core.id.0, job.base.ckpt_writes).is_err() {
                 // The write failed once; the retry repeats the full disk
                 // write, deferred to the job's next resume like the
                 // original persist cost.
                 job.pending_persist += config.checkpoint.checkpoint_cost(job.memory_mb);
-                metrics.recovery_of(job.core.id).checkpoint_failures += 1;
+                metrics.recovery_of(job.base.core.id).checkpoint_failures += 1;
             }
         }
     }
+}
 
-    #[allow(clippy::too_many_arguments)]
+impl<'a> Arbiter for AqpSystem<'a> {
+    type Spec = AqpJobSpec;
+    type Policy = AqpPolicy;
+    type Job = RunJob<'a>;
+    type Ext = AqpRunExt;
+    type Outcome = AqpRunResult;
+    type BindError = RotaryError;
+
+    fn faults(&self) -> &FaultPlan {
+        &self.config.faults
+    }
+
+    fn open(&mut self, _policy: AqpPolicy) -> AqpRunExt {
+        AqpRunExt {
+            pool: CpuPool::new(self.config.pool),
+            material: MaterializationManager::new(
+                self.config.materialization,
+                self.config.checkpoint,
+            ),
+            random_est: RandomEstimator::new(self.config.seed ^ 0xabcd),
+            arb: AqpArbCaches::default(),
+        }
+    }
+
+    /// Binds one spec at global job index `i`. The index seeds the job's
+    /// batch permutation, so a job admitted mid-run through the streaming
+    /// seam binds identically to the same spec at the same position in a
+    /// batch run — the property the serve-restore path relies on.
+    fn bind(
+        &mut self,
+        _ext: &mut AqpRunExt,
+        i: usize,
+        spec: &AqpJobSpec,
+        policy: AqpPolicy,
+        _now: SimTime,
+    ) -> rotary_core::Result<RunJob<'a>> {
+        let plan = &self.plans[&spec.query.0];
+        let batch_rows = Self::batch_rows_for(plan, self.data, self.config.batch_fraction);
+        let fact_rows = self.data.table(&plan.fact).map(|t| t.rows()).unwrap_or(1);
+        let online = OnlineAggregation::new(
+            plan,
+            self.data,
+            &mut self.cache,
+            self.truths[&spec.query.0].clone(),
+            self.config.seed ^ ((i as u64 + 1) * 0x9e37),
+            batch_rows,
+        )?;
+        let envelopes = (0..plan.aggregates.len())
+            .map(|_| EnvelopeDetector::new(self.config.envelope_window, 0.01))
+            .collect();
+        let memory_mb = self.memory[&spec.query.0];
+        let features = QueryFeatures::of(plan, memory_mb);
+        let estimator = match policy {
+            AqpPolicy::Rotary | AqpPolicy::RotaryRandomEstimator => {
+                build_estimator(&features, &self.history, self.config.top_k)
+            }
+            // ReLAQS and the others estimate from real-time data only.
+            _ => JointCurveEstimator::new(CurveBasis::LogShifted, Vec::new()),
+        };
+        let epoch_batches = match policy {
+            AqpPolicy::Rotary | AqpPolicy::RotaryRandomEstimator if self.config.adaptive_epochs => {
+                // Adaptive running epochs: "the AQP jobs that consume
+                // larger memory … deserve a longer running epoch"
+                // (§IV-A). The base length is the floor — lighter jobs
+                // keep the baseline epoch; heavier jobs get epochs
+                // proportional to their memory footprint.
+                let scaled = self.config.base_epoch_batches as f64 * memory_mb as f64
+                    / self.reference_memory.max(1.0);
+                (scaled.round() as usize)
+                    .clamp(self.config.base_epoch_batches, self.config.max_epoch_batches)
+            }
+            _ => self.config.base_epoch_batches,
+        };
+        let mut core = JobState::new(JobId(i as u64), JobKind::Aqp, spec.criterion(), spec.arrival);
+        core.status = JobStatus::Pending;
+        Ok(RunJob {
+            base: JobBase::new(core),
+            spec: spec.clone(),
+            online,
+            envelopes,
+            estimator,
+            features,
+            memory_mb,
+            epoch_batches,
+            fraction_per_epoch: batch_rows as f64 / fact_rows as f64,
+            declaration_margin: self.config.declaration_margin,
+            threads: 0,
+            last_threads: 1,
+            pending_persist: SimTime::ZERO,
+        })
+    }
+
+    fn begin(&mut self, lp: &mut Loop<RunJob<'a>>, _ext: &mut AqpRunExt, _policy: AqpPolicy) {
+        for i in 0..lp.jobs.len() {
+            Self::schedule_job(lp, i);
+        }
+    }
+
+    /// The job bound exactly as it would at the same index in a batch run;
+    /// here the control-plane caches grow in place: the indexed path keeps
+    /// its standing order and re-keys only the newcomer.
+    fn admit(&mut self, lp: &mut Loop<RunJob<'a>>, ext: &mut AqpRunExt, i: usize, _now: SimTime) {
+        Self::schedule_job(lp, i);
+        if lp.marks.built && lp.marks.enabled {
+            // The first cache build sized `contrib` to the job count it
+            // saw; grow it before marking so the re-key can fold the
+            // newcomer into the fleet sums.
+            ext.arb.contrib.push((0, 0));
+            lp.marks.mark(i);
+        }
+    }
+
+    fn complete_epoch(
+        &mut self,
+        lp: &mut Loop<RunJob<'a>>,
+        ext: &mut AqpRunExt,
+        i: usize,
+        now: SimTime,
+    ) {
+        let (job, metrics) = (&mut lp.jobs[i], &mut lp.metrics);
+        ext.pool.release(job.base.core.id).expect("completing job must hold a grant");
+        let service = now - job.base.epoch_start;
+        job.last_threads = job.threads.max(1);
+        job.base.fault_attempts = 0;
+        // What this epoch would have cost isolated with a full grant — the
+        // baseline of the Fig. 7b waiting-time metric.
+        let eff = |t: u32| 1.0 + (t.max(1) - 1) as f64 * 0.85;
+        job.base.core.add_isolated_service(
+            service.scale(eff(job.last_threads) / eff(self.config.max_threads_per_job)),
+        );
+        job.threads = 0;
+
+        // Observe the epoch's results: envelope per column, estimator point.
+        let values = job.online.executor().state().combined_all();
+        for (env, v) in job.envelopes.iter_mut().zip(&values) {
+            env.observe(v.unwrap_or(0.0));
+        }
+        let est_acc = job.estimated_accuracy();
+        job.estimator.observe(job.online.fraction_processed(), est_acc);
+
+        let epoch = job.base.core.epochs_run + 1;
+        job.base.core.record_epoch(
+            IntermediateState { epoch, at: now, metric_value: est_acc, progress: job.progress() },
+            service,
+        );
+
+        // Criterion check: declaration by envelope, verification by ground
+        // truth (the simulator's oracle) — Fig. 7a's false attainment.
+        // The deadline takes precedence: Fig. 6 counts "jobs that met their
+        // convergence criteria *before* their deadline", so a declaration
+        // landing on an epoch that finishes late is still a miss.
+        let declared = job.declares_attained();
+        let missed = now >= job.deadline_at();
+        let status = if missed {
+            Some(JobStatus::DeadlineMissed)
+        } else if declared {
+            if job.online.current_accuracy() >= job.spec.threshold {
+                Some(JobStatus::Attained)
+            } else {
+                Some(JobStatus::FalselyAttained)
+            }
+        } else {
+            None
+        };
+
+        metrics.record_span(PlacementSpan {
+            job: job.base.core.id,
+            resource: "cpu".into(),
+            start: job.base.epoch_start,
+            end: now,
+            attained_at_end: matches!(status, Some(JobStatus::Attained)),
+        });
+
+        match status {
+            Some(s) => {
+                job.base.core.finish(s, now);
+                self.retire(ext, job);
+            }
+            None => job.base.core.status = JobStatus::Active,
+        }
+    }
+
     fn arbitrate(
         &mut self,
-        jobs: &mut [RunJob<'a>],
-        now: SimTime,
-        pool: &mut CpuPool,
-        events: &mut EventQueue<Event>,
+        lp: &mut Loop<RunJob<'a>>,
+        ext: &mut AqpRunExt,
         policy: AqpPolicy,
-        material: &mut MaterializationManager,
-        random_est: &mut RandomEstimator,
-        rr_cursor: &mut usize,
-        metrics: &mut WorkloadMetrics,
-        arb: &mut AqpArbCaches,
+        now: SimTime,
         ckpt_candidate: Option<usize>,
     ) {
+        let Loop { jobs, events, metrics, rr_cursor, marks, .. } = lp;
+        let AqpRunExt { pool, material, random_est, arb } = ext;
         // Injected transient memory pressure shrinks what the arbiter may
         // hand out for the duration of the current pressure slot. Computed
         // up front because it is part of the decision fingerprint.
         let spike = self.config.faults.memory_pressure_mb(now);
-        if !arb.built {
-            self.build_caches(arb, jobs, now, policy);
+        if !marks.built {
+            self.build_caches(arb, marks, jobs, now, policy);
         }
         // The queue Q_t: every arrived, unfinished job — including running
         // ones, whose grants are re-evaluated at their epoch boundaries.
-        let ranked: Vec<usize> = if arb.enabled {
-            match self.indexed_ranked(arb, jobs, now, policy, pool, material, spike) {
+        let ranked: Vec<usize> = if marks.enabled {
+            match self.indexed_ranked(arb, marks, jobs, now, policy, pool, material, spike) {
                 Some(r) => r,
                 None => return,
             }
@@ -1744,7 +1315,7 @@ impl<'a> AqpSystem<'a> {
                 .iter()
                 .enumerate()
                 .filter(|(_, j)| {
-                    !j.core.status.is_terminal() && j.core.status != JobStatus::Pending
+                    !j.base.core.status.is_terminal() && j.base.core.status != JobStatus::Pending
                 })
                 .map(|(i, _)| i)
                 .collect();
@@ -1760,7 +1331,7 @@ impl<'a> AqpSystem<'a> {
         // hold threads — grant what is available, at least one thread.
         let mut granted: Vec<usize> = Vec::new();
         for &i in &ranked {
-            if !jobs[i].core.status.is_arbitrable() {
+            if !jobs[i].base.core.status.is_arbitrable() {
                 continue;
             }
             let quota = target.get(&i).copied().unwrap_or(0);
@@ -1781,7 +1352,7 @@ impl<'a> AqpSystem<'a> {
             if headroom(pool, material) < need {
                 continue;
             }
-            if pool.grant(jobs[i].core.id, available, need) {
+            if pool.grant(jobs[i].base.core.id, available, need) {
                 granted.push(i);
             }
         }
@@ -1799,13 +1370,13 @@ impl<'a> AqpSystem<'a> {
             let job = &mut jobs[i];
             if job.online.is_exhausted() {
                 // The stream finished earlier; the answer is exact.
-                pool.release(job.core.id).expect("granted job must hold its grant");
-                job.core.finish(JobStatus::Attained, now);
+                pool.release(job.base.core.id).expect("granted job must hold its grant");
+                job.base.core.finish(JobStatus::Attained, now);
                 self.archive(job);
                 finished_early.push(i);
                 continue;
             }
-            let threads = pool.threads_of(job.core.id);
+            let threads = pool.threads_of(job.base.core.id);
             // Consult the fault plan for this (job, epoch, attempt): a crash
             // skips the data plane entirely — the epoch's work never happens
             // and the grant burns until the crash fires; a straggler runs
@@ -1814,26 +1385,27 @@ impl<'a> AqpSystem<'a> {
             // bit-identical.
             let mut slowdown = 1.0;
             match self.config.faults.epoch_fault(
-                job.core.id.0,
-                job.core.epochs_run + 1,
-                job.fault_attempts,
+                job.base.core.id.0,
+                job.base.core.epochs_run + 1,
+                job.base.fault_attempts,
             ) {
                 EpochFault::Crash { wasted_fraction } => {
-                    let est = if job.core.epochs_run > 0 {
+                    let est = if job.base.core.epochs_run > 0 {
                         SimTime::from_secs_f64(
-                            job.core.service_time.as_secs_f64() / job.core.epochs_run as f64,
+                            job.base.core.service_time.as_secs_f64()
+                                / job.base.core.epochs_run as f64,
                         )
                     } else {
                         SimTime::from_secs(60)
                     };
                     job.threads = threads;
-                    job.epoch_start = now;
-                    job.core.status = JobStatus::Running;
+                    job.base.epoch_start = now;
+                    job.base.core.status = JobStatus::Running;
                     events.schedule(now + est.scale(wasted_fraction), Event::EpochFailed(i));
                     continue;
                 }
                 EpochFault::Straggler { slowdown: s } => {
-                    metrics.recovery_of(job.core.id).stragglers += 1;
+                    metrics.recovery_of(job.base.core.id).stragglers += 1;
                     slowdown = s;
                 }
                 EpochFault::None => {}
@@ -1854,12 +1426,12 @@ impl<'a> AqpSystem<'a> {
             // Clip the epoch so its boundary lands inside the budget.
             if self.config.adaptive_epochs
                 && matches!(policy, AqpPolicy::Rotary | AqpPolicy::RotaryRandomEstimator)
-                && job.core.epochs_run > 0
+                && job.base.core.epochs_run > 0
             {
                 let frac_per_batch = job.fraction_per_epoch;
                 let batches_done =
                     (job.online.fraction_processed() / frac_per_batch.max(1e-12)).max(1.0);
-                let per_batch_secs = job.core.service_time.as_secs_f64() / batches_done;
+                let per_batch_secs = job.base.core.service_time.as_secs_f64() / batches_done;
                 let remaining = job.deadline_at().saturating_sub(now).as_secs_f64() * 0.95;
                 if per_batch_secs > 0.0 {
                     let fit = (remaining / per_batch_secs).floor() as usize;
@@ -1903,31 +1475,31 @@ impl<'a> AqpSystem<'a> {
                 // Straggler epoch: same work, stretched virtual time.
                 duration = duration.scale(slowdown);
             }
-            if !job.in_memory && job.core.epochs_run > 0 {
+            if !job.base.in_memory && job.base.core.epochs_run > 0 {
                 // Resuming a paused job: pay the deferred persist cost plus
                 // the restore (zero when the state stayed memory-resident).
                 let mut resume_cost =
-                    job.pending_persist + material.resume(job.core.id.0, job.memory_mb);
+                    job.pending_persist + material.resume(job.base.core.id.0, job.memory_mb);
                 job.pending_persist = SimTime::ZERO;
-                job.restores += 1;
-                if self.config.faults.restore(job.core.id.0, job.restores).is_err() {
+                job.base.restores += 1;
+                if self.config.faults.restore(job.base.core.id.0, job.base.restores).is_err() {
                     // The read failed once; the retry repeats the full
                     // disk restore (bounded: exactly one extra read).
                     resume_cost += self.config.checkpoint.restore_cost(job.memory_mb);
-                    metrics.recovery_of(job.core.id).restore_failures += 1;
+                    metrics.recovery_of(job.base.core.id).restore_failures += 1;
                 }
                 duration += resume_cost;
             }
-            job.in_memory = true;
+            job.base.in_memory = true;
             job.threads = threads;
-            job.epoch_start = now;
-            job.core.status = JobStatus::Running;
+            job.base.epoch_start = now;
+            job.base.core.status = JobStatus::Running;
             events.schedule(now + duration, Event::EpochDone(i));
         }
 
         // Jobs that just finished an epoch but were not re-granted get
         // persisted per the materialization policy (paper §VI).
-        if arb.enabled {
+        if marks.enabled {
             // Between two arbitrations only an epoch completion can leave a
             // job Active *and* in memory (arrivals are not resident yet,
             // failures clear residency), so the triggering event's own job
@@ -1942,7 +1514,7 @@ impl<'a> AqpSystem<'a> {
             }
         }
 
-        if arb.enabled {
+        if marks.enabled {
             // A launched job's epoch executes inside arbitration, advancing
             // its processed fraction — which feeds both its priority key and
             // its reported progress — so launched jobs are re-marked dirty
@@ -1950,10 +1522,10 @@ impl<'a> AqpSystem<'a> {
             // (Crash-granted jobs schedule no data-plane work and keep
             // their key inputs; their mark comes with the failure event.)
             for &(i, _, _, _) in &launches {
-                arb.mark(i);
+                marks.mark(i);
             }
             for &i in &finished_early {
-                arb.mark(i);
+                marks.mark(i);
             }
             arb.memo.store(AqpFingerprint {
                 free_threads: pool.free_threads(),
@@ -1962,6 +1534,45 @@ impl<'a> AqpSystem<'a> {
                 resident_mb: material.resident_mb(),
             });
         }
+    }
+
+    /// The per-job value reported in progress snapshots.
+    fn progress_of(j: &RunJob<'a>) -> f64 {
+        if matches!(j.base.core.status, JobStatus::Attained | JobStatus::FalselyAttained) {
+            1.0
+        } else {
+            j.progress()
+        }
+    }
+
+    fn deadline_of(job: &RunJob<'a>) -> Option<SimTime> {
+        Some(job.deadline_at())
+    }
+
+    fn release(
+        &mut self,
+        ext: &mut AqpRunExt,
+        job: &mut RunJob<'a>,
+    ) -> rotary_core::Result<String> {
+        ext.pool.release(job.base.core.id)?;
+        job.threads = 0;
+        Ok("cpu".into())
+    }
+
+    fn retire(&mut self, ext: &mut AqpRunExt, job: &RunJob<'a>) {
+        ext.material.forget(job.base.core.id.0);
+        self.archive(job);
+    }
+
+    fn outcome(
+        policy: AqpPolicy,
+        jobs: Vec<(AqpJobSpec, JobState)>,
+        summary: WorkloadSummary,
+        metrics: WorkloadMetrics,
+        makespan: SimTime,
+        _ext: AqpRunExt,
+    ) -> AqpRunResult {
+        AqpRunResult { policy, jobs, summary, metrics, makespan }
     }
 }
 
@@ -2064,101 +1675,6 @@ mod tests {
         }
     }
 
-    /// Drives a streaming run: each spec is admitted just before the run's
-    /// clock reaches its arrival, then the queue drains. Returns every
-    /// job's terminal outcome in index order.
-    fn stream_run(
-        sys: &mut AqpSystem<'_>,
-        specs: &[AqpJobSpec],
-        policy: AqpPolicy,
-    ) -> Vec<(usize, JobStatus, SimTime)> {
-        let mut run = sys.serve_start(policy).unwrap();
-        let mut done = Vec::new();
-        for spec in specs {
-            while sys.serve_peek(&run).is_some_and(|t| t < spec.arrival) {
-                sys.serve_step(&mut run);
-                done.extend(sys.serve_drain_finished(&mut run));
-            }
-            sys.serve_admit(&mut run, spec.clone()).unwrap();
-        }
-        while sys.serve_step(&mut run) {
-            done.extend(sys.serve_drain_finished(&mut run));
-        }
-        done.extend(sys.serve_drain_finished(&mut run));
-        done.sort_by_key(|&(i, _, _)| i);
-        done
-    }
-
-    #[test]
-    fn streaming_admission_matches_batch_run() {
-        // A job admitted mid-run through the serve seam must bind and
-        // complete exactly as the same spec at the same index in a batch
-        // run — and the indexed control plane must agree with the dense
-        // one while its caches grow in place.
-        let data = small_data();
-        let specs = vec![
-            AqpJobSpec::new(QueryId(6), 0.6, SimTime::from_secs(900), SimTime::ZERO),
-            AqpJobSpec::new(QueryId(1), 0.6, SimTime::from_secs(900), SimTime::from_secs(30)),
-            AqpJobSpec::new(QueryId(14), 0.6, SimTime::from_secs(1200), SimTime::from_secs(70)),
-        ];
-        let batch = AqpSystem::new(&data, quick_config()).run(&specs, AqpPolicy::Rotary).unwrap();
-        let streamed =
-            stream_run(&mut AqpSystem::new(&data, quick_config()), &specs, AqpPolicy::Rotary);
-        let dense_cfg = AqpSystemConfig { dense_control_plane: true, ..quick_config() };
-        let streamed_dense =
-            stream_run(&mut AqpSystem::new(&data, dense_cfg), &specs, AqpPolicy::Rotary);
-        assert_eq!(streamed, streamed_dense, "indexed cache growth diverged from dense");
-        assert_eq!(streamed.len(), specs.len());
-        for (i, status, at) in streamed {
-            let (_, state) = &batch.jobs[i];
-            assert_eq!(status, state.status, "job {i}");
-            assert_eq!(Some(at), state.finished_at, "job {i}");
-        }
-    }
-
-    #[test]
-    fn streaming_snapshot_restores_to_identical_outcomes() {
-        let data = small_data();
-        let specs = vec![
-            AqpJobSpec::new(QueryId(6), 0.6, SimTime::from_secs(600), SimTime::ZERO),
-            AqpJobSpec::new(QueryId(14), 0.6, SimTime::from_secs(900), SimTime::from_secs(5)),
-        ];
-        let mut sys = AqpSystem::new(&data, quick_config());
-        let mut run = sys.serve_start(AqpPolicy::Rotary).unwrap();
-        for spec in &specs {
-            sys.serve_admit(&mut run, spec.clone()).unwrap();
-        }
-        for _ in 0..40 {
-            assert!(sys.serve_step(&mut run), "run ended before the snapshot point");
-        }
-        let drained_before = sys.serve_drain_finished(&mut run);
-        let records = sys.serve_snapshot(&run, 1).expect("snapshot");
-        let kept_specs = run.specs().to_vec();
-
-        fn finish<'a>(
-            sys: &mut AqpSystem<'a>,
-            run: &mut AqpServeRun<'a>,
-        ) -> Vec<(usize, JobStatus, SimTime)> {
-            let mut done = Vec::new();
-            while sys.serve_step(run) {
-                done.extend(sys.serve_drain_finished(run));
-            }
-            done.extend(sys.serve_drain_finished(run));
-            done.sort_by_key(|&(i, _, _)| i);
-            done
-        }
-        let original_tail = finish(&mut sys, &mut run);
-
-        let mut sys2 = AqpSystem::new(&data, quick_config());
-        let mut resumed =
-            sys2.serve_restore(kept_specs, AqpPolicy::Rotary, &records).expect("restore");
-        // Terminals reported before the snapshot stay reported.
-        assert_eq!(sys2.serve_inflight(&resumed), specs.len() - drained_before.len());
-        let resumed_tail = finish(&mut sys2, &mut resumed);
-        assert_eq!(original_tail, resumed_tail, "resumed outcomes diverged");
-        assert_eq!(original_tail.len() + drained_before.len(), specs.len());
-    }
-
     #[test]
     fn adaptive_epochs_scale_with_memory() {
         let data = small_data();
@@ -2235,79 +1751,6 @@ mod tests {
             strict.epochs_run,
             plain.epochs_run
         );
-    }
-
-    fn temp_store(tag: &str) -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join(format!("rotary-aqp-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        dir
-    }
-
-    #[test]
-    fn durable_run_without_halt_matches_plain_run() {
-        let data = small_data();
-        let specs = WorkloadBuilder::paper().jobs(3).seed(31).build();
-        let mut plain = AqpSystem::new(&data, quick_config());
-        let baseline = plain.run(&specs, AqpPolicy::Rotary).unwrap();
-
-        let dir = temp_store("plain");
-        let cfg = DurableConfig::new(&dir, 4);
-        let mut sys = AqpSystem::new(&data, quick_config());
-        let result = sys
-            .run_durable(&specs, AqpPolicy::Rotary, &cfg)
-            .unwrap()
-            .completed()
-            .expect("no halt requested");
-        assert_eq!(result.metrics.to_json().unwrap(), baseline.metrics.to_json().unwrap());
-        assert_eq!(result.makespan, baseline.makespan);
-        assert_eq!(result.summary, baseline.summary);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn durable_halt_and_resume_matches_plain_run() {
-        let data = small_data();
-        let specs = WorkloadBuilder::paper().jobs(4).seed(21).build();
-        let mut plain = AqpSystem::new(&data, quick_config());
-        let baseline = plain.run(&specs, AqpPolicy::Rotary).unwrap();
-        let expected = baseline.metrics.to_json().unwrap();
-
-        let dir = temp_store("halt-resume");
-        let mut cfg = DurableConfig::new(&dir, 2);
-        cfg.halt_after = Some(3);
-        let mut sys = AqpSystem::new(&data, quick_config());
-        let halted = sys.run_durable(&specs, AqpPolicy::Rotary, &cfg).unwrap();
-        assert!(matches!(halted, DurableOutcome::Halted { generation: 3 }));
-
-        cfg.halt_after = None;
-        let mut resumed_sys = AqpSystem::new(&data, quick_config());
-        let resumed = resumed_sys
-            .resume_durable(&specs, AqpPolicy::Rotary, &cfg)
-            .unwrap()
-            .completed()
-            .expect("resume must run to completion");
-        assert_eq!(resumed.metrics.to_json().unwrap(), expected);
-        assert_eq!(resumed.makespan, baseline.makespan);
-        assert_eq!(resumed.summary, baseline.summary);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn resume_rejects_mismatched_workload() {
-        let data = small_data();
-        let specs = WorkloadBuilder::paper().jobs(3).seed(9).build();
-        let dir = temp_store("mismatch");
-        let mut cfg = DurableConfig::new(&dir, 1);
-        cfg.halt_after = Some(1);
-        let mut sys = AqpSystem::new(&data, quick_config());
-        sys.run_durable(&specs, AqpPolicy::Rotary, &cfg).unwrap();
-
-        cfg.halt_after = None;
-        let other = WorkloadBuilder::paper().jobs(3).seed(10).build();
-        let mut resumed_sys = AqpSystem::new(&data, quick_config());
-        let err = resumed_sys.resume_durable(&other, AqpPolicy::Rotary, &cfg);
-        assert!(matches!(err, Err(RotaryError::InvalidConfig(_))));
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -1,333 +1,157 @@
-//! Durable snapshot serialization for the AQP arbitration loop.
+//! The AQP records of a durable snapshot.
 //!
-//! A snapshot is a set of named records (see `rotary-store`), each holding
-//! a JSON document:
+//! The envelope — `meta`, `events`, `loop`, `metrics`, `history`, and each
+//! job's lifecycle state — is written once, by
+//! [`Run::snapshot`](rotary_faults::arbiter::Run::snapshot). This module
+//! adds what only the AQP system knows:
 //!
-//! * `meta` — format tag, run fingerprint, policy, generation, epoch count;
-//! * `jobs` — per-job mutable state: the core [`JobState`], the delivered
-//!   row count (the executor's aggregation state is a pure function of the
-//!   delivered prefix, so restore *replays* it rather than serializing raw
-//!   accumulators), envelope windows, estimator points, and fault counters;
-//! * `events` — the pending event queue with original sequence numbers;
+//! * per job — the delivered row count (the executor's aggregation state is
+//!   a pure function of the delivered prefix, so restore *replays* it rather
+//!   than serializing raw accumulators), envelope windows, estimator points,
+//!   and the thread grant;
 //! * `pool` / `material` — CPU grants and memory-resident paused state;
-//! * `loop` — round-robin cursor, makespan, and the random-estimator RNG
-//!   position;
-//! * `metrics` / `history` — the existing JSON codecs, verbatim.
+//! * `loop.random_est` — the random-estimator RNG position.
 //!
 //! Everything deterministic and derivable (plans, ground truths, memory
 //! estimates, batch permutations) is rebuilt from the config instead of
-//! being stored; the `meta` fingerprint rejects restores into a different
-//! workload, policy, or config. All parsing is panic-free: malformed input
-//! surfaces as [`RotaryError::SnapshotCorrupt`], never as a crash.
+//! being stored. All parsing is panic-free: malformed input surfaces as
+//! [`RotaryError::SnapshotCorrupt`](rotary_core::RotaryError::SnapshotCorrupt),
+//! never as a crash.
 
-use rotary_core::error::{Result, RotaryError};
-use rotary_core::estimate::{CurveBasis, JointCurveEstimator};
+use std::fmt::Write as _;
+
+use rotary_core::error::Result;
+use rotary_core::estimate::JointCurveEstimator;
 use rotary_core::history::HistoryRepository;
-use rotary_core::job::{JobId, JobState};
-use rotary_core::json::{self, u64_json, Json};
+use rotary_core::job::JobId;
+use rotary_core::json::{u64_json, Json};
 use rotary_core::SimTime;
-use rotary_sim::{CpuPool, EventQueue, MaterializationManager, WorkloadMetrics};
-use rotary_store::fnv1a;
+use rotary_faults::arbiter::{corrupt, rng_from_json, rng_json, Durable};
+use rotary_sim::{CheckpointModel, CpuPool, MaterializationManager};
+use rotary_store::record_json;
 
-use super::{AqpPolicy, AqpRunState, AqpSystem, Event, RunJob};
+use super::{AqpPolicy, AqpRunExt, AqpSystem, RunJob};
 use crate::estimator::RandomEstimator;
 use crate::workload::AqpJobSpec;
 
-/// Format tag stored in the `meta` record; bump when the layout changes.
-const FORMAT: &str = "rotary-aqp-run/v1";
+impl Durable for AqpSystem<'_> {
+    const FORMAT: &'static str = "rotary-aqp-run/v1";
 
-fn corrupt(detail: &str) -> RotaryError {
-    RotaryError::SnapshotCorrupt { detail: format!("AQP snapshot: {detail}") }
-}
-
-/// Identity of a run: policy, seed, pool shape, and every spec field that
-/// influences the trace. A snapshot may only restore into the same run.
-fn fingerprint(sys: &AqpSystem<'_>, specs: &[AqpJobSpec], policy: AqpPolicy) -> u64 {
-    use std::fmt::Write as _;
-    let mut text = String::new();
-    let _ = write!(
-        text,
-        "{}|seed={}|pool={}t/{}mb",
-        policy.name(),
-        sys.config.seed,
-        sys.config.pool.threads,
-        sys.config.pool.memory_mb
-    );
-    for spec in specs {
-        // `with_ci_epsilon` rejects non-finite ε, so NaN bits cannot
-        // collide with this "absent" sentinel.
-        let ci = spec.ci_epsilon.map(f64::to_bits).unwrap_or(u64::MAX);
-        let _ = write!(
-            text,
-            "|q{}:th={:016x}:dl={}:ar={}:ci={:016x}",
-            spec.query.0,
-            spec.threshold.to_bits(),
-            spec.deadline.as_millis(),
-            spec.arrival.as_millis(),
-            ci
-        );
-    }
-    fnv1a(text.as_bytes())
-}
-
-/// Serializes the full mid-run state as the store's named records.
-pub(super) fn snapshot_records(
-    sys: &AqpSystem<'_>,
-    st: &AqpRunState<'_>,
-    specs: &[AqpJobSpec],
-    policy: AqpPolicy,
-    generation: u64,
-) -> Result<Vec<(String, Vec<u8>)>> {
-    let meta = Json::obj(vec![
-        ("format", Json::Str(FORMAT.to_string())),
-        ("policy", Json::Str(policy.name().to_string())),
-        ("fingerprint", u64_json(fingerprint(sys, specs, policy))),
-        ("generation", u64_json(generation)),
-        ("epochs_done", u64_json(st.epochs_done)),
-    ]);
-    let jobs = Json::Arr(st.jobs.iter().map(job_json).collect());
-    let events = events_json(&st.events);
-    let pool = Json::obj(vec![(
-        "grants",
-        Json::Arr(
-            st.pool
-                .grants()
-                .map(|(job, threads, memory_mb)| {
-                    Json::obj(vec![
-                        ("job", u64_json(job.0)),
-                        ("threads", Json::Num(threads as f64)),
-                        ("memory_mb", u64_json(memory_mb)),
-                    ])
-                })
-                .collect(),
-        ),
-    )]);
-    let material = Json::obj(vec![(
-        "resident",
-        Json::Arr(
-            st.material
-                .resident()
-                .map(|(job, mb)| Json::obj(vec![("job", u64_json(job)), ("mb", u64_json(mb))]))
-                .collect(),
-        ),
-    )]);
-    let (rng_state, rng_root) = st.random_est.snapshot_state();
-    let loop_state = Json::obj(vec![
-        ("rr_cursor", u64_json(st.rr_cursor as u64)),
-        ("makespan", u64_json(st.makespan.as_millis())),
-        ("random_est", rng_json(rng_state, rng_root)),
-    ]);
-    Ok(vec![
-        ("meta".to_string(), meta.to_pretty().into_bytes()),
-        ("jobs".to_string(), jobs.to_pretty().into_bytes()),
-        ("events".to_string(), events.to_pretty().into_bytes()),
-        ("pool".to_string(), pool.to_pretty().into_bytes()),
-        ("material".to_string(), material.to_pretty().into_bytes()),
-        ("loop".to_string(), loop_state.to_pretty().into_bytes()),
-        ("metrics".to_string(), st.metrics.to_json()?.into_bytes()),
-        ("history".to_string(), sys.history.to_json()?.into_bytes()),
-    ])
-}
-
-/// Rebuilds the mid-run state from a decoded snapshot: jobs are re-bound
-/// through the normal build path, then their mutable state is overwritten
-/// (aggregation state by replaying the delivered prefix).
-pub(super) fn restore_run<'a>(
-    sys: &mut AqpSystem<'a>,
-    specs: &[AqpJobSpec],
-    policy: AqpPolicy,
-    records: &[(String, Vec<u8>)],
-) -> Result<AqpRunState<'a>> {
-    let meta = record_json(records, "meta")?;
-    if meta.get("format").and_then(Json::as_str) != Some(FORMAT) {
-        return Err(corrupt("unknown meta.format"));
-    }
-    let fp = meta
-        .get("fingerprint")
-        .and_then(Json::as_u64_str)
-        .ok_or_else(|| corrupt("missing meta.fingerprint"))?;
-    if fp != fingerprint(sys, specs, policy) {
-        return Err(RotaryError::InvalidConfig(
-            "snapshot fingerprint does not match this workload/policy/config; \
-             refusing to resume a different run"
-                .into(),
-        ));
-    }
-    let epochs_done = meta
-        .get("epochs_done")
-        .and_then(Json::as_u64_str)
-        .ok_or_else(|| corrupt("missing meta.epochs_done"))?;
-
-    // History first: the repository is system-level state the snapshot owns.
-    sys.history = HistoryRepository::from_json(record_text(records, "history")?)?;
-    let metrics = WorkloadMetrics::from_json(record_text(records, "metrics")?)?;
-
-    let mut jobs = sys.build_jobs(specs, policy)?;
-    let jobs_doc = record_json(records, "jobs")?;
-    let jobs_arr = jobs_doc.as_arr().ok_or_else(|| corrupt("jobs record is not an array"))?;
-    if jobs_arr.len() != jobs.len() {
-        return Err(corrupt("job count does not match the workload"));
-    }
-    for (job, entry) in jobs.iter_mut().zip(jobs_arr) {
-        restore_job(job, entry).ok_or_else(|| corrupt("malformed job entry"))?;
+    fn checkpoint(&self) -> &CheckpointModel {
+        &self.config.checkpoint
     }
 
-    let events = restore_events(&record_json(records, "events")?, jobs.len())
-        .ok_or_else(|| corrupt("malformed events record"))?;
-    let pool = restore_pool(sys, &record_json(records, "pool")?)
-        .ok_or_else(|| corrupt("malformed pool record"))?;
-    let material = restore_material(sys, &record_json(records, "material")?)
-        .ok_or_else(|| corrupt("malformed material record"))?;
-
-    let loop_doc = record_json(records, "loop")?;
-    let (rng_state, rng_root) = loop_doc
-        .get("random_est")
-        .and_then(rng_from_json)
-        .ok_or_else(|| corrupt("malformed loop.random_est"))?;
-    let rr_cursor = loop_doc
-        .get("rr_cursor")
-        .and_then(Json::as_u64_str)
-        .and_then(|v| usize::try_from(v).ok())
-        .ok_or_else(|| corrupt("malformed loop.rr_cursor"))?;
-    let makespan = loop_doc
-        .get("makespan")
-        .and_then(Json::as_u64_str)
-        .map(SimTime::from_millis)
-        .ok_or_else(|| corrupt("malformed loop.makespan"))?;
-
-    Ok(AqpRunState {
-        jobs,
-        events,
-        pool,
-        metrics,
-        material,
-        random_est: RandomEstimator::from_snapshot(rng_state, rng_root),
-        rr_cursor,
-        makespan,
-        epochs_done,
-        // Control-plane caches are derived state: rebuilt lazily from job
-        // state at the first post-resume arbitration, never persisted.
-        arb: super::AqpArbCaches::default(),
-    })
-}
-
-fn job_json(job: &RunJob<'_>) -> Json {
-    Json::obj(vec![
-        ("core", job.core.to_json()),
-        ("delivered", u64_json(job.online.rows_delivered() as u64)),
-        (
-            "envelopes",
-            Json::Arr(
-                job.envelopes
-                    .iter()
-                    .map(|env| Json::Arr(env.values().map(Json::Num).collect()))
-                    .collect(),
-            ),
-        ),
-        (
-            "estimator",
-            Json::obj(vec![
-                ("basis", Json::Str(basis_name(job.estimator.basis()).to_string())),
-                ("historical", points_json(job.estimator.historical_points())),
-                ("realtime", points_json(job.estimator.realtime_points())),
-            ]),
-        ),
-        ("in_memory", Json::Bool(job.in_memory)),
-        ("epoch_start", u64_json(job.epoch_start.as_millis())),
-        ("threads", Json::Num(job.threads as f64)),
-        ("last_threads", Json::Num(job.last_threads as f64)),
-        ("pending_persist", u64_json(job.pending_persist.as_millis())),
-        ("fault_attempts", Json::Num(job.fault_attempts as f64)),
-        ("restores", u64_json(job.restores)),
-        ("ckpt_writes", u64_json(job.ckpt_writes)),
-    ])
-}
-
-fn restore_job(job: &mut RunJob<'_>, entry: &Json) -> Option<()> {
-    job.core = JobState::from_json(entry.get("core")?, job.spec.criterion())?;
-    let delivered = usize::try_from(entry.get("delivered")?.as_u64_str()?).ok()?;
-    if delivered > job.online.total_rows() {
-        return None;
+    fn history(&self) -> &HistoryRepository {
+        &self.history
     }
-    job.online.replay_delivered(delivered);
-    let envelopes = entry.get("envelopes")?.as_arr()?;
-    if envelopes.len() != job.envelopes.len() {
-        return None;
+
+    fn set_history(&mut self, history: HistoryRepository) {
+        self.history = history;
     }
-    for (env, values) in job.envelopes.iter_mut().zip(envelopes) {
-        for value in values.as_arr()? {
-            env.observe(value.as_f64()?);
+
+    fn policy_name(policy: AqpPolicy) -> String {
+        policy.name().to_string()
+    }
+
+    fn fingerprint_text(&self, specs: &[AqpJobSpec], text: &mut String) {
+        let pool = self.config.pool;
+        let _ =
+            write!(text, "|seed={}|pool={}t/{}mb", self.config.seed, pool.threads, pool.memory_mb);
+        for spec in specs {
+            // `with_ci_epsilon` rejects non-finite ε, so NaN bits cannot
+            // collide with this "absent" sentinel.
+            let ci = spec.ci_epsilon.map(f64::to_bits).unwrap_or(u64::MAX);
+            let _ = write!(
+                text,
+                "|q{}:th={:016x}:dl={}:ar={}:ci={:016x}",
+                spec.query.0,
+                spec.threshold.to_bits(),
+                spec.deadline.as_millis(),
+                spec.arrival.as_millis(),
+                ci
+            );
         }
     }
-    let est = entry.get("estimator")?;
-    let basis = basis_from_name(est.get("basis")?.as_str()?)?;
-    let mut estimator = JointCurveEstimator::new(basis, points_from(est.get("historical")?)?);
-    for (x, y) in points_from(est.get("realtime")?)? {
-        estimator.observe(x, y);
+
+    fn save_job(job: &RunJob<'_>) -> Vec<(&'static str, Json)> {
+        let window = |env: &rotary_core::estimate::EnvelopeDetector| {
+            Json::Arr(env.values().map(Json::Num).collect())
+        };
+        vec![
+            ("delivered", u64_json(job.online.rows_delivered() as u64)),
+            ("envelopes", Json::Arr(job.envelopes.iter().map(window).collect())),
+            ("estimator", job.estimator.to_json()),
+            ("threads", Json::Num(job.threads as f64)),
+            ("last_threads", Json::Num(job.last_threads as f64)),
+            ("pending_persist", u64_json(job.pending_persist.as_millis())),
+        ]
     }
-    job.estimator = estimator;
-    job.in_memory = entry.get("in_memory")?.as_bool()?;
-    job.epoch_start = SimTime::from_millis(entry.get("epoch_start")?.as_u64_str()?);
-    job.threads = u32::try_from(entry.get("threads")?.as_u64()?).ok()?;
-    job.last_threads = u32::try_from(entry.get("last_threads")?.as_u64()?).ok()?;
-    job.pending_persist = SimTime::from_millis(entry.get("pending_persist")?.as_u64_str()?);
-    job.fault_attempts = u32::try_from(entry.get("fault_attempts")?.as_u64()?).ok()?;
-    job.restores = entry.get("restores")?.as_u64_str()?;
-    job.ckpt_writes = entry.get("ckpt_writes")?.as_u64_str()?;
-    Some(())
-}
 
-fn events_json(events: &EventQueue<Event>) -> Json {
-    Json::obj(vec![
-        ("now", u64_json(events.now().as_millis())),
-        ("next_seq", u64_json(events.next_seq())),
-        (
-            "entries",
-            Json::Arr(
-                events.pending().into_iter().map(|(at, seq, e)| event_json(at, seq, e)).collect(),
-            ),
-        ),
-    ])
-}
-
-fn event_json(at: SimTime, seq: u64, event: &Event) -> Json {
-    let (kind, job) = match event {
-        Event::Arrival(i) => ("arrival", *i),
-        Event::EpochDone(i) => ("epoch-done", *i),
-        Event::EpochFailed(i) => ("epoch-failed", *i),
-        Event::RetryReady(i) => ("retry-ready", *i),
-        Event::DeadlineCheck(i) => ("deadline-check", *i),
-    };
-    Json::obj(vec![
-        ("at", u64_json(at.as_millis())),
-        ("seq", u64_json(seq)),
-        ("kind", Json::Str(kind.to_string())),
-        ("job", u64_json(job as u64)),
-    ])
-}
-
-fn restore_events(doc: &Json, job_count: usize) -> Option<EventQueue<Event>> {
-    let now = SimTime::from_millis(doc.get("now")?.as_u64_str()?);
-    let next_seq = doc.get("next_seq")?.as_u64_str()?;
-    let mut entries = Vec::new();
-    for e in doc.get("entries")?.as_arr()? {
-        let at = SimTime::from_millis(e.get("at")?.as_u64_str()?);
-        let seq = e.get("seq")?.as_u64_str()?;
-        let i = usize::try_from(e.get("job")?.as_u64_str()?).ok()?;
-        if i >= job_count {
+    fn load_job(job: &mut RunJob<'_>, entry: &Json) -> Option<()> {
+        let delivered = usize::try_from(entry.get("delivered")?.as_u64_str()?).ok()?;
+        if delivered > job.online.total_rows() {
             return None;
         }
-        let payload = match e.get("kind")?.as_str()? {
-            "arrival" => Event::Arrival(i),
-            "epoch-done" => Event::EpochDone(i),
-            "epoch-failed" => Event::EpochFailed(i),
-            "retry-ready" => Event::RetryReady(i),
-            "deadline-check" => Event::DeadlineCheck(i),
-            _ => return None,
-        };
-        entries.push((at, seq, payload));
+        job.online.replay_delivered(delivered);
+        let envelopes = entry.get("envelopes")?.as_arr()?;
+        if envelopes.len() != job.envelopes.len() {
+            return None;
+        }
+        for (env, values) in job.envelopes.iter_mut().zip(envelopes) {
+            for value in values.as_arr()? {
+                env.observe(value.as_f64()?);
+            }
+        }
+        job.estimator = JointCurveEstimator::from_json(entry.get("estimator")?)?;
+        job.threads = u32::try_from(entry.get("threads")?.as_u64()?).ok()?;
+        job.last_threads = u32::try_from(entry.get("last_threads")?.as_u64()?).ok()?;
+        job.pending_persist = SimTime::from_millis(entry.get("pending_persist")?.as_u64_str()?);
+        Some(())
     }
-    Some(EventQueue::restore(now, next_seq, entries))
+
+    fn save(
+        &self,
+        ext: &AqpRunExt,
+        loop_doc: &mut Vec<(&'static str, Json)>,
+    ) -> Vec<(&'static str, Json)> {
+        let grant = |(job, threads, memory_mb): (JobId, u32, u64)| {
+            Json::obj(vec![
+                ("job", u64_json(job.0)),
+                ("threads", Json::Num(threads as f64)),
+                ("memory_mb", u64_json(memory_mb)),
+            ])
+        };
+        let resident = |(job, mb)| Json::obj(vec![("job", u64_json(job)), ("mb", u64_json(mb))]);
+        let (rng_state, rng_root) = ext.random_est.snapshot_state();
+        loop_doc.push(("random_est", rng_json(rng_state, rng_root)));
+        vec![
+            (
+                "pool",
+                Json::obj(vec![("grants", Json::Arr(ext.pool.grants().map(grant).collect()))]),
+            ),
+            (
+                "material",
+                Json::obj(vec![(
+                    "resident",
+                    Json::Arr(ext.material.resident().map(resident).collect()),
+                )]),
+            ),
+        ]
+    }
+
+    fn load(&self, ext: &mut AqpRunExt, records: &[(String, Vec<u8>)]) -> Result<()> {
+        let bad = |what: &str| corrupt::<Self>(&format!("malformed {what}"));
+        ext.pool =
+            restore_pool(self, &record_json(records, "pool")?).ok_or_else(|| bad("pool record"))?;
+        restore_material(&mut ext.material, &record_json(records, "material")?)
+            .ok_or_else(|| bad("material record"))?;
+        let (rng_state, rng_root) = record_json(records, "loop")?
+            .get("random_est")
+            .and_then(rng_from_json)
+            .ok_or_else(|| bad("loop.random_est"))?;
+        ext.random_est = RandomEstimator::from_snapshot(rng_state, rng_root);
+        Ok(())
+    }
 }
 
 fn restore_pool(sys: &AqpSystem<'_>, doc: &Json) -> Option<CpuPool> {
@@ -345,81 +169,9 @@ fn restore_pool(sys: &AqpSystem<'_>, doc: &Json) -> Option<CpuPool> {
     Some(pool)
 }
 
-fn restore_material(sys: &AqpSystem<'_>, doc: &Json) -> Option<MaterializationManager> {
-    let mut material =
-        MaterializationManager::new(sys.config.materialization, sys.config.checkpoint);
+fn restore_material(material: &mut MaterializationManager, doc: &Json) -> Option<()> {
     for r in doc.get("resident")?.as_arr()? {
         material.restore_resident(r.get("job")?.as_u64_str()?, r.get("mb")?.as_u64_str()?);
     }
-    Some(material)
-}
-
-fn basis_name(basis: CurveBasis) -> &'static str {
-    match basis {
-        CurveBasis::Linear => "linear",
-        CurveBasis::LogShifted => "log-shifted",
-    }
-}
-
-fn basis_from_name(name: &str) -> Option<CurveBasis> {
-    match name {
-        "linear" => Some(CurveBasis::Linear),
-        "log-shifted" => Some(CurveBasis::LogShifted),
-        _ => None,
-    }
-}
-
-fn points_json(points: &[(f64, f64)]) -> Json {
-    Json::Arr(points.iter().map(|&(x, y)| Json::Arr(vec![Json::Num(x), Json::Num(y)])).collect())
-}
-
-fn points_from(doc: &Json) -> Option<Vec<(f64, f64)>> {
-    let mut out = Vec::new();
-    for p in doc.as_arr()? {
-        let pair = p.as_arr()?;
-        if pair.len() != 2 {
-            return None;
-        }
-        out.push((pair.first()?.as_f64()?, pair.get(1)?.as_f64()?));
-    }
-    Some(out)
-}
-
-fn rng_json(state: [u64; 4], root: u64) -> Json {
-    Json::obj(vec![
-        ("s0", u64_json(state[0])),
-        ("s1", u64_json(state[1])),
-        ("s2", u64_json(state[2])),
-        ("s3", u64_json(state[3])),
-        ("root", u64_json(root)),
-    ])
-}
-
-fn rng_from_json(doc: &Json) -> Option<([u64; 4], u64)> {
-    Some((
-        [
-            doc.get("s0")?.as_u64_str()?,
-            doc.get("s1")?.as_u64_str()?,
-            doc.get("s2")?.as_u64_str()?,
-            doc.get("s3")?.as_u64_str()?,
-        ],
-        doc.get("root")?.as_u64_str()?,
-    ))
-}
-
-fn record_bytes<'r>(records: &'r [(String, Vec<u8>)], name: &str) -> Result<&'r [u8]> {
-    records
-        .iter()
-        .find(|(n, _)| n == name)
-        .map(|(_, payload)| payload.as_slice())
-        .ok_or_else(|| corrupt(&format!("missing '{name}' record")))
-}
-
-fn record_text<'r>(records: &'r [(String, Vec<u8>)], name: &str) -> Result<&'r str> {
-    std::str::from_utf8(record_bytes(records, name)?)
-        .map_err(|_| corrupt(&format!("record '{name}' is not UTF-8")))
-}
-
-fn record_json(records: &[(String, Vec<u8>)], name: &str) -> Result<Json> {
-    json::parse(record_text(records, name)?).map_err(|e| corrupt(&format!("record '{name}': {e}")))
+    Some(())
 }

@@ -2,9 +2,9 @@
 //!
 //! Measures the arbitration cost per control-plane event (arrival, epoch
 //! completion, wake, deadline check) for both systems at 100 / 1k / 10k /
-//! 100k concurrent jobs, using the benchmark hooks
-//! (`AqpSystem::bench_start` / `bench_step` and the DLT equivalents) that
-//! drive one event at a time through the real event loop. Each scale's
+//! 100k concurrent jobs, stepping the shared run handle
+//! (`rotary_faults::arbiter::Run`, via `AqpSystem::bench_start` /
+//! `bench_step` for AQP) one event at a time through the real event loop. Each scale's
 //! ns/event lands in `BENCH_arbitration.json`; on top of the per-scale
 //! ±tolerance comparison the gate fits a 1k→100k scaling exponent
 //! `ln(cost_100k / cost_1k) / ln(100)` and fails — in every mode — unless
@@ -46,6 +46,7 @@ use rotary_dlt::{
     Architecture, DltJobSpec, DltPolicy, DltSystem, DltSystemConfig, Optimizer, TrainingConfig,
 };
 use rotary_engine::QueryId;
+use rotary_faults::arbiter::Run;
 use rotary_faults::FaultPlan;
 use rotary_tpch::Generator;
 
@@ -165,11 +166,11 @@ fn bench_dlt(metrics: &mut BTreeMap<String, f64>) {
             })
             .collect();
         let policy = DltPolicy::Rotary(Objective::Threshold(0.5));
-        let mut run = sys.bench_start(&specs, policy);
+        let mut run = must("dlt start", Run::start(&mut sys, &specs, policy));
         for _ in 0..WARMUP_EVENTS {
-            assert!(sys.bench_step(&mut run, policy), "dlt {tag}: drained in warmup");
+            assert!(run.step(&mut sys), "dlt {tag}: drained in warmup");
         }
-        let ns = ns_per_event(|| sys.bench_step(&mut run, policy), "dlt");
+        let ns = ns_per_event(|| run.step(&mut sys), "dlt");
         black_box(&run);
         report(metrics, format!("arbitration/dlt_epoch_ns_{tag}"), ns);
     }

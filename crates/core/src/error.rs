@@ -151,6 +151,13 @@ impl fmt::Display for RotaryError {
 
 impl std::error::Error for RotaryError {}
 
+/// Lets code generic over a fallible step accept a step that cannot fail.
+impl From<std::convert::Infallible> for RotaryError {
+    fn from(never: std::convert::Infallible) -> Self {
+        match never {}
+    }
+}
+
 impl RotaryError {
     /// Serialises the error for durable snapshots. Exact-width integers go
     /// through decimal strings (see [`crate::json::u64_json`]).

@@ -22,6 +22,7 @@
 
 use super::wlr::{LinearFit, WeightedPoint, WlrStats};
 use crate::error::Result;
+use crate::json::Json;
 
 /// The x-axis transformation under the linear fit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -52,6 +53,39 @@ impl CurveBasis {
             CurveBasis::LogShifted => t.exp() - 1.0,
         }
     }
+
+    /// Stable name used by durable snapshots.
+    pub fn name(self) -> &'static str {
+        match self {
+            CurveBasis::Linear => "linear",
+            CurveBasis::LogShifted => "log-shifted",
+        }
+    }
+
+    /// Inverse of [`CurveBasis::name`].
+    pub fn from_name(name: &str) -> Option<CurveBasis> {
+        match name {
+            "linear" => Some(CurveBasis::Linear),
+            "log-shifted" => Some(CurveBasis::LogShifted),
+            _ => None,
+        }
+    }
+}
+
+fn points_json(points: &[(f64, f64)]) -> Json {
+    Json::Arr(points.iter().map(|&(x, y)| Json::Arr(vec![Json::Num(x), Json::Num(y)])).collect())
+}
+
+fn points_from(doc: &Json) -> Option<Vec<(f64, f64)>> {
+    let mut out = Vec::new();
+    for p in doc.as_arr()? {
+        let pair = p.as_arr()?;
+        if pair.len() != 2 {
+            return None;
+        }
+        out.push((pair.first()?.as_f64()?, pair.get(1)?.as_f64()?));
+    }
+    Some(out)
 }
 
 /// Fits `y = f(x)` through historical and real-time observations with the
@@ -108,6 +142,28 @@ impl JointCurveEstimator {
         self.realtime.push((x, y));
         // Finite by the guard above: add cannot fail.
         let _ = self.stats.add(self.basis.transform(x), y, 1.0);
+    }
+
+    /// Durable-snapshot form: the basis and both point sets. The fitted
+    /// moments are not stored — [`JointCurveEstimator::from_json`] re-folds
+    /// the points in their original order, which reproduces them bit for bit.
+    pub fn to_json(&self) -> Json {
+        Json::obj(vec![
+            ("basis", Json::Str(self.basis.name().to_string())),
+            ("historical", points_json(&self.historical)),
+            ("realtime", points_json(&self.realtime)),
+        ])
+    }
+
+    /// Rebuilds an estimator written by [`JointCurveEstimator::to_json`];
+    /// `None` on any structural damage.
+    pub fn from_json(doc: &Json) -> Option<JointCurveEstimator> {
+        let basis = CurveBasis::from_name(doc.get("basis")?.as_str()?)?;
+        let mut estimator = JointCurveEstimator::new(basis, points_from(doc.get("historical")?)?);
+        for (x, y) in points_from(doc.get("realtime")?)? {
+            estimator.observe(x, y);
+        }
+        Some(estimator)
     }
 
     /// Number of real-time observations recorded so far.

@@ -32,5 +32,5 @@ pub use hpo::{hyperband, HpoOutcome, SuccessiveHalving, TrialResult};
 pub use models::{Architecture, Dataset, Domain, Optimizer};
 pub use parse::parse_train_statement;
 pub use simulator::{TrainingConfig, TrainingSim};
-pub use system::{DltPolicy, DltRunResult, DltServeRun, DltSystem, DltSystemConfig};
+pub use system::{DltPolicy, DltRunResult, DltSystem, DltSystemConfig};
 pub use workload::{fig11_microbenchmark, CriteriaMix, DltJobSpec, DltWorkloadBuilder};

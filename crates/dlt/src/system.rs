@@ -17,18 +17,18 @@ use std::collections::BTreeSet;
 
 use rotary_core::arb::{DecisionCache, OrdF64, PriorityIndex};
 use rotary_core::criteria::{CompletionCriterion, CriterionCheck};
-use rotary_core::error::RotaryError;
 use rotary_core::estimate::JointCurveEstimator;
 use rotary_core::history::HistoryRepository;
 use rotary_core::job::{IntermediateState, JobId, JobKind, JobState, JobStatus};
 use rotary_core::progress::Objective;
 use rotary_core::resources::GpuPoolSpec;
 use rotary_core::SimTime;
+use rotary_faults::arbiter::{self as arb, Arbiter, Event, Job, JobBase, Loop, Marks};
 use rotary_faults::{EpochFault, FaultPlan};
 use rotary_sim::{
     CheckpointModel, EventQueue, GpuPool, PlacementSpan, WorkloadMetrics, WorkloadSummary,
 };
-use rotary_store::{DurableConfig, DurableOutcome, SnapshotStore};
+use rotary_store::{DurableConfig, DurableOutcome};
 
 use crate::estimators::{
     build_tee, estimate_epochs_to_accuracy, job_record, Component, OverheadMeter, Tme, Ttr,
@@ -208,51 +208,34 @@ impl DltRunResult {
     }
 }
 
-#[derive(Debug)]
-enum Event {
-    EpochDone(usize),
-    /// An injected crash ends this job's in-flight epoch, losing its work.
-    EpochFailed(usize),
-    /// A crashed job's retry backoff has elapsed; it may be placed again.
-    RetryReady(usize),
-    /// A memory-pressure slot boundary: re-arbitrate in case the pressure
-    /// that blocked placements has lifted (without this, an otherwise idle
-    /// queue would never wake up again).
-    Wake,
-}
-
-struct RunJob {
+/// One job's run state: the shared bookkeeping plus the training
+/// simulation, its epoch estimator, and where it last ran.
+pub struct RunJob {
+    base: JobBase,
     spec: DltJobSpec,
-    core: JobState,
     sim: TrainingSim,
     tee: JointCurveEstimator,
     memory_estimate_mb: u64,
     true_memory_mb: u64,
     converged_flag: bool,
-    in_memory: bool,
     last_device: Option<usize>,
-    epoch_start: SimTime,
-    /// Failed attempts at the current epoch; reset on success.
-    fault_attempts: u32,
-    /// Restores performed so far — indexes the restore-fault stream.
-    restores: u64,
-    /// Checkpoint writes so far — indexes the write-fault stream.
-    ckpt_writes: u64,
 }
 
-/// Mutable state of one in-flight workload run: everything `step` needs
-/// between events, and exactly what a durable snapshot captures.
-struct DltRunState {
-    jobs: Vec<RunJob>,
-    events: EventQueue<Event>,
+impl Job for RunJob {
+    fn base(&self) -> &JobBase {
+        &self.base
+    }
+
+    fn base_mut(&mut self) -> &mut JobBase {
+        &mut self.base
+    }
+}
+
+/// The DLT-specific half of a run, next to the shared [`Loop`].
+pub struct DltRunExt {
     pool: GpuPool,
-    metrics: WorkloadMetrics,
     meter: OverheadMeter,
     ttr: Ttr,
-    rr_cursor: usize,
-    makespan: SimTime,
-    /// Epochs completed so far — the durable-snapshot cadence counter.
-    epochs_done: u64,
     /// Incremental control-plane state; derived, rebuilt lazily after a
     /// durable restore, never snapshotted.
     arb: DltArbCaches,
@@ -275,10 +258,6 @@ struct DltFingerprint {
 /// round-robin cursor) and keep the dense path.
 #[derive(Debug, Default)]
 struct DltArbCaches {
-    /// True once the lazy first build ran (decides `enabled`).
-    built: bool,
-    /// Indexed path active (Rotary policy and not forced dense).
-    enabled: bool,
     /// Arbitrable never-run jobs, served FIFO (ascending id) first so
     /// estimates get real-time grounding.
     trial: BTreeSet<u32>,
@@ -298,49 +277,8 @@ struct DltArbCaches {
     /// Jobs currently satisfying the predicate; the efficiency phase holds
     /// iff this equals the job count (Algorithm 3's phase switch).
     n_satisfied: usize,
-    /// Jobs whose state changed since the last pass (re-key these).
-    dirty: Vec<u32>,
-    /// Jobs whose progress may have changed since the last metrics row.
-    touched: Vec<u32>,
     /// Decision memoization over the non-job inputs.
     memo: DecisionCache<DltFingerprint>,
-}
-
-impl DltArbCaches {
-    /// Marks a job dirty and touched; no-op until the first build decides
-    /// the indexed path is active (the build re-keys everything anyway).
-    fn mark(&mut self, i: usize) {
-        if self.enabled {
-            self.dirty.push(i as u32);
-            self.touched.push(i as u32);
-        }
-    }
-}
-
-/// Benchmark-only opaque handle over a mid-run state (see
-/// [`DltSystem::bench_start`]).
-#[doc(hidden)]
-pub struct DltBenchRun(DltRunState);
-
-/// Streaming-service handle: an open-ended run that admits training jobs
-/// one at a time instead of taking the whole workload up front (the seam
-/// the `rotary-serve` daemon drives). The handle accumulates the admitted
-/// specs so a durable snapshot of the stream is exactly a snapshot of the
-/// equivalent batch run over those specs.
-pub struct DltServeRun {
-    st: DltRunState,
-    policy: DltPolicy,
-    specs: Vec<DltJobSpec>,
-    /// Per-job flag: terminal outcome already handed out by
-    /// [`DltSystem::serve_drain_finished`].
-    reported: Vec<bool>,
-}
-
-impl DltServeRun {
-    /// The specs admitted so far, in admission order.
-    pub fn specs(&self) -> &[DltJobSpec] {
-        &self.specs
-    }
 }
 
 /// The Rotary-DLT system.
@@ -472,528 +410,40 @@ impl DltSystem {
 
     /// Runs a workload under a policy.
     pub fn run(&mut self, specs: &[DltJobSpec], policy: DltPolicy) -> DltRunResult {
-        let mut st = self.start_run(specs, policy);
-        while self.step(&mut st, policy) {}
-        self.finish_run(st, specs, policy)
+        match arb::run(self, specs, policy) {
+            Ok(result) => result,
+            Err(never) => match never {},
+        }
     }
 
-    /// Like [`DltSystem::run`], but writes a durable snapshot to
-    /// `durable.dir` every `durable.every` completed epochs, so a crashed
-    /// process can pick the run back up with
-    /// [`DltSystem::resume_durable`]. With `halt_after` set the run stops
-    /// right after that snapshot generation commits (the crash-injection
-    /// hook used by the kill-and-resume tests).
+    /// [`DltSystem::run`] with durable snapshotting — see
+    /// [`arb::run_durable`].
     pub fn run_durable(
         &mut self,
         specs: &[DltJobSpec],
         policy: DltPolicy,
         durable: &DurableConfig,
     ) -> rotary_core::error::Result<DurableOutcome<DltRunResult>> {
-        durable.validate()?;
-        self.config.checkpoint.validate()?;
-        let store = SnapshotStore::open(&durable.dir)?;
-        let st = self.start_run(specs, policy);
-        self.drive(st, specs, policy, durable, &store, 0)
+        arb::run_durable(self, specs, policy, durable)
     }
 
-    /// Resumes a run from the newest valid snapshot in `durable.dir`
-    /// (corrupt generations are skipped), continuing to completion exactly
-    /// as the uninterrupted run would have: the resumed trace is
-    /// byte-identical. Starts fresh when the store holds no usable
-    /// snapshot. Fails with `InvalidConfig` when the snapshot belongs to a
-    /// different workload, policy, or config.
+    /// Resumes a killed [`DltSystem::run_durable`] run from the newest
+    /// valid snapshot — see [`arb::resume_durable`].
     pub fn resume_durable(
         &mut self,
         specs: &[DltJobSpec],
         policy: DltPolicy,
         durable: &DurableConfig,
     ) -> rotary_core::error::Result<DurableOutcome<DltRunResult>> {
-        durable.validate()?;
-        self.config.checkpoint.validate()?;
-        let store = SnapshotStore::open(&durable.dir)?;
-        match store.latest_valid()? {
-            Some((generation, records)) => {
-                let st = snapshot::restore_run(self, specs, policy, &records)?;
-                self.drive(st, specs, policy, durable, &store, generation)
-            }
-            None => {
-                let st = self.start_run(specs, policy);
-                self.drive(st, specs, policy, durable, &store, 0)
-            }
-        }
+        arb::resume_durable(self, specs, policy, durable)
     }
 
-    /// The durable event loop: steps the run, committing one snapshot
-    /// generation per `durable.every` completed epochs.
-    fn drive(
-        &mut self,
-        mut st: DltRunState,
-        specs: &[DltJobSpec],
-        policy: DltPolicy,
-        durable: &DurableConfig,
-        store: &SnapshotStore,
-        mut generation: u64,
-    ) -> rotary_core::error::Result<DurableOutcome<DltRunResult>> {
-        loop {
-            if !self.step(&mut st, policy) {
-                return Ok(DurableOutcome::Completed(self.finish_run(st, specs, policy)));
-            }
-            if st.epochs_done >= (generation + 1).saturating_mul(durable.every) {
-                generation += 1;
-                let records = snapshot::snapshot_records(self, &st, specs, policy, generation)?;
-                let damage = self.config.faults.snapshot_fault(generation);
-                store.commit(generation, &records, damage.as_ref())?;
-                if durable.halt_after == Some(generation) {
-                    return Ok(DurableOutcome::Halted { generation });
-                }
-            }
-        }
-    }
-
-    /// Builds the per-job run state (estimators seeded from history, fresh
-    /// training simulations) and rejects jobs no device could ever host.
-    fn build_jobs(&mut self, specs: &[DltJobSpec], meter: &mut OverheadMeter) -> Vec<RunJob> {
-        specs
-            .iter()
-            .enumerate()
-            .map(|(i, spec)| self.build_job(i, spec, meter, SimTime::ZERO))
-            .collect()
-    }
-
-    /// Binds one spec at global job index `i`, arriving at `arrival`. The
-    /// index seeds the training simulation, so a job admitted mid-run
-    /// through the streaming seam binds identically to the same spec at
-    /// the same position in a batch run. A job no device could ever host
-    /// finishes `DeadlineMissed` on the spot: "these resources can only
-    /// process one job at a time and are not sub-dividable", so it can
-    /// never be placed and must not wait forever.
-    fn build_job(
-        &mut self,
-        i: usize,
-        spec: &DltJobSpec,
-        meter: &mut OverheadMeter,
-        arrival: SimTime,
-    ) -> RunJob {
-        let tee = meter
-            .measure(Component::Tee, || build_tee(&spec.config, &self.history, self.config.top_k));
-        let memory_estimate_mb = meter.measure(Component::Tme, || {
-            self.tme
-                .estimate_mb(&spec.config, &self.history)
-                .unwrap_or_else(|| self.tme.cold_start_mb(&spec.config))
-        });
-        let mut core =
-            JobState::new(JobId(i as u64), JobKind::Dlt, spec.criterion.clone(), arrival);
-        core.status = JobStatus::Active;
-        let mut job = RunJob {
-            sim: TrainingSim::new(spec.config, self.config.seed ^ ((i as u64 + 1) * 0x51)),
-            tee,
-            memory_estimate_mb,
-            true_memory_mb: spec.config.memory_mb(),
-            converged_flag: false,
-            in_memory: false,
-            last_device: None,
-            epoch_start: SimTime::ZERO,
-            fault_attempts: 0,
-            restores: 0,
-            ckpt_writes: 0,
-            core,
-            spec: spec.clone(),
-        };
-        let largest_device =
-            self.config.pool.devices.iter().map(|d| d.memory_mb).max().unwrap_or(0);
-        if job.true_memory_mb.max(job.memory_estimate_mb) > largest_device {
-            job.core.finish(JobStatus::DeadlineMissed, arrival);
-        }
-        job
-    }
-
-    /// Builds the fresh run state and performs the t = 0 arbitration.
-    fn start_run(&mut self, specs: &[DltJobSpec], policy: DltPolicy) -> DltRunState {
-        let mut meter = match self.config.overhead_probe {
-            Some(probe) => OverheadMeter::with_clock(probe),
-            None => OverheadMeter::default(),
-        };
-        let mut jobs = self.build_jobs(specs, &mut meter);
-        let mut pool = GpuPool::new(self.config.pool.clone());
-        let mut events: EventQueue<Event> = EventQueue::new();
-        let mut metrics = WorkloadMetrics::new();
-        let mut rr_cursor = 0usize;
-        let mut arb = DltArbCaches::default();
-
-        // Initial arbitration at t = 0.
-        self.arbitrate(
-            &mut jobs,
-            SimTime::ZERO,
-            &mut pool,
-            &mut events,
-            &mut metrics,
-            policy,
-            &mut meter,
-            &mut rr_cursor,
-            &mut arb,
-            None,
-        );
-        DltRunState {
-            jobs,
-            events,
-            pool,
-            metrics,
-            meter,
-            ttr: Ttr::new(),
-            rr_cursor,
-            makespan: SimTime::ZERO,
-            epochs_done: 0,
-            arb,
-        }
-    }
-
-    /// Benchmark hook: builds a run state without driving it, so the
-    /// `bench_arbitration` harness can time individual control-plane steps.
-    /// Not part of the public API contract.
-    #[doc(hidden)]
-    pub fn bench_start(&mut self, specs: &[DltJobSpec], policy: DltPolicy) -> DltBenchRun {
-        DltBenchRun(self.start_run(specs, policy))
-    }
-
-    /// Benchmark hook: processes one event of a [`DltSystem::bench_start`]
-    /// run; returns `false` once the event queue has drained.
-    #[doc(hidden)]
-    pub fn bench_step(&mut self, run: &mut DltBenchRun, policy: DltPolicy) -> bool {
-        self.step(&mut run.0, policy)
-    }
-
-    /// Opens an empty streaming run for the serve daemon: no jobs, no
-    /// pending events — work arrives later through
-    /// [`DltSystem::serve_admit`].
-    pub fn serve_start(&mut self, policy: DltPolicy) -> DltServeRun {
-        DltServeRun {
-            st: self.start_run(&[], policy),
-            policy,
-            specs: Vec::new(),
-            reported: Vec::new(),
-        }
-    }
-
-    /// Admits one training job into a streaming run at virtual time `now`
-    /// (which must not precede the run's clock — the daemon guarantees
-    /// this), returning its job index. Unlike the batch path, the job
-    /// arrives `Active` at `now`, and a [`Event::Wake`] is scheduled so
-    /// the next step re-arbitrates with the newcomer in the trial queue.
-    /// A job no device could host is finished `DeadlineMissed` on the
-    /// spot and surfaces through [`DltSystem::serve_drain_finished`].
-    pub fn serve_admit(&mut self, run: &mut DltServeRun, spec: DltJobSpec, now: SimTime) -> usize {
-        let i = run.st.jobs.len();
-        let job = self.build_job(i, &spec, &mut run.st.meter, now);
-        run.st.jobs.push(job);
-        if run.st.arb.built && run.st.arb.enabled {
-            // The first cache build sized `satisfied` to the job count it
-            // saw; grow it before marking so the re-key can fold the
-            // newcomer into the phase predicate.
-            run.st.arb.satisfied.push(false);
-            run.st.arb.mark(i);
-        }
-        run.st.events.schedule(now, Event::Wake);
-        run.specs.push(spec);
-        run.reported.push(false);
-        i
-    }
-
-    /// The virtual time of the run's next internal event, if any.
-    pub fn serve_peek(&self, run: &DltServeRun) -> Option<SimTime> {
-        run.st.events.peek_time()
-    }
-
-    /// Processes one event of a streaming run; returns `false` when the
-    /// event queue has drained (more admissions may refill it).
-    pub fn serve_step(&mut self, run: &mut DltServeRun) -> bool {
-        let policy = run.policy;
-        self.step(&mut run.st, policy)
-    }
-
-    /// Drains the jobs that reached a terminal status since the last call:
-    /// `(job index, terminal status, finish time)`. Each job is reported
-    /// exactly once across the run's lifetime, including across a
-    /// snapshot/restore boundary (restored terminals count as already
-    /// reported — their outcomes live in the daemon's own ledger).
-    pub fn serve_drain_finished(
-        &mut self,
-        run: &mut DltServeRun,
-    ) -> Vec<(usize, JobStatus, SimTime)> {
-        let mut out = Vec::new();
-        for (i, job) in run.st.jobs.iter().enumerate() {
-            if !run.reported[i] && job.core.status.is_terminal() {
-                run.reported[i] = true;
-                out.push((i, job.core.status, job.core.finished_at.unwrap_or(run.st.makespan)));
-            }
-        }
-        out
-    }
-
-    /// Jobs admitted but not yet terminal.
-    pub fn serve_inflight(&self, run: &DltServeRun) -> usize {
-        run.st.jobs.iter().filter(|j| !j.core.status.is_terminal()).count()
-    }
-
-    /// Serialises the streaming run as named snapshot records — the same
-    /// layout a batch [`DltSystem::run_durable`] writes for the admitted
-    /// specs.
-    ///
-    /// # Errors
-    /// Serialization failures pass through as typed errors.
-    pub fn serve_snapshot(
-        &self,
-        run: &DltServeRun,
-        generation: u64,
-    ) -> rotary_core::error::Result<Vec<(String, Vec<u8>)>> {
-        snapshot::snapshot_records(self, &run.st, &run.specs, run.policy, generation)
-    }
-
-    /// Rebuilds a streaming run from records written by
-    /// [`DltSystem::serve_snapshot`]. `specs` must be the admitted specs
-    /// in admission order (the serve layer snapshots them alongside).
-    ///
-    /// # Errors
-    /// [`RotaryError::SnapshotCorrupt`](rotary_core::error::RotaryError::SnapshotCorrupt)
-    /// on structural damage; `InvalidConfig` when the snapshot belongs to
-    /// a different workload, policy, or config.
-    pub fn serve_restore(
-        &mut self,
-        specs: Vec<DltJobSpec>,
-        policy: DltPolicy,
-        records: &[(String, Vec<u8>)],
-    ) -> rotary_core::error::Result<DltServeRun> {
-        let st = snapshot::restore_run(self, &specs, policy, records)?;
-        let reported = st.jobs.iter().map(|j| j.core.status.is_terminal()).collect();
-        Ok(DltServeRun { st, policy, specs, reported })
-    }
-
-    /// Processes one event; returns `false` when the queue has drained.
-    fn step(&mut self, st: &mut DltRunState, policy: DltPolicy) -> bool {
-        let Some((now, event)) = st.events.pop() else {
-            return false;
-        };
-        // Only an epoch completion can leave a job Active and in memory, so
-        // the trailing checkpoint pass has at most this one candidate to
-        // examine (validated against the dense full scan by the property
-        // suite).
-        let ckpt_candidate = match &event {
-            Event::EpochDone(i) => Some(*i),
-            _ => None,
-        };
-        match event {
-            Event::EpochDone(i) => {
-                self.complete_epoch(
-                    &mut st.jobs[i],
-                    now,
-                    &mut st.pool,
-                    &mut st.metrics,
-                    &mut st.meter,
-                    &mut st.ttr,
-                );
-                st.epochs_done += 1;
-                st.arb.mark(i);
-                if st.jobs[i].core.status.is_terminal() {
-                    st.makespan = st.makespan.max(now);
-                }
-            }
-            Event::EpochFailed(i) => {
-                self.fail_epoch(
-                    i,
-                    &mut st.jobs[i],
-                    now,
-                    &mut st.pool,
-                    &mut st.metrics,
-                    &mut st.events,
-                );
-                st.arb.mark(i);
-                if st.jobs[i].core.status.is_terminal() {
-                    st.makespan = st.makespan.max(now);
-                }
-            }
-            Event::RetryReady(i) => {
-                if st.jobs[i].core.status == JobStatus::Recovering {
-                    // Backoff served: the job rejoins the arbitration
-                    // queue from its last durable checkpoint.
-                    st.jobs[i].core.status = JobStatus::Checkpointed;
-                    st.arb.mark(i);
-                }
-            }
-            Event::Wake => {}
-        }
-        self.arbitrate(
-            &mut st.jobs,
-            now,
-            &mut st.pool,
-            &mut st.events,
-            &mut st.metrics,
-            policy,
-            &mut st.meter,
-            &mut st.rr_cursor,
-            &mut st.arb,
-            ckpt_candidate,
-        );
-        if st.arb.enabled && st.metrics.snapshot_count() > 0 {
-            // Delta row: only jobs an event or a placement touched can have
-            // moved; the recorder bit-compares and drops the unchanged.
-            let touched = std::mem::take(&mut st.arb.touched);
-            let candidates: Vec<(JobId, f64)> = touched
-                .iter()
-                .map(|&id| {
-                    let j = &st.jobs[id as usize];
-                    (j.core.id, Self::snapshot_progress(j))
-                })
-                .collect();
-            st.metrics.record_snapshot_sparse(now, &candidates);
-        } else {
-            st.arb.touched.clear();
-            st.metrics.record_snapshot(
-                now,
-                st.jobs.iter().map(|j| (j.core.id, Self::snapshot_progress(j))).collect(),
-            );
-        }
-        true
-    }
-
-    /// The per-job value reported in progress snapshots.
-    fn snapshot_progress(j: &RunJob) -> f64 {
-        if j.core.status == JobStatus::Attained {
-            1.0
-        } else {
-            j.core.progress()
-        }
-    }
-
-    /// Assembles the run result once the event queue has drained.
-    fn finish_run(&self, st: DltRunState, specs: &[DltJobSpec], policy: DltPolicy) -> DltRunResult {
-        let states: Vec<JobState> = st.jobs.iter().map(|j| j.core.clone()).collect();
-        let summary = WorkloadSummary::from_jobs(&states, st.makespan);
-        DltRunResult {
-            policy: policy.name(),
-            jobs: specs.iter().cloned().zip(states).collect(),
-            summary,
-            metrics: st.metrics,
-            makespan: st.makespan,
-            overheads: st.meter,
-        }
-    }
-
-    fn complete_epoch(
-        &mut self,
-        job: &mut RunJob,
-        now: SimTime,
-        pool: &mut GpuPool,
-        metrics: &mut WorkloadMetrics,
-        meter: &mut OverheadMeter,
-        ttr: &mut Ttr,
-    ) {
-        let device = pool.vacate(job.core.id).expect("completing job must occupy a device");
-        let service = now - job.epoch_start;
-        job.fault_attempts = 0;
-        // The isolated baseline: GPUs are not shared, so an epoch costs the
-        // same alone; only queueing differs.
-        job.core.add_isolated_service(service);
-
-        // Train + evaluate.
-        let accuracy = job.sim.train_epoch();
-        let epoch = job.core.epochs_run + 1;
-
-        // TTR: record the epoch time net of the warm-up-affected first step.
-        let net = if epoch == 1 { service.saturating_sub(CUDA_WARMUP) } else { service };
-        meter.measure(Component::Ttr, || ttr.record(job.core.id, device, net));
-
-        // TEE real-time observation.
-        meter.measure(Component::Tee, || job.tee.observe(epoch as f64, accuracy));
-
-        // Plateau detection feeds the "considered converged" flag of
-        // Algorithm 3's phase switch.
-        if let Some(prev) = job.core.latest() {
-            if (accuracy - prev.metric_value).abs() < 0.002 && epoch >= 3 {
-                job.converged_flag = true;
-            }
-        }
-
-        let progress = Self::progress_at(job, epoch, Some(accuracy), now, meter);
-        let state = IntermediateState { epoch, at: now, metric_value: accuracy, progress };
-        let check = job.spec.criterion.check(&state, job.core.latest(), now);
-        job.core.record_epoch(state, service);
-
-        let status = match check {
-            CriterionCheck::Attained => Some(JobStatus::Attained),
-            CriterionCheck::DeadlineMissed => Some(JobStatus::DeadlineMissed),
-            CriterionCheck::Continue => None,
-        };
-        metrics.record_span(PlacementSpan {
-            job: job.core.id,
-            resource: format!("gpu{device}"),
-            start: job.epoch_start,
-            end: now,
-            attained_at_end: matches!(status, Some(JobStatus::Attained)),
-        });
-        match status {
-            Some(s) => {
-                job.core.finish(s, now);
-                // Archive: "all the completed jobs' information are stored".
-                let curve: Vec<(f64, f64)> =
-                    job.core.history.iter().map(|s| (s.epoch as f64, s.metric_value)).collect();
-                self.history.insert(job_record(&job.spec.config, curve, job.core.epochs_run));
-            }
-            None => job.core.status = JobStatus::Active,
-        }
-    }
-
-    /// Handles an injected epoch crash: the in-flight epoch is lost, the
-    /// device is freed, and the job either backs off for a retry (rolling
-    /// back to its last durable checkpoint) or — with retries exhausted —
-    /// fails permanently, archiving whatever curve it did produce.
-    fn fail_epoch(
-        &mut self,
-        i: usize,
-        job: &mut RunJob,
-        now: SimTime,
-        pool: &mut GpuPool,
-        metrics: &mut WorkloadMetrics,
-        events: &mut EventQueue<Event>,
-    ) {
-        let device = pool.vacate(job.core.id).expect("crashed job must occupy a device");
-        job.fault_attempts += 1;
-        let epoch = job.core.epochs_run + 1;
-        let attempts = job.fault_attempts;
-        metrics.record_span(PlacementSpan {
-            job: job.core.id,
-            resource: format!("gpu{device}"),
-            start: job.epoch_start,
-            end: now,
-            attained_at_end: false,
-        });
-        job.core.record_lost_epoch(RotaryError::EpochFailed {
-            job: job.core.id.0,
-            epoch,
-            attempts,
-        });
-        let counters = metrics.recovery_of(job.core.id);
-        counters.crashes += 1;
-        counters.epochs_lost += 1;
-        // Device state died with the crash: the next launch restores from
-        // the last durable checkpoint.
-        job.in_memory = false;
-        match self.config.faults.retry().evaluate(job.core.id.0, epoch, attempts) {
-            Ok(backoff) => {
-                job.core.retries += 1;
-                metrics.recovery_of(job.core.id).retries += 1;
-                job.core.status = JobStatus::Recovering;
-                events.schedule(now + backoff, Event::RetryReady(i));
-            }
-            Err(e) => {
-                job.core.failure = Some(e);
-                job.core.finish(JobStatus::Failed, now);
-                if job.core.epochs_run > 0 {
-                    // Partial curves are still valid history for estimators.
-                    let curve: Vec<(f64, f64)> =
-                        job.core.history.iter().map(|s| (s.epoch as f64, s.metric_value)).collect();
-                    self.history.insert(job_record(&job.spec.config, curve, job.core.epochs_run));
-                }
-            }
-        }
+    /// Archives a finished job's observed curve: "all the completed jobs'
+    /// information are stored".
+    fn archive(&mut self, job: &RunJob) {
+        let curve: Vec<(f64, f64)> =
+            job.base.core.history.iter().map(|s| (s.epoch as f64, s.metric_value)).collect();
+        self.history.insert(job_record(&job.spec.config, curve, job.base.core.epochs_run));
     }
 
     /// Ranks arbitrable job indices per the policy.
@@ -1022,14 +472,14 @@ impl DltSystem {
                 // Trial phase: never-run jobs go first (FIFO) so estimates
                 // get real-time grounding.
                 let (trial, rest): (Vec<usize>, Vec<usize>) =
-                    indices.into_iter().partition(|&i| jobs[i].core.epochs_run == 0);
+                    indices.into_iter().partition(|&i| jobs[i].base.core.epochs_run == 0);
                 let mut keyed: Vec<((OrdF64, SimTime), usize)> = rest
                     .into_iter()
                     .map(|i| {
                         let key = if efficiency {
                             let phi_hat = Self::progress_at(
                                 &jobs[i],
-                                jobs[i].core.epochs_run + 1,
+                                jobs[i].base.core.epochs_run + 1,
                                 None,
                                 now,
                                 meter,
@@ -1037,9 +487,9 @@ impl DltSystem {
                             // Negated: highest estimated progress first.
                             OrdF64::new(-phi_hat)
                         } else {
-                            OrdF64::new(jobs[i].core.progress())
+                            OrdF64::new(jobs[i].base.core.progress())
                         };
-                        ((key, jobs[i].core.arrival), i)
+                        ((key, jobs[i].base.core.arrival), i)
                     })
                     .collect();
                 keyed.sort_unstable();
@@ -1091,7 +541,7 @@ impl DltSystem {
     /// Algorithm 3's per-job phase predicate: the job no longer holds the
     /// workload in the fairness phase.
     fn phase_satisfied(j: &RunJob, threshold: f64) -> bool {
-        j.core.progress() >= threshold || j.converged_flag || j.core.status.is_terminal()
+        j.base.core.progress() >= threshold || j.converged_flag || j.base.core.status.is_terminal()
     }
 
     /// Whether the job's estimated next-epoch progress φ̂ depends on the
@@ -1109,17 +559,18 @@ impl DltSystem {
     /// indexed path is active and, if so, keys every job.
     fn build_dlt_caches(
         &self,
-        arb: &mut DltArbCaches,
+        ext: &mut DltRunExt,
+        marks: &mut Marks,
         jobs: &[RunJob],
         policy: DltPolicy,
         now: SimTime,
-        meter: &mut OverheadMeter,
     ) {
-        arb.built = true;
-        arb.enabled = !self.config.dense_control_plane && matches!(policy, DltPolicy::Rotary(_));
-        if !arb.enabled {
+        marks.built = true;
+        marks.enabled = !self.config.dense_control_plane && matches!(policy, DltPolicy::Rotary(_));
+        if !marks.enabled {
             return;
         }
+        let DltRunExt { arb, meter, .. } = ext;
         let DltPolicy::Rotary(objective) = policy else { unreachable!("enabled implies Rotary") };
         arb.trial.clear();
         arb.fair.clear();
@@ -1127,7 +578,7 @@ impl DltSystem {
         arb.eff_dynamic.clear();
         arb.satisfied = vec![false; jobs.len()];
         arb.n_satisfied = 0;
-        arb.dirty.clear();
+        marks.dirty.clear();
         arb.memo.invalidate();
         let threshold = objective.threshold();
         for i in 0..jobs.len() {
@@ -1138,7 +589,7 @@ impl DltSystem {
         // fires before `enabled` is known): every job is a metrics
         // candidate for the next row; the recorder's bit-compare drops the
         // unchanged ones.
-        arb.touched = (0..jobs.len() as u32).collect();
+        marks.touched = (0..jobs.len() as u32).collect();
     }
 
     /// Re-derives one job's control-plane entries from its current state:
@@ -1163,14 +614,14 @@ impl DltSystem {
                 arb.n_satisfied -= 1;
             }
         }
-        if !j.core.status.is_arbitrable() {
+        if !j.base.core.status.is_arbitrable() {
             arb.trial.remove(&id);
             arb.fair.remove(id);
             arb.eff.remove(id);
             arb.eff_dynamic.remove(&id);
             return;
         }
-        if j.core.epochs_run == 0 {
+        if j.base.core.epochs_run == 0 {
             // Trial phase: FIFO by id, no keys needed.
             arb.trial.insert(id);
             arb.fair.remove(id);
@@ -1179,14 +630,14 @@ impl DltSystem {
             return;
         }
         arb.trial.remove(&id);
-        arb.fair.upsert(id, (OrdF64::new(j.core.progress()), j.core.arrival));
+        arb.fair.upsert(id, (OrdF64::new(j.base.core.progress()), j.base.core.arrival));
         if Self::phi_hat_is_dynamic(j) {
             arb.eff.remove(id);
             arb.eff_dynamic.insert(id);
         } else {
-            let phi_hat = Self::progress_at(j, j.core.epochs_run + 1, None, now, meter);
+            let phi_hat = Self::progress_at(j, j.base.core.epochs_run + 1, None, now, meter);
             // Negated: highest estimated progress first.
-            arb.eff.upsert(id, (OrdF64::new(-phi_hat), j.core.arrival));
+            arb.eff.upsert(id, (OrdF64::new(-phi_hat), j.base.core.arrival));
             arb.eff_dynamic.remove(&id);
         }
     }
@@ -1240,7 +691,7 @@ impl DltSystem {
             // resident); otherwise first fit (Algorithm 3's m̂ ≤ M_d test).
             let device = match jobs[i].last_device {
                 Some(d)
-                    if pool.device_of(jobs[i].core.id).is_none()
+                    if pool.device_of(jobs[i].base.core.id).is_none()
                         && pool.free_devices().contains(&d)
                         && self.config.pool.devices[d].memory_mb >= estimate =>
                 {
@@ -1249,7 +700,7 @@ impl DltSystem {
                 _ => pool.first_fit(estimate),
             };
             let Some(device) = device else { continue };
-            pool.place(jobs[i].core.id, device);
+            pool.place(jobs[i].base.core.id, device);
             placed.push(i);
 
             let job = &mut jobs[i];
@@ -1258,8 +709,8 @@ impl DltSystem {
             // real footprint, and the job returns to the queue.
             if self.config.pool.devices[device].memory_mb < job.true_memory_mb {
                 job.memory_estimate_mb = job.true_memory_mb;
-                job.core.checkpoints += 1;
-                pool.vacate(job.core.id).expect("OOM job was placed just above");
+                job.base.core.checkpoints += 1;
+                pool.vacate(job.base.core.id).expect("OOM job was placed just above");
                 placed.pop();
                 oom.push(i);
                 continue;
@@ -1267,38 +718,38 @@ impl DltSystem {
 
             let speed = self.config.pool.devices[device].speed;
             let mut duration = job.spec.config.epoch_time(speed);
-            if job.core.epochs_run == 0 {
+            if job.base.core.epochs_run == 0 {
                 duration += CUDA_WARMUP;
             }
             let same_device = job.last_device == Some(device);
-            if job.core.epochs_run > 0 && (!job.in_memory || !same_device) {
+            if job.base.core.epochs_run > 0 && (!job.base.in_memory || !same_device) {
                 let mut restore = self.config.checkpoint.restore_cost(job.true_memory_mb);
-                job.restores += 1;
-                if self.config.faults.restore(job.core.id.0, job.restores).is_err() {
+                job.base.restores += 1;
+                if self.config.faults.restore(job.base.core.id.0, job.base.restores).is_err() {
                     // A corrupt read is retried from the replica; the job
                     // pays the restore path twice.
                     restore += self.config.checkpoint.restore_cost(job.true_memory_mb);
-                    metrics.recovery_of(job.core.id).restore_failures += 1;
+                    metrics.recovery_of(job.base.core.id).restore_failures += 1;
                 }
                 duration += restore;
             }
-            job.in_memory = true;
+            job.base.in_memory = true;
             job.last_device = Some(device);
-            job.epoch_start = now;
-            job.core.status = JobStatus::Running;
+            job.base.epoch_start = now;
+            job.base.core.status = JobStatus::Running;
             match self.config.faults.epoch_fault(
-                job.core.id.0,
-                job.core.epochs_run + 1,
-                job.fault_attempts,
+                job.base.core.id.0,
+                job.base.core.epochs_run + 1,
+                job.base.fault_attempts,
             ) {
                 EpochFault::Crash { wasted_fraction } => {
                     // The epoch dies partway through: the device burns the
                     // wasted span, the training work never lands.
-                    job.in_memory = false;
+                    job.base.in_memory = false;
                     events.schedule(now + duration.scale(wasted_fraction), Event::EpochFailed(i));
                 }
                 EpochFault::Straggler { slowdown } => {
-                    metrics.recovery_of(job.core.id).stragglers += 1;
+                    metrics.recovery_of(job.base.core.id).stragglers += 1;
                     events.schedule(now + duration.scale(slowdown), Event::EpochDone(i));
                 }
                 EpochFault::None => {
@@ -1312,16 +763,21 @@ impl DltSystem {
     /// A job that just finished an epoch but was not re-placed is
     /// checkpointed to disk.
     fn pause_if_idle(&self, job: &mut RunJob, metrics: &mut WorkloadMetrics) {
-        if job.core.status == JobStatus::Active && job.in_memory {
-            job.in_memory = false;
-            job.core.checkpoints += 1;
-            job.ckpt_writes += 1;
-            if self.config.faults.checkpoint_write(job.core.id.0, job.ckpt_writes).is_err() {
+        if job.base.core.status == JobStatus::Active && job.base.in_memory {
+            job.base.in_memory = false;
+            job.base.core.checkpoints += 1;
+            job.base.ckpt_writes += 1;
+            if self
+                .config
+                .faults
+                .checkpoint_write(job.base.core.id.0, job.base.ckpt_writes)
+                .is_err()
+            {
                 // The write is retried against the replica off the
                 // critical path; only the failure is recorded.
-                metrics.recovery_of(job.core.id).checkpoint_failures += 1;
+                metrics.recovery_of(job.base.core.id).checkpoint_failures += 1;
             }
-            job.core.status = JobStatus::Checkpointed;
+            job.base.core.status = JobStatus::Checkpointed;
         }
     }
 
@@ -1338,7 +794,7 @@ impl DltSystem {
     ) {
         if spike > 0 {
             let blocked = jobs.iter().any(|j| {
-                j.core.status.is_arbitrable() && pool.first_fit(j.memory_estimate_mb).is_some()
+                j.base.core.status.is_arbitrable() && pool.first_fit(j.memory_estimate_mb).is_some()
             });
             if blocked {
                 let slot_ms = self.config.faults.config().mem_spike_slot.as_millis().max(1);
@@ -1348,85 +804,23 @@ impl DltSystem {
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn arbitrate(
-        &mut self,
-        jobs: &mut [RunJob],
-        now: SimTime,
-        pool: &mut GpuPool,
-        events: &mut EventQueue<Event>,
-        metrics: &mut WorkloadMetrics,
-        policy: DltPolicy,
-        meter: &mut OverheadMeter,
-        rr_cursor: &mut usize,
-        arb: &mut DltArbCaches,
-        ckpt_candidate: Option<usize>,
-    ) {
-        // Transient co-located pressure shrinks what a device can host this
-        // slot; zero under an inert plan.
-        let spike = self.config.faults.memory_pressure_mb(now);
-        if !arb.built {
-            self.build_dlt_caches(arb, jobs, policy, now, meter);
-        }
-        if arb.enabled {
-            self.arbitrate_indexed(
-                jobs,
-                now,
-                pool,
-                events,
-                metrics,
-                policy,
-                meter,
-                arb,
-                ckpt_candidate,
-                spike,
-            );
-            return;
-        }
-
-        // Dense control plane: full re-rank per event (the baselines'
-        // round-robin cursor requires it; the Rotary policy keeps it
-        // reachable as the oracle behind `dense_control_plane`).
-        let arbitrable: Vec<usize> = jobs
-            .iter()
-            .enumerate()
-            .filter(|(_, j)| j.core.status.is_arbitrable())
-            .map(|(i, _)| i)
-            .collect();
-        if arbitrable.is_empty() {
-            return;
-        }
-        let ranked = self.rank(jobs, arbitrable, now, policy, meter, rr_cursor);
-        let _ = self.place_jobs(jobs, ranked.into_iter(), now, pool, events, metrics, spike);
-
-        // Jobs that just finished an epoch but were not re-placed are
-        // checkpointed to disk.
-        for job in jobs.iter_mut() {
-            self.pause_if_idle(job, metrics);
-        }
-        self.schedule_wake_if_blocked(jobs, now, pool, events, spike);
-    }
-
     /// The indexed control plane: re-keys only dirtied jobs, reads the
     /// standing order for the current phase, and memoizes the decision when
     /// nothing changed.
-    #[allow(clippy::too_many_arguments)]
     fn arbitrate_indexed(
         &self,
-        jobs: &mut [RunJob],
-        now: SimTime,
-        pool: &mut GpuPool,
-        events: &mut EventQueue<Event>,
-        metrics: &mut WorkloadMetrics,
+        lp: &mut Loop<RunJob>,
+        ext: &mut DltRunExt,
         policy: DltPolicy,
-        meter: &mut OverheadMeter,
-        arb: &mut DltArbCaches,
+        now: SimTime,
         ckpt_candidate: Option<usize>,
         spike: u64,
     ) {
         let DltPolicy::Rotary(objective) = policy else { return };
+        let Loop { jobs, events, metrics, marks, .. } = lp;
+        let DltRunExt { pool, meter, arb, .. } = ext;
         let threshold = objective.threshold();
-        let dirty = std::mem::take(&mut arb.dirty);
+        let dirty = std::mem::take(&mut marks.dirty);
         for &id in &dirty {
             Self::dlt_refresh_job(arb, jobs, id as usize, threshold, now, meter);
         }
@@ -1456,8 +850,9 @@ impl DltSystem {
                 .iter()
                 .map(|&id| {
                     let j = &jobs[id as usize];
-                    let phi_hat = Self::progress_at(j, j.core.epochs_run + 1, None, now, meter);
-                    ((OrdF64::new(-phi_hat), j.core.arrival), id)
+                    let phi_hat =
+                        Self::progress_at(j, j.base.core.epochs_run + 1, None, now, meter);
+                    ((OrdF64::new(-phi_hat), j.base.core.arrival), id)
                 })
                 .collect();
             dyn_keyed.sort_unstable();
@@ -1479,13 +874,253 @@ impl DltSystem {
         // corrected their memory estimate: both must be re-examined before
         // the next pass can trust the standing state.
         for &i in placed.iter().chain(oom.iter()) {
-            arb.mark(i);
+            marks.mark(i);
         }
         if let Some(i) = ckpt_candidate {
             self.pause_if_idle(&mut jobs[i], metrics);
         }
         arb.memo.store(DltFingerprint { free_devices: pool.free_devices(), spike });
         self.schedule_wake_if_blocked(jobs, now, pool, events, spike);
+    }
+}
+
+impl Arbiter for DltSystem {
+    type Spec = DltJobSpec;
+    type Policy = DltPolicy;
+    type Job = RunJob;
+    type Ext = DltRunExt;
+    type Outcome = DltRunResult;
+    type BindError = std::convert::Infallible;
+
+    fn faults(&self) -> &FaultPlan {
+        &self.config.faults
+    }
+
+    fn open(&mut self, _policy: DltPolicy) -> DltRunExt {
+        let meter = match self.config.overhead_probe {
+            Some(probe) => OverheadMeter::with_clock(probe),
+            None => OverheadMeter::default(),
+        };
+        DltRunExt {
+            pool: GpuPool::new(self.config.pool.clone()),
+            meter,
+            ttr: Ttr::new(),
+            arb: DltArbCaches::default(),
+        }
+    }
+
+    /// Binds one spec at global job index `i`, arriving at `arrival`. The
+    /// index seeds the training simulation, so a job admitted mid-run
+    /// through the streaming seam binds identically to the same spec at
+    /// the same position in a batch run. A job no device could ever host
+    /// finishes `DeadlineMissed` on the spot: "these resources can only
+    /// process one job at a time and are not sub-dividable", so it can
+    /// never be placed and must not wait forever.
+    fn bind(
+        &mut self,
+        ext: &mut DltRunExt,
+        i: usize,
+        spec: &DltJobSpec,
+        _policy: DltPolicy,
+        arrival: SimTime,
+    ) -> Result<RunJob, Self::BindError> {
+        let tee = ext
+            .meter
+            .measure(Component::Tee, || build_tee(&spec.config, &self.history, self.config.top_k));
+        let memory_estimate_mb = ext.meter.measure(Component::Tme, || {
+            self.tme
+                .estimate_mb(&spec.config, &self.history)
+                .unwrap_or_else(|| self.tme.cold_start_mb(&spec.config))
+        });
+        let mut core =
+            JobState::new(JobId(i as u64), JobKind::Dlt, spec.criterion.clone(), arrival);
+        core.status = JobStatus::Active;
+        let mut job = RunJob {
+            base: JobBase::new(core),
+            sim: TrainingSim::new(spec.config, self.config.seed ^ ((i as u64 + 1) * 0x51)),
+            tee,
+            memory_estimate_mb,
+            true_memory_mb: spec.config.memory_mb(),
+            converged_flag: false,
+            last_device: None,
+            spec: spec.clone(),
+        };
+        let largest_device =
+            self.config.pool.devices.iter().map(|d| d.memory_mb).max().unwrap_or(0);
+        if job.true_memory_mb.max(job.memory_estimate_mb) > largest_device {
+            job.base.core.finish(JobStatus::DeadlineMissed, arrival);
+        }
+        Ok(job)
+    }
+
+    /// All jobs are submitted at time zero: the run opens with the t = 0
+    /// arbitration.
+    fn begin(&mut self, lp: &mut Loop<RunJob>, ext: &mut DltRunExt, policy: DltPolicy) {
+        self.arbitrate(lp, ext, policy, SimTime::ZERO, None);
+    }
+
+    /// Unlike a batch job, the newcomer arrives `Active` at `now`; a
+    /// [`Event::Wake`] makes the next step re-arbitrate with it in the
+    /// trial queue. A job no device could host was finished
+    /// `DeadlineMissed` on the spot and surfaces at the next drain.
+    fn admit(&mut self, lp: &mut Loop<RunJob>, ext: &mut DltRunExt, i: usize, now: SimTime) {
+        if lp.marks.built && lp.marks.enabled {
+            // The first cache build sized `satisfied` to the job count it
+            // saw; grow it before marking so the re-key can fold the
+            // newcomer into the phase predicate.
+            ext.arb.satisfied.push(false);
+            lp.marks.mark(i);
+        }
+        lp.events.schedule(now, Event::Wake);
+    }
+
+    fn complete_epoch(
+        &mut self,
+        lp: &mut Loop<RunJob>,
+        ext: &mut DltRunExt,
+        i: usize,
+        now: SimTime,
+    ) {
+        let (job, metrics) = (&mut lp.jobs[i], &mut lp.metrics);
+        let DltRunExt { pool, meter, ttr, .. } = ext;
+        let device = pool.vacate(job.base.core.id).expect("completing job must occupy a device");
+        let service = now - job.base.epoch_start;
+        job.base.fault_attempts = 0;
+        // The isolated baseline: GPUs are not shared, so an epoch costs the
+        // same alone; only queueing differs.
+        job.base.core.add_isolated_service(service);
+
+        // Train + evaluate.
+        let accuracy = job.sim.train_epoch();
+        let epoch = job.base.core.epochs_run + 1;
+
+        // TTR: record the epoch time net of the warm-up-affected first step.
+        let net = if epoch == 1 { service.saturating_sub(CUDA_WARMUP) } else { service };
+        meter.measure(Component::Ttr, || ttr.record(job.base.core.id, device, net));
+
+        // TEE real-time observation.
+        meter.measure(Component::Tee, || job.tee.observe(epoch as f64, accuracy));
+
+        // Plateau detection feeds the "considered converged" flag of
+        // Algorithm 3's phase switch.
+        if let Some(prev) = job.base.core.latest() {
+            if (accuracy - prev.metric_value).abs() < 0.002 && epoch >= 3 {
+                job.converged_flag = true;
+            }
+        }
+
+        let progress = Self::progress_at(job, epoch, Some(accuracy), now, meter);
+        let state = IntermediateState { epoch, at: now, metric_value: accuracy, progress };
+        let check = job.spec.criterion.check(&state, job.base.core.latest(), now);
+        job.base.core.record_epoch(state, service);
+
+        let status = match check {
+            CriterionCheck::Attained => Some(JobStatus::Attained),
+            CriterionCheck::DeadlineMissed => Some(JobStatus::DeadlineMissed),
+            CriterionCheck::Continue => None,
+        };
+        metrics.record_span(PlacementSpan {
+            job: job.base.core.id,
+            resource: format!("gpu{device}"),
+            start: job.base.epoch_start,
+            end: now,
+            attained_at_end: matches!(status, Some(JobStatus::Attained)),
+        });
+        match status {
+            Some(s) => {
+                job.base.core.finish(s, now);
+                self.archive(job);
+            }
+            None => job.base.core.status = JobStatus::Active,
+        }
+    }
+
+    fn arbitrate(
+        &mut self,
+        lp: &mut Loop<RunJob>,
+        ext: &mut DltRunExt,
+        policy: DltPolicy,
+        now: SimTime,
+        ckpt_candidate: Option<usize>,
+    ) {
+        // Transient co-located pressure shrinks what a device can host this
+        // slot; zero under an inert plan.
+        let spike = self.config.faults.memory_pressure_mb(now);
+        if !lp.marks.built {
+            self.build_dlt_caches(ext, &mut lp.marks, &lp.jobs, policy, now);
+        }
+        if lp.marks.enabled {
+            return self.arbitrate_indexed(lp, ext, policy, now, ckpt_candidate, spike);
+        }
+        let Loop { jobs, events, metrics, rr_cursor, .. } = lp;
+        let DltRunExt { pool, meter, .. } = ext;
+
+        // Dense control plane: full re-rank per event (the baselines'
+        // round-robin cursor requires it; the Rotary policy keeps it
+        // reachable as the oracle behind `dense_control_plane`).
+        let arbitrable: Vec<usize> = jobs
+            .iter()
+            .enumerate()
+            .filter(|(_, j)| j.base.core.status.is_arbitrable())
+            .map(|(i, _)| i)
+            .collect();
+        if arbitrable.is_empty() {
+            return;
+        }
+        let ranked = self.rank(jobs, arbitrable, now, policy, meter, rr_cursor);
+        let _ = self.place_jobs(jobs, ranked.into_iter(), now, pool, events, metrics, spike);
+
+        // Jobs that just finished an epoch but were not re-placed are
+        // checkpointed to disk.
+        for job in jobs.iter_mut() {
+            self.pause_if_idle(job, metrics);
+        }
+        self.schedule_wake_if_blocked(jobs, now, pool, events, spike);
+    }
+
+    /// The per-job value reported in progress snapshots.
+    fn progress_of(j: &RunJob) -> f64 {
+        if j.base.core.status == JobStatus::Attained {
+            1.0
+        } else {
+            j.base.core.progress()
+        }
+    }
+
+    /// DLT deadlines are epoch or time budgets checked at epoch end; a
+    /// queued job is never expired by the clock.
+    fn deadline_of(_job: &RunJob) -> Option<SimTime> {
+        None
+    }
+
+    fn release(&mut self, ext: &mut DltRunExt, job: &mut RunJob) -> rotary_core::Result<String> {
+        let device = ext.pool.vacate(job.base.core.id)?;
+        Ok(format!("gpu{device}"))
+    }
+
+    fn retire(&mut self, _ext: &mut DltRunExt, job: &RunJob) {
+        if job.base.core.epochs_run > 0 {
+            // Partial curves are still valid history for estimators.
+            self.archive(job);
+        }
+    }
+
+    fn outcome(
+        policy: DltPolicy,
+        jobs: Vec<(DltJobSpec, JobState)>,
+        summary: WorkloadSummary,
+        metrics: WorkloadMetrics,
+        makespan: SimTime,
+        ext: DltRunExt,
+    ) -> DltRunResult {
+        DltRunResult {
+            policy: policy.name(),
+            jobs,
+            summary,
+            metrics,
+            makespan,
+            overheads: ext.meter,
+        }
     }
 }
 
@@ -1516,108 +1151,6 @@ mod tests {
             }
             assert!(r.makespan > SimTime::ZERO);
         }
-    }
-
-    /// Drives a streaming run: each spec is admitted once the run's clock
-    /// is about to pass its arrival time, then the queue drains. Returns
-    /// every job's terminal outcome in index order.
-    fn stream_run(
-        sys: &mut DltSystem,
-        arrivals: &[(SimTime, DltJobSpec)],
-        policy: DltPolicy,
-    ) -> Vec<(usize, JobStatus, SimTime)> {
-        let mut run = sys.serve_start(policy);
-        let mut done = Vec::new();
-        for (at, spec) in arrivals {
-            while sys.serve_peek(&run).is_some_and(|t| t < *at) {
-                sys.serve_step(&mut run);
-                done.extend(sys.serve_drain_finished(&mut run));
-            }
-            sys.serve_admit(&mut run, spec.clone(), *at);
-        }
-        while sys.serve_step(&mut run) {
-            done.extend(sys.serve_drain_finished(&mut run));
-        }
-        done.extend(sys.serve_drain_finished(&mut run));
-        done.sort_by_key(|&(i, _, _)| i);
-        done
-    }
-
-    #[test]
-    fn streaming_admission_at_zero_matches_batch_run() {
-        // Admitting the whole workload at t = 0 through the serve seam
-        // must reproduce the batch run exactly: same statuses, same
-        // finish times (the Wake events it adds are no-ops).
-        let specs = DltWorkloadBuilder::paper().jobs(6).seed(3).build();
-        let policy = DltPolicy::Rotary(Objective::Threshold(0.5));
-        let batch = DltSystem::new(quick()).run(&specs, policy);
-        let arrivals: Vec<(SimTime, DltJobSpec)> =
-            specs.iter().map(|s| (SimTime::ZERO, s.clone())).collect();
-        let streamed = stream_run(&mut DltSystem::new(quick()), &arrivals, policy);
-        assert_eq!(streamed.len(), specs.len());
-        for (i, status, at) in streamed {
-            let (_, state) = &batch.jobs[i];
-            assert_eq!(status, state.status, "job {i}");
-            assert_eq!(Some(at), state.finished_at, "job {i}");
-        }
-    }
-
-    #[test]
-    fn mid_run_admission_grows_indexed_caches_consistently() {
-        // Jobs admitted mid-run must be arbitrated from their admission
-        // instant on, and the indexed control plane (whose `satisfied`
-        // vector and standing orders grow in place) must agree with the
-        // dense full-scan path outcome for outcome.
-        let specs = DltWorkloadBuilder::paper().jobs(5).seed(7).build();
-        let policy = DltPolicy::Rotary(Objective::Threshold(0.5));
-        let mut arrivals: Vec<(SimTime, DltJobSpec)> =
-            specs.iter().map(|s| (SimTime::ZERO, s.clone())).collect();
-        arrivals[3].0 = SimTime::from_secs(120);
-        arrivals[4].0 = SimTime::from_secs(600);
-        let streamed = stream_run(&mut DltSystem::new(quick()), &arrivals, policy);
-        let dense_cfg = DltSystemConfig { dense_control_plane: true, ..quick() };
-        let dense = stream_run(&mut DltSystem::new(dense_cfg), &arrivals, policy);
-        assert_eq!(streamed, dense, "indexed cache growth diverged from dense");
-        assert_eq!(streamed.len(), specs.len());
-        for (i, status, at) in &streamed {
-            assert!(status.is_terminal(), "job {i} ended {status:?}");
-            assert!(*at >= arrivals[*i].0, "job {i} finished before it arrived");
-        }
-    }
-
-    #[test]
-    fn streaming_snapshot_restores_to_identical_outcomes() {
-        let specs = DltWorkloadBuilder::paper().jobs(4).seed(13).build();
-        let policy = DltPolicy::Rotary(Objective::Threshold(0.5));
-        let mut sys = DltSystem::new(quick());
-        let mut run = sys.serve_start(policy);
-        for spec in &specs {
-            sys.serve_admit(&mut run, spec.clone(), SimTime::ZERO);
-        }
-        for _ in 0..30 {
-            assert!(sys.serve_step(&mut run), "run ended before the snapshot point");
-        }
-        let drained_before = sys.serve_drain_finished(&mut run);
-        let records = sys.serve_snapshot(&run, 1).expect("snapshot");
-        let kept_specs = run.specs().to_vec();
-
-        fn finish(sys: &mut DltSystem, run: &mut DltServeRun) -> Vec<(usize, JobStatus, SimTime)> {
-            let mut done = Vec::new();
-            while sys.serve_step(run) {
-                done.extend(sys.serve_drain_finished(run));
-            }
-            done.extend(sys.serve_drain_finished(run));
-            done.sort_by_key(|&(i, _, _)| i);
-            done
-        }
-        let original_tail = finish(&mut sys, &mut run);
-
-        let mut sys2 = DltSystem::new(quick());
-        let mut resumed = sys2.serve_restore(kept_specs, policy, &records).expect("restore");
-        assert_eq!(sys2.serve_inflight(&resumed), specs.len() - drained_before.len());
-        let resumed_tail = finish(&mut sys2, &mut resumed);
-        assert_eq!(original_tail, resumed_tail, "resumed outcomes diverged");
-        assert_eq!(original_tail.len() + drained_before.len(), specs.len());
     }
 
     #[test]
@@ -1778,55 +1311,6 @@ mod tests {
         // The rest of the workload is unaffected.
         assert!(r.jobs[1..].iter().all(|(_, s)| s.status.is_terminal()));
         assert_eq!(r.summary.unfinished, 0);
-    }
-
-    fn temp_store(tag: &str) -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join(format!("rotary-dlt-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        dir
-    }
-
-    #[test]
-    fn durable_halt_and_resume_matches_plain_run() {
-        let specs = DltWorkloadBuilder::paper().jobs(6).seed(17).build();
-        let mut plain = DltSystem::new(quick());
-        let baseline = plain.run(&specs, DltPolicy::Rotary(Objective::Threshold(0.5)));
-        let expected = baseline.metrics.to_json().unwrap();
-
-        let dir = temp_store("halt-resume");
-        let mut cfg = DurableConfig::new(&dir, 3);
-        cfg.halt_after = Some(2);
-        let mut sys = DltSystem::new(quick());
-        let halted = sys.run_durable(&specs, DltPolicy::Rotary(Objective::Threshold(0.5)), &cfg);
-        assert!(matches!(halted, Ok(DurableOutcome::Halted { generation: 2 })));
-
-        cfg.halt_after = None;
-        let mut resumed_sys = DltSystem::new(quick());
-        let resumed = resumed_sys
-            .resume_durable(&specs, DltPolicy::Rotary(Objective::Threshold(0.5)), &cfg)
-            .unwrap()
-            .completed()
-            .expect("resume must run to completion");
-        assert_eq!(resumed.metrics.to_json().unwrap(), expected);
-        assert_eq!(resumed.makespan, baseline.makespan);
-        assert_eq!(resumed.summary, baseline.summary);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn resume_rejects_mismatched_policy() {
-        let specs = DltWorkloadBuilder::paper().jobs(4).seed(3).build();
-        let dir = temp_store("mismatch");
-        let mut cfg = DurableConfig::new(&dir, 1);
-        cfg.halt_after = Some(1);
-        let mut sys = DltSystem::new(quick());
-        sys.run_durable(&specs, DltPolicy::Srf, &cfg).unwrap();
-
-        cfg.halt_after = None;
-        let mut resumed_sys = DltSystem::new(quick());
-        let err = resumed_sys.resume_durable(&specs, DltPolicy::Bcf, &cfg);
-        assert!(matches!(err, Err(RotaryError::InvalidConfig(_))));
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -1,337 +1,136 @@
-//! Durable snapshot serialization for the DLT arbitration loop.
+//! The DLT records of a durable snapshot.
 //!
-//! Mirrors the AQP layout: named records (see `rotary-store`) holding JSON
-//! documents for the per-job state (core [`JobState`], training-sim epoch +
-//! RNG position, TEE points, fault counters), the pending event queue, GPU
-//! occupancy, the TTR table, the overhead meter, the loop cursors, and the
-//! metrics/history codecs verbatim. Derivable state (true memory
-//! footprints, epoch costs) is rebuilt from the config; the `meta`
-//! fingerprint rejects restores into a different run. All parsing is
-//! panic-free — malformed input becomes [`RotaryError::SnapshotCorrupt`].
+//! The envelope — `meta`, `events`, `loop`, `metrics`, `history`, and each
+//! job's lifecycle state — is written once, by
+//! [`Run::snapshot`](rotary_faults::arbiter::Run::snapshot). This module
+//! adds what only the DLT system knows: per job the training-sim epoch and
+//! RNG position, the TEE points, the learned memory estimate and the last
+//! device; and the `pool` (GPU occupancy), `ttr` (epoch-time table) and
+//! `meter` (overhead accounting) records. Derivable state (true memory
+//! footprints, epoch costs) is rebuilt from the config. All parsing is
+//! panic-free — malformed input becomes
+//! [`RotaryError::SnapshotCorrupt`](rotary_core::RotaryError::SnapshotCorrupt).
 
+use std::fmt::Write as _;
 use std::time::Duration;
 
-use rotary_core::error::{Result, RotaryError};
-use rotary_core::estimate::{CurveBasis, JointCurveEstimator};
+use rotary_core::error::Result;
+use rotary_core::estimate::JointCurveEstimator;
 use rotary_core::history::HistoryRepository;
-use rotary_core::job::{JobId, JobState};
-use rotary_core::json::{self, u64_json, Json};
+use rotary_core::job::JobId;
+use rotary_core::json::{u64_json, Json};
 use rotary_core::SimTime;
-use rotary_sim::{EventQueue, GpuPool, WorkloadMetrics};
-use rotary_store::fnv1a;
+use rotary_faults::arbiter::{corrupt, rng_from_json, rng_json, Durable};
+use rotary_sim::{CheckpointModel, GpuPool};
+use rotary_store::record_json;
 
-use super::{DltPolicy, DltRunState, DltSystem, Event, OverheadMeter, RunJob, Ttr};
+use super::{DltPolicy, DltRunExt, DltSystem, OverheadMeter, RunJob, Ttr};
 use crate::simulator::TrainingSim;
 use crate::workload::DltJobSpec;
 
-/// Format tag stored in the `meta` record; bump when the layout changes.
-const FORMAT: &str = "rotary-dlt-run/v1";
+impl Durable for DltSystem {
+    const FORMAT: &'static str = "rotary-dlt-run/v1";
 
-fn corrupt(detail: &str) -> RotaryError {
-    RotaryError::SnapshotCorrupt { detail: format!("DLT snapshot: {detail}") }
-}
-
-/// Identity of a run: policy, seed, pool shape, and every hyperparameter /
-/// criterion that influences the trace.
-fn fingerprint(sys: &DltSystem, specs: &[DltJobSpec], policy: DltPolicy) -> u64 {
-    use std::fmt::Write as _;
-    let mut text = String::new();
-    let _ = write!(text, "{}|seed={}", policy.name(), sys.config.seed);
-    for (i, device) in sys.config.pool.devices.iter().enumerate() {
-        let _ = write!(text, "|d{i}:{}mb@{:016x}", device.memory_mb, device.speed.to_bits());
-    }
-    for spec in specs {
-        let _ = write!(text, "|{:?}|{:?}", spec.config, spec.criterion);
-    }
-    fnv1a(text.as_bytes())
-}
-
-/// Serializes the full mid-run state as the store's named records.
-pub(super) fn snapshot_records(
-    sys: &DltSystem,
-    st: &DltRunState,
-    specs: &[DltJobSpec],
-    policy: DltPolicy,
-    generation: u64,
-) -> Result<Vec<(String, Vec<u8>)>> {
-    let meta = Json::obj(vec![
-        ("format", Json::Str(FORMAT.to_string())),
-        ("policy", Json::Str(policy.name())),
-        ("fingerprint", u64_json(fingerprint(sys, specs, policy))),
-        ("generation", u64_json(generation)),
-        ("epochs_done", u64_json(st.epochs_done)),
-    ]);
-    let jobs = Json::Arr(st.jobs.iter().map(job_json).collect());
-    let events = events_json(&st.events);
-    let pool = Json::obj(vec![(
-        "occupants",
-        Json::Arr(
-            st.pool
-                .occupants()
-                .iter()
-                .enumerate()
-                .filter_map(|(device, occupant)| {
-                    occupant.map(|job| {
-                        Json::obj(vec![
-                            ("job", u64_json(job.0)),
-                            ("device", u64_json(device as u64)),
-                        ])
-                    })
-                })
-                .collect(),
-        ),
-    )]);
-    let ttr = Json::obj(vec![(
-        "entries",
-        Json::Arr(
-            st.ttr
-                .entries()
-                .map(|(job, device, t)| {
-                    Json::obj(vec![
-                        ("job", u64_json(job.0)),
-                        ("device", u64_json(device as u64)),
-                        ("ms", u64_json(t.as_millis())),
-                    ])
-                })
-                .collect(),
-        ),
-    )]);
-    let meter = Json::obj(vec![
-        ("ttr_ns", u64_json(duration_nanos(st.meter.ttr))),
-        ("tee_ns", u64_json(duration_nanos(st.meter.tee))),
-        ("tme_ns", u64_json(duration_nanos(st.meter.tme))),
-    ]);
-    let loop_state = Json::obj(vec![
-        ("rr_cursor", u64_json(st.rr_cursor as u64)),
-        ("makespan", u64_json(st.makespan.as_millis())),
-    ]);
-    Ok(vec![
-        ("meta".to_string(), meta.to_pretty().into_bytes()),
-        ("jobs".to_string(), jobs.to_pretty().into_bytes()),
-        ("events".to_string(), events.to_pretty().into_bytes()),
-        ("pool".to_string(), pool.to_pretty().into_bytes()),
-        ("ttr".to_string(), ttr.to_pretty().into_bytes()),
-        ("meter".to_string(), meter.to_pretty().into_bytes()),
-        ("loop".to_string(), loop_state.to_pretty().into_bytes()),
-        ("metrics".to_string(), st.metrics.to_json()?.into_bytes()),
-        ("history".to_string(), sys.history.to_json()?.into_bytes()),
-    ])
-}
-
-/// Rebuilds the mid-run state from a decoded snapshot.
-pub(super) fn restore_run(
-    sys: &mut DltSystem,
-    specs: &[DltJobSpec],
-    policy: DltPolicy,
-    records: &[(String, Vec<u8>)],
-) -> Result<DltRunState> {
-    let meta = record_json(records, "meta")?;
-    if meta.get("format").and_then(Json::as_str) != Some(FORMAT) {
-        return Err(corrupt("unknown meta.format"));
-    }
-    let fp = meta
-        .get("fingerprint")
-        .and_then(Json::as_u64_str)
-        .ok_or_else(|| corrupt("missing meta.fingerprint"))?;
-    if fp != fingerprint(sys, specs, policy) {
-        return Err(RotaryError::InvalidConfig(
-            "snapshot fingerprint does not match this workload/policy/config; \
-             refusing to resume a different run"
-                .into(),
-        ));
-    }
-    let epochs_done = meta
-        .get("epochs_done")
-        .and_then(Json::as_u64_str)
-        .ok_or_else(|| corrupt("missing meta.epochs_done"))?;
-
-    sys.history = HistoryRepository::from_json(record_text(records, "history")?)?;
-    let metrics = WorkloadMetrics::from_json(record_text(records, "metrics")?)?;
-
-    let mut meter = match sys.config.overhead_probe {
-        Some(probe) => OverheadMeter::with_clock(probe),
-        None => OverheadMeter::default(),
-    };
-    let mut jobs = sys.build_jobs(specs, &mut meter);
-    let meter_doc = record_json(records, "meter")?;
-    restore_meter(&mut meter, &meter_doc).ok_or_else(|| corrupt("malformed meter record"))?;
-
-    let jobs_doc = record_json(records, "jobs")?;
-    let jobs_arr = jobs_doc.as_arr().ok_or_else(|| corrupt("jobs record is not an array"))?;
-    if jobs_arr.len() != jobs.len() {
-        return Err(corrupt("job count does not match the workload"));
-    }
-    for (job, entry) in jobs.iter_mut().zip(jobs_arr) {
-        restore_job(job, entry).ok_or_else(|| corrupt("malformed job entry"))?;
+    fn checkpoint(&self) -> &CheckpointModel {
+        &self.config.checkpoint
     }
 
-    let events = restore_events(&record_json(records, "events")?, jobs.len())
-        .ok_or_else(|| corrupt("malformed events record"))?;
-    let pool = restore_pool(sys, &record_json(records, "pool")?)
-        .ok_or_else(|| corrupt("malformed pool record"))?;
-    let ttr = restore_ttr(&record_json(records, "ttr")?)
-        .ok_or_else(|| corrupt("malformed ttr record"))?;
-
-    let loop_doc = record_json(records, "loop")?;
-    let rr_cursor = loop_doc
-        .get("rr_cursor")
-        .and_then(Json::as_u64_str)
-        .and_then(|v| usize::try_from(v).ok())
-        .ok_or_else(|| corrupt("malformed loop.rr_cursor"))?;
-    let makespan = loop_doc
-        .get("makespan")
-        .and_then(Json::as_u64_str)
-        .map(SimTime::from_millis)
-        .ok_or_else(|| corrupt("malformed loop.makespan"))?;
-
-    // Control-plane caches are derived state: rebuilt lazily from the
-    // restored jobs on the first arbitration after resume.
-    Ok(DltRunState {
-        jobs,
-        events,
-        pool,
-        metrics,
-        meter,
-        ttr,
-        rr_cursor,
-        makespan,
-        epochs_done,
-        arb: super::DltArbCaches::default(),
-    })
-}
-
-fn duration_nanos(d: Duration) -> u64 {
-    u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
-}
-
-fn job_json(job: &RunJob) -> Json {
-    let (rng_state, rng_root) = job.sim.rng_state();
-    Json::obj(vec![
-        ("core", job.core.to_json()),
-        (
-            "sim",
-            Json::obj(vec![
-                ("epoch", u64_json(job.sim.epochs())),
-                ("last_eval", Json::Num(job.sim.accuracy())),
-                ("rng", rng_json(rng_state, rng_root)),
-            ]),
-        ),
-        (
-            "tee",
-            Json::obj(vec![
-                ("basis", Json::Str(basis_name(job.tee.basis()).to_string())),
-                ("historical", points_json(job.tee.historical_points())),
-                ("realtime", points_json(job.tee.realtime_points())),
-            ]),
-        ),
-        ("memory_estimate_mb", u64_json(job.memory_estimate_mb)),
-        ("converged_flag", Json::Bool(job.converged_flag)),
-        ("in_memory", Json::Bool(job.in_memory)),
-        (
-            "last_device",
-            match job.last_device {
-                Some(d) => u64_json(d as u64),
-                None => Json::Null,
-            },
-        ),
-        ("epoch_start", u64_json(job.epoch_start.as_millis())),
-        ("fault_attempts", Json::Num(job.fault_attempts as f64)),
-        ("restores", u64_json(job.restores)),
-        ("ckpt_writes", u64_json(job.ckpt_writes)),
-    ])
-}
-
-fn restore_job(job: &mut RunJob, entry: &Json) -> Option<()> {
-    job.core = JobState::from_json(entry.get("core")?, job.spec.criterion.clone())?;
-    let sim = entry.get("sim")?;
-    let epoch = sim.get("epoch")?.as_u64_str()?;
-    let last_eval = sim.get("last_eval")?.as_f64()?;
-    let (rng_state, rng_root) = rng_from_json(sim.get("rng")?)?;
-    job.sim = TrainingSim::from_parts(job.spec.config, epoch, last_eval, rng_state, rng_root);
-    let tee = entry.get("tee")?;
-    let basis = basis_from_name(tee.get("basis")?.as_str()?)?;
-    let mut estimator = JointCurveEstimator::new(basis, points_from(tee.get("historical")?)?);
-    for (x, y) in points_from(tee.get("realtime")?)? {
-        estimator.observe(x, y);
+    fn history(&self) -> &HistoryRepository {
+        &self.history
     }
-    job.tee = estimator;
-    job.memory_estimate_mb = entry.get("memory_estimate_mb")?.as_u64_str()?;
-    job.converged_flag = entry.get("converged_flag")?.as_bool()?;
-    job.in_memory = entry.get("in_memory")?.as_bool()?;
-    job.last_device = match entry.get("last_device")? {
-        Json::Null => None,
-        value => Some(usize::try_from(value.as_u64_str()?).ok()?),
-    };
-    job.epoch_start = SimTime::from_millis(entry.get("epoch_start")?.as_u64_str()?);
-    job.fault_attempts = u32::try_from(entry.get("fault_attempts")?.as_u64()?).ok()?;
-    job.restores = entry.get("restores")?.as_u64_str()?;
-    job.ckpt_writes = entry.get("ckpt_writes")?.as_u64_str()?;
-    Some(())
-}
 
-fn events_json(events: &EventQueue<Event>) -> Json {
-    Json::obj(vec![
-        ("now", u64_json(events.now().as_millis())),
-        ("next_seq", u64_json(events.next_seq())),
-        (
-            "entries",
-            Json::Arr(
-                events.pending().into_iter().map(|(at, seq, e)| event_json(at, seq, e)).collect(),
-            ),
-        ),
-    ])
-}
+    fn set_history(&mut self, history: HistoryRepository) {
+        self.history = history;
+    }
 
-fn event_json(at: SimTime, seq: u64, event: &Event) -> Json {
-    let mut fields = vec![("at", u64_json(at.as_millis())), ("seq", u64_json(seq))];
-    let kind = match event {
-        Event::EpochDone(i) => {
-            fields.push(("job", u64_json(*i as u64)));
-            "epoch-done"
+    fn policy_name(policy: DltPolicy) -> String {
+        policy.name()
+    }
+
+    fn fingerprint_text(&self, specs: &[DltJobSpec], text: &mut String) {
+        let _ = write!(text, "|seed={}", self.config.seed);
+        for (i, device) in self.config.pool.devices.iter().enumerate() {
+            let _ = write!(text, "|d{i}:{}mb@{:016x}", device.memory_mb, device.speed.to_bits());
         }
-        Event::EpochFailed(i) => {
-            fields.push(("job", u64_json(*i as u64)));
-            "epoch-failed"
+        for spec in specs {
+            let _ = write!(text, "|{:?}|{:?}", spec.config, spec.criterion);
         }
-        Event::RetryReady(i) => {
-            fields.push(("job", u64_json(*i as u64)));
-            "retry-ready"
-        }
-        Event::Wake => "wake",
-    };
-    fields.push(("kind", Json::Str(kind.to_string())));
-    Json::obj(fields)
-}
+    }
 
-fn restore_events(doc: &Json, job_count: usize) -> Option<EventQueue<Event>> {
-    let now = SimTime::from_millis(doc.get("now")?.as_u64_str()?);
-    let next_seq = doc.get("next_seq")?.as_u64_str()?;
-    let mut entries = Vec::new();
-    for e in doc.get("entries")?.as_arr()? {
-        let at = SimTime::from_millis(e.get("at")?.as_u64_str()?);
-        let seq = e.get("seq")?.as_u64_str()?;
-        let kind = e.get("kind")?.as_str()?;
-        let payload = if kind == "wake" {
-            Event::Wake
-        } else {
-            let i = usize::try_from(e.get("job")?.as_u64_str()?).ok()?;
-            if i >= job_count {
-                return None;
-            }
-            match kind {
-                "epoch-done" => Event::EpochDone(i),
-                "epoch-failed" => Event::EpochFailed(i),
-                "retry-ready" => Event::RetryReady(i),
-                _ => return None,
-            }
+    fn save_job(job: &RunJob) -> Vec<(&'static str, Json)> {
+        let (rng_state, rng_root) = job.sim.rng_state();
+        let sim = Json::obj(vec![
+            ("epoch", u64_json(job.sim.epochs())),
+            ("last_eval", Json::Num(job.sim.accuracy())),
+            ("rng", rng_json(rng_state, rng_root)),
+        ]);
+        vec![
+            ("sim", sim),
+            ("tee", job.tee.to_json()),
+            ("memory_estimate_mb", u64_json(job.memory_estimate_mb)),
+            ("converged_flag", Json::Bool(job.converged_flag)),
+            ("last_device", job.last_device.map_or(Json::Null, |d| u64_json(d as u64))),
+        ]
+    }
+
+    fn load_job(job: &mut RunJob, entry: &Json) -> Option<()> {
+        let sim = entry.get("sim")?;
+        let epoch = sim.get("epoch")?.as_u64_str()?;
+        let last_eval = sim.get("last_eval")?.as_f64()?;
+        let (rng_state, rng_root) = rng_from_json(sim.get("rng")?)?;
+        job.sim = TrainingSim::from_parts(job.spec.config, epoch, last_eval, rng_state, rng_root);
+        job.tee = JointCurveEstimator::from_json(entry.get("tee")?)?;
+        job.memory_estimate_mb = entry.get("memory_estimate_mb")?.as_u64_str()?;
+        job.converged_flag = entry.get("converged_flag")?.as_bool()?;
+        job.last_device = match entry.get("last_device")? {
+            Json::Null => None,
+            value => Some(usize::try_from(value.as_u64_str()?).ok()?),
         };
-        entries.push((at, seq, payload));
+        Some(())
     }
-    Some(EventQueue::restore(now, next_seq, entries))
+
+    fn save(
+        &self,
+        ext: &DltRunExt,
+        _loop_doc: &mut Vec<(&'static str, Json)>,
+    ) -> Vec<(&'static str, Json)> {
+        let occupants = ext.pool.occupants().iter().enumerate().filter_map(|(device, job)| {
+            let pairs = vec![("job", u64_json((*job)?.0)), ("device", u64_json(device as u64))];
+            Some(Json::obj(pairs))
+        });
+        let entries = ext.ttr.entries().map(|(job, device, t)| {
+            Json::obj(vec![
+                ("job", u64_json(job.0)),
+                ("device", u64_json(device as u64)),
+                ("ms", u64_json(t.as_millis())),
+            ])
+        });
+        let nanos = |d: Duration| u64_json(u64::try_from(d.as_nanos()).unwrap_or(u64::MAX));
+        vec![
+            ("pool", Json::obj(vec![("occupants", Json::Arr(occupants.collect()))])),
+            ("ttr", Json::obj(vec![("entries", Json::Arr(entries.collect()))])),
+            (
+                "meter",
+                Json::obj(vec![
+                    ("ttr_ns", nanos(ext.meter.ttr)),
+                    ("tee_ns", nanos(ext.meter.tee)),
+                    ("tme_ns", nanos(ext.meter.tme)),
+                ]),
+            ),
+        ]
+    }
+
+    fn load(&self, ext: &mut DltRunExt, records: &[(String, Vec<u8>)]) -> Result<()> {
+        let bad = |what: &str| corrupt::<Self>(&format!("malformed {what}"));
+        restore_meter(&mut ext.meter, &record_json(records, "meter")?)
+            .ok_or_else(|| bad("meter record"))?;
+        restore_pool(&mut ext.pool, &record_json(records, "pool")?)
+            .ok_or_else(|| bad("pool record"))?;
+        restore_ttr(&mut ext.ttr, &record_json(records, "ttr")?).ok_or_else(|| bad("ttr record"))
+    }
 }
 
-fn restore_pool(sys: &DltSystem, doc: &Json) -> Option<GpuPool> {
-    let mut pool = GpuPool::new(sys.config.pool.clone());
+fn restore_pool(pool: &mut GpuPool, doc: &Json) -> Option<()> {
     for o in doc.get("occupants")?.as_arr()? {
         let job = JobId(o.get("job")?.as_u64_str()?);
         let device = usize::try_from(o.get("device")?.as_u64_str()?).ok()?;
@@ -342,18 +141,16 @@ fn restore_pool(sys: &DltSystem, doc: &Json) -> Option<GpuPool> {
         }
         pool.place(job, device);
     }
-    Some(pool)
+    Some(())
 }
 
-fn restore_ttr(doc: &Json) -> Option<Ttr> {
-    let mut ttr = Ttr::new();
+fn restore_ttr(ttr: &mut Ttr, doc: &Json) -> Option<()> {
     for e in doc.get("entries")?.as_arr()? {
         let job = JobId(e.get("job")?.as_u64_str()?);
         let device = usize::try_from(e.get("device")?.as_u64_str()?).ok()?;
-        let t = SimTime::from_millis(e.get("ms")?.as_u64_str()?);
-        ttr.record(job, device, t);
+        ttr.record(job, device, SimTime::from_millis(e.get("ms")?.as_u64_str()?));
     }
-    Some(ttr)
+    Some(())
 }
 
 fn restore_meter(meter: &mut OverheadMeter, doc: &Json) -> Option<()> {
@@ -361,74 +158,4 @@ fn restore_meter(meter: &mut OverheadMeter, doc: &Json) -> Option<()> {
     meter.tee = Duration::from_nanos(doc.get("tee_ns")?.as_u64_str()?);
     meter.tme = Duration::from_nanos(doc.get("tme_ns")?.as_u64_str()?);
     Some(())
-}
-
-fn basis_name(basis: CurveBasis) -> &'static str {
-    match basis {
-        CurveBasis::Linear => "linear",
-        CurveBasis::LogShifted => "log-shifted",
-    }
-}
-
-fn basis_from_name(name: &str) -> Option<CurveBasis> {
-    match name {
-        "linear" => Some(CurveBasis::Linear),
-        "log-shifted" => Some(CurveBasis::LogShifted),
-        _ => None,
-    }
-}
-
-fn points_json(points: &[(f64, f64)]) -> Json {
-    Json::Arr(points.iter().map(|&(x, y)| Json::Arr(vec![Json::Num(x), Json::Num(y)])).collect())
-}
-
-fn points_from(doc: &Json) -> Option<Vec<(f64, f64)>> {
-    let mut out = Vec::new();
-    for p in doc.as_arr()? {
-        let pair = p.as_arr()?;
-        if pair.len() != 2 {
-            return None;
-        }
-        out.push((pair.first()?.as_f64()?, pair.get(1)?.as_f64()?));
-    }
-    Some(out)
-}
-
-fn rng_json(state: [u64; 4], root: u64) -> Json {
-    Json::obj(vec![
-        ("s0", u64_json(state[0])),
-        ("s1", u64_json(state[1])),
-        ("s2", u64_json(state[2])),
-        ("s3", u64_json(state[3])),
-        ("root", u64_json(root)),
-    ])
-}
-
-fn rng_from_json(doc: &Json) -> Option<([u64; 4], u64)> {
-    Some((
-        [
-            doc.get("s0")?.as_u64_str()?,
-            doc.get("s1")?.as_u64_str()?,
-            doc.get("s2")?.as_u64_str()?,
-            doc.get("s3")?.as_u64_str()?,
-        ],
-        doc.get("root")?.as_u64_str()?,
-    ))
-}
-
-fn record_bytes<'r>(records: &'r [(String, Vec<u8>)], name: &str) -> Result<&'r [u8]> {
-    records
-        .iter()
-        .find(|(n, _)| n == name)
-        .map(|(_, payload)| payload.as_slice())
-        .ok_or_else(|| corrupt(&format!("missing '{name}' record")))
-}
-
-fn record_text<'r>(records: &'r [(String, Vec<u8>)], name: &str) -> Result<&'r str> {
-    std::str::from_utf8(record_bytes(records, name)?)
-        .map_err(|_| corrupt(&format!("record '{name}' is not UTF-8")))
-}
-
-fn record_json(records: &[(String, Vec<u8>)], name: &str) -> Result<Json> {
-    json::parse(record_text(records, name)?).map_err(|e| corrupt(&format!("record '{name}': {e}")))
 }

@@ -1,0 +1,1171 @@
+//! One arbitration run loop, three drivers.
+//!
+//! The paper presents Rotary as one framework with two instantiations
+//! (Rotary-AQP, Algorithm 2; Rotary-DLT, Algorithms 3–4). This module is
+//! the framework half: the event loop, crash recovery, the three ways of
+//! driving a run, and the durable snapshot envelope, written once against
+//! the [`Arbiter`] trait. A system supplies what genuinely differs — how a
+//! spec binds to a job, what an epoch does, how the queue is ranked and
+//! granted, and its own snapshot records — and nothing else.
+//!
+//! The drivers all step the same [`Run`] handle:
+//!
+//! * **batch** — [`run`]: start with the whole workload, step until the
+//!   event queue drains;
+//! * **durable** — [`run_durable`] / [`resume_durable`]: the same, committing
+//!   a snapshot generation every `every` completed epochs and restarting
+//!   from the newest valid one;
+//! * **streaming** — [`Run::admit`] / [`Run::step`] /
+//!   [`Run::drain_finished`]: jobs arrive one at a time (the seam the serve
+//!   daemon and the arbitration bench drive).
+//!
+//! It lives in `rotary-faults` because this is the lowest crate that
+//! already sees everything the loop touches — the event queue and metrics
+//! (`rotary-sim`), the fault plan and retry policy (here), and the snapshot
+//! store (`rotary-store`) — so hosting it adds no crate and no dependency
+//! edge. Dispatch is static: every hook is called through a generic
+//! parameter, never through `dyn`.
+
+use rotary_core::error::{Result, RotaryError};
+use rotary_core::history::HistoryRepository;
+use rotary_core::job::{JobState, JobStatus};
+use rotary_core::json::{u64_json, Json};
+use rotary_core::SimTime;
+use rotary_sim::{CheckpointModel, EventQueue, PlacementSpan, WorkloadMetrics, WorkloadSummary};
+use rotary_store::{
+    fnv1a, record_json, record_text, DurableConfig, DurableOutcome, SnapshotRecords, SnapshotStore,
+};
+
+use crate::FaultPlan;
+
+/// What the event queue carries. The payload is the job's index in the run.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Event {
+    /// A job's arrival time has come: `Pending` becomes `Active`.
+    Arrival(usize),
+    /// The job's in-flight epoch completed.
+    EpochDone(usize),
+    /// An injected crash ends the job's in-flight epoch, losing its work.
+    EpochFailed(usize),
+    /// A crashed job's retry backoff has elapsed; it may be granted again.
+    RetryReady(usize),
+    /// The job's deadline: catches jobs waiting in the queue (or sitting
+    /// out a backoff) past it — running jobs are checked at epoch end.
+    DeadlineCheck(usize),
+    /// Re-arbitrate with no job event (a newcomer was admitted, or a
+    /// memory-pressure slot that blocked placements has ended).
+    Wake,
+}
+
+/// Per-job bookkeeping the shared loop reads and writes; every system's
+/// job state embeds one.
+#[derive(Debug)]
+pub struct JobBase {
+    /// Lifecycle state, history and counters.
+    pub core: JobState,
+    /// The job's state is resident; cleared by a pause or a crash, so the
+    /// next launch pays a restore.
+    pub in_memory: bool,
+    /// Start of the in-flight epoch.
+    pub epoch_start: SimTime,
+    /// Failed attempts at the current epoch; reset on success.
+    pub fault_attempts: u32,
+    /// Restores performed so far — indexes the restore-fault stream.
+    pub restores: u64,
+    /// Checkpoint writes so far — indexes the write-fault stream.
+    pub ckpt_writes: u64,
+}
+
+impl JobBase {
+    /// Fresh bookkeeping around a newly bound job.
+    pub fn new(core: JobState) -> JobBase {
+        JobBase {
+            core,
+            in_memory: false,
+            epoch_start: SimTime::ZERO,
+            fault_attempts: 0,
+            restores: 0,
+            ckpt_writes: 0,
+        }
+    }
+
+    fn save(&self) -> Vec<(&'static str, Json)> {
+        vec![
+            ("core", self.core.to_json()),
+            ("in_memory", Json::Bool(self.in_memory)),
+            ("epoch_start", u64_json(self.epoch_start.as_millis())),
+            ("fault_attempts", Json::Num(f64::from(self.fault_attempts))),
+            ("restores", u64_json(self.restores)),
+            ("ckpt_writes", u64_json(self.ckpt_writes)),
+        ]
+    }
+
+    fn load(&mut self, entry: &Json) -> Option<()> {
+        self.core = JobState::from_json(entry.get("core")?, self.core.criterion.clone())?;
+        self.in_memory = entry.get("in_memory")?.as_bool()?;
+        self.epoch_start = SimTime::from_millis(entry.get("epoch_start")?.as_u64_str()?);
+        self.fault_attempts = u32::try_from(entry.get("fault_attempts")?.as_u64()?).ok()?;
+        self.restores = entry.get("restores")?.as_u64_str()?;
+        self.ckpt_writes = entry.get("ckpt_writes")?.as_u64_str()?;
+        Some(())
+    }
+}
+
+/// A system's per-job state: whatever it needs, around a [`JobBase`].
+pub trait Job {
+    /// The shared bookkeeping.
+    fn base(&self) -> &JobBase;
+    /// The shared bookkeeping, mutably.
+    fn base_mut(&mut self) -> &mut JobBase;
+}
+
+/// Which jobs changed since the last arbitration / metrics row. The
+/// indexed control planes re-key only the `dirty` jobs and the sparse
+/// progress row reports only the `touched` ones.
+#[derive(Debug, Default)]
+pub struct Marks {
+    /// True once the system's lazy first cache build ran (it decides
+    /// `enabled`). A restored run starts unbuilt and rebuilds from job
+    /// state at its first event — caches are never snapshotted.
+    pub built: bool,
+    /// The system's indexed control plane is active for this run.
+    pub enabled: bool,
+    /// Jobs whose state changed since the last arbitration.
+    pub dirty: Vec<u32>,
+    /// Jobs whose progress may have changed since the last metrics row
+    /// (a superset of `dirty`).
+    pub touched: Vec<u32>,
+}
+
+impl Marks {
+    /// Marks a job dirty and touched. No-op until the first build decides
+    /// the indexed path is active — the build re-keys everything anyway.
+    pub fn mark(&mut self, i: usize) {
+        if self.enabled {
+            self.dirty.push(i as u32);
+            self.touched.push(i as u32);
+        }
+    }
+}
+
+/// The loop state every system shares.
+pub struct Loop<J> {
+    /// Per-job state, indexed by job id.
+    pub jobs: Vec<J>,
+    /// Pending events in virtual time.
+    pub events: EventQueue<Event>,
+    /// Placement spans, progress rows and recovery counters.
+    pub metrics: WorkloadMetrics,
+    /// Round-robin cursor of the baseline policies.
+    pub rr_cursor: usize,
+    /// Virtual time at which the last job finished so far.
+    pub makespan: SimTime,
+    /// Completed epochs across all jobs — the snapshot cadence counter.
+    pub epochs_done: u64,
+    /// Change tracking for the indexed control planes.
+    pub marks: Marks,
+}
+
+/// What a system supplies to be driven by [`Run`].
+///
+/// Hooks receive the shared [`Loop`] and the system's own [`Arbiter::Ext`]
+/// side by side, so a hook can borrow fields of both at once.
+pub trait Arbiter: Sized {
+    /// One submitted job.
+    type Spec: Clone;
+    /// The arbitration policy of a run.
+    type Policy: Copy;
+    /// Per-job run state.
+    type Job: Job;
+    /// The system-specific half of a run: resource pool, materialization
+    /// or timing tables, control-plane caches.
+    type Ext;
+    /// What a finished run condenses into.
+    type Outcome;
+    /// Why a spec can fail to bind (`Infallible` when it cannot).
+    type BindError: Into<RotaryError>;
+
+    /// The fault plan the loop consults.
+    fn faults(&self) -> &FaultPlan;
+    /// Fresh system-specific state for an empty run.
+    fn open(&mut self, policy: Self::Policy) -> Self::Ext;
+    /// Binds `spec` as job `i`, arriving at `now`. The index seeds the
+    /// job's randomness, so a job admitted mid-run binds identically to the
+    /// same spec at the same position of a batch run.
+    fn bind(
+        &mut self,
+        ext: &mut Self::Ext,
+        i: usize,
+        spec: &Self::Spec,
+        policy: Self::Policy,
+        now: SimTime,
+    ) -> std::result::Result<Self::Job, Self::BindError>;
+    /// Starts a batch run once every job is bound (schedule the arrivals,
+    /// or arbitrate at t = 0).
+    fn begin(&mut self, lp: &mut Loop<Self::Job>, ext: &mut Self::Ext, policy: Self::Policy);
+    /// Job `i` was just pushed by a streaming admission at `now`: schedule
+    /// what brings it into arbitration and grow the caches in place.
+    fn admit(&mut self, lp: &mut Loop<Self::Job>, ext: &mut Self::Ext, i: usize, now: SimTime);
+    /// Job `i`'s epoch completed at `now`: release its grant, observe the
+    /// result, record the span, and finish the job if its criterion says so.
+    fn complete_epoch(
+        &mut self,
+        lp: &mut Loop<Self::Job>,
+        ext: &mut Self::Ext,
+        i: usize,
+        now: SimTime,
+    );
+    /// Ranks the queue, grants resources and launches epochs.
+    /// `ckpt_candidate` is the job whose epoch completion triggered this
+    /// pass — the only job that can need pausing.
+    fn arbitrate(
+        &mut self,
+        lp: &mut Loop<Self::Job>,
+        ext: &mut Self::Ext,
+        policy: Self::Policy,
+        now: SimTime,
+        ckpt_candidate: Option<usize>,
+    );
+    /// The value a progress row reports for the job.
+    fn progress_of(job: &Self::Job) -> f64;
+    /// The job's absolute deadline, when waiting past it ends the job.
+    fn deadline_of(job: &Self::Job) -> Option<SimTime>;
+    /// Frees whatever a crashed job held; returns the resource's name for
+    /// the placement timeline.
+    ///
+    /// # Errors
+    /// The pool's typed error when the job held nothing — the job then
+    /// finishes `Failed` with it.
+    fn release(&mut self, ext: &mut Self::Ext, job: &mut Self::Job) -> Result<String>;
+    /// The shared loop just finished `job` (deadline, exhausted retries):
+    /// drop its residual state and archive what it produced.
+    fn retire(&mut self, ext: &mut Self::Ext, job: &Self::Job);
+    /// Condenses a drained run.
+    fn outcome(
+        policy: Self::Policy,
+        jobs: Vec<(Self::Spec, JobState)>,
+        summary: WorkloadSummary,
+        metrics: WorkloadMetrics,
+        makespan: SimTime,
+        ext: Self::Ext,
+    ) -> Self::Outcome;
+}
+
+/// What a system adds to make its runs durable: the records only it can
+/// write, around the envelope [`Run::snapshot`] shares.
+pub trait Durable: Arbiter {
+    /// Format tag of the snapshot `meta` record; bump when a layout changes.
+    const FORMAT: &'static str;
+
+    /// The checkpoint cost model (validated before a durable run).
+    fn checkpoint(&self) -> &CheckpointModel;
+    /// The historical-job repository (snapshotted with the run).
+    fn history(&self) -> &HistoryRepository;
+    /// Replaces the repository (a restore owns it).
+    fn set_history(&mut self, history: HistoryRepository);
+    /// Display name of the policy (recorded in `meta`, opens the
+    /// fingerprint text).
+    fn policy_name(policy: Self::Policy) -> String;
+    /// Appends everything else that identifies a run — seed, pool shape,
+    /// every spec field that influences the trace — to the fingerprint
+    /// text. A snapshot only restores into a run with the same text.
+    fn fingerprint_text(&self, specs: &[Self::Spec], text: &mut String);
+    /// The system's own fields of one job's snapshot entry.
+    fn save_job(job: &Self::Job) -> Vec<(&'static str, Json)>;
+    /// Overwrites a freshly bound job with its snapshot entry.
+    fn load_job(job: &mut Self::Job, entry: &Json) -> Option<()>;
+    /// The system's own snapshot records, in commit order; may add keys to
+    /// the shared `loop` record.
+    fn save(
+        &self,
+        ext: &Self::Ext,
+        loop_doc: &mut Vec<(&'static str, Json)>,
+    ) -> Vec<(&'static str, Json)>;
+    /// Overwrites freshly opened state from the records [`Durable::save`]
+    /// wrote.
+    ///
+    /// # Errors
+    /// [`RotaryError::SnapshotCorrupt`] on structural damage.
+    fn load(&self, ext: &mut Self::Ext, records: &[(String, Vec<u8>)]) -> Result<()>;
+}
+
+/// A typed error for structural damage in an `A`-format snapshot.
+pub fn corrupt<A: Durable>(detail: &str) -> RotaryError {
+    RotaryError::SnapshotCorrupt { detail: format!("{}: {detail}", A::FORMAT) }
+}
+
+/// An in-flight run of one workload under one policy: the handle all three
+/// drivers step. It accumulates the admitted specs, so a snapshot of a
+/// stream is exactly a snapshot of the equivalent batch run.
+pub struct Run<A: Arbiter> {
+    policy: A::Policy,
+    specs: Vec<A::Spec>,
+    lp: Loop<A::Job>,
+    ext: A::Ext,
+    /// Per-job flag: terminal outcome already handed out by
+    /// [`Run::drain_finished`].
+    reported: Vec<bool>,
+    n_reported: usize,
+}
+
+impl<A: Arbiter> Run<A> {
+    /// Binds the whole workload and starts it; with no specs this opens an
+    /// empty streaming run.
+    ///
+    /// # Errors
+    /// The system's bind error; no partial run happens.
+    pub fn start(
+        sys: &mut A,
+        specs: &[A::Spec],
+        policy: A::Policy,
+    ) -> std::result::Result<Run<A>, A::BindError> {
+        let mut ext = sys.open(policy);
+        let jobs = Self::bind_all(sys, &mut ext, specs, policy)?;
+        let mut lp = Loop {
+            jobs,
+            events: EventQueue::new(),
+            metrics: WorkloadMetrics::new(),
+            rr_cursor: 0,
+            makespan: SimTime::ZERO,
+            epochs_done: 0,
+            marks: Marks::default(),
+        };
+        sys.begin(&mut lp, &mut ext, policy);
+        let reported = vec![false; specs.len()];
+        Ok(Run { policy, specs: specs.to_vec(), lp, ext, reported, n_reported: 0 })
+    }
+
+    fn bind_all(
+        sys: &mut A,
+        ext: &mut A::Ext,
+        specs: &[A::Spec],
+        policy: A::Policy,
+    ) -> std::result::Result<Vec<A::Job>, A::BindError> {
+        specs
+            .iter()
+            .enumerate()
+            .map(|(i, spec)| sys.bind(ext, i, spec, policy, SimTime::ZERO))
+            .collect()
+    }
+
+    /// Admits one job at virtual time `now` (which must not precede the
+    /// run's clock), returning its job index.
+    ///
+    /// # Errors
+    /// The system's bind error; the run is untouched.
+    pub fn admit(
+        &mut self,
+        sys: &mut A,
+        spec: A::Spec,
+        now: SimTime,
+    ) -> std::result::Result<usize, A::BindError> {
+        let i = self.lp.jobs.len();
+        let job = sys.bind(&mut self.ext, i, &spec, self.policy, now)?;
+        self.lp.jobs.push(job);
+        sys.admit(&mut self.lp, &mut self.ext, i, now);
+        self.specs.push(spec);
+        self.reported.push(false);
+        Ok(i)
+    }
+
+    /// The policy the run was started under.
+    pub fn policy(&self) -> A::Policy {
+        self.policy
+    }
+
+    /// The specs admitted so far, in admission order.
+    pub fn specs(&self) -> &[A::Spec] {
+        &self.specs
+    }
+
+    /// The virtual time of the run's next internal event, if any.
+    pub fn peek(&self) -> Option<SimTime> {
+        self.lp.events.peek_time()
+    }
+
+    /// Processes one event and re-arbitrates. Returns `false` when the
+    /// queue has drained (a streaming run may refill it by admitting).
+    pub fn step(&mut self, sys: &mut A) -> bool {
+        let (lp, ext) = (&mut self.lp, &mut self.ext);
+        let Some((now, event)) = lp.events.pop() else {
+            return false;
+        };
+        // Only an epoch completion can leave a job Active and in memory, so
+        // the arbitration's trailing pause pass has at most this candidate.
+        let ckpt_candidate = match event {
+            Event::EpochDone(i) => Some(i),
+            _ => None,
+        };
+        // The job whose state the event changed, if any.
+        let changed = match event {
+            Event::Arrival(i) => {
+                let core = &mut lp.jobs[i].base_mut().core;
+                let pending = core.status == JobStatus::Pending;
+                if pending {
+                    core.status = JobStatus::Active;
+                }
+                pending.then_some(i)
+            }
+            Event::EpochDone(i) => {
+                sys.complete_epoch(lp, ext, i, now);
+                lp.epochs_done += 1;
+                Some(i)
+            }
+            Event::EpochFailed(i) => {
+                fail_epoch(sys, lp, ext, i, now);
+                Some(i)
+            }
+            Event::RetryReady(i) => {
+                let job = &mut lp.jobs[i];
+                let recovering = job.base().core.status == JobStatus::Recovering;
+                if recovering && A::deadline_of(job).is_some_and(|deadline| now >= deadline) {
+                    finish(sys, ext, job, JobStatus::DeadlineMissed, now);
+                } else if recovering {
+                    // Back from backoff: re-enters arbitration from its
+                    // last checkpoint.
+                    job.base_mut().core.status = JobStatus::Checkpointed;
+                }
+                recovering.then_some(i)
+            }
+            Event::DeadlineCheck(i) => {
+                let job = &mut lp.jobs[i];
+                let status = job.base().core.status;
+                let waiting = status.is_arbitrable() || status == JobStatus::Recovering;
+                let expired =
+                    waiting && A::deadline_of(job).is_some_and(|deadline| now >= deadline);
+                if expired {
+                    finish(sys, ext, job, JobStatus::DeadlineMissed, now);
+                }
+                expired.then_some(i)
+            }
+            Event::Wake => None,
+        };
+        if let Some(i) = changed {
+            lp.marks.mark(i);
+            if lp.jobs[i].base().core.status.is_terminal() {
+                lp.makespan = lp.makespan.max(now);
+            }
+        }
+
+        sys.arbitrate(lp, ext, self.policy, now, ckpt_candidate);
+
+        let row = |j: &A::Job| (j.base().core.id, A::progress_of(j));
+        if lp.marks.enabled && lp.metrics.snapshot_count() > 0 {
+            // Delta row: only jobs an event or a grant touched can have
+            // moved; the recorder bit-compares and drops the unchanged.
+            let touched = std::mem::take(&mut lp.marks.touched);
+            let candidates: Vec<_> = touched.iter().map(|&id| row(&lp.jobs[id as usize])).collect();
+            lp.metrics.record_snapshot_sparse(now, &candidates);
+        } else {
+            lp.marks.touched.clear();
+            lp.metrics.record_snapshot(now, lp.jobs.iter().map(row).collect());
+        }
+        true
+    }
+
+    /// Drains the jobs that reached a terminal status since the last call:
+    /// `(job index, terminal status, finish time)`. Each job is reported
+    /// exactly once across the run's lifetime, including across a
+    /// snapshot/restore boundary (restored terminals count as already
+    /// reported — their outcomes live in the caller's own ledger).
+    pub fn drain_finished(&mut self) -> Vec<(usize, JobStatus, SimTime)> {
+        let mut out = Vec::new();
+        for (i, job) in self.lp.jobs.iter().enumerate() {
+            let core = &job.base().core;
+            if !self.reported[i] && core.status.is_terminal() {
+                self.reported[i] = true;
+                self.n_reported += 1;
+                out.push((i, core.status, core.finished_at.unwrap_or(self.lp.makespan)));
+            }
+        }
+        out
+    }
+
+    /// Jobs admitted whose terminal outcome has not been drained yet. A
+    /// caller that drains after every admit and step — the serve backend
+    /// does — reads this as "admitted but not yet terminal".
+    pub fn inflight(&self) -> usize {
+        let n = self.lp.jobs.len() - self.n_reported;
+        debug_assert_eq!(
+            n,
+            self.lp.jobs.iter().filter(|j| !j.base().core.status.is_terminal()).count(),
+            "inflight read with undrained terminal jobs"
+        );
+        n
+    }
+
+    /// Steps to quiescence and condenses the run.
+    pub fn finish(mut self, sys: &mut A) -> A::Outcome {
+        while self.step(sys) {}
+        self.into_outcome()
+    }
+
+    fn into_outcome(self) -> A::Outcome {
+        let Loop { jobs, metrics, makespan, .. } = self.lp;
+        let states: Vec<JobState> = jobs.iter().map(|j| j.base().core.clone()).collect();
+        let summary = WorkloadSummary::from_jobs(&states, makespan);
+        let jobs = self.specs.into_iter().zip(states).collect();
+        A::outcome(self.policy, jobs, summary, metrics, makespan, self.ext)
+    }
+}
+
+impl<A: Durable> Run<A> {
+    /// Serialises the run as named snapshot records. The envelope is
+    /// shared: `meta` (format tag, policy, run fingerprint, generation,
+    /// epoch count), `jobs`, `events`, the system's own records, `loop`
+    /// (cursor, makespan), and the `metrics` / `history` codecs verbatim.
+    /// Everything deterministic and derivable is rebuilt from the config
+    /// on restore instead of being stored.
+    ///
+    /// # Errors
+    /// Serialization failures pass through as typed errors.
+    pub fn snapshot(&self, sys: &A, generation: u64) -> Result<SnapshotRecords> {
+        let lp = &self.lp;
+        let meta = Json::obj(vec![
+            ("format", Json::Str(A::FORMAT.to_string())),
+            ("policy", Json::Str(A::policy_name(self.policy))),
+            ("fingerprint", u64_json(fingerprint(sys, &self.specs, self.policy))),
+            ("generation", u64_json(generation)),
+            ("epochs_done", u64_json(lp.epochs_done)),
+        ]);
+        let jobs = lp.jobs.iter().map(|job| {
+            let mut pairs = job.base().save();
+            pairs.extend(A::save_job(job));
+            Json::obj(pairs)
+        });
+        let mut loop_doc = vec![
+            ("rr_cursor", u64_json(lp.rr_cursor as u64)),
+            ("makespan", u64_json(lp.makespan.as_millis())),
+        ];
+        let own = sys.save(&self.ext, &mut loop_doc);
+        let record = |name: &str, doc: Json| (name.to_string(), doc.to_pretty().into_bytes());
+        let mut records = vec![
+            record("meta", meta),
+            record("jobs", Json::Arr(jobs.collect())),
+            record("events", events_json(&lp.events)),
+        ];
+        records.extend(own.into_iter().map(|(name, doc)| record(name, doc)));
+        records.push(record("loop", Json::obj(loop_doc)));
+        records.push(("metrics".to_string(), lp.metrics.to_json()?.into_bytes()));
+        records.push(("history".to_string(), sys.history().to_json()?.into_bytes()));
+        Ok(records)
+    }
+
+    /// Rebuilds a run from records written by [`Run::snapshot`]: jobs are
+    /// re-bound through the normal path, then their mutable state is
+    /// overwritten. `specs` must be the admitted specs in admission order.
+    /// All parsing is panic-free.
+    ///
+    /// # Errors
+    /// [`RotaryError::SnapshotCorrupt`] on structural damage;
+    /// [`RotaryError::InvalidConfig`] when the snapshot belongs to a
+    /// different workload, policy, or config.
+    pub fn restore(
+        sys: &mut A,
+        specs: Vec<A::Spec>,
+        policy: A::Policy,
+        records: &[(String, Vec<u8>)],
+    ) -> Result<Run<A>> {
+        let bad = |what: &str| corrupt::<A>(&format!("malformed {what}"));
+        let meta = record_json(records, "meta")?;
+        if meta.get("format").and_then(Json::as_str) != Some(A::FORMAT) {
+            return Err(corrupt::<A>("unknown meta.format"));
+        }
+        let field = |key: &str| meta.get(key).and_then(Json::as_u64_str);
+        let written_for = field("fingerprint").ok_or_else(|| bad("meta.fingerprint"))?;
+        if written_for != fingerprint(sys, &specs, policy) {
+            return Err(RotaryError::InvalidConfig(
+                "snapshot fingerprint does not match this workload/policy/config; \
+                 refusing to resume a different run"
+                    .into(),
+            ));
+        }
+        let epochs_done = field("epochs_done").ok_or_else(|| bad("meta.epochs_done"))?;
+
+        // History first: the repository is system-level state the snapshot
+        // owns, and binding reads it.
+        sys.set_history(HistoryRepository::from_json(record_text(records, "history")?)?);
+        let metrics = WorkloadMetrics::from_json(record_text(records, "metrics")?)?;
+        let mut ext = sys.open(policy);
+        let mut jobs =
+            Self::bind_all(sys, &mut ext, &specs, policy).map_err(Into::<RotaryError>::into)?;
+        sys.load(&mut ext, records)?;
+
+        let jobs_doc = record_json(records, "jobs")?;
+        let entries = jobs_doc.as_arr().ok_or_else(|| bad("jobs record"))?;
+        if entries.len() != jobs.len() {
+            return Err(corrupt::<A>("job count does not match the workload"));
+        }
+        for (job, entry) in jobs.iter_mut().zip(entries) {
+            job.base_mut()
+                .load(entry)
+                .and_then(|()| A::load_job(job, entry))
+                .ok_or_else(|| bad("job entry"))?;
+        }
+        let events = restore_events(&record_json(records, "events")?, jobs.len())
+            .ok_or_else(|| bad("events record"))?;
+        let loop_doc = record_json(records, "loop")?;
+        let cursor = |key: &str| loop_doc.get(key).and_then(Json::as_u64_str);
+        let rr_cursor = cursor("rr_cursor")
+            .and_then(|v| usize::try_from(v).ok())
+            .ok_or_else(|| bad("loop.rr_cursor"))?;
+        let makespan =
+            cursor("makespan").map(SimTime::from_millis).ok_or_else(|| bad("loop.makespan"))?;
+
+        let reported: Vec<bool> = jobs.iter().map(|j| j.base().core.status.is_terminal()).collect();
+        let n_reported = reported.iter().filter(|&&r| r).count();
+        let marks = Marks::default();
+        let lp = Loop { jobs, events, metrics, rr_cursor, makespan, epochs_done, marks };
+        Ok(Run { policy, specs, lp, ext, reported, n_reported })
+    }
+}
+
+/// Finishes a job from the shared loop and lets the system retire it.
+fn finish<A: Arbiter>(
+    sys: &mut A,
+    ext: &mut A::Ext,
+    job: &mut A::Job,
+    status: JobStatus,
+    now: SimTime,
+) {
+    job.base_mut().core.finish(status, now);
+    sys.retire(ext, job);
+}
+
+/// Handles an injected epoch crash: the in-flight epoch's work is lost,
+/// the grant is released, and the job either backs off for a retry
+/// (restoring from its last checkpoint when re-granted), misses its
+/// deadline, or — with retries exhausted — fails terminally.
+fn fail_epoch<A: Arbiter>(
+    sys: &mut A,
+    lp: &mut Loop<A::Job>,
+    ext: &mut A::Ext,
+    i: usize,
+    now: SimTime,
+) {
+    let job = &mut lp.jobs[i];
+    let resource = match sys.release(ext, job) {
+        Ok(resource) => resource,
+        Err(e) => {
+            job.base_mut().core.failure = Some(e);
+            return finish(sys, ext, job, JobStatus::Failed, now);
+        }
+    };
+    let deadline = A::deadline_of(job);
+    let base = job.base_mut();
+    let id = base.core.id;
+    base.fault_attempts += 1;
+    let (epoch, attempts) = (base.core.epochs_run + 1, base.fault_attempts);
+    // The wasted occupancy still shows in the placement timeline.
+    lp.metrics.record_span(PlacementSpan {
+        job: id,
+        resource,
+        start: base.epoch_start,
+        end: now,
+        attained_at_end: false,
+    });
+    base.core.record_lost_epoch(RotaryError::EpochFailed { job: id.0, epoch, attempts });
+    let counters = lp.metrics.recovery_of(id);
+    counters.crashes += 1;
+    counters.epochs_lost += 1;
+    // The crash destroyed the in-memory state: the next launch restores
+    // from the last checkpoint (checkpoint-based recovery).
+    base.in_memory = false;
+
+    if deadline.is_some_and(|deadline| now >= deadline) {
+        return finish(sys, ext, job, JobStatus::DeadlineMissed, now);
+    }
+    match sys.faults().retry().evaluate(id.0, epoch, attempts) {
+        // The backoff alone overruns the deadline — the retry could never
+        // complete an epoch in time.
+        Ok(backoff) if deadline.is_some_and(|deadline| now + backoff >= deadline) => {
+            finish(sys, ext, job, JobStatus::DeadlineMissed, now);
+        }
+        Ok(backoff) => {
+            base.core.retries += 1;
+            counters.retries += 1;
+            base.core.status = JobStatus::Recovering;
+            lp.events.schedule(now + backoff, Event::RetryReady(i));
+        }
+        Err(e) => {
+            base.core.failure = Some(e);
+            finish(sys, ext, job, JobStatus::Failed, now);
+        }
+    }
+}
+
+/// Runs a workload to completion under a policy.
+///
+/// # Errors
+/// The system's bind error; no partial run happens.
+pub fn run<A: Arbiter>(
+    sys: &mut A,
+    specs: &[A::Spec],
+    policy: A::Policy,
+) -> std::result::Result<A::Outcome, A::BindError> {
+    Ok(Run::start(sys, specs, policy)?.finish(sys))
+}
+
+/// Runs a workload with durable snapshotting: after every `durable.every`
+/// completed epochs the full arbitrator state is committed to the snapshot
+/// store (and, when the fault plan says so, damaged on the way to disk).
+/// With `halt_after` set the run stops right after committing that
+/// generation, simulating a process kill. A completed durable run's trace
+/// is byte-identical to the plain [`run`].
+///
+/// # Errors
+/// `InvalidConfig` for a zero interval or an invalid checkpoint model;
+/// store and bind errors pass through.
+pub fn run_durable<A: Durable>(
+    sys: &mut A,
+    specs: &[A::Spec],
+    policy: A::Policy,
+    durable: &DurableConfig,
+) -> Result<DurableOutcome<A::Outcome>> {
+    let store = open_store(sys, durable)?;
+    let run = Run::start(sys, specs, policy).map_err(Into::<RotaryError>::into)?;
+    durable_loop(sys, run, durable, &store, 0)
+}
+
+/// Resumes a killed [`run_durable`] run from the newest *valid* snapshot
+/// in `durable.dir` (corrupt newer generations are skipped) and continues
+/// to completion — or to the next `halt_after`. The resumed run's final
+/// trace is byte-identical to an uninterrupted run of the same workload.
+/// With no usable snapshot the run starts from scratch.
+///
+/// # Errors
+/// As [`run_durable`], plus `InvalidConfig` when the snapshot belongs to a
+/// different workload, policy, or system configuration.
+pub fn resume_durable<A: Durable>(
+    sys: &mut A,
+    specs: &[A::Spec],
+    policy: A::Policy,
+    durable: &DurableConfig,
+) -> Result<DurableOutcome<A::Outcome>> {
+    let store = open_store(sys, durable)?;
+    let (run, generation) = match store.latest_valid()? {
+        Some((generation, records)) => {
+            (Run::restore(sys, specs.to_vec(), policy, &records)?, generation)
+        }
+        None => (Run::start(sys, specs, policy).map_err(Into::<RotaryError>::into)?, 0),
+    };
+    durable_loop(sys, run, durable, &store, generation)
+}
+
+fn open_store<A: Durable>(sys: &A, durable: &DurableConfig) -> Result<SnapshotStore> {
+    durable.validate()?;
+    sys.checkpoint().validate()?;
+    SnapshotStore::open(&durable.dir)
+}
+
+/// The durable event loop: step until the queue drains, committing a
+/// snapshot each time the completed-epoch count crosses the cadence.
+fn durable_loop<A: Durable>(
+    sys: &mut A,
+    mut run: Run<A>,
+    durable: &DurableConfig,
+    store: &SnapshotStore,
+    mut generation: u64,
+) -> Result<DurableOutcome<A::Outcome>> {
+    loop {
+        if !run.step(sys) {
+            return Ok(DurableOutcome::Completed(run.into_outcome()));
+        }
+        if run.lp.epochs_done >= (generation + 1).saturating_mul(durable.every) {
+            generation += 1;
+            let records = run.snapshot(sys, generation)?;
+            let damage = sys.faults().snapshot_fault(generation);
+            store.commit(generation, &records, damage.as_ref())?;
+            if durable.halt_after == Some(generation) {
+                return Ok(DurableOutcome::Halted { generation });
+            }
+        }
+    }
+}
+
+fn fingerprint<A: Durable>(sys: &A, specs: &[A::Spec], policy: A::Policy) -> u64 {
+    let mut text = A::policy_name(policy);
+    sys.fingerprint_text(specs, &mut text);
+    fnv1a(text.as_bytes())
+}
+
+fn events_json(events: &EventQueue<Event>) -> Json {
+    let entry = |(at, seq, event): (SimTime, u64, &Event)| {
+        let (kind, job) = match *event {
+            Event::Arrival(i) => ("arrival", Some(i)),
+            Event::EpochDone(i) => ("epoch-done", Some(i)),
+            Event::EpochFailed(i) => ("epoch-failed", Some(i)),
+            Event::RetryReady(i) => ("retry-ready", Some(i)),
+            Event::DeadlineCheck(i) => ("deadline-check", Some(i)),
+            Event::Wake => ("wake", None),
+        };
+        let mut fields = vec![
+            ("at", u64_json(at.as_millis())),
+            ("seq", u64_json(seq)),
+            ("kind", Json::Str(kind.to_string())),
+        ];
+        fields.extend(job.map(|i| ("job", u64_json(i as u64))));
+        Json::obj(fields)
+    };
+    Json::obj(vec![
+        ("now", u64_json(events.now().as_millis())),
+        ("next_seq", u64_json(events.next_seq())),
+        ("entries", Json::Arr(events.pending().into_iter().map(entry).collect())),
+    ])
+}
+
+fn restore_events(doc: &Json, job_count: usize) -> Option<EventQueue<Event>> {
+    let now = SimTime::from_millis(doc.get("now")?.as_u64_str()?);
+    let next_seq = doc.get("next_seq")?.as_u64_str()?;
+    let mut entries = Vec::new();
+    for e in doc.get("entries")?.as_arr()? {
+        let at = SimTime::from_millis(e.get("at")?.as_u64_str()?);
+        let seq = e.get("seq")?.as_u64_str()?;
+        let job = match e.get("job") {
+            Some(i) => Some(usize::try_from(i.as_u64_str()?).ok().filter(|&i| i < job_count)?),
+            None => None,
+        };
+        let event = match (e.get("kind")?.as_str()?, job) {
+            ("arrival", Some(i)) => Event::Arrival(i),
+            ("epoch-done", Some(i)) => Event::EpochDone(i),
+            ("epoch-failed", Some(i)) => Event::EpochFailed(i),
+            ("retry-ready", Some(i)) => Event::RetryReady(i),
+            ("deadline-check", Some(i)) => Event::DeadlineCheck(i),
+            ("wake", _) => Event::Wake,
+            _ => return None,
+        };
+        entries.push((at, seq, event));
+    }
+    Some(EventQueue::restore(now, next_seq, entries))
+}
+
+/// Snapshot form of a generator position (`Rng::snapshot_state`).
+pub fn rng_json(state: [u64; 4], root: u64) -> Json {
+    Json::obj(vec![
+        ("s0", u64_json(state[0])),
+        ("s1", u64_json(state[1])),
+        ("s2", u64_json(state[2])),
+        ("s3", u64_json(state[3])),
+        ("root", u64_json(root)),
+    ])
+}
+
+/// Inverse of [`rng_json`]; `None` on structural damage.
+pub fn rng_from_json(doc: &Json) -> Option<([u64; 4], u64)> {
+    let word = |key: &str| doc.get(key)?.as_u64_str();
+    Some(([word("s0")?, word("s1")?, word("s2")?, word("s3")?], word("root")?))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{EpochFault, FaultConfig};
+    use rotary_core::criteria::{CompletionCriterion, Deadline};
+    use rotary_core::job::{IntermediateState, JobId, JobKind};
+    use std::convert::Infallible;
+    use std::fmt::Write as _;
+
+    /// A counting arbiter: a job needs `spec` epochs of 10 ms each on one of
+    /// two slots, granted in index order; the fault plan crashes some.
+    struct Toy {
+        faults: FaultPlan,
+        checkpoint: CheckpointModel,
+        history: HistoryRepository,
+    }
+
+    struct ToyJob {
+        base: JobBase,
+        need: u64,
+    }
+
+    impl Job for ToyJob {
+        fn base(&self) -> &JobBase {
+            &self.base
+        }
+        fn base_mut(&mut self) -> &mut JobBase {
+            &mut self.base
+        }
+    }
+
+    impl Arbiter for Toy {
+        type Spec = u64;
+        type Policy = ();
+        type Job = ToyJob;
+        /// Free slots.
+        type Ext = usize;
+        /// Final job states and the metrics trace, both as JSON text.
+        type Outcome = (Vec<String>, String);
+        type BindError = Infallible;
+
+        fn faults(&self) -> &FaultPlan {
+            &self.faults
+        }
+        fn open(&mut self, _: ()) -> usize {
+            2
+        }
+        fn bind(
+            &mut self,
+            _: &mut usize,
+            i: usize,
+            need: &u64,
+            _: (),
+            now: SimTime,
+        ) -> std::result::Result<ToyJob, Infallible> {
+            let criterion = CompletionCriterion::Runtime { runtime: Deadline::Epochs(*need) };
+            let mut core = JobState::new(JobId(i as u64), JobKind::Dlt, criterion, now);
+            core.status = JobStatus::Active;
+            Ok(ToyJob { base: JobBase::new(core), need: *need })
+        }
+        fn begin(&mut self, lp: &mut Loop<ToyJob>, free: &mut usize, _: ()) {
+            self.arbitrate(lp, free, (), SimTime::ZERO, None);
+        }
+        fn admit(&mut self, lp: &mut Loop<ToyJob>, _: &mut usize, _: usize, now: SimTime) {
+            lp.events.schedule(now, Event::Wake);
+        }
+        fn complete_epoch(
+            &mut self,
+            lp: &mut Loop<ToyJob>,
+            free: &mut usize,
+            i: usize,
+            now: SimTime,
+        ) {
+            *free += 1;
+            let ToyJob { base, need } = &mut lp.jobs[i];
+            base.fault_attempts = 0;
+            let epoch = base.core.epochs_run + 1;
+            let progress = epoch as f64 / *need as f64;
+            let state = IntermediateState { epoch, at: now, metric_value: progress, progress };
+            base.core.record_epoch(state, now - base.epoch_start);
+            if epoch == *need {
+                base.core.finish(JobStatus::Attained, now);
+            } else {
+                base.core.status = JobStatus::Active;
+            }
+        }
+        fn arbitrate(
+            &mut self,
+            lp: &mut Loop<ToyJob>,
+            free: &mut usize,
+            _: (),
+            now: SimTime,
+            _: Option<usize>,
+        ) {
+            for (i, job) in lp.jobs.iter_mut().enumerate() {
+                let base = &mut job.base;
+                if *free == 0 || !base.core.status.is_arbitrable() {
+                    continue;
+                }
+                *free -= 1;
+                base.core.status = JobStatus::Running;
+                base.epoch_start = now;
+                let epoch = base.core.epochs_run + 1;
+                let event = match self.faults.epoch_fault(i as u64, epoch, base.fault_attempts) {
+                    EpochFault::Crash { .. } => Event::EpochFailed(i),
+                    _ => Event::EpochDone(i),
+                };
+                lp.events.schedule(now + SimTime::from_millis(10), event);
+            }
+        }
+        fn progress_of(job: &ToyJob) -> f64 {
+            job.base.core.progress()
+        }
+        fn deadline_of(_: &ToyJob) -> Option<SimTime> {
+            None
+        }
+        fn release(&mut self, free: &mut usize, job: &mut ToyJob) -> Result<String> {
+            if job.base.core.status != JobStatus::Running {
+                return Err(RotaryError::InvalidConfig("job holds no slot".into()));
+            }
+            *free += 1;
+            Ok("slot".into())
+        }
+        fn retire(&mut self, _: &mut usize, _: &ToyJob) {}
+        fn outcome(
+            _: (),
+            jobs: Vec<(u64, JobState)>,
+            _: WorkloadSummary,
+            metrics: WorkloadMetrics,
+            _: SimTime,
+            _: usize,
+        ) -> (Vec<String>, String) {
+            let states = jobs.iter().map(|(_, state)| state.to_json().to_pretty()).collect();
+            (states, metrics.to_json().expect("metrics json"))
+        }
+    }
+
+    impl Durable for Toy {
+        const FORMAT: &'static str = "toy-run/v1";
+
+        fn checkpoint(&self) -> &CheckpointModel {
+            &self.checkpoint
+        }
+        fn history(&self) -> &HistoryRepository {
+            &self.history
+        }
+        fn set_history(&mut self, history: HistoryRepository) {
+            self.history = history;
+        }
+        fn policy_name(_: ()) -> String {
+            "toy".into()
+        }
+        fn fingerprint_text(&self, specs: &[u64], text: &mut String) {
+            let _ = write!(text, "|{specs:?}");
+        }
+        fn save_job(job: &ToyJob) -> Vec<(&'static str, Json)> {
+            vec![("need", u64_json(job.need))]
+        }
+        fn load_job(job: &mut ToyJob, entry: &Json) -> Option<()> {
+            job.need = entry.get("need")?.as_u64_str()?;
+            Some(())
+        }
+        fn save(
+            &self,
+            free: &usize,
+            _: &mut Vec<(&'static str, Json)>,
+        ) -> Vec<(&'static str, Json)> {
+            vec![("free", u64_json(*free as u64))]
+        }
+        fn load(&self, free: &mut usize, records: &[(String, Vec<u8>)]) -> Result<()> {
+            let stored = record_json(records, "free")?.as_u64_str();
+            *free = stored.ok_or_else(|| corrupt::<Self>("malformed free record"))? as usize;
+            Ok(())
+        }
+    }
+
+    fn toy() -> Toy {
+        let faults =
+            FaultPlan::new(FaultConfig { seed: 3, crash_prob: 0.3, ..FaultConfig::none() });
+        Toy { faults, checkpoint: CheckpointModel::ssd(), history: HistoryRepository::new() }
+    }
+
+    const SPECS: [u64; 6] = [3, 1, 4, 1, 5, 2];
+
+    fn ok<T>(result: std::result::Result<T, Infallible>) -> T {
+        match result {
+            Ok(v) => v,
+            Err(never) => match never {},
+        }
+    }
+
+    fn temp_store(tag: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("rotary-arb-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    #[test]
+    fn the_plan_crashes_some_epochs_and_every_job_still_ends() {
+        let (states, _) = ok(run(&mut toy(), &SPECS, ()));
+        assert!(states.iter().any(|s| s.contains("\"retries\": \"0\"")));
+        assert!(states.iter().any(|s| !s.contains("\"retries\": \"0\"")), "no crash injected");
+        assert!(states.iter().all(|s| s.contains("\"attained\"") || s.contains("\"failed\"")));
+    }
+
+    #[test]
+    fn a_crash_event_for_a_job_holding_nothing_fails_that_job_without_panicking() {
+        // Reachable from a damaged-but-well-formed snapshot: the events
+        // record names a job the pool record does not.
+        let mut sys = toy();
+        let mut live = ok(Run::start(&mut sys, &SPECS, ()));
+        live.lp.events.schedule(SimTime::from_millis(1), Event::EpochFailed(5));
+        let (states, _) = live.finish(&mut sys);
+        assert!(states[5].contains("\"failed\"") && states[5].contains("job holds no slot"));
+        assert!(states[..5].iter().all(|s| s.contains("\"attained\"") || s.contains("\"failed\"")));
+    }
+
+    #[test]
+    fn batch_run_is_admit_all_then_step() {
+        let (batch, _) = ok(run(&mut toy(), &SPECS, ()));
+        let mut sys = toy();
+        let mut stream = ok(Run::start(&mut sys, &[], ()));
+        for (i, need) in SPECS.iter().enumerate() {
+            assert_eq!(ok(stream.admit(&mut sys, *need, SimTime::ZERO)), i);
+        }
+        // The admissions add Wake rows to the trace; the jobs' own
+        // histories must not notice.
+        let (streamed, _) = stream.finish(&mut sys);
+        assert_eq!(streamed, batch);
+    }
+
+    #[test]
+    fn snapshot_after_every_event_restores_to_the_uninterrupted_run() {
+        let expected = ok(run(&mut toy(), &SPECS, ()));
+        let mut sys = toy();
+        let mut live = ok(Run::start(&mut sys, &SPECS, ()));
+        let mut events = 0;
+        loop {
+            let records = live.snapshot(&sys, events).expect("snapshot");
+            sys = toy();
+            live = Run::restore(&mut sys, SPECS.to_vec(), (), &records).expect("restore");
+            if !live.step(&mut sys) {
+                break;
+            }
+            events += 1;
+        }
+        assert!(events > SPECS.len() as u64);
+        assert_eq!(live.into_outcome(), expected);
+    }
+
+    #[test]
+    fn restore_rejects_a_different_workload_and_damaged_records() {
+        let mut sys = toy();
+        let live = ok(Run::start(&mut sys, &SPECS, ()));
+        let mut records = live.snapshot(&sys, 1).expect("snapshot");
+        let other = Run::restore(&mut toy(), vec![9, 9], (), &records);
+        assert!(matches!(other, Err(RotaryError::InvalidConfig(_))));
+        records.retain(|(name, _)| name != "free");
+        let torn = Run::restore(&mut toy(), SPECS.to_vec(), (), &records);
+        assert!(matches!(torn, Err(RotaryError::SnapshotCorrupt { .. })));
+    }
+
+    #[test]
+    fn corrupt_newest_generation_falls_back_to_the_previous_one() {
+        let expected = ok(run(&mut toy(), &SPECS, ()));
+        let dir = temp_store("fallback");
+        let mut cfg = DurableConfig::new(&dir, 2);
+        cfg.halt_after = Some(3);
+        let halted = run_durable(&mut toy(), &SPECS, (), &cfg).expect("durable run");
+        assert!(matches!(halted, DurableOutcome::Halted { generation: 3 }));
+
+        let newest = dir.join("snap-3.rsnp");
+        let mut bytes = std::fs::read(&newest).expect("generation 3 on disk");
+        let middle = bytes.len() / 2;
+        bytes[middle] ^= 0x10;
+        std::fs::write(&newest, bytes).expect("damage generation 3");
+        let store = SnapshotStore::open(&dir).expect("store");
+        assert_eq!(store.latest_valid().expect("scan").map(|(generation, _)| generation), Some(2));
+
+        cfg.halt_after = None;
+        let resumed = resume_durable(&mut toy(), &SPECS, (), &cfg).expect("resume");
+        assert_eq!(resumed.completed(), Some(expected));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn drain_reports_each_terminal_exactly_once_across_a_restore() {
+        let mut sys = toy();
+        let mut live = ok(Run::start(&mut sys, &SPECS, ()));
+        let mut reported = Vec::new();
+        for _ in 0..8 {
+            assert!(live.step(&mut sys), "run ended before the snapshot point");
+            reported.extend(live.drain_finished());
+        }
+        assert!(!reported.is_empty() && reported.len() < SPECS.len());
+        let records = live.snapshot(&sys, 1).expect("snapshot");
+
+        let mut sys = toy();
+        let mut resumed = Run::restore(&mut sys, SPECS.to_vec(), (), &records).expect("restore");
+        // Terminals reported before the snapshot stay reported.
+        assert_eq!(resumed.inflight(), SPECS.len() - reported.len());
+        assert!(resumed.drain_finished().is_empty());
+        while resumed.step(&mut sys) {
+            reported.extend(resumed.drain_finished());
+        }
+        assert!(resumed.drain_finished().is_empty());
+        assert_eq!(resumed.inflight(), 0);
+        let mut jobs: Vec<usize> = reported.iter().map(|&(i, _, _)| i).collect();
+        jobs.sort_unstable();
+        assert_eq!(jobs, (0..SPECS.len()).collect::<Vec<_>>());
+        assert!(reported.iter().all(|(_, status, _)| status.is_terminal()));
+    }
+}

@@ -41,6 +41,8 @@
 
 #![warn(missing_docs)]
 
+pub mod arbiter;
+
 use rotary_core::error::{Result, RotaryError};
 use rotary_core::SimTime;
 use rotary_sim::rng::Rng;

@@ -13,7 +13,7 @@ use crate::CompletionKind;
 use rotary_core::error::{Result, RotaryError};
 use rotary_core::json::{u64_json, Json};
 use rotary_core::SimTime;
-use rotary_store::SnapshotRecords;
+use rotary_store::{record_json, SnapshotRecords};
 
 /// A typed completion surfaced by the backend for one admitted ticket.
 /// Every admitted ticket produces exactly one.
@@ -168,15 +168,7 @@ impl Backend for SimBackend {
 
     fn restore(&mut self, records: &SnapshotRecords, _admitted: &[Pending]) -> Result<()> {
         let corrupt = |detail: &str| RotaryError::SnapshotCorrupt { detail: detail.into() };
-        let payload = records
-            .iter()
-            .find(|(name, _)| name == "running")
-            .map(|(_, bytes)| bytes)
-            .ok_or_else(|| corrupt("sim backend: missing running record"))?;
-        let text = std::str::from_utf8(payload)
-            .map_err(|_| corrupt("sim backend: running record is not UTF-8"))?;
-        let json =
-            rotary_core::json::parse(text).map_err(|e| corrupt(&format!("sim backend: {e}")))?;
+        let json = record_json(records, "running")?;
         let rows = json.as_arr().ok_or_else(|| corrupt("sim backend: running is not an array"))?;
         let mut running = Vec::with_capacity(rows.len());
         for row in rows {

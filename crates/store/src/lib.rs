@@ -38,6 +38,7 @@
 #![warn(missing_docs)]
 
 use rotary_core::error::{Result, RotaryError};
+use rotary_core::json::{self, Json};
 use std::path::{Path, PathBuf};
 
 /// The container format version this build writes and reads.
@@ -101,6 +102,36 @@ pub type SnapshotRecords = Vec<(String, Vec<u8>)>;
 
 fn corrupt(detail: String) -> RotaryError {
     RotaryError::SnapshotCorrupt { detail }
+}
+
+/// The payload of the record called `name`.
+///
+/// # Errors
+/// [`RotaryError::SnapshotCorrupt`] when the snapshot has no such record.
+pub fn record_bytes<'r>(records: &'r [(String, Vec<u8>)], name: &str) -> Result<&'r [u8]> {
+    records
+        .iter()
+        .find(|(n, _)| n == name)
+        .map(|(_, payload)| payload.as_slice())
+        .ok_or_else(|| corrupt(format!("missing '{name}' record")))
+}
+
+/// The record called `name`, as UTF-8 text.
+///
+/// # Errors
+/// [`RotaryError::SnapshotCorrupt`] when it is missing or not UTF-8.
+pub fn record_text<'r>(records: &'r [(String, Vec<u8>)], name: &str) -> Result<&'r str> {
+    std::str::from_utf8(record_bytes(records, name)?)
+        .map_err(|_| corrupt(format!("record '{name}' is not UTF-8")))
+}
+
+/// The record called `name`, parsed as a JSON document.
+///
+/// # Errors
+/// [`RotaryError::SnapshotCorrupt`] when it is missing, not UTF-8, or does
+/// not parse.
+pub fn record_json(records: &[(String, Vec<u8>)], name: &str) -> Result<Json> {
+    json::parse(record_text(records, name)?).map_err(|e| corrupt(format!("record '{name}': {e}")))
 }
 
 fn push_u32(out: &mut Vec<u8>, v: u32) {

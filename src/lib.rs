@@ -22,13 +22,18 @@
 //! * [`faults`] — deterministic seed-driven fault injection (crashes,
 //!   stragglers, checkpoint failures, memory-pressure spikes) and the
 //!   retry/backoff recovery policy (`ROTARY_FAULT_SEED`).
+//! * [`arb`] — the one arbitration run loop both systems plug into: the
+//!   [`arb::Arbiter`] / [`arb::Durable`] traits, the [`arb::Run`] handle,
+//!   and its three drivers — batch [`arb::run`], durable
+//!   [`arb::run_durable`] / [`arb::resume_durable`], and streaming
+//!   `Run::admit` / `step` / `drain_finished`. `AqpSystem::run` and
+//!   `DltSystem::run` (and their durable twins) delegate here.
 //! * [`store`] — the durable snapshot store behind crash-restart recovery:
-//!   checksummed generation files, atomic commits, and the
-//!   `run_durable`/`resume_durable` entry points on both systems.
+//!   checksummed generation files, atomic commits, newest-valid fallback.
 //! * [`serve`] — the service layer: an event-driven daemon with per-tenant
 //!   quotas, bounded admission queues, typed backpressure, deadline-aware
-//!   load shedding, and the [`serve::Backend`] adapters that put the AQP
-//!   and DLT arbitrators behind it.
+//!   load shedding, and the generic [`serve::ServeBackend`] that puts any
+//!   arbitrator — AQP or DLT — behind it.
 //!
 //! See `examples/quickstart.rs` for a three-minute tour.
 
@@ -42,6 +47,7 @@ pub use rotary_core as core;
 pub use rotary_dlt as dlt;
 pub use rotary_engine as engine;
 pub use rotary_faults as faults;
+pub use rotary_faults::arbiter as arb;
 pub use rotary_par as par;
 pub use rotary_sim as sim;
 pub use rotary_store as store;

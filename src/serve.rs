@@ -1,11 +1,12 @@
 //! Serve-layer adapters: the real arbitrators behind the daemon.
 //!
 //! `rotary-serve` is deliberately ignorant of AQP and DLT — it drives a
-//! [`Backend`]. This module closes the loop: [`AqpServeBackend`] and
-//! [`DltServeBackend`] wrap the two systems' streaming seams
-//! (`serve_admit` / `serve_step` / `serve_drain_finished`) so a daemon can
-//! accept live submissions against a real arbitrator, shed load, and
-//! resume from a durable snapshot with a byte-identical trace.
+//! [`Backend`]. This module closes the loop: [`ServeBackend`] puts any
+//! system's streaming [`Run`] (`admit` / `step` / `drain_finished`) behind
+//! that trait, given the system's payload codec ([`ServeCodec`]), so a
+//! daemon can accept live submissions against a real arbitrator, shed
+//! load, and resume from a durable snapshot with a byte-identical trace.
+//! [`AqpServeBackend`] and [`DltServeBackend`] are its two instantiations.
 //!
 //! Submission payloads are structural JSON. Floating-point fields travel
 //! as IEEE-754 bit patterns (`*_bits`), so a payload that round-trips
@@ -22,23 +23,20 @@
 
 pub use rotary_serve::*;
 
-use rotary_aqp::{AqpJobSpec, AqpPolicy, AqpServeRun, AqpSystem};
+use rotary_aqp::{AqpJobSpec, AqpPolicy, AqpSystem};
 use rotary_core::criteria::{CompletionCriterion, Deadline, Metric};
 use rotary_core::error::{Result, RotaryError};
 use rotary_core::job::JobStatus;
 use rotary_core::json::{u64_json, Json};
 use rotary_core::SimTime;
 use rotary_dlt::parse::resolve_architecture;
-use rotary_dlt::{DltJobSpec, DltPolicy, DltServeRun, DltSystem, Optimizer, TrainingConfig};
+use rotary_dlt::{DltJobSpec, DltPolicy, DltSystem, Optimizer, TrainingConfig};
 use rotary_engine::QueryId;
-use rotary_store::SnapshotRecords;
+use rotary_faults::arbiter::{Durable, Run};
+use rotary_store::{record_json, SnapshotRecords};
 
 /// Fallback service estimate when a payload does not declare `est_ms`.
 const DEFAULT_ESTIMATE: SimTime = SimTime::from_millis(60_000);
-
-fn corrupt(detail: String) -> RotaryError {
-    RotaryError::SnapshotCorrupt { detail }
-}
 
 fn malformed(detail: &str) -> RotaryError {
     RotaryError::InvalidConfig(format!("serve payload: {detail}"))
@@ -73,6 +71,131 @@ fn f64_bits(payload: &Json, key: &str) -> Option<f64> {
 fn uint(json: &Json, key: &str) -> Option<u64> {
     let v = json.get(key)?;
     v.as_u64_str().or_else(|| v.as_u64())
+}
+
+// ---------------------------------------------------------------------------
+// One backend over any arbiter
+// ---------------------------------------------------------------------------
+
+/// What a system adds to be served: how a submission payload becomes a
+/// spec, and how an admitted spec is written to (and read back from) the
+/// backend's `admitted` snapshot record.
+pub trait ServeCodec: Durable {
+    /// The backend's stable name (see [`Backend::name`]).
+    const NAME: &'static str;
+
+    /// Decodes a payload into a spec admitted at `now` that must finish by
+    /// `deadline_at`.
+    ///
+    /// # Errors
+    /// `InvalidConfig` when the payload is malformed.
+    fn spec_of(payload: &Json, now: SimTime, deadline_at: SimTime) -> Result<Self::Spec>;
+    /// The spec's fields of an `admitted` row.
+    fn spec_row(spec: &Self::Spec) -> Vec<(&'static str, Json)>;
+    /// Inverse of [`ServeCodec::spec_row`].
+    fn spec_of_row(row: &Json) -> Option<Self::Spec>;
+}
+
+/// An arbitrator behind a serve daemon: live admissions stream into a
+/// [`Run`], completions stream back out as typed [`BackendDone`]s.
+pub struct ServeBackend<A: ServeCodec> {
+    sys: A,
+    run: Run<A>,
+    /// `tickets[job_index]` — the daemon ticket each admitted job answers
+    /// to, in admission order.
+    tickets: Vec<u64>,
+}
+
+impl<A: ServeCodec> ServeBackend<A> {
+    fn drain(&mut self, out: &mut Vec<BackendDone>) {
+        for (i, status, at) in self.run.drain_finished() {
+            out.push(BackendDone { ticket: self.tickets[i], kind: completion_kind(status), at });
+        }
+    }
+}
+
+impl<A: ServeCodec> Backend for ServeBackend<A> {
+    fn name(&self) -> &'static str {
+        A::NAME
+    }
+
+    fn validate(&self, payload: &Json) -> Result<SimTime> {
+        // Any positive deadline works for structural validation — the real
+        // one is bound at admission.
+        A::spec_of(payload, SimTime::ZERO, SimTime::from_millis(1))?;
+        Ok(estimate_of(payload))
+    }
+
+    fn admit(&mut self, now: SimTime, entry: &Pending, out: &mut Vec<BackendDone>) -> Result<()> {
+        let spec = A::spec_of(&entry.payload, now, entry.deadline_at)?;
+        let i = self.run.admit(&mut self.sys, spec, now).map_err(Into::<RotaryError>::into)?;
+        debug_assert_eq!(i, self.tickets.len());
+        self.tickets.push(entry.ticket);
+        // A job can finish at the admission instant (no device can ever
+        // host it); drain right away so its outcome is never deferred.
+        self.drain(out);
+        Ok(())
+    }
+
+    fn peek(&self) -> Option<SimTime> {
+        self.run.peek()
+    }
+
+    fn step(&mut self, out: &mut Vec<BackendDone>) -> bool {
+        let progressed = self.run.step(&mut self.sys);
+        if progressed {
+            self.drain(out);
+        }
+        progressed
+    }
+
+    fn inflight(&self) -> usize {
+        self.run.inflight()
+    }
+
+    fn snapshot(&self) -> Result<SnapshotRecords> {
+        let mut records = self.run.snapshot(&self.sys, 0)?;
+        let rows = self.run.specs().iter().zip(&self.tickets).map(|(spec, ticket)| {
+            let mut pairs = vec![("ticket", u64_json(*ticket))];
+            pairs.extend(A::spec_row(spec));
+            Json::obj(pairs)
+        });
+        records.push(("admitted".to_string(), Json::Arr(rows.collect()).to_pretty().into_bytes()));
+        Ok(records)
+    }
+
+    fn restore(&mut self, records: &SnapshotRecords, admitted: &[Pending]) -> Result<()> {
+        let corrupt = |detail: &str| RotaryError::SnapshotCorrupt {
+            detail: format!("{} adapter: {detail}", A::NAME),
+        };
+        let doc = record_json(records, "admitted")?;
+        let rows = doc.as_arr().ok_or_else(|| corrupt("admitted record is not an array"))?;
+        let mut specs = Vec::with_capacity(rows.len());
+        let mut tickets = Vec::with_capacity(rows.len());
+        for row in rows {
+            let ticket = row.get("ticket").and_then(Json::as_u64_str);
+            let (Some(ticket), Some(spec)) = (ticket, A::spec_of_row(row)) else {
+                return Err(corrupt("malformed admitted row"));
+            };
+            tickets.push(ticket);
+            specs.push(spec);
+        }
+        // The daemon replays every admitted entry on restore; the ticket
+        // table must agree with it ticket for ticket, or the snapshot and
+        // the daemon state belong to different runs.
+        if tickets.len() != admitted.len()
+            || tickets.iter().zip(admitted).any(|(t, p)| *t != p.ticket)
+        {
+            return Err(corrupt(&format!(
+                "admitted replay mismatch ({} snapshot rows, {} daemon entries)",
+                tickets.len(),
+                admitted.len()
+            )));
+        }
+        self.run = Run::restore(&mut self.sys, specs, self.run.policy(), records)?;
+        self.tickets = tickets;
+        Ok(())
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -115,17 +238,8 @@ fn aqp_spec_of(payload: &Json, arrival: SimTime, deadline: SimTime) -> Result<Aq
     Ok(AqpJobSpec { query: QueryId(query as u8), threshold, deadline, arrival, ci_epsilon })
 }
 
-/// The AQP arbitrator behind a serve daemon: live admissions stream into
-/// an [`AqpServeRun`], completions stream back out as typed
-/// [`BackendDone`]s.
-pub struct AqpServeBackend<'a> {
-    sys: AqpSystem<'a>,
-    run: AqpServeRun<'a>,
-    policy: AqpPolicy,
-    /// `tickets[job_index]` — the daemon ticket each admitted job answers
-    /// to, in admission order.
-    tickets: Vec<u64>,
-}
+/// The AQP arbitrator behind a serve daemon.
+pub type AqpServeBackend<'a> = ServeBackend<AqpSystem<'a>>;
 
 impl<'a> AqpServeBackend<'a> {
     /// Wraps a system, opening an empty streaming run.
@@ -134,109 +248,34 @@ impl<'a> AqpServeBackend<'a> {
     /// [`RotaryError::PlanBind`] when the system's dataset cannot back a
     /// streaming run at all.
     pub fn new(mut sys: AqpSystem<'a>, policy: AqpPolicy) -> Result<AqpServeBackend<'a>> {
-        let run = sys.serve_start(policy)?;
-        Ok(AqpServeBackend { sys, run, policy, tickets: Vec::new() })
-    }
-
-    fn drain(&mut self, out: &mut Vec<BackendDone>) {
-        for (i, status, at) in self.sys.serve_drain_finished(&mut self.run) {
-            out.push(BackendDone { ticket: self.tickets[i], kind: completion_kind(status), at });
-        }
+        let run = Run::start(&mut sys, &[], policy)?;
+        Ok(ServeBackend { sys, run, tickets: Vec::new() })
     }
 }
 
-impl Backend for AqpServeBackend<'_> {
-    fn name(&self) -> &'static str {
-        "aqp"
-    }
+impl ServeCodec for AqpSystem<'_> {
+    const NAME: &'static str = "aqp";
 
-    fn validate(&self, payload: &Json) -> Result<SimTime> {
-        // Any positive deadline works for structural validation — the real
-        // one is bound at admission.
-        aqp_spec_of(payload, SimTime::ZERO, SimTime::from_millis(1))?;
-        Ok(estimate_of(payload))
-    }
-
-    fn admit(&mut self, now: SimTime, entry: &Pending, out: &mut Vec<BackendDone>) -> Result<()> {
+    fn spec_of(payload: &Json, now: SimTime, deadline_at: SimTime) -> Result<AqpJobSpec> {
         // The job's clock starts at backend admission; its absolute
         // deadline is the one promised at submit time.
-        let deadline = entry.deadline_at.saturating_sub(now).max(SimTime::from_millis(1));
-        let spec = aqp_spec_of(&entry.payload, now, deadline)?;
-        let i = self.sys.serve_admit(&mut self.run, spec)?;
-        debug_assert_eq!(i, self.tickets.len());
-        self.tickets.push(entry.ticket);
-        self.drain(out);
-        Ok(())
+        let deadline = deadline_at.saturating_sub(now).max(SimTime::from_millis(1));
+        aqp_spec_of(payload, now, deadline)
     }
 
-    fn peek(&self) -> Option<SimTime> {
-        self.sys.serve_peek(&self.run)
+    fn spec_row(s: &AqpJobSpec) -> Vec<(&'static str, Json)> {
+        vec![
+            ("query", u64_json(u64::from(s.query.0))),
+            ("threshold_bits", u64_json(s.threshold.to_bits())),
+            ("deadline", u64_json(s.deadline.as_millis())),
+            ("arrival", u64_json(s.arrival.as_millis())),
+            ("ci_bits", s.ci_epsilon.map_or(Json::Null, |e| u64_json(e.to_bits()))),
+        ]
     }
 
-    fn step(&mut self, out: &mut Vec<BackendDone>) -> bool {
-        let progressed = self.sys.serve_step(&mut self.run);
-        if progressed {
-            self.drain(out);
-        }
-        progressed
-    }
-
-    fn inflight(&self) -> usize {
-        self.sys.serve_inflight(&self.run)
-    }
-
-    fn snapshot(&self) -> Result<SnapshotRecords> {
-        let mut records = self.sys.serve_snapshot(&self.run, 0)?;
-        let rows: Vec<Json> = self
-            .run
-            .specs()
-            .iter()
-            .zip(&self.tickets)
-            .map(|(s, t)| {
-                Json::obj(vec![
-                    ("ticket", u64_json(*t)),
-                    ("query", u64_json(u64::from(s.query.0))),
-                    ("threshold_bits", u64_json(s.threshold.to_bits())),
-                    ("deadline", u64_json(s.deadline.as_millis())),
-                    ("arrival", u64_json(s.arrival.as_millis())),
-                    ("ci_bits", s.ci_epsilon.map_or(Json::Null, |e| u64_json(e.to_bits()))),
-                ])
-            })
-            .collect();
-        records.push(("admitted".to_string(), Json::Arr(rows).to_pretty().into_bytes()));
-        Ok(records)
-    }
-
-    fn restore(&mut self, records: &SnapshotRecords, admitted: &[Pending]) -> Result<()> {
-        let rows = adapter_rows(records, "aqp")?;
-        let mut specs = Vec::with_capacity(rows.len());
-        let mut tickets = Vec::with_capacity(rows.len());
-        for row in &rows {
-            let parsed = (|| {
-                let u = |k: &str| row.get(k).and_then(Json::as_u64_str);
-                let ci_epsilon = match row.get("ci_bits") {
-                    None | Some(Json::Null) => None,
-                    Some(v) => Some(f64::from_bits(v.as_u64_str()?)),
-                };
-                Some((
-                    u("ticket")?,
-                    AqpJobSpec {
-                        query: QueryId(u8::try_from(u("query")?).ok()?),
-                        threshold: f64::from_bits(u("threshold_bits")?),
-                        deadline: SimTime::from_millis(u("deadline")?),
-                        arrival: SimTime::from_millis(u("arrival")?),
-                        ci_epsilon,
-                    },
-                ))
-            })()
-            .ok_or_else(|| corrupt("aqp adapter: malformed admitted row".to_string()))?;
-            tickets.push(parsed.0);
-            specs.push(parsed.1);
-        }
-        check_replay(&tickets, admitted, "aqp")?;
-        self.run = self.sys.serve_restore(specs, self.policy, records)?;
-        self.tickets = tickets;
-        Ok(())
+    fn spec_of_row(row: &Json) -> Option<AqpJobSpec> {
+        let millis = |key: &str| row.get(key).and_then(Json::as_u64_str).map(SimTime::from_millis);
+        aqp_spec_of(row, millis("arrival")?, millis("deadline")?).ok()
     }
 }
 
@@ -320,17 +359,24 @@ fn optimizer_of(name: &str) -> Option<Optimizer> {
     })
 }
 
-/// Builds a DLT submission payload from a job spec.
-pub fn dlt_payload(spec: &DltJobSpec) -> Json {
-    Json::obj(vec![
+/// The structural encoding of a DLT spec, shared by submission payloads
+/// and `admitted` snapshot rows.
+fn dlt_spec_pairs(spec: &DltJobSpec) -> Vec<(&'static str, Json)> {
+    vec![
         ("arch", Json::Str(format!("{:?}", spec.config.arch))),
         ("batch", u64_json(u64::from(spec.config.batch_size))),
         ("optimizer", Json::Str(format!("{:?}", spec.config.optimizer))),
         ("lr_bits", u64_json(spec.config.learning_rate.to_bits())),
         ("pretrained", Json::Bool(spec.config.pretrained)),
         ("criterion", criterion_json(&spec.criterion)),
-        ("est_ms", u64_json(DEFAULT_ESTIMATE.as_millis())),
-    ])
+    ]
+}
+
+/// Builds a DLT submission payload from a job spec.
+pub fn dlt_payload(spec: &DltJobSpec) -> Json {
+    let mut pairs = dlt_spec_pairs(spec);
+    pairs.push(("est_ms", u64_json(DEFAULT_ESTIMATE.as_millis())));
+    Json::obj(pairs)
 }
 
 /// Decodes a DLT payload into a job spec.
@@ -367,154 +413,33 @@ fn dlt_spec_of(payload: &Json) -> Result<DltJobSpec> {
 }
 
 /// The DLT arbitrator behind a serve daemon.
-pub struct DltServeBackend {
-    sys: DltSystem,
-    run: DltServeRun,
-    policy: DltPolicy,
-    /// `tickets[job_index]` — the daemon ticket each admitted job answers
-    /// to, in admission order.
-    tickets: Vec<u64>,
-}
+pub type DltServeBackend = ServeBackend<DltSystem>;
 
 impl DltServeBackend {
     /// Wraps a system, opening an empty streaming run.
     pub fn new(mut sys: DltSystem, policy: DltPolicy) -> DltServeBackend {
-        let run = sys.serve_start(policy);
-        DltServeBackend { sys, run, policy, tickets: Vec::new() }
-    }
-
-    fn drain(&mut self, out: &mut Vec<BackendDone>) {
-        for (i, status, at) in self.sys.serve_drain_finished(&mut self.run) {
-            out.push(BackendDone { ticket: self.tickets[i], kind: completion_kind(status), at });
-        }
+        let run = match Run::start(&mut sys, &[], policy) {
+            Ok(run) => run,
+            Err(never) => match never {},
+        };
+        ServeBackend { sys, run, tickets: Vec::new() }
     }
 }
 
-impl Backend for DltServeBackend {
-    fn name(&self) -> &'static str {
-        "dlt"
+impl ServeCodec for DltSystem {
+    const NAME: &'static str = "dlt";
+
+    fn spec_of(payload: &Json, _now: SimTime, _deadline_at: SimTime) -> Result<DltJobSpec> {
+        dlt_spec_of(payload)
     }
 
-    fn validate(&self, payload: &Json) -> Result<SimTime> {
-        dlt_spec_of(payload)?;
-        Ok(estimate_of(payload))
+    fn spec_row(spec: &DltJobSpec) -> Vec<(&'static str, Json)> {
+        dlt_spec_pairs(spec)
     }
 
-    fn admit(&mut self, now: SimTime, entry: &Pending, out: &mut Vec<BackendDone>) -> Result<()> {
-        let spec = dlt_spec_of(&entry.payload)?;
-        let i = self.sys.serve_admit(&mut self.run, spec, now);
-        debug_assert_eq!(i, self.tickets.len());
-        self.tickets.push(entry.ticket);
-        // A job no device can ever host finishes DeadlineMissed at the
-        // admission instant; drain it right away so the ticket's terminal
-        // outcome is never deferred.
-        self.drain(out);
-        Ok(())
+    fn spec_of_row(row: &Json) -> Option<DltJobSpec> {
+        dlt_spec_of(row).ok()
     }
-
-    fn peek(&self) -> Option<SimTime> {
-        self.sys.serve_peek(&self.run)
-    }
-
-    fn step(&mut self, out: &mut Vec<BackendDone>) -> bool {
-        let progressed = self.sys.serve_step(&mut self.run);
-        if progressed {
-            self.drain(out);
-        }
-        progressed
-    }
-
-    fn inflight(&self) -> usize {
-        self.sys.serve_inflight(&self.run)
-    }
-
-    fn snapshot(&self) -> Result<SnapshotRecords> {
-        let mut records = self.sys.serve_snapshot(&self.run, 0)?;
-        let rows: Vec<Json> = self
-            .run
-            .specs()
-            .iter()
-            .zip(&self.tickets)
-            .map(|(s, t)| {
-                Json::obj(vec![
-                    ("ticket", u64_json(*t)),
-                    ("arch", Json::Str(format!("{:?}", s.config.arch))),
-                    ("batch", u64_json(u64::from(s.config.batch_size))),
-                    ("optimizer", Json::Str(format!("{:?}", s.config.optimizer))),
-                    ("lr_bits", u64_json(s.config.learning_rate.to_bits())),
-                    ("pretrained", Json::Bool(s.config.pretrained)),
-                    ("criterion", criterion_json(&s.criterion)),
-                ])
-            })
-            .collect();
-        records.push(("admitted".to_string(), Json::Arr(rows).to_pretty().into_bytes()));
-        Ok(records)
-    }
-
-    fn restore(&mut self, records: &SnapshotRecords, admitted: &[Pending]) -> Result<()> {
-        let rows = adapter_rows(records, "dlt")?;
-        let mut specs = Vec::with_capacity(rows.len());
-        let mut tickets = Vec::with_capacity(rows.len());
-        for row in &rows {
-            let parsed = (|| {
-                Some((
-                    row.get("ticket")?.as_u64_str()?,
-                    DltJobSpec {
-                        config: TrainingConfig {
-                            arch: resolve_architecture(row.get("arch")?.as_str()?)?,
-                            batch_size: u32::try_from(uint(row, "batch")?).ok()?,
-                            optimizer: optimizer_of(row.get("optimizer")?.as_str()?)?,
-                            learning_rate: f64::from_bits(row.get("lr_bits")?.as_u64_str()?),
-                            pretrained: row.get("pretrained")?.as_bool()?,
-                        },
-                        criterion: criterion_of(row.get("criterion")?)?,
-                    },
-                ))
-            })()
-            .ok_or_else(|| corrupt("dlt adapter: malformed admitted row".to_string()))?;
-            tickets.push(parsed.0);
-            specs.push(parsed.1);
-        }
-        check_replay(&tickets, admitted, "dlt")?;
-        self.run = self.sys.serve_restore(specs, self.policy, records)?;
-        self.tickets = tickets;
-        Ok(())
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Shared restore plumbing
-// ---------------------------------------------------------------------------
-
-/// Finds and parses the adapter's own `admitted` record.
-fn adapter_rows(records: &SnapshotRecords, who: &str) -> Result<Vec<Json>> {
-    let bytes = records
-        .iter()
-        .find(|(name, _)| name == "admitted")
-        .map(|(_, b)| b)
-        .ok_or_else(|| corrupt(format!("{who} adapter: missing admitted record")))?;
-    let text = std::str::from_utf8(bytes)
-        .map_err(|_| corrupt(format!("{who} adapter: admitted record is not UTF-8")))?;
-    let json = rotary_core::json::parse(text)
-        .map_err(|e| corrupt(format!("{who} adapter: admitted record: {e}")))?;
-    json.as_arr()
-        .map(<[Json]>::to_vec)
-        .ok_or_else(|| corrupt(format!("{who} adapter: admitted record is not an array")))
-}
-
-/// The daemon replays every admitted entry on restore; the adapter's own
-/// ticket table must agree with it ticket for ticket, or the snapshot and
-/// the daemon state belong to different runs.
-fn check_replay(tickets: &[u64], admitted: &[Pending], who: &str) -> Result<()> {
-    if tickets.len() != admitted.len() || tickets.iter().zip(admitted).any(|(t, p)| *t != p.ticket)
-    {
-        return Err(corrupt(format!(
-            "{who} adapter: admitted replay mismatch ({} snapshot rows, {} daemon entries)",
-            tickets.len(),
-            admitted.len()
-        )));
-    }
-    Ok(())
 }
 
 #[cfg(test)]

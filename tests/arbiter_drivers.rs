@@ -1,0 +1,310 @@
+//! The three drivers of `rotary::arb` on the two real systems.
+//!
+//! Each property is one generic body, instantiated for AQP and for DLT:
+//! a stream of admissions equals the batch run (and the indexed control
+//! plane, whose caches grow in place, equals the dense one); a streaming
+//! run snapshotted mid-flight restores to identical outcomes; a durable
+//! run — uninterrupted, or killed and resumed — reproduces the plain run
+//! byte for byte; and a snapshot refuses to resume a different run. The
+//! same drivers on a toy arbiter (every event boundary, corrupt-generation
+//! fallback) are unit tests of the arbiter module itself.
+
+use rotary::aqp::{AqpJobSpec, AqpPolicy, AqpRunResult, AqpSystem, AqpSystemConfig};
+use rotary::arb::{self, Arbiter, Durable, Run};
+use rotary::core::error::RotaryError;
+use rotary::core::job::{JobState, JobStatus};
+use rotary::core::progress::Objective;
+use rotary::core::SimTime;
+use rotary::dlt::DltWorkloadBuilder;
+use rotary::dlt::{DltJobSpec, DltPolicy, DltRunResult, DltSystem, DltSystemConfig};
+use rotary::engine::QueryId;
+use rotary::sim::metrics::WorkloadSummary;
+use rotary::store::{DurableConfig, DurableOutcome};
+use rotary::tpch::{Generator, TpchData};
+use std::fmt::Debug;
+use std::path::PathBuf;
+use std::sync::OnceLock;
+
+/// Terminal outcomes in job-index order: `(job, status, finish time)`.
+type Done = Vec<(usize, JobStatus, SimTime)>;
+
+/// What the properties read off a finished run, whichever system ran it.
+trait Trace {
+    fn states(&self) -> Vec<&JobState>;
+    fn trace(&self) -> (String, SimTime, &WorkloadSummary);
+}
+
+impl Trace for AqpRunResult {
+    fn states(&self) -> Vec<&JobState> {
+        self.jobs.iter().map(|(_, state)| state).collect()
+    }
+    fn trace(&self) -> (String, SimTime, &WorkloadSummary) {
+        (self.metrics.to_json().expect("metrics json"), self.makespan, &self.summary)
+    }
+}
+
+impl Trace for DltRunResult {
+    fn states(&self) -> Vec<&JobState> {
+        self.jobs.iter().map(|(_, state)| state).collect()
+    }
+    fn trace(&self) -> (String, SimTime, &WorkloadSummary) {
+        (self.metrics.to_json().expect("metrics json"), self.makespan, &self.summary)
+    }
+}
+
+fn drain_to_end<A: Arbiter>(sys: &mut A, run: &mut Run<A>, done: &mut Done) {
+    while run.step(sys) {
+        done.extend(run.drain_finished());
+    }
+    done.extend(run.drain_finished());
+    done.sort_by_key(|&(i, _, _)| i);
+}
+
+/// Drives a streaming run: each spec is admitted just before the run's
+/// clock reaches its arrival, then the queue drains.
+fn stream_run<A: Arbiter>(sys: &mut A, arrivals: &[(SimTime, A::Spec)], policy: A::Policy) -> Done
+where
+    A::BindError: Debug,
+{
+    let mut run = Run::start(sys, &[], policy).expect("open an empty run");
+    let mut done = Vec::new();
+    for (at, spec) in arrivals {
+        while run.peek().is_some_and(|t| t < *at) {
+            run.step(sys);
+            done.extend(run.drain_finished());
+        }
+        run.admit(sys, spec.clone(), *at).expect("admit");
+    }
+    drain_to_end(sys, &mut run, &mut done);
+    done
+}
+
+/// A job admitted mid-run through the streaming seam must be arbitrated
+/// from its admission instant on, and the indexed control plane (whose
+/// caches grow in place) must agree with the dense full-scan path outcome
+/// for outcome. Where a batch run over the same arrivals exists, the job
+/// must also bind and complete exactly as the same spec at the same index
+/// of that run.
+fn check_stream<A: Arbiter>(
+    make: &dyn Fn(bool) -> A,
+    arrivals: &[(SimTime, A::Spec)],
+    policy: A::Policy,
+    batch: Option<&[&JobState]>,
+) where
+    A::BindError: Debug,
+{
+    let streamed = stream_run(&mut make(false), arrivals, policy);
+    let dense = stream_run(&mut make(true), arrivals, policy);
+    assert_eq!(streamed, dense, "indexed cache growth diverged from dense");
+    assert_eq!(streamed.len(), arrivals.len());
+    for (i, status, at) in &streamed {
+        assert!(status.is_terminal(), "job {i} ended {status:?}");
+        assert!(*at >= arrivals[*i].0, "job {i} finished before it arrived");
+        if let Some(batch) = batch {
+            assert_eq!(*status, batch[*i].status, "job {i}");
+            assert_eq!(Some(*at), batch[*i].finished_at, "job {i}");
+        }
+    }
+}
+
+/// A streaming run snapshotted after `steps` events restores — into a
+/// fresh system — to a run whose remaining outcomes are identical, with
+/// the terminals reported before the snapshot staying reported.
+fn check_stream_snapshot<A: Durable>(
+    make: &dyn Fn() -> A,
+    arrivals: &[(SimTime, A::Spec)],
+    policy: A::Policy,
+    steps: usize,
+) where
+    A::BindError: Debug,
+{
+    let mut sys = make();
+    let mut run = Run::start(&mut sys, &[], policy).expect("open an empty run");
+    for (at, spec) in arrivals {
+        run.admit(&mut sys, spec.clone(), *at).expect("admit");
+    }
+    for _ in 0..steps {
+        assert!(run.step(&mut sys), "run ended before the snapshot point");
+    }
+    let drained_before = run.drain_finished();
+    let records = run.snapshot(&sys, 1).expect("snapshot");
+    let kept_specs = run.specs().to_vec();
+    let mut original_tail = Vec::new();
+    drain_to_end(&mut sys, &mut run, &mut original_tail);
+
+    let mut sys2 = make();
+    let mut resumed = Run::restore(&mut sys2, kept_specs, policy, &records).expect("restore");
+    assert_eq!(resumed.inflight(), arrivals.len() - drained_before.len());
+    let mut resumed_tail = Vec::new();
+    drain_to_end(&mut sys2, &mut resumed, &mut resumed_tail);
+    assert_eq!(original_tail, resumed_tail, "resumed outcomes diverged");
+    assert_eq!(original_tail.len() + drained_before.len(), arrivals.len());
+}
+
+fn temp_store(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("rotary-drivers-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
+/// A durable run that is never halted, and one killed right after
+/// generation `halt_after` and resumed in a fresh system, both reproduce
+/// the plain run's trace byte for byte.
+fn check_durable<A: Durable>(
+    make: &dyn Fn() -> A,
+    specs: &[A::Spec],
+    policy: A::Policy,
+    (every, halt_after): (u64, u64),
+    tag: &str,
+) where
+    A::BindError: Debug,
+    A::Outcome: Trace,
+{
+    let baseline = arb::run(&mut make(), specs, policy).expect("plain run");
+
+    let dir = temp_store(&format!("{tag}-plain"));
+    let unhalted = arb::run_durable(&mut make(), specs, policy, &DurableConfig::new(&dir, every))
+        .expect("durable run")
+        .completed()
+        .expect("no halt requested");
+    assert_eq!(unhalted.trace(), baseline.trace());
+    let _ = std::fs::remove_dir_all(&dir);
+
+    let dir = temp_store(&format!("{tag}-halt-resume"));
+    let mut cfg = DurableConfig::new(&dir, every);
+    cfg.halt_after = Some(halt_after);
+    let halted = arb::run_durable(&mut make(), specs, policy, &cfg).expect("durable run");
+    assert!(matches!(halted, DurableOutcome::Halted { generation } if generation == halt_after));
+    cfg.halt_after = None;
+    let resumed = arb::resume_durable(&mut make(), specs, policy, &cfg)
+        .expect("resume")
+        .completed()
+        .expect("resume must run to completion");
+    assert_eq!(resumed.trace(), baseline.trace());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A snapshot written by one run refuses to resume another (a different
+/// workload or a different policy) with `InvalidConfig`.
+fn check_resume_rejects<A: Durable>(
+    make: &dyn Fn() -> A,
+    written: (&[A::Spec], A::Policy),
+    resumed: (&[A::Spec], A::Policy),
+    tag: &str,
+) where
+    A::BindError: Debug,
+{
+    let dir = temp_store(tag);
+    let mut cfg = DurableConfig::new(&dir, 1);
+    cfg.halt_after = Some(1);
+    arb::run_durable(&mut make(), written.0, written.1, &cfg).expect("durable run");
+    cfg.halt_after = None;
+    let err = arb::resume_durable(&mut make(), resumed.0, resumed.1, &cfg);
+    assert!(matches!(err, Err(RotaryError::InvalidConfig(_))));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+// ---------------------------------------------------------------------------
+// AQP
+// ---------------------------------------------------------------------------
+
+fn data() -> &'static TpchData {
+    static DATA: OnceLock<TpchData> = OnceLock::new();
+    DATA.get_or_init(|| Generator::new(77, 0.002).generate())
+}
+
+fn aqp(dense: bool) -> AqpSystem<'static> {
+    let config = AqpSystemConfig { seed: 42, dense_control_plane: dense, ..Default::default() };
+    AqpSystem::new(data(), config)
+}
+
+fn aqp_arrivals(specs: Vec<AqpJobSpec>) -> Vec<(SimTime, AqpJobSpec)> {
+    specs.into_iter().map(|spec| (spec.arrival, spec)).collect()
+}
+
+#[test]
+fn aqp_streaming_admission_matches_batch_run() {
+    let secs = SimTime::from_secs;
+    let specs = vec![
+        AqpJobSpec::new(QueryId(6), 0.6, secs(900), SimTime::ZERO),
+        AqpJobSpec::new(QueryId(1), 0.6, secs(900), secs(30)),
+        AqpJobSpec::new(QueryId(14), 0.6, secs(1200), secs(70)),
+    ];
+    let batch = aqp(false).run(&specs, AqpPolicy::Rotary).unwrap();
+    check_stream(&aqp, &aqp_arrivals(specs), AqpPolicy::Rotary, Some(&batch.states()));
+}
+
+#[test]
+fn aqp_streaming_snapshot_restores_to_identical_outcomes() {
+    let specs = vec![
+        AqpJobSpec::new(QueryId(6), 0.6, SimTime::from_secs(600), SimTime::ZERO),
+        AqpJobSpec::new(QueryId(14), 0.6, SimTime::from_secs(900), SimTime::from_secs(5)),
+    ];
+    check_stream_snapshot(&|| aqp(false), &aqp_arrivals(specs), AqpPolicy::Rotary, 40);
+}
+
+#[test]
+fn aqp_durable_runs_match_the_plain_run() {
+    let specs = rotary::aqp::WorkloadBuilder::paper().jobs(4).seed(21).build();
+    check_durable(&|| aqp(false), &specs, AqpPolicy::Rotary, (2, 3), "aqp");
+}
+
+#[test]
+fn aqp_resume_rejects_mismatched_workload() {
+    let written = rotary::aqp::WorkloadBuilder::paper().jobs(3).seed(9).build();
+    let other = rotary::aqp::WorkloadBuilder::paper().jobs(3).seed(10).build();
+    let policy = AqpPolicy::Rotary;
+    check_resume_rejects(&|| aqp(false), (&written, policy), (&other, policy), "aqp-mismatch");
+}
+
+// ---------------------------------------------------------------------------
+// DLT
+// ---------------------------------------------------------------------------
+
+const DLT_POLICY: DltPolicy = DltPolicy::Rotary(Objective::Threshold(0.5));
+
+fn dlt(dense: bool) -> DltSystem {
+    DltSystem::new(DltSystemConfig { seed: 5, dense_control_plane: dense, ..Default::default() })
+}
+
+fn dlt_arrivals(jobs: usize, seed: u64) -> Vec<(SimTime, DltJobSpec)> {
+    let specs = DltWorkloadBuilder::paper().jobs(jobs).seed(seed).build();
+    specs.into_iter().map(|spec| (SimTime::ZERO, spec)).collect()
+}
+
+#[test]
+fn dlt_streaming_admission_at_zero_matches_batch_run() {
+    // Admitting the whole workload at t = 0 through the streaming seam
+    // must reproduce the batch run exactly: same statuses, same finish
+    // times (the Wake events it adds are no-ops).
+    let arrivals = dlt_arrivals(6, 3);
+    let specs: Vec<DltJobSpec> = arrivals.iter().map(|(_, spec)| spec.clone()).collect();
+    let batch = dlt(false).run(&specs, DLT_POLICY);
+    check_stream(&dlt, &arrivals, DLT_POLICY, Some(&batch.states()));
+}
+
+#[test]
+fn dlt_mid_run_admission_grows_indexed_caches_consistently() {
+    let mut arrivals = dlt_arrivals(5, 7);
+    arrivals[3].0 = SimTime::from_secs(120);
+    arrivals[4].0 = SimTime::from_secs(600);
+    check_stream(&dlt, &arrivals, DLT_POLICY, None);
+}
+
+#[test]
+fn dlt_streaming_snapshot_restores_to_identical_outcomes() {
+    check_stream_snapshot(&|| dlt(false), &dlt_arrivals(4, 13), DLT_POLICY, 30);
+}
+
+#[test]
+fn dlt_durable_runs_match_the_plain_run() {
+    let specs = DltWorkloadBuilder::paper().jobs(6).seed(17).build();
+    check_durable(&|| dlt(false), &specs, DLT_POLICY, (3, 2), "dlt");
+}
+
+#[test]
+fn dlt_resume_rejects_mismatched_policy() {
+    let specs = DltWorkloadBuilder::paper().jobs(4).seed(3).build();
+    let make = || dlt(false);
+    check_resume_rejects(&make, (&specs, DltPolicy::Srf), (&specs, DltPolicy::Bcf), "dlt-mismatch");
+}
