@@ -20,7 +20,7 @@
 //! estimator will randomly return the estimated progress following a
 //! uniform distribution from 0 to 1".
 
-use rotary_core::estimate::similarity::{jaccard, scalar_similarity};
+use rotary_core::estimate::similarity::{jaccard_sorted, scalar_similarity};
 use rotary_core::estimate::{CurveBasis, JointCurveEstimator};
 use rotary_core::history::{HistoryRepository, JobRecord};
 use rotary_core::job::JobKind;
@@ -58,19 +58,7 @@ impl QueryFeatures {
     /// score 1; otherwise a weighted blend of table overlap, column overlap,
     /// and memory-footprint similarity.
     pub fn similarity(&self, record: &JobRecord) -> f64 {
-        if record.label == self.label {
-            return 1.0;
-        }
-        let tables: Vec<&str> =
-            record.tags.iter().filter_map(|t| t.strip_prefix("table:")).collect();
-        let columns: Vec<&str> =
-            record.tags.iter().filter_map(|t| t.strip_prefix("col:")).collect();
-        let own_tables: Vec<&str> = self.tables.iter().map(|s| s.as_str()).collect();
-        let own_columns: Vec<&str> = self.columns.iter().map(|s| s.as_str()).collect();
-        let mem = record.feature("memory_mb").unwrap_or(0.0);
-        0.4 * jaccard(&own_tables, &tables)
-            + 0.3 * jaccard(&own_columns, &columns)
-            + 0.3 * scalar_similarity(self.memory_mb as f64, mem)
+        FeatureSets::of(self).score(&HistoryRow::of(record))
     }
 
     /// The tag set a completed job stores in the repository.
@@ -83,17 +71,80 @@ impl QueryFeatures {
     }
 }
 
+/// `names` as a set: strictly ascending.
+fn sorted_set<'a>(names: impl Iterator<Item = &'a str>) -> Vec<&'a str> {
+    let mut set: Vec<&str> = names.collect();
+    set.sort_unstable();
+    set.dedup();
+    set
+}
+
+/// What [`QueryFeatures::similarity`] reads of a historical record,
+/// extracted once per feature class of the repository.
+struct HistoryRow {
+    label: String,
+    /// Referenced tables and columns, strictly ascending.
+    tables: Vec<String>,
+    columns: Vec<String>,
+    memory_mb: f64,
+}
+
+impl HistoryRow {
+    fn of(record: &JobRecord) -> HistoryRow {
+        let tagged = |prefix: &str| {
+            sorted_set(record.tags.iter().filter_map(|t| t.strip_prefix(prefix)))
+                .into_iter()
+                .map(String::from)
+                .collect()
+        };
+        HistoryRow {
+            label: record.label.clone(),
+            tables: tagged("table:"),
+            columns: tagged("col:"),
+            memory_mb: record.feature("memory_mb").unwrap_or(0.0),
+        }
+    }
+}
+
+/// The job side of [`QueryFeatures::similarity`], computed once per query.
+struct FeatureSets<'a> {
+    features: &'a QueryFeatures,
+    tables: Vec<&'a str>,
+    columns: Vec<&'a str>,
+}
+
+impl<'a> FeatureSets<'a> {
+    fn of(features: &'a QueryFeatures) -> FeatureSets<'a> {
+        FeatureSets {
+            features,
+            tables: sorted_set(features.tables.iter().map(String::as_str)),
+            columns: sorted_set(features.columns.iter().map(String::as_str)),
+        }
+    }
+
+    fn score(&self, row: &HistoryRow) -> f64 {
+        if row.label == self.features.label {
+            return 1.0;
+        }
+        0.4 * jaccard_sorted(&self.tables, &row.tables)
+            + 0.3 * jaccard_sorted(&self.columns, &row.columns)
+            + 0.3 * scalar_similarity(self.features.memory_mb as f64, row.memory_mb)
+    }
+}
+
 /// Builds the joint estimator for a job from the repository: pools the
 /// progress curves of the `top_k` most similar completed AQP jobs as the
 /// historical data. With an empty repository the estimator starts cold and
 /// relies on real-time observations only (the cold-start condition the
-/// paper contrasts with ReLAQS).
+/// paper contrasts with ReLAQS). Costs one similarity per feature class of
+/// the repository — per distinct query, not per completed job.
 pub fn build_estimator(
     features: &QueryFeatures,
-    history: &HistoryRepository,
+    history: &mut HistoryRepository,
     top_k: usize,
 ) -> JointCurveEstimator {
-    let similar = history.top_k_similar(JobKind::Aqp, top_k, |r| features.similarity(r));
+    let own = FeatureSets::of(features);
+    let similar = history.top_k_rows(JobKind::Aqp, top_k, HistoryRow::of, |row| own.score(row));
     let historical: Vec<(f64, f64)> =
         similar.iter().flat_map(|(r, _)| r.curve.iter().copied()).collect();
     JointCurveEstimator::new(CurveBasis::LogShifted, historical)
@@ -179,15 +230,36 @@ mod tests {
         // Noise record, dissimilar and with a misleading curve.
         repo.insert(record_for(22, 50.0, vec![(0.1, 0.99), (1.0, 1.0)]));
 
-        let est = build_estimator(&features(5, 1000), &repo, 1);
+        let est = build_estimator(&features(5, 1000), &mut repo, 1);
         assert_eq!(est.historical_len(), 10, "only the similar job's curve is pooled");
         let predicted = est.predict(0.5).unwrap();
         assert!((predicted - 0.5f64.powf(0.9)).abs() < 0.1, "predicted {predicted}");
     }
 
     #[test]
+    fn estimator_does_not_depend_on_how_often_unrelated_queries_repeat() {
+        let curve = |bend: f64| -> Vec<(f64, f64)> {
+            (1..=5).map(|i| (f64::from(i) / 5.0, (f64::from(i) / 5.0).powf(bend))).collect()
+        };
+        let mut small = HistoryRepository::new();
+        small.insert(record_for(5, 1000.0, curve(0.9)));
+        small.insert(record_for(3, 2000.0, curve(0.7)));
+        small.insert(record_for(22, 50.0, curve(0.2)));
+        // Ten times the records, no new class: q22 completes over and over.
+        let mut large = small.clone();
+        for i in 0..27 {
+            large.insert(record_for(22, 50.0, curve(0.2 + f64::from(i) / 100.0)));
+        }
+        assert_eq!((small.len(), large.len()), (3, 30));
+        assert_eq!(small.class_count(), large.class_count());
+        let own = features(5, 1000);
+        let build = |history: &mut HistoryRepository| build_estimator(&own, history, 2).to_json();
+        assert_eq!(build(&mut small), build(&mut large));
+    }
+
+    #[test]
     fn cold_start_estimator_is_empty() {
-        let est = build_estimator(&features(1, 500), &HistoryRepository::new(), 3);
+        let est = build_estimator(&features(1, 500), &mut HistoryRepository::new(), 3);
         assert_eq!(est.historical_len(), 0);
         assert!(est.predict(0.5).is_err());
     }

@@ -1158,7 +1158,7 @@ impl<'a> Arbiter for AqpSystem<'a> {
         let features = QueryFeatures::of(plan, memory_mb);
         let estimator = match policy {
             AqpPolicy::Rotary | AqpPolicy::RotaryRandomEstimator => {
-                build_estimator(&features, &self.history, self.config.top_k)
+                build_estimator(&features, &mut self.history, self.config.top_k)
             }
             // ReLAQS and the others estimate from real-time data only.
             _ => JointCurveEstimator::new(CurveBasis::LogShifted, Vec::new()),
@@ -1279,7 +1279,7 @@ impl<'a> Arbiter for AqpSystem<'a> {
 
         match status {
             Some(s) => {
-                job.base.core.finish(s, now);
+                lp.terminals.finish(i, job, s, now);
                 self.retire(ext, job);
             }
             None => job.base.core.status = JobStatus::Active,
@@ -1294,7 +1294,7 @@ impl<'a> Arbiter for AqpSystem<'a> {
         now: SimTime,
         ckpt_candidate: Option<usize>,
     ) {
-        let Loop { jobs, events, metrics, rr_cursor, marks, .. } = lp;
+        let Loop { jobs, events, metrics, rr_cursor, marks, terminals, .. } = lp;
         let AqpRunExt { pool, material, random_est, arb } = ext;
         // Injected transient memory pressure shrinks what the arbiter may
         // hand out for the duration of the current pressure slot. Computed
@@ -1371,7 +1371,7 @@ impl<'a> Arbiter for AqpSystem<'a> {
             if job.online.is_exhausted() {
                 // The stream finished earlier; the answer is exact.
                 pool.release(job.base.core.id).expect("granted job must hold its grant");
-                job.base.core.finish(JobStatus::Attained, now);
+                terminals.finish(i, job, JobStatus::Attained, now);
                 self.archive(job);
                 finished_early.push(i);
                 continue;

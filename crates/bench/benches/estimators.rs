@@ -1,12 +1,19 @@
 //! Microbenchmarks of the estimation hot paths: weighted linear regression,
 //! joint historical+real-time fitting, envelope updates, and top-k
-//! similarity search. These run on every arbitration round, so their cost
-//! is the framework's overhead budget (Table III).
+//! similarity search — bare, and as the estimator builders every admission
+//! runs against a populated history repository. These run on every
+//! arbitration round or bind, so their cost is the framework's overhead
+//! budget (Table III).
 
+use rotary_aqp::{build_estimator, AqpSystem, AqpSystemConfig, QueryFeatures};
 use rotary_bench::timing::{bench, black_box};
 use rotary_core::estimate::similarity::{scalar_similarity, top_k_by};
 use rotary_core::estimate::wlr::{LinearFit, WeightedPoint};
 use rotary_core::estimate::{CurveBasis, EnvelopeDetector, JointCurveEstimator};
+use rotary_core::history::{HistoryRepository, JobRecord};
+use rotary_dlt::{build_tee, DltSystem, DltSystemConfig, DltWorkloadBuilder, Tme};
+use rotary_engine::{query, QueryId};
+use rotary_tpch::Generator;
 
 fn bench_wlr() {
     for n in [16usize, 64, 256] {
@@ -52,9 +59,52 @@ fn bench_top_k() {
     }
 }
 
+/// TEE and TME against the Table II workload's own history at two sizes:
+/// the cost follows the feature classes (at most 2120 for this workload),
+/// not the records.
+fn bench_dlt_estimators() {
+    for n in [2_000usize, 20_000] {
+        let specs = DltWorkloadBuilder::paper().jobs(n).seed(33).build();
+        let mut sys = DltSystem::new(DltSystemConfig::default());
+        sys.prepopulate_history(&specs, 33);
+        let history = sys.history_mut();
+        let classes = history.class_count();
+        let mut targets = specs.iter().cycle();
+        bench(&format!("build_tee/{n}_records_{classes}_classes"), || {
+            let config = &targets.next().expect("cycle never ends").config;
+            black_box(build_tee(black_box(config), history, 5));
+        });
+        let tme = Tme::default();
+        bench(&format!("tme_estimate_mb/{n}_records_{classes}_classes"), || {
+            let config = &targets.next().expect("cycle never ends").config;
+            black_box(tme.estimate_mb(black_box(config), history));
+        });
+    }
+}
+
+/// The AQP estimator against the 22 query records archived round-robin.
+fn bench_aqp_estimator() {
+    let data = Generator::new(1, 0.0005).generate();
+    let mut sys = AqpSystem::new(&data, AqpSystemConfig::default());
+    sys.prepopulate_history(33).expect("built-in plans bind");
+    let queries: Vec<JobRecord> = sys.history().iter().cloned().collect();
+    let own = QueryFeatures::of(&query(QueryId(5)), sys.memory_estimate(QueryId(5)));
+    for n in [22usize, 2_200] {
+        let mut history = HistoryRepository::new();
+        for record in queries.iter().cycle().take(n) {
+            history.insert(record.clone());
+        }
+        bench(&format!("build_estimator/{n}_records_22_classes"), || {
+            black_box(build_estimator(black_box(&own), &mut history, 3));
+        });
+    }
+}
+
 fn main() {
     bench_wlr();
     bench_joint_estimator();
     bench_envelope();
     bench_top_k();
+    bench_dlt_estimators();
+    bench_aqp_estimator();
 }

@@ -14,6 +14,16 @@
 //! memoization) keeps per-event cost near-flat, so the exponent hovers
 //! around 0.
 //!
+//! Two more costs sit on the serve path beside the event step, and each gets
+//! the same treatment (keys, exponent, ceiling): **admission** into a run
+//! whose system already holds 1k / 10k historical records
+//! (`*_admit_ns_{1k,10k}` — the history is one fixed job mix archived over
+//! and over, what a long-running arbiter accumulates, so an admission that
+//! scans records instead of feature classes shows an exponent near 1), and
+//! the **completion drain** the serve backend issues after every event
+//! (`drain_ns_{1k,100k}`, timer overhead included — a drain that scans the
+//! run's jobs costs microseconds per job-thousand).
+//!
 //! Workloads are synthetic but run the production code path end to end:
 //! AQP jobs are q6 instances over a deliberately tiny TPC-H table (each
 //! job owns a full sampling permutation of the fact table, so the table
@@ -39,11 +49,13 @@ use rotary_aqp::{AqpJobSpec, AqpPolicy, AqpSystem, AqpSystemConfig};
 use rotary_bench::must;
 use rotary_bench::timing::black_box;
 use rotary_core::criteria::{CompletionCriterion, Deadline};
+use rotary_core::history::{HistoryRepository, JobRecord};
 use rotary_core::json;
 use rotary_core::progress::Objective;
 use rotary_core::SimTime;
 use rotary_dlt::{
-    Architecture, DltJobSpec, DltPolicy, DltSystem, DltSystemConfig, Optimizer, TrainingConfig,
+    Architecture, DltJobSpec, DltPolicy, DltSystem, DltSystemConfig, DltWorkloadBuilder, Optimizer,
+    TrainingConfig,
 };
 use rotary_engine::QueryId;
 use rotary_faults::arbiter::Run;
@@ -61,6 +73,22 @@ const TOLERANCE: f64 = 0.35;
 /// Job counts swept, with the key suffix used in the baseline.
 const SCALES: [(usize, &str); 4] =
     [(100, "100"), (1_000, "1k"), (10_000, "10k"), (100_000, "100k")];
+
+/// History sizes swept by the admission benches.
+const HISTORY_SCALES: [(usize, &str); 2] = [(1_000, "1k"), (10_000, "10k")];
+
+/// Distinct jobs in the mix the admission benches archive repeatedly.
+const HISTORY_MIX: usize = 250;
+
+/// Every fitted exponent: `(key, metric stem, small scale, large scale,
+/// size ratio between the two)`.
+const EXPONENTS: [(&str, &str, &str, &str, f64); 5] = [
+    ("aqp_scaling_exponent", "aqp_epoch_ns", "1k", "100k", 100.0),
+    ("dlt_scaling_exponent", "dlt_epoch_ns", "1k", "100k", 100.0),
+    ("aqp_admit_scaling_exponent", "aqp_admit_ns", "1k", "10k", 10.0),
+    ("dlt_admit_scaling_exponent", "dlt_admit_ns", "1k", "10k", 10.0),
+    ("drain_scaling_exponent", "drain_ns", "1k", "100k", 100.0),
+];
 
 /// Ceiling on the fitted 1k→100k scaling exponent. 0 is flat per-event
 /// cost, 1 is a linear-per-event (quadratic-per-epoch-sweep) control
@@ -105,6 +133,19 @@ fn ns_per_event(mut step: impl FnMut() -> bool, label: &str) -> f64 {
     best
 }
 
+fn aqp_config() -> AqpSystemConfig {
+    AqpSystemConfig {
+        // Small batches stretch each job over many epochs, guaranteeing
+        // event budget at the smallest scale and keeping the per-event
+        // data-plane floor low.
+        batch_fraction: 0.002,
+        seed: 11,
+        faults: FaultPlan::none(),
+        threads: 1,
+        ..Default::default()
+    }
+}
+
 fn bench_aqp(metrics: &mut BTreeMap<String, f64>) {
     // Tiny fact table: each job's BatchSource holds a permutation of every
     // fact row (4 bytes each), so 100k concurrent jobs need the table small.
@@ -112,17 +153,7 @@ fn bench_aqp(metrics: &mut BTreeMap<String, f64>) {
     // Far enough out that no deadline fires during measurement.
     let deadline = SimTime::from_millis(30 * 24 * 3_600_000);
     for (jobs, tag) in SCALES {
-        let config = AqpSystemConfig {
-            // Small batches stretch each job over many epochs, guaranteeing
-            // event budget at the smallest scale and keeping the per-event
-            // data-plane floor low.
-            batch_fraction: 0.002,
-            seed: 11,
-            faults: FaultPlan::none(),
-            threads: 1,
-            ..Default::default()
-        };
-        let mut sys = AqpSystem::new(&data, config);
+        let mut sys = AqpSystem::new(&data, aqp_config());
         let specs: Vec<AqpJobSpec> = (0..jobs)
             .map(|i| {
                 AqpJobSpec::new(QueryId(6), 0.55 + 0.05 * (i % 8) as f64, deadline, SimTime::ZERO)
@@ -138,6 +169,81 @@ fn bench_aqp(metrics: &mut BTreeMap<String, f64>) {
         black_box(&run);
         report(metrics, format!("arbitration/aqp_epoch_ns_{tag}"), ns);
     }
+}
+
+/// Streaming admissions into an AQP system whose repository holds the 22
+/// prepopulated query records archived round-robin up to the scale.
+fn bench_aqp_admit(metrics: &mut BTreeMap<String, f64>) {
+    let data = Generator::new(1, 0.0005).generate();
+    let deadline = SimTime::from_millis(30 * 24 * 3_600_000);
+    for (records, tag) in HISTORY_SCALES {
+        let mut sys = AqpSystem::new(&data, aqp_config());
+        must("prepopulate", sys.prepopulate_history(11));
+        let queries: Vec<JobRecord> = sys.history().iter().cloned().collect();
+        let mut history = HistoryRepository::new();
+        for record in queries.iter().cycle().take(records) {
+            history.insert(record.clone());
+        }
+        sys.set_history(history);
+        let mut run = must("bench_start", sys.bench_start(&[], AqpPolicy::Rotary));
+        let mut i = 0u8;
+        let admit = || {
+            i = i % 22 + 1;
+            let spec = AqpJobSpec::new(QueryId(i), 0.6, deadline, SimTime::ZERO);
+            must("admit", run.admit(&mut sys, spec, SimTime::ZERO));
+            true
+        };
+        let ns = ns_per_event(admit, "aqp admit");
+        black_box(&run);
+        report(metrics, format!("arbitration/aqp_admit_ns_{tag}"), ns);
+    }
+}
+
+/// Streaming admissions into a DLT system whose repository holds a fixed
+/// Table II job mix archived round-robin up to the scale.
+fn bench_dlt_admit(metrics: &mut BTreeMap<String, f64>) {
+    let mix = DltWorkloadBuilder::paper().jobs(HISTORY_MIX).seed(11).build();
+    for (records, tag) in HISTORY_SCALES {
+        let mut sys = DltSystem::new(DltSystemConfig {
+            seed: 11,
+            faults: FaultPlan::none(),
+            threads: 1,
+            ..Default::default()
+        });
+        let archived: Vec<DltJobSpec> = mix.iter().cycle().take(records).cloned().collect();
+        sys.prepopulate_history(&archived, 11);
+        let policy = DltPolicy::Rotary(Objective::Threshold(0.5));
+        let mut run = must("dlt start", Run::start(&mut sys, &[], policy));
+        let mut admitted = 0;
+        let admit = || {
+            let spec = mix[admitted % mix.len()].clone();
+            admitted += 1;
+            must("admit", run.admit(&mut sys, spec, SimTime::ZERO));
+            true
+        };
+        let ns = ns_per_event(admit, "dlt admit");
+        black_box(&run);
+        report(metrics, format!("arbitration/dlt_admit_ns_{tag}"), ns);
+    }
+}
+
+/// One `drain_finished` after each of `WINDOW_EVENTS` steps, as the serve
+/// backend issues them; only the drains are timed (their `Instant` pair
+/// included). Best of [`WINDOWS`] windows.
+fn drain_ns(run: &mut Run<DltSystem>, sys: &mut DltSystem) -> f64 {
+    run.drain_finished();
+    let mut best = f64::INFINITY;
+    for _ in 0..WINDOWS {
+        let mut spent = 0.0;
+        for _ in 0..WINDOW_EVENTS {
+            assert!(run.step(sys), "dlt: drained while timing the drain");
+            let start = Instant::now();
+            black_box(run.drain_finished());
+            spent += start.elapsed().as_secs_f64();
+        }
+        best = best.min(spent * 1e9 / WINDOW_EVENTS as f64);
+    }
+    best
 }
 
 fn bench_dlt(metrics: &mut BTreeMap<String, f64>) {
@@ -173,6 +279,10 @@ fn bench_dlt(metrics: &mut BTreeMap<String, f64>) {
         let ns = ns_per_event(|| run.step(&mut sys), "dlt");
         black_box(&run);
         report(metrics, format!("arbitration/dlt_epoch_ns_{tag}"), ns);
+        if matches!(tag, "1k" | "100k") {
+            let ns = drain_ns(&mut run, &mut sys);
+            report(metrics, format!("arbitration/drain_ns_{tag}"), ns);
+        }
     }
 }
 
@@ -181,22 +291,23 @@ fn report(metrics: &mut BTreeMap<String, f64>, key: String, value: f64) {
     metrics.insert(key, value);
 }
 
-/// Fits the 1k→100k scaling exponent for one system from the measured
-/// per-scale costs and records it as `arbitration/<family>_scaling_exponent`.
+/// Fits each of [`EXPONENTS`] from the measured per-scale costs:
+/// `ln(cost_large / cost_small) / ln(size ratio)`.
 fn report_exponents(metrics: &mut BTreeMap<String, f64>) {
-    for family in ["aqp", "dlt"] {
-        let cost = |tag: &str| metrics[&format!("arbitration/{family}_epoch_ns_{tag}")];
-        let e = (cost("100k") / cost("1k")).ln() / 100f64.ln();
-        report(metrics, format!("arbitration/{family}_scaling_exponent"), e);
+    for (key, stem, small, large, ratio) in EXPONENTS {
+        let cost = |tag: &str| metrics[&format!("arbitration/{stem}_{tag}")];
+        let e = (cost(large) / cost(small)).ln() / ratio.ln();
+        report(metrics, format!("arbitration/{key}"), e);
     }
 }
 
-/// The structural gate, enforced in every mode: per-event arbitration cost
-/// must grow sub-linearly in the number of concurrent jobs.
+/// The structural gate, enforced in every mode: per-event arbitration
+/// cost, admission cost and drain cost must each grow sub-linearly in the
+/// size they are swept over.
 fn assert_sublinear(metrics: &BTreeMap<String, f64>) -> Result<(), String> {
     let mut failures = Vec::new();
-    for family in ["aqp", "dlt"] {
-        let key = format!("arbitration/{family}_scaling_exponent");
+    for (key, ..) in EXPONENTS {
+        let key = format!("arbitration/{key}");
         let e = metrics[&key];
         if !(e.is_finite() && e < SUBLINEAR_CEILING) {
             failures.push(format!(
@@ -222,6 +333,8 @@ fn measure() -> BTreeMap<String, f64> {
     let mut metrics = BTreeMap::new();
     bench_aqp(&mut metrics);
     bench_dlt(&mut metrics);
+    bench_aqp_admit(&mut metrics);
+    bench_dlt_admit(&mut metrics);
     report_exponents(&mut metrics);
     metrics
 }

@@ -5,7 +5,8 @@
 //! defines `similarity(x, y) = 1 − |x − y| / max(x, y)` on model parameter
 //! counts; Rotary-AQP compares query features (predicates, tables, columns,
 //! batch size) — callers provide their own scoring function to [`top_k_by`]
-//! and can reuse [`scalar_similarity`] for numeric features.
+//! and can reuse [`scalar_similarity`] for numeric features and
+//! [`jaccard_sorted`] for categorical ones.
 
 /// The paper's scalar similarity: `1 − |x − y| / max(x, y)`, in `[0, 1]`.
 ///
@@ -23,34 +24,58 @@ pub fn scalar_similarity(x: f64, y: f64) -> f64 {
 /// Selects the `k` items with the highest similarity score, in descending
 /// score order. Ties preserve the input order (stable), making selection
 /// deterministic. Items with non-finite scores are skipped.
+///
+/// The running best-`k` is kept sorted as items stream past, so the cost is
+/// one score call per item plus O(k) per item that displaces a kept one —
+/// exactly the prefix a stable sort of every scored item would produce.
 pub fn top_k_by<T, F>(items: &[T], k: usize, mut score: F) -> Vec<(&T, f64)>
 where
     F: FnMut(&T) -> f64,
 {
-    let mut scored: Vec<(usize, &T, f64)> = items
-        .iter()
-        .enumerate()
-        .filter_map(|(i, item)| {
-            let s = score(item);
-            s.is_finite().then_some((i, item, s))
-        })
-        .collect();
-    // Stable by construction: sort by (score desc, original index asc).
-    scored.sort_by_key(|&(i, _, s)| (std::cmp::Reverse(crate::arb::OrdF64::new(s)), i));
-    scored.into_iter().take(k).map(|(_, item, s)| (item, s)).collect()
+    use crate::arb::OrdF64;
+    let mut best: Vec<(&T, f64)> = Vec::with_capacity(k.min(items.len()));
+    for item in items {
+        let s = score(item);
+        if !s.is_finite() {
+            continue;
+        }
+        let key = OrdF64::new(s);
+        if best.len() == k {
+            // A later item loses ties, so it displaces the kept worst only
+            // when strictly better.
+            if best.last().is_none_or(|&(_, worst)| key <= OrdF64::new(worst)) {
+                continue;
+            }
+            best.pop();
+        }
+        let at = best.partition_point(|&(_, kept)| OrdF64::new(kept) >= key);
+        best.insert(at, (item, s));
+    }
+    best
 }
 
-/// Jaccard similarity of two string sets — used by the AQP estimator to
-/// compare query features such as referenced tables and columns.
-pub fn jaccard<S: AsRef<str>>(a: &[S], b: &[S]) -> f64 {
+/// Jaccard similarity of two sets given as strictly ascending slices — used
+/// by the AQP estimator to compare query features such as referenced tables
+/// and columns. One merge pass, no allocation.
+pub fn jaccard_sorted<A: AsRef<str>, B: AsRef<str>>(a: &[A], b: &[B]) -> f64 {
+    debug_assert!(a.windows(2).all(|w| w[0].as_ref() < w[1].as_ref()));
+    debug_assert!(b.windows(2).all(|w| w[0].as_ref() < w[1].as_ref()));
     if a.is_empty() && b.is_empty() {
         return 1.0;
     }
-    let set_a: std::collections::BTreeSet<&str> = a.iter().map(|s| s.as_ref()).collect();
-    let set_b: std::collections::BTreeSet<&str> = b.iter().map(|s| s.as_ref()).collect();
-    let inter = set_a.intersection(&set_b).count();
-    let union = set_a.union(&set_b).count();
-    inter as f64 / union as f64
+    let (mut i, mut j, mut inter) = (0, 0, 0usize);
+    while i < a.len() && j < b.len() {
+        match a[i].as_ref().cmp(b[j].as_ref()) {
+            std::cmp::Ordering::Less => i += 1,
+            std::cmp::Ordering::Greater => j += 1,
+            std::cmp::Ordering::Equal => {
+                inter += 1;
+                i += 1;
+                j += 1;
+            }
+        }
+    }
+    inter as f64 / (a.len() + b.len() - inter) as f64
 }
 
 #[cfg(test)]
@@ -108,13 +133,27 @@ mod tests {
     }
 
     #[test]
+    fn top_k_matches_a_stable_sort_of_everything() {
+        // Ties, a NaN, both zeros, and every k up to past the item count.
+        let scores = [0.5, 0.9, f64::NAN, 0.5, -0.0, 0.9, 0.0, 0.1, 0.9, f64::INFINITY];
+        let items: Vec<usize> = (0..scores.len()).collect();
+        let mut sorted: Vec<usize> =
+            items.iter().copied().filter(|&i| scores[i].is_finite()).collect();
+        sorted.sort_by_key(|&i| (std::cmp::Reverse(crate::arb::OrdF64::new(scores[i])), i));
+        for k in 0..=items.len() + 1 {
+            let picked: Vec<usize> =
+                top_k_by(&items, k, |&i| scores[i]).into_iter().map(|(i, _)| *i).collect();
+            assert_eq!(picked, sorted[..k.min(sorted.len())], "k = {k}");
+        }
+    }
+
+    #[test]
     fn jaccard_similarity() {
-        assert_eq!(jaccard(&["lineitem"], &["lineitem"]), 1.0);
-        assert_eq!(jaccard::<&str>(&[], &[]), 1.0);
-        assert_eq!(jaccard(&["a"], &["b"]), 0.0);
+        assert_eq!(jaccard_sorted(&["lineitem"], &["lineitem"]), 1.0);
+        assert_eq!(jaccard_sorted::<&str, &str>(&[], &[]), 1.0);
+        assert_eq!(jaccard_sorted(&["a"], &["b"]), 0.0);
+        assert_eq!(jaccard_sorted::<&str, &str>(&["a"], &[]), 0.0);
         // {a,b} ∩ {b,c} = {b}; union = {a,b,c}.
-        assert!((jaccard(&["a", "b"], &["b", "c"]) - 1.0 / 3.0).abs() < 1e-12);
-        // Duplicates collapse.
-        assert_eq!(jaccard(&["a", "a"], &["a"]), 1.0);
+        assert!((jaccard_sorted(&["a", "b"], &["b", "c"]) - 1.0 / 3.0).abs() < 1e-12);
     }
 }

@@ -7,12 +7,26 @@
 //! evaluation accuracy"; for AQP jobs, query features and progress-runtime
 //! observations. [`JobRecord`] captures both shapes with a label, string
 //! tags, numeric features, and the observed metric curve.
+//!
+//! Similarity search runs over *feature classes*, not records: records whose
+//! `(kind, label, tags, numeric_features)` are identical form one class, a
+//! similarity score reads exactly those fields, and so it is computed once
+//! per class. A long-running arbiter archives the same job shapes over and
+//! over; the class count is bounded by the number of distinct shapes, the
+//! record count is not.
 
+use crate::arb::OrdF64;
 use crate::error::{Result, RotaryError};
+use crate::estimate::similarity::top_k_by;
 use crate::job::JobKind;
 use crate::json::{self, Json};
+use std::any::Any;
+use std::cmp::Reverse;
 use std::collections::BTreeMap;
 use std::path::Path;
+
+mod index;
+use index::ClassIndex;
 
 /// A completed job's footprint in the repository.
 #[derive(Debug, Clone, PartialEq)]
@@ -108,9 +122,16 @@ impl JobRecord {
 ///
 /// The repository is append-only during a run: estimators read it, the
 /// execution loop inserts completed jobs.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub struct HistoryRepository {
     records: Vec<JobRecord>,
+    index: ClassIndex,
+}
+
+impl Clone for HistoryRepository {
+    fn clone(&self) -> Self {
+        HistoryRepository { records: self.records.clone(), index: ClassIndex::default() }
+    }
 }
 
 impl HistoryRepository {
@@ -139,9 +160,17 @@ impl HistoryRepository {
         self.records.iter()
     }
 
-    /// Records of one application family.
-    pub fn of_kind(&self, kind: JobKind) -> Vec<&JobRecord> {
-        self.records.iter().filter(|r| r.kind == kind).collect()
+    /// Records of one application family, in insertion order.
+    pub fn of_kind(&self, kind: JobKind) -> impl Iterator<Item = &JobRecord> {
+        self.records.iter().filter(move |r| r.kind == kind)
+    }
+
+    /// Number of feature classes: distinct `(kind, label, tags,
+    /// numeric_features)` among the records. Similarity search costs one
+    /// score per class.
+    pub fn class_count(&mut self) -> usize {
+        self.index.catch_up(&self.records);
+        self.index.classes.len()
     }
 
     /// Removes every record whose label satisfies the predicate. Returns how
@@ -150,20 +179,78 @@ impl HistoryRepository {
     pub fn remove_where<F: Fn(&JobRecord) -> bool>(&mut self, predicate: F) -> usize {
         let before = self.records.len();
         self.records.retain(|r| !predicate(r));
-        before - self.records.len()
+        let removed = before - self.records.len();
+        if removed > 0 {
+            self.index = ClassIndex::default();
+        }
+        removed
     }
 
     /// Selects the top-k records of `kind` by a caller-supplied similarity
-    /// score, descending; ties keep insertion order.
-    pub fn top_k_similar<F>(&self, kind: JobKind, k: usize, score: F) -> Vec<(&JobRecord, f64)>
+    /// score, descending; ties keep insertion order and records with a
+    /// non-finite score are skipped.
+    ///
+    /// `score` must be a pure function of the record's `kind`, `label`,
+    /// `tags` and `numeric_features` — never of its `curve`, `final_metric`
+    /// or `epochs`: it is called once per feature class, on the class's
+    /// first record, and that score stands for every member. Takes `&mut
+    /// self` to file the records inserted since the last query under their
+    /// classes.
+    pub fn top_k_similar<F>(
+        &mut self,
+        kind: JobKind,
+        k: usize,
+        mut score: F,
+    ) -> Vec<(&JobRecord, f64)>
     where
         F: FnMut(&&JobRecord) -> f64,
     {
-        let of_kind = self.of_kind(kind);
-        crate::estimate::similarity::top_k_by(&of_kind, k, score)
+        self.index.catch_up(&self.records);
+        self.select(kind, k, |c| score(&&self.records[self.index.classes[c as usize][0] as usize]))
+    }
+
+    /// [`HistoryRepository::top_k_similar`] over typed rows: `extract` reads
+    /// what the caller's score needs out of a record once per class (under
+    /// the same fields-only contract), and `score` then sees only the row.
+    /// Rows are derived state kept between calls; a call with a different
+    /// row type re-extracts them.
+    pub fn top_k_rows<R, X, F>(
+        &mut self,
+        kind: JobKind,
+        k: usize,
+        extract: X,
+        mut score: F,
+    ) -> Vec<(&JobRecord, f64)>
+    where
+        R: Any + Send + Sync,
+        X: Fn(&JobRecord) -> R,
+        F: FnMut(&R) -> f64,
+    {
+        self.index.catch_up(&self.records);
+        self.index.catch_up_rows(&self.records, extract);
+        let rows = self.index.rows::<R>();
+        self.select(kind, k, |c| score(&rows[c as usize]))
+    }
+
+    /// The top-k records by `(score desc, insertion index asc)` given a
+    /// score per class — the order a stable sort of every scored record
+    /// yields. A record in the top k has fewer than k records ahead of it,
+    /// each class ahead of its own contributes at least one of those, so
+    /// only the k best classes (by score, then first member) can matter.
+    fn select<F>(&self, kind: JobKind, k: usize, mut score: F) -> Vec<(&JobRecord, f64)>
+    where
+        F: FnMut(u32) -> f64,
+    {
+        let best = top_k_by(&self.index.of_kind[kind as usize], k, |&c| score(c));
+        let mut picked: Vec<(u32, f64)> = best
             .into_iter()
-            .map(|(r, s)| (*r, s))
-            .collect()
+            .flat_map(|(&c, s)| {
+                self.index.classes[c as usize].iter().take(k).map(move |&at| (at, s))
+            })
+            .collect();
+        picked.sort_by_key(|&(at, s)| (Reverse(OrdF64::new(s)), at));
+        picked.truncate(k);
+        picked.into_iter().map(|(at, s)| (&self.records[at as usize], s)).collect()
     }
 
     /// Serialises the repository to pretty JSON.
@@ -183,7 +270,7 @@ impl HistoryRepository {
             .map(JobRecord::from_json_value)
             .collect::<std::result::Result<Vec<_>, String>>()
             .map_err(RotaryError::Persistence)?;
-        Ok(HistoryRepository { records })
+        Ok(HistoryRepository { records, index: ClassIndex::default() })
     }
 
     /// Writes the repository to a file.
@@ -224,8 +311,8 @@ mod tests {
         repo.insert(record("resnet18", JobKind::Dlt, 11.7));
         repo.insert(record("q5", JobKind::Aqp, 0.0));
         assert_eq!(repo.len(), 2);
-        assert_eq!(repo.of_kind(JobKind::Dlt).len(), 1);
-        assert_eq!(repo.of_kind(JobKind::Aqp)[0].label, "q5");
+        assert_eq!(repo.of_kind(JobKind::Dlt).count(), 1);
+        assert_eq!(repo.of_kind(JobKind::Aqp).next().unwrap().label, "q5");
     }
 
     #[test]
@@ -243,6 +330,50 @@ mod tests {
         assert_eq!(top.len(), 2);
         assert_eq!(top[0].0.label, "resnet18");
         assert_eq!(top[1].0.label, "resnet34");
+    }
+
+    #[test]
+    fn similarity_is_scored_once_per_class_not_per_record() {
+        use std::cell::Cell;
+        let mut repo = HistoryRepository::new();
+        // Three classes; ten records each, differing only in their curves.
+        for copy in 0..10 {
+            for (label, p) in [("lenet", 0.06), ("resnet18", 11.7), ("vgg16", 138.0)] {
+                let mut r = record(label, JobKind::Dlt, p);
+                r.curve.push((3.0, f64::from(copy)));
+                repo.insert(r);
+            }
+        }
+        assert_eq!((repo.len(), repo.class_count()), (30, 3));
+
+        let scored = Cell::new(0);
+        let top = repo.top_k_similar(JobKind::Dlt, 4, |r| {
+            scored.set(scored.get() + 1);
+            scalar_similarity(12.0, r.feature("params_m").unwrap_or(0.0))
+        });
+        assert_eq!(scored.get(), 3);
+        // Members of the best class, oldest first.
+        assert!(top.iter().all(|(r, _)| r.label == "resnet18"));
+        let copies: Vec<f64> = top.iter().map(|(r, _)| r.curve[2].1).collect();
+        assert_eq!(copies, vec![0.0, 1.0, 2.0, 3.0]);
+
+        // Typed rows are extracted once per class and kept between calls.
+        let (extracted, scored) = (Cell::new(0), Cell::new(0));
+        let params = |r: &JobRecord| {
+            extracted.set(extracted.get() + 1);
+            r.feature("params_m").unwrap_or(0.0)
+        };
+        for _ in 0..2 {
+            let top = repo.top_k_rows(JobKind::Dlt, 1, params, |&p| {
+                scored.set(scored.get() + 1);
+                scalar_similarity(100.0, p)
+            });
+            assert_eq!(top[0].0.label, "vgg16");
+        }
+        assert_eq!((extracted.get(), scored.get()), (3, 6));
+        repo.insert(record("bert", JobKind::Dlt, 110.0));
+        repo.top_k_rows(JobKind::Dlt, 1, params, |&p| scalar_similarity(100.0, p));
+        assert_eq!(extracted.get(), 4);
     }
 
     #[test]

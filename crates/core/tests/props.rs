@@ -5,8 +5,10 @@ use rotary_check::check;
 use rotary_core::criteria::{CompletionCriterion, CriterionCheck, Deadline, Metric};
 use rotary_core::estimate::similarity::{scalar_similarity, top_k_by};
 use rotary_core::estimate::wlr::{LinearFit, WeightedPoint};
-use rotary_core::job::IntermediateState;
+use rotary_core::history::{HistoryRepository, JobRecord};
+use rotary_core::job::{IntermediateState, JobKind};
 use rotary_core::SimTime;
+use std::collections::BTreeMap;
 
 /// Scaling every weight by the same positive constant leaves the fit
 /// unchanged (weights are relative).
@@ -171,6 +173,78 @@ fn top_k_sorted_and_bounded() {
         assert!(picked.len() <= k.min(items.len()));
         for pair in picked.windows(2) {
             assert!(pair[0].1 >= pair[1].1);
+        }
+    });
+}
+
+/// The class-indexed top-k of the history repository — by record closure
+/// and by typed rows — equals the linear reference (`top_k_by` over every
+/// record of the kind) in members, order and score bits, across duplicate
+/// classes, tied and NaN scores, removals and JSON round-trips.
+#[test]
+fn indexed_top_k_equals_the_linear_scan() {
+    /// What the score reads of a record: a pure function of the
+    /// class-defining fields.
+    type Row = (bool, usize, f64);
+    fn row(r: &JobRecord) -> Row {
+        (r.label == "nan", r.tags.len(), r.feature("x").unwrap_or(7.0))
+    }
+    fn score(query: f64, (poisoned, tags, x): Row) -> f64 {
+        if poisoned {
+            return f64::NAN;
+        }
+        // Few distinct values, so ties are the common case.
+        scalar_similarity(query, x + tags as f64)
+    }
+
+    check("indexed_top_k_equals_the_linear_scan", |src| {
+        let mut repo = HistoryRepository::new();
+        for _ in 0..src.usize_in(1, 60) {
+            match src.usize_in(0, 9) {
+                0 => {
+                    let doomed = *src.pick(&["a", "b", "nan"]);
+                    repo.remove_where(|r| r.label == doomed);
+                }
+                1 => {
+                    let json = repo.to_json().expect("to_json");
+                    repo = HistoryRepository::from_json(&json).expect("from_json");
+                }
+                _ => {
+                    let x = *src.pick(&[-0.0, 0.0, 1.0, 2.0]);
+                    let features = if src.bool(0.9) {
+                        BTreeMap::from([("x".to_string(), x)])
+                    } else {
+                        BTreeMap::new()
+                    };
+                    repo.insert(JobRecord {
+                        kind: *src.pick(&[JobKind::Aqp, JobKind::Dlt]),
+                        label: src.pick(&["a", "b", "nan"]).to_string(),
+                        tags: vec!["t".to_string(); src.usize_in(0, 2)],
+                        numeric_features: features,
+                        // Not class-defining: members of a class differ here.
+                        curve: vec![(1.0, src.unit_f64())],
+                        final_metric: src.unit_f64(),
+                        epochs: src.u64_in(0, 9),
+                    });
+                }
+            }
+
+            let kind = *src.pick(&[JobKind::Aqp, JobKind::Dlt]);
+            let k = src.usize_in(0, 8);
+            let query = *src.pick(&[0.0, 1.0, 2.5]);
+            let all: Vec<&JobRecord> = repo.of_kind(kind).collect();
+            let expected: Vec<(*const JobRecord, u64)> =
+                top_k_by(&all, k, |r| score(query, row(r)))
+                    .into_iter()
+                    .map(|(r, s)| (std::ptr::from_ref(*r), s.to_bits()))
+                    .collect();
+            let identity = |picked: Vec<(&JobRecord, f64)>| -> Vec<(*const JobRecord, u64)> {
+                picked.into_iter().map(|(r, s)| (std::ptr::from_ref(r), s.to_bits())).collect()
+            };
+            let by_record = identity(repo.top_k_similar(kind, k, |r| score(query, row(r))));
+            assert_eq!(by_record, expected, "top_k_similar, k = {k}");
+            let by_row = identity(repo.top_k_rows(kind, k, row, |&r| score(query, r)));
+            assert_eq!(by_row, expected, "top_k_rows, k = {k}");
         }
     });
 }

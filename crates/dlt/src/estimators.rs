@@ -30,6 +30,7 @@ use rotary_core::history::{HistoryRepository, JobRecord};
 use rotary_core::job::{JobId, JobKind};
 use rotary_core::SimTime;
 
+use crate::models::{Dataset, Optimizer};
 use crate::simulator::TrainingConfig;
 
 /// Feature keys a DLT job stores in the history repository.
@@ -70,48 +71,95 @@ pub fn job_record(config: &TrainingConfig, curve: Vec<(f64, f64)>, epochs: u64) 
     }
 }
 
+/// What TEE and TME read of a historical record, extracted once per
+/// feature class of the repository.
+#[derive(Debug, Clone, Copy)]
+struct HistoryRow {
+    /// Bit `d as u8` is set when the record carries dataset `d`'s tag.
+    datasets: u8,
+    /// Bit `o as u8` is set when the record carries optimizer `o`'s tag.
+    optimizers: u8,
+    ln_lr: f64,
+    batch: f64,
+    params_m: f64,
+    pretrained: f64,
+}
+
+impl HistoryRow {
+    fn of(record: &JobRecord) -> HistoryRow {
+        // The bits of the `(name, bit)` pairs whose `prefix` + name tag the
+        // record carries.
+        let tagged = |prefix: &str, names: &[(&str, u8)]| {
+            names
+                .iter()
+                .filter(|(name, _)| {
+                    record.tags.iter().any(|t| t.strip_prefix(prefix) == Some(*name))
+                })
+                .fold(0u8, |mask, (_, bit)| mask | 1 << bit)
+        };
+        HistoryRow {
+            datasets: tagged("dataset:", &Dataset::ALL.map(|d| (d.name(), d as u8))),
+            optimizers: tagged("optimizer:", &Optimizer::ALL.map(|o| (o.name(), o as u8))),
+            ln_lr: record.feature(feature_keys::LR).unwrap_or(1.0).max(1e-12).ln(),
+            batch: record.feature(feature_keys::BATCH).unwrap_or(0.0),
+            params_m: record.feature(feature_keys::PARAMS_M).unwrap_or(0.0),
+            pretrained: record.feature(feature_keys::PRETRAINED).unwrap_or(0.0),
+        }
+    }
+}
+
+/// The job side of [`tee_similarity`], computed once per query.
+struct TeeQuery {
+    dataset: u8,
+    optimizer: u8,
+    ln_lr: f64,
+    batch: f64,
+    params_m: f64,
+    pretrained: f64,
+}
+
+impl TeeQuery {
+    fn of(config: &TrainingConfig) -> TeeQuery {
+        TeeQuery {
+            dataset: 1 << config.arch.dataset() as u8,
+            optimizer: 1 << config.optimizer as u8,
+            ln_lr: config.learning_rate.max(1e-12).ln(),
+            batch: config.batch_size as f64,
+            params_m: config.arch.profile().params_m,
+            pretrained: if config.pretrained { 1.0 } else { 0.0 },
+        }
+    }
+
+    fn score(&self, row: &HistoryRow) -> f64 {
+        let dataset = if row.datasets & self.dataset != 0 { 1.0 } else { 0.0 };
+        let optimizer = if row.optimizers & self.optimizer != 0 { 1.0 } else { 0.0 };
+        // Four orders of magnitude apart → 0.
+        let lr = (1.0 - (self.ln_lr - row.ln_lr).abs() / (4.0 * std::f64::consts::LN_10)).max(0.0);
+        let batch = scalar_similarity(self.batch, row.batch);
+        let size = scalar_similarity(self.params_m, row.params_m);
+        let pretrained = if (row.pretrained - self.pretrained).abs() < 0.5 { 1.0 } else { 0.0 };
+        0.35 * dataset + 0.1 * optimizer + 0.15 * lr + 0.1 * batch + 0.15 * size + 0.15 * pretrained
+    }
+}
+
 /// TEE similarity between a job and a historical record: dataset match is
 /// required in spirit (strongly weighted), then optimizer, learning rate
 /// (log scale), batch size, model size, and fine-tuning mode.
 pub fn tee_similarity(config: &TrainingConfig, record: &JobRecord) -> f64 {
-    let dataset_tag = format!("dataset:{}", config.arch.dataset().name());
-    let optimizer_tag = format!("optimizer:{}", config.optimizer.name());
-    let dataset = if record.tags.contains(&dataset_tag) { 1.0 } else { 0.0 };
-    let optimizer = if record.tags.contains(&optimizer_tag) { 1.0 } else { 0.0 };
-    let lr = {
-        let a = config.learning_rate.max(1e-12).ln();
-        let b = record.feature(feature_keys::LR).unwrap_or(1.0).max(1e-12).ln();
-        // Four orders of magnitude apart → 0.
-        (1.0 - (a - b).abs() / (4.0 * std::f64::consts::LN_10)).max(0.0)
-    };
-    let batch = scalar_similarity(
-        config.batch_size as f64,
-        record.feature(feature_keys::BATCH).unwrap_or(0.0),
-    );
-    let size = scalar_similarity(
-        config.arch.profile().params_m,
-        record.feature(feature_keys::PARAMS_M).unwrap_or(0.0),
-    );
-    let pretrained = {
-        let own = if config.pretrained { 1.0 } else { 0.0 };
-        if (record.feature(feature_keys::PRETRAINED).unwrap_or(0.0) - own).abs() < 0.5 {
-            1.0
-        } else {
-            0.0
-        }
-    };
-    0.35 * dataset + 0.1 * optimizer + 0.15 * lr + 0.1 * batch + 0.15 * size + 0.15 * pretrained
+    TeeQuery::of(config).score(&HistoryRow::of(record))
 }
 
 /// Builds the TEE accuracy–epoch estimator for a job: the pooled curves of
 /// the `top_k` most similar completed jobs as historical data, joint with
-/// whatever real-time points the caller later records.
+/// whatever real-time points the caller later records. Costs one
+/// [`tee_similarity`] per feature class of the repository, not per record.
 pub fn build_tee(
     config: &TrainingConfig,
-    history: &HistoryRepository,
+    history: &mut HistoryRepository,
     top_k: usize,
 ) -> JointCurveEstimator {
-    let similar = history.top_k_similar(JobKind::Dlt, top_k, |r| tee_similarity(config, r));
+    let query = TeeQuery::of(config);
+    let similar = history.top_k_rows(JobKind::Dlt, top_k, HistoryRow::of, |row| query.score(row));
     let historical: Vec<(f64, f64)> =
         similar.iter().flat_map(|(r, _)| r.curve.iter().copied()).collect();
     JointCurveEstimator::new(CurveBasis::LogShifted, historical)
@@ -147,19 +195,22 @@ impl Tme {
     /// Predicts the job's peak GPU memory in MB from historical jobs on the
     /// same dataset, or `None` when no history exists (the caller falls
     /// back to a parameter-count heuristic).
-    pub fn estimate_mb(&self, config: &TrainingConfig, history: &HistoryRepository) -> Option<u64> {
-        let dataset_tag = format!("dataset:{}", config.arch.dataset().name());
+    pub fn estimate_mb(
+        &self,
+        config: &TrainingConfig,
+        history: &mut HistoryRepository,
+    ) -> Option<u64> {
+        let dataset = 1u8 << config.arch.dataset() as u8;
         let own_params = config.arch.profile().params_m;
         // "TME first retrieves all the data of historical jobs that use the
         // same training dataset", scores them by the paper's model-size
-        // similarity, and keeps the top-k.
-        let candidates: Vec<&JobRecord> = history
-            .of_kind(JobKind::Dlt)
-            .into_iter()
-            .filter(|r| r.tags.contains(&dataset_tag))
-            .collect();
-        let scored = rotary_core::estimate::similarity::top_k_by(&candidates, self.top_k, |r| {
-            scalar_similarity(own_params, r.feature(feature_keys::PARAMS_M).unwrap_or(0.0))
+        // similarity, and keeps the top-k. A class on another dataset scores
+        // NaN, which the selection skips.
+        let scored = history.top_k_rows(JobKind::Dlt, self.top_k, HistoryRow::of, |row| {
+            if row.datasets & dataset == 0 {
+                return f64::NAN;
+            }
+            scalar_similarity(own_params, row.params_m)
         });
         // Fit memory = a + b·batch with similarity weights: "the more
         // similar a historical job is, the higher weights".
@@ -217,11 +268,6 @@ impl Ttr {
     /// The recorded epoch time of a job on a device, if any.
     pub fn epoch_time(&self, job: JobId, device: usize) -> Option<SimTime> {
         self.records.get(&(job, device)).copied()
-    }
-
-    /// The recorded epoch time of a job on *any* device (fastest record).
-    pub fn any_epoch_time(&self, job: JobId) -> Option<SimTime> {
-        self.records.iter().filter(|((j, _), _)| *j == job).map(|(_, &t)| t).min()
     }
 
     /// All records in deterministic `(job, device)` order, for durable
@@ -338,7 +384,7 @@ mod tests {
         let mut history = HistoryRepository::new();
         history.insert(record_with_curve(Architecture::ResNet18, 32, 40));
         let target = config(Architecture::ResNet18, 32);
-        let tee = build_tee(&target, &history, 3);
+        let tee = build_tee(&target, &mut history, 3);
         let truth = target.epochs_to_accuracy(0.85).unwrap();
         let est = estimate_epochs_to_accuracy(&tee, 0.85).expect("estimate");
         assert!(
@@ -356,7 +402,7 @@ mod tests {
             history.insert(record_with_curve(arch, 16, 60));
         }
         let bert = TrainingConfig { pretrained: true, ..config(Architecture::Bert, 64) };
-        let tee = build_tee(&bert, &history, 3);
+        let tee = build_tee(&bert, &mut history, 3);
         let truth = bert.epochs_to_accuracy(0.85).unwrap();
         let est = estimate_epochs_to_accuracy(&tee, 0.85);
         // Either no answer or a wildly pessimistic one.
@@ -364,6 +410,30 @@ mod tests {
             None => {}
             Some(e) => assert!(e > truth * 5, "estimate {e} should be far from truth {truth}"),
         }
+    }
+
+    #[test]
+    fn estimates_do_not_depend_on_how_often_unrelated_jobs_repeat() {
+        let mut small = HistoryRepository::new();
+        for arch in [Architecture::ResNet18, Architecture::ResNet34, Architecture::Bert] {
+            for batch in [16, 32] {
+                small.insert(record_with_curve(arch, batch, 12));
+            }
+        }
+        // Ten times the records, no new class: a long-running arbiter keeps
+        // re-archiving one job shape the target does not resemble.
+        let mut large = small.clone();
+        for _ in 0..54 {
+            large.insert(record_with_curve(Architecture::Bert, 32, 12));
+        }
+        assert_eq!((small.len(), large.len()), (6, 60));
+        assert_eq!(small.class_count(), large.class_count());
+
+        let target = config(Architecture::ResNet18, 32);
+        let tee = |history: &mut HistoryRepository| build_tee(&target, history, 3).to_json();
+        assert_eq!(tee(&mut small), tee(&mut large));
+        let tme = Tme::default();
+        assert_eq!(tme.estimate_mb(&target, &mut small), tme.estimate_mb(&target, &mut large));
     }
 
     #[test]
@@ -375,7 +445,7 @@ mod tests {
         }
         let tme = Tme::default();
         let target = config(Architecture::ResNet18, 16);
-        let est = tme.estimate_mb(&target, &history).expect("estimate");
+        let est = tme.estimate_mb(&target, &mut history).expect("estimate");
         let truth = target.memory_mb();
         // Padded estimate: at or above truth, within ~25%.
         assert!(est >= truth, "est {est} ≥ truth {truth} (padding)");
@@ -390,7 +460,7 @@ mod tests {
             history.insert(job_record(&config(Architecture::Bert, batch), vec![], 1));
         }
         let tme = Tme::default();
-        assert_eq!(tme.estimate_mb(&config(Architecture::ResNet18, 16), &history), None);
+        assert_eq!(tme.estimate_mb(&config(Architecture::ResNet18, 16), &mut history), None);
         let cold = tme.cold_start_mb(&config(Architecture::ResNet18, 16));
         assert!(cold > 0);
     }
@@ -404,7 +474,6 @@ mod tests {
         ttr.record(JobId(2), 0, SimTime::from_secs(200));
         assert_eq!(ttr.epoch_time(JobId(1), 0), Some(SimTime::from_secs(90)));
         assert_eq!(ttr.epoch_time(JobId(1), 2), None);
-        assert_eq!(ttr.any_epoch_time(JobId(1)), Some(SimTime::from_secs(80)));
         assert_eq!(ttr.len(), 3);
         // Latest value wins.
         ttr.record(JobId(1), 0, SimTime::from_secs(85));

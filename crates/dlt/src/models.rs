@@ -29,6 +29,9 @@ pub enum Dataset {
 }
 
 impl Dataset {
+    /// Every dataset.
+    pub const ALL: [Dataset; 3] = [Dataset::Cifar10, Dataset::UdTreebank, Dataset::Imdb];
+
     /// Training-set size in samples.
     pub fn train_samples(self) -> u64 {
         match self {

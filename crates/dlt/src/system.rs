@@ -294,7 +294,8 @@ impl DltSystem {
     /// Creates a system with an empty history repository.
     pub fn new(config: DltSystemConfig) -> DltSystem {
         let exec_pool = rotary_par::ThreadPool::new(config.threads);
-        DltSystem { config, history: HistoryRepository::new(), tme: Tme::default(), exec_pool }
+        let tme = Tme { top_k: config.top_k, ..Tme::default() };
+        DltSystem { config, history: HistoryRepository::new(), tme, exec_pool }
     }
 
     /// Read access to the repository.
@@ -683,7 +684,7 @@ impl DltSystem {
         let mut placed: Vec<usize> = Vec::new();
         let mut oom: Vec<usize> = Vec::new();
         for i in order {
-            if pool.free_devices().is_empty() {
+            if !pool.has_free() {
                 break;
             }
             let estimate = jobs[i].memory_estimate_mb.saturating_add(spike);
@@ -692,7 +693,7 @@ impl DltSystem {
             let device = match jobs[i].last_device {
                 Some(d)
                     if pool.device_of(jobs[i].base.core.id).is_none()
-                        && pool.free_devices().contains(&d)
+                        && pool.is_free(d)
                         && self.config.pool.devices[d].memory_mb >= estimate =>
                 {
                     Some(d)
@@ -700,21 +701,20 @@ impl DltSystem {
                 _ => pool.first_fit(estimate),
             };
             let Some(device) = device else { continue };
-            pool.place(jobs[i].base.core.id, device);
-            placed.push(i);
 
             let job = &mut jobs[i];
             // OOM: the estimate under-shot the device and the true footprint
-            // does not fit. The launch fails fast, the system learns the
-            // real footprint, and the job returns to the queue.
+            // does not fit. The launch fails fast — the device is free again
+            // within this pass — the system learns the real footprint, and
+            // the job returns to the queue.
             if self.config.pool.devices[device].memory_mb < job.true_memory_mb {
                 job.memory_estimate_mb = job.true_memory_mb;
                 job.base.core.checkpoints += 1;
-                pool.vacate(job.base.core.id).expect("OOM job was placed just above");
-                placed.pop();
                 oom.push(i);
                 continue;
             }
+            pool.place(job.base.core.id, device);
+            placed.push(i);
 
             let speed = self.config.pool.devices[device].speed;
             let mut duration = job.spec.config.epoch_time(speed);
@@ -924,12 +924,12 @@ impl Arbiter for DltSystem {
         _policy: DltPolicy,
         arrival: SimTime,
     ) -> Result<RunJob, Self::BindError> {
-        let tee = ext
-            .meter
-            .measure(Component::Tee, || build_tee(&spec.config, &self.history, self.config.top_k));
+        let tee = ext.meter.measure(Component::Tee, || {
+            build_tee(&spec.config, &mut self.history, self.config.top_k)
+        });
         let memory_estimate_mb = ext.meter.measure(Component::Tme, || {
             self.tme
-                .estimate_mb(&spec.config, &self.history)
+                .estimate_mb(&spec.config, &mut self.history)
                 .unwrap_or_else(|| self.tme.cold_start_mb(&spec.config))
         });
         let mut core =
@@ -981,9 +981,20 @@ impl Arbiter for DltSystem {
         i: usize,
         now: SimTime,
     ) {
-        let (job, metrics) = (&mut lp.jobs[i], &mut lp.metrics);
-        let DltRunExt { pool, meter, ttr, .. } = ext;
-        let device = pool.vacate(job.base.core.id).expect("completing job must occupy a device");
+        let Loop { jobs, metrics, terminals, .. } = lp;
+        let job = &mut jobs[i];
+        let device = match ext.pool.vacate(job.base.core.id) {
+            Ok(device) => device,
+            // Only a damaged-but-well-formed snapshot gets here (its events
+            // name a job its pool record does not hold): the job fails with
+            // the pool's typed error, as in the shared crash path.
+            Err(e) => {
+                job.base.core.failure = Some(e);
+                terminals.finish(i, job, JobStatus::Failed, now);
+                return self.retire(ext, job);
+            }
+        };
+        let DltRunExt { meter, ttr, .. } = ext;
         let service = now - job.base.epoch_start;
         job.base.fault_attempts = 0;
         // The isolated baseline: GPUs are not shared, so an epoch costs the
@@ -1028,7 +1039,7 @@ impl Arbiter for DltSystem {
         });
         match status {
             Some(s) => {
-                job.base.core.finish(s, now);
+                terminals.finish(i, job, s, now);
                 self.archive(job);
             }
             None => job.base.core.status = JobStatus::Active,
@@ -1151,6 +1162,69 @@ mod tests {
             }
             assert!(r.makespan > SimTime::ZERO);
         }
+    }
+
+    #[test]
+    fn tme_follows_the_configured_top_k() {
+        let specs = DltWorkloadBuilder::paper().jobs(24).seed(4).build();
+        let policy = DltPolicy::Rotary(Objective::Efficiency);
+        // The memory estimate each job binds with, next to what a TME with
+        // that `top_k` answers when asked directly.
+        let estimates = |top_k: usize| -> (Vec<u64>, Vec<u64>) {
+            let mut sys = DltSystem::new(DltSystemConfig { top_k, ..quick() });
+            sys.prepopulate_history(&specs, 1);
+            let mut ext = sys.open(policy);
+            let tme = Tme { top_k, ..Tme::default() };
+            let bound = specs.iter().enumerate().map(|(i, spec)| {
+                match sys.bind(&mut ext, i, spec, policy, SimTime::ZERO) {
+                    Ok(job) => job.memory_estimate_mb,
+                    Err(never) => match never {},
+                }
+            });
+            let bound: Vec<u64> = bound.collect();
+            let direct = specs.iter().map(|spec| {
+                tme.estimate_mb(&spec.config, &mut sys.history)
+                    .unwrap_or_else(|| tme.cold_start_mb(&spec.config))
+            });
+            (bound, direct.collect())
+        };
+        let (two, two_direct) = estimates(2);
+        let (five, five_direct) = estimates(5);
+        assert_eq!(two, two_direct);
+        assert_eq!(five, five_direct);
+        assert_ne!(two, five, "top_k must reach the memory estimator");
+    }
+
+    #[test]
+    fn an_epoch_completion_for_a_job_on_no_device_fails_that_job_without_panicking() {
+        // Reachable from a damaged-but-well-formed snapshot: its events name
+        // a job its pool record does not hold. Six jobs on four GPUs leave
+        // job 5 queued; forge an epoch completion for it.
+        let specs = DltWorkloadBuilder::paper().jobs(6).seed(3).build();
+        let policy = DltPolicy::Rotary(Objective::Efficiency);
+        let mut sys = DltSystem::new(quick());
+        let live = match arb::Run::start(&mut sys, &specs, policy) {
+            Ok(run) => run,
+            Err(never) => match never {},
+        };
+        let mut records = live.snapshot(&sys, 1).expect("snapshot");
+        let events = records.iter_mut().find(|(name, _)| name == "events").expect("events record");
+        let text = String::from_utf8(events.1.clone()).expect("utf-8");
+        let forged = text.replacen(
+            "\"entries\": [",
+            "\"entries\": [{\"at\": \"1\", \"seq\": \"999\", \"kind\": \"epoch-done\", \"job\": \"5\"},",
+            1,
+        );
+        assert_ne!(forged, text);
+        events.1 = forged.into_bytes();
+
+        let mut sys = DltSystem::new(quick());
+        let resumed = arb::Run::restore(&mut sys, specs, policy, &records).expect("restore");
+        let result = resumed.finish(&mut sys);
+        let (_, forged_job) = &result.jobs[5];
+        assert_eq!(forged_job.status, JobStatus::Failed);
+        assert!(matches!(forged_job.failure, Some(rotary_core::RotaryError::UnknownJob(5))));
+        assert!(result.jobs.iter().all(|(_, state)| state.status.is_terminal()));
     }
 
     #[test]

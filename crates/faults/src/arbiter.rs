@@ -148,6 +148,21 @@ impl Marks {
     }
 }
 
+/// The jobs that reached a terminal status since the last
+/// [`Run::drain_finished`]. Every job that ends inside a run ends through
+/// [`Terminals::finish`], so a drain costs what finished, not a scan of the
+/// run. Derived state: a restored run starts with none pending.
+#[derive(Debug, Default)]
+pub struct Terminals(Vec<u32>);
+
+impl Terminals {
+    /// Ends job `i` of the run with `status` at `now`.
+    pub fn finish<J: Job>(&mut self, i: usize, job: &mut J, status: JobStatus, now: SimTime) {
+        job.base_mut().core.finish(status, now);
+        self.0.push(i as u32);
+    }
+}
+
 /// The loop state every system shares.
 pub struct Loop<J> {
     /// Per-job state, indexed by job id.
@@ -164,6 +179,8 @@ pub struct Loop<J> {
     pub epochs_done: u64,
     /// Change tracking for the indexed control planes.
     pub marks: Marks,
+    /// Jobs that ended since the last drain.
+    pub terminals: Terminals,
 }
 
 /// What a system supplies to be driven by [`Run`].
@@ -237,7 +254,7 @@ pub trait Arbiter: Sized {
     /// The pool's typed error when the job held nothing — the job then
     /// finishes `Failed` with it.
     fn release(&mut self, ext: &mut Self::Ext, job: &mut Self::Job) -> Result<String>;
-    /// The shared loop just finished `job` (deadline, exhausted retries):
+    /// `job` just ended (deadline, exhausted retries, a failed release):
     /// drop its residual state and archive what it produced.
     fn retire(&mut self, ext: &mut Self::Ext, job: &Self::Job);
     /// Condenses a drained run.
@@ -302,9 +319,7 @@ pub struct Run<A: Arbiter> {
     specs: Vec<A::Spec>,
     lp: Loop<A::Job>,
     ext: A::Ext,
-    /// Per-job flag: terminal outcome already handed out by
-    /// [`Run::drain_finished`].
-    reported: Vec<bool>,
+    /// Terminal outcomes already handed out by [`Run::drain_finished`].
     n_reported: usize,
 }
 
@@ -321,6 +336,10 @@ impl<A: Arbiter> Run<A> {
     ) -> std::result::Result<Run<A>, A::BindError> {
         let mut ext = sys.open(policy);
         let jobs = Self::bind_all(sys, &mut ext, specs, policy)?;
+        // A job can be born terminal (no resource could ever host it).
+        let born_terminal = (0..jobs.len() as u32)
+            .filter(|&i| jobs[i as usize].base().core.status.is_terminal())
+            .collect();
         let mut lp = Loop {
             jobs,
             events: EventQueue::new(),
@@ -329,10 +348,10 @@ impl<A: Arbiter> Run<A> {
             makespan: SimTime::ZERO,
             epochs_done: 0,
             marks: Marks::default(),
+            terminals: Terminals(born_terminal),
         };
         sys.begin(&mut lp, &mut ext, policy);
-        let reported = vec![false; specs.len()];
-        Ok(Run { policy, specs: specs.to_vec(), lp, ext, reported, n_reported: 0 })
+        Ok(Run { policy, specs: specs.to_vec(), lp, ext, n_reported: 0 })
     }
 
     fn bind_all(
@@ -361,10 +380,12 @@ impl<A: Arbiter> Run<A> {
     ) -> std::result::Result<usize, A::BindError> {
         let i = self.lp.jobs.len();
         let job = sys.bind(&mut self.ext, i, &spec, self.policy, now)?;
+        if job.base().core.status.is_terminal() {
+            self.lp.terminals.0.push(i as u32);
+        }
         self.lp.jobs.push(job);
         sys.admit(&mut self.lp, &mut self.ext, i, now);
         self.specs.push(spec);
-        self.reported.push(false);
         Ok(i)
     }
 
@@ -419,7 +440,7 @@ impl<A: Arbiter> Run<A> {
                 let job = &mut lp.jobs[i];
                 let recovering = job.base().core.status == JobStatus::Recovering;
                 if recovering && A::deadline_of(job).is_some_and(|deadline| now >= deadline) {
-                    finish(sys, ext, job, JobStatus::DeadlineMissed, now);
+                    finish(sys, &mut lp.terminals, ext, i, job, JobStatus::DeadlineMissed, now);
                 } else if recovering {
                     // Back from backoff: re-enters arbitration from its
                     // last checkpoint.
@@ -434,7 +455,7 @@ impl<A: Arbiter> Run<A> {
                 let expired =
                     waiting && A::deadline_of(job).is_some_and(|deadline| now >= deadline);
                 if expired {
-                    finish(sys, ext, job, JobStatus::DeadlineMissed, now);
+                    finish(sys, &mut lp.terminals, ext, i, job, JobStatus::DeadlineMissed, now);
                 }
                 expired.then_some(i)
             }
@@ -463,22 +484,30 @@ impl<A: Arbiter> Run<A> {
         true
     }
 
-    /// Drains the jobs that reached a terminal status since the last call:
-    /// `(job index, terminal status, finish time)`. Each job is reported
-    /// exactly once across the run's lifetime, including across a
-    /// snapshot/restore boundary (restored terminals count as already
-    /// reported — their outcomes live in the caller's own ledger).
+    /// Drains the jobs that reached a terminal status since the last call,
+    /// in ascending job index: `(job index, terminal status, finish time)`.
+    /// Each job is reported exactly once across the run's lifetime,
+    /// including across a snapshot/restore boundary (restored terminals
+    /// count as already reported — their outcomes live in the caller's own
+    /// ledger). Costs O(jobs that ended since the last call); a call with
+    /// nothing to report neither scans nor allocates.
     pub fn drain_finished(&mut self) -> Vec<(usize, JobStatus, SimTime)> {
-        let mut out = Vec::new();
-        for (i, job) in self.lp.jobs.iter().enumerate() {
-            let core = &job.base().core;
-            if !self.reported[i] && core.status.is_terminal() {
-                self.reported[i] = true;
-                self.n_reported += 1;
-                out.push((i, core.status, core.finished_at.unwrap_or(self.lp.makespan)));
-            }
-        }
-        out
+        let Loop { jobs, terminals: Terminals(ended), makespan, .. } = &mut self.lp;
+        ended.sort_unstable();
+        self.n_reported += ended.len();
+        debug_assert_eq!(
+            self.n_reported,
+            jobs.iter().filter(|j| j.base().core.status.is_terminal()).count(),
+            "a job ended without going through Terminals::finish, or was queued twice"
+        );
+        // Drained in place so the queue keeps its capacity.
+        ended
+            .drain(..)
+            .map(|i| {
+                let core = &jobs[i as usize].base().core;
+                (i as usize, core.status, core.finished_at.unwrap_or(*makespan))
+            })
+            .collect()
     }
 
     /// Jobs admitted whose terminal outcome has not been drained yet. A
@@ -612,23 +641,24 @@ impl<A: Durable> Run<A> {
         let makespan =
             cursor("makespan").map(SimTime::from_millis).ok_or_else(|| bad("loop.makespan"))?;
 
-        let reported: Vec<bool> = jobs.iter().map(|j| j.base().core.status.is_terminal()).collect();
-        let n_reported = reported.iter().filter(|&&r| r).count();
-        let marks = Marks::default();
-        let lp = Loop { jobs, events, metrics, rr_cursor, makespan, epochs_done, marks };
-        Ok(Run { policy, specs, lp, ext, reported, n_reported })
+        let n_reported = jobs.iter().filter(|j| j.base().core.status.is_terminal()).count();
+        let (marks, terminals) = (Marks::default(), Terminals::default());
+        let lp = Loop { jobs, events, metrics, rr_cursor, makespan, epochs_done, marks, terminals };
+        Ok(Run { policy, specs, lp, ext, n_reported })
     }
 }
 
-/// Finishes a job from the shared loop and lets the system retire it.
+/// Finishes job `i` from the shared loop and lets the system retire it.
 fn finish<A: Arbiter>(
     sys: &mut A,
+    terminals: &mut Terminals,
     ext: &mut A::Ext,
+    i: usize,
     job: &mut A::Job,
     status: JobStatus,
     now: SimTime,
 ) {
-    job.base_mut().core.finish(status, now);
+    terminals.finish(i, job, status, now);
     sys.retire(ext, job);
 }
 
@@ -643,12 +673,12 @@ fn fail_epoch<A: Arbiter>(
     i: usize,
     now: SimTime,
 ) {
-    let job = &mut lp.jobs[i];
+    let (job, terminals) = (&mut lp.jobs[i], &mut lp.terminals);
     let resource = match sys.release(ext, job) {
         Ok(resource) => resource,
         Err(e) => {
             job.base_mut().core.failure = Some(e);
-            return finish(sys, ext, job, JobStatus::Failed, now);
+            return finish(sys, terminals, ext, i, job, JobStatus::Failed, now);
         }
     };
     let deadline = A::deadline_of(job);
@@ -673,13 +703,13 @@ fn fail_epoch<A: Arbiter>(
     base.in_memory = false;
 
     if deadline.is_some_and(|deadline| now >= deadline) {
-        return finish(sys, ext, job, JobStatus::DeadlineMissed, now);
+        return finish(sys, terminals, ext, i, job, JobStatus::DeadlineMissed, now);
     }
     match sys.faults().retry().evaluate(id.0, epoch, attempts) {
         // The backoff alone overruns the deadline — the retry could never
         // complete an epoch in time.
         Ok(backoff) if deadline.is_some_and(|deadline| now + backoff >= deadline) => {
-            finish(sys, ext, job, JobStatus::DeadlineMissed, now);
+            finish(sys, terminals, ext, i, job, JobStatus::DeadlineMissed, now);
         }
         Ok(backoff) => {
             base.core.retries += 1;
@@ -689,7 +719,7 @@ fn fail_epoch<A: Arbiter>(
         }
         Err(e) => {
             base.core.failure = Some(e);
-            finish(sys, ext, job, JobStatus::Failed, now);
+            finish(sys, terminals, ext, i, job, JobStatus::Failed, now);
         }
     }
 }
@@ -937,7 +967,7 @@ mod tests {
             let state = IntermediateState { epoch, at: now, metric_value: progress, progress };
             base.core.record_epoch(state, now - base.epoch_start);
             if epoch == *need {
-                base.core.finish(JobStatus::Attained, now);
+                lp.terminals.finish(i, &mut lp.jobs[i], JobStatus::Attained, now);
             } else {
                 base.core.status = JobStatus::Active;
             }

@@ -128,6 +128,16 @@ impl GpuPool {
         self.occupants.iter().enumerate().filter_map(|(i, o)| o.is_none().then_some(i)).collect()
     }
 
+    /// True when at least one device is idle.
+    pub fn has_free(&self) -> bool {
+        self.occupants.iter().any(Option::is_none)
+    }
+
+    /// True when `device` exists and is idle.
+    pub fn is_free(&self, device: usize) -> bool {
+        self.occupants.get(device).is_some_and(Option::is_none)
+    }
+
     /// The first idle device with at least `memory_mb` of device memory —
     /// Algorithm 3's `if m_jk ≤ M_d` placement test.
     pub fn first_fit(&self, memory_mb: u64) -> Option<usize> {
@@ -260,6 +270,7 @@ mod tests {
     fn gpu_place_and_vacate() {
         let mut pool = gpu();
         assert_eq!(pool.free_devices(), vec![0, 1]);
+        assert!(pool.has_free() && pool.is_free(1) && !pool.is_free(2));
         pool.place(JobId(1), 0);
         assert_eq!(pool.free_devices(), vec![1]);
         assert_eq!(pool.device_of(JobId(1)), Some(0));

@@ -141,6 +141,69 @@ fn check_stream_snapshot<A: Durable>(
     assert_eq!(original_tail.len() + drained_before.len(), arrivals.len());
 }
 
+/// The terminal outcomes a full scan of the run's jobs finds, read off a
+/// snapshot so the oracle shares nothing with the drain: every job whose
+/// recorded status is terminal, in job-index order.
+fn terminal_jobs(snapshot: &[(String, Vec<u8>)]) -> Vec<(usize, JobStatus)> {
+    let jobs = rotary::store::record_json(snapshot, "jobs").expect("jobs record");
+    let status = |entry: &rotary::core::json::Json| {
+        JobStatus::from_name(entry.get("core")?.get("status")?.as_str()?)
+    };
+    let statuses = jobs.as_arr().expect("jobs array").iter().map(|e| status(e).expect("status"));
+    statuses.enumerate().filter(|(_, status)| status.is_terminal()).collect()
+}
+
+/// Draining after every admit and every step hands out exactly what a full
+/// scan finds newly terminal — each job once, in job-index order — and
+/// keeps doing so in a run restored from a snapshot taken mid-flight.
+fn check_drain_equals_full_scan<A: Durable>(
+    make: &dyn Fn() -> A,
+    arrivals: &[(SimTime, A::Spec)],
+    policy: A::Policy,
+    restore_after: usize,
+) where
+    A::BindError: Debug,
+{
+    let mut sys = make();
+    let mut run = Run::start(&mut sys, &[], policy).expect("open an empty run");
+    let mut reported: Vec<usize> = Vec::new();
+    let mut check = |sys: &A, run: &mut Run<A>| {
+        let records = run.snapshot(sys, 1).expect("snapshot");
+        let expected: Vec<(usize, JobStatus)> =
+            terminal_jobs(&records).into_iter().filter(|(i, _)| !reported.contains(i)).collect();
+        let drained: Vec<(usize, JobStatus)> =
+            run.drain_finished().into_iter().map(|(i, status, _)| (i, status)).collect();
+        assert_eq!(drained, expected);
+        reported.extend(drained.iter().map(|&(i, _)| i));
+        assert_eq!(run.inflight(), run.specs().len() - reported.len());
+        records
+    };
+
+    let mut arrivals = arrivals.iter().peekable();
+    let mut events = 0;
+    loop {
+        // Admit whatever is due before the next event, then take the event.
+        while let Some((at, spec)) = arrivals.next_if(|(at, _)| run.peek().is_none_or(|t| *at <= t))
+        {
+            run.admit(&mut sys, spec.clone(), *at).expect("admit");
+            check(&sys, &mut run);
+        }
+        if !run.step(&mut sys) {
+            break;
+        }
+        events += 1;
+        let records = check(&sys, &mut run);
+        if events == restore_after {
+            sys = make();
+            run = Run::restore(&mut sys, run.specs().to_vec(), policy, &records).expect("restore");
+            assert!(run.drain_finished().is_empty(), "restored terminals are already reported");
+        }
+    }
+    assert!(events > restore_after, "run ended before the restore point");
+    reported.sort_unstable();
+    assert_eq!(reported, (0..run.specs().len()).collect::<Vec<_>>());
+}
+
 fn temp_store(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("rotary-drivers-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -244,6 +307,17 @@ fn aqp_streaming_snapshot_restores_to_identical_outcomes() {
 }
 
 #[test]
+fn aqp_drain_after_every_event_equals_the_full_scan() {
+    let secs = SimTime::from_secs;
+    let specs = vec![
+        AqpJobSpec::new(QueryId(6), 0.6, secs(600), SimTime::ZERO),
+        AqpJobSpec::new(QueryId(1), 0.6, secs(1), secs(2)),
+        AqpJobSpec::new(QueryId(14), 0.6, secs(900), secs(5)),
+    ];
+    check_drain_equals_full_scan(&|| aqp(false), &aqp_arrivals(specs), AqpPolicy::Rotary, 20);
+}
+
+#[test]
 fn aqp_durable_runs_match_the_plain_run() {
     let specs = rotary::aqp::WorkloadBuilder::paper().jobs(4).seed(21).build();
     check_durable(&|| aqp(false), &specs, AqpPolicy::Rotary, (2, 3), "aqp");
@@ -294,6 +368,18 @@ fn dlt_mid_run_admission_grows_indexed_caches_consistently() {
 #[test]
 fn dlt_streaming_snapshot_restores_to_identical_outcomes() {
     check_stream_snapshot(&|| dlt(false), &dlt_arrivals(4, 13), DLT_POLICY, 30);
+}
+
+#[test]
+fn dlt_drain_after_every_event_equals_the_full_scan() {
+    let mut arrivals = dlt_arrivals(7, 13);
+    arrivals[5].0 = SimTime::from_secs(300);
+    // A model no device can host ends at admission, before any event.
+    let mut unplaceable = arrivals[0].1.clone();
+    unplaceable.config.arch = rotary::dlt::Architecture::Bert;
+    unplaceable.config.batch_size = 1 << 20;
+    arrivals[6] = (SimTime::from_secs(300), unplaceable);
+    check_drain_equals_full_scan(&|| dlt(false), &arrivals, DLT_POLICY, 25);
 }
 
 #[test]
