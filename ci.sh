@@ -96,11 +96,13 @@ cargo test -q -p rotary-serve
 
 # Network front-end gate (DESIGN.md §15): the framed wire codec property
 # suite (256 cases per property, plus the checked-in corrupted-frame
-# fixtures), the loopback transport smoke tests, and the socket chaos run
-# that must stay byte-identical to the in-process daemon under torn
-# writes, bit flips, resets, dribbled bytes and reconnect storms. Rerun
-# by name so a wire regression is called out here rather than buried in
-# the workspace test run.
+# fixtures), the loopback transport smoke tests (including
+# a_deeply_nested_payload_is_a_bad_frame_not_a_stack_overflow: a 60 000-`[`
+# Submit must close one connection, not abort the process), and the socket
+# chaos run that must stay byte-identical to the in-process daemon under
+# torn writes, bit flips, resets, dribbled bytes and reconnect storms.
+# Rerun by name so a wire regression is called out here rather than buried
+# in the workspace test run.
 echo "== rotary-serve wire =="
 ROTARY_CHECK_CASES=256 cargo test -q -p rotary-serve --test wire_props
 cargo test -q -p rotary-serve --test transport_loopback --test net_chaos

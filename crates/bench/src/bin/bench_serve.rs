@@ -16,6 +16,13 @@
 //! (`ci.sh --bench`) compares `serve/ns_per_submission` and
 //! `serve/p99_wait_ms` against `BENCH_serve.json` with +35% slack.
 //!
+//! The same run records the `codec/*` keys (`rotary_bench::codec`): JSON
+//! parse and CRC32 throughput, the two primitives under every wire frame
+//! and snapshot record. They gate on absolute limits, not on the baseline:
+//! parse cost per byte must not grow with document size
+//! (`codec/json_parse_scaling` ≤ 1.5) and a 1 MB document must parse at
+//! ≥ 50 MB/s — a parser that re-reads its input scores ≈ 200 and ≈ 0.15.
+//!
 //! Modes (mirroring `bench_arbitration`):
 //!
 //! * (default)      — measure and print, no file I/O;
@@ -105,6 +112,9 @@ fn fail(what: &str, e: impl std::fmt::Display) -> ! {
 }
 
 fn measure() -> BTreeMap<String, f64> {
+    // First, on a fresh heap: the million-user run below leaves the
+    // allocator in a state that taxes the 1 MB parse but not the 4 KB one.
+    let codec = rotary_bench::codec::measure();
     let mut daemon = match Daemon::new(daemon_config(), SimBackend::new()) {
         Ok(d) => d,
         Err(e) => fail("daemon config rejected", e),
@@ -136,6 +146,9 @@ fn measure() -> BTreeMap<String, f64> {
     report(&mut metrics, "serve/deadline_miss_rate", m.deadline_miss_rate);
     report(&mut metrics, "serve/shed_rate", m.shed_rate);
     report(&mut metrics, "serve/submissions", c.submissions as f64);
+    for (key, value) in codec {
+        report(&mut metrics, key, value);
+    }
     metrics
 }
 
@@ -348,6 +361,12 @@ fn gated(key: &str) -> bool {
     )
 }
 
+/// Absolute limits on codec keys as `(key, limit, is_ceiling)`: linear
+/// versus quadratic parsing differs by two orders of magnitude on either
+/// key, so no host-dependent baseline is needed to tell them apart.
+const CODEC_LIMITS: [(&str, f64, bool); 2] =
+    [("codec/json_parse_scaling", 1.5, true), ("codec/json_parse_mb_s_1m", 50.0, false)];
+
 fn check(current: &BTreeMap<String, f64>, baseline_path: &str, prefix: &str) -> Result<(), String> {
     let text = std::fs::read_to_string(baseline_path)
         .map_err(|e| format!("cannot read baseline {baseline_path}: {e}"))?;
@@ -367,6 +386,14 @@ fn check(current: &BTreeMap<String, f64>, baseline_path: &str, prefix: &str) -> 
                 "{key}: {now:.1} vs baseline {base:.1} (>{:.0}% regression)",
                 TOLERANCE * 100.0
             ));
+        }
+    }
+    for (key, limit, is_ceiling) in CODEC_LIMITS {
+        // Absent from `current` in socket mode, which measures no codec.
+        let Some(&now) = current.get(key) else { continue };
+        if (is_ceiling && now > limit) || (!is_ceiling && now < limit) {
+            let side = if is_ceiling { "ceiling" } else { "floor" };
+            failures.push(format!("{key}: {now:.2} is past its {side} of {limit}"));
         }
     }
     if failures.is_empty() {

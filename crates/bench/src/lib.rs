@@ -5,6 +5,7 @@
 
 #![warn(missing_docs)]
 
+pub mod codec;
 pub mod timing;
 
 use rotary_sim::metrics::Distribution;

@@ -255,8 +255,14 @@ impl HistoryRepository {
 
     /// Serialises the repository to pretty JSON.
     pub fn to_json(&self) -> Result<String> {
+        Ok(self.to_json_value().to_pretty())
+    }
+
+    /// The repository as a JSON tree; [`HistoryRepository::from_json`]
+    /// reads any rendering of it.
+    pub fn to_json_value(&self) -> Json {
         let records = Json::Arr(self.records.iter().map(JobRecord::to_json_value).collect());
-        Ok(Json::obj(vec![("records", records)]).to_pretty())
+        Json::obj(vec![("records", records)])
     }
 
     /// Restores a repository from JSON.

@@ -1,5 +1,5 @@
-//! Minimal in-tree JSON: a value model, a pretty writer, and a
-//! recursive-descent parser.
+//! Minimal in-tree JSON: a value model, one writer (pretty or compact), and
+//! a recursive-descent parser.
 //!
 //! Rotary persists exactly two artifact families — the historical-job
 //! repository ([`crate::history`]) and simulation traces
@@ -9,6 +9,20 @@
 //! (with escape handling), `f64` numbers (written in shortest round-trip
 //! form, so `value == parse(write(value))` exactly), booleans, and null,
 //! keeping the workspace free of registry dependencies.
+//!
+//! Every durable snapshot record and every wire payload goes through
+//! [`parse`], so its cost is part of the control plane's budget:
+//!
+//! * **Linear time.** The parser keeps the input as the `&str` it was
+//!   given. A string is read by scanning to the next `"` or `\` (ASCII
+//!   bytes never occur inside a multi-byte UTF-8 sequence, so both ends of
+//!   the run are character boundaries) and copying the run with one slice;
+//!   a string without escapes is one allocation sized to its length.
+//!   Nothing is re-validated, so a document costs O(bytes).
+//! * **Bounded recursion.** Arrays and objects may nest at most
+//!   [`MAX_DEPTH`] deep; a deeper document is an ordinary `Err` with the
+//!   byte offset of the offending bracket, not a stack overflow. The
+//!   documents this repository writes nest fewer than ten levels.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -89,11 +103,22 @@ impl Json {
     /// Serialises to pretty-printed JSON (two-space indent).
     pub fn to_pretty(&self) -> String {
         let mut out = String::new();
-        self.write_pretty(&mut out, 0);
+        self.write(&mut out, Some(0));
         out
     }
 
-    fn write_pretty(&self, out: &mut String, indent: usize) {
+    /// Serialises with no whitespace at all — the form snapshot records
+    /// are stored in. Parses back to the same value as [`Json::to_pretty`].
+    pub fn to_compact(&self) -> String {
+        let mut out = String::new();
+        self.write(&mut out, None);
+        out
+    }
+
+    /// The one writer: `indent` is the current nesting level when
+    /// pretty-printing and `None` when writing compact.
+    fn write(&self, out: &mut String, indent: Option<usize>) {
+        let inner = indent.map(|levels| levels + 1);
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
@@ -109,12 +134,10 @@ impl Json {
                     if i > 0 {
                         out.push(',');
                     }
-                    out.push('\n');
-                    push_indent(out, indent + 1);
-                    item.write_pretty(out, indent + 1);
+                    push_line_break(out, inner);
+                    item.write(out, inner);
                 }
-                out.push('\n');
-                push_indent(out, indent);
+                push_line_break(out, indent);
                 out.push(']');
             }
             Json::Obj(pairs) => {
@@ -127,23 +150,25 @@ impl Json {
                     if i > 0 {
                         out.push(',');
                     }
-                    out.push('\n');
-                    push_indent(out, indent + 1);
+                    push_line_break(out, inner);
                     write_string(out, k);
-                    out.push_str(": ");
-                    v.write_pretty(out, indent + 1);
+                    out.push_str(if indent.is_some() { ": " } else { ":" });
+                    v.write(out, inner);
                 }
-                out.push('\n');
-                push_indent(out, indent);
+                push_line_break(out, indent);
                 out.push('}');
             }
         }
     }
 }
 
-fn push_indent(out: &mut String, levels: usize) {
-    for _ in 0..levels {
-        out.push_str("  ");
+/// A newline plus `indent` levels of two spaces; nothing in compact mode.
+fn push_line_break(out: &mut String, indent: Option<usize>) {
+    if let Some(levels) = indent {
+        out.push('\n');
+        for _ in 0..levels {
+            out.push_str("  ");
+        }
     }
 }
 
@@ -178,30 +203,37 @@ fn write_string(out: &mut String, s: &str) {
     out.push('"');
 }
 
-/// Parses a JSON document.
+/// Deepest array/object nesting [`parse`] accepts.
+pub const MAX_DEPTH: usize = 128;
+
+/// Parses a JSON document in time linear in its length.
 ///
 /// # Errors
 /// Returns a message with the byte offset of the first syntax error; trailing
-/// non-whitespace after the top-level value is an error.
+/// non-whitespace after the top-level value is an error, and so is nesting
+/// deeper than [`MAX_DEPTH`].
 pub fn parse(input: &str) -> Result<Json, String> {
-    let mut p = Parser { bytes: input.as_bytes(), pos: 0 };
+    let mut p = Parser { src: input, pos: 0, depth: 0 };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
-    if p.pos != p.bytes.len() {
+    if p.pos != input.len() {
         return Err(format!("trailing characters at byte {}", p.pos));
     }
     Ok(v)
 }
 
 struct Parser<'a> {
-    bytes: &'a [u8],
+    src: &'a str,
+    /// Always on a character boundary of `src`: it only ever advances past
+    /// ASCII bytes or to the next ASCII byte.
     pos: usize,
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.src.as_bytes().get(self.pos).copied()
     }
 
     fn skip_ws(&mut self) {
@@ -223,7 +255,7 @@ impl<'a> Parser<'a> {
     }
 
     fn literal(&mut self, word: &str, value: Json) -> Result<Json, String> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+        if self.src.as_bytes()[self.pos..].starts_with(word.as_bytes()) {
             self.pos += word.len();
             Ok(value)
         } else {
@@ -233,8 +265,8 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Result<Json, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -242,6 +274,18 @@ impl<'a> Parser<'a> {
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => Err(format!("unexpected input at byte {}", self.pos)),
         }
+    }
+
+    /// Parses one array or object, one level deeper. The only recursion in
+    /// the parser goes through here, so this is where it is bounded.
+    fn nested(&mut self, container: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!("nesting deeper than {MAX_DEPTH} levels at byte {}", self.pos));
+        }
+        self.depth += 1;
+        let v = container(self);
+        self.depth -= 1;
+        v
     }
 
     fn object(&mut self) -> Result<Json, String> {
@@ -297,54 +341,47 @@ impl<'a> Parser<'a> {
 
     fn string(&mut self) -> Result<String, String> {
         self.expect(b'"')?;
+        let bytes = self.src.as_bytes();
         let mut out = String::new();
         loop {
-            match self.peek() {
-                None => return Err("unterminated string".into()),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
+            // Everything up to the next quote or backslash is copied as one
+            // slice. Both are ASCII, which never occurs inside a multi-byte
+            // sequence, so the run starts and ends on character boundaries.
+            let run = bytes[self.pos..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+                .ok_or("unterminated string")?;
+            out.push_str(&self.src[self.pos..self.pos + run]);
+            self.pos += run + 1;
+            if bytes[self.pos - 1] == b'"' {
+                return Ok(out);
+            }
+            let esc = self.peek().ok_or("unterminated escape")?;
+            self.pos += 1;
+            match esc {
+                b'"' => out.push('"'),
+                b'\\' => out.push('\\'),
+                b'/' => out.push('/'),
+                b'n' => out.push('\n'),
+                b'r' => out.push('\r'),
+                b't' => out.push('\t'),
+                b'b' => out.push('\u{0008}'),
+                b'f' => out.push('\u{000C}'),
+                b'u' => {
+                    let hex = bytes.get(self.pos..self.pos + 4).ok_or("truncated \\u escape")?;
+                    // Exactly four hex digits; `from_str_radix` would also
+                    // take a leading sign.
+                    let code = hex
+                        .iter()
+                        .try_fold(0u32, |code, &h| Some(code * 16 + char::from(h).to_digit(16)?))
+                        .ok_or("bad \\u escape")?;
+                    self.pos += 4;
+                    // Surrogate pairs are not needed for Rotary's
+                    // ASCII artifact surface; map them to U+FFFD.
+                    out.push(char::from_u32(code).unwrap_or('\u{FFFD}'));
                 }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    let esc = self.peek().ok_or("unterminated escape")?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'b' => out.push('\u{0008}'),
-                        b'f' => out.push('\u{000C}'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .ok_or("truncated \\u escape")?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?,
-                                16,
-                            )
-                            .map_err(|_| "bad \\u escape")?;
-                            self.pos += 4;
-                            // Surrogate pairs are not needed for Rotary's
-                            // ASCII artifact surface; map them to U+FFFD.
-                            out.push(char::from_u32(code).unwrap_or('\u{FFFD}'));
-                        }
-                        other => {
-                            return Err(format!("unknown escape '\\{}'", other as char));
-                        }
-                    }
-                }
-                Some(_) => {
-                    // Consume one UTF-8 code point.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| "invalid UTF-8 in string")?;
-                    let c = rest.chars().next().ok_or("unterminated string")?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                other => {
+                    return Err(format!("unknown escape '\\{}'", other as char));
                 }
             }
         }
@@ -358,8 +395,7 @@ impl<'a> Parser<'a> {
         while matches!(self.peek(), Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')) {
             self.pos += 1;
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| format!("invalid UTF-8 in number at byte {start}"))?;
+        let text = &self.src[start..self.pos];
         text.parse::<f64>()
             .map(Json::Num)
             .map_err(|_| format!("invalid number '{text}' at byte {start}"))
@@ -465,10 +501,35 @@ mod tests {
     }
 
     #[test]
+    fn compact_writes_no_whitespace_and_the_same_tree() {
+        let v = Json::obj(vec![
+            ("a", Json::Arr(vec![Json::Num(1.0), Json::obj(vec![("b", Json::Null)])])),
+            ("s", Json::Str("x y\n".into())),
+            ("e", Json::Arr(vec![])),
+            ("o", Json::Obj(vec![])),
+        ]);
+        assert_eq!(v.to_compact(), r#"{"a":[1,{"b":null}],"s":"x y\n","e":[],"o":{}}"#);
+        assert_eq!(parse(&v.to_compact()).unwrap(), v);
+        assert_eq!(parse(&v.to_pretty()).unwrap(), v);
+    }
+
+    #[test]
     fn rejects_malformed_input() {
         for bad in ["{bad", "{\"a\":}", "[1,2", "\"unterminated", "12x", "", "{} trailing"] {
             assert!(parse(bad).is_err(), "{bad:?} should fail");
         }
+        // `\u` takes four hex digits, not whatever `from_str_radix` accepts.
+        assert!(parse(r#""\u+041""#).is_err());
+    }
+
+    #[test]
+    fn nesting_past_max_depth_is_an_error_with_an_offset() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        let err = parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(err, format!("nesting deeper than {MAX_DEPTH} levels at byte {MAX_DEPTH}"));
+        // Depth is nesting, not a count of containers.
+        assert!(parse(&format!("[{}]", vec!["[]"; 1000].join(","))).is_ok());
     }
 
     #[test]

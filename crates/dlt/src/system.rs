@@ -1139,6 +1139,7 @@ impl Arbiter for DltSystem {
 mod tests {
     use super::*;
     use crate::workload::{fig11_microbenchmark, DltWorkloadBuilder};
+    use rotary_core::json::{self, Json};
 
     fn quick() -> DltSystemConfig {
         DltSystemConfig { seed: 5, ..Default::default() }
@@ -1210,11 +1211,16 @@ mod tests {
         let mut records = live.snapshot(&sys, 1).expect("snapshot");
         let events = records.iter_mut().find(|(name, _)| name == "events").expect("events record");
         let text = String::from_utf8(events.1.clone()).expect("utf-8");
-        let forged = text.replacen(
-            "\"entries\": [",
-            "\"entries\": [{\"at\": \"1\", \"seq\": \"999\", \"kind\": \"epoch-done\", \"job\": \"5\"},",
-            1,
-        );
+        let mut doc = json::parse(&text).expect("events parse");
+        if let Json::Obj(pairs) = &mut doc {
+            if let Some((_, Json::Arr(entries))) = pairs.iter_mut().find(|(k, _)| k == "entries") {
+                let forged_entry =
+                    [("at", "1"), ("seq", "999"), ("kind", "epoch-done"), ("job", "5")]
+                        .map(|(k, v)| (k, Json::Str(v.to_string())));
+                entries.insert(0, Json::obj(forged_entry.to_vec()));
+            }
+        }
+        let forged = doc.to_compact();
         assert_ne!(forged, text);
         events.1 = forged.into_bytes();
 

@@ -33,7 +33,8 @@ use rotary_core::json::{u64_json, Json};
 use rotary_core::SimTime;
 use rotary_sim::{CheckpointModel, EventQueue, PlacementSpan, WorkloadMetrics, WorkloadSummary};
 use rotary_store::{
-    fnv1a, record_json, record_text, DurableConfig, DurableOutcome, SnapshotRecords, SnapshotStore,
+    fnv1a, json_record, record_json, record_text, DurableConfig, DurableOutcome, SnapshotRecords,
+    SnapshotStore,
 };
 
 use crate::FaultPlan;
@@ -567,7 +568,7 @@ impl<A: Durable> Run<A> {
             ("makespan", u64_json(lp.makespan.as_millis())),
         ];
         let own = sys.save(&self.ext, &mut loop_doc);
-        let record = |name: &str, doc: Json| (name.to_string(), doc.to_pretty().into_bytes());
+        let record = |name: &str, doc: Json| json_record(name, &doc);
         let mut records = vec![
             record("meta", meta),
             record("jobs", Json::Arr(jobs.collect())),
@@ -575,8 +576,8 @@ impl<A: Durable> Run<A> {
         ];
         records.extend(own.into_iter().map(|(name, doc)| record(name, doc)));
         records.push(record("loop", Json::obj(loop_doc)));
-        records.push(("metrics".to_string(), lp.metrics.to_json()?.into_bytes()));
-        records.push(("history".to_string(), sys.history().to_json()?.into_bytes()));
+        records.push(record("metrics", lp.metrics.to_json_value()));
+        records.push(record("history", sys.history().to_json_value()));
         Ok(records)
     }
 

@@ -13,7 +13,7 @@ use crate::CompletionKind;
 use rotary_core::error::{Result, RotaryError};
 use rotary_core::json::{u64_json, Json};
 use rotary_core::SimTime;
-use rotary_store::{record_json, SnapshotRecords};
+use rotary_store::{json_record, record_json, SnapshotRecords};
 
 /// A typed completion surfaced by the backend for one admitted ticket.
 /// Every admitted ticket produces exactly one.
@@ -163,7 +163,7 @@ impl Backend for SimBackend {
                 ])
             })
             .collect();
-        Ok(vec![("running".to_string(), Json::Arr(rows).to_pretty().into_bytes())])
+        Ok(vec![json_record("running", &Json::Arr(rows))])
     }
 
     fn restore(&mut self, records: &SnapshotRecords, _admitted: &[Pending]) -> Result<()> {

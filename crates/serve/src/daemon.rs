@@ -56,7 +56,9 @@ use rotary_core::error::{Result, RotaryError};
 use rotary_core::json::{u64_json, Json};
 use rotary_core::SimTime;
 use rotary_faults::{FaultPlan, RetryPolicy};
-use rotary_store::{fnv1a, DurableConfig, DurableOutcome, SnapshotRecords, SnapshotStore};
+use rotary_store::{
+    fnv1a, json_record, record_json, DurableConfig, DurableOutcome, SnapshotRecords, SnapshotStore,
+};
 use std::collections::VecDeque;
 
 /// Upper bound on [`ServeConfig::queue_capacity`]: 2^32 keeps the
@@ -652,14 +654,17 @@ impl<B: Backend> Daemon<B> {
         );
         let waits = Json::Arr(self.waits_ms.iter().map(|w| Json::Num(f64::from(*w))).collect());
         let ledger = Json::Arr(self.ledger.iter().map(OutcomeRecord::to_json).collect());
-        let mut records: SnapshotRecords = vec![
-            ("serve/meta".into(), meta.to_pretty().into_bytes()),
-            ("serve/tenants".into(), tenants.to_pretty().into_bytes()),
-            ("serve/queue".into(), queue.to_pretty().into_bytes()),
-            ("serve/tickets".into(), tickets.to_pretty().into_bytes()),
-            ("serve/waits".into(), waits.to_pretty().into_bytes()),
-            ("serve/ledger".into(), ledger.to_pretty().into_bytes()),
-        ];
+        let mut records: SnapshotRecords = [
+            ("serve/meta", meta),
+            ("serve/tenants", tenants),
+            ("serve/queue", queue),
+            ("serve/tickets", tickets),
+            ("serve/waits", waits),
+            ("serve/ledger", ledger),
+        ]
+        .iter()
+        .map(|(name, doc)| json_record(name, doc))
+        .collect();
         for (name, payload) in self.backend.snapshot()? {
             records.push((format!("be/{name}"), payload));
         }
@@ -681,18 +686,7 @@ impl<B: Backend> Daemon<B> {
     ) -> Result<Daemon<B>> {
         config.validate()?;
         let corrupt = |detail: String| RotaryError::SnapshotCorrupt { detail };
-        let find = |name: &str| -> Result<Json> {
-            let bytes = records
-                .iter()
-                .find(|(n, _)| n == name)
-                .map(|(_, b)| b)
-                .ok_or_else(|| corrupt(format!("missing record {name}")))?;
-            let text = std::str::from_utf8(bytes)
-                .map_err(|_| corrupt(format!("record {name} is not UTF-8")))?;
-            rotary_core::json::parse(text).map_err(|e| corrupt(format!("record {name}: {e}")))
-        };
-
-        let meta = find("serve/meta")?;
+        let meta = record_json(records, "serve/meta")?;
         let fp = meta
             .get("fingerprint")
             .and_then(Json::as_u64_str)
@@ -717,7 +711,7 @@ impl<B: Backend> Daemon<B> {
             .and_then(Counters::from_json)
             .ok_or_else(|| corrupt("meta missing counters".into()))?;
 
-        let tenants_json = find("serve/tenants")?;
+        let tenants_json = record_json(records, "serve/tenants")?;
         let mut tenants = Vec::new();
         for row in tenants_json.as_arr().ok_or_else(|| corrupt("tenants is not an array".into()))? {
             let state = (|| {
@@ -730,7 +724,7 @@ impl<B: Backend> Daemon<B> {
             tenants.push(state);
         }
 
-        let queue_json = find("serve/queue")?;
+        let queue_json = record_json(records, "serve/queue")?;
         let mut queue = VecDeque::new();
         for row in queue_json.as_arr().ok_or_else(|| corrupt("queue is not an array".into()))? {
             queue.push_back(
@@ -738,7 +732,7 @@ impl<B: Backend> Daemon<B> {
             );
         }
 
-        let tickets_json = find("serve/tickets")?;
+        let tickets_json = record_json(records, "serve/tickets")?;
         let mut tickets = Vec::new();
         let mut payloads = Vec::new();
         for row in tickets_json.as_arr().ok_or_else(|| corrupt("tickets is not an array".into()))? {
@@ -767,14 +761,14 @@ impl<B: Backend> Daemon<B> {
             payloads.push(parsed.1);
         }
 
-        let waits_json = find("serve/waits")?;
+        let waits_json = record_json(records, "serve/waits")?;
         let mut waits_ms = Vec::new();
         for w in waits_json.as_arr().ok_or_else(|| corrupt("waits is not an array".into()))? {
             let v = w.as_u64().ok_or_else(|| corrupt("malformed wait entry".into()))?;
             waits_ms.push(u32::try_from(v).unwrap_or(u32::MAX));
         }
 
-        let ledger_json = find("serve/ledger")?;
+        let ledger_json = record_json(records, "serve/ledger")?;
         let mut ledger = Vec::new();
         for row in ledger_json.as_arr().ok_or_else(|| corrupt("ledger is not an array".into()))? {
             ledger.push(

@@ -18,7 +18,10 @@
 //! anywhere after the magic is caught as [`WireError::CrcMismatch`] before
 //! the payload is even looked at. The decoder is **total on arbitrary
 //! bytes**: any input yields `Ok(None)` (need more bytes), a decoded
-//! frame, or a typed [`WireError`] — never a panic.
+//! frame, or a typed [`WireError`] — never a panic. That includes payloads
+//! built to exhaust the stack: JSON nested deeper than
+//! [`json::MAX_DEPTH`] is a [`WireError::BadPayload`] like any other
+//! malformed text.
 //!
 //! A [`Submission`]'s `bytes` field is deliberately *not* encoded: the
 //! frame itself is the authority on payload size, so the decoder stamps

@@ -8,7 +8,7 @@
 use rotary_core::json::Json;
 use rotary_core::SimTime;
 use rotary_faults::RetryPolicy;
-use rotary_serve::wire::{decode_frame, encode_frame, ConnClosed, Frame};
+use rotary_serve::wire::{decode_frame, encode_frame, ConnClosed, Frame, WIRE_MAGIC, WIRE_VERSION};
 use rotary_serve::{
     Daemon, Listener, ManualClock, ServeConfig, SimBackend, Submission, SubmitResponse,
     TokenBucketConfig, TransportConfig,
@@ -290,6 +290,52 @@ fn corrupt_bytes_get_a_typed_goodbye() {
     assert_eq!(listener.stats().closed_for(ConnClosed::BadFrame), 1);
     // The damaged submission never reached the daemon.
     assert_eq!(listener.daemon().counters().admitted, 0);
+}
+
+#[test]
+fn a_deeply_nested_payload_is_a_bad_frame_not_a_stack_overflow() {
+    let (mut listener, _clock, addr) = fresh_listener(TransportConfig::small());
+    let mut client = Client::connect(addr);
+
+    // A well-framed Submit (kind 1) whose payload is 60 000 `[`: under the
+    // read-buffer limit, CRC valid, so only the JSON parser's depth cap
+    // stands between it and 60 000 levels of recursion.
+    let payload = vec![b'['; 60_000];
+    let mut bytes = WIRE_MAGIC.to_vec();
+    bytes.extend_from_slice(&WIRE_VERSION.to_le_bytes());
+    bytes.push(1);
+    bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    bytes.extend_from_slice(&payload);
+    let crc = rotary_store::crc32(&bytes[4..]);
+    bytes.extend_from_slice(&crc.to_le_bytes());
+    assert!(bytes.len() < TransportConfig::small().read_buf_limit);
+    // The frame is larger than a fresh socket buffer need be: feed it in
+    // pieces and let the listener read whenever the socket is full.
+    let mut sent = 0;
+    while sent < bytes.len() {
+        match client.stream.write(&bytes[sent..]) {
+            Ok(n) => sent += n,
+            Err(e) if e.kind() == ErrorKind::WouldBlock => {
+                listener.poll();
+            }
+            Err(e) => panic!("client write: {e}"),
+        }
+    }
+
+    let frames = client.drain_to_close(|| {
+        listener.poll();
+    });
+    assert_eq!(frames, vec![Frame::Bye(ConnClosed::BadFrame)]);
+    assert_eq!(listener.stats().wire_errors, 1);
+    assert_eq!(listener.stats().closed_for(ConnClosed::BadFrame), 1);
+
+    // The listener is still there for the next client.
+    let mut next = Client::connect(addr);
+    next.send(&submit(1, 1, 50));
+    let response = next.recv(|| {
+        listener.poll();
+    });
+    assert!(matches!(response, Frame::SubmitResp(SubmitResponse::Admitted { .. })), "{response:?}");
 }
 
 #[test]

@@ -314,6 +314,12 @@ impl WorkloadMetrics {
     /// Serialises the full trace to pretty JSON (for external plotting of
     /// the Fig. 10 violins or the Fig. 11 Gantt charts).
     pub fn to_json(&self) -> Result<String> {
+        Ok(self.to_json_value().to_pretty())
+    }
+
+    /// The full trace as a JSON tree; [`WorkloadMetrics::from_json`] reads
+    /// any rendering of it.
+    pub fn to_json_value(&self) -> Json {
         let mut fields = vec![
             ("spans", Json::Arr(self.spans.iter().map(PlacementSpan::to_json_value).collect())),
             (
@@ -329,7 +335,7 @@ impl WorkloadMetrics {
                 Json::Arr(self.recovery.iter().map(|(&job, c)| c.to_json_value(job)).collect()),
             ));
         }
-        Ok(Json::obj(fields).to_pretty())
+        Json::obj(fields)
     }
 
     /// Restores a trace from JSON.

@@ -51,13 +51,16 @@ pub const MAGIC: &[u8; 4] = b"RSNP";
 const EXTENSION: &str = "rsnp";
 
 // ---------------------------------------------------------------------------
-// CRC32 (IEEE), const-table implementation.
+// CRC32 (IEEE), slicing-by-8 over const tables.
 // ---------------------------------------------------------------------------
 
-const CRC_TABLE: [u32; 256] = build_crc_table();
+/// `CRC_TABLES[0]` is the classic one-byte table; `CRC_TABLES[k][b]` is the
+/// CRC of byte `b` followed by `k` zero bytes, which lets eight input bytes
+/// be folded in with eight independent lookups instead of a chain of eight.
+static CRC_TABLES: [[u32; 256]; 8] = build_crc_tables();
 
-const fn build_crc_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+const fn build_crc_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -66,19 +69,54 @@ const fn build_crc_table() -> [u32; 256] {
             crc = if crc & 1 != 0 { (crc >> 1) ^ 0xEDB8_8320 } else { crc >> 1 };
             bit += 1;
         }
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
+}
+
+/// Folds `bytes` into a running CRC register (the pre-inversion state),
+/// eight bytes per step.
+fn crc_fold(mut crc: u32, bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
+    let mut chunks = bytes.chunks_exact(8);
+    for c in &mut chunks {
+        let lo = crc ^ u32::from_le_bytes([c[0], c[1], c[2], c[3]]);
+        let hi = u32::from_le_bytes([c[4], c[5], c[6], c[7]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in chunks.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ b as u32) & 0xFF) as usize];
+    }
+    crc
+}
+
+/// CRC32 of the concatenation of `parts`, without concatenating them: a
+/// record's checksum covers `name ‖ payload`, which live in two buffers.
+fn crc32_of(parts: &[&[u8]]) -> u32 {
+    !parts.iter().fold(0xFFFF_FFFF, |crc, part| crc_fold(crc, part))
 }
 
 /// CRC32 (IEEE 802.3 polynomial, reflected) of a byte string.
 pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        crc = (crc >> 8) ^ CRC_TABLE[((crc ^ b as u32) & 0xFF) as usize];
-    }
-    !crc
+    crc32_of(&[bytes])
 }
 
 /// FNV-1a hash of a byte string — used by the systems to fingerprint the
@@ -134,6 +172,15 @@ pub fn record_json(records: &[(String, Vec<u8>)], name: &str) -> Result<Json> {
     json::parse(record_text(records, name)?).map_err(|e| corrupt(format!("record '{name}': {e}")))
 }
 
+/// The record called `name` holding `doc` — the writing side of
+/// [`record_json`]. Records are compact JSON: they sit inside a CRC-framed
+/// container nobody reads by eye, where indentation would be more than half
+/// of a large record's bytes, and [`record_json`] ignores whitespace, so
+/// pretty-written records of older snapshots read back the same.
+pub fn json_record(name: &str, doc: &Json) -> (String, Vec<u8>) {
+    (name.to_string(), doc.to_compact().into_bytes())
+}
+
 fn push_u32(out: &mut Vec<u8>, v: u32) {
     out.extend_from_slice(&v.to_le_bytes());
 }
@@ -147,7 +194,10 @@ pub fn encode(records: &[(String, Vec<u8>)]) -> Result<Vec<u8>> {
     let count = u32::try_from(records.len()).map_err(|_| {
         RotaryError::InvalidConfig(format!("{} records overflow u32", records.len()))
     })?;
-    let mut out = Vec::new();
+    // Header (magic + version + count), then two lengths and a CRC around
+    // each record: the output is allocated once, at its final size.
+    let body: usize = records.iter().map(|(name, payload)| 12 + name.len() + payload.len()).sum();
+    let mut out = Vec::with_capacity(10 + body);
     out.extend_from_slice(MAGIC);
     out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
     push_u32(&mut out, count);
@@ -165,10 +215,7 @@ pub fn encode(records: &[(String, Vec<u8>)]) -> Result<Vec<u8>> {
         push_u32(&mut out, payload_len);
         out.extend_from_slice(name.as_bytes());
         out.extend_from_slice(payload);
-        let mut covered = Vec::with_capacity(name.len() + payload.len());
-        covered.extend_from_slice(name.as_bytes());
-        covered.extend_from_slice(payload);
-        push_u32(&mut out, crc32(&covered));
+        push_u32(&mut out, crc32_of(&[name.as_bytes(), payload]));
     }
     Ok(out)
 }
@@ -228,10 +275,7 @@ pub fn decode(bytes: &[u8]) -> Result<Vec<(String, Vec<u8>)>> {
         let name_bytes = r.take(name_len, "record name")?;
         let payload = r.take(payload_len, "record payload")?;
         let stored_crc = r.u32_le("record checksum")?;
-        let mut covered = Vec::with_capacity(name_len + payload_len);
-        covered.extend_from_slice(name_bytes);
-        covered.extend_from_slice(payload);
-        let actual = crc32(&covered);
+        let actual = crc32_of(&[name_bytes, payload]);
         if actual != stored_crc {
             return Err(corrupt(format!(
                 "record {i} CRC mismatch: stored {stored_crc:08x}, computed {actual:08x}"
@@ -505,6 +549,55 @@ mod tests {
         // The canonical IEEE CRC32 test vector.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    /// The byte-at-a-time table loop the library used before slicing-by-8;
+    /// kept as the oracle.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let mut crc = 0xFFFF_FFFFu32;
+        for &b in bytes {
+            crc = (crc >> 8) ^ CRC_TABLES[0][((crc ^ b as u32) & 0xFF) as usize];
+        }
+        !crc
+    }
+
+    #[test]
+    fn slicing_matches_bytewise_at_every_short_length_and_alignment() {
+        let buf: Vec<u8> = (0..80u32).map(|i| (i.wrapping_mul(151) ^ (i >> 2)) as u8).collect();
+        for start in 0..8 {
+            for len in 0..=64 {
+                let s = &buf[start..start + len];
+                assert_eq!(crc32(s), crc32_bytewise(s), "start {start} len {len}");
+            }
+        }
+    }
+
+    #[test]
+    fn slicing_matches_bytewise_on_random_buffers() {
+        rotary_check::check("crc32-slicing-vs-bytewise", |src| {
+            // Skewed towards short inputs, reaching 64 KiB.
+            let cap = *src.pick(&[16, 300, 4096, 65_536]);
+            let len = src.usize_in(0, cap);
+            let mut word = src.raw();
+            let bytes: Vec<u8> = (0..len)
+                .map(|_| {
+                    word = word
+                        .wrapping_mul(0x5851_F42D_4C95_7F2D)
+                        .wrapping_add(0x1405_7B7E_F767_814F);
+                    (word >> 56) as u8
+                })
+                .collect();
+            assert_eq!(crc32(&bytes), crc32_bytewise(&bytes), "len {len}");
+        });
+    }
+
+    #[test]
+    fn feeding_in_two_pieces_equals_one_shot_at_every_split() {
+        let bytes: Vec<u8> = (0..200u32).map(|i| (i.wrapping_mul(89) ^ (i >> 3)) as u8).collect();
+        let whole = crc32(&bytes);
+        for cut in 0..=bytes.len() {
+            assert_eq!(crc32_of(&[&bytes[..cut], &bytes[cut..]]), whole, "cut {cut}");
+        }
     }
 
     #[test]

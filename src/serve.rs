@@ -33,7 +33,7 @@ use rotary_dlt::parse::resolve_architecture;
 use rotary_dlt::{DltJobSpec, DltPolicy, DltSystem, Optimizer, TrainingConfig};
 use rotary_engine::QueryId;
 use rotary_faults::arbiter::{Durable, Run};
-use rotary_store::{record_json, SnapshotRecords};
+use rotary_store::{json_record, record_json, SnapshotRecords};
 
 /// Fallback service estimate when a payload does not declare `est_ms`.
 const DEFAULT_ESTIMATE: SimTime = SimTime::from_millis(60_000);
@@ -160,7 +160,7 @@ impl<A: ServeCodec> Backend for ServeBackend<A> {
             pairs.extend(A::spec_row(spec));
             Json::obj(pairs)
         });
-        records.push(("admitted".to_string(), Json::Arr(rows.collect()).to_pretty().into_bytes()));
+        records.push(json_record("admitted", &Json::Arr(rows.collect())));
         Ok(records)
     }
 

@@ -3,7 +3,8 @@
 //! Each property is one generic body, instantiated for AQP and for DLT:
 //! a stream of admissions equals the batch run (and the indexed control
 //! plane, whose caches grow in place, equals the dense one); a streaming
-//! run snapshotted mid-flight restores to identical outcomes; a durable
+//! run snapshotted mid-flight restores to identical outcomes, from compact
+//! records and from the same records re-indented; a durable
 //! run — uninterrupted, or killed and resumed — reproduces the plain run
 //! byte for byte; and a snapshot refuses to resume a different run. The
 //! same drivers on a toy arbiter (every event boundary, corrupt-generation
@@ -109,7 +110,9 @@ fn check_stream<A: Arbiter>(
 
 /// A streaming run snapshotted after `steps` events restores — into a
 /// fresh system — to a run whose remaining outcomes are identical, with
-/// the terminals reported before the snapshot staying reported.
+/// the terminals reported before the snapshot staying reported. Records
+/// are written compact and read whitespace-insensitively: the same
+/// snapshot with every record re-indented resumes to the same trace.
 fn check_stream_snapshot<A: Durable>(
     make: &dyn Fn() -> A,
     arrivals: &[(SimTime, A::Spec)],
@@ -117,6 +120,7 @@ fn check_stream_snapshot<A: Durable>(
     steps: usize,
 ) where
     A::BindError: Debug,
+    A::Outcome: Trace,
 {
     let mut sys = make();
     let mut run = Run::start(&mut sys, &[], policy).expect("open an empty run");
@@ -133,12 +137,26 @@ fn check_stream_snapshot<A: Durable>(
     drain_to_end(&mut sys, &mut run, &mut original_tail);
 
     let mut sys2 = make();
-    let mut resumed = Run::restore(&mut sys2, kept_specs, policy, &records).expect("restore");
+    let mut resumed =
+        Run::restore(&mut sys2, kept_specs.clone(), policy, &records).expect("restore");
     assert_eq!(resumed.inflight(), arrivals.len() - drained_before.len());
     let mut resumed_tail = Vec::new();
     drain_to_end(&mut sys2, &mut resumed, &mut resumed_tail);
     assert_eq!(original_tail, resumed_tail, "resumed outcomes diverged");
     assert_eq!(original_tail.len() + drained_before.len(), arrivals.len());
+
+    let reindented: Vec<(String, Vec<u8>)> = records
+        .iter()
+        .map(|(name, bytes)| {
+            assert!(!bytes.contains(&b'\n'), "record '{name}' is not compact");
+            let doc = rotary::store::record_json(&records, name).expect("record parses");
+            (name.clone(), doc.to_pretty().into_bytes())
+        })
+        .collect();
+    assert_ne!(reindented, records);
+    let mut sys3 = make();
+    let pretty = Run::restore(&mut sys3, kept_specs, policy, &reindented).expect("restore pretty");
+    assert_eq!(pretty.finish(&mut sys3).trace(), resumed.finish(&mut sys2).trace());
 }
 
 /// The terminal outcomes a full scan of the run's jobs finds, read off a
