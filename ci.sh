@@ -72,10 +72,15 @@ ROTARY_CHECK_CASES=256 cargo test -q --test control_plane
 
 # Kernel-equivalence gate (DESIGN.md §5): every vectorized kernel in the
 # columnar data plane must stay bit-identical to its row-at-a-time oracle,
-# including NaN/inf payloads and empty/full selections. Pinned at 256 cases
-# per property for the same reason as the chaos suite above.
-echo "== kernel-equivalence property suite (256 cases per kernel) =="
-ROTARY_CHECK_CASES=256 cargo test -q -p rotary-engine --test kernel_equivalence
+# including NaN/inf payloads and empty/full selections. Beside it, the
+# engine-level differential property: the filter-first columnar engine
+# (staged conjuncts, compaction, derived probe counters) against the row
+# oracle on plans with predicates on every slot and an edge that can miss at
+# every position — all three BatchStats counters per batch and every
+# accumulator bit. Pinned at 256 cases per property for the same reason as
+# the chaos suite above.
+echo "== kernel-equivalence + staged-plan property suites (256 cases each) =="
+ROTARY_CHECK_CASES=256 cargo test -q -p rotary-engine --test kernel_equivalence --test oracle
 
 # Durable-recovery gate (DESIGN.md §12): the store's corrupted-fixture
 # suite must keep turning damaged generation files (torn writes, bit

@@ -565,6 +565,17 @@ impl<'a> AqpSystem<'a> {
         lp.events.schedule(job.deadline_at(), Event::DeadlineCheck(i));
     }
 
+    /// The one terminal hook: forgets the job's materialised state, archives
+    /// its curve, and returns its data-plane memory — at most a pool's worth
+    /// of jobs is ever alive, so permutations must not outlive their jobs.
+    /// Takes the materialization manager alone because `arbitrate` retires
+    /// jobs while it holds the rest of the extension state apart.
+    fn retire_job(&mut self, material: &mut MaterializationManager, job: &mut RunJob<'_>) {
+        material.forget(job.base.core.id.0);
+        self.archive(job);
+        job.online.release();
+    }
+
     /// Stores a finished job's observed curve in the repository.
     fn archive(&mut self, job: &RunJob<'_>) {
         let curve: Vec<(f64, f64)> = job
@@ -1372,7 +1383,7 @@ impl<'a> Arbiter for AqpSystem<'a> {
                 // The stream finished earlier; the answer is exact.
                 pool.release(job.base.core.id).expect("granted job must hold its grant");
                 terminals.finish(i, job, JobStatus::Attained, now);
-                self.archive(job);
+                self.retire_job(material, job);
                 finished_early.push(i);
                 continue;
             }
@@ -1559,9 +1570,8 @@ impl<'a> Arbiter for AqpSystem<'a> {
         Ok("cpu".into())
     }
 
-    fn retire(&mut self, ext: &mut AqpRunExt, job: &RunJob<'a>) {
-        ext.material.forget(job.base.core.id.0);
-        self.archive(job);
+    fn retire(&mut self, ext: &mut AqpRunExt, job: &mut RunJob<'a>) {
+        self.retire_job(&mut ext.material, job);
     }
 
     fn outcome(

@@ -92,7 +92,13 @@ impl Durable for AqpSystem<'_> {
         if delivered > job.online.total_rows() {
             return None;
         }
-        job.online.replay_delivered(delivered);
+        if job.base.core.status.is_terminal() {
+            // Nobody reads a terminal job's aggregates again: record the
+            // position and leave it released, as `retire` left the original.
+            job.online.restore_released(delivered);
+        } else {
+            job.online.replay_delivered(delivered);
+        }
         let envelopes = entry.get("envelopes")?.as_arr()?;
         if envelopes.len() != job.envelopes.len() {
             return None;

@@ -7,7 +7,10 @@
 //! (`columnar_threads{t}`), and the columnar state-merge fold at the widest
 //! pool (`columnar_merge8`) — together with the estimator-fit timings that
 //! bound arbitration overhead and the advisory `recovery/*` fault-recovery
-//! cost metrics. Results go to `BENCH_engine.json`.
+//! cost metrics. Results go to `BENCH_engine.json`. An advisory per-plan
+//! profile (all 22 plans at the workload's real batch size: `ns/row`, and
+//! the share of modelled probes the filter-first engine actually looks up)
+//! is printed after them and never gated.
 //!
 //! Modes:
 //!
@@ -96,6 +99,39 @@ fn bench_throughput(metrics: &mut BTreeMap<String, f64>) {
             format!("q{qid}/rows_per_sec/columnar_merge{widest}"),
             per_sec(stats.min.as_secs_f64()),
         );
+    }
+}
+
+/// Advisory profile, printed only: one shuffled scan of every plan in 1 %
+/// batches — the size an arbitration epoch actually hands the engine — so
+/// the next engine idea starts from where the time is, per plan.
+fn print_plan_profile() {
+    let data = Generator::new(1, 0.005).generate();
+    let mut cache = IndexCache::new();
+    println!("{:<6} {:>9} {:>9} {:>16}", "plan", "ns/row", "kept %", "lookups/probes %");
+    for q in QueryId::all() {
+        let plan = query(q);
+        let Ok(mut exec) = Executor::bind(&plan, &data, &mut cache) else {
+            println!("{:<6} does not bind", plan.label);
+            continue;
+        };
+        let n = exec.fact_rows();
+        let batch = (n / 100).max(1);
+        let order = BatchSource::new(3, n, n).next_batch().map(<[u32]>::to_vec).unwrap_or_default();
+        let lookups = exec.fold_cost(&order).probe_lookups;
+        let counted = exec.process_rows(&order);
+        let timing = measure(|| {
+            for rows in order.chunks(batch) {
+                black_box(exec.process_rows(black_box(rows)));
+            }
+        });
+        let kept = 100.0 * counted.rows_aggregated as f64 / n as f64;
+        let looked_up = match counted.probes {
+            0 => "-".to_string(),
+            probes => format!("{:.1}", 100.0 * lookups as f64 / probes as f64),
+        };
+        let ns_per_row = timing.min.as_secs_f64() * 1e9 / n as f64;
+        println!("{:<6} {ns_per_row:>9.1} {kept:>9.3} {looked_up:>16}", plan.label);
     }
 }
 
@@ -264,6 +300,7 @@ fn main() {
     bench_estimator_fits(&mut metrics);
     bench_recovery(&mut metrics);
     bench_snapshot(&mut metrics);
+    print_plan_profile();
 
     match mode {
         "--write" => {

@@ -1109,7 +1109,7 @@ impl Arbiter for DltSystem {
         Ok(format!("gpu{device}"))
     }
 
-    fn retire(&mut self, _ext: &mut DltRunExt, job: &RunJob) {
+    fn retire(&mut self, _ext: &mut DltRunExt, job: &mut RunJob) {
         if job.base.core.epochs_run > 0 {
             // Partial curves are still valid history for estimators.
             self.archive(job);

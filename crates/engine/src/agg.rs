@@ -216,13 +216,31 @@ impl AggState {
     #[inline]
     pub fn update(&mut self, key: &[i64], values: &[f64]) {
         debug_assert_eq!(values.len(), self.funcs.len());
-        let accs = self
-            .groups
-            .entry(key.to_vec())
-            .or_insert_with(|| self.funcs.iter().map(|&f| Accumulator::new(f)).collect());
-        for (acc, &v) in accs.iter_mut().zip(values) {
-            acc.update(v);
+        self.with_group(key, |accs| {
+            for (acc, &v) in accs.iter_mut().zip(values) {
+                acc.update(v);
+            }
+        });
+    }
+
+    /// Applies `fold` to `key`'s accumulators. The lookup is by slice; the
+    /// key is copied to the heap only on the group's first row.
+    #[inline]
+    fn with_group(&mut self, key: &[i64], fold: impl FnOnce(&mut [Accumulator])) {
+        match self.groups.get_mut(key) {
+            Some(accs) => fold(accs),
+            None => {
+                let mut accs: Vec<Accumulator> =
+                    self.funcs.iter().map(|&f| Accumulator::new(f)).collect();
+                fold(&mut accs);
+                self.groups.insert(key.to_vec(), accs);
+            }
         }
+    }
+
+    /// Drops every group, keeping the aggregate columns.
+    pub fn clear(&mut self) {
+        self.groups.clear();
     }
 
     /// The aggregate functions, in column order.
@@ -254,13 +272,11 @@ impl AggState {
     /// whole intermediate state.
     pub fn merge_group(&mut self, key: &[i64], accs: &[Accumulator]) {
         debug_assert_eq!(accs.len(), self.funcs.len());
-        let mine = self
-            .groups
-            .entry(key.to_vec())
-            .or_insert_with(|| self.funcs.iter().map(|&f| Accumulator::new(f)).collect());
-        for (a, b) in mine.iter_mut().zip(accs) {
-            a.merge(b);
-        }
+        self.with_group(key, |mine| {
+            for (a, b) in mine.iter_mut().zip(accs) {
+                a.merge(b);
+            }
+        });
     }
 
     /// Number of groups materialised so far.

@@ -38,7 +38,11 @@
 //! — is evaluated by [`crate::columnar`]: batch hash probes through
 //! deterministic open-addressed [`crate::kernels::PkIndex`]es, predicate
 //! trees folded into selection bitmaps, and column-at-a-time expression
-//! kernels. The pre-rewrite row interpreter survives as
+//! kernels. Evaluation is filter-first: binding splits the filter into
+//! per-slot stages that run below the join probes they do not need, and
+//! decides per edge whether it is *total* so the probe counter stays exact
+//! (see the counter argument in [`crate::columnar`]). The pre-rewrite row
+//! interpreter survives as
 //! [`Executor::process_rows_rowwise`], the oracle the columnar engine is
 //! proven bit-identical against (`tests/kernel_equivalence.rs`, the golden
 //! trace, and the determinism suite).
@@ -63,14 +67,49 @@ type SingleIndex = Arc<PkIndex>;
 /// A shared composite (two-column) primary-key index.
 type CompositeIndex = Arc<PkIndex2>;
 
-/// Shared primary-key indexes, keyed by `(table, key-columns)`.
+/// One cached index plus, for each FK source that has been bound against it,
+/// whether that source is *total*: every row of the source table resolves
+/// through the index. A handful of entries, matched by `&str`, so a warm
+/// bind allocates nothing for the verdict.
+#[derive(Debug)]
+struct Cached<I> {
+    index: Arc<I>,
+    total: Vec<(String, Vec<String>, bool)>,
+}
+
+impl<I> Cached<I> {
+    fn new(index: I) -> Cached<I> {
+        Cached { index: Arc::new(index), total: Vec::new() }
+    }
+
+    /// The totality verdict for `fk` columns of table `src`, running `scan`
+    /// (one pass over the FK column(s)) the first time the pair is seen.
+    fn total_from(&mut self, src: &Table, fk: &[ColRef], scan: impl FnOnce(&I) -> bool) -> bool {
+        let known = self.total.iter().find(|(table, cols, _)| {
+            table == src.name() && cols.iter().eq(fk.iter().map(|c| &c.column))
+        });
+        if let Some(&(_, _, total)) = known {
+            return total;
+        }
+        let total = scan(&self.index);
+        self.total.push((
+            src.name().to_string(),
+            fk.iter().map(|c| c.column.clone()).collect(),
+            total,
+        ));
+        total
+    }
+}
+
+/// Shared primary-key indexes, keyed by `(table, key-columns)`, each with the
+/// totality verdicts of the join edges that probe it.
 ///
 /// One cache must only ever be used with the dataset it was first populated
 /// from; the AQP system owns one cache per dataset.
 #[derive(Debug, Default)]
 pub struct IndexCache {
-    single: BTreeMap<(String, String), SingleIndex>,
-    composite: BTreeMap<(String, String, String), CompositeIndex>,
+    single: BTreeMap<(String, String), Cached<PkIndex>>,
+    composite: BTreeMap<(String, String, String), Cached<PkIndex2>>,
 }
 
 impl IndexCache {
@@ -79,19 +118,21 @@ impl IndexCache {
         IndexCache::default()
     }
 
-    fn single_index(&mut self, table: &Table, key: &str) -> SingleIndex {
-        self.single
-            .entry((table.name().to_string(), key.to_string()))
-            .or_insert_with(|| {
-                let Column::Int(values) = table.column_required(key) else {
-                    panic!("primary key column {key} must be Int");
-                };
-                Arc::new(PkIndex::build(values))
-            })
-            .clone()
+    fn single_index(&mut self, table: &Table, key: &str) -> &mut Cached<PkIndex> {
+        self.single.entry((table.name().to_string(), key.to_string())).or_insert_with(|| {
+            let Column::Int(values) = table.column_required(key) else {
+                panic!("primary key column {key} must be Int");
+            };
+            Cached::new(PkIndex::build(values))
+        })
     }
 
-    fn composite_index(&mut self, table: &Table, key_a: &str, key_b: &str) -> CompositeIndex {
+    fn composite_index(
+        &mut self,
+        table: &Table,
+        key_a: &str,
+        key_b: &str,
+    ) -> &mut Cached<PkIndex2> {
         self.composite
             .entry((table.name().to_string(), key_a.to_string(), key_b.to_string()))
             .or_insert_with(|| {
@@ -100,15 +141,14 @@ impl IndexCache {
                 else {
                     panic!("composite key columns {key_a}/{key_b} must be Int");
                 };
-                Arc::new(PkIndex2::build(a, b))
+                Cached::new(PkIndex2::build(a, b))
             })
-            .clone()
     }
 
     /// Total entries across all cached indexes (for memory estimation).
     pub fn total_entries(&self) -> usize {
-        self.single.values().map(|m| m.len()).sum::<usize>()
-            + self.composite.values().map(|m| m.len()).sum::<usize>()
+        self.single.values().map(|c| c.index.len()).sum::<usize>()
+            + self.composite.values().map(|c| c.index.len()).sum::<usize>()
     }
 }
 
@@ -127,6 +167,9 @@ pub(crate) struct BoundEdge<'a> {
     pub(crate) src_slot: usize,
     pub(crate) fk: Vec<&'a Column>,
     pub(crate) index: BoundIndex,
+    /// Every row of the source table resolves through `index`: the edge can
+    /// never drop a row (see [`crate::columnar`]'s counter argument).
+    pub(crate) total: bool,
 }
 
 /// A bound aggregate expression tree (slots + column refs resolved).
@@ -233,6 +276,34 @@ impl BoundPred<'_> {
             BoundPred::Not(p) => !p.eval(ctx),
         }
     }
+
+    /// The highest slot the predicate reads: it can be evaluated as soon as
+    /// that slot is resolved.
+    fn max_slot(&self) -> usize {
+        match self {
+            BoundPred::True => 0,
+            BoundPred::IntRange { slot, .. }
+            | BoundPred::IntIn { slot, .. }
+            | BoundPred::FloatRange { slot, .. }
+            | BoundPred::DateRange { slot, .. }
+            | BoundPred::CatMask { slot, .. } => *slot,
+            BoundPred::RefCmp { a_slot, b_slot, .. } => *a_slot.max(b_slot),
+            BoundPred::And(ps) | BoundPred::Or(ps) => {
+                ps.iter().map(BoundPred::max_slot).max().unwrap_or(0)
+            }
+            BoundPred::Not(p) => p.max_slot(),
+        }
+    }
+
+    /// Appends the conjuncts of the top-level conjunction (nested `And`s
+    /// flattened, `True` dropped) to `out`.
+    fn split_conjuncts(self, out: &mut Vec<Self>) {
+        match self {
+            BoundPred::True => {}
+            BoundPred::And(ps) => ps.into_iter().for_each(|p| p.split_conjuncts(out)),
+            other => out.push(other),
+        }
+    }
 }
 
 /// A bound group-by key extractor.
@@ -304,7 +375,11 @@ pub const PAR_MIN_ROWS: usize = 2 * PAR_CHUNK_ROWS;
 pub struct Executor<'a> {
     fact_rows: usize,
     pub(crate) edges: Vec<BoundEdge<'a>>,
-    pub(crate) filter: BoundPred<'a>,
+    /// The whole filter, as the row oracle evaluates it.
+    filter: BoundPred<'a>,
+    /// The same filter as the columnar engine evaluates it: `stages[k]` is
+    /// the conjunction that runs once slot `k` is resolved (`True` = none).
+    pub(crate) stages: Vec<BoundPred<'a>>,
     pub(crate) groups: Vec<BoundGroup<'a>>,
     pub(crate) agg_exprs: Vec<BoundExpr<'a>>,
     state: AggState,
@@ -448,13 +523,32 @@ impl<'a> Executor<'a> {
                 }
                 fk_cols.push(col);
             }
-            let index = match edge.pk.as_slice() {
-                [k] => BoundIndex::Single(cache.single_index(target, k)),
-                [k1, k2] => BoundIndex::Composite(cache.composite_index(target, k1, k2)),
-                _ => return Err(format!("join {}: unsupported key arity", edge.alias)),
-            };
             let src_slot = src_slot.ok_or_else(|| format!("join {}: no FK columns", edge.alias))?;
-            edges.push(BoundEdge { src_slot, fk: fk_cols, index });
+            let src = binder.slots[src_slot];
+            let (index, total) = match (edge.pk.as_slice(), fk_cols.as_slice()) {
+                ([k], [Column::Int(fk)]) => {
+                    let cached = cache.single_index(target, k);
+                    let total = cached.total_from(src, &edge.fk, |index| {
+                        !index.is_empty() && fk.iter().all(|&key| index.get(key).is_some())
+                    });
+                    (BoundIndex::Single(cached.index.clone()), total)
+                }
+                ([k1, k2], [Column::Int(fk_a), Column::Int(fk_b)]) => {
+                    let cached = cache.composite_index(target, k1, k2);
+                    let total = cached.total_from(src, &edge.fk, |index| {
+                        !index.is_empty()
+                            && fk_a.iter().zip(fk_b).all(|(&a, &b)| index.get(a, b).is_some())
+                    });
+                    (BoundIndex::Composite(cached.index.clone()), total)
+                }
+                _ => {
+                    return Err(format!(
+                        "join {}: keys must be one or two Int columns on each side",
+                        edge.alias
+                    ))
+                }
+            };
+            edges.push(BoundEdge { src_slot, fk: fk_cols, index, total });
             binder.slots.push(target);
             binder.aliases.push(edge.alias.clone());
         }
@@ -482,10 +576,28 @@ impl<'a> Executor<'a> {
         let funcs = plan.aggregates.iter().map(|a| a.func).collect();
 
         let slots = binder.slots.len();
+        // No stage may run before the slot resolved by the last edge that
+        // can miss: up to there `probes` still depends on the joins.
+        let first_push = edges.iter().rposition(|e| !e.total).map_or(0, |i| i + 1);
+        let mut conjuncts = Vec::new();
+        filter.clone().split_conjuncts(&mut conjuncts);
+        let mut ready: Vec<Vec<BoundPred<'a>>> = vec![Vec::new(); slots];
+        for conjunct in conjuncts {
+            ready[conjunct.max_slot().max(first_push)].push(conjunct);
+        }
+        let stages = ready
+            .into_iter()
+            .map(|mut conjuncts| match conjuncts.len() {
+                0 => BoundPred::True,
+                1 => conjuncts.swap_remove(0),
+                _ => BoundPred::And(conjuncts),
+            })
+            .collect();
         Ok(Executor {
             fact_rows: fact.rows(),
             edges,
             filter,
+            stages,
             groups,
             agg_exprs,
             state: AggState::new(funcs),
@@ -661,6 +773,7 @@ impl<'a> Executor<'a> {
             let out = columnar::eval_chunk(self, chunk, &mut scratch);
             cost.chunks += 1;
             cost.parallel_row_ops += out.stats.row_ops();
+            cost.probe_lookups += out.lookups;
             cost.replay_serial_ops += out.stats.rows_aggregated;
             cost.merge_serial_ops +=
                 columnar::fold_chunk_groups(self.state.funcs(), &out, ka, va).len() as u64;
@@ -679,6 +792,14 @@ impl<'a> Executor<'a> {
     pub fn process_all_with(&mut self, pool: &ThreadPool) -> BatchStats {
         let rows: Vec<u32> = (0..self.fact_rows as u32).collect();
         self.process_rows_with(pool, &rows)
+    }
+
+    /// Drops the aggregate groups and every per-batch buffer; the plan
+    /// binding and the cumulative counters stay. For an executor that will
+    /// process no further rows and whose aggregates are no longer read.
+    pub fn release(&mut self) {
+        self.state.clear();
+        self.scratch = ChunkScratch::default();
     }
 
     /// The running aggregate state.
@@ -881,6 +1002,109 @@ mod tests {
         let _b = Executor::bind(&plan, &d, &mut cache).unwrap();
         assert_eq!(cache.total_entries(), entries_after_one, "index rebuilt instead of shared");
         assert_eq!(entries_after_one, d.orders.rows());
+    }
+
+    /// Brute-force totality of edge `i` of `plan`: does every row of the
+    /// source table find its key(s) among the target's primary keys?
+    fn brute_total(plan: &QueryPlan, d: &TpchData, i: usize) -> bool {
+        let edge = &plan.joins[i];
+        let table_of = |alias: &Option<String>| match alias {
+            None => d.table(&plan.fact).unwrap(),
+            Some(a) => {
+                let j = plan.joins.iter().find(|j| &j.alias == a).unwrap();
+                d.table(&j.table).unwrap()
+            }
+        };
+        let src = table_of(&edge.fk[0].alias);
+        let target = d.table(&edge.table).unwrap();
+        let key_of = |t: &Table, cols: &[&str], r: usize| -> Vec<i64> {
+            cols.iter().map(|c| t.column_required(c).int(r)).collect()
+        };
+        let pk: Vec<&str> = edge.pk.iter().map(String::as_str).collect();
+        let fk: Vec<&str> = edge.fk.iter().map(|c| c.column.as_str()).collect();
+        let keys: std::collections::HashSet<Vec<i64>> =
+            (0..target.rows()).map(|r| key_of(target, &pk, r)).collect();
+        target.rows() > 0 && (0..src.rows()).all(|r| keys.contains(&key_of(src, &fk, r)))
+    }
+
+    /// `table` with its rows cut to `keep` and Int column `col` (if named)
+    /// rewritten by `f`.
+    fn rebuilt(table: &Table, keep: usize, col: &str, f: impl Fn(usize, i64) -> i64) -> Table {
+        let columns = table
+            .columns()
+            .map(|(name, column)| {
+                let column = match column {
+                    Column::Int(v) => Column::Int(
+                        v[..keep]
+                            .iter()
+                            .enumerate()
+                            .map(|(r, &k)| if name == col { f(r, k) } else { k })
+                            .collect(),
+                    ),
+                    Column::Float(v) => Column::Float(v[..keep].to_vec()),
+                    Column::Date(v) => Column::Date(v[..keep].to_vec()),
+                    Column::Cat { codes, dict } => {
+                        Column::Cat { codes: codes[..keep].to_vec(), dict: dict.clone() }
+                    }
+                };
+                (name.to_string(), column)
+            })
+            .collect();
+        Table::new(table.name(), columns)
+    }
+
+    #[test]
+    fn cached_totality_matches_brute_force_on_intact_and_damaged_data() {
+        let intact = data();
+        let mut damaged = intact.clone();
+        // One dangling order reference and a nation the customers lack.
+        damaged.lineitem =
+            rebuilt(&intact.lineitem, intact.lineitem.rows(), "l_orderkey", |r, k| {
+                if r == 17 {
+                    -1
+                } else {
+                    k
+                }
+            });
+        damaged.customer =
+            rebuilt(&intact.customer, intact.customer.rows(), "c_nationkey", |r, k| {
+                if r % 9 == 0 {
+                    25
+                } else {
+                    k
+                }
+            });
+        for (d, expect_some_miss) in [(&intact, false), (&damaged, true)] {
+            // One cache per dataset, shared by all 22 binds: later plans
+            // read the verdicts earlier ones computed.
+            let mut cache = IndexCache::new();
+            let mut missed = 0;
+            for plan in crate::queries::all_queries() {
+                let exec = Executor::bind(&plan, d, &mut cache).unwrap();
+                for (i, edge) in exec.edges.iter().enumerate() {
+                    assert_eq!(edge.total, brute_total(&plan, d, i), "{} edge {i}", plan.label);
+                    missed += usize::from(!edge.total);
+                }
+            }
+            // On intact data only q9's partsupp edge can miss.
+            assert_eq!(missed > 1, expect_some_miss);
+            assert!(missed >= 1);
+        }
+    }
+
+    #[test]
+    fn empty_dimension_is_not_total_and_never_gathered() {
+        let mut d = data();
+        d.orders = rebuilt(&d.orders, 0, "", |_, k| k);
+        let plan = grouped_join_plan();
+        let mut cache = IndexCache::new();
+        let mut col = Executor::bind(&plan, &d, &mut cache).unwrap();
+        assert!(!col.edges[0].total);
+        let mut oracle = Executor::bind(&plan, &d, &mut cache).unwrap();
+        let rows: Vec<u32> = (0..d.lineitem.rows() as u32).collect();
+        let stats = col.process_rows(&rows);
+        assert_eq!(stats, oracle.process_rows_rowwise(&rows));
+        assert_eq!((stats.probes, stats.rows_aggregated), (rows.len() as u64, 0));
     }
 
     #[test]

@@ -14,6 +14,14 @@
 //! so accuracy lives in `[0, 1]`: running averages can overshoot their final
 //! value, so each column contributes `min(|α_c|, |α_f|) / max(|α_c|, |α_f|)`
 //! and mixed-sign estimates contribute 0.
+//!
+//! **Lifetime of the data-plane state.** The shuffled permutation, the
+//! aggregate groups and the chunk scratch exist to run the *next* epoch. A
+//! query that will never run another — its job reached a terminal state —
+//! is [`OnlineAggregation::release`]d: those three are freed (the
+//! permutation alone is 4 bytes per fact row per job) while the accounting a
+//! finished job is still asked for (`fraction_processed`, `rows_delivered`,
+//! `total_rows`, `is_exhausted`, `agg_funcs`) keeps answering.
 
 use rotary_core::RotaryError;
 use rotary_par::ThreadPool;
@@ -134,11 +142,8 @@ impl<'a> OnlineAggregation<'a> {
     /// Runs one epoch of `batches` batches. Returns `None` when the query
     /// has already consumed the entire table.
     pub fn process_epoch(&mut self, batches: usize) -> Option<EpochReport> {
-        let rows = self.source.next_batches(batches.max(1))?;
-        // The borrow checker cannot see that `rows` borrows `source` while
-        // `executor` is disjoint, so copy the (small) index slice.
-        let rows: Vec<u32> = rows.to_vec();
-        let stats = self.executor.process_rows(&rows);
+        let OnlineAggregation { executor, source, .. } = self;
+        let stats = executor.process_rows(source.next_batches(batches.max(1))?);
         Some(self.report(stats))
     }
 
@@ -146,9 +151,8 @@ impl<'a> OnlineAggregation<'a> {
     /// evaluation fans out across workers; the replay fold keeps the epoch
     /// report bit-identical to the sequential path at every pool size.
     pub fn process_epoch_with(&mut self, pool: &ThreadPool, batches: usize) -> Option<EpochReport> {
-        let rows = self.source.next_batches(batches.max(1))?;
-        let rows: Vec<u32> = rows.to_vec();
-        let stats = self.executor.process_rows_with(pool, &rows);
+        let OnlineAggregation { executor, source, .. } = self;
+        let stats = executor.process_rows_with(pool, source.next_batches(batches.max(1))?);
         Some(self.report(stats))
     }
 
@@ -217,8 +221,29 @@ impl<'a> OnlineAggregation<'a> {
     /// caller validates snapshot integrity first).
     pub fn replay_delivered(&mut self, rows: usize) {
         assert_eq!(self.source.delivered(), 0, "replay requires a fresh binding");
-        let replay: Vec<u32> = self.source.replay_prefix(rows).to_vec();
-        self.executor.process_rows(&replay);
+        let OnlineAggregation { executor, source, .. } = self;
+        executor.process_rows(source.replay_prefix(rows));
+    }
+
+    /// Frees what only a further epoch would need — the batch permutation,
+    /// the aggregate groups and the chunk scratch. For a query whose job is
+    /// terminal: no more epochs run and the running aggregates are no longer
+    /// read, but the delivered/total accounting stays. Idempotent.
+    pub fn release(&mut self) {
+        self.source.release();
+        self.executor.release();
+    }
+
+    /// [`OnlineAggregation::release`] for a freshly bound query whose
+    /// snapshot says it is terminal with `rows` delivered: restore records
+    /// the position and skips the replay nobody would read.
+    ///
+    /// # Panics
+    /// Panics if `rows` exceeds the table size (the caller validates
+    /// snapshot integrity first).
+    pub fn restore_released(&mut self, rows: usize) {
+        self.source.release_at(rows);
+        self.executor.release();
     }
 
     /// 95% confidence intervals for the mean of each aggregate column's
@@ -392,6 +417,34 @@ mod tests {
         let a = oa.process_epoch(1).unwrap();
         let b = resumed.process_epoch(1).unwrap();
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn release_keeps_the_accounting_and_is_idempotent() {
+        let (data, mut cache) = setup();
+        let plan = query(QueryId(1));
+        let truth = compute_ground_truth(&plan, &data, &mut cache).unwrap();
+        let mut oa =
+            OnlineAggregation::new(&plan, &data, &mut cache, truth.clone(), 9, 1000).unwrap();
+        oa.process_epoch(2).unwrap();
+        let before = (oa.fraction_processed(), oa.rows_delivered(), oa.total_rows());
+        oa.release();
+        oa.release();
+        assert_eq!((oa.fraction_processed(), oa.rows_delivered(), oa.total_rows()), before);
+        assert!(!oa.is_exhausted());
+        assert_eq!(oa.agg_funcs().len(), plan.aggregates.len());
+        assert_eq!(oa.executor().state().group_count(), 0, "groups were not freed");
+        assert!(oa.process_epoch(1).is_none(), "a released query runs no further epoch");
+
+        // A restore that finds the job terminal never replays.
+        let mut restored =
+            OnlineAggregation::new(&plan, &data, &mut cache, truth, 9, 1000).unwrap();
+        restored.restore_released(before.1);
+        assert_eq!(
+            (restored.fraction_processed(), restored.rows_delivered(), restored.total_rows()),
+            before
+        );
+        assert_eq!(restored.executor().totals().rows_scanned, 0);
     }
 
     #[test]

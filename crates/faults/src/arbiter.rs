@@ -256,8 +256,9 @@ pub trait Arbiter: Sized {
     /// finishes `Failed` with it.
     fn release(&mut self, ext: &mut Self::Ext, job: &mut Self::Job) -> Result<String>;
     /// `job` just ended (deadline, exhausted retries, a failed release):
-    /// drop its residual state and archive what it produced.
-    fn retire(&mut self, ext: &mut Self::Ext, job: &Self::Job);
+    /// drop its residual state — the job is mutable so the system can free
+    /// what only a further epoch would need — and archive what it produced.
+    fn retire(&mut self, ext: &mut Self::Ext, job: &mut Self::Job);
     /// Condenses a drained run.
     fn outcome(
         policy: Self::Policy,
@@ -1010,7 +1011,7 @@ mod tests {
             *free += 1;
             Ok("slot".into())
         }
-        fn retire(&mut self, _: &mut usize, _: &ToyJob) {}
+        fn retire(&mut self, _: &mut usize, _: &mut ToyJob) {}
         fn outcome(
             _: (),
             jobs: Vec<(u64, JobState)>,

@@ -130,12 +130,14 @@ impl Rng {
     fn bounded_u64(&mut self, bound: u64) -> u64 {
         debug_assert!(bound > 0);
         // Widening multiply: high 64 bits of x * bound are uniform in
-        // [0, bound) once the biased low-fraction zone is rejected.
-        let threshold = bound.wrapping_neg() % bound;
+        // [0, bound) once the biased low-fraction zone is rejected. The
+        // rejection threshold `2^64 mod bound` is below `bound`, so a low
+        // half at or above `bound` is accepted without the 64-bit division.
         loop {
             let x = self.next_u64();
             let m = (x as u128) * (bound as u128);
-            if (m as u64) >= threshold {
+            let low = m as u64;
+            if low >= bound || low >= bound.wrapping_neg() % bound {
                 return (m >> 64) as u64;
             }
         }
@@ -371,6 +373,43 @@ mod tests {
         let mut sorted = v.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, (0..500).collect::<Vec<u32>>());
+    }
+
+    /// Lemire's method as first written: the threshold division on every
+    /// draw. `bounded_u64` must consume the same raw outputs and return the
+    /// same values — every seeded shuffle and arrival stream depends on it.
+    fn bounded_u64_reference(rng: &mut Rng, bound: u64) -> u64 {
+        let threshold = bound.wrapping_neg() % bound;
+        loop {
+            let m = (rng.next_u64() as u128) * (bound as u128);
+            if (m as u64) >= threshold {
+                return (m >> 64) as u64;
+            }
+        }
+    }
+
+    #[test]
+    fn bounded_u64_matches_the_divide_every_draw_formula() {
+        let mut bounds = vec![1, 2, 3, 120_195, u64::MAX, u64::MAX - 1];
+        for shift in [1u32, 7, 31, 32, 33, 62, 63] {
+            let p = 1u64 << shift;
+            bounds.extend([p - 1, p, p + 1]);
+        }
+        // Just above 2^63 the threshold is bound − 2, so about half of all
+        // draws are rejected and the retry loop really runs.
+        bounds.extend([(1u64 << 63) + 2, (1u64 << 63) + 12_345]);
+        for (seed, &bound) in bounds.iter().enumerate() {
+            let mut fast = Rng::seed_from_u64(seed as u64);
+            let mut reference = fast.clone();
+            for _ in 0..2_000 {
+                assert_eq!(
+                    fast.bounded_u64(bound),
+                    bounded_u64_reference(&mut reference, bound),
+                    "bound {bound}"
+                );
+            }
+            assert_eq!(fast, reference, "bound {bound}: streams consumed differently");
+        }
     }
 
     #[test]

@@ -7,13 +7,22 @@
 //! in fixed-size slices. Each batch is "a subset of the entire dataset …
 //! each batch has the (approximately) same batch size" (§III-A); the final
 //! batch may be smaller.
+//!
+//! The permutation (4 bytes per fact row) is the bulk of a progressive
+//! query's memory. A consumer that has reached a terminal state calls
+//! [`BatchSource::release`] to hand it back; the source keeps answering
+//! how much was delivered of how much, which is all anyone asks of a
+//! finished stream.
 
 use rotary_sim::rng::Rng;
 
 /// A shuffled, batched view over `0..rows` of a fact table.
 #[derive(Debug, Clone)]
 pub struct BatchSource {
+    /// Empty once released.
     permutation: Vec<u32>,
+    /// Rows in the underlying table; outlives the permutation.
+    total: usize,
     batch_size: usize,
     cursor: usize,
 }
@@ -29,10 +38,11 @@ impl BatchSource {
         assert!(rows <= u32::MAX as usize, "row count exceeds u32 index space");
         let mut permutation: Vec<u32> = (0..rows as u32).collect();
         Rng::seed_from_u64(seed).fork("batch-order").shuffle(&mut permutation);
-        BatchSource { permutation, batch_size, cursor: 0 }
+        BatchSource { permutation, total: rows, batch_size, cursor: 0 }
     }
 
-    /// The next batch of row indices, or `None` when the table is exhausted.
+    /// The next batch of row indices, or `None` when the table is exhausted
+    /// (or the source released).
     pub fn next_batch(&mut self) -> Option<&[u32]> {
         if self.cursor >= self.permutation.len() {
             return None;
@@ -58,10 +68,10 @@ impl BatchSource {
     /// Fraction of the table delivered so far, in `[0, 1]` — the x-axis of
     /// Fig. 1a ("percentage of data processed").
     pub fn fraction_delivered(&self) -> f64 {
-        if self.permutation.is_empty() {
+        if self.total == 0 {
             1.0
         } else {
-            self.cursor as f64 / self.permutation.len() as f64
+            self.cursor as f64 / self.total as f64
         }
     }
 
@@ -72,12 +82,12 @@ impl BatchSource {
 
     /// Total rows in the underlying table.
     pub fn total_rows(&self) -> usize {
-        self.permutation.len()
+        self.total
     }
 
     /// True once every row has been served.
     pub fn is_exhausted(&self) -> bool {
-        self.cursor >= self.permutation.len()
+        self.cursor >= self.total
     }
 
     /// The configured batch size.
@@ -103,6 +113,24 @@ impl BatchSource {
         assert!(rows <= self.permutation.len(), "replay prefix exceeds table size");
         self.cursor = rows;
         &self.permutation[..rows]
+    }
+
+    /// Frees the permutation. The source serves no further batches; the
+    /// delivered/total accounting keeps answering. Idempotent.
+    pub fn release(&mut self) {
+        self.permutation = Vec::new();
+    }
+
+    /// Releases the source with `rows` recorded as delivered — restoring a
+    /// stream nobody will read from again.
+    ///
+    /// # Panics
+    /// Panics if `rows` exceeds the table size (see
+    /// [`BatchSource::replay_prefix`]).
+    pub fn release_at(&mut self, rows: usize) {
+        assert!(rows <= self.total, "delivered count exceeds table size");
+        self.release();
+        self.cursor = rows;
     }
 }
 
@@ -188,6 +216,23 @@ mod tests {
         assert_eq!(resumed.delivered(), 20);
         // Both sources continue identically after the replay.
         assert_eq!(resumed.next_batch().unwrap(), src.next_batch().unwrap());
+    }
+
+    #[test]
+    fn released_source_keeps_its_accounting() {
+        let mut src = BatchSource::new(4, 50, 10);
+        src.next_batch();
+        src.release();
+        src.release();
+        assert_eq!((src.delivered(), src.total_rows()), (10, 50));
+        assert_eq!(src.fraction_delivered(), 0.2);
+        assert!(!src.is_exhausted());
+        assert!(src.next_batch().is_none() && src.next_batches(3).is_none());
+
+        let mut restored = BatchSource::new(4, 50, 10);
+        restored.release_at(50);
+        assert!(restored.is_exhausted());
+        assert_eq!(restored.fraction_delivered(), 1.0);
     }
 
     #[test]

@@ -341,6 +341,44 @@ fn aqp_durable_runs_match_the_plain_run() {
     check_durable(&|| aqp(false), &specs, AqpPolicy::Rotary, (2, 3), "aqp");
 }
 
+/// Terminal AQP jobs hand their data-plane memory back (`retire` releases
+/// the permutation, groups and scratch; a restore leaves terminal jobs
+/// released). Nothing may read what was freed: the trace of a plain run and
+/// of a run killed and resumed among terminal jobs equals, byte for byte,
+/// the trace the last commit that kept every job's state alive produced
+/// (7 attained, 5 deadline misses).
+#[test]
+fn aqp_release_at_terminal_changes_no_byte() {
+    const METRICS_FNV1A: u64 = 0x6cc4_1396_3d42_be83;
+    const MAKESPAN_MS: u64 = 3_917_391;
+    let fnv1a = |s: &str| {
+        s.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    };
+    let specs = rotary::aqp::WorkloadBuilder::paper().jobs(12).seed(21).build();
+    let fingerprint = |result: &AqpRunResult| {
+        (fnv1a(&result.metrics.to_json().expect("metrics json")), result.makespan.as_millis())
+    };
+
+    let plain = aqp(false).run(&specs, AqpPolicy::Rotary).unwrap();
+    assert_eq!(fingerprint(&plain), (METRICS_FNV1A, MAKESPAN_MS));
+
+    let dir = temp_store("aqp-release");
+    let mut cfg = DurableConfig::new(&dir, 2);
+    cfg.halt_after = Some(3);
+    let halted = aqp(false).run_durable(&specs, AqpPolicy::Rotary, &cfg).unwrap();
+    assert!(matches!(halted, DurableOutcome::Halted { .. }));
+    cfg.halt_after = None;
+    let resumed = aqp(false)
+        .resume_durable(&specs, AqpPolicy::Rotary, &cfg)
+        .unwrap()
+        .completed()
+        .expect("resume must run to completion");
+    assert_eq!(fingerprint(&resumed), (METRICS_FNV1A, MAKESPAN_MS));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn aqp_resume_rejects_mismatched_workload() {
     let written = rotary::aqp::WorkloadBuilder::paper().jobs(3).seed(9).build();
