@@ -4,7 +4,12 @@
 # network disabled and an empty cargo registry.
 #
 # Usage:
-#   ./ci.sh                 format + lint + build + test
+#   ./ci.sh                 format + clippy (`unsafe_code` is forbidden
+#                           workspace-wide, so this is also the
+#                           memory-safety gate) + rotary-lint + release
+#                           build + `--locked` check of the frozen e2e
+#                           benchmark crate + workspace tests + the
+#                           pinned 256-case property suites
 #   ./ci.sh --bench         ... then run the engine, arbitration, and
 #                           serve benches and compare against the
 #                           checked-in BENCH_engine.json (±25%),

@@ -36,30 +36,6 @@ fn bench_batch_execution() {
     }
 }
 
-fn bench_parallel_batch_execution() {
-    // Thread sweep over the replay fold: same work as
-    // `batch_execution/q*`, fanned out over a rotary-par pool. One large
-    // shuffled batch so there are enough chunks to keep every lane busy.
-    let data = Generator::new(1, 0.005).generate();
-    for qid in [6u8, 3, 7] {
-        let plan = query(QueryId(qid));
-        let mut cache = IndexCache::new();
-        let _ = Executor::bind(&plan, &data, &mut cache).unwrap();
-        let rows: Vec<u32> = {
-            let n = data.lineitem.rows();
-            let mut src = BatchSource::new(3, n, n);
-            src.next_batch().unwrap().to_vec()
-        };
-        for threads in [1usize, 2, 4, 8] {
-            let pool = rotary_par::ThreadPool::new(threads);
-            let mut exec = Executor::bind(&plan, &data, &mut cache).unwrap();
-            bench(&format!("parallel_batch/q{qid}/t{threads}"), || {
-                black_box(exec.process_rows_with(&pool, black_box(&rows)));
-            });
-        }
-    }
-}
-
 fn bench_ground_truth() {
     let data = Generator::new(1, 0.002).generate();
     for qid in [1u8, 5] {
@@ -74,6 +50,5 @@ fn bench_ground_truth() {
 fn main() {
     bench_generation();
     bench_batch_execution();
-    bench_parallel_batch_execution();
     bench_ground_truth();
 }

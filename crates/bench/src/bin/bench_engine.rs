@@ -2,15 +2,13 @@
 //!
 //! Measures batch-execution throughput (rows/sec) for one query per class:
 //! the retired row-at-a-time oracle (`rowwise`, kept to quantify the
-//! columnar speedup), the sequential columnar engine (`seq`), the columnar
-//! replay fold on `rotary-par` pools of 1/2/4/8 threads
-//! (`columnar_threads{t}`), and the columnar state-merge fold at the widest
-//! pool (`columnar_merge8`) — together with the estimator-fit timings that
-//! bound arbitration overhead and the advisory `recovery/*` fault-recovery
-//! cost metrics. Results go to `BENCH_engine.json`. An advisory per-plan
-//! profile (all 22 plans at the workload's real batch size: `ns/row`, and
-//! the share of modelled probes the filter-first engine actually looks up)
-//! is printed after them and never gated.
+//! columnar speedup) and the sequential columnar engine (`seq`) — together
+//! with the estimator-fit timings that bound arbitration overhead and the
+//! advisory `recovery/*` fault-recovery cost metrics. Results go to
+//! `BENCH_engine.json`. An advisory per-plan profile (all 22 plans at the
+//! workload's real batch size: `ns/row`, and the share of modelled probes
+//! the filter-first engine actually looks up) is printed after them and
+//! never gated.
 //!
 //! Modes:
 //!
@@ -31,7 +29,6 @@ use rotary_core::progress::Objective;
 use rotary_dlt::{DltPolicy, DltSystem, DltSystemConfig, DltWorkloadBuilder};
 use rotary_engine::{query, Executor, IndexCache, QueryId};
 use rotary_faults::FaultPlan;
-use rotary_par::ThreadPool;
 use rotary_tpch::{BatchSource, Generator};
 
 /// Default baseline location (repo root, where `ci.sh` runs).
@@ -39,9 +36,6 @@ const BASELINE: &str = "BENCH_engine.json";
 
 /// Relative slack when comparing against the baseline.
 const TOLERANCE: f64 = 0.25;
-
-/// Pool widths swept by the throughput benchmark.
-const THREAD_SWEEP: [usize; 4] = [1, 2, 4, 8];
 
 fn bench_throughput(metrics: &mut BTreeMap<String, f64>) {
     let data = Generator::new(1, 0.005).generate();
@@ -52,7 +46,7 @@ fn bench_throughput(metrics: &mut BTreeMap<String, f64>) {
         let mut cache = IndexCache::new();
         // Pre-warm the shared indexes so the bench isolates probe cost.
         let _ = Executor::bind(&plan, &data, &mut cache).unwrap();
-        // One large shuffled batch — enough rows for many parallel chunks.
+        // One large shuffled batch.
         let rows: Vec<u32> = {
             let n = data.lineitem.rows();
             let mut src = BatchSource::new(3, n, n);
@@ -74,31 +68,6 @@ fn bench_throughput(metrics: &mut BTreeMap<String, f64>) {
             black_box(exec.process_rows(black_box(&rows)));
         });
         report(metrics, format!("q{qid}/rows_per_sec/seq"), per_sec(stats.min.as_secs_f64()));
-
-        for threads in THREAD_SWEEP {
-            let pool = ThreadPool::new(threads);
-            let mut exec = Executor::bind(&plan, &data, &mut cache).unwrap();
-            let stats = measure(|| {
-                black_box(exec.process_rows_with(&pool, black_box(&rows)));
-            });
-            report(
-                metrics,
-                format!("q{qid}/rows_per_sec/columnar_threads{threads}"),
-                per_sec(stats.min.as_secs_f64()),
-            );
-        }
-
-        let widest = *THREAD_SWEEP.last().unwrap();
-        let pool = ThreadPool::new(widest);
-        let mut exec = Executor::bind(&plan, &data, &mut cache).unwrap();
-        let stats = measure(|| {
-            black_box(exec.process_rows_with_merge(&pool, black_box(&rows)));
-        });
-        report(
-            metrics,
-            format!("q{qid}/rows_per_sec/columnar_merge{widest}"),
-            per_sec(stats.min.as_secs_f64()),
-        );
     }
 }
 
@@ -118,7 +87,7 @@ fn print_plan_profile() {
         let n = exec.fact_rows();
         let batch = (n / 100).max(1);
         let order = BatchSource::new(3, n, n).next_batch().map(<[u32]>::to_vec).unwrap_or_default();
-        let lookups = exec.fold_cost(&order).probe_lookups;
+        let lookups = exec.probe_lookups(&order);
         let counted = exec.process_rows(&order);
         let timing = measure(|| {
             for rows in order.chunks(batch) {
@@ -239,31 +208,13 @@ fn info_only(key: &str) -> bool {
     key.ends_with("_ns") || key.starts_with("recovery/") || key.starts_with("snapshot/")
 }
 
-/// Pool widths beyond the host's parallelism oversubscribe the scheduler
-/// and time bimodally — they are reported for information but not gated.
-fn oversubscribed(key: &str) -> bool {
-    let avail = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    let width = |prefix: &str| {
-        key.rsplit('/')
-            .next()
-            .and_then(|leaf| leaf.strip_prefix(prefix))
-            .and_then(|n| n.parse::<usize>().ok())
-    };
-    width("columnar_threads")
-        .or_else(|| width("columnar_merge"))
-        .or_else(|| width("threads"))
-        .or_else(|| width("merge"))
-        .map(|w| w > avail)
-        .unwrap_or(false)
-}
-
 fn check(current: &BTreeMap<String, f64>, baseline_path: &str) -> Result<(), String> {
     let text = std::fs::read_to_string(baseline_path)
         .map_err(|e| format!("cannot read baseline {baseline_path}: {e}"))?;
     let baseline = json::num_map_from_json(&json::parse(&text)?)?;
     let mut failures = Vec::new();
     for (key, &base) in &baseline {
-        if oversubscribed(key) || info_only(key) {
+        if info_only(key) {
             continue;
         }
         let Some(&now) = current.get(key) else {

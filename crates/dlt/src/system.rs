@@ -96,9 +96,10 @@ pub struct DltSystemConfig {
     /// unset). An inert plan injects nothing and leaves the run
     /// byte-identical to a build without the fault layer.
     pub faults: FaultPlan,
-    /// Worker threads for the data plane (host threads running the training
-    /// simulations, not the simulated GPUs). Defaults to `ROTARY_THREADS`
-    /// (1 when unset); results are bit-identical across values.
+    /// Host threads for start-up work — the uncontended training runs of
+    /// [`DltSystem::prepopulate_history`] — not the simulated GPUs; a run
+    /// itself is serial. Defaults to `ROTARY_THREADS` (1 when unset);
+    /// results are bit-identical across values.
     pub threads: usize,
     /// Monotonic probe for Table III overhead accounting. `None` (the
     /// default) keeps the arbitration loop free of wall-clock reads; the
@@ -286,16 +287,13 @@ pub struct DltSystem {
     config: DltSystemConfig,
     history: HistoryRepository,
     tme: Tme,
-    /// Data-plane worker pool (host threads, not the simulated GPUs).
-    exec_pool: rotary_par::ThreadPool,
 }
 
 impl DltSystem {
     /// Creates a system with an empty history repository.
     pub fn new(config: DltSystemConfig) -> DltSystem {
-        let exec_pool = rotary_par::ThreadPool::new(config.threads);
         let tme = Tme { top_k: config.top_k, ..Tme::default() };
-        DltSystem { config, history: HistoryRepository::new(), tme, exec_pool }
+        DltSystem { config, history: HistoryRepository::new(), tme }
     }
 
     /// Read access to the repository.
@@ -318,10 +316,11 @@ impl DltSystem {
     /// Returns the number of records inserted.
     pub fn prepopulate_history(&mut self, specs: &[DltJobSpec], seed: u64) -> usize {
         // The uncontended historical runs are independent (each owns its
-        // seeded TrainingSim), so they execute concurrently on the host
-        // pool; insertion stays serial, in fixed spec order, so the
-        // repository's contents are independent of worker scheduling.
-        let curves: Vec<(Vec<(f64, f64)>, u64)> = self.exec_pool.map(specs, |i, spec| {
+        // seeded TrainingSim), so they execute concurrently on the host's
+        // threads; insertion stays serial, in fixed spec order, so the
+        // repository's contents are independent of thread scheduling.
+        let host = rotary_par::ThreadPool::new(self.config.threads);
+        let curves: Vec<(Vec<(f64, f64)>, u64)> = host.map(specs, |i, spec| {
             let mut sim = TrainingSim::new(spec.config, seed ^ ((i as u64 + 1) * 0x9e3));
             let epochs = spec.max_epochs().clamp(5, 40);
             let mut curve = Vec::with_capacity(epochs as usize);

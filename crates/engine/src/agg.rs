@@ -105,27 +105,6 @@ impl Accumulator {
         }
     }
 
-    /// Feeds a slice of row values in index order — the columnar
-    /// counterpart of calling [`Accumulator::update`] once per element.
-    ///
-    /// Each running statistic is advanced by a dedicated in-order kernel
-    /// ([`crate::kernels`]); because the statistics are independent of each
-    /// other, splitting the per-row update into per-statistic loops performs
-    /// the same floating-point operations on the same operands in the same
-    /// order, so the result is bit-identical to the per-row path.
-    pub fn update_slice(&mut self, values: &[f64]) {
-        self.sum = crate::kernels::sum_seq(self.sum, values);
-        self.min = crate::kernels::min_seq(self.min, values);
-        self.max = crate::kernels::max_seq(self.max, values);
-        let (count, mean, m2) = crate::kernels::welford_seq(self.count, self.mean, self.m2, values);
-        self.count = count;
-        self.mean = mean;
-        self.m2 = m2;
-        if let Some(set) = &mut self.distinct {
-            set.extend(values.iter().map(|v| v.to_bits()));
-        }
-    }
-
     /// The aggregate's current value; `None` before any row arrived (SQL
     /// aggregates over empty input are NULL, except COUNT).
     pub fn value(&self) -> Option<f64> {
@@ -246,37 +225,6 @@ impl AggState {
     /// The aggregate functions, in column order.
     pub fn funcs(&self) -> &[AggFunc] {
         &self.funcs
-    }
-
-    /// Merges another state built from the same aggregate columns — the
-    /// parallel Welford combination lifted to whole states. Groups present
-    /// in `other` only are copied; shared groups merge accumulator-wise.
-    /// Merging is per-key, so iteration order cannot influence any group's
-    /// resulting accumulator.
-    pub fn merge(&mut self, other: &AggState) {
-        debug_assert_eq!(self.funcs, other.funcs);
-        for (key, theirs) in &other.groups {
-            let mine = self
-                .groups
-                .entry(key.clone())
-                .or_insert_with(|| self.funcs.iter().map(|&f| Accumulator::new(f)).collect());
-            for (a, b) in mine.iter_mut().zip(theirs) {
-                a.merge(b);
-            }
-        }
-    }
-
-    /// Merges one group's accumulators (e.g. a chunk-local group from the
-    /// parallel state-merge fold) into this state. Equivalent to
-    /// [`AggState::merge`] restricted to a single key, without building a
-    /// whole intermediate state.
-    pub fn merge_group(&mut self, key: &[i64], accs: &[Accumulator]) {
-        debug_assert_eq!(accs.len(), self.funcs.len());
-        self.with_group(key, |mine| {
-            for (a, b) in mine.iter_mut().zip(accs) {
-                a.merge(b);
-            }
-        });
     }
 
     /// Number of groups materialised so far.
@@ -474,96 +422,6 @@ mod tests {
         }
         left.merge(&right);
         assert!((left.variance().unwrap() - whole.variance().unwrap()).abs() < 1e-9);
-    }
-
-    #[test]
-    fn state_merge_matches_single_stream_per_group() {
-        let feed = |s: &mut AggState, rows: &[(i64, f64)]| {
-            for &(k, v) in rows {
-                s.update(&[k], &[v, 1.0]);
-            }
-        };
-        let rows: Vec<(i64, f64)> =
-            (0..60).map(|i| ((i % 3) as i64, (i as f64 * 0.73).cos() * 5.0)).collect();
-
-        let mut whole = AggState::new(vec![AggFunc::Avg, AggFunc::Count]);
-        feed(&mut whole, &rows);
-
-        let mut left = AggState::new(vec![AggFunc::Avg, AggFunc::Count]);
-        let mut right = AggState::new(vec![AggFunc::Avg, AggFunc::Count]);
-        feed(&mut left, &rows[..23]);
-        feed(&mut right, &rows[23..]);
-        left.merge(&right);
-
-        assert_eq!(left.group_count(), whole.group_count());
-        assert_eq!(left.total_rows(), whole.total_rows());
-        let a = left.grouped_results();
-        let b = whole.grouped_results();
-        for ((ka, va), (kb, vb)) in a.iter().zip(&b) {
-            assert_eq!(ka, kb);
-            assert_eq!(va[1], vb[1], "counts must match exactly");
-            let (x, y) = (va[0].unwrap(), vb[0].unwrap());
-            assert!((x - y).abs() < 1e-12, "{x} vs {y}");
-        }
-    }
-
-    #[test]
-    fn state_merge_copies_disjoint_groups() {
-        let mut a = AggState::new(vec![AggFunc::Sum]);
-        a.update(&[1], &[10.0]);
-        let mut b = AggState::new(vec![AggFunc::Sum]);
-        b.update(&[2], &[5.0]);
-        a.merge(&b);
-        assert_eq!(a.group_count(), 2);
-        assert_eq!(
-            a.grouped_results(),
-            vec![(vec![1], vec![Some(10.0)]), (vec![2], vec![Some(5.0)])]
-        );
-        // Merging an empty state is a no-op.
-        a.merge(&AggState::new(vec![AggFunc::Sum]));
-        assert_eq!(a.group_count(), 2);
-    }
-
-    #[test]
-    fn update_slice_is_bit_identical_to_per_row_updates() {
-        let values: Vec<f64> = (0..97).map(|i| ((i as f64) * 0.61).tan() * 7.0).collect();
-        for f in [
-            AggFunc::Sum,
-            AggFunc::Avg,
-            AggFunc::Count,
-            AggFunc::CountDistinct,
-            AggFunc::Min,
-            AggFunc::Max,
-        ] {
-            let mut sliced = Accumulator::new(f);
-            sliced.update_slice(&values[..40]);
-            sliced.update_slice(&values[40..]);
-            let mut per_row = Accumulator::new(f);
-            for &v in &values {
-                per_row.update(v);
-            }
-            // Derived PartialEq compares every running statistic, so this
-            // pins sum/min/max/mean/m2 exactly, not just the final value.
-            assert_eq!(sliced, per_row, "{f:?}");
-        }
-    }
-
-    #[test]
-    fn merge_group_matches_whole_state_merge() {
-        let mut base = AggState::new(vec![AggFunc::Sum, AggFunc::Count]);
-        base.update(&[1], &[10.0, 1.0]);
-        let mut other = AggState::new(vec![AggFunc::Sum, AggFunc::Count]);
-        other.update(&[1], &[20.0, 1.0]);
-        other.update(&[2], &[5.0, 1.0]);
-
-        let mut via_merge = base.clone();
-        via_merge.merge(&other);
-        let mut via_groups = base;
-        for (k, accs) in &other.groups {
-            via_groups.merge_group(k, accs);
-        }
-        assert_eq!(via_merge.grouped_results(), via_groups.grouped_results());
-        assert_eq!(via_merge.group_count(), via_groups.group_count());
     }
 
     #[test]

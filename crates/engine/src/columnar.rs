@@ -37,7 +37,7 @@
 //! equal the row loop's on every batch even though the work done no longer
 //! does. `probes` is a *model* quantity — per edge, the rows still alive
 //! under the **joins alone**, which is where the row loop stops probing —
-//! not a count of index lookups (that is [`FoldCost::probe_lookups`]). Bind
+//! not a count of index lookups (that is [`Executor::probe_lookups`]). Bind
 //! decides per edge whether it is *total* (every row of the source table
 //! resolves) and lets no stage run before the slot of the last edge that is
 //! not. From the first stage on, therefore, no remaining edge can drop a
@@ -47,7 +47,6 @@
 
 use rotary_tpch::Column;
 
-use crate::agg::{Accumulator, AggFunc};
 use crate::exec::{BatchStats, BoundExpr, BoundGroup, BoundIndex, BoundPred, Executor};
 use crate::kernels::{self, Bitmap};
 
@@ -361,77 +360,4 @@ pub(crate) fn eval_chunk(
         floats.push(val_col);
     }
     ChunkOutput { stats, lookups, keys, vals }
-}
-
-/// Chunk-local aggregation for the state-merge fold: folds a chunk's
-/// surviving rows into per-group [`Accumulator`]s held in a flat first-seen
-/// table (no per-row map allocation), preserving within-group row order so
-/// each group's Welford recurrence is bit-identical to per-row updates.
-/// Scalar (ungrouped) chunks take a column-at-a-time fast path through
-/// [`Accumulator::update_slice`].
-pub(crate) fn fold_chunk_groups(
-    funcs: &[AggFunc],
-    out: &ChunkOutput,
-    ka: usize,
-    va: usize,
-) -> Vec<(Vec<i64>, Vec<Accumulator>)> {
-    let m = out.stats.rows_aggregated as usize;
-    let fresh = |funcs: &[AggFunc]| funcs.iter().map(|&f| Accumulator::new(f)).collect::<Vec<_>>();
-    let mut table: Vec<(Vec<i64>, Vec<Accumulator>)> = Vec::new();
-    if m == 0 {
-        return table;
-    }
-    if ka == 0 {
-        // Scalar fast path: each aggregate column is contiguous after a
-        // strided gather; the per-statistic loops in `update_slice` are
-        // bit-identical to interleaved per-row updates because each
-        // accumulator only observes its own column, in row order.
-        let mut accs = fresh(funcs);
-        let mut col = Vec::with_capacity(m);
-        for (j, acc) in accs.iter_mut().enumerate() {
-            col.clear();
-            col.extend((0..m).map(|r| out.vals[r * va + j]));
-            acc.update_slice(&col);
-        }
-        table.push((Vec::new(), accs));
-        return table;
-    }
-    for r in 0..m {
-        let key = &out.keys[r * ka..(r + 1) * ka];
-        let idx = match table.iter().position(|(k, _)| k == key) {
-            Some(i) => i,
-            None => {
-                table.push((key.to_vec(), fresh(funcs)));
-                table.len() - 1
-            }
-        };
-        for (j, acc) in table[idx].1.iter_mut().enumerate() {
-            acc.update(out.vals[r * va + j]);
-        }
-    }
-    table
-}
-
-/// Deterministic operation counts comparing the serial critical path of the
-/// two parallel folds on a concrete batch. All counts are pure functions of
-/// `(plan, data, batch)` — no wall clock — which is what lets a test pin
-/// "the merge fold's serial work never exceeds the replay fold's" without
-/// timing anything.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FoldCost {
-    /// Chunks in the fixed grid.
-    pub chunks: usize,
-    /// Data-plane row operations (scan + probe + aggregate), identical for
-    /// both folds — this part scales with the pool.
-    pub parallel_row_ops: u64,
-    /// Serial fold operations of the **replay** fold: one `AggState::update`
-    /// per surviving row.
-    pub replay_serial_ops: u64,
-    /// Serial fold operations of the **state-merge** fold: one group merge
-    /// per distinct group per chunk.
-    pub merge_serial_ops: u64,
-    /// Index lookups the data plane actually performed. `BatchStats::probes`
-    /// is what the row loop would have looked up; filter stages that run
-    /// below the remaining (total) edges make this smaller.
-    pub probe_lookups: u64,
 }

@@ -17,19 +17,13 @@
 //! fixed-size row chunks ([`PAR_CHUNK_ROWS`], independent of the thread
 //! count), evaluates joins/filters/expressions per chunk on a
 //! [`rotary_par::ThreadPool`], and folds the chunk outputs back serially in
-//! **fixed chunk order**. Two fold strategies exist:
-//!
-//! * **replay** (the default, used by every system path): chunks emit the
-//!   surviving rows' group keys and expression values, and the fold replays
-//!   `AggState::update` in original row order — *bit-identical* to the
-//!   row-at-a-time oracle at every thread count, which is what keeps the
-//!   EXPERIMENTS.md calibrations valid;
-//! * **state merge** ([`Executor::process_rows_with_merge`]): chunks fold
-//!   into per-chunk group accumulators that are combined with the parallel
-//!   Welford merge in chunk order — still deterministic across thread
-//!   counts (the chunk grid is fixed), maximally parallel, but rounded
-//!   differently from the sequential fold, so it is reserved for paths
-//!   without legacy calibrations.
+//! **fixed chunk order**: chunks emit the surviving rows' group keys and
+//! expression values, and the fold replays `AggState::update` in original
+//! row order — *bit-identical* to the row-at-a-time oracle at every thread
+//! count, which is what keeps the EXPERIMENTS.md calibrations valid. No
+//! system calls it: an epoch's 1 % batch is below [`PAR_MIN_ROWS`], and
+//! start-up fans whole scans out one per lane instead (DESIGN.md §5). It
+//! stays for the frozen end-to-end benchmark's `engine.par_speedup` probe.
 //!
 //! # Columnar data plane
 //!
@@ -56,7 +50,7 @@ use rotary_tpch::date::year_of;
 use rotary_tpch::{Column, Table, TpchData};
 
 use crate::agg::AggState;
-use crate::columnar::{self, ChunkScratch, FoldCost};
+use crate::columnar::{self, ChunkScratch};
 use crate::expr::{CmpOp, ColRef, Expr, Pred};
 use crate::kernels::{PkIndex, PkIndex2};
 use crate::plan::{GroupKey, QueryPlan};
@@ -724,74 +718,23 @@ impl<'a> Executor<'a> {
         stats
     }
 
-    /// Parallel `process_rows` — the **state-merge** fold.
-    ///
-    /// Each chunk folds its surviving rows into per-group accumulators
-    /// ([`crate::columnar::fold_chunk_groups`] — a flat first-seen table, no
-    /// per-row map allocation); the per-chunk groups are merged into the
-    /// running state with the parallel Welford combination in fixed chunk
-    /// order. The chunk grid depends only on the batch, so the result is
-    /// deterministic across thread counts — but the merge rounds
-    /// differently than the sequential per-row fold, so this path is for
-    /// workloads without legacy sequential calibrations. Chunking is applied
-    /// even on a single-lane pool to keep the fold structure (and therefore
-    /// the bits) independent of the pool size.
-    pub fn process_rows_with_merge(&mut self, pool: &ThreadPool, rows: &[u32]) -> BatchStats {
-        let ka = self.groups.len();
-        let va = self.agg_exprs.len();
-        let chunks: Vec<&[u32]> = rows.chunks(PAR_CHUNK_ROWS).collect();
-        let locals = {
-            let this: &Executor<'a> = self;
-            let funcs = this.state.funcs();
-            pool.map(&chunks, |_, chunk| {
-                let mut scratch = ChunkScratch::default();
-                let out = columnar::eval_chunk(this, chunk, &mut scratch);
-                let groups = columnar::fold_chunk_groups(funcs, &out, ka, va);
-                (out.stats, groups)
-            })
-        };
-        let mut stats = BatchStats::default();
-        for (chunk_stats, groups) in &locals {
-            stats.add(*chunk_stats);
-            for (key, accs) in groups {
-                self.state.merge_group(key, accs);
-            }
-        }
-        self.totals.add(stats);
-        stats
-    }
-
-    /// Deterministic serial-fold operation counts for this executor on a
-    /// concrete batch — see [`FoldCost`]. Pure function of the bound plan
-    /// and the batch; does not touch aggregate state or totals.
-    pub fn fold_cost(&self, rows: &[u32]) -> FoldCost {
-        let ka = self.groups.len();
-        let va = self.agg_exprs.len();
+    /// Index lookups the data plane performs on a concrete batch.
+    /// [`BatchStats::probes`] is what the row loop would have looked up;
+    /// filter stages that run below the remaining (total) edges make this
+    /// smaller. Pure function of the bound plan and the batch — no wall
+    /// clock, so a test can pin it — and touches neither aggregate state nor
+    /// totals.
+    pub fn probe_lookups(&self, rows: &[u32]) -> u64 {
         let mut scratch = ChunkScratch::default();
-        let mut cost = FoldCost::default();
-        for chunk in rows.chunks(PAR_CHUNK_ROWS) {
-            let out = columnar::eval_chunk(self, chunk, &mut scratch);
-            cost.chunks += 1;
-            cost.parallel_row_ops += out.stats.row_ops();
-            cost.probe_lookups += out.lookups;
-            cost.replay_serial_ops += out.stats.rows_aggregated;
-            cost.merge_serial_ops +=
-                columnar::fold_chunk_groups(self.state.funcs(), &out, ka, va).len() as u64;
-        }
-        cost
+        rows.chunks(PAR_CHUNK_ROWS)
+            .map(|chunk| columnar::eval_chunk(self, chunk, &mut scratch).lookups)
+            .sum()
     }
 
     /// Processes the *entire* fact table (ground-truth computation).
     pub fn process_all(&mut self) -> BatchStats {
         let rows: Vec<u32> = (0..self.fact_rows as u32).collect();
         self.process_rows(&rows)
-    }
-
-    /// Parallel [`Executor::process_all`] via the replay fold — bit-identical
-    /// to the sequential scan at every pool size.
-    pub fn process_all_with(&mut self, pool: &ThreadPool) -> BatchStats {
-        let rows: Vec<u32> = (0..self.fact_rows as u32).collect();
-        self.process_rows_with(pool, &rows)
     }
 
     /// Drops the aggregate groups and every per-batch buffer; the plan
@@ -1354,31 +1297,21 @@ mod tests {
     }
 
     #[test]
-    fn fold_cost_counts_are_deterministic_and_structured() {
+    fn probe_lookups_is_deterministic_and_touches_no_state() {
         let d = data();
         let mut cache = IndexCache::new();
         let plan = grouped_join_plan();
         let rows: Vec<u32> = (0..d.lineitem.rows() as u32).collect();
-        let exec = Executor::bind(&plan, &d, &mut cache).unwrap();
-        let cost = exec.fold_cost(&rows);
-        assert_eq!(cost, exec.fold_cost(&rows), "fold_cost must be deterministic");
-        assert_eq!(cost.chunks, rows.len().div_ceil(PAR_CHUNK_ROWS));
-        // Three return flags → at most 3 group merges per chunk, far below
-        // one replay update per surviving row.
-        assert!(cost.merge_serial_ops <= 3 * cost.chunks as u64);
-        assert!(cost.replay_serial_ops > 0);
-    }
-
-    #[test]
-    fn process_all_with_matches_process_all_bitwise() {
-        let d = data();
-        let mut cache = IndexCache::new();
-        let mut seq = Executor::bind(&q6ish(), &d, &mut cache).unwrap();
-        seq.process_all();
-        let pool = rotary_par::ThreadPool::new(4);
-        let mut par = Executor::bind(&q6ish(), &d, &mut cache).unwrap();
-        par.process_all_with(&pool);
-        assert_states_bit_identical(&seq, &par);
+        let mut exec = Executor::bind(&plan, &d, &mut cache).unwrap();
+        let lookups = exec.probe_lookups(&rows);
+        assert_eq!(lookups, exec.probe_lookups(&rows), "probe_lookups must be deterministic");
+        assert_eq!(exec.totals(), BatchStats::default());
+        assert_eq!(exec.state().group_count(), 0);
+        // The quantity filter runs below the (total) orders edge, so only
+        // its survivors are looked up.
+        let stats = exec.process_rows(&rows);
+        assert_eq!(lookups, stats.rows_aggregated);
+        assert!(lookups < stats.probes);
     }
 
     #[test]
@@ -1393,65 +1326,6 @@ mod tests {
         let rows: Vec<u32> = (0..(PAR_MIN_ROWS as u32 - 1)).collect();
         assert_eq!(seq.process_rows(&rows), par.process_rows_with(&pool, &rows));
         assert_states_bit_identical(&seq, &par);
-    }
-
-    #[test]
-    fn state_merge_fold_is_deterministic_across_pool_sizes() {
-        let d = data();
-        let mut cache = IndexCache::new();
-        let plan = grouped_join_plan();
-        let rows: Vec<u32> = (0..d.lineitem.rows() as u32).collect();
-
-        let baseline = {
-            let pool = rotary_par::ThreadPool::new(1);
-            let mut e = Executor::bind(&plan, &d, &mut cache).unwrap();
-            e.process_rows_with_merge(&pool, &rows);
-            e.state().grouped_results()
-        };
-        for threads in [2, 4, 8] {
-            let pool = rotary_par::ThreadPool::new(threads);
-            let mut e = Executor::bind(&plan, &d, &mut cache).unwrap();
-            e.process_rows_with_merge(&pool, &rows);
-            let got = e.state().grouped_results();
-            assert_eq!(baseline.len(), got.len());
-            for ((ka, va), (kb, vb)) in baseline.iter().zip(&got) {
-                assert_eq!(ka, kb);
-                for (x, y) in va.iter().zip(vb) {
-                    assert_eq!(
-                        x.map(f64::to_bits),
-                        y.map(f64::to_bits),
-                        "threads={threads}, group {ka:?}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn state_merge_fold_matches_sequential_within_epsilon() {
-        let d = data();
-        let mut cache = IndexCache::new();
-        let plan = grouped_join_plan();
-        let rows: Vec<u32> = (0..d.lineitem.rows() as u32).collect();
-
-        let mut seq = Executor::bind(&plan, &d, &mut cache).unwrap();
-        let seq_stats = seq.process_rows(&rows);
-        let pool = rotary_par::ThreadPool::new(4);
-        let mut par = Executor::bind(&plan, &d, &mut cache).unwrap();
-        let par_stats = par.process_rows_with_merge(&pool, &rows);
-
-        // Work counters are integers: exactly equal.
-        assert_eq!(seq_stats, par_stats);
-        // Float aggregates agree to relative epsilon (different fold order).
-        let (ra, rb) = (seq.state().grouped_results(), par.state().grouped_results());
-        assert_eq!(ra.len(), rb.len());
-        for ((ka, va), (kb, vb)) in ra.iter().zip(&rb) {
-            assert_eq!(ka, kb);
-            for (x, y) in va.iter().zip(vb) {
-                let (x, y) = (x.unwrap(), y.unwrap());
-                assert!((x - y).abs() <= 1e-9 * x.abs().max(1.0), "group {ka:?}: {x} vs {y}");
-            }
-        }
     }
 
     #[test]

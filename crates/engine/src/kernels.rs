@@ -20,10 +20,6 @@
 //!   multiply-shift hash — no `RandomState`, no per-process seed, and point
 //!   lookups only, so they satisfy the D001 determinism rule without any
 //!   allow annotation.
-//! * The `*_seq` reductions ([`sum_seq`], [`min_seq`], [`max_seq`],
-//!   [`welford_seq`]) perform *exactly* the per-element operation sequence
-//!   of `Accumulator::update`, in index order, so their results are
-//!   bit-identical to the row loop by construction.
 
 use rotary_tpch::date::year_of;
 use rotary_tpch::{Column, Date};
@@ -507,58 +503,6 @@ pub fn probe_composite(
     positions.truncate(kept);
 }
 
-// ---------------------------------------------------------------------------
-// Sequential-order aggregate reductions
-// ---------------------------------------------------------------------------
-
-/// In-order sum: `seed + v[0] + v[1] + …` — the exact operation sequence of
-/// repeated `sum += v`, so bits match the row loop.
-pub fn sum_seq(seed: f64, values: &[f64]) -> f64 {
-    let mut sum = seed;
-    for &v in values {
-        sum += v;
-    }
-    sum
-}
-
-/// In-order minimum with the row loop's `if v < min` rule: NaN never
-/// replaces the current minimum (NaN comparisons are false).
-pub fn min_seq(seed: f64, values: &[f64]) -> f64 {
-    let mut min = seed;
-    for &v in values {
-        if v < min {
-            min = v;
-        }
-    }
-    min
-}
-
-/// In-order maximum with the row loop's `if v > max` rule (NaN-ignoring).
-pub fn max_seq(seed: f64, values: &[f64]) -> f64 {
-    let mut max = seed;
-    for &v in values {
-        if v > max {
-            max = v;
-        }
-    }
-    max
-}
-
-/// In-order Welford update over a value slice, continuing from a running
-/// `(count, mean, m2)` triple. Performs exactly the per-element recurrence
-/// of `Accumulator::update` (count, then delta/mean/m2), so the returned
-/// triple is bit-identical to feeding the values one at a time.
-pub fn welford_seq(count: u64, mean: f64, m2: f64, values: &[f64]) -> (u64, f64, f64) {
-    let (mut count, mut mean, mut m2) = (count, mean, m2);
-    for &v in values {
-        count += 1;
-        let delta = v - mean;
-        mean += delta / count as f64;
-        m2 += delta * (v - mean);
-    }
-    (count, mean, m2)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -645,27 +589,5 @@ mod tests {
         assert_eq!(targets[0], 1);
         assert_eq!(targets[2], 0);
         assert_eq!(targets[3], 2);
-    }
-
-    #[test]
-    fn welford_seq_matches_incremental() {
-        let vals = [3.0, 1.0, 4.0, 1.0, 5.0, 9.0];
-        let (c, mean, m2) = welford_seq(0, 0.0, 0.0, &vals);
-        let (mut oc, mut omean, mut om2) = (0u64, 0.0f64, 0.0f64);
-        for &v in &vals {
-            oc += 1;
-            let delta = v - omean;
-            omean += delta / oc as f64;
-            om2 += delta * (v - omean);
-        }
-        assert_eq!(c, oc);
-        assert_eq!(mean.to_bits(), omean.to_bits());
-        assert_eq!(m2.to_bits(), om2.to_bits());
-    }
-
-    #[test]
-    fn min_max_ignore_nan() {
-        assert_eq!(min_seq(f64::INFINITY, &[2.0, f64::NAN, 1.0]), 1.0);
-        assert_eq!(max_seq(f64::NEG_INFINITY, &[2.0, f64::NAN, 3.0]), 3.0);
     }
 }

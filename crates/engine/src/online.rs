@@ -24,7 +24,6 @@
 //! `total_rows`, `is_exhausted`, `agg_funcs`) keeps answering.
 
 use rotary_core::RotaryError;
-use rotary_par::ThreadPool;
 use rotary_tpch::{BatchSource, TpchData};
 
 use crate::exec::{BatchStats, Executor, IndexCache};
@@ -42,20 +41,6 @@ pub fn compute_ground_truth(
 ) -> rotary_core::Result<GroundTruth> {
     let mut exec = Executor::bind(plan, data, cache)?;
     exec.process_all();
-    Ok(exec.state().combined_all())
-}
-
-/// [`compute_ground_truth`] on a thread pool — the full-table scan runs
-/// through the replay fold, so the result is bit-identical to the sequential
-/// computation at every pool size.
-pub fn compute_ground_truth_with(
-    plan: &QueryPlan,
-    data: &TpchData,
-    cache: &mut IndexCache,
-    pool: &ThreadPool,
-) -> rotary_core::Result<GroundTruth> {
-    let mut exec = Executor::bind(plan, data, cache)?;
-    exec.process_all_with(pool);
     Ok(exec.state().combined_all())
 }
 
@@ -144,27 +129,14 @@ impl<'a> OnlineAggregation<'a> {
     pub fn process_epoch(&mut self, batches: usize) -> Option<EpochReport> {
         let OnlineAggregation { executor, source, .. } = self;
         let stats = executor.process_rows(source.next_batches(batches.max(1))?);
-        Some(self.report(stats))
-    }
-
-    /// [`OnlineAggregation::process_epoch`] on a thread pool. Batch
-    /// evaluation fans out across workers; the replay fold keeps the epoch
-    /// report bit-identical to the sequential path at every pool size.
-    pub fn process_epoch_with(&mut self, pool: &ThreadPool, batches: usize) -> Option<EpochReport> {
-        let OnlineAggregation { executor, source, .. } = self;
-        let stats = executor.process_rows_with(pool, source.next_batches(batches.max(1))?);
-        Some(self.report(stats))
-    }
-
-    fn report(&self, stats: BatchStats) -> EpochReport {
         let values = self.executor.state().combined_all();
-        EpochReport {
+        Some(EpochReport {
             fraction_processed: self.source.fraction_delivered(),
             accuracy: self.accuracy_of(&values),
             values,
             stats,
             exhausted: self.source.is_exhausted(),
-        }
+        })
     }
 
     fn accuracy_of(&self, values: &[Option<f64>]) -> f64 {

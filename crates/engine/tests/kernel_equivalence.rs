@@ -8,13 +8,12 @@
 //! Each property runs `ROTARY_CHECK_CASES` seeded cases (256 by default).
 
 use rotary_check::{check, Source};
-use rotary_engine::agg::{Accumulator, AggFunc};
 use rotary_engine::expr::CmpOp;
 use rotary_engine::kernels::{
     add_assign, cat_mask_bitmap, cmp_bitmap, date_range_bitmap, div_assign_guarded,
     float_range_bitmap, gather_group_keys, gather_numeric, gather_numeric_at, int_in_bitmap,
-    int_range_bitmap, max_seq, min_seq, mul_assign, probe_composite, probe_single, sub_assign,
-    sum_seq, welford_seq, Bitmap, PkIndex, PkIndex2,
+    int_range_bitmap, mul_assign, probe_composite, probe_single, sub_assign, Bitmap, PkIndex,
+    PkIndex2,
 };
 use rotary_tpch::Column;
 use std::collections::BTreeSet;
@@ -354,77 +353,5 @@ fn elementwise_arithmetic_matches_scalar_ops_bitwise() {
                 assert_eq!(out[i].to_bits(), scalar(a[i], b[i]).to_bits(), "element {i}");
             }
         }
-    });
-}
-
-#[test]
-fn seq_reductions_match_per_element_loops_bitwise() {
-    check("seq_reductions", |src| {
-        let values = src.vec_of(0, 64, messy_f64);
-        let seed = messy_f64(src);
-
-        let mut sum = seed;
-        let mut min = seed;
-        let mut max = seed;
-        for &v in &values {
-            sum += v;
-            if v < min {
-                min = v;
-            }
-            if v > max {
-                max = v;
-            }
-        }
-        assert_eq!(sum_seq(seed, &values).to_bits(), sum.to_bits());
-        assert_eq!(min_seq(seed, &values).to_bits(), min.to_bits());
-        assert_eq!(max_seq(seed, &values).to_bits(), max.to_bits());
-
-        let (mut c, mut mean, mut m2) = (src.u64_in(0, 5), src.f64_in(-10.0, 10.0), 0.0);
-        let start = (c, mean, m2);
-        for &v in &values {
-            c += 1;
-            let delta = v - mean;
-            mean += delta / c as f64;
-            m2 += delta * (v - mean);
-        }
-        let (gc, gmean, gm2) = welford_seq(start.0, start.1, start.2, &values);
-        assert_eq!(gc, c);
-        assert_eq!(gmean.to_bits(), mean.to_bits());
-        assert_eq!(gm2.to_bits(), m2.to_bits());
-    });
-}
-
-#[test]
-fn accumulator_update_slice_matches_per_row_updates_bitwise() {
-    check("update_slice", |src| {
-        let func = *src.pick(&[
-            AggFunc::Sum,
-            AggFunc::Avg,
-            AggFunc::Count,
-            AggFunc::CountDistinct,
-            AggFunc::Min,
-            AggFunc::Max,
-        ]);
-        let values = src.vec_of(0, 64, messy_f64);
-        let split = src.usize_in(0, values.len());
-
-        let mut sliced = Accumulator::new(func);
-        sliced.update_slice(&values[..split]);
-        sliced.update_slice(&values[split..]);
-        let mut per_row = Accumulator::new(func);
-        for &v in &values {
-            per_row.update(v);
-        }
-        assert_eq!(sliced.rows(), per_row.rows());
-        assert_eq!(
-            sliced.value().map(f64::to_bits),
-            per_row.value().map(f64::to_bits),
-            "{func:?} value"
-        );
-        assert_eq!(
-            sliced.variance().map(f64::to_bits),
-            per_row.variance().map(f64::to_bits),
-            "{func:?} variance"
-        );
     });
 }

@@ -674,25 +674,6 @@ impl<'a> Lexed<'a> {
         self.comment_text.get(line).map(String::as_str).unwrap_or("")
     }
 
-    /// Concatenated comment text of `line` plus the contiguous run of
-    /// comment-only lines directly above it (a blank line — no code, no
-    /// comment — breaks the run). Space-joined, top to bottom.
-    pub fn comment_run(&self, line: usize) -> String {
-        let mut parts = vec![self.comments_on(line)];
-        let mut l = line;
-        while l > 1 {
-            l -= 1;
-            let comment = self.comments_on(l);
-            if self.line_has_code(l) || comment.is_empty() {
-                break;
-            }
-            parts.push(comment);
-        }
-        parts.retain(|p| !p.is_empty());
-        parts.reverse();
-        parts.join(" ")
-    }
-
     /// True when `line`, or the contiguous run of comment-only lines
     /// directly above it, carries text matching `pred`. A blank line (no
     /// code, no comment) breaks the run.

@@ -15,11 +15,11 @@
 //!   wall-clock reads, or ambient randomness.
 //! - **P001** — panic-freedom, ratcheted per file via
 //!   `LINT_baseline.json`.
-//! - **U001/A001** — unsafe hygiene and the allow-annotation grammar.
-//! - **R001–R003** — race patterns: undocumented `unsafe impl Send/Sync`,
-//!   raw `&mut *` aliasing in pool closures outside the SendPtr idiom,
-//!   and cross-function Mutex lock-order cycles (a workspace-wide graph,
-//!   assembled here from per-file edges).
+//! - **A001** — the allow-annotation grammar.
+//! - **R003** — race patterns: cross-function Mutex lock-order cycles (a
+//!   workspace-wide graph, assembled here from per-file edges). `unsafe`
+//!   itself is the compiler's to police: the workspace forbids
+//!   `unsafe_code`.
 //! - **F001–F003** — float determinism: libm transcendentals, truncating
 //!   casts, unpinned accumulation (all ratcheted).
 //! - **L001** — the DESIGN.md §3 dependency layering.

@@ -13,11 +13,9 @@
 //! - **D** — determinism: no arbitrary-order collections, wall-clock
 //!   reads, or ambient randomness.
 //! - **P** — panic-freedom (ratcheted via `LINT_baseline.json`).
-//! - **U/A** — unsafe hygiene and the allow-annotation grammar itself.
-//! - **R** — race patterns: `&mut` aliasing in `rotary-par` closures,
-//!   undocumented `unsafe impl Send/Sync`, and cross-function lock-order
-//!   cycles (the per-file halves live here; the workspace-wide graph is
-//!   assembled in `lib.rs`).
+//! - **A** — the allow-annotation grammar itself.
+//! - **R** — race patterns: cross-function lock-order cycles (the per-file
+//!   half lives here; the workspace-wide graph is assembled in `lib.rs`).
 //! - **F** — float determinism: libm transcendentals, truncating casts,
 //!   and unpinned float accumulation (all ratcheted — the existing sites
 //!   are baselined and may only go down).
@@ -115,15 +113,6 @@ pub const RULES: &[RuleInfo] = &[
                   adapters never fire.",
     },
     RuleInfo {
-        id: "U001",
-        summary: "every unsafe needs a SAFETY: comment",
-        ratcheted: false,
-        scope: "all code, tests included",
-        explain: "Every `unsafe` token must carry a SAFETY: comment on its line or on the \
-                  contiguous comment block directly above it, stating the invariant that \
-                  makes the operation sound. A blank line breaks the comment run.",
-    },
-    RuleInfo {
         id: "A001",
         summary: "allow annotations must parse and name real rules",
         ratcheted: false,
@@ -131,31 +120,6 @@ pub const RULES: &[RuleInfo] = &[
         explain: "A `rotary-lint: allow(...)` annotation that is malformed, names an \
                   unknown rule, or omits its reason is itself a violation — otherwise a \
                   typo would silently disable enforcement.",
-    },
-    RuleInfo {
-        id: "R001",
-        summary: "unsafe impl Send/Sync must document its synchronization",
-        ratcheted: false,
-        scope: "non-test code everywhere",
-        explain: "An `unsafe impl Send`/`Sync` asserts a cross-thread invariant the \
-                  compiler cannot check — typically because the type smuggles a raw \
-                  pointer. The SAFETY: comment above it must *name the synchronization* \
-                  that makes the claim true (a mutex, an atomic cursor claim, a join \
-                  barrier, exclusive/disjoint access, …). A SAFETY: comment with no \
-                  recognizable synchronization vocabulary fails the rule.",
-    },
-    RuleInfo {
-        id: "R002",
-        summary: "no raw &mut* aliasing in rotary-par closures outside SendPtr",
-        ratcheted: false,
-        scope: "non-test code everywhere, inside arguments of .run_indexed/.map/.map_mut/.submit/.scope calls",
-        explain: "A closure handed to the thread pool runs concurrently with its \
-                  siblings; materializing `&mut *p` from a captured pointer is a data \
-                  race unless every index's access is provably disjoint. The blessed \
-                  idiom is the SendPtr wrapper (crates/par): bind the base pointer with \
-                  `let base = SendPtr(...)` and derive per-index pointers through it. \
-                  `&mut *x` where x was not bound from SendPtr(…) in the same file \
-                  fires.",
     },
     RuleInfo {
         id: "R003",
@@ -296,9 +260,6 @@ const F001_FNS: &[&str] = &[
     "exp_m1", "ln", "ln_1p", "log", "log2", "log10", "powf", "cbrt", "hypot",
 ];
 
-/// Entry points whose closure arguments execute on pool threads.
-const PAR_ENTRY_POINTS: &[&str] = &["run_indexed", "map", "map_mut", "submit", "scope"];
-
 /// The one blessed home for float accumulation (fixed-order folds).
 const F003_EXEMPT_FILE: &str = "crates/engine/src/kernels.rs";
 
@@ -324,7 +285,7 @@ pub const LAYERS: &[(&str, &[&str])] = &[
     ("dlt", &["core", "par", "sim", "faults", "store"]),
     ("aqp", &["core", "par", "sim", "tpch", "engine", "faults", "store"]),
     ("lint", &["core"]),
-    ("bench", &["core", "par", "sim", "tpch", "engine", "aqp", "dlt", "faults", "serve", "store"]),
+    ("bench", &["core", "sim", "tpch", "engine", "aqp", "dlt", "faults", "serve", "store"]),
     ("rotary", &["core", "par", "sim", "tpch", "engine", "aqp", "dlt", "faults", "store", "serve"]),
 ];
 
@@ -371,7 +332,6 @@ pub fn scan_file(path: &str, src: &str) -> FileScan {
     let ctx = Ctx { path, lx: &lx, allows: &allows, test_path: is_test_path(path) };
 
     scan_token_rules(&ctx, &mut scan);
-    scan_par_closures(&ctx, &mut scan);
     scan_lock_order(&ctx, &mut scan);
 
     scan.violations.sort();
@@ -402,8 +362,8 @@ impl Ctx<'_> {
     }
 }
 
-/// The single-token and short-window rules: D001–D003, P001, U001, R001,
-/// F001–F003, L001. One pass over the code tokens.
+/// The single-token and short-window rules: D001–D003, P001, F001–F003,
+/// L001. One pass over the code tokens.
 fn scan_token_rules(ctx: &Ctx, scan: &mut FileScan) {
     let lx = ctx.lx;
     let det = det_applies(ctx.path);
@@ -488,35 +448,6 @@ fn scan_token_rules(ctx: &Ctx, scan: &mut FileScan) {
             }
         }
 
-        // U001 / R001 — unsafe hygiene.
-        if text == "unsafe" {
-            let run = lx.comment_run(line);
-            if !ctx.allowed(line, "U001") && !run.contains("SAFETY:") {
-                scan.violations.push(ctx.violation(
-                    k,
-                    "U001",
-                    "unsafe without a SAFETY: comment on or directly above the line".to_string(),
-                ));
-            }
-            if !in_test && lx.ctext(k + 1) == "impl" && !ctx.allowed(line, "R001") {
-                if let Some(trait_name) = unsafe_impl_trait(lx, k + 1) {
-                    if (trait_name == "Send" || trait_name == "Sync")
-                        && !(run.contains("SAFETY:") && names_synchronization(&run))
-                    {
-                        scan.violations.push(ctx.violation(
-                            k,
-                            "R001",
-                            format!(
-                                "unsafe impl {trait_name} needs a SAFETY: comment naming the \
-                                 synchronization that makes it sound (mutex/atomic/cursor \
-                                 claim/disjoint access/...)"
-                            ),
-                        ));
-                    }
-                }
-            }
-        }
-
         // F001 — libm transcendentals (ratcheted).
         if det
             && !in_test
@@ -595,105 +526,6 @@ fn scan_token_rules(ctx: &Ctx, scan: &mut FileScan) {
                             ),
                         ));
                     }
-                }
-            }
-        }
-    }
-}
-
-/// The trait name of an `unsafe impl` whose `impl` token sits at code
-/// position `k_impl`: the identifier directly before the `for` keyword at
-/// angle-bracket depth 0 (so `unsafe impl<T: Send> Send for P<T>` resolves
-/// to the outer `Send`, not the bound). Inherent impls return `None`.
-fn unsafe_impl_trait<'a>(lx: &Lexed<'a>, k_impl: usize) -> Option<&'a str> {
-    let mut angle = 0i64;
-    for k in (k_impl + 1)..lx.code.len() {
-        if lx.ckind(k) == Some(TokenKind::Punct) {
-            match lx.ctext(k) {
-                "<" => angle += 1,
-                ">" => angle -= 1,
-                "{" | ";" => return None,
-                _ => {}
-            }
-        } else if lx.ctext(k) == "for" && angle == 0 {
-            return (lx.ckind(k - 1) == Some(TokenKind::Ident)).then(|| lx.ctext(k - 1));
-        }
-    }
-    None
-}
-
-/// True when a SAFETY comment names a synchronization mechanism — the
-/// vocabulary every sound Send/Sync argument in this codebase uses.
-fn names_synchronization(comment: &str) -> bool {
-    const WORDS: &[&str] = &[
-        "sync",
-        "mutex",
-        "lock",
-        "atomic",
-        "cursor",
-        "claim",
-        "barrier",
-        "join",
-        "channel",
-        "once",
-        "fence",
-        "protocol",
-        "exclusive",
-        "disjoint",
-        "ordering",
-        "immutable",
-    ];
-    let lower = comment.to_lowercase();
-    WORDS.iter().any(|w| lower.contains(w))
-}
-
-/// R002 — raw `&mut *` dereferences inside closures handed to the thread
-/// pool, outside the blessed SendPtr idiom.
-fn scan_par_closures(ctx: &Ctx, scan: &mut FileScan) {
-    let lx = ctx.lx;
-    // Identifiers bound from `= SendPtr(…)` anywhere in the file.
-    let mut blessed: Vec<&str> = Vec::new();
-    for k in 0..lx.code.len() {
-        if lx.ctext(k) == "SendPtr"
-            && lx.cpunct(k + 1, "(")
-            && k >= 2
-            && lx.cpunct(k - 1, "=")
-            && lx.ckind(k - 2) == Some(TokenKind::Ident)
-        {
-            blessed.push(lx.ctext(k - 2));
-        }
-    }
-
-    for k in 0..lx.code.len() {
-        if lx.ckind(k) != Some(TokenKind::Ident)
-            || !PAR_ENTRY_POINTS.contains(&lx.ctext(k))
-            || k == 0
-            || !lx.cpunct(k - 1, ".")
-            || !lx.cpunct(k + 1, "(")
-        {
-            continue;
-        }
-        let Some(close) = lx.cmatch(k + 1, "(", ")") else { continue };
-        // `&` `mut` `*` <ident> inside the argument region.
-        for j in (k + 2)..close {
-            if lx.cpunct(j, "&")
-                && lx.ctext(j + 1) == "mut"
-                && lx.cpunct(j + 2, "*")
-                && lx.ckind(j + 3) == Some(TokenKind::Ident)
-            {
-                let target = lx.ctext(j + 3);
-                let line = lx.cspan(j).line;
-                if !ctx.in_test(j) && !ctx.allowed(line, "R002") && !blessed.contains(&target) {
-                    scan.violations.push(ctx.violation(
-                        j,
-                        "R002",
-                        format!(
-                            "`&mut *{target}` inside a pool closure aliases a captured \
-                             pointer outside the SendPtr idiom; bind the base pointer \
-                             with `let {target} = SendPtr(...)` and derive per-index \
-                             pointers through it"
-                        ),
-                    ));
                 }
             }
         }

@@ -209,30 +209,6 @@ fn p001_requires_a_method_call_shape() {
     assert_eq!(sites(ENGINE_PATH, src, "P001"), 0);
 }
 
-// ---------------------------------------------------------------- U001 --
-
-#[test]
-fn u001_fires_on_undocumented_unsafe() {
-    let src = "fn f(p: *const u8) -> u8 {\n    unsafe { *p }\n}\n";
-    assert_eq!(fired(ENGINE_PATH, src), vec!["U001"]);
-}
-
-#[test]
-fn u001_accepts_safety_comment_on_or_above_the_line() {
-    let same = "let v = unsafe { *p }; // SAFETY: p is checked non-null above\n";
-    assert!(fired(ENGINE_PATH, same).is_empty());
-    let above = "// SAFETY: p outlives the call — caller holds the arena\nlet v = unsafe { *p };\n";
-    assert!(fired(ENGINE_PATH, above).is_empty());
-    let two_up = "// SAFETY: index bounded by the loop condition\n// (the extra line still counts)\nlet v = unsafe { *p };\n";
-    assert!(fired(ENGINE_PATH, two_up).is_empty());
-}
-
-#[test]
-fn u001_blank_line_breaks_the_comment_run() {
-    let src = "// SAFETY: stale justification\n\nlet v = unsafe { *p };\n";
-    assert_eq!(fired(ENGINE_PATH, src), vec!["U001"]);
-}
-
 // ---------------------------------------------------------------- A001 --
 
 #[test]
@@ -255,111 +231,10 @@ fn a001_multi_rule_allow_with_reason_is_accepted() {
 
 #[test]
 fn a001_knows_the_new_rule_families() {
-    for id in ["R001", "R002", "R003", "F001", "F002", "F003", "L001"] {
+    for id in ["R003", "F001", "F002", "F003", "L001"] {
         let src = format!("x(); // rotary-lint: allow({id}) fixture reason\n");
         assert!(fired(ENGINE_PATH, &src).is_empty(), "{id} must be a known rule");
     }
-}
-
-// ---------------------------------------------------------------- R001 --
-
-#[test]
-fn r001_fires_on_unsafe_impl_send_without_any_comment() {
-    let src = "struct P(*mut u8);\nunsafe impl Send for P {}\n";
-    // No comment at all: both the generic unsafe-hygiene rule and the
-    // Send/Sync-specific one fire, anchored at the same token.
-    assert_eq!(fired(ENGINE_PATH, src), vec!["R001", "U001"]);
-}
-
-#[test]
-fn r001_fires_when_safety_comment_names_no_synchronization() {
-    let src = "// SAFETY: this is obviously fine\nunsafe impl Send for P {}\n";
-    assert_eq!(fired(ENGINE_PATH, src), vec!["R001"], "U001 is satisfied, R001 is not");
-    let sync = "// SAFETY: all access goes through the pool mutex\nunsafe impl Send for P {}\n";
-    assert!(fired(ENGINE_PATH, sync).is_empty());
-}
-
-#[test]
-fn r001_resolves_the_trait_through_generic_bounds() {
-    // `unsafe impl<T: Send> Send for Ptr<T>` must resolve to the *outer*
-    // Send (the implemented trait), not the bound inside the angle
-    // brackets.
-    let src = "// SAFETY: the atomic cursor claim hands each worker disjoint indices\n\
-               unsafe impl<T: Send> Sync for Ptr<T> {}\n";
-    assert!(fired(ENGINE_PATH, src).is_empty());
-    let bad = "// SAFETY: callers promise to be careful\nunsafe impl<T: Send> Sync for Ptr<T> {}\n";
-    assert_eq!(fired(ENGINE_PATH, bad), vec!["R001"]);
-}
-
-#[test]
-fn r001_only_applies_to_send_and_sync() {
-    let src = "// SAFETY: the raw deref is bounds-checked by the caller\n\
-               unsafe impl Widget for P {}\n";
-    assert!(fired(ENGINE_PATH, src).is_empty(), "other unsafe trait impls are U001's job");
-}
-
-#[test]
-fn r001_is_test_exempt_and_respects_allow() {
-    let in_test =
-        "#[cfg(test)]\nmod t {\n    // SAFETY: test-only shim\n    unsafe impl Send for P {}\n}\n";
-    assert!(fired(ENGINE_PATH, in_test).is_empty());
-    let allowed = "// rotary-lint: allow(R001) validated by the exhaustive interleaving test\n\
-                   // SAFETY: see the proof sketch in DESIGN.md\n\
-                   unsafe impl Send for P {}\n";
-    assert!(fired(ENGINE_PATH, allowed).is_empty());
-}
-
-// ---------------------------------------------------------------- R002 --
-
-#[test]
-fn r002_fires_on_raw_mut_deref_inside_pool_closures() {
-    let src = "fn f(pool: &Pool, base: *mut u32, n: usize) {\n\
-               \x20   pool.run_indexed(n, &|i| {\n\
-               \x20       // SAFETY: caller guarantees disjoint slots\n\
-               \x20       unsafe { *(&mut *base) = 0 };\n\
-               \x20   });\n\
-               }\n";
-    assert_eq!(fired(ENGINE_PATH, src), vec!["R002"]);
-}
-
-#[test]
-fn r002_blesses_pointers_bound_through_sendptr() {
-    let src = "fn f(pool: &Pool, items: &mut [u32], n: usize) {\n\
-               \x20   let base = SendPtr(items.as_mut_ptr());\n\
-               \x20   pool.run_indexed(n, &|i| {\n\
-               \x20       // SAFETY: disjoint indices via the SendPtr idiom\n\
-               \x20       unsafe { *(&mut *base.at(i)) = 0 };\n\
-               \x20   });\n\
-               }\n";
-    // The deref target `base` was bound from `SendPtr(...)` in this file,
-    // so it is blessed and the rule stays silent.
-    assert!(fired(ENGINE_PATH, src).is_empty());
-}
-
-#[test]
-fn r002_ignores_derefs_outside_pool_entry_points() {
-    let src = "fn f(base: *mut u32) {\n\
-               \x20   // SAFETY: exclusive access, single-threaded path\n\
-               \x20   let r = unsafe { &mut *base };\n\
-               \x20   *r = 1;\n\
-               }\n";
-    assert!(fired(ENGINE_PATH, src).is_empty(), "only pool closures race");
-}
-
-#[test]
-fn r002_is_test_exempt_and_respects_allow() {
-    let in_test = "#[cfg(test)]\nmod t {\n\
-                   \x20   fn f(pool: &Pool, base: *mut u32) {\n\
-                   \x20       // SAFETY: test fixture\n\
-                   \x20       pool.run_indexed(1, &|_| unsafe { *(&mut *base) = 0 });\n\
-                   \x20   }\n}\n";
-    assert!(fired(ENGINE_PATH, in_test).is_empty());
-    let allowed = "fn f(pool: &Pool, base: *mut u32) {\n\
-                   \x20   // rotary-lint: allow(R002) reduction halves are provably disjoint\n\
-                   \x20   // SAFETY: see above\n\
-                   \x20   pool.run_indexed(1, &|_| unsafe { *(&mut *base) = 0 });\n\
-                   }\n";
-    assert!(fired(ENGINE_PATH, allowed).is_empty());
 }
 
 // ---------------------------------------------------------------- R003 --

@@ -11,8 +11,8 @@
 //!   arrivals, resource pools, checkpoint costs, evaluation metrics.
 //! * [`tpch`] — deterministic TPC-H-style data generation and the
 //!   progressive batch source.
-//! * [`par`] — the deterministic chunked thread pool behind multi-core
-//!   batch execution (`ROTARY_THREADS`).
+//! * [`par`] — ordered `map`/`map_mut` over scoped host threads for
+//!   start-up work (`ROTARY_THREADS`).
 //! * [`engine`] — the mini relational engine with online aggregation that
 //!   stands in for the paper's Spark-based AQP executor.
 //! * [`aqp`] — Rotary-AQP (Algorithm 2) and its baselines (ReLAQS, EDF,

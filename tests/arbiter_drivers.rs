@@ -379,6 +379,49 @@ fn aqp_release_at_terminal_changes_no_byte() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Host threads are a start-up resource (DESIGN.md §5). Ten jobs arriving
+/// at t = 0 make single arbitration passes launch several epochs — the case
+/// the per-pass fan-out served until it was deleted. Launching them one
+/// after another must reproduce, byte for byte, the trace the fan-out
+/// produced at the last commit that had it, at any `threads`, plain and
+/// killed/resumed.
+#[test]
+fn aqp_burst_launches_are_byte_identical_at_any_host_thread_count() {
+    const METRICS_FNV1A: u64 = 0xbcba_d6ad_52cb_2634;
+    const MAKESPAN_MS: u64 = 1_981_080;
+    let fingerprint = |result: &AqpRunResult| {
+        let json = result.metrics.to_json().expect("metrics json");
+        let fnv1a = json.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        });
+        (fnv1a, result.makespan.as_millis())
+    };
+    let specs =
+        rotary::aqp::WorkloadBuilder::paper().jobs(10).mean_arrival_gap(0.0).seed(5).build();
+    for threads in [1, 4] {
+        let make =
+            || AqpSystem::new(data(), AqpSystemConfig { seed: 42, threads, ..Default::default() });
+        let plain = make().run(&specs, AqpPolicy::Rotary).unwrap();
+        let at_zero = plain.metrics.spans().iter().filter(|s| s.start == SimTime::ZERO).count();
+        assert!(at_zero >= 2, "the first pass must launch several epochs, launched {at_zero}");
+        assert_eq!(fingerprint(&plain), (METRICS_FNV1A, MAKESPAN_MS), "threads={threads}");
+
+        let dir = temp_store(&format!("aqp-burst-{threads}"));
+        let mut cfg = DurableConfig::new(&dir, 2);
+        cfg.halt_after = Some(3);
+        let halted = make().run_durable(&specs, AqpPolicy::Rotary, &cfg).unwrap();
+        assert!(matches!(halted, DurableOutcome::Halted { .. }));
+        cfg.halt_after = None;
+        let resumed = make()
+            .resume_durable(&specs, AqpPolicy::Rotary, &cfg)
+            .unwrap()
+            .completed()
+            .expect("resume must run to completion");
+        assert_eq!(fingerprint(&resumed), (METRICS_FNV1A, MAKESPAN_MS), "threads={threads}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
 #[test]
 fn aqp_resume_rejects_mismatched_workload() {
     let written = rotary::aqp::WorkloadBuilder::paper().jobs(3).seed(9).build();
