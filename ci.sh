@@ -78,12 +78,14 @@ ROTARY_CHECK_CASES=256 cargo test -q --test control_plane
 # Kernel-equivalence gate (DESIGN.md §5): every vectorized kernel in the
 # columnar data plane must stay bit-identical to its row-at-a-time oracle,
 # including NaN/inf payloads and empty/full selections. Beside it, the
-# engine-level differential property: the filter-first columnar engine
-# (staged conjuncts, compaction, derived probe counters) against the row
-# oracle on plans with predicates on every slot and an edge that can miss at
-# every position — all three BatchStats counters per batch and every
-# accumulator bit. Pinned at 256 cases per property for the same reason as
-# the chaos suite above.
+# engine-level differential property gates the verdict path against the row
+# oracle: per-plan row verdicts built once by the filter-first scan (staged
+# conjuncts, compaction, per-row probe counts), then read by every batch —
+# on the executor that built them, on one bound to the warm cache, and at
+# 2/4/8 threads — over plans with predicates on every slot and an edge that
+# can miss at every position: all three BatchStats counters per batch and
+# every accumulator bit. Pinned at 256 cases per property for the same
+# reason as the chaos suite above.
 echo "== kernel-equivalence + staged-plan property suites (256 cases each) =="
 ROTARY_CHECK_CASES=256 cargo test -q -p rotary-engine --test kernel_equivalence --test oracle
 

@@ -5,10 +5,11 @@
 //! columnar speedup) and the sequential columnar engine (`seq`) — together
 //! with the estimator-fit timings that bound arbitration overhead and the
 //! advisory `recovery/*` fault-recovery cost metrics. Results go to
-//! `BENCH_engine.json`. An advisory per-plan profile (all 22 plans at the
-//! workload's real batch size: `ns/row`, and the share of modelled probes
-//! the filter-first engine actually looks up) is printed after them and
-//! never gated.
+//! `BENCH_engine.json`. An advisory per-plan profile (all 22 plans: the
+//! once-per-dataset verdict build in µs; at the workload's real batch size,
+//! the epoch path's `ns/row` split into selection + projection and the
+//! aggregate fold; rows kept; and the share of modelled probes an epoch
+//! actually looks up) is printed after them and never gated.
 //!
 //! Modes:
 //!
@@ -20,6 +21,7 @@
 //! `ROTARY_BENCH_SAMPLES=n` shrinks the sample count for smoke tests.
 
 use std::collections::BTreeMap;
+use std::time::Instant;
 
 use rotary_bench::timing::{black_box, measure};
 use rotary_core::estimate::wlr::{LinearFit, WeightedPoint};
@@ -44,8 +46,9 @@ fn bench_throughput(metrics: &mut BTreeMap<String, f64>) {
     for qid in [6u8, 3, 7] {
         let plan = query(QueryId(qid));
         let mut cache = IndexCache::new();
-        // Pre-warm the shared indexes so the bench isolates probe cost.
-        let _ = Executor::bind(&plan, &data, &mut cache).unwrap();
+        // Pre-warm the shared indexes and the plan's row verdicts (both
+        // paid once per dataset) so the bench isolates per-batch cost.
+        Executor::bind(&plan, &data, &mut cache).unwrap().row_verdicts();
         // One large shuffled batch.
         let rows: Vec<u32> = {
             let n = data.lineitem.rows();
@@ -71,13 +74,19 @@ fn bench_throughput(metrics: &mut BTreeMap<String, f64>) {
     }
 }
 
-/// Advisory profile, printed only: one shuffled scan of every plan in 1 %
-/// batches — the size an arbitration epoch actually hands the engine — so
-/// the next engine idea starts from where the time is, per plan.
+/// Advisory profile, printed only: per plan, the one-off verdict build scan
+/// (paid once per dataset), then one shuffled scan in 1 % batches — the
+/// size an arbitration epoch actually hands the engine — split into
+/// survivor selection + projection and the `AggState::update` fold, so the
+/// next engine idea starts from where the time is, per plan.
 fn print_plan_profile() {
     let data = Generator::new(1, 0.005).generate();
     let mut cache = IndexCache::new();
-    println!("{:<6} {:>9} {:>9} {:>16}", "plan", "ns/row", "kept %", "lookups/probes %");
+    println!("epoch path, ns per scanned row:");
+    println!(
+        "{:<6} {:>9} {:>11} {:>9} {:>9} {:>16}",
+        "plan", "build µs", "sel+proj", "update", "kept %", "lookups/probes %"
+    );
     for q in QueryId::all() {
         let plan = query(q);
         let Ok(mut exec) = Executor::bind(&plan, &data, &mut cache) else {
@@ -85,22 +94,37 @@ fn print_plan_profile() {
             continue;
         };
         let n = exec.fact_rows();
+        let started = Instant::now();
+        let kept = exec.row_verdicts().kept();
+        let build_us = started.elapsed().as_secs_f64() * 1e6;
         let batch = (n / 100).max(1);
         let order = BatchSource::new(3, n, n).next_batch().map(<[u32]>::to_vec).unwrap_or_default();
         let lookups = exec.probe_lookups(&order);
-        let counted = exec.process_rows(&order);
-        let timing = measure(|| {
-            for rows in order.chunks(batch) {
-                black_box(exec.process_rows(black_box(rows)));
-            }
-        });
-        let kept = 100.0 * counted.rows_aggregated as f64 / n as f64;
-        let looked_up = match counted.probes {
+        let probes = exec.process_rows(&order).probes;
+        let epochs = |exec: &mut Executor, fold: bool| {
+            measure(|| {
+                for rows in order.chunks(batch) {
+                    black_box(if fold {
+                        exec.process_rows(black_box(rows))
+                    } else {
+                        exec.project_rows(black_box(rows))
+                    });
+                }
+            })
+        };
+        let ns_per_row = |secs: f64| secs * 1e9 / n as f64;
+        let selected = ns_per_row(epochs(&mut exec, false).min.as_secs_f64());
+        let folded = ns_per_row(epochs(&mut exec, true).min.as_secs_f64());
+        let update = (folded - selected).max(0.0);
+        let kept = 100.0 * kept as f64 / n as f64;
+        let looked_up = match probes {
             0 => "-".to_string(),
             probes => format!("{:.1}", 100.0 * lookups as f64 / probes as f64),
         };
-        let ns_per_row = timing.min.as_secs_f64() * 1e9 / n as f64;
-        println!("{:<6} {ns_per_row:>9.1} {kept:>9.3} {looked_up:>16}", plan.label);
+        println!(
+            "{:<6} {build_us:>9.0} {selected:>11.2} {update:>9.2} {kept:>9.3} {looked_up:>16}",
+            plan.label
+        );
     }
 }
 

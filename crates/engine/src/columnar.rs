@@ -1,79 +1,133 @@
-//! Columnar chunk evaluation: the vectorized, filter-first data plane.
+//! Columnar evaluation: a filter-first verdict scan once per dataset, and a
+//! projection of the survivors every epoch.
 //!
-//! [`eval_chunk`] evaluates one fixed-size row chunk of a bound plan as a
-//! sequence of whole-column kernel calls (see [`crate::kernels`]) instead of
-//! the row-at-a-time interpreter. The chunk's live rows are kept **dense**:
-//! every resolved slot holds one row id per surviving row, all the same
-//! length, so each kernel runs over exactly the rows that are still alive.
+//! Whether a fact row survives a plan's joins and filter, and how many index
+//! probes the row loop spends on it, depends on the plan and the data —
+//! never on the order a job samples rows in. The data plane is therefore
+//! split in two:
 //!
-//! 1. **Resolve** — edge *i* probes the foreign keys of the live rows into
-//!    slot *i + 1*; rows that miss are dropped (inner-join semantics) by
-//!    compacting every resolved slot.
-//! 2. **Stage** — `Executor::bind` splits the filter's top-level
-//!    conjunction and files each conjunct under the highest slot it reads.
-//!    The conjuncts that become ready at slot *k* form stage *k*: one
-//!    selection [`Bitmap`] (one compare kernel per leaf, word-wise
-//!    `AND`/`OR`/`NOT` for the combinators), evaluated as soon as slot *k*
-//!    is resolved — selection below the join probes.
-//! 3. **Compact** — when a stage dropped anything, every resolved slot is
-//!    narrowed to the survivors, so every later probe, predicate leaf and
-//!    the projection touch *m ≤ n* rows. Nothing left means nothing more is
-//!    looked up.
-//! 4. **Project** — group keys and aggregate expressions are gathered and
-//!    evaluated column-at-a-time over the survivors, then laid out
-//!    row-major in the returned [`ChunkOutput`].
+//! * [`scan_verdicts`] — the **build scan**. It runs once per (dataset,
+//!   plan shape) over `0..n` in row order and records a [`RowVerdicts`]: one
+//!   survivor bit per fact row, plus a per-row probe count where that count
+//!   is not constant. `IndexCache` shares the set with every executor bound
+//!   to the plan. The scan keeps a chunk's live rows **dense** — every
+//!   resolved slot holds one row id per surviving row — so each kernel runs
+//!   over exactly the rows still alive:
+//!   1. **Resolve** — edge *i* probes the foreign keys of the live rows into
+//!      slot *i + 1*; rows that miss are dropped (inner-join semantics) by
+//!      compacting every resolved slot.
+//!   2. **Stage** — `Executor::bind` splits the filter's top-level
+//!      conjunction and files each conjunct under the highest slot it reads.
+//!      The conjuncts that become ready at slot *k* form stage *k*: one
+//!      selection [`Bitmap`] (one compare kernel per leaf, word-wise
+//!      `AND`/`OR`/`NOT` for the combinators), evaluated as soon as slot *k*
+//!      is resolved — selection below the join probes.
+//!   3. **Compact** — when a stage dropped anything, every resolved slot is
+//!      narrowed to the survivors, so every later probe and predicate leaf
+//!      touches *m ≤ n* rows. Nothing left means nothing more is looked up.
+//! * [`project_chunk`] — the **epoch path**. A chunk of delivered rows is
+//!   reduced to its survivors by the verdicts (in delivery order), the join
+//!   edges are resolved for the survivors only, and group keys and aggregate
+//!   expressions are gathered and evaluated column-at-a-time, laid out
+//!   row-major in the scratch for the executor's replay fold. No bitmap,
+//!   stage or compaction runs on this path.
 //!
 //! **Bit-identity argument.** Expression and predicate evaluation is
 //! element-wise and side-effect-free, and a conjunction of such predicates
-//! holds for a row whatever order its conjuncts are tested in, so the set
-//! of surviving rows equals the row interpreter's; compaction keeps rows in
-//! ascending chunk order, so the surviving `(keys, vals)` sequence equals
-//! the row loop's, float for float. The replay fold then applies
-//! `AggState::update` in that original row order — hence the sequential row
-//! engine, the sequential columnar engine, and the columnar engine at any
-//! pool width produce byte-identical traces.
+//! holds for a row whatever order its conjuncts are tested in, so a row's
+//! survivor bit equals the row interpreter's verdict for it. Selecting a
+//! batch's survivors keeps delivery order, so the `(keys, vals)` sequence a
+//! batch projects equals the row loop's, float for float, and the executor
+//! replays `AggState::update` in that order — hence the row engine and the
+//! columnar engine at any pool width produce byte-identical traces.
 //!
 //! **Counter argument.** `BatchStats` prices every virtual epoch, so it must
-//! equal the row loop's on every batch even though the work done no longer
-//! does. `probes` is a *model* quantity — per edge, the rows still alive
-//! under the **joins alone**, which is where the row loop stops probing —
-//! not a count of index lookups (that is [`Executor::probe_lookups`]). Bind
+//! equal the row loop's on every batch although the epoch path does none of
+//! the row loop's work. A row costs the row loop one probe per edge until a
+//! probe misses: `edges` probes, or *i + 1* when edge *i* drops it. Bind
 //! decides per edge whether it is *total* (every row of the source table
-//! resolves) and lets no stage run before the slot of the last edge that is
-//! not. From the first stage on, therefore, no remaining edge can drop a
-//! row: the joins-alone count is frozen and is added per edge without doing
-//! the lookups the filter made unnecessary. A plan whose last edge can miss
-//! simply filters after its joins, as every plan did before.
+//! resolves) and holds every stage back until the slot of the last edge that
+//! is not, so the build scan probes every row at every edge that can miss
+//! and sees exactly where each row drops. When every edge is total the count
+//! is `edges` for every row and nothing is stored; otherwise (q9 on intact
+//! data) one byte per row is. A batch's `probes` is then the sum over its
+//! rows, `rows_aggregated` its survivors and `rows_scanned` its length. The
+//! lookups the epoch path performs are `rows_aggregated × edges`
+//! ([`Executor::probe_lookups`]).
+
+use std::ops::Range;
 
 use rotary_tpch::Column;
 
-use crate::exec::{BatchStats, BoundExpr, BoundGroup, BoundIndex, BoundPred, Executor};
+use crate::exec::{
+    BatchStats, BoundEdge, BoundExpr, BoundGroup, BoundIndex, BoundPred, Executor, PAR_CHUNK_ROWS,
+};
 use crate::kernels::{self, Bitmap};
 
-/// What one chunk's data-plane evaluation produces: work counters plus the
-/// surviving rows' group keys and expression values, flattened row-major in
-/// original row order. The control plane replays these through
-/// `AggState::update` in fixed chunk order, reproducing the sequential fold
-/// bit-for-bit.
-pub(crate) struct ChunkOutput {
-    pub(crate) stats: BatchStats,
-    /// Index lookups actually performed (≤ `stats.probes`).
-    pub(crate) lookups: u64,
-    pub(crate) keys: Vec<i64>,
-    pub(crate) vals: Vec<f64>,
+/// The order-independent per-row result of one plan on one dataset: which
+/// fact rows survive its joins and filter, and how many probes the row loop
+/// spends on each. Built once by [`scan_verdicts`], shared through
+/// `IndexCache`, read by every epoch.
+#[derive(Debug)]
+pub struct RowVerdicts {
+    survivors: Bitmap,
+    /// Probes per row, stored only when they are not all `edges`: a plan
+    /// with an edge that can miss.
+    probes: Option<Vec<u8>>,
+    edges: u8,
 }
 
-/// Reusable per-chunk working set: per-slot resolved row ids (dense over the
-/// live rows), a position list for the probe/compaction/gather kernels, and
-/// bitmap/float scratch pools. One lives in the
-/// [`Executor`] for the sequential path; parallel workers build their own
-/// per chunk (the cost amortizes over `PAR_CHUNK_ROWS` rows).
+impl RowVerdicts {
+    /// Fact rows covered.
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
+        self.survivors.len()
+    }
+
+    /// Whether `row` survives the plan's joins and filter.
+    pub(crate) fn survives(&self, row: u32) -> bool {
+        self.survivors.get(row as usize)
+    }
+
+    /// The probes the row loop spends on `row`.
+    #[cfg(test)]
+    pub(crate) fn probes(&self, row: u32) -> u64 {
+        u64::from(self.probes.as_ref().map_or(self.edges, |per_row| per_row[row as usize]))
+    }
+
+    /// Number of surviving rows.
+    pub fn kept(&self) -> usize {
+        self.survivors.count()
+    }
+
+    /// Writes the survivors among `rows`, in order, to `out` and returns the
+    /// counters the row loop would report for `rows`.
+    fn select(&self, rows: &[u32], out: &mut Vec<u32>) -> BatchStats {
+        out.clear();
+        out.extend(rows.iter().copied().filter(|&row| self.survives(row)));
+        let probes = match &self.probes {
+            Some(per_row) => rows.iter().map(|&row| u64::from(per_row[row as usize])).sum(),
+            None => rows.len() as u64 * u64::from(self.edges),
+        };
+        BatchStats { rows_scanned: rows.len() as u64, probes, rows_aggregated: out.len() as u64 }
+    }
+}
+
+/// Reusable working set: per-slot resolved row ids (dense over the live
+/// rows), a position list for the probe/compaction/gather kernels,
+/// bitmap/float/int scratch pools, and the projected chunk — `keys` and
+/// `vals` row-major, group arity resp. aggregate arity per survivor. One
+/// lives in the [`Executor`] for the sequential path; parallel workers build
+/// their own per chunk.
 #[derive(Debug, Default)]
 pub(crate) struct ChunkScratch {
     slot_rows: Vec<Vec<u32>>,
     positions: Vec<u32>,
     bitmaps: Vec<Bitmap>,
     floats: Vec<Vec<f64>>,
+    key_col: Vec<i64>,
+    pub(crate) keys: Vec<i64>,
+    pub(crate) vals: Vec<f64>,
 }
 
 fn int_slice(col: &Column) -> &[i64] {
@@ -240,6 +294,30 @@ fn all_positions(positions: &mut Vec<u32>, m: usize) {
     positions.extend(0..m as u32);
 }
 
+/// Probes `edge` for every live row (`src` holds the source slot's row ids)
+/// into `dst`; on return `positions` lists the rows that hit, ascending.
+fn probe_edge(edge: &BoundEdge<'_>, src: &[u32], positions: &mut Vec<u32>, dst: &mut Vec<u32>) {
+    let m = src.len();
+    dst.clear();
+    dst.resize(m, 0);
+    all_positions(positions, m);
+    match &edge.index {
+        BoundIndex::Single(index) => {
+            kernels::probe_single(index, int_slice(edge.fk[0]), src, positions, dst);
+        }
+        BoundIndex::Composite(index) => {
+            kernels::probe_composite(
+                index,
+                int_slice(edge.fk[0]),
+                int_slice(edge.fk[1]),
+                src,
+                positions,
+                dst,
+            );
+        }
+    }
+}
+
 /// Narrows one slot's row ids to the rows at `positions` (ascending, so the
 /// move is safe in place).
 fn compact(rows: &mut Vec<u32>, positions: &[u32]) {
@@ -273,91 +351,110 @@ fn run_stage(
     bitmaps.push(bm);
 }
 
-/// Columnar data-plane evaluation of one chunk — joins, staged filter, and
-/// projection with **no** aggregate-state access. See the module docs for
-/// the phase structure and the bit-identity and counter arguments.
-pub(crate) fn eval_chunk(
+/// The build scan of one chunk: resolve, stage, compact over the fact rows
+/// `rows`, leaving the survivors in `slot_rows[0]`. A row dropped by a miss
+/// at edge *i* gets *i + 1* in `probes` (which every edge that can miss
+/// requires; see the counter argument in the module docs).
+fn filter_chunk(
     ex: &Executor<'_>,
-    rows: &[u32],
+    rows: Range<u32>,
     scratch: &mut ChunkScratch,
-) -> ChunkOutput {
-    let n = rows.len();
-    let mut stats = BatchStats { rows_scanned: n as u64, ..Default::default() };
-    let mut lookups = 0u64;
-    let ChunkScratch { slot_rows, positions, bitmaps, floats } = scratch;
+    mut probes: Option<&mut [u8]>,
+) {
+    let ChunkScratch { slot_rows, positions, bitmaps, floats, .. } = scratch;
     slot_rows.resize_with(ex.edges.len() + 1, Vec::new);
     slot_rows[0].clear();
-    slot_rows[0].extend_from_slice(rows);
-    // Rows alive under the joins alone — what the row loop's `probes`
-    // counts per edge. Only a probe miss lowers it, and once a stage has
-    // run no remaining edge can miss (bind holds stages back until then).
-    let mut joined = n;
-
+    slot_rows[0].extend(rows);
     run_stage(&ex.stages[0], &mut slot_rows[..1], positions, bitmaps, floats);
     for (i, edge) in ex.edges.iter().enumerate() {
-        stats.probes += joined as u64;
         let (resolved, rest) = slot_rows.split_at_mut(i + 1);
         let m = resolved[0].len();
         if m == 0 {
-            continue;
+            return;
         }
-        lookups += m as u64;
-        let src = &resolved[edge.src_slot];
-        let dst = &mut rest[0];
-        dst.clear();
-        dst.resize(m, 0);
-        all_positions(positions, m);
-        match &edge.index {
-            BoundIndex::Single(index) => {
-                kernels::probe_single(index, int_slice(edge.fk[0]), src, positions, dst);
+        probe_edge(edge, &resolved[edge.src_slot], positions, &mut rest[0]);
+        if positions.len() < m {
+            debug_assert!(!edge.total, "a total edge missed");
+            if let Some(per_row) = probes.as_deref_mut() {
+                let mut hits = positions.iter().copied().peekable();
+                for (p, &row) in resolved[0].iter().enumerate() {
+                    if hits.next_if_eq(&(p as u32)).is_none() {
+                        per_row[row as usize] = i as u8 + 1;
+                    }
+                }
             }
-            BoundIndex::Composite(index) => {
-                kernels::probe_composite(
-                    index,
-                    int_slice(edge.fk[0]),
-                    int_slice(edge.fk[1]),
-                    src,
-                    positions,
-                    dst,
-                );
-            }
-        }
-        let hits = positions.len();
-        debug_assert!(hits == m || !edge.total, "a total edge missed");
-        if hits < m {
-            joined -= m - hits;
             for rows in slot_rows[..i + 2].iter_mut() {
                 compact(rows, positions);
             }
         }
         run_stage(&ex.stages[i + 1], &mut slot_rows[..i + 2], positions, bitmaps, floats);
     }
-    let m = slot_rows[0].len();
-    stats.rows_aggregated = m as u64;
+}
 
-    // Projection: one gather/eval per group key and aggregate expression,
-    // scattered into the row-major replay layout.
+/// The build scan: the filter-first evaluation of `ex`'s plan over every
+/// fact row, in row order, recorded as [`RowVerdicts`].
+pub(crate) fn scan_verdicts(ex: &Executor<'_>) -> RowVerdicts {
+    let n = ex.fact_rows();
+    // Bind rejects plans with more join edges than a `u8` counts.
+    let edges = ex.edges.len() as u8;
+    let mut survivors = Bitmap::new();
+    survivors.reset(n);
+    let mut probes = ex.edges.iter().any(|e| !e.total).then(|| vec![edges; n]);
+    let mut scratch = ChunkScratch::default();
+    for start in (0..n).step_by(PAR_CHUNK_ROWS) {
+        let end = n.min(start + PAR_CHUNK_ROWS);
+        filter_chunk(ex, start as u32..end as u32, &mut scratch, probes.as_deref_mut());
+        for &row in &scratch.slot_rows[0] {
+            survivors.set(row as usize);
+        }
+    }
+    RowVerdicts { survivors, probes, edges }
+}
+
+/// The epoch path for one chunk of delivered rows: selects the survivors
+/// from the plan's verdicts, resolves the join edges for them and projects
+/// their group keys and aggregate inputs into `scratch.keys` /
+/// `scratch.vals` — no aggregate-state access. Returns the chunk's counters.
+pub(crate) fn project_chunk(
+    ex: &Executor<'_>,
+    rows: &[u32],
+    scratch: &mut ChunkScratch,
+) -> BatchStats {
+    let ChunkScratch { slot_rows, positions, bitmaps, floats, key_col, keys, vals } = scratch;
+    slot_rows.resize_with(ex.edges.len() + 1, Vec::new);
+    let stats = ex.row_verdicts().select(rows, &mut slot_rows[0]);
+    let m = slot_rows[0].len();
+    keys.clear();
+    vals.clear();
+    if m == 0 {
+        return stats;
+    }
+    for (i, edge) in ex.edges.iter().enumerate() {
+        let (resolved, rest) = slot_rows.split_at_mut(i + 1);
+        probe_edge(edge, &resolved[edge.src_slot], positions, &mut rest[0]);
+        debug_assert_eq!(positions.len(), m, "a surviving row missed a join");
+    }
+
+    // One gather/eval per group key and aggregate expression, scattered
+    // into the row-major replay layout.
     let ka = ex.groups.len();
     let va = ex.agg_exprs.len();
-    let mut keys = vec![0i64; m * ka];
-    let mut vals = vec![0.0f64; m * va];
-    if m > 0 {
-        all_positions(positions, m);
-        let mut key_col: Vec<i64> = Vec::with_capacity(m);
-        for (gi, g) in ex.groups.iter().enumerate() {
-            eval_group(g, slot_rows, positions, &mut key_col);
-            for (r, &k) in key_col.iter().enumerate() {
-                keys[r * ka + gi] = k;
-            }
+    keys.resize(m * ka, 0);
+    vals.resize(m * va, 0.0);
+    all_positions(positions, m);
+    for (gi, g) in ex.groups.iter().enumerate() {
+        eval_group(g, slot_rows, positions, key_col);
+        for (r, &k) in key_col.iter().enumerate() {
+            keys[r * ka + gi] = k;
         }
-        let mut val_col = floats.pop().unwrap_or_default();
-        for (ei, e) in ex.agg_exprs.iter().enumerate() {
-            eval_expr(e, slot_rows, m, bitmaps, floats, &mut val_col);
-            for (r, &v) in val_col.iter().enumerate() {
-                vals[r * va + ei] = v;
-            }
-        }
-        floats.push(val_col);
     }
-    ChunkOutput { stats, lookups, keys, vals }
+    let mut val_col = floats.pop().unwrap_or_default();
+    for (ei, e) in ex.agg_exprs.iter().enumerate() {
+        eval_expr(e, slot_rows, m, bitmaps, floats, &mut val_col);
+        for (r, &v) in val_col.iter().enumerate() {
+            vals[r * va + ei] = v;
+        }
+    }
+    floats.push(val_col);
+    stats
 }

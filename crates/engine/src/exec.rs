@@ -3,46 +3,46 @@
 //! [`Executor::bind`] compiles a [`QueryPlan`] against a concrete
 //! [`TpchData`]: aliases become slot indices, column names become column
 //! references, string literals become dictionary-code masks, and each join
-//! edge gets a primary-key hash index (built once per dataset and shared
-//! through [`IndexCache`] — the multi-tenant AQP system binds the same 22
-//! plans for every submitted job). [`Executor::process_rows`] then performs
-//! genuine per-row work: hash-join probes, predicate evaluation, and
-//! aggregate updates, returning operation counts the cost model converts to
-//! virtual time.
-//!
-//! # Parallel batch execution
-//!
-//! Batch execution is the data plane of the control-plane/data-plane split
-//! (see DESIGN.md): [`Executor::process_rows_with`] cuts a batch into
-//! fixed-size row chunks ([`PAR_CHUNK_ROWS`], independent of the thread
-//! count), evaluates joins/filters/expressions per chunk on a
-//! [`rotary_par::ThreadPool`], and folds the chunk outputs back serially in
-//! **fixed chunk order**: chunks emit the surviving rows' group keys and
-//! expression values, and the fold replays `AggState::update` in original
-//! row order — *bit-identical* to the row-at-a-time oracle at every thread
-//! count, which is what keeps the EXPERIMENTS.md calibrations valid. No
-//! system calls it: an epoch's 1 % batch is below [`PAR_MIN_ROWS`], and
-//! start-up fans whole scans out one per lane instead (DESIGN.md §5). It
-//! stays for the frozen end-to-end benchmark's `engine.par_speedup` probe.
+//! edge gets a primary-key hash index. Everything a plan derives from the
+//! data alone — the indexes, whether each join edge is total, and the
+//! plan's [`RowVerdicts`] (which fact rows survive its joins and filter) —
+//! is built once per dataset and shared through [`IndexCache`]: the
+//! multi-tenant AQP system binds the same 22 plans for every submitted job.
+//! [`Executor::process_rows`] then does the per-batch work: it selects the
+//! batch's survivors from the verdicts, resolves their join edges, projects
+//! group keys and aggregate inputs, and folds them into the aggregate state,
+//! returning the operation counts the cost model converts to virtual time.
 //!
 //! # Columnar data plane
 //!
-//! Since the columnar rewrite, every chunk — including the sequential
-//! [`Executor::process_rows`] path, which is just the chunk loop run inline
-//! — is evaluated by [`crate::columnar`]: batch hash probes through
+//! Evaluation is columnar ([`crate::columnar`]): batch hash probes through
 //! deterministic open-addressed [`crate::kernels::PkIndex`]es, predicate
 //! trees folded into selection bitmaps, and column-at-a-time expression
-//! kernels. Evaluation is filter-first: binding splits the filter into
-//! per-slot stages that run below the join probes they do not need, and
-//! decides per edge whether it is *total* so the probe counter stays exact
-//! (see the counter argument in [`crate::columnar`]). The pre-rewrite row
-//! interpreter survives as
+//! kernels. Filtering is filter-first and runs once per dataset, in the
+//! verdict build scan: binding splits the filter into per-slot stages that
+//! run below the join probes they do not need, and decides per edge whether
+//! it is *total* so each row's probe count stays exact (see the counter
+//! argument in [`crate::columnar`]). An epoch only projects survivors. The
+//! pre-rewrite row interpreter survives as
 //! [`Executor::process_rows_rowwise`], the oracle the columnar engine is
 //! proven bit-identical against (`tests/kernel_equivalence.rs`, the golden
 //! trace, and the determinism suite).
+//!
+//! # Parallel batch execution
+//!
+//! [`Executor::process_rows_with`] cuts a batch into fixed-size row chunks
+//! ([`PAR_CHUNK_ROWS`], independent of the thread count), projects each
+//! chunk on a [`rotary_par::ThreadPool`], and folds the chunk outputs back
+//! serially in **fixed chunk order**, replaying `AggState::update` in
+//! original row order — *bit-identical* to the row-at-a-time oracle at every
+//! thread count. No system calls it: an epoch's 1 % batch is below
+//! [`PAR_MIN_ROWS`], and start-up fans whole scans out one per lane instead
+//! (DESIGN.md §5). It stays for the frozen end-to-end benchmark's
+//! `engine.par_speedup` probe.
 
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use rotary_core::RotaryError;
 use rotary_par::ThreadPool;
@@ -50,10 +50,10 @@ use rotary_tpch::date::year_of;
 use rotary_tpch::{Column, Table, TpchData};
 
 use crate::agg::AggState;
-use crate::columnar::{self, ChunkScratch};
+use crate::columnar::{self, ChunkScratch, RowVerdicts};
 use crate::expr::{CmpOp, ColRef, Expr, Pred};
 use crate::kernels::{PkIndex, PkIndex2};
-use crate::plan::{GroupKey, QueryPlan};
+use crate::plan::{GroupKey, JoinEdge, QueryPlan};
 
 /// A shared single-column primary-key index (deterministic open addressing —
 /// see [`crate::kernels::PkIndex`]).
@@ -61,14 +61,36 @@ type SingleIndex = Arc<PkIndex>;
 /// A shared composite (two-column) primary-key index.
 type CompositeIndex = Arc<PkIndex2>;
 
-/// One cached index plus, for each FK source that has been bound against it,
-/// whether that source is *total*: every row of the source table resolves
-/// through the index. A handful of entries, matched by `&str`, so a warm
+/// A cached artefact may only be reused on a table of the size it was built
+/// from; anything else means the cache met a different dataset.
+fn same_rows(table: &str, cached: usize, rows: usize) -> Result<(), String> {
+    if cached == rows {
+        Ok(())
+    } else {
+        Err(format!(
+            "index cache was populated from a {table} of {cached} rows, this one has {rows}: \
+             a cache serves one dataset"
+        ))
+    }
+}
+
+/// Whether the FK columns `fk` of source table `table` are *total* against
+/// one index: every row of the source (`rows` of them) resolves through it.
+#[derive(Debug)]
+struct Totality {
+    table: String,
+    fk: Vec<String>,
+    rows: usize,
+    total: bool,
+}
+
+/// One cached index plus the totality verdict of every FK source that has
+/// been bound against it. A handful of entries, matched by `&str`, so a warm
 /// bind allocates nothing for the verdict.
 #[derive(Debug)]
 struct Cached<I> {
     index: Arc<I>,
-    total: Vec<(String, Vec<String>, bool)>,
+    total: Vec<Totality>,
 }
 
 impl<I> Cached<I> {
@@ -78,32 +100,58 @@ impl<I> Cached<I> {
 
     /// The totality verdict for `fk` columns of table `src`, running `scan`
     /// (one pass over the FK column(s)) the first time the pair is seen.
-    fn total_from(&mut self, src: &Table, fk: &[ColRef], scan: impl FnOnce(&I) -> bool) -> bool {
-        let known = self.total.iter().find(|(table, cols, _)| {
-            table == src.name() && cols.iter().eq(fk.iter().map(|c| &c.column))
-        });
-        if let Some(&(_, _, total)) = known {
-            return total;
+    fn total_from(
+        &mut self,
+        src: &Table,
+        fk: &[ColRef],
+        scan: impl FnOnce(&I) -> bool,
+    ) -> Result<bool, String> {
+        let known = self
+            .total
+            .iter()
+            .find(|t| t.table == src.name() && t.fk.iter().eq(fk.iter().map(|c| &c.column)));
+        if let Some(known) = known {
+            same_rows(src.name(), known.rows, src.rows())?;
+            return Ok(known.total);
         }
         let total = scan(&self.index);
-        self.total.push((
-            src.name().to_string(),
-            fk.iter().map(|c| c.column.clone()).collect(),
+        self.total.push(Totality {
+            table: src.name().to_string(),
+            fk: fk.iter().map(|c| c.column.clone()).collect(),
+            rows: src.rows(),
             total,
-        ));
-        total
+        });
+        Ok(total)
     }
 }
 
-/// Shared primary-key indexes, keyed by `(table, key-columns)`, each with the
-/// totality verdicts of the join edges that probe it.
+/// The row verdicts of one plan shape — keyed on the parts of the plan value
+/// they are a function of (fact table, joins, filter), never on its label —
+/// with the fact-table size they cover. The set itself is built by the first
+/// executor that processes a row (see [`Executor::row_verdicts`]).
+#[derive(Debug)]
+struct CachedVerdicts {
+    fact: String,
+    joins: Vec<JoinEdge>,
+    filter: Pred,
+    rows: usize,
+    set: Arc<OnceLock<RowVerdicts>>,
+}
+
+/// Everything a bound plan derives from the data alone, built once per
+/// dataset and shared: primary-key indexes keyed by `(table, key-columns)`,
+/// each with the totality verdicts of the join edges that probe it, and
+/// each plan's [`RowVerdicts`].
 ///
-/// One cache must only ever be used with the dataset it was first populated
-/// from; the AQP system owns one cache per dataset.
+/// One cache serves one dataset. Every artefact records the size of the
+/// table it was built from, and a bind that meets a table of another size
+/// fails with [`RotaryError::PlanBind`] instead of answering from another
+/// dataset's verdicts; the AQP system owns one cache per dataset.
 #[derive(Debug, Default)]
 pub struct IndexCache {
     single: BTreeMap<(String, String), Cached<PkIndex>>,
     composite: BTreeMap<(String, String, String), Cached<PkIndex2>>,
+    verdicts: Vec<CachedVerdicts>,
 }
 
 impl IndexCache {
@@ -112,13 +160,18 @@ impl IndexCache {
         IndexCache::default()
     }
 
-    fn single_index(&mut self, table: &Table, key: &str) -> &mut Cached<PkIndex> {
-        self.single.entry((table.name().to_string(), key.to_string())).or_insert_with(|| {
-            let Column::Int(values) = table.column_required(key) else {
-                panic!("primary key column {key} must be Int");
-            };
-            Cached::new(PkIndex::build(values))
-        })
+    fn single_index(&mut self, table: &Table, key: &str) -> Result<&mut Cached<PkIndex>, String> {
+        let cached = match self.single.entry((table.name().to_string(), key.to_string())) {
+            Entry::Occupied(entry) => entry.into_mut(),
+            Entry::Vacant(entry) => {
+                let Some(Column::Int(values)) = table.column(key) else {
+                    return Err(format!("primary key column {key} must be Int"));
+                };
+                entry.insert(Cached::new(PkIndex::build(values)))
+            }
+        };
+        same_rows(table.name(), cached.index.len(), table.rows())?;
+        Ok(cached)
     }
 
     fn composite_index(
@@ -126,17 +179,46 @@ impl IndexCache {
         table: &Table,
         key_a: &str,
         key_b: &str,
-    ) -> &mut Cached<PkIndex2> {
-        self.composite
-            .entry((table.name().to_string(), key_a.to_string(), key_b.to_string()))
-            .or_insert_with(|| {
-                let (Column::Int(a), Column::Int(b)) =
-                    (table.column_required(key_a), table.column_required(key_b))
+    ) -> Result<&mut Cached<PkIndex2>, String> {
+        let key = (table.name().to_string(), key_a.to_string(), key_b.to_string());
+        let cached = match self.composite.entry(key) {
+            Entry::Occupied(entry) => entry.into_mut(),
+            Entry::Vacant(entry) => {
+                let (Some(Column::Int(a)), Some(Column::Int(b))) =
+                    (table.column(key_a), table.column(key_b))
                 else {
-                    panic!("composite key columns {key_a}/{key_b} must be Int");
+                    return Err(format!("composite key columns {key_a}/{key_b} must be Int"));
                 };
-                Cached::new(PkIndex2::build(a, b))
-            })
+                entry.insert(Cached::new(PkIndex2::build(a, b)))
+            }
+        };
+        same_rows(table.name(), cached.index.len(), table.rows())?;
+        Ok(cached)
+    }
+
+    /// The shared verdict set of `plan` over a fact table of `rows` rows.
+    fn verdicts(
+        &mut self,
+        plan: &QueryPlan,
+        rows: usize,
+    ) -> Result<Arc<OnceLock<RowVerdicts>>, String> {
+        let known = self
+            .verdicts
+            .iter()
+            .find(|v| v.fact == plan.fact && v.joins == plan.joins && v.filter == plan.filter);
+        if let Some(known) = known {
+            same_rows(&plan.fact, known.rows, rows)?;
+            return Ok(Arc::clone(&known.set));
+        }
+        let set = Arc::new(OnceLock::new());
+        self.verdicts.push(CachedVerdicts {
+            fact: plan.fact.clone(),
+            joins: plan.joins.clone(),
+            filter: plan.filter.clone(),
+            rows,
+            set: Arc::clone(&set),
+        });
+        Ok(set)
     }
 
     /// Total entries across all cached indexes (for memory estimation).
@@ -371,11 +453,14 @@ pub struct Executor<'a> {
     pub(crate) edges: Vec<BoundEdge<'a>>,
     /// The whole filter, as the row oracle evaluates it.
     filter: BoundPred<'a>,
-    /// The same filter as the columnar engine evaluates it: `stages[k]` is
-    /// the conjunction that runs once slot `k` is resolved (`True` = none).
+    /// The same filter as the verdict build scan evaluates it: `stages[k]`
+    /// is the conjunction that runs once slot `k` is resolved (`True` =
+    /// none).
     pub(crate) stages: Vec<BoundPred<'a>>,
     pub(crate) groups: Vec<BoundGroup<'a>>,
     pub(crate) agg_exprs: Vec<BoundExpr<'a>>,
+    /// The plan's row verdicts, shared through the [`IndexCache`].
+    verdicts: Arc<OnceLock<RowVerdicts>>,
     state: AggState,
     totals: BatchStats,
     ctx_buf: Vec<u32>,
@@ -482,8 +567,9 @@ impl<'a> Executor<'a> {
     /// Binds a plan to a dataset, building/reusing hash indexes via `cache`.
     ///
     /// Binding failures (unknown tables or columns, alias misuse,
-    /// unsupported join shapes, float group columns) come back as
-    /// [`RotaryError::PlanBind`] carrying the plan label.
+    /// unsupported join shapes, float group columns, a `cache` populated
+    /// from a different dataset) come back as [`RotaryError::PlanBind`]
+    /// carrying the plan label.
     pub fn bind(
         plan: &QueryPlan,
         data: &'a TpchData,
@@ -499,6 +585,13 @@ impl<'a> Executor<'a> {
         cache: &mut IndexCache,
     ) -> Result<Executor<'a>, String> {
         plan.validate()?;
+        if plan.joins.len() > usize::from(u8::MAX) {
+            return Err(format!(
+                "{} join edges; at most {} are supported",
+                plan.joins.len(),
+                u8::MAX
+            ));
+        }
         let fact =
             data.table(&plan.fact).ok_or_else(|| format!("unknown fact table {}", plan.fact))?;
         let mut binder = Binder { slots: vec![fact], aliases: Vec::new() };
@@ -521,18 +614,18 @@ impl<'a> Executor<'a> {
             let src = binder.slots[src_slot];
             let (index, total) = match (edge.pk.as_slice(), fk_cols.as_slice()) {
                 ([k], [Column::Int(fk)]) => {
-                    let cached = cache.single_index(target, k);
+                    let cached = cache.single_index(target, k)?;
                     let total = cached.total_from(src, &edge.fk, |index| {
                         !index.is_empty() && fk.iter().all(|&key| index.get(key).is_some())
-                    });
+                    })?;
                     (BoundIndex::Single(cached.index.clone()), total)
                 }
                 ([k1, k2], [Column::Int(fk_a), Column::Int(fk_b)]) => {
-                    let cached = cache.composite_index(target, k1, k2);
+                    let cached = cache.composite_index(target, k1, k2)?;
                     let total = cached.total_from(src, &edge.fk, |index| {
                         !index.is_empty()
                             && fk_a.iter().zip(fk_b).all(|(&a, &b)| index.get(a, b).is_some())
-                    });
+                    })?;
                     (BoundIndex::Composite(cached.index.clone()), total)
                 }
                 _ => {
@@ -571,7 +664,8 @@ impl<'a> Executor<'a> {
 
         let slots = binder.slots.len();
         // No stage may run before the slot resolved by the last edge that
-        // can miss: up to there `probes` still depends on the joins.
+        // can miss: up to there a row's probe count still depends on the
+        // joins, so the build scan must probe every row that far.
         let first_push = edges.iter().rposition(|e| !e.total).map_or(0, |i| i + 1);
         let mut conjuncts = Vec::new();
         filter.clone().split_conjuncts(&mut conjuncts);
@@ -587,6 +681,7 @@ impl<'a> Executor<'a> {
                 _ => BoundPred::And(conjuncts),
             })
             .collect();
+        let verdicts = cache.verdicts(plan, fact.rows())?;
         Ok(Executor {
             fact_rows: fact.rows(),
             edges,
@@ -594,6 +689,7 @@ impl<'a> Executor<'a> {
             stages,
             groups,
             agg_exprs,
+            verdicts,
             state: AggState::new(funcs),
             totals: BatchStats::default(),
             ctx_buf: vec![0; slots],
@@ -626,27 +722,56 @@ impl<'a> Executor<'a> {
         self.filter.eval(ctx)
     }
 
+    /// The plan's row verdicts: which fact rows survive its joins and
+    /// filter, and what each costs the row loop in probes. Shared by every
+    /// executor bound to the plan through one [`IndexCache`]; the first call
+    /// on any of them runs the build scan, every later one reads the set.
+    pub fn row_verdicts(&self) -> &RowVerdicts {
+        self.verdicts.get_or_init(|| columnar::scan_verdicts(self))
+    }
+
+    /// Replays one projected chunk (`rows` survivors) through
+    /// `AggState::update`, in order.
+    fn fold(&mut self, out: &ChunkScratch, rows: u64) {
+        let ka = self.groups.len();
+        let va = self.agg_exprs.len();
+        for r in 0..rows as usize {
+            self.state.update(&out.keys[r * ka..(r + 1) * ka], &out.vals[r * va..(r + 1) * va]);
+        }
+    }
+
     /// Processes a batch of fact-row indices, updating aggregate state.
     ///
     /// This is the sequential columnar path: the batch is cut into the same
-    /// fixed [`PAR_CHUNK_ROWS`] grid the parallel paths use, each chunk is
-    /// evaluated by the vectorized kernels in [`crate::columnar`], and the
-    /// surviving rows replay through `AggState::update` in original row
-    /// order — bit-identical to [`Executor::process_rows_rowwise`].
+    /// fixed [`PAR_CHUNK_ROWS`] grid the parallel path uses, each chunk's
+    /// survivors are selected from the [`RowVerdicts`] and projected by
+    /// [`crate::columnar`], and they replay through `AggState::update` in
+    /// original row order — bit-identical to
+    /// [`Executor::process_rows_rowwise`], counters included.
     pub fn process_rows(&mut self, rows: &[u32]) -> BatchStats {
-        let ka = self.groups.len();
-        let va = self.agg_exprs.len();
         let mut scratch = std::mem::take(&mut self.scratch);
         let mut stats = BatchStats::default();
         for chunk in rows.chunks(PAR_CHUNK_ROWS) {
-            let out = columnar::eval_chunk(self, chunk, &mut scratch);
-            stats.add(out.stats);
-            for r in 0..out.stats.rows_aggregated as usize {
-                self.state.update(&out.keys[r * ka..(r + 1) * ka], &out.vals[r * va..(r + 1) * va]);
-            }
+            let out = columnar::project_chunk(self, chunk, &mut scratch);
+            self.fold(&scratch, out.rows_aggregated);
+            stats.add(out);
         }
         self.scratch = scratch;
         self.totals.add(stats);
+        stats
+    }
+
+    /// [`Executor::process_rows`] without the fold: selects and projects the
+    /// batch's survivors and returns its counters, touching neither the
+    /// aggregate state nor the totals. `process_rows` minus this is the
+    /// `AggState::update` share of an epoch (`bench_engine`'s profile).
+    pub fn project_rows(&mut self, rows: &[u32]) -> BatchStats {
+        let mut scratch = std::mem::take(&mut self.scratch);
+        let mut stats = BatchStats::default();
+        for chunk in rows.chunks(PAR_CHUNK_ROWS) {
+            stats.add(columnar::project_chunk(self, chunk, &mut scratch));
+        }
+        self.scratch = scratch;
         stats
     }
 
@@ -684,12 +809,11 @@ impl<'a> Executor<'a> {
     /// Parallel [`Executor::process_rows`] — the **replay** fold.
     ///
     /// The batch is cut into [`PAR_CHUNK_ROWS`]-sized chunks whose
-    /// join/filter/expression work runs on `pool` through the columnar
-    /// chunk evaluator; the surviving rows' keys and values are then
-    /// replayed through `AggState::update` serially, in original row order.
-    /// Because aggregate updates happen in exactly the sequence the
-    /// sequential loop would apply them, the result is bit-identical to
-    /// [`Executor::process_rows`] at every pool size.
+    /// selection and projection run on `pool`; the surviving rows' keys and
+    /// values are then replayed through `AggState::update` serially, in
+    /// original row order. Because aggregate updates happen in exactly the
+    /// sequence the sequential loop would apply them, the result is
+    /// bit-identical to [`Executor::process_rows`] at every pool size.
     pub fn process_rows_with(&mut self, pool: &ThreadPool, rows: &[u32]) -> BatchStats {
         if pool.threads() <= 1 || rows.len() < PAR_MIN_ROWS {
             return self.process_rows(rows);
@@ -699,36 +823,27 @@ impl<'a> Executor<'a> {
             let this: &Executor<'a> = self;
             pool.map(&chunks, |_, chunk| {
                 let mut scratch = ChunkScratch::default();
-                columnar::eval_chunk(this, chunk, &mut scratch)
+                (columnar::project_chunk(this, chunk, &mut scratch), scratch)
             })
         };
-        let key_arity = self.groups.len();
-        let val_arity = self.agg_exprs.len();
         let mut stats = BatchStats::default();
-        for out in &outputs {
-            stats.add(out.stats);
-            for r in 0..out.stats.rows_aggregated as usize {
-                self.state.update(
-                    &out.keys[r * key_arity..(r + 1) * key_arity],
-                    &out.vals[r * val_arity..(r + 1) * val_arity],
-                );
-            }
+        for (out, scratch) in &outputs {
+            self.fold(scratch, out.rows_aggregated);
+            stats.add(*out);
         }
         self.totals.add(stats);
         stats
     }
 
-    /// Index lookups the data plane performs on a concrete batch.
-    /// [`BatchStats::probes`] is what the row loop would have looked up;
-    /// filter stages that run below the remaining (total) edges make this
-    /// smaller. Pure function of the bound plan and the batch — no wall
-    /// clock, so a test can pin it — and touches neither aggregate state nor
-    /// totals.
+    /// Index lookups the epoch path performs on a concrete batch: one per
+    /// join edge for each surviving row, `rows_aggregated × join_count`.
+    /// [`BatchStats::probes`] is what the row loop would have looked up.
+    /// Pure function of the bound plan and the batch — no wall clock, so a
+    /// test can pin it — and touches neither aggregate state nor totals.
     pub fn probe_lookups(&self, rows: &[u32]) -> u64 {
-        let mut scratch = ChunkScratch::default();
-        rows.chunks(PAR_CHUNK_ROWS)
-            .map(|chunk| columnar::eval_chunk(self, chunk, &mut scratch).lookups)
-            .sum()
+        let verdicts = self.row_verdicts();
+        let kept = rows.iter().filter(|&&row| verdicts.survives(row)).count();
+        kept as u64 * self.edges.len() as u64
     }
 
     /// Processes the *entire* fact table (ground-truth computation).
@@ -738,8 +853,9 @@ impl<'a> Executor<'a> {
     }
 
     /// Drops the aggregate groups and every per-batch buffer; the plan
-    /// binding and the cumulative counters stay. For an executor that will
-    /// process no further rows and whose aggregates are no longer read.
+    /// binding, its shared verdicts and the cumulative counters stay. For
+    /// an executor that will process no further rows and whose aggregates
+    /// are no longer read.
     pub fn release(&mut self) {
         self.state.clear();
         self.scratch = ChunkScratch::default();
@@ -996,11 +1112,10 @@ mod tests {
         Table::new(table.name(), columns)
     }
 
-    #[test]
-    fn cached_totality_matches_brute_force_on_intact_and_damaged_data() {
-        let intact = data();
+    /// `intact` with one dangling order reference and a nation the
+    /// customers lack.
+    fn damaged(intact: &TpchData) -> TpchData {
         let mut damaged = intact.clone();
-        // One dangling order reference and a nation the customers lack.
         damaged.lineitem =
             rebuilt(&intact.lineitem, intact.lineitem.rows(), "l_orderkey", |r, k| {
                 if r == 17 {
@@ -1017,6 +1132,13 @@ mod tests {
                     k
                 }
             });
+        damaged
+    }
+
+    #[test]
+    fn cached_totality_matches_brute_force_on_intact_and_damaged_data() {
+        let intact = data();
+        let damaged = damaged(&intact);
         for (d, expect_some_miss) in [(&intact, false), (&damaged, true)] {
             // One cache per dataset, shared by all 22 binds: later plans
             // read the verdicts earlier ones computed.
@@ -1032,6 +1154,78 @@ mod tests {
             // On intact data only q9's partsupp edge can miss.
             assert_eq!(missed > 1, expect_some_miss);
             assert!(missed >= 1);
+        }
+    }
+
+    #[test]
+    fn row_verdicts_match_the_row_loop_on_intact_and_damaged_data() {
+        let intact = data();
+        let damaged = damaged(&intact);
+        for d in [&intact, &damaged] {
+            let mut cache = IndexCache::new();
+            for plan in crate::queries::all_queries() {
+                let exec = Executor::bind(&plan, d, &mut cache).unwrap();
+                let verdicts = exec.row_verdicts();
+                assert_eq!(verdicts.len(), exec.fact_rows());
+                let mut ctx = vec![0; exec.edges.len() + 1];
+                for row in 0..exec.fact_rows() as u32 {
+                    let mut stats = BatchStats::default();
+                    let survives = exec.resolve_row(row, &mut ctx, &mut stats);
+                    assert_eq!(verdicts.survives(row), survives, "{} row {row}", plan.label);
+                    assert_eq!(verdicts.probes(row), stats.probes, "{} row {row}", plan.label);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn verdicts_are_built_once_per_plan_and_shared() {
+        let d = data();
+        let mut cache = IndexCache::new();
+        let plan = grouped_join_plan();
+        let a = Executor::bind(&plan, &d, &mut cache).unwrap();
+        let b = Executor::bind(&plan, &d, &mut cache).unwrap();
+        assert!(Arc::ptr_eq(&a.verdicts, &b.verdicts), "verdict set not shared");
+        assert!(b.verdicts.get().is_none(), "built before any row was asked for");
+        let kept = a.row_verdicts().kept();
+        assert!(b.verdicts.get().is_some(), "b must see the set a built");
+        assert!(std::ptr::eq(a.row_verdicts(), b.row_verdicts()));
+        assert_eq!(b.row_verdicts().kept(), kept);
+        // Another aggregate over the same joins and filter shares it too.
+        let mut count_only = plan.clone();
+        count_only.aggregates = vec![AggSpec::count("n")];
+        let c = Executor::bind(&count_only, &d, &mut cache).unwrap();
+        assert!(Arc::ptr_eq(&a.verdicts, &c.verdicts));
+        assert_eq!(cache.verdicts.len(), 1);
+    }
+
+    #[test]
+    fn same_label_with_another_filter_gets_its_own_verdicts() {
+        let d = data();
+        let mut cache = IndexCache::new();
+        let wide = grouped_join_plan();
+        let mut narrow = wide.clone();
+        narrow.filter = Pred::IntRange { col: ColRef::fact("l_quantity"), lo: 1, hi: 10 };
+        assert_eq!(wide.label, narrow.label);
+        let a = Executor::bind(&wide, &d, &mut cache).unwrap();
+        let b = Executor::bind(&narrow, &d, &mut cache).unwrap();
+        assert!(!Arc::ptr_eq(&a.verdicts, &b.verdicts));
+        assert!(b.row_verdicts().kept() < a.row_verdicts().kept());
+    }
+
+    #[test]
+    fn a_cache_refuses_a_dataset_of_another_size() {
+        let small = data();
+        let large = Generator::new(11, 0.004).generate();
+        let mut cache = IndexCache::new();
+        for plan in [q6ish(), grouped_join_plan()] {
+            Executor::bind(&plan, &small, &mut cache).unwrap().row_verdicts();
+            let err = Executor::bind(&plan, &large, &mut cache).unwrap_err();
+            assert!(
+                matches!(&err, RotaryError::PlanBind { message, .. } if message.contains("one dataset")),
+                "{}: expected a PlanBind naming the dataset mismatch, got {err:?}",
+                plan.label
+            );
         }
     }
 
@@ -1307,8 +1501,8 @@ mod tests {
         assert_eq!(lookups, exec.probe_lookups(&rows), "probe_lookups must be deterministic");
         assert_eq!(exec.totals(), BatchStats::default());
         assert_eq!(exec.state().group_count(), 0);
-        // The quantity filter runs below the (total) orders edge, so only
-        // its survivors are looked up.
+        // An epoch resolves the one (orders) edge for the rows that passed
+        // the quantity filter, and for no other row.
         let stats = exec.process_rows(&rows);
         assert_eq!(lookups, stats.rows_aggregated);
         assert!(lookups < stats.probes);

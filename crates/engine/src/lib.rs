@@ -10,15 +10,17 @@
 //! * [`expr`] — column references, scalar expressions, predicates;
 //! * [`plan`] — query plans: a streamed *fact* table, a chain of hash-join
 //!   edges to dimension tables, a filter, optional grouping, and aggregates;
-//! * [`exec`] — the executor: binds a plan to a dataset (building reusable
-//!   primary-key hash indexes), then evaluates row batches chunk-at-a-time
-//!   through the columnar data plane, with genuine join probes, predicate
-//!   evaluation, and aggregate updates;
+//! * [`exec`] — the executor: binds a plan to a dataset (sharing primary-key
+//!   hash indexes and per-plan row verdicts through one cache per dataset),
+//!   then evaluates row batches chunk-at-a-time through the columnar data
+//!   plane: survivors selected from the verdicts, their join edges
+//!   resolved, their aggregate inputs projected and folded;
 //! * [`kernels`] — the vectorized columnar kernels: selection bitmaps,
 //!   gathers, element-wise arithmetic, deterministic open-addressed
 //!   primary-key indexes, and sequential-order aggregate reductions;
-//! * [`columnar`] — chunk evaluation on top of the kernels (join → filter →
-//!   projection), proven bit-identical to the row-at-a-time oracle;
+//! * [`columnar`] — evaluation on top of the kernels: the filter-first
+//!   verdict scan (join → filter, once per dataset) and the per-epoch
+//!   projection, proven bit-identical to the row-at-a-time oracle;
 //! * [`agg`] — running aggregate state (SUM / AVG / COUNT / MIN / MAX,
 //!   grouped or scalar);
 //! * [`online`] — progressive execution: feeds shuffled batches through the

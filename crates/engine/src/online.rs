@@ -183,9 +183,10 @@ impl<'a> OnlineAggregation<'a> {
     }
 
     /// Replays the first `rows` of the batch permutation through the
-    /// executor — durable snapshot restore for a freshly bound query. Runs
-    /// sequentially: restore happens before the parallel data plane spins
-    /// up, and the replay fold is bit-identical at every pool size anyway.
+    /// executor — durable snapshot restore for a freshly bound query. It is
+    /// the epoch path run once over the whole prefix: survivors selected
+    /// from the plan's shared row verdicts, projected and folded in delivery
+    /// order, so the state equals the one the epochs built, bit for bit.
     ///
     /// # Panics
     /// Panics if rows were already processed (restore targets a fresh

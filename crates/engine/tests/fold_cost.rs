@@ -1,11 +1,11 @@
-//! Filter-first evaluation (DESIGN.md §5), gated without a wall clock:
-//! `Executor::probe_lookups` counts the index lookups the data plane
-//! performed, `BatchStats::probes` what the row loop would have. The second
-//! must not move — it prices every virtual epoch — while the first must stay
-//! well below it over the Table I mix.
+//! Row verdicts (DESIGN.md §5), gated without a wall clock:
+//! `BatchStats::probes` is what the row loop would have looked up and prices
+//! every virtual epoch, so it must not move; `Executor::probe_lookups` counts
+//! the index lookups the epoch path performs, which is exactly one per join
+//! edge for each surviving row.
 
 use rotary_engine::agg::AggSpec;
-use rotary_engine::{query, Executor, IndexCache, QueryClass, QueryId};
+use rotary_engine::{query, Executor, IndexCache, QueryId};
 use rotary_tpch::{BatchSource, Generator};
 
 /// `(query, rows_scanned, probes, rows_aggregated)` of one full shuffled scan
@@ -37,17 +37,9 @@ const PINNED_STATS: [(u8, u64, u64, u64); 22] = [
 ];
 
 #[test]
-fn lookups_stay_far_below_probes_while_probes_do_not_move() {
+fn epochs_look_up_only_survivors_while_probes_do_not_move() {
     let data = Generator::new(1, 0.005).generate();
     let mut cache = IndexCache::new();
-    // Table I draws 40/30/30 % of jobs from 13/5/4 queries: per-query
-    // weights 0.4/13 : 0.3/5 : 0.3/4 = 80 : 156 : 195.
-    let weight = |q: QueryId| match q.class() {
-        QueryClass::Light => 80u64,
-        QueryClass::Medium => 156,
-        QueryClass::Heavy => 195,
-    };
-    let (mut weighted_lookups, mut probes) = (0u64, 0u64);
     for (qid, scanned, pinned_probes, aggregated) in PINNED_STATS {
         let q = QueryId(qid);
         let mut exec = Executor::bind(&query(q), &data, &mut cache).unwrap();
@@ -60,22 +52,16 @@ fn lookups_stay_far_below_probes_while_probes_do_not_move() {
             (scanned, pinned_probes, aggregated),
             "{q}: BatchStats moved"
         );
-        assert!(lookups <= stats.probes, "{q}: more lookups than the row loop");
-        weighted_lookups += weight(q) * lookups;
-        probes += weight(q) * stats.probes;
+        assert_eq!(lookups, stats.rows_aggregated * exec.join_count() as u64, "{q}");
     }
-    assert!(
-        weighted_lookups * 100 <= probes * 45,
-        "filter-first lookups {weighted_lookups} exceed 45 % of the modelled probes {probes}"
-    );
 }
 
 #[test]
 fn q9_filters_only_after_the_edge_that_can_miss() {
     // `partsupp` has four suppliers per part, so most (l_partkey, l_suppkey)
     // pairs miss: the edge is not total, and q9's p_type conjunct — ready at
-    // slot 1 — has to wait for it or `probes` would stop counting the rows
-    // the joins alone keep alive.
+    // slot 1 — has to wait for it in the build scan or the per-row probe
+    // counts would stop counting the rows the joins alone keep alive.
     let data = Generator::new(1, 0.005).generate();
     let mut cache = IndexCache::new();
     let mut plan = query(QueryId(9));
@@ -85,17 +71,19 @@ fn q9_filters_only_after_the_edge_that_can_miss() {
     let mut exec = Executor::bind(&plan, &data, &mut cache).unwrap();
     let lookups = exec.probe_lookups(&rows);
     let stats = exec.process_rows(&rows);
-    // Four edges probed for every row, the fifth (orders, total) only for
-    // what the filter kept.
-    assert_eq!(lookups, 4 * n + stats.rows_aggregated);
+    // An epoch resolves all five edges for the survivors and nothing else.
+    assert_eq!(lookups, 5 * stats.rows_aggregated);
     assert!(stats.probes > lookups, "the orders edge should have been spared");
 
-    // Cut the plan after the partsupp edge: nothing is left to spare.
+    // Cut the plan after the partsupp edge: the row loop probes four edges
+    // for every row; an epoch looks up four for each row that joined.
     plan.joins.truncate(4);
     plan.group_by.clear();
     plan.aggregates = vec![AggSpec::count("n")];
     let mut exec = Executor::bind(&plan, &data, &mut cache).unwrap();
     let lookups = exec.probe_lookups(&rows);
-    assert_eq!(lookups, exec.process_rows(&rows).probes);
-    assert_eq!(lookups, 4 * n);
+    let stats = exec.process_rows(&rows);
+    assert_eq!(stats.probes, 4 * n);
+    assert_eq!(lookups, 4 * stats.rows_aggregated);
+    assert!(lookups < stats.probes);
 }

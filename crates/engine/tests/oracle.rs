@@ -293,15 +293,16 @@ fn regression_empty_conjunction_count_no_join() {
 // Columnar ≡ row engine on staged plans
 // ---------------------------------------------------------------------------
 //
-// The columnar engine evaluates filter conjuncts as soon as the slots they
-// read are resolved, compacts the survivors, and *derives* the probe counter
-// for edges it no longer needs to look up (DESIGN.md §5). The row engine
-// (`process_rows_rowwise`) resolves every edge, then filters. The property
-// below draws plans that exercise every part of that difference — conjuncts
-// on every slot, `Or`/`Not`/`RefCmp` spanning slots, predicate-valued
-// aggregates, and an edge that can miss at each position — and demands the
-// same three counters on every batch and the same accumulator bits at the
-// end.
+// The columnar engine decides each fact row once per dataset — a build scan
+// that evaluates filter conjuncts as soon as the slots they read are
+// resolved, compacts the survivors, and records where a row's probes stop —
+// and every batch then only projects the survivors the verdicts select
+// (DESIGN.md §5). The row engine (`process_rows_rowwise`) resolves every
+// edge, then filters, on every batch. The property below draws plans that
+// exercise every part of that difference — conjuncts on every slot,
+// `Or`/`Not`/`RefCmp` spanning slots, predicate-valued aggregates, and an
+// edge that can miss at each position — and demands the same three counters
+// on every batch and the same accumulator bits at the end.
 
 /// The join chain the staged plans draw a prefix of: `(alias, table, fk, pk)`.
 fn chain() -> [JoinEdge; 5] {
@@ -504,6 +505,8 @@ fn columnar_matches_row_engine_on_staged_plans() {
 
         let mut cache = IndexCache::new();
         let mut oracle = Executor::bind(&plan, data, &mut cache).unwrap();
+        // The row oracle never reads the plan's verdicts, so `columnar`
+        // builds them, on its first batch.
         let mut columnar = Executor::bind(&plan, data, &mut cache).unwrap();
         let n = data.lineitem.rows();
         let mut source = rotary_tpch::BatchSource::new(order_seed, n, batch);
@@ -518,9 +521,14 @@ fn columnar_matches_row_engine_on_staged_plans() {
         assert_eq!(columnar.totals(), oracle.totals());
         assert_eq!(group_bits(&columnar), group_bits(&oracle));
 
-        // The fan-out path evaluates the same chunks on workers.
+        // Bound on the now-warm cache, these two read verdicts a different
+        // executor built: one replays the delivered prefix in one call (a
+        // durable restore), the other fans the same chunks out on workers.
         let delivered = source.delivered();
         let all = rotary_tpch::BatchSource::new(order_seed, n, n).replay_prefix(delivered).to_vec();
+        let mut warm = Executor::bind(&plan, data, &mut cache).unwrap();
+        assert_eq!(warm.process_rows(&all), oracle.totals(), "warm cache");
+        assert_eq!(group_bits(&warm), group_bits(&oracle), "warm cache");
         let threads = *src.pick(&[2usize, 4, 8]);
         let mut parallel = Executor::bind(&plan, data, &mut cache).unwrap();
         let stats = parallel.process_rows_with(&rotary_par::ThreadPool::new(threads), &all);
