@@ -65,6 +65,10 @@ cargo test --workspace -q
 # The chaos suite runs as part of the workspace tests above; re-running it
 # with the case count pinned guards against a lowered ROTARY_CHECK_CASES in
 # the ambient environment quietly weakening the fault-injection coverage.
+# It also gates snapshot-memo transparency (DESIGN.md §12): under a random
+# fault plan, the records a durable run commits at a random boundary — text
+# reused from its earlier snapshots — equal a cold full encoding of the
+# same boundary, byte for byte.
 echo "== chaos property suite (256 fault plans) =="
 ROTARY_CHECK_CASES=256 cargo test -q --test chaos
 

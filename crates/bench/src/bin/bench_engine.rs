@@ -5,11 +5,13 @@
 //! columnar speedup) and the sequential columnar engine (`seq`) — together
 //! with the estimator-fit timings that bound arbitration overhead and the
 //! advisory `recovery/*` fault-recovery cost metrics. Results go to
-//! `BENCH_engine.json`. An advisory per-plan profile (all 22 plans: the
+//! `BENCH_engine.json`. Two advisory profiles are printed after them and
+//! never gated: `Run::snapshot` on a mid-run AQP chaos run, cold and in
+//! steady state; and a per-plan profile (all 22 plans: the
 //! once-per-dataset verdict build in µs; at the workload's real batch size,
 //! the epoch path's `ns/row` split into selection + projection and the
 //! aggregate fold; rows kept; and the share of modelled probes an epoch
-//! actually looks up) is printed after them and never gated.
+//! actually looks up).
 //!
 //! Modes:
 //!
@@ -23,6 +25,7 @@
 use std::collections::BTreeMap;
 use std::time::Instant;
 
+use rotary_aqp::{AqpPolicy, AqpSystem, AqpSystemConfig, WorkloadBuilder};
 use rotary_bench::timing::{black_box, measure};
 use rotary_core::estimate::wlr::{LinearFit, WeightedPoint};
 use rotary_core::estimate::{CurveBasis, JointCurveEstimator};
@@ -30,7 +33,9 @@ use rotary_core::json;
 use rotary_core::progress::Objective;
 use rotary_dlt::{DltPolicy, DltSystem, DltSystemConfig, DltWorkloadBuilder};
 use rotary_engine::{query, Executor, IndexCache, QueryId};
+use rotary_faults::arbiter::Run;
 use rotary_faults::FaultPlan;
+use rotary_store::SnapshotRecords;
 use rotary_tpch::{BatchSource, Generator};
 
 /// Default baseline location (repo root, where `ci.sh` runs).
@@ -183,10 +188,13 @@ fn bench_recovery(metrics: &mut BTreeMap<String, f64>) {
     report(metrics, "recovery/dlt_retries".into(), chaos.summary.retries as f64);
 }
 
-/// Advisory durable-snapshot metrics (`snapshot/*`, never gated): encode
-/// and commit cost plus on-disk size for a representative record set (eight
-/// 16 KB records, the order of a mid-run AQP/DLT snapshot). Host-time
-/// measurements — tracked, not gated.
+/// Advisory snapshot-store metrics (`snapshot/*`, never gated), over eight
+/// synthetic 16 KB payloads: `encode128k_ns` is the container framing and
+/// CRC of `rotary_store::encode`, `commit128k_ns` that plus the file write
+/// and fsync, `encoded_bytes` the framed size. The payloads are opaque
+/// bytes, so no JSON is encoded here — what a run pays to encode its
+/// records is [`print_run_snapshot`]. Host-time measurements — tracked,
+/// not gated.
 fn bench_snapshot(metrics: &mut BTreeMap<String, f64>) {
     use rotary_store::{encode, SnapshotStore};
     let records: Vec<(String, Vec<u8>)> =
@@ -209,6 +217,51 @@ fn bench_snapshot(metrics: &mut BTreeMap<String, f64>) {
     });
     report(metrics, "snapshot/commit128k_ns".into(), stats.min.as_nanos() as f64);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Advisory, printed only and never written to the baseline: what
+/// `Run::snapshot` costs on a real AQP run under the chaos fault plan (SF
+/// 0.02, 60 jobs, history prepopulated), once half its jobs have ended.
+/// `cold` is a run's first snapshot, every record encoded in full (min over
+/// the original and four restored copies of the same state); `steady` is
+/// the next snapshot after one more event, when only what changed is
+/// encoded (min over five events).
+fn print_run_snapshot() {
+    let data = Generator::new(33, 0.02).generate();
+    let config = AqpSystemConfig { seed: 33, faults: FaultPlan::chaos(33), ..Default::default() };
+    let mut sys = AqpSystem::new(&data, config);
+    let specs = WorkloadBuilder::paper().jobs(60).seed(33).build();
+    let policy = AqpPolicy::Rotary;
+    let started = sys.prepopulate_history(33).and_then(|_| Run::start(&mut sys, &specs, policy));
+    let Ok(mut run) = started else {
+        println!("run snapshot: the AQP system does not bind; skipping");
+        return;
+    };
+    let mut ended = 0;
+    while ended < specs.len() / 2 && run.step(&mut sys) {
+        ended += run.drain_finished().len();
+    }
+    fn timed<'a>(run: &Run<AqpSystem<'a>>, sys: &AqpSystem<'a>) -> (f64, SnapshotRecords) {
+        let started = Instant::now();
+        let records = black_box(run.snapshot(sys, 1));
+        (started.elapsed().as_secs_f64() * 1e6, records.unwrap_or_default())
+    }
+    let (mut cold_us, records) = timed(&run, &sys);
+    let bytes: usize = records.iter().map(|(_, payload)| payload.len()).sum();
+    let mut steady_us = f64::INFINITY;
+    for _ in 0..5 {
+        if run.step(&mut sys) {
+            steady_us = steady_us.min(timed(&run, &sys).0);
+        }
+    }
+    for _ in 0..4 {
+        if let Ok(copy) = Run::restore(&mut sys, specs.clone(), policy, &records) {
+            cold_us = cold_us.min(timed(&copy, &sys).0);
+        }
+    }
+    println!("run snapshot ({ended} of {} jobs ended, {bytes} bytes):", specs.len());
+    println!("{:<34} {cold_us:>14.1}", "run_snapshot/cold_us");
+    println!("{:<34} {steady_us:>14.1}", "run_snapshot/steady_us");
 }
 
 fn report(metrics: &mut BTreeMap<String, f64>, key: String, value: f64) {
@@ -275,6 +328,7 @@ fn main() {
     bench_estimator_fits(&mut metrics);
     bench_recovery(&mut metrics);
     bench_snapshot(&mut metrics);
+    print_run_snapshot();
     print_plan_profile();
 
     match mode {

@@ -19,8 +19,9 @@ use crate::arb::OrdF64;
 use crate::error::{Result, RotaryError};
 use crate::estimate::similarity::top_k_by;
 use crate::job::JobKind;
-use crate::json::{self, Json};
+use crate::json::{self, CompactPrefix, Json};
 use std::any::Any;
+use std::cell::RefCell;
 use std::cmp::Reverse;
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -126,11 +127,15 @@ impl JobRecord {
 pub struct HistoryRepository {
     records: Vec<JobRecord>,
     index: ClassIndex,
+    /// The records [`HistoryRepository::to_compact`] already encoded.
+    /// Derived like `index`: caught up on read, reset by anything but an
+    /// append.
+    emitted: RefCell<CompactPrefix>,
 }
 
 impl Clone for HistoryRepository {
     fn clone(&self) -> Self {
-        HistoryRepository { records: self.records.clone(), index: ClassIndex::default() }
+        HistoryRepository { records: self.records.clone(), ..HistoryRepository::default() }
     }
 }
 
@@ -182,6 +187,7 @@ impl HistoryRepository {
         let removed = before - self.records.len();
         if removed > 0 {
             self.index = ClassIndex::default();
+            *self.emitted.get_mut() = CompactPrefix::default();
         }
         removed
     }
@@ -265,6 +271,20 @@ impl HistoryRepository {
         Json::obj(vec![("records", records)])
     }
 
+    /// [`HistoryRepository::to_json_value`] written compact, byte for byte,
+    /// with each record encoded once: a later call encodes only the records
+    /// inserted since (durable snapshots write the repository every
+    /// generation).
+    pub fn to_compact(&self) -> String {
+        let mut records = self.emitted.borrow_mut();
+        records.catch_up(&self.records, JobRecord::to_json_value);
+        let mut out = String::with_capacity(records.bytes() + 16);
+        out.push_str("{\"records\":");
+        records.write_array(&mut out);
+        out.push('}');
+        out
+    }
+
     /// Restores a repository from JSON.
     pub fn from_json(text: &str) -> Result<Self> {
         let doc = json::parse(text).map_err(RotaryError::Persistence)?;
@@ -276,7 +296,7 @@ impl HistoryRepository {
             .map(JobRecord::from_json_value)
             .collect::<std::result::Result<Vec<_>, String>>()
             .map_err(RotaryError::Persistence)?;
-        Ok(HistoryRepository { records, index: ClassIndex::default() })
+        Ok(HistoryRepository { records, ..HistoryRepository::default() })
     }
 
     /// Writes the repository to a file.
@@ -402,6 +422,36 @@ mod tests {
         let restored = HistoryRepository::from_json(&json).unwrap();
         assert_eq!(restored.len(), 1);
         assert_eq!(restored.iter().next().unwrap(), repo.iter().next().unwrap());
+    }
+
+    #[test]
+    fn compact_text_equals_the_tree_through_appends_removals_clones_and_reloads() {
+        let same = |repo: &HistoryRepository| {
+            assert_eq!(repo.to_compact(), repo.to_json_value().to_compact());
+        };
+        let mut repo = HistoryRepository::new();
+        same(&repo);
+        for (label, p) in [("lenet", 0.06), ("resnet18", 11.7), ("bert", 110.0)] {
+            repo.insert(record(label, JobKind::Dlt, p));
+            same(&repo);
+            same(&repo);
+        }
+        let mut copy = repo.clone();
+        copy.insert(record("q5", JobKind::Aqp, 0.0));
+        same(&copy);
+        same(&repo);
+        assert_eq!(repo.remove_where(|r| r.label == "nothing"), 0);
+        same(&repo);
+        assert_eq!(repo.remove_where(|r| r.label == "resnet18"), 1);
+        same(&repo);
+        repo.insert(record("vgg16", JobKind::Dlt, 138.0));
+        same(&repo);
+        let mut reloaded = HistoryRepository::from_json(&repo.to_compact()).unwrap();
+        same(&reloaded);
+        reloaded.insert(record("q7", JobKind::Aqp, 0.0));
+        same(&reloaded);
+        assert_eq!(reloaded.remove_where(|_| true), 4);
+        same(&reloaded);
     }
 
     #[test]

@@ -422,6 +422,58 @@ impl Json {
     }
 }
 
+/// The compact text of the first elements of an append-only list, kept
+/// between emissions so each element is encoded once:
+/// [`CompactPrefix::write_array`] writes exactly what
+/// `Json::Arr(prefix).to_compact()` would. The owner keeps it in step with
+/// the list — appends are caught up lazily, anything else must reset it.
+#[derive(Default)]
+pub struct CompactPrefix {
+    /// Elements encoded so far.
+    len: usize,
+    /// Their compact encodings, comma-separated.
+    text: String,
+}
+
+impl CompactPrefix {
+    /// Encodes the elements appended since the last call (`items[len..]`,
+    /// one `encode` call each) and appends their text.
+    ///
+    /// # Panics
+    /// Panics if `items` is shorter than what was already encoded — the
+    /// owner removed elements without resetting the prefix.
+    pub fn catch_up<T>(&mut self, items: &[T], mut encode: impl FnMut(&T) -> Json) {
+        for item in &items[self.len..] {
+            if self.len > 0 {
+                self.text.push(',');
+            }
+            encode(item).write(&mut self.text, None);
+            self.len += 1;
+        }
+    }
+
+    /// Bytes of encoded element text held.
+    pub fn bytes(&self) -> usize {
+        self.text.len()
+    }
+
+    /// Writes the encoded prefix as a compact JSON array.
+    pub fn write_array(&self, out: &mut String) {
+        out.push('[');
+        out.push_str(&self.text);
+        out.push(']');
+    }
+}
+
+impl std::fmt::Debug for CompactPrefix {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("CompactPrefix")
+            .field("len", &self.len)
+            .field("bytes", &self.bytes())
+            .finish()
+    }
+}
+
 /// Convenience: a string-keyed `f64` map as a JSON object (sorted keys).
 pub fn num_map_to_json(map: &BTreeMap<String, f64>) -> Json {
     Json::Obj(map.iter().map(|(k, v)| (k.clone(), Json::Num(*v))).collect())
@@ -511,6 +563,23 @@ mod tests {
         assert_eq!(v.to_compact(), r#"{"a":[1,{"b":null}],"s":"x y\n","e":[],"o":{}}"#);
         assert_eq!(parse(&v.to_compact()).unwrap(), v);
         assert_eq!(parse(&v.to_pretty()).unwrap(), v);
+    }
+
+    #[test]
+    fn compact_prefix_caught_up_in_pieces_writes_the_whole_array() {
+        let items: Vec<Json> = vec![
+            Json::Num(1.5),
+            Json::obj(vec![("k", Json::Str("v\n".into()))]),
+            Json::Arr(vec![]),
+            Json::Null,
+        ];
+        let mut prefix = CompactPrefix::default();
+        for end in 0..=items.len() {
+            prefix.catch_up(&items[..end], Json::clone);
+            let mut out = String::new();
+            prefix.write_array(&mut out);
+            assert_eq!(out, Json::Arr(items[..end].to_vec()).to_compact());
+        }
     }
 
     #[test]

@@ -16,12 +16,16 @@
 //! and mixed-sign estimates contribute 0.
 //!
 //! **Lifetime of the data-plane state.** The shuffled permutation, the
-//! aggregate groups and the chunk scratch exist to run the *next* epoch. A
-//! query that will never run another — its job reached a terminal state —
-//! is [`OnlineAggregation::release`]d: those three are freed (the
-//! permutation alone is 4 bytes per fact row per job) while the accounting a
-//! finished job is still asked for (`fraction_processed`, `rows_delivered`,
-//! `total_rows`, `is_exhausted`, `agg_funcs`) keeps answering.
+//! aggregate groups and the chunk scratch exist to run the *next* epoch.
+//! The permutation is drawn by the first epoch (or the restore replay of a
+//! delivered prefix), not at binding, so a query that never runs one never
+//! pays its shuffle. A query that will never run another — its job reached
+//! a terminal state — is [`OnlineAggregation::release`]d: those three are
+//! freed (the permutation alone is 4 bytes per fact row per job) while the
+//! accounting a finished job is still asked for (`fraction_processed`,
+//! `rows_delivered`, `total_rows`, `is_exhausted`, `agg_funcs`) keeps
+//! answering. A restore that finds the job terminal
+//! ([`OnlineAggregation::restore_released`]) draws no permutation at all.
 
 use rotary_core::RotaryError;
 use rotary_tpch::{BatchSource, TpchData};

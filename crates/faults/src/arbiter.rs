@@ -26,6 +26,8 @@
 //! edge. Dispatch is static: every hook is called through a generic
 //! parameter, never through `dyn`.
 
+use std::cell::RefCell;
+
 use rotary_core::error::{Result, RotaryError};
 use rotary_core::history::HistoryRepository;
 use rotary_core::job::{JobState, JobStatus};
@@ -323,6 +325,10 @@ pub struct Run<A: Arbiter> {
     ext: A::Ext,
     /// Terminal outcomes already handed out by [`Run::drain_finished`].
     n_reported: usize,
+    /// Per job, the compact `jobs` entry of a job an earlier
+    /// [`Run::snapshot`] found terminal. Derived: empty until the first
+    /// snapshot, and a restored run starts without it.
+    frozen: RefCell<Vec<Option<String>>>,
 }
 
 impl<A: Arbiter> Run<A> {
@@ -353,7 +359,8 @@ impl<A: Arbiter> Run<A> {
             terminals: Terminals(born_terminal),
         };
         sys.begin(&mut lp, &mut ext, policy);
-        Ok(Run { policy, specs: specs.to_vec(), lp, ext, n_reported: 0 })
+        let frozen = RefCell::default();
+        Ok(Run { policy, specs: specs.to_vec(), lp, ext, n_reported: 0, frozen })
     }
 
     fn bind_all(
@@ -548,6 +555,12 @@ impl<A: Durable> Run<A> {
     /// Everything deterministic and derivable is rebuilt from the config
     /// on restore instead of being stored.
     ///
+    /// Every record is the compact JSON of its tree, but a snapshot is
+    /// encoded in proportion to what changed since the previous one of the
+    /// same run: terminal jobs' entries (frozen once terminal) and the
+    /// append-only spans, progress rows and history records are encoded
+    /// once and their text reused.
+    ///
     /// # Errors
     /// Serialization failures pass through as typed errors.
     pub fn snapshot(&self, sys: &A, generation: u64) -> Result<SnapshotRecords> {
@@ -559,27 +572,59 @@ impl<A: Durable> Run<A> {
             ("generation", u64_json(generation)),
             ("epochs_done", u64_json(lp.epochs_done)),
         ]);
-        let jobs = lp.jobs.iter().map(|job| {
-            let mut pairs = job.base().save();
-            pairs.extend(A::save_job(job));
-            Json::obj(pairs)
-        });
         let mut loop_doc = vec![
             ("rr_cursor", u64_json(lp.rr_cursor as u64)),
             ("makespan", u64_json(lp.makespan.as_millis())),
         ];
         let own = sys.save(&self.ext, &mut loop_doc);
         let record = |name: &str, doc: Json| json_record(name, &doc);
+        let text = |name: &str, text: String| (name.to_string(), text.into_bytes());
         let mut records = vec![
             record("meta", meta),
-            record("jobs", Json::Arr(jobs.collect())),
+            text("jobs", self.jobs_record()),
             record("events", events_json(&lp.events)),
         ];
         records.extend(own.into_iter().map(|(name, doc)| record(name, doc)));
         records.push(record("loop", Json::obj(loop_doc)));
-        records.push(record("metrics", lp.metrics.to_json_value()));
-        records.push(record("history", sys.history().to_json_value()));
+        records.push(text("metrics", lp.metrics.to_compact()));
+        records.push(text("history", sys.history().to_compact()));
         Ok(records)
+    }
+
+    /// The `jobs` record's text: each job's lifecycle entry plus the
+    /// system's own fields, as one compact array.
+    ///
+    /// A terminal job's entry is frozen. Everything that writes a job runs
+    /// under an event or a grant for it: grants go to arbitrable jobs only,
+    /// an arrival, retry or deadline event acts only on a pending,
+    /// recovering or waiting job, and an epoch event only exists for a
+    /// running one — which ends only through that event. `retire` runs
+    /// once, inside the step that ends the job, and a job is never ended
+    /// twice (`drain_finished` asserts it). So the entry is encoded by the
+    /// first snapshot that finds the job terminal, and that text is reused
+    /// by every later one.
+    fn jobs_record(&self) -> String {
+        let mut frozen = self.frozen.borrow_mut();
+        frozen.resize(self.lp.jobs.len(), None);
+        let mut out = String::from("[");
+        for (i, (job, frozen)) in self.lp.jobs.iter().zip(frozen.iter_mut()).enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            if let Some(entry) = frozen {
+                out.push_str(entry);
+                continue;
+            }
+            let mut pairs = job.base().save();
+            pairs.extend(A::save_job(job));
+            let entry = Json::obj(pairs).to_compact();
+            out.push_str(&entry);
+            if job.base().core.status.is_terminal() {
+                *frozen = Some(entry);
+            }
+        }
+        out.push(']');
+        out
     }
 
     /// Rebuilds a run from records written by [`Run::snapshot`]: jobs are
@@ -646,7 +691,7 @@ impl<A: Durable> Run<A> {
         let n_reported = jobs.iter().filter(|j| j.base().core.status.is_terminal()).count();
         let (marks, terminals) = (Marks::default(), Terminals::default());
         let lp = Loop { jobs, events, metrics, rr_cursor, makespan, epochs_done, marks, terminals };
-        Ok(Run { policy, specs, lp, ext, n_reported })
+        Ok(Run { policy, specs, lp, ext, n_reported, frozen: RefCell::default() })
     }
 }
 
@@ -893,6 +938,7 @@ mod tests {
     use super::*;
     use crate::{EpochFault, FaultConfig};
     use rotary_core::criteria::{CompletionCriterion, Deadline};
+    use rotary_core::history::JobRecord;
     use rotary_core::job::{IntermediateState, JobId, JobKind};
     use std::convert::Infallible;
     use std::fmt::Write as _;
@@ -1136,6 +1182,50 @@ mod tests {
         }
         assert!(events > SPECS.len() as u64);
         assert_eq!(live.into_outcome(), expected);
+    }
+
+    #[test]
+    fn the_snapshot_memo_is_transparent_at_every_event() {
+        let mut sys = toy();
+        let mut live = ok(Run::start(&mut sys, &SPECS, ()));
+        let mut events = 0;
+        loop {
+            let warm = live.snapshot(&sys, events).expect("snapshot");
+            let again = live.snapshot(&sys, events).expect("snapshot");
+            assert_eq!(
+                again, warm,
+                "no event in between, yet event {events} re-encoded differently"
+            );
+
+            // The same snapshot from cold memos — a clone of the metrics or
+            // the history starts without one — then the warm ones go back.
+            let (metrics, history) = (live.lp.metrics.clone(), sys.history.clone());
+            let frozen = live.frozen.take();
+            let metrics = std::mem::replace(&mut live.lp.metrics, metrics);
+            let history = std::mem::replace(&mut sys.history, history);
+            let cold = live.snapshot(&sys, events).expect("snapshot");
+            assert_eq!(cold, warm, "the memo changed a byte after event {events}");
+            (*live.frozen.get_mut(), live.lp.metrics, sys.history) = (frozen, metrics, history);
+
+            if !live.step(&mut sys) {
+                break;
+            }
+            events += 1;
+            if events % 3 == 0 {
+                sys.history.insert(JobRecord {
+                    kind: JobKind::Dlt,
+                    label: format!("toy-{events}"),
+                    tags: vec!["slot".into()],
+                    numeric_features: [("need".to_string(), events as f64)].into(),
+                    curve: vec![(1.0, 0.5), (2.0, 1.0 / events as f64)],
+                    final_metric: 1.0,
+                    epochs: 2,
+                });
+            }
+        }
+        // Every job ended, and its entry was served from the memo since.
+        assert!(live.frozen.borrow().iter().all(Option::is_some));
+        assert!(events > SPECS.len() as u64);
     }
 
     #[test]

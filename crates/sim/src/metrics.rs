@@ -10,8 +10,9 @@
 
 use rotary_core::error::{Result, RotaryError};
 use rotary_core::job::{JobId, JobState, JobStatus};
-use rotary_core::json::{self, Json};
+use rotary_core::json::{self, CompactPrefix, Json};
 use rotary_core::SimTime;
+use std::cell::RefCell;
 use std::collections::BTreeMap;
 
 /// Per-job recovery counters under fault injection. Every field is zero in
@@ -176,8 +177,38 @@ enum ProgressRow {
     Delta { at: SimTime, changed: Vec<(JobId, f64)> },
 }
 
+impl ProgressRow {
+    /// The row as a full snapshot, given `state` — each job's φ after the
+    /// previous row — which it advances past this row.
+    fn materialize(&self, state: &mut BTreeMap<JobId, f64>) -> ProgressSnapshot {
+        match self {
+            ProgressRow::Full(snap) => {
+                *state = snap.progress.iter().copied().collect();
+                snap.clone()
+            }
+            ProgressRow::Delta { at, changed } => {
+                state.extend(changed.iter().copied());
+                ProgressSnapshot {
+                    at: *at,
+                    progress: state.iter().map(|(&j, &p)| (j, p)).collect(),
+                }
+            }
+        }
+    }
+}
+
+/// What [`WorkloadMetrics::to_compact`] already encoded of the two
+/// append-only lists, and where materialising the next row starts.
+#[derive(Debug, Default)]
+struct Emitted {
+    spans: CompactPrefix,
+    rows: CompactPrefix,
+    /// Each job's φ after the rows encoded so far.
+    state: BTreeMap<JobId, f64>,
+}
+
 /// Trace collector for one simulated run.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub struct WorkloadMetrics {
     spans: Vec<PlacementSpan>,
     rows: Vec<ProgressRow>,
@@ -185,6 +216,22 @@ pub struct WorkloadMetrics {
     /// delta-encoding.
     last: BTreeMap<JobId, f64>,
     recovery: BTreeMap<JobId, RecoveryCounters>,
+    /// Derived, never part of the trace: filled by the first
+    /// [`WorkloadMetrics::to_compact`], so a run that never snapshots pays
+    /// nothing; a clone starts empty.
+    emitted: RefCell<Emitted>,
+}
+
+impl Clone for WorkloadMetrics {
+    fn clone(&self) -> Self {
+        WorkloadMetrics {
+            spans: self.spans.clone(),
+            rows: self.rows.clone(),
+            last: self.last.clone(),
+            recovery: self.recovery.clone(),
+            emitted: RefCell::default(),
+        }
+    }
 }
 
 impl WorkloadMetrics {
@@ -237,26 +284,8 @@ impl WorkloadMetrics {
     /// All progress snapshots, in recording order, materialized from the
     /// delta-encoded rows (each row reports every job, ascending id).
     pub fn snapshots(&self) -> Vec<ProgressSnapshot> {
-        let mut state: BTreeMap<JobId, f64> = BTreeMap::new();
-        let mut out = Vec::with_capacity(self.rows.len());
-        for row in &self.rows {
-            match row {
-                ProgressRow::Full(snap) => {
-                    state = snap.progress.iter().copied().collect();
-                    out.push(snap.clone());
-                }
-                ProgressRow::Delta { at, changed } => {
-                    for &(job, p) in changed {
-                        state.insert(job, p);
-                    }
-                    out.push(ProgressSnapshot {
-                        at: *at,
-                        progress: state.iter().map(|(&job, &p)| (job, p)).collect(),
-                    });
-                }
-            }
-        }
-        out
+        let mut state = BTreeMap::new();
+        self.rows.iter().map(|row| row.materialize(&mut state)).collect()
     }
 
     /// Number of progress rows recorded (cheaper than materializing
@@ -327,15 +356,40 @@ impl WorkloadMetrics {
                 Json::Arr(self.snapshots().iter().map(ProgressSnapshot::to_json_value).collect()),
             ),
         ];
-        // Emitted only when some fault fired: a fault-free trace stays
-        // byte-identical to traces written before the fault layer existed.
-        if !self.recovery.is_empty() {
-            fields.push((
-                "recovery",
-                Json::Arr(self.recovery.iter().map(|(&job, c)| c.to_json_value(job)).collect()),
-            ));
-        }
+        fields.extend(self.recovery_json().map(|recovery| ("recovery", recovery)));
         Json::obj(fields)
+    }
+
+    /// [`WorkloadMetrics::to_json_value`] written compact, byte for byte,
+    /// with each span and progress row encoded once: a later call encodes
+    /// only what was recorded since (durable snapshots write the trace
+    /// every generation). The recovery counters, the one part that changes
+    /// in place, are encoded on every call.
+    pub fn to_compact(&self) -> String {
+        let mut emitted = self.emitted.borrow_mut();
+        let Emitted { spans, rows, state } = &mut *emitted;
+        spans.catch_up(&self.spans, PlacementSpan::to_json_value);
+        rows.catch_up(&self.rows, |row| row.materialize(state).to_json_value());
+        let mut out = String::with_capacity(spans.bytes() + rows.bytes() + 64);
+        out.push_str("{\"spans\":");
+        spans.write_array(&mut out);
+        out.push_str(",\"snapshots\":");
+        rows.write_array(&mut out);
+        if let Some(recovery) = self.recovery_json() {
+            out.push_str(",\"recovery\":");
+            out.push_str(&recovery.to_compact());
+        }
+        out.push('}');
+        out
+    }
+
+    /// The recovery counters, present only when some fault fired: a
+    /// fault-free trace stays byte-identical to traces written before the
+    /// fault layer existed.
+    fn recovery_json(&self) -> Option<Json> {
+        (!self.recovery.is_empty()).then(|| {
+            Json::Arr(self.recovery.iter().map(|(&job, c)| c.to_json_value(job)).collect())
+        })
     }
 
     /// Restores a trace from JSON.
@@ -371,7 +425,7 @@ impl WorkloadMetrics {
             last = final_row.progress.iter().copied().collect();
         }
         let rows = snapshots.into_iter().map(ProgressRow::Full).collect();
-        Ok(WorkloadMetrics { spans, rows, last, recovery })
+        Ok(WorkloadMetrics { spans, rows, last, recovery, emitted: RefCell::default() })
     }
 }
 
@@ -664,6 +718,47 @@ mod tests {
         assert_eq!(sparse.to_json().unwrap(), dense.to_json().unwrap());
         let round = WorkloadMetrics::from_json(&sparse.to_json().unwrap()).unwrap();
         assert_eq!(round.snapshots(), dense.snapshots());
+    }
+
+    #[test]
+    fn compact_text_equals_the_tree_through_every_mutation_clone_and_reload() {
+        let same = |m: &WorkloadMetrics| assert_eq!(m.to_compact(), m.to_json_value().to_compact());
+        let span = |job: u64, start: u64| PlacementSpan {
+            job: JobId(job),
+            resource: "gpu\"0".into(),
+            start: SimTime::from_secs(start),
+            end: SimTime::from_secs(start + 1),
+            attained_at_end: job.is_multiple_of(2),
+        };
+        let mut m = WorkloadMetrics::new();
+        same(&m);
+        m.record_snapshot_sparse(SimTime::from_secs(1), &[(JobId(0), 0.1), (JobId(1), 0.2)]);
+        same(&m);
+        m.record_span(span(0, 1));
+        m.record_snapshot_sparse(SimTime::from_secs(2), &[(JobId(1), 0.5)]);
+        same(&m);
+        same(&m);
+        m.recovery_of(JobId(1)).crashes += 1;
+        same(&m);
+        m.recovery_of(JobId(1)).retries += 1;
+        m.record_snapshot_sparse(SimTime::from_secs(3), &[(JobId(1), 0.5)]);
+        same(&m);
+        // A full row resets the materialisation state: job 1 drops out.
+        m.record_snapshot(SimTime::from_secs(4), vec![(JobId(0), 0.7), (JobId(2), 0.25)]);
+        m.record_snapshot_sparse(SimTime::from_secs(5), &[(JobId(2), 0.3)]);
+        same(&m);
+
+        let mut copy = m.clone();
+        copy.record_span(span(2, 5));
+        copy.recovery_of(JobId(4)).stragglers += 1;
+        same(&copy);
+        same(&m);
+
+        let mut reloaded = WorkloadMetrics::from_json(&m.to_compact()).unwrap();
+        same(&reloaded);
+        reloaded.record_snapshot_sparse(SimTime::from_secs(6), &[(JobId(0), 1.0)]);
+        reloaded.record_span(span(1, 6));
+        same(&reloaded);
     }
 
     #[test]

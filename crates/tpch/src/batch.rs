@@ -9,18 +9,31 @@
 //! batch may be smaller.
 //!
 //! The permutation (4 bytes per fact row) is the bulk of a progressive
-//! query's memory. A consumer that has reached a terminal state calls
-//! [`BatchSource::release`] to hand it back; the source keeps answering
-//! how much was delivered of how much, which is all anyone asks of a
-//! finished stream.
+//! query's memory and its shuffle the bulk of binding one. It is a pure
+//! function of (seed, rows), so it is drawn on the first read — the first
+//! batch or a restore's prefix replay — and a source nobody reads (a job
+//! a restore finds already terminal) never draws it. A consumer that has
+//! reached a terminal state calls [`BatchSource::release`] to hand it back;
+//! the source keeps answering how much was delivered of how much, which is
+//! all anyone asks of a finished stream.
 
 use rotary_sim::rng::Rng;
+
+/// The shuffled row order, by lifecycle stage.
+#[derive(Debug, Clone)]
+enum Order {
+    /// Not drawn yet: nothing has been read.
+    Unread,
+    Drawn(Vec<u32>),
+    /// Handed back; no further row is served.
+    Released,
+}
 
 /// A shuffled, batched view over `0..rows` of a fact table.
 #[derive(Debug, Clone)]
 pub struct BatchSource {
-    /// Empty once released.
-    permutation: Vec<u32>,
+    order: Order,
+    seed: u64,
     /// Rows in the underlying table; outlives the permutation.
     total: usize,
     batch_size: usize,
@@ -28,7 +41,8 @@ pub struct BatchSource {
 }
 
 impl BatchSource {
-    /// Creates a source over `rows` rows with the given batch size.
+    /// Creates a source over `rows` rows with the given batch size. The
+    /// permutation is drawn on the first read.
     ///
     /// # Panics
     /// Panics if `batch_size == 0` or `rows` exceeds `u32::MAX` (tables at
@@ -36,33 +50,44 @@ impl BatchSource {
     pub fn new(seed: u64, rows: usize, batch_size: usize) -> Self {
         assert!(batch_size > 0, "batch size must be positive");
         assert!(rows <= u32::MAX as usize, "row count exceeds u32 index space");
-        let mut permutation: Vec<u32> = (0..rows as u32).collect();
-        Rng::seed_from_u64(seed).fork("batch-order").shuffle(&mut permutation);
-        BatchSource { permutation, total: rows, batch_size, cursor: 0 }
+        BatchSource { order: Order::Unread, seed, total: rows, batch_size, cursor: 0 }
+    }
+
+    /// The permutation, drawn now if nothing was read before; empty once
+    /// released.
+    fn drawn(&mut self) -> &[u32] {
+        if let Order::Unread = self.order {
+            let mut permutation: Vec<u32> = (0..self.total as u32).collect();
+            Rng::seed_from_u64(self.seed).fork("batch-order").shuffle(&mut permutation);
+            self.order = Order::Drawn(permutation);
+        }
+        match &self.order {
+            Order::Drawn(permutation) => permutation,
+            _ => &[],
+        }
+    }
+
+    /// Serves the next `rows` rows (fewer at the end of the table).
+    fn take(&mut self, rows: usize) -> Option<&[u32]> {
+        if self.cursor >= self.total || matches!(self.order, Order::Released) {
+            return None;
+        }
+        let start = self.cursor;
+        let end = start.saturating_add(rows).min(self.total);
+        self.cursor = end;
+        Some(&self.drawn()[start..end])
     }
 
     /// The next batch of row indices, or `None` when the table is exhausted
     /// (or the source released).
     pub fn next_batch(&mut self) -> Option<&[u32]> {
-        if self.cursor >= self.permutation.len() {
-            return None;
-        }
-        let start = self.cursor;
-        let end = (start + self.batch_size).min(self.permutation.len());
-        self.cursor = end;
-        Some(&self.permutation[start..end])
+        self.take(self.batch_size)
     }
 
     /// Takes up to `n` batches at once, returning the concatenated rows.
     /// Used by adaptive running epochs, where an epoch spans several batches.
     pub fn next_batches(&mut self, n: usize) -> Option<&[u32]> {
-        if self.cursor >= self.permutation.len() {
-            return None;
-        }
-        let start = self.cursor;
-        let end = (start + self.batch_size.saturating_mul(n)).min(self.permutation.len());
-        self.cursor = end;
-        Some(&self.permutation[start..end])
+        self.take(self.batch_size.saturating_mul(n))
     }
 
     /// Fraction of the table delivered so far, in `[0, 1]` — the x-axis of
@@ -103,26 +128,32 @@ impl BatchSource {
 
     /// The first `rows` delivered row indices in delivery order, advancing
     /// the cursor past them — used by durable snapshot restore to replay a
-    /// resumed job's delivered prefix through a fresh executor.
+    /// resumed job's delivered prefix through a fresh executor. An empty
+    /// prefix draws nothing.
     ///
     /// # Panics
-    /// Panics if `rows` exceeds the table size; snapshots record a delivered
-    /// count that came from this very source, so a larger value is corrupt
-    /// input the caller must reject first.
+    /// Panics if `rows` exceeds the table size, or is positive on a
+    /// released source; snapshots record a delivered count that came from
+    /// this very source, so a larger value is corrupt input the caller must
+    /// reject first.
     pub fn replay_prefix(&mut self, rows: usize) -> &[u32] {
-        assert!(rows <= self.permutation.len(), "replay prefix exceeds table size");
+        assert!(rows <= self.total, "replay prefix exceeds table size");
         self.cursor = rows;
-        &self.permutation[..rows]
+        if rows == 0 {
+            return &[];
+        }
+        &self.drawn()[..rows]
     }
 
-    /// Frees the permutation. The source serves no further batches; the
-    /// delivered/total accounting keeps answering. Idempotent.
+    /// Frees the permutation, if it was ever drawn. The source serves no
+    /// further batches; the delivered/total accounting keeps answering.
+    /// Idempotent.
     pub fn release(&mut self) {
-        self.permutation = Vec::new();
+        self.order = Order::Released;
     }
 
     /// Releases the source with `rows` recorded as delivered — restoring a
-    /// stream nobody will read from again.
+    /// stream nobody will read from again, without drawing its permutation.
     ///
     /// # Panics
     /// Panics if `rows` exceeds the table size (see
@@ -216,6 +247,48 @@ mod tests {
         assert_eq!(resumed.delivered(), 20);
         // Both sources continue identically after the replay.
         assert_eq!(resumed.next_batch().unwrap(), src.next_batch().unwrap());
+    }
+
+    /// The order an eager shuffle at construction would have served.
+    fn eager(seed: u64, rows: u32) -> Vec<u32> {
+        let mut permutation: Vec<u32> = (0..rows).collect();
+        Rng::seed_from_u64(seed).fork("batch-order").shuffle(&mut permutation);
+        permutation
+    }
+
+    #[test]
+    fn the_permutation_is_drawn_on_first_read_only() {
+        let drawn = |src: &BatchSource| matches!(src.order, Order::Drawn(_));
+        let mut src = BatchSource::new(8, 50, 10);
+        assert!(!drawn(&src), "an unread source holds no permutation");
+        assert_eq!(src.replay_prefix(0), &[] as &[u32]);
+        assert!(!drawn(&src), "an empty replay draws nothing");
+        let mut released = src.clone();
+        released.release_at(30);
+        assert!(!drawn(&released) && released.delivered() == 30);
+        assert!(released.next_batch().is_none());
+        src.next_batch();
+        assert!(drawn(&src));
+    }
+
+    #[test]
+    fn lazy_sources_deliver_the_eager_order_through_reset_and_replay() {
+        let order = eager(9, 95);
+        let mut src = BatchSource::new(9, 95, 10);
+        let mut served = Vec::new();
+        while let Some(batch) = src.next_batches(2) {
+            served.extend_from_slice(batch);
+        }
+        assert_eq!(served, order);
+        src.reset();
+        assert_eq!(src.next_batch().unwrap(), &order[..10]);
+
+        let mut resumed = BatchSource::new(9, 95, 10);
+        assert_eq!(resumed.replay_prefix(37), &order[..37]);
+        assert_eq!(resumed.next_batch().unwrap(), &order[37..47]);
+        resumed.reset();
+        assert_eq!(resumed.replay_prefix(95), order.as_slice());
+        assert!(resumed.next_batch().is_none());
     }
 
     #[test]

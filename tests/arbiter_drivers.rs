@@ -6,7 +6,8 @@
 //! run snapshotted mid-flight restores to identical outcomes, from compact
 //! records and from the same records re-indented; a durable
 //! run — uninterrupted, or killed and resumed — reproduces the plain run
-//! byte for byte; and a snapshot refuses to resume a different run. The
+//! byte for byte; snapshots reusing earlier snapshots' text equal a cold
+//! full encoding; and a snapshot refuses to resume a different run. The
 //! same drivers on a toy arbiter (every event boundary, corrupt-generation
 //! fallback) are unit tests of the arbiter module itself.
 
@@ -19,6 +20,7 @@ use rotary::core::SimTime;
 use rotary::dlt::DltWorkloadBuilder;
 use rotary::dlt::{DltJobSpec, DltPolicy, DltRunResult, DltSystem, DltSystemConfig};
 use rotary::engine::QueryId;
+use rotary::faults::FaultPlan;
 use rotary::sim::metrics::WorkloadSummary;
 use rotary::store::{DurableConfig, DurableOutcome};
 use rotary::tpch::{Generator, TpchData};
@@ -222,6 +224,67 @@ fn check_drain_equals_full_scan<A: Durable>(
     assert_eq!(reported, (0..run.specs().len()).collect::<Vec<_>>());
 }
 
+/// The snapshot memo changes no byte. A run snapshotted at every event
+/// boundary — so most of each record is text reused from the previous
+/// snapshot — writes, at sampled boundaries, exactly the records of a run
+/// stepped in lockstep that snapshots there for the first time: its memo
+/// is cold, so its records are the full encoding of every tree. A third of
+/// the way in, the warm run is restored from its own records and goes on
+/// snapshotting; the equality must hold through that too.
+fn check_snapshot_memo_is_transparent<A: Durable>(
+    make: &dyn Fn() -> A,
+    specs: &[A::Spec],
+    policy: A::Policy,
+) where
+    A::BindError: Debug,
+{
+    let start = |sys: &mut A| Run::start(sys, specs, policy).expect("start");
+    let mut sys = make();
+    let mut probe = start(&mut sys);
+    let mut last = 0;
+    while probe.step(&mut sys) {
+        last += 1;
+    }
+    let samples = [1, last / 4, last / 2, 3 * last / 4, last];
+    let restore_at = last / 3;
+    assert!(restore_at > 1 && restore_at < last / 2, "run too short: {last} events");
+
+    let mut fresh: Vec<(usize, A, Run<A>)> = samples
+        .iter()
+        .map(|&at| {
+            let mut sys = make();
+            let run = start(&mut sys);
+            (at, sys, run)
+        })
+        .collect();
+    sys = make();
+    let mut warm = start(&mut sys);
+    let mut events = 0;
+    loop {
+        let records = warm.snapshot(&sys, 1).expect("snapshot");
+        fresh.retain(|(at, cold_sys, cold)| {
+            let due = *at == events;
+            if due {
+                let first = cold.snapshot(cold_sys, 1).expect("snapshot");
+                assert!(first == records, "the memo changed a byte at event {events}");
+            }
+            !due
+        });
+        if events == restore_at {
+            sys = make();
+            warm = Run::restore(&mut sys, specs.to_vec(), policy, &records).expect("restore");
+        }
+        if !warm.step(&mut sys) {
+            break;
+        }
+        for (_, cold_sys, cold) in &mut fresh {
+            assert!(cold.step(cold_sys), "lockstep run ended early");
+        }
+        events += 1;
+    }
+    assert!(fresh.is_empty() && events == last, "boundaries left unchecked");
+}
+
 fn temp_store(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("rotary-drivers-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -423,6 +486,18 @@ fn aqp_burst_launches_are_byte_identical_at_any_host_thread_count() {
 }
 
 #[test]
+fn aqp_snapshot_memo_is_transparent_clean_and_under_chaos() {
+    let specs = rotary::aqp::WorkloadBuilder::paper().jobs(6).seed(21).build();
+    check_snapshot_memo_is_transparent(&|| aqp(false), &specs, AqpPolicy::Rotary);
+    let chaos = || {
+        let config =
+            AqpSystemConfig { seed: 42, faults: FaultPlan::chaos(42), ..Default::default() };
+        AqpSystem::new(data(), config)
+    };
+    check_snapshot_memo_is_transparent(&chaos, &specs, AqpPolicy::Rotary);
+}
+
+#[test]
 fn aqp_resume_rejects_mismatched_workload() {
     let written = rotary::aqp::WorkloadBuilder::paper().jobs(3).seed(9).build();
     let other = rotary::aqp::WorkloadBuilder::paper().jobs(3).seed(10).build();
@@ -485,6 +560,20 @@ fn dlt_drain_after_every_event_equals_the_full_scan() {
 fn dlt_durable_runs_match_the_plain_run() {
     let specs = DltWorkloadBuilder::paper().jobs(6).seed(17).build();
     check_durable(&|| dlt(false), &specs, DLT_POLICY, (3, 2), "dlt");
+}
+
+#[test]
+fn dlt_snapshot_memo_is_transparent_clean_and_under_chaos() {
+    let specs = DltWorkloadBuilder::paper().jobs(6).seed(17).build();
+    check_snapshot_memo_is_transparent(&|| dlt(false), &specs, DLT_POLICY);
+    let chaos = || {
+        DltSystem::new(DltSystemConfig {
+            seed: 5,
+            faults: FaultPlan::chaos(5),
+            ..Default::default()
+        })
+    };
+    check_snapshot_memo_is_transparent(&chaos, &specs, DLT_POLICY);
 }
 
 #[test]

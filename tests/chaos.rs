@@ -2,16 +2,19 @@
 //! plans. Properties (256 seeded cases by default, `ROTARY_CHECK_CASES`
 //! overrides): every run terminates with every job in a terminal state and
 //! never panics; fixed chaos plans stay bit-identical across
-//! `ROTARY_THREADS` ∈ {1, 2, 4, 8}; and an inert plan — regardless of its
-//! seed — changes nothing at all relative to the fault-free default.
+//! `ROTARY_THREADS` ∈ {1, 2, 4, 8}; an inert plan — regardless of its
+//! seed — changes nothing at all relative to the fault-free default; and a
+//! durable run's snapshot memo changes no byte of any generation.
 
 use rotary::aqp::{AqpPolicy, AqpSystem, AqpSystemConfig, WorkloadBuilder};
+use rotary::arb::{self, Durable};
+use rotary::core::json::Json;
 use rotary::core::progress::Objective;
 use rotary::core::SimTime;
 use rotary::dlt::{DltPolicy, DltSystem, DltSystemConfig, DltWorkloadBuilder};
 use rotary::faults::{FaultConfig, FaultPlan, RetryPolicy};
 use rotary::sim::metrics::WorkloadSummary;
-use rotary::store::{DurableConfig, DurableOutcome, SnapshotStore};
+use rotary::store::{record_json, DurableConfig, DurableOutcome, SnapshotStore};
 use rotary::tpch::{Generator, TpchData};
 use rotary_check::{check, Source};
 use std::path::{Path, PathBuf};
@@ -364,6 +367,79 @@ fn resume_falls_back_past_corrupt_generations() {
         store.generations().unwrap().into_iter().filter(|g| store.load(*g).is_err()).count();
     assert!(corrupt > 0, "no snapshot generation was corrupted; pick a hotter seed");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The records of the `k`-th durable boundary (cadence: `every` completed
+/// epochs), written two ways: by a durable run that snapshotted at every
+/// earlier boundary and so reuses their text, and by a fresh run in
+/// lockstep whose cadence is `k × every` — the same event, and its first
+/// snapshot, so its memo is cold. Only `meta.generation` may differ. A run
+/// with fewer boundaries is compared at its last one.
+fn check_memo_at_durable_boundary<A: Durable>(
+    make: &dyn Fn() -> A,
+    specs: &[A::Spec],
+    policy: A::Policy,
+    (every, k): (u64, u64),
+    dir: &Path,
+) {
+    let commit = |every: u64, halt_after: u64| {
+        let _ = std::fs::remove_dir_all(dir);
+        let mut durable = DurableConfig::new(dir, every);
+        durable.halt_after = Some(halt_after);
+        arb::run_durable(&mut make(), specs, policy, &durable).unwrap();
+        let store = SnapshotStore::open(dir).unwrap();
+        let generation = store.generations().unwrap().into_iter().max();
+        let records = generation.map(|g| (g, store.load(g).unwrap()));
+        let _ = std::fs::remove_dir_all(dir);
+        records
+    };
+    let Some((generation, warm)) = commit(every, k) else {
+        return;
+    };
+    let (first, cold) = commit(generation * every, 1).expect("the same boundary");
+    assert_eq!(first, 1);
+    let meta = |records: &[(String, Vec<u8>)]| {
+        let mut meta = record_json(records, "meta").unwrap();
+        if let Json::Obj(fields) = &mut meta {
+            fields.retain(|(key, _)| key != "generation");
+        }
+        meta
+    };
+    assert_eq!(meta(&warm), meta(&cold), "not the same boundary");
+    assert!(warm[1..] == cold[1..], "the memo changed a byte of generation {generation}");
+}
+
+#[test]
+fn snapshot_memo_is_transparent_at_durable_boundaries_under_arbitrary_fault_plans() {
+    let dir = temp_store("memo");
+    check("snapshot_memo", |src| {
+        // Snapshot damage only hits the disk copy this reads back.
+        let config =
+            FaultConfig { snap_torn_prob: 0.0, snap_bitflip_prob: 0.0, ..random_config(src) };
+        let wl_seed = src.u64_in(0, 1 << 20);
+        let cadence = (src.u64_in(1, 4), src.u64_in(1, 12));
+        let aqp = || {
+            let faults = FaultPlan::new(config.clone());
+            AqpSystem::new(
+                data(),
+                AqpSystemConfig { seed: wl_seed, threads: 1, faults, ..Default::default() },
+            )
+        };
+        let specs = WorkloadBuilder::paper().jobs(3).seed(wl_seed).build();
+        check_memo_at_durable_boundary(&aqp, &specs, AqpPolicy::Rotary, cadence, &dir);
+        let dlt = || {
+            let faults = FaultPlan::new(config.clone());
+            DltSystem::new(DltSystemConfig {
+                seed: wl_seed,
+                threads: 1,
+                faults,
+                ..Default::default()
+            })
+        };
+        let specs = DltWorkloadBuilder::paper().jobs(4).seed(wl_seed).build();
+        let policy = DltPolicy::Rotary(Objective::Threshold(0.5));
+        check_memo_at_durable_boundary(&dlt, &specs, policy, cadence, &dir);
+    });
 }
 
 #[test]
