@@ -79,6 +79,15 @@ ROTARY_CHECK_CASES=256 cargo test -q --test chaos
 echo "== control-plane equivalence suite (256 cases) =="
 ROTARY_CHECK_CASES=256 cargo test -q --test control_plane
 
+# History-selection equivalence gate (DESIGN.md §13, "Bounded selection"):
+# the bucketed branch-and-bound top-k of the history repository must equal
+# the linear scan over every record — members, order, score bits — under
+# every bucketing with honest bounds (NaN buckets, bounds tied with scores,
+# ±0.0), removals, clones and reloads. Pinned for the same reason as the
+# chaos suite.
+echo "== rotary-core property suite (256 cases) =="
+ROTARY_CHECK_CASES=256 cargo test -q -p rotary-core --test props
+
 # Kernel-equivalence gate (DESIGN.md §5): every vectorized kernel in the
 # columnar data plane must stay bit-identical to its row-at-a-time oracle,
 # including NaN/inf payloads and empty/full selections. Beside it, the

@@ -22,7 +22,7 @@
 
 use rotary_core::estimate::similarity::{jaccard_sorted, scalar_similarity};
 use rotary_core::estimate::{CurveBasis, JointCurveEstimator};
-use rotary_core::history::{HistoryRepository, JobRecord};
+use rotary_core::history::{ClassRow, HistoryRepository, JobRecord};
 use rotary_core::job::JobKind;
 use rotary_engine::QueryPlan;
 use rotary_sim::rng::Rng;
@@ -106,6 +106,12 @@ impl HistoryRow {
     }
 }
 
+/// One bucket: with 22 classes there is nothing worth bounding.
+impl ClassRow for HistoryRow {
+    type Bucket = ();
+    fn bucket(&self) {}
+}
+
 /// The job side of [`QueryFeatures::similarity`], computed once per query.
 struct FeatureSets<'a> {
     features: &'a QueryFeatures,
@@ -144,7 +150,13 @@ pub fn build_estimator(
     top_k: usize,
 ) -> JointCurveEstimator {
     let own = FeatureSets::of(features);
-    let similar = history.top_k_rows(JobKind::Aqp, top_k, HistoryRow::of, |row| own.score(row));
+    let similar = history.top_k_rows(
+        JobKind::Aqp,
+        top_k,
+        HistoryRow::of,
+        |_| f64::INFINITY,
+        |row| own.score(row),
+    );
     let historical: Vec<(f64, f64)> =
         similar.iter().flat_map(|(r, _)| r.curve.iter().copied()).collect();
     JointCurveEstimator::new(CurveBasis::LogShifted, historical)

@@ -11,7 +11,9 @@ use rotary_core::estimate::similarity::{scalar_similarity, top_k_by};
 use rotary_core::estimate::wlr::{LinearFit, WeightedPoint};
 use rotary_core::estimate::{CurveBasis, EnvelopeDetector, JointCurveEstimator};
 use rotary_core::history::{HistoryRepository, JobRecord};
-use rotary_dlt::{build_tee, DltSystem, DltSystemConfig, DltWorkloadBuilder, Tme};
+use rotary_dlt::{
+    build_tee, DltJobSpec, DltSystem, DltSystemConfig, DltWorkloadBuilder, Tme, TrainingConfig,
+};
 use rotary_engine::{query, QueryId};
 use rotary_tpch::Generator;
 
@@ -53,15 +55,17 @@ fn bench_envelope() {
 fn bench_top_k() {
     for n in [22usize, 220, 2200] {
         let sizes: Vec<f64> = (0..n).map(|i| (i % 140) as f64 + 1.0).collect();
-        bench(&format!("top_k_similar/{n}"), || {
+        bench(&format!("top_k_by/{n}"), || {
             black_box(top_k_by(black_box(&sizes), 5, |&s| scalar_similarity(42.0, s)));
         });
     }
 }
 
 /// TEE and TME against the Table II workload's own history at two sizes:
-/// the cost follows the feature classes (at most 2120 for this workload),
-/// not the records.
+/// the cost follows the feature classes (at most 2120 for this workload)
+/// whose bucket can still reach the top k, not the records. Each line is
+/// followed by that count — rows scored per call, mean over one pass of
+/// the workload's own jobs — which reads no clock.
 fn bench_dlt_estimators() {
     for n in [2_000usize, 20_000] {
         let specs = DltWorkloadBuilder::paper().jobs(n).seed(33).build();
@@ -74,12 +78,34 @@ fn bench_dlt_estimators() {
             let config = &targets.next().expect("cycle never ends").config;
             black_box(build_tee(black_box(config), history, 5));
         });
+        print_rows_scored(history, &specs, |config, history| {
+            black_box(build_tee(config, history, 5));
+        });
         let tme = Tme::default();
         bench(&format!("tme_estimate_mb/{n}_records_{classes}_classes"), || {
             let config = &targets.next().expect("cycle never ends").config;
             black_box(tme.estimate_mb(black_box(config), history));
         });
+        print_rows_scored(history, &specs, |config, history| {
+            black_box(tme.estimate_mb(config, history));
+        });
     }
+}
+
+/// Prints the rows `query` scores per call, the mean over one call per
+/// spec: a count, not a timing.
+fn print_rows_scored(
+    history: &mut HistoryRepository,
+    specs: &[DltJobSpec],
+    mut query: impl FnMut(&TrainingConfig, &mut HistoryRepository),
+) {
+    let before = history.rows_scored();
+    for spec in specs {
+        query(&spec.config, history);
+    }
+    let per_call = (history.rows_scored() - before) as f64 / specs.len() as f64;
+    let classes = history.class_count();
+    println!("{:<40} {per_call:.1} of {classes} classes", "  rows scored per call");
 }
 
 /// The AQP estimator against the 22 query records archived round-robin.

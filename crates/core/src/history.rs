@@ -14,20 +14,32 @@
 //! per class. A long-running arbiter archives the same job shapes over and
 //! over; the class count is bounded by the number of distinct shapes, the
 //! record count is not.
+//!
+//! Classes are filed further into *buckets* their typed rows name, and a
+//! query bounds each bucket's best score: buckets that cannot reach the
+//! top k are never scored (DESIGN.md §13, "Bounded selection").
 
-use crate::arb::OrdF64;
 use crate::error::{Result, RotaryError};
-use crate::estimate::similarity::top_k_by;
 use crate::job::JobKind;
 use crate::json::{self, CompactPrefix, Json};
-use std::any::Any;
 use std::cell::RefCell;
-use std::cmp::Reverse;
 use std::collections::BTreeMap;
 use std::path::Path;
 
 mod index;
 use index::ClassIndex;
+
+/// What a similarity score reads of one feature class, extracted once per
+/// class by [`HistoryRepository::top_k_rows`], and the bucket that files
+/// the class for bounded selection. Callers with nothing to bound use one
+/// bucket (`type Bucket = ()`) with bound `+∞`.
+pub trait ClassRow: Send + Sync + 'static {
+    /// The bucket key; classes with equal keys share a bound.
+    type Bucket: Ord + Copy + Send + Sync + 'static;
+
+    /// The bucket this row's class is filed under.
+    fn bucket(&self) -> Self::Bucket;
+}
 
 /// A completed job's footprint in the repository.
 #[derive(Debug, Clone, PartialEq)]
@@ -131,6 +143,8 @@ pub struct HistoryRepository {
     /// Derived like `index`: caught up on read, reset by anything but an
     /// append.
     emitted: RefCell<CompactPrefix>,
+    /// Rows scored by [`HistoryRepository::top_k_rows`] so far.
+    scored: u64,
 }
 
 impl Clone for HistoryRepository {
@@ -171,11 +185,18 @@ impl HistoryRepository {
     }
 
     /// Number of feature classes: distinct `(kind, label, tags,
-    /// numeric_features)` among the records. Similarity search costs one
-    /// score per class.
+    /// numeric_features)` among the records. Similarity search costs at
+    /// most one score per class.
     pub fn class_count(&mut self) -> usize {
         self.index.catch_up(&self.records);
-        self.index.classes.len()
+        self.index.class_count()
+    }
+
+    /// Rows scored by [`HistoryRepository::top_k_rows`] since this
+    /// repository was created, loaded or cloned: one per feature class a
+    /// query could not prune. A count, not a timing.
+    pub fn rows_scored(&self) -> u64 {
+        self.scored
     }
 
     /// Removes every record whose label satisfies the predicate. Returns how
@@ -194,69 +215,43 @@ impl HistoryRepository {
 
     /// Selects the top-k records of `kind` by a caller-supplied similarity
     /// score, descending; ties keep insertion order and records with a
-    /// non-finite score are skipped.
+    /// non-finite score are skipped — the prefix a stable sort of every
+    /// scored record yields.
     ///
-    /// `score` must be a pure function of the record's `kind`, `label`,
-    /// `tags` and `numeric_features` — never of its `curve`, `final_metric`
-    /// or `epochs`: it is called once per feature class, on the class's
-    /// first record, and that score stands for every member. Takes `&mut
-    /// self` to file the records inserted since the last query under their
-    /// classes.
-    pub fn top_k_similar<F>(
-        &mut self,
-        kind: JobKind,
-        k: usize,
-        mut score: F,
-    ) -> Vec<(&JobRecord, f64)>
-    where
-        F: FnMut(&&JobRecord) -> f64,
-    {
-        self.index.catch_up(&self.records);
-        self.select(kind, k, |c| score(&&self.records[self.index.classes[c as usize][0] as usize]))
-    }
-
-    /// [`HistoryRepository::top_k_similar`] over typed rows: `extract` reads
-    /// what the caller's score needs out of a record once per class (under
-    /// the same fields-only contract), and `score` then sees only the row.
-    /// Rows are derived state kept between calls; a call with a different
-    /// row type re-extracts them.
-    pub fn top_k_rows<R, X, F>(
+    /// `extract` reads what the score needs out of a record, and `score`
+    /// sees only that row. Both must be pure functions of the record's
+    /// `kind`, `label`, `tags` and `numeric_features` — never of its
+    /// `curve`, `final_metric` or `epochs`: a row is extracted once per
+    /// feature class, from the class's first record, and its score stands
+    /// for every member. Rows are derived state kept between calls; a call
+    /// with a different row type re-extracts them.
+    ///
+    /// `bound` must return, for each bucket of rows, an upper bound on
+    /// every finite score in it, or NaN when no score in it is finite. A
+    /// bucket whose bound is strictly below the k-th best score found is
+    /// never scored. Takes `&mut self` to file the records inserted since
+    /// the last query.
+    pub fn top_k_rows<R, X, B, F>(
         &mut self,
         kind: JobKind,
         k: usize,
         extract: X,
+        bound: B,
         mut score: F,
     ) -> Vec<(&JobRecord, f64)>
     where
-        R: Any + Send + Sync,
+        R: ClassRow,
         X: Fn(&JobRecord) -> R,
+        B: FnMut(&R::Bucket) -> f64,
         F: FnMut(&R) -> f64,
     {
-        self.index.catch_up(&self.records);
-        self.index.catch_up_rows(&self.records, extract);
-        let rows = self.index.rows::<R>();
-        self.select(kind, k, |c| score(&rows[c as usize]))
-    }
-
-    /// The top-k records by `(score desc, insertion index asc)` given a
-    /// score per class — the order a stable sort of every scored record
-    /// yields. A record in the top k has fewer than k records ahead of it,
-    /// each class ahead of its own contributes at least one of those, so
-    /// only the k best classes (by score, then first member) can matter.
-    fn select<F>(&self, kind: JobKind, k: usize, mut score: F) -> Vec<(&JobRecord, f64)>
-    where
-        F: FnMut(u32) -> f64,
-    {
-        let best = top_k_by(&self.index.of_kind[kind as usize], k, |&c| score(c));
-        let mut picked: Vec<(u32, f64)> = best
-            .into_iter()
-            .flat_map(|(&c, s)| {
-                self.index.classes[c as usize].iter().take(k).map(move |&at| (at, s))
-            })
-            .collect();
-        picked.sort_by_key(|&(at, s)| (Reverse(OrdF64::new(s)), at));
-        picked.truncate(k);
-        picked.into_iter().map(|(at, s)| (&self.records[at as usize], s)).collect()
+        let scored = &mut self.scored;
+        let counted = |row: &R| {
+            *scored += 1;
+            score(row)
+        };
+        let best = self.index.top_k(&self.records, kind, k, extract, bound, counted);
+        best.into_iter().map(|(at, s)| (&self.records[at as usize], s)).collect()
     }
 
     /// Serialises the repository to pretty JSON.
@@ -341,8 +336,31 @@ mod tests {
         assert_eq!(repo.of_kind(JobKind::Aqp).next().unwrap().label, "q5");
     }
 
+    /// A record's parameter count, all in one bucket.
+    struct Params(f64);
+
+    impl ClassRow for Params {
+        type Bucket = ();
+        fn bucket(&self) {}
+    }
+
+    fn params(r: &JobRecord) -> Params {
+        Params(r.feature("params_m").unwrap_or(0.0))
+    }
+
+    /// A parameter count filed under its own bit pattern: the bound of a
+    /// bucket is its exact score.
+    struct Exact(f64);
+
+    impl ClassRow for Exact {
+        type Bucket = u64;
+        fn bucket(&self) -> u64 {
+            self.0.to_bits()
+        }
+    }
+
     #[test]
-    fn top_k_similar_by_parameter_count() {
+    fn top_k_by_parameter_count() {
         let mut repo = HistoryRepository::new();
         for (label, p) in
             [("lenet", 0.06), ("resnet18", 11.7), ("resnet34", 21.8), ("vgg16", 138.0)]
@@ -350,9 +368,13 @@ mod tests {
             repo.insert(record(label, JobKind::Dlt, p));
         }
         let target = 12.0;
-        let top = repo.top_k_similar(JobKind::Dlt, 2, |r| {
-            scalar_similarity(target, r.feature("params_m").unwrap_or(0.0))
-        });
+        let top = repo.top_k_rows(
+            JobKind::Dlt,
+            2,
+            params,
+            |_| f64::INFINITY,
+            |p| scalar_similarity(target, p.0),
+        );
         assert_eq!(top.len(), 2);
         assert_eq!(top[0].0.label, "resnet18");
         assert_eq!(top[1].0.label, "resnet34");
@@ -372,34 +394,97 @@ mod tests {
         }
         assert_eq!((repo.len(), repo.class_count()), (30, 3));
 
-        let scored = Cell::new(0);
-        let top = repo.top_k_similar(JobKind::Dlt, 4, |r| {
-            scored.set(scored.get() + 1);
-            scalar_similarity(12.0, r.feature("params_m").unwrap_or(0.0))
-        });
-        assert_eq!(scored.get(), 3);
+        let (extracted, scored) = (Cell::new(0), Cell::new(0));
+        let counted = |r: &JobRecord| {
+            extracted.set(extracted.get() + 1);
+            params(r)
+        };
+        let top = repo.top_k_rows(
+            JobKind::Dlt,
+            4,
+            counted,
+            |_| f64::INFINITY,
+            |p| scalar_similarity(12.0, p.0),
+        );
         // Members of the best class, oldest first.
         assert!(top.iter().all(|(r, _)| r.label == "resnet18"));
         let copies: Vec<f64> = top.iter().map(|(r, _)| r.curve[2].1).collect();
         assert_eq!(copies, vec![0.0, 1.0, 2.0, 3.0]);
+        assert_eq!((extracted.get(), repo.rows_scored()), (3, 3));
 
         // Typed rows are extracted once per class and kept between calls.
-        let (extracted, scored) = (Cell::new(0), Cell::new(0));
-        let params = |r: &JobRecord| {
-            extracted.set(extracted.get() + 1);
-            r.feature("params_m").unwrap_or(0.0)
-        };
         for _ in 0..2 {
-            let top = repo.top_k_rows(JobKind::Dlt, 1, params, |&p| {
-                scored.set(scored.get() + 1);
-                scalar_similarity(100.0, p)
-            });
+            let top = repo.top_k_rows(
+                JobKind::Dlt,
+                1,
+                counted,
+                |_| f64::INFINITY,
+                |p| {
+                    scored.set(scored.get() + 1);
+                    scalar_similarity(100.0, p.0)
+                },
+            );
             assert_eq!(top[0].0.label, "vgg16");
         }
         assert_eq!((extracted.get(), scored.get()), (3, 6));
         repo.insert(record("bert", JobKind::Dlt, 110.0));
-        repo.top_k_rows(JobKind::Dlt, 1, params, |&p| scalar_similarity(100.0, p));
-        assert_eq!(extracted.get(), 4);
+        repo.top_k_rows(
+            JobKind::Dlt,
+            1,
+            counted,
+            |_| f64::INFINITY,
+            |p| scalar_similarity(100.0, p.0),
+        );
+        assert_eq!((extracted.get(), repo.rows_scored()), (4, 3 + 6 + 4));
+    }
+
+    #[test]
+    fn buckets_that_cannot_reach_the_top_k_are_never_scored() {
+        let mut repo = HistoryRepository::new();
+        for (label, p) in [("lenet", 0.06), ("resnet18", 11.7), ("vgg16", 138.0), ("bert", 110.0)] {
+            for _ in 0..3 {
+                repo.insert(record(label, JobKind::Dlt, p));
+            }
+        }
+        // vgg16 scores 0.94, bert 0.85, the others below 0.1.
+        let target = 130.0;
+        let exact = |bits: &u64| scalar_similarity(target, f64::from_bits(*bits));
+        let similar = |p: &Exact| scalar_similarity(target, p.0);
+        let labels = |top: Vec<(&JobRecord, f64)>| -> Vec<String> {
+            top.into_iter().map(|(r, _)| r.label.clone()).collect()
+        };
+
+        // Three members of the best class fill k = 3: one class scored.
+        let top = repo.top_k_rows(JobKind::Dlt, 3, |r| Exact(params(r).0), exact, similar);
+        assert_eq!(labels(top), ["vgg16"; 3]);
+        assert_eq!(repo.rows_scored(), 1);
+        // k = 4 reaches into the second-best class, and no further.
+        let top = repo.top_k_rows(JobKind::Dlt, 4, |r| Exact(params(r).0), exact, similar);
+        assert_eq!(labels(top), ["vgg16", "vgg16", "vgg16", "bert"]);
+        assert_eq!(repo.rows_scored(), 1 + 2);
+        // A NaN bound skips its bucket unscored; k = 0 scores nothing.
+        let no_vgg =
+            |bits: &u64| if f64::from_bits(*bits) > 120.0 { f64::NAN } else { exact(bits) };
+        let top = repo.top_k_rows(JobKind::Dlt, 1, |r| Exact(params(r).0), no_vgg, similar);
+        assert_eq!(labels(top), ["bert"]);
+        assert!(repo
+            .top_k_rows(JobKind::Dlt, 0, |r| Exact(params(r).0), exact, similar)
+            .is_empty());
+        assert_eq!(repo.rows_scored(), 1 + 2 + 1);
+        // The other kind's buckets are separate.
+        assert!(repo
+            .top_k_rows(JobKind::Aqp, 5, |r| Exact(params(r).0), exact, similar)
+            .is_empty());
+
+        // A bound equal to the k-th score is scanned: "a" ties "b" on score
+        // and wins on insertion order, though its bucket's bound is lower.
+        let mut tied = HistoryRepository::new();
+        tied.insert(record("a", JobKind::Dlt, 1.0));
+        tied.insert(record("b", JobKind::Dlt, 2.0));
+        let loose = |bits: &u64| if f64::from_bits(*bits) == 2.0 { 0.9 } else { 0.5 };
+        let top = tied.top_k_rows(JobKind::Dlt, 1, |r| Exact(params(r).0), loose, |_| 0.5);
+        assert_eq!(labels(top), ["a"]);
+        assert_eq!(tied.rows_scored(), 2);
     }
 
     #[test]

@@ -1,11 +1,15 @@
 //! The feature-class index of the history repository: which records share
-//! their `(kind, label, tags, numeric_features)`, and one typed row per
-//! class for the caller's similarity score.
+//! their `(kind, label, tags, numeric_features)`, one typed row per class
+//! for the caller's similarity score, the buckets those rows file the
+//! classes under, and the bounded top-k selection over them.
 
-use super::JobRecord;
+use super::{ClassRow, JobRecord};
+use crate::arb::OrdF64;
+use crate::job::JobKind;
 use std::any::Any;
+use std::cmp::Reverse;
 use std::collections::hash_map::DefaultHasher;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BinaryHeap};
 use std::hash::{Hash, Hasher};
 
 /// The feature classes of a record list. Derived state, never serialised:
@@ -18,15 +22,24 @@ pub(super) struct ClassIndex {
     /// Member record indices per class, ascending; the first member is the
     /// class's representative. Classes are numbered in order of first
     /// appearance, so class order is representative insertion order.
-    pub(super) classes: Vec<Vec<u32>>,
-    /// Class ids per application family (indexed by `JobKind as usize`),
-    /// ascending.
-    pub(super) of_kind: [Vec<u32>; 2],
+    classes: Vec<Vec<u32>>,
     /// Hash of the class-defining fields → the classes that hash there.
     by_hash: BTreeMap<u64, Vec<u32>>,
-    /// One caller-typed row per class (a `Vec<R>` parallel to `classes`),
-    /// extracted on demand by [`super::HistoryRepository::top_k_rows`].
+    /// One caller-typed row per class and the classes filed per bucket (a
+    /// `Rows<R>`), extracted on demand by [`ClassIndex::top_k`].
     rows: Option<Box<dyn Any + Send + Sync>>,
+}
+
+/// The typed rows of a [`ClassIndex`] and the buckets they file the
+/// classes under.
+struct Rows<R: ClassRow> {
+    /// One row per class, parallel to `ClassIndex::classes`.
+    rows: Vec<R>,
+    /// Per application family: each bucket and its classes, ascending, in
+    /// order of the bucket's first appearance.
+    buckets: [Vec<(R::Bucket, Vec<u32>)>; 2],
+    /// Per application family: bucket → its position in `buckets`.
+    slots: [BTreeMap<R::Bucket, usize>; 2],
 }
 
 /// Bit-exact equality of the fields a similarity score may read, so that
@@ -65,6 +78,11 @@ impl ClassIndex {
         self.filed = records.len();
     }
 
+    /// Number of classes filed so far.
+    pub(super) fn class_count(&self) -> usize {
+        self.classes.len()
+    }
+
     fn add(&mut self, records: &[JobRecord], at: usize) {
         let record = &records[at];
         let same_hash = self.by_hash.entry(class_hash(record)).or_default();
@@ -77,30 +95,133 @@ impl ClassIndex {
             None => {
                 let c = self.classes.len() as u32;
                 same_hash.push(c);
-                self.of_kind[record.kind as usize].push(c);
                 self.classes.push(vec![at as u32]);
             }
         }
     }
 
-    /// Extends the typed rows to cover every class filed so far, starting
-    /// over when the last caller extracted a different row type.
-    pub(super) fn catch_up_rows<R, X>(&mut self, records: &[JobRecord], extract: X)
+    /// Extends the typed rows and their buckets to cover every class filed
+    /// so far, starting over when the last caller extracted a different row
+    /// type.
+    fn catch_up_rows<R, X>(&mut self, records: &[JobRecord], extract: X)
     where
-        R: Any + Send + Sync,
+        R: ClassRow,
         X: Fn(&JobRecord) -> R,
     {
-        if !self.rows.as_ref().is_some_and(|rows| rows.is::<Vec<R>>()) {
-            self.rows = Some(Box::new(Vec::<R>::new()));
+        if !self.rows.as_ref().is_some_and(|rows| rows.is::<Rows<R>>()) {
+            let empty = Rows::<R> {
+                rows: Vec::new(),
+                buckets: Default::default(),
+                slots: Default::default(),
+            };
+            self.rows = Some(Box::new(empty));
         }
-        let Some(rows) = self.rows.as_mut().and_then(|rows| rows.downcast_mut::<Vec<R>>()) else {
+        let Some(typed) = self.rows.as_mut().and_then(|rows| rows.downcast_mut::<Rows<R>>()) else {
             return;
         };
-        let missing = &self.classes[rows.len()..];
-        rows.extend(missing.iter().map(|members| extract(&records[members[0] as usize])));
+        for c in typed.rows.len()..self.classes.len() {
+            let representative = &records[self.classes[c][0] as usize];
+            let row = extract(representative);
+            let (key, kind) = (row.bucket(), representative.kind as usize);
+            let buckets = &mut typed.buckets[kind];
+            let slot = *typed.slots[kind].entry(key).or_insert_with(|| {
+                buckets.push((key, Vec::new()));
+                buckets.len() - 1
+            });
+            buckets[slot].1.push(c as u32);
+            typed.rows.push(row);
+        }
     }
 
-    pub(super) fn rows<R: Any>(&self) -> &[R] {
-        self.rows.as_ref().and_then(|rows| rows.downcast_ref::<Vec<R>>()).map_or(&[], Vec::as_slice)
+    /// The top-k records of `kind` by `(score desc, insertion index asc)`,
+    /// non-finite scores skipped — the prefix a stable sort of every scored
+    /// record yields — as `(record index, score)`.
+    ///
+    /// Branch and bound over buckets: they are visited in descending
+    /// `bound` order, and the scan stops before the first bucket whose
+    /// bound is strictly below the k-th kept score. Every record left
+    /// unvisited scores at most its bucket's bound, so it would rank behind
+    /// k kept records. A bound *equal* to the k-th score does not stop the
+    /// scan: that bucket may hold an equal score at an earlier insertion
+    /// index. Within a bucket, classes ascend by first member, so the scan
+    /// of a bucket stops at the first class whose first member would rank
+    /// behind the k-th kept record even at the bucket's bound. A NaN bound
+    /// declares a bucket without finite scores, and it is skipped unscored.
+    pub(super) fn top_k<R, X, B, F>(
+        &mut self,
+        records: &[JobRecord],
+        kind: JobKind,
+        k: usize,
+        extract: X,
+        mut bound: B,
+        mut score: F,
+    ) -> Vec<(u32, f64)>
+    where
+        R: ClassRow,
+        X: Fn(&JobRecord) -> R,
+        B: FnMut(&R::Bucket) -> f64,
+        F: FnMut(&R) -> f64,
+    {
+        self.catch_up(records);
+        self.catch_up_rows(records, extract);
+        let Some(typed) = self.rows.as_ref().and_then(|rows| rows.downcast_ref::<Rows<R>>()) else {
+            return Vec::new();
+        };
+        let buckets = &typed.buckets[kind as usize];
+        // Highest bound first; `OrdF64` orders non-NaN floats as IEEE `<`
+        // does, zeros of either sign tied. Among equal bounds the first
+        // filed pops first, though any order would select the same records.
+        let mut order: BinaryHeap<(OrdF64, Reverse<usize>)> = buckets
+            .iter()
+            .enumerate()
+            .filter_map(|(slot, (key, _))| {
+                let b = bound(key);
+                (!b.is_nan()).then(|| (OrdF64::new(b), Reverse(slot)))
+            })
+            .collect();
+
+        // Kept records, best first, keyed by `(score desc, index asc)`.
+        type Key = (Reverse<OrdF64>, u32);
+        let mut best: Vec<(Key, f64)> = Vec::with_capacity(k.min(records.len()));
+        // True when k records are kept and none ranks behind `key`.
+        let settled = |best: &[(Key, f64)], key: Key| {
+            best.len() == k && best.last().is_none_or(|&(worst, _)| key >= worst)
+        };
+        while let Some((b, Reverse(slot))) = order.pop() {
+            // Every record in this bucket and the ones after it scores at
+            // most `b`: stop once that ranks behind the k-th kept record,
+            // which takes `b` strictly below the k-th score unless it sits
+            // at index 0.
+            if settled(&best, (Reverse(b), 0)) {
+                break;
+            }
+            for &c in &buckets[slot].1 {
+                let members = &self.classes[c as usize];
+                // Classes ascend by first member, so every record left in
+                // the bucket scores at most `b` at an index of at least this.
+                if settled(&best, (Reverse(b), members[0])) {
+                    break;
+                }
+                let s = score(&typed.rows[c as usize]);
+                if !s.is_finite() {
+                    continue;
+                }
+                let rank = Reverse(OrdF64::new(s));
+                debug_assert!(rank.0 <= b, "score {s} exceeds the bound of bucket {slot}");
+                // Members ascend, so once one cannot displace the k-th kept
+                // record, none after it can.
+                for &at in members {
+                    if settled(&best, (rank, at)) {
+                        break;
+                    }
+                    if best.len() == k {
+                        best.pop();
+                    }
+                    let pos = best.partition_point(|&(kept, _)| kept < (rank, at));
+                    best.insert(pos, ((rank, at), s));
+                }
+            }
+        }
+        best.into_iter().map(|((_, at), s)| (at, s)).collect()
     }
 }

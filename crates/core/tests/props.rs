@@ -5,7 +5,7 @@ use rotary_check::check;
 use rotary_core::criteria::{CompletionCriterion, CriterionCheck, Deadline, Metric};
 use rotary_core::estimate::similarity::{scalar_similarity, top_k_by};
 use rotary_core::estimate::wlr::{LinearFit, WeightedPoint};
-use rotary_core::history::{HistoryRepository, JobRecord};
+use rotary_core::history::{ClassRow, HistoryRepository, JobRecord};
 use rotary_core::job::{IntermediateState, JobKind};
 use rotary_core::SimTime;
 use std::collections::BTreeMap;
@@ -177,24 +177,66 @@ fn top_k_sorted_and_bounded() {
     });
 }
 
-/// The class-indexed top-k of the history repository — by record closure
-/// and by typed rows — equals the linear reference (`top_k_by` over every
-/// record of the kind) in members, order and score bits, across duplicate
-/// classes, tied and NaN scores, removals and JSON round-trips.
+/// The bucketed, bounded top-k of the history repository equals the linear
+/// reference (`top_k_by` over every record of the kind) in members, order
+/// and score bits, across duplicate classes, tied, NaN and ±0.0 scores,
+/// every bucketing with honest bounds (NaN buckets, bounds tied exactly
+/// with scores, a zero bound of the other sign, one `+∞` bucket), k = 0
+/// and k past the record count, removals, clones and JSON round-trips.
 #[test]
 fn indexed_top_k_equals_the_linear_scan() {
-    /// What the score reads of a record: a pure function of the
-    /// class-defining fields.
-    type Row = (bool, usize, f64);
-    fn row(r: &JobRecord) -> Row {
-        (r.label == "nan", r.tags.len(), r.feature("x").unwrap_or(7.0))
+    /// What the score reads of a record — a pure function of the
+    /// class-defining fields — filed under bucketing `B`: 0 puts every
+    /// class in one bucket, 1 files each distinct score under its own, 2
+    /// groups classes by tag count alone.
+    #[derive(Clone, Copy)]
+    struct Row<const B: u8> {
+        poisoned: bool,
+        tags: usize,
+        x: f64,
     }
-    fn score(query: f64, (poisoned, tags, x): Row) -> f64 {
+    impl<const B: u8> ClassRow for Row<B> {
+        type Bucket = (bool, usize, u64);
+        fn bucket(&self) -> Self::Bucket {
+            match B {
+                0 => (false, 0, 0),
+                1 => (self.poisoned, self.tags, self.x.to_bits()),
+                _ => (self.poisoned, self.tags, 0),
+            }
+        }
+    }
+    fn row<const B: u8>(r: &JobRecord) -> Row<B> {
+        Row { poisoned: r.label == "nan", tags: r.tags.len(), x: r.feature("x").unwrap_or(7.0) }
+    }
+    /// Few distinct values, so ties are the common case; `x = -0.0`
+    /// scores `-0.0`, which ties `+0.0`.
+    fn score<const B: u8>(query: f64, r: Row<B>) -> f64 {
+        if r.poisoned {
+            return f64::NAN;
+        }
+        r.x * query - r.tags as f64 * 0.5
+    }
+    /// The least honest bound of each bucketing, for `query ≥ 0`: exact
+    /// for bucketing 1, with the sign of a zero flipped when `flip` (equal
+    /// under `<=`, so still a bound); `x ≤ 7` for bucketing 2.
+    fn bound<const B: u8>(
+        query: f64,
+        flip: bool,
+        &(poisoned, tags, x): &(bool, usize, u64),
+    ) -> f64 {
+        if B == 0 {
+            return f64::INFINITY;
+        }
         if poisoned {
             return f64::NAN;
         }
-        // Few distinct values, so ties are the common case.
-        scalar_similarity(query, x + tags as f64)
+        let x = if B == 1 { f64::from_bits(x) } else { 7.0 };
+        let exact = score::<B>(query, Row { poisoned, tags, x });
+        if flip && exact == 0.0 {
+            -exact
+        } else {
+            exact
+        }
     }
 
     check("indexed_top_k_equals_the_linear_scan", |src| {
@@ -209,6 +251,7 @@ fn indexed_top_k_equals_the_linear_scan() {
                     let json = repo.to_json().expect("to_json");
                     repo = HistoryRepository::from_json(&json).expect("from_json");
                 }
+                2 => repo = repo.clone(),
                 _ => {
                     let x = *src.pick(&[-0.0, 0.0, 1.0, 2.0]);
                     let features = if src.bool(0.9) {
@@ -230,21 +273,42 @@ fn indexed_top_k_equals_the_linear_scan() {
             }
 
             let kind = *src.pick(&[JobKind::Aqp, JobKind::Dlt]);
-            let k = src.usize_in(0, 8);
+            let k = *src.pick(&[0, 1, 2, 3, 5, 8, 1000, usize::MAX]);
             let query = *src.pick(&[0.0, 1.0, 2.5]);
+            let flip = src.bool(0.5);
             let all: Vec<&JobRecord> = repo.of_kind(kind).collect();
             let expected: Vec<(*const JobRecord, u64)> =
-                top_k_by(&all, k, |r| score(query, row(r)))
+                top_k_by(&all, k, |r| score(query, row::<0>(r)))
                     .into_iter()
                     .map(|(r, s)| (std::ptr::from_ref(*r), s.to_bits()))
                     .collect();
             let identity = |picked: Vec<(&JobRecord, f64)>| -> Vec<(*const JobRecord, u64)> {
                 picked.into_iter().map(|(r, s)| (std::ptr::from_ref(r), s.to_bits())).collect()
             };
-            let by_record = identity(repo.top_k_similar(kind, k, |r| score(query, row(r))));
-            assert_eq!(by_record, expected, "top_k_similar, k = {k}");
-            let by_row = identity(repo.top_k_rows(kind, k, row, |&r| score(query, r)));
-            assert_eq!(by_row, expected, "top_k_rows, k = {k}");
+            let picked = match src.usize_in(0, 2) {
+                0 => repo.top_k_rows(
+                    kind,
+                    k,
+                    row::<0>,
+                    |b| bound::<0>(query, flip, b),
+                    |&r| score(query, r),
+                ),
+                1 => repo.top_k_rows(
+                    kind,
+                    k,
+                    row::<1>,
+                    |b| bound::<1>(query, flip, b),
+                    |&r| score(query, r),
+                ),
+                _ => repo.top_k_rows(
+                    kind,
+                    k,
+                    row::<2>,
+                    |b| bound::<2>(query, flip, b),
+                    |&r| score(query, r),
+                ),
+            };
+            assert_eq!(identity(picked), expected, "k = {k}, query = {query}");
         }
     });
 }

@@ -26,7 +26,7 @@ use std::time::Duration;
 use rotary_core::estimate::similarity::scalar_similarity;
 use rotary_core::estimate::wlr::{LinearFit, WeightedPoint};
 use rotary_core::estimate::{CurveBasis, JointCurveEstimator};
-use rotary_core::history::{HistoryRepository, JobRecord};
+use rotary_core::history::{ClassRow, HistoryRepository, JobRecord};
 use rotary_core::job::{JobId, JobKind};
 use rotary_core::SimTime;
 
@@ -75,14 +75,34 @@ pub fn job_record(config: &TrainingConfig, curve: Vec<(f64, f64)>, epochs: u64) 
 /// feature class of the repository.
 #[derive(Debug, Clone, Copy)]
 struct HistoryRow {
+    /// Every input but the learning rate and batch size.
+    key: Bucket,
+    ln_lr: f64,
+    batch: f64,
+}
+
+/// The bucket a [`HistoryRow`] is filed under: every input of TEE's score
+/// except the learning rate and batch size, floats by bit pattern. TEE's
+/// bound on a bucket is therefore exact in all but those two terms, and
+/// TME's (which reads only the dataset and parameter count) is exact.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct Bucket {
     /// Bit `d as u8` is set when the record carries dataset `d`'s tag.
     datasets: u8,
     /// Bit `o as u8` is set when the record carries optimizer `o`'s tag.
     optimizers: u8,
-    ln_lr: f64,
-    batch: f64,
-    params_m: f64,
-    pretrained: f64,
+    pretrained: u64,
+    params_m: u64,
+}
+
+impl Bucket {
+    fn pretrained(&self) -> f64 {
+        f64::from_bits(self.pretrained)
+    }
+
+    fn params_m(&self) -> f64 {
+        f64::from_bits(self.params_m)
+    }
 }
 
 impl HistoryRow {
@@ -97,14 +117,25 @@ impl HistoryRow {
                 })
                 .fold(0u8, |mask, (_, bit)| mask | 1 << bit)
         };
+        let feature = |name: &str, absent: f64| record.feature(name).unwrap_or(absent);
         HistoryRow {
-            datasets: tagged("dataset:", &Dataset::ALL.map(|d| (d.name(), d as u8))),
-            optimizers: tagged("optimizer:", &Optimizer::ALL.map(|o| (o.name(), o as u8))),
-            ln_lr: record.feature(feature_keys::LR).unwrap_or(1.0).max(1e-12).ln(),
-            batch: record.feature(feature_keys::BATCH).unwrap_or(0.0),
-            params_m: record.feature(feature_keys::PARAMS_M).unwrap_or(0.0),
-            pretrained: record.feature(feature_keys::PRETRAINED).unwrap_or(0.0),
+            key: Bucket {
+                datasets: tagged("dataset:", &Dataset::ALL.map(|d| (d.name(), d as u8))),
+                optimizers: tagged("optimizer:", &Optimizer::ALL.map(|o| (o.name(), o as u8))),
+                pretrained: feature(feature_keys::PRETRAINED, 0.0).to_bits(),
+                params_m: feature(feature_keys::PARAMS_M, 0.0).to_bits(),
+            },
+            ln_lr: feature(feature_keys::LR, 1.0).max(1e-12).ln(),
+            batch: feature(feature_keys::BATCH, 0.0),
         }
+    }
+}
+
+impl ClassRow for HistoryRow {
+    type Bucket = Bucket;
+
+    fn bucket(&self) -> Bucket {
+        self.key
     }
 }
 
@@ -131,14 +162,43 @@ impl TeeQuery {
     }
 
     fn score(&self, row: &HistoryRow) -> f64 {
-        let dataset = if row.datasets & self.dataset != 0 { 1.0 } else { 0.0 };
-        let optimizer = if row.optimizers & self.optimizer != 0 { 1.0 } else { 0.0 };
         // Four orders of magnitude apart → 0.
         let lr = (1.0 - (self.ln_lr - row.ln_lr).abs() / (4.0 * std::f64::consts::LN_10)).max(0.0);
         let batch = scalar_similarity(self.batch, row.batch);
-        let size = scalar_similarity(self.params_m, row.params_m);
-        let pretrained = if (row.pretrained - self.pretrained).abs() < 0.5 { 1.0 } else { 0.0 };
+        self.blend(&row.key, lr, batch)
+    }
+
+    /// An upper bound on [`TeeQuery::score`] over a bucket: the same
+    /// expression, in the same order, with the learning-rate and batch
+    /// terms at their maximum of 1. Every other term is the bucket's own,
+    /// and float `+` and `×` by a positive constant are monotone, so no row
+    /// of the bucket scores above it.
+    fn bound(&self, key: &Bucket) -> f64 {
+        self.blend(key, 1.0, 1.0)
+    }
+
+    /// The weighted score given its learning-rate and batch terms.
+    fn blend(&self, key: &Bucket, lr: f64, batch: f64) -> f64 {
+        let dataset = if key.datasets & self.dataset != 0 { 1.0 } else { 0.0 };
+        let optimizer = if key.optimizers & self.optimizer != 0 { 1.0 } else { 0.0 };
+        let size = scalar_similarity(self.params_m, key.params_m());
+        let pretrained = if (key.pretrained() - self.pretrained).abs() < 0.5 { 1.0 } else { 0.0 };
         0.35 * dataset + 0.1 * optimizer + 0.15 * lr + 0.1 * batch + 0.15 * size + 0.15 * pretrained
+    }
+
+    /// The `top_k` most similar records, bounded per bucket.
+    fn top_k<'h>(
+        &self,
+        history: &'h mut HistoryRepository,
+        top_k: usize,
+    ) -> Vec<(&'h JobRecord, f64)> {
+        history.top_k_rows(
+            JobKind::Dlt,
+            top_k,
+            HistoryRow::of,
+            |key| self.bound(key),
+            |row| self.score(row),
+        )
     }
 }
 
@@ -152,17 +212,59 @@ pub fn tee_similarity(config: &TrainingConfig, record: &JobRecord) -> f64 {
 /// Builds the TEE accuracy–epoch estimator for a job: the pooled curves of
 /// the `top_k` most similar completed jobs as historical data, joint with
 /// whatever real-time points the caller later records. Costs one
-/// [`tee_similarity`] per feature class of the repository, not per record.
+/// [`tee_similarity`] per feature class whose bucket could still reach the
+/// top k, not per record.
 pub fn build_tee(
     config: &TrainingConfig,
     history: &mut HistoryRepository,
     top_k: usize,
 ) -> JointCurveEstimator {
-    let query = TeeQuery::of(config);
-    let similar = history.top_k_rows(JobKind::Dlt, top_k, HistoryRow::of, |row| query.score(row));
+    let similar = TeeQuery::of(config).top_k(history, top_k);
     let historical: Vec<(f64, f64)> =
         similar.iter().flat_map(|(r, _)| r.curve.iter().copied()).collect();
     JointCurveEstimator::new(CurveBasis::LogShifted, historical)
+}
+
+/// The job side of TME's similarity, computed once per query.
+struct TmeQuery {
+    dataset: u8,
+    params_m: f64,
+}
+
+impl TmeQuery {
+    fn of(config: &TrainingConfig) -> TmeQuery {
+        TmeQuery {
+            dataset: 1 << config.arch.dataset() as u8,
+            params_m: config.arch.profile().params_m,
+        }
+    }
+
+    /// The paper's model-size similarity, NaN off the job's dataset. It
+    /// reads only bucket fields, so it is its own exact bound.
+    fn score(&self, key: &Bucket) -> f64 {
+        if key.datasets & self.dataset == 0 {
+            return f64::NAN;
+        }
+        scalar_similarity(self.params_m, key.params_m())
+    }
+
+    /// "TME first retrieves all the data of historical jobs that use the
+    /// same training dataset", scores them by model-size similarity, and
+    /// keeps the top-k. A class on another dataset scores NaN, which the
+    /// selection skips, and so does its whole bucket.
+    fn top_k<'h>(
+        &self,
+        history: &'h mut HistoryRepository,
+        top_k: usize,
+    ) -> Vec<(&'h JobRecord, f64)> {
+        history.top_k_rows(
+            JobKind::Dlt,
+            top_k,
+            HistoryRow::of,
+            |key| self.score(key),
+            |row| self.score(&row.key),
+        )
+    }
 }
 
 /// TEE's headline query: estimated epochs for the job to reach `target`
@@ -200,18 +302,7 @@ impl Tme {
         config: &TrainingConfig,
         history: &mut HistoryRepository,
     ) -> Option<u64> {
-        let dataset = 1u8 << config.arch.dataset() as u8;
-        let own_params = config.arch.profile().params_m;
-        // "TME first retrieves all the data of historical jobs that use the
-        // same training dataset", scores them by the paper's model-size
-        // similarity, and keeps the top-k. A class on another dataset scores
-        // NaN, which the selection skips.
-        let scored = history.top_k_rows(JobKind::Dlt, self.top_k, HistoryRow::of, |row| {
-            if row.datasets & dataset == 0 {
-                return f64::NAN;
-            }
-            scalar_similarity(own_params, row.params_m)
-        });
+        let scored = TmeQuery::of(config).top_k(history, self.top_k);
         // Fit memory = a + b·batch with similarity weights: "the more
         // similar a historical job is, the higher weights".
         let points: Vec<WeightedPoint> = scored
@@ -434,6 +525,119 @@ mod tests {
         assert_eq!(tee(&mut small), tee(&mut large));
         let tme = Tme::default();
         assert_eq!(tme.estimate_mb(&target, &mut small), tme.estimate_mb(&target, &mut large));
+    }
+
+    /// Every Table II configuration: each architecture at each of its batch
+    /// sizes, each optimizer and learning rate, and each fine-tuning mode
+    /// it supports (2 120 in all).
+    fn table_two() -> Vec<TrainingConfig> {
+        let mut configs = Vec::new();
+        for arch in Architecture::ALL {
+            let modes: &[bool] =
+                if arch.profile().pretrainable { &[false, true] } else { &[false] };
+            for &batch_size in arch.batch_sizes() {
+                for optimizer in Optimizer::ALL {
+                    for learning_rate in crate::models::LEARNING_RATES {
+                        for &pretrained in modes {
+                            configs.push(TrainingConfig {
+                                arch,
+                                batch_size,
+                                optimizer,
+                                learning_rate,
+                                pretrained,
+                            });
+                        }
+                    }
+                }
+            }
+        }
+        configs
+    }
+
+    #[test]
+    fn tee_and_tme_bounds_cover_every_score_in_their_bucket() {
+        let configs = table_two();
+        assert_eq!(configs.len(), 2120);
+        let rows: Vec<HistoryRow> =
+            configs.iter().map(|c| HistoryRow::of(&job_record(c, vec![], 1))).collect();
+        for query in &configs {
+            let (tee, tme) = (TeeQuery::of(query), TmeQuery::of(query));
+            for row in &rows {
+                let (bucket, score) = (row.bucket(), tee.score(row));
+                let bound = tee.bound(&bucket);
+                assert!(!score.is_finite() || score <= bound, "TEE {score} > {bound}: {row:?}");
+                let (score, bound) = (tme.score(&row.key), tme.score(&bucket));
+                assert!(!score.is_finite() || score <= bound, "TME {score} > {bound}: {row:?}");
+            }
+            // The bound is tight: the query's own configuration attains it.
+            let own = HistoryRow::of(&job_record(query, vec![], 1));
+            assert_eq!(tee.score(&own).to_bits(), tee.bound(&own.bucket()).to_bits());
+        }
+    }
+
+    #[test]
+    fn bounded_selection_equals_a_one_bucket_scan() {
+        /// The same row in a single bucket, so nothing is pruned.
+        struct OneBucket(HistoryRow);
+        impl ClassRow for OneBucket {
+            type Bucket = ();
+            fn bucket(&self) {}
+        }
+        let one = |r: &JobRecord| OneBucket(HistoryRow::of(r));
+
+        // Every configuration twice; `epochs` tells the copies apart.
+        let configs = table_two();
+        let mut bounded = HistoryRepository::new();
+        for (at, config) in configs.iter().chain(&configs).enumerate() {
+            bounded.insert(job_record(config, vec![(1.0, 0.5)], at as u64));
+        }
+        let mut flat = bounded.clone();
+        let picked = |top: Vec<(&JobRecord, f64)>| -> Vec<(u64, u64)> {
+            top.into_iter().map(|(r, s)| (r.epochs, s.to_bits())).collect()
+        };
+        for query in configs.iter().step_by(3) {
+            let (tee, tme) = (TeeQuery::of(query), TmeQuery::of(query));
+            for k in [1, 5, 40] {
+                let all = |_: &()| f64::INFINITY;
+                let expected =
+                    picked(flat.top_k_rows(JobKind::Dlt, k, one, all, |r| tee.score(&r.0)));
+                assert_eq!(picked(tee.top_k(&mut bounded, k)), expected, "TEE {query:?}, k {k}");
+                let expected =
+                    picked(flat.top_k_rows(JobKind::Dlt, k, one, all, |r| tme.score(&r.0.key)));
+                assert_eq!(picked(tme.top_k(&mut bounded, k)), expected, "TME {query:?}, k {k}");
+            }
+        }
+        assert!(bounded.rows_scored() * 10 < flat.rows_scored());
+    }
+
+    /// The cost of a bind, as a count: rows scored per TEE and TME query
+    /// against the end-to-end benchmark's history (2 000 Table II jobs,
+    /// seed 33, 1 233 feature classes).
+    #[test]
+    fn a_bind_scores_a_small_share_of_the_classes() {
+        let specs = crate::workload::DltWorkloadBuilder::paper().jobs(2000).seed(33).build();
+        let mut history = HistoryRepository::new();
+        for spec in &specs {
+            history.insert(job_record(&spec.config, vec![(1.0, 0.5)], 1));
+        }
+        let classes = history.class_count() as u64;
+        assert_eq!(classes, 1233);
+        let tme = Tme::default();
+        let (mut tee_rows, mut tme_rows) = (Vec::new(), Vec::new());
+        for spec in &specs {
+            let before = history.rows_scored();
+            build_tee(&spec.config, &mut history, 5);
+            let between = history.rows_scored();
+            tme.estimate_mb(&spec.config, &mut history);
+            tee_rows.push(between - before);
+            tme_rows.push(history.rows_scored() - between);
+        }
+        // The mean over the 2 000 binds: 29 and 8 when this was written (at
+        // most 89 and 10 in one bind).
+        let per_bind = |rows: &[u64]| rows.iter().sum::<u64>() / rows.len() as u64;
+        let (tee, tme) = (per_bind(&tee_rows), per_bind(&tme_rows));
+        assert!(tee * 20 <= classes, "TEE scored {tee} of {classes} classes per bind");
+        assert!(tme * 10 <= classes, "TME scored {tme} of {classes} classes per bind");
     }
 
     #[test]

@@ -24,16 +24,46 @@ fn parse_err(input: &str, message: impl Into<String>) -> RotaryError {
     RotaryError::Parse { input: input.to_string(), message: message.into() }
 }
 
-/// Resolves a model name (case/punctuation-insensitive) to an architecture.
+/// Resolves a model name (case/punctuation-insensitive) to an architecture:
+/// the first whose profile name or variant name spells the same ASCII
+/// letters and digits, ignoring case. Allocation-free — every DLT
+/// submission payload is decoded through it.
 pub fn resolve_architecture(name: &str) -> Option<Architecture> {
-    let canon = |s: &str| -> String {
-        s.chars().filter(char::is_ascii_alphanumeric).collect::<String>().to_ascii_lowercase()
-    };
-    let wanted = canon(name);
-    Architecture::ALL
-        .iter()
-        .copied()
-        .find(|a| canon(a.profile().name) == wanted || canon(&format!("{a:?}")) == wanted)
+    let spells = |candidate: &str| canon(candidate).eq(canon(name));
+    Architecture::ALL.iter().copied().find(|&a| spells(a.profile().name) || spells(variant_name(a)))
+}
+
+/// A name's ASCII letters and digits, lowercased. A non-ASCII character's
+/// UTF-8 bytes are all ≥ 0x80, so filtering bytes drops exactly what
+/// filtering characters would.
+fn canon(name: &str) -> impl Iterator<Item = u8> + '_ {
+    name.bytes().filter(u8::is_ascii_alphanumeric).map(|b| b.to_ascii_lowercase())
+}
+
+/// The architecture's variant name as `{:?}` prints it — the spelling
+/// submission payloads carry.
+fn variant_name(arch: Architecture) -> &'static str {
+    use Architecture::*;
+    match arch {
+        Inception => "Inception",
+        MobileNet => "MobileNet",
+        MobileNetV2 => "MobileNetV2",
+        SqueezeNet => "SqueezeNet",
+        ShuffleNet => "ShuffleNet",
+        ShuffleNetV2 => "ShuffleNetV2",
+        ResNet18 => "ResNet18",
+        ResNet34 => "ResNet34",
+        ResNeXt => "ResNeXt",
+        EfficientNetB0 => "EfficientNetB0",
+        LeNet => "LeNet",
+        Vgg16 => "Vgg16",
+        AlexNet => "AlexNet",
+        ZfNet => "ZfNet",
+        DenseNet121 => "DenseNet121",
+        Lstm => "Lstm",
+        BiLstm => "BiLstm",
+        Bert => "Bert",
+    }
 }
 
 fn resolve_dataset(name: &str) -> Option<Dataset> {
@@ -45,14 +75,9 @@ fn resolve_dataset(name: &str) -> Option<Dataset> {
     }
 }
 
-fn resolve_optimizer(name: &str) -> Option<Optimizer> {
-    match name.to_ascii_uppercase().as_str() {
-        "SGD" => Some(Optimizer::Sgd),
-        "ADAM" => Some(Optimizer::Adam),
-        "ADAGRAD" => Some(Optimizer::Adagrad),
-        "MOMENTUM" => Some(Optimizer::Momentum),
-        _ => None,
-    }
+/// Resolves an optimizer name, ignoring ASCII case. Allocation-free.
+pub fn resolve_optimizer(name: &str) -> Option<Optimizer> {
+    Optimizer::ALL.into_iter().find(|o| o.name().eq_ignore_ascii_case(name))
 }
 
 /// Parses a full `TRAIN …` statement into a runnable job spec.
@@ -210,6 +235,98 @@ mod tests {
         assert_eq!(resolve_architecture("Bi-LSTM"), Some(Architecture::BiLstm));
         assert_eq!(resolve_architecture("bert-small"), Some(Architecture::Bert));
         assert_eq!(resolve_architecture("gpt4"), None);
+    }
+
+    /// The allocating resolvers these replaced, kept as oracles.
+    fn resolve_architecture_by_strings(name: &str) -> Option<Architecture> {
+        let canon = |s: &str| -> String {
+            s.chars().filter(char::is_ascii_alphanumeric).collect::<String>().to_ascii_lowercase()
+        };
+        let wanted = canon(name);
+        Architecture::ALL
+            .iter()
+            .copied()
+            .find(|a| canon(a.profile().name) == wanted || canon(&format!("{a:?}")) == wanted)
+    }
+
+    fn resolve_optimizer_by_strings(name: &str) -> Option<Optimizer> {
+        match name.to_ascii_uppercase().as_str() {
+            "SGD" => Some(Optimizer::Sgd),
+            "ADAM" => Some(Optimizer::Adam),
+            "ADAGRAD" => Some(Optimizer::Adagrad),
+            "MOMENTUM" => Some(Optimizer::Momentum),
+            _ => None,
+        }
+    }
+
+    /// `name` in upper, lower, alternating and its own case, each with a
+    /// `-`, `_` or space inserted at every position.
+    fn spellings(name: &str) -> Vec<String> {
+        let alternating: String = name
+            .chars()
+            .enumerate()
+            .map(|(i, c)| if i % 2 == 0 { c.to_ascii_uppercase() } else { c.to_ascii_lowercase() })
+            .collect();
+        let mut out = Vec::new();
+        for cased in
+            [name.to_string(), name.to_ascii_uppercase(), name.to_ascii_lowercase(), alternating]
+        {
+            for sep in ['-', '_', ' '] {
+                out.push(cased.replace(['-', '_', ' '], &sep.to_string()));
+                for at in (0..=cased.len()).filter(|&at| cased.is_char_boundary(at)) {
+                    out.push(format!("{}{sep}{}", &cased[..at], &cased[at..]));
+                }
+            }
+            out.push(cased);
+        }
+        out
+    }
+
+    const GARBAGE: [&str; 16] = [
+        "",
+        "-",
+        "gpt4",
+        "ResNet-1",
+        "ResNet-180",
+        "lenet5x",
+        "R\u{e9}sNet18",
+        "ResNet18\u{e9}",
+        "\u{ff32}\u{ff45}\u{ff53}\u{ff2e}\u{ff45}\u{ff54}18",
+        "ResNet\u{301}-18",
+        "\u{0}Bert",
+        "\u{17f}gd",
+        "ADAMW",
+        "Adam ",
+        "K",
+        "Σ",
+    ];
+
+    #[test]
+    fn name_resolution_agrees_with_the_allocating_oracle() {
+        for arch in Architecture::ALL {
+            assert_eq!(variant_name(arch), format!("{arch:?}"));
+            for name in spellings(arch.profile().name).iter().chain(&spellings(variant_name(arch)))
+            {
+                assert_eq!(resolve_architecture(name), Some(arch), "{name:?}");
+                assert_eq!(resolve_architecture(name), resolve_architecture_by_strings(name));
+            }
+        }
+        for optimizer in Optimizer::ALL {
+            for name in
+                spellings(optimizer.name()).iter().chain(&spellings(&format!("{optimizer:?}")))
+            {
+                assert_eq!(resolve_optimizer(name), resolve_optimizer_by_strings(name), "{name:?}");
+            }
+            assert_eq!(resolve_optimizer(&optimizer.name().to_lowercase()), Some(optimizer));
+        }
+        for name in GARBAGE {
+            assert_eq!(
+                resolve_architecture(name),
+                resolve_architecture_by_strings(name),
+                "{name:?}"
+            );
+            assert_eq!(resolve_optimizer(name), resolve_optimizer_by_strings(name), "{name:?}");
+        }
     }
 
     #[test]

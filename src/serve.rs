@@ -29,8 +29,8 @@ use rotary_core::error::{Result, RotaryError};
 use rotary_core::job::JobStatus;
 use rotary_core::json::{u64_json, Json};
 use rotary_core::SimTime;
-use rotary_dlt::parse::resolve_architecture;
-use rotary_dlt::{DltJobSpec, DltPolicy, DltSystem, Optimizer, TrainingConfig};
+use rotary_dlt::parse::{resolve_architecture, resolve_optimizer};
+use rotary_dlt::{DltJobSpec, DltPolicy, DltSystem, TrainingConfig};
 use rotary_engine::QueryId;
 use rotary_faults::arbiter::{Durable, Run};
 use rotary_store::{json_record, record_json, SnapshotRecords};
@@ -349,16 +349,6 @@ pub fn criterion_of(json: &Json) -> Option<CompletionCriterion> {
     })
 }
 
-fn optimizer_of(name: &str) -> Option<Optimizer> {
-    Some(match name.to_ascii_uppercase().as_str() {
-        "SGD" => Optimizer::Sgd,
-        "ADAM" => Optimizer::Adam,
-        "ADAGRAD" => Optimizer::Adagrad,
-        "MOMENTUM" => Optimizer::Momentum,
-        _ => return None,
-    })
-}
-
 /// The structural encoding of a DLT spec, shared by submission payloads
 /// and `admitted` snapshot rows.
 fn dlt_spec_pairs(spec: &DltJobSpec) -> Vec<(&'static str, Json)> {
@@ -393,7 +383,7 @@ fn dlt_spec_of(payload: &Json) -> Result<DltJobSpec> {
     let optimizer = payload
         .get("optimizer")
         .and_then(Json::as_str)
-        .and_then(optimizer_of)
+        .and_then(resolve_optimizer)
         .ok_or_else(|| malformed("optimizer must be SGD/Adam/Adagrad/Momentum"))?;
     let learning_rate = f64_bits(payload, "lr_bits")
         .filter(|lr| lr.is_finite() && *lr > 0.0)
