@@ -130,6 +130,8 @@ cargo test -q -p rotary-serve
 # in the workspace test run.
 echo "== rotary-serve wire =="
 ROTARY_CHECK_CASES=256 cargo test -q -p rotary-serve --test wire_props
+# The wire reads payloads with json::Reader; json_props holds it to parse.
+ROTARY_CHECK_CASES=256 cargo test -q --test json_props
 cargo test -q -p rotary-serve --test transport_loopback --test net_chaos
 
 case "$MODE" in

@@ -1,5 +1,5 @@
 //! Minimal in-tree JSON: a value model, one writer (pretty or compact), and
-//! a recursive-descent parser.
+//! a recursive-descent parser with a pull interface.
 //!
 //! Rotary persists exactly two artifact families — the historical-job
 //! repository ([`crate::history`]) and simulation traces
@@ -10,8 +10,8 @@
 //! form, so `value == parse(write(value))` exactly), booleans, and null,
 //! keeping the workspace free of registry dependencies.
 //!
-//! Every durable snapshot record and every wire payload goes through
-//! [`parse`], so its cost is part of the control plane's budget:
+//! Every durable snapshot record and every wire payload goes through the
+//! parser, so its cost is part of the control plane's budget:
 //!
 //! * **Linear time.** The parser keeps the input as the `&str` it was
 //!   given. A string is read by scanning to the next `"` or `\` (ASCII
@@ -23,9 +23,18 @@
 //!   [`MAX_DEPTH`] deep; a deeper document is an ordinary `Err` with the
 //!   byte offset of the offending bracket, not a stack overflow. The
 //!   documents this repository writes nest fewer than ten levels.
+//!
+//! Codecs that know their fields — the wire frames of `rotary-serve` — need
+//! no tree at all. [`Reader`] walks a document a value at a time over the
+//! same tokenizer [`parse`] runs (`parse` is [`Reader::value`] plus the
+//! trailing-input check), and [`write_object`] writes an object member by
+//! member through the same primitives as [`Json::write`], which writes its
+//! own objects through it: one tokenizer, one writer, so a typed codec reads
+//! and writes exactly the text the tree API would.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -66,12 +75,11 @@ impl Json {
         }
     }
 
-    /// The value as `u64`, if it is a non-negative integral number.
+    /// The value as `u64`, if it is a non-negative integral number below
+    /// 2⁶⁴.
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= u64::MAX as f64 => {
-                Some(*n as u64)
-            }
+            Json::Num(n) => num_as_u64(*n),
             _ => None,
         }
     }
@@ -115,92 +123,198 @@ impl Json {
         out
     }
 
-    /// The one writer: `indent` is the current nesting level when
-    /// pretty-printing and `None` when writing compact.
-    fn write(&self, out: &mut String, indent: Option<usize>) {
-        let inner = indent.map(|levels| levels + 1);
+    /// The one writer: appends the value to `out`, pretty-printed with
+    /// `indent` as the current nesting level (`Some(0)` is
+    /// [`Json::to_pretty`]), or compact when `indent` is `None`
+    /// ([`Json::to_compact`]).
+    pub fn write(&self, out: &mut impl Sink, indent: Option<usize>) {
         match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+            Json::Null => out.put("null"),
+            Json::Bool(b) => out.put(if *b { "true" } else { "false" }),
             Json::Num(n) => write_number(out, *n),
             Json::Str(s) => write_string(out, s),
             Json::Arr(items) => {
                 if items.is_empty() {
-                    out.push_str("[]");
+                    out.put("[]");
                     return;
                 }
-                out.push('[');
+                let inner = indent.map(|levels| levels + 1);
+                out.put("[");
                 for (i, item) in items.iter().enumerate() {
                     if i > 0 {
-                        out.push(',');
+                        out.put(",");
                     }
                     push_line_break(out, inner);
                     item.write(out, inner);
                 }
                 push_line_break(out, indent);
-                out.push(']');
+                out.put("]");
             }
-            Json::Obj(pairs) => {
-                if pairs.is_empty() {
-                    out.push_str("{}");
-                    return;
+            Json::Obj(pairs) => write_object(out, indent, |obj| {
+                for (k, v) in pairs {
+                    obj.value(k, v);
                 }
-                out.push('{');
-                for (i, (k, v)) in pairs.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    push_line_break(out, inner);
-                    write_string(out, k);
-                    out.push_str(if indent.is_some() { ": " } else { ":" });
-                    v.write(out, inner);
-                }
-                push_line_break(out, indent);
-                out.push('}');
-            }
+            }),
         }
+    }
+}
+
+/// Where the writer puts its text: a `String`, or the byte buffer a wire
+/// frame is assembled in. Only whole `&str`s are appended, so a `String`
+/// stays UTF-8 and a byte buffer receives exactly the bytes a `String`
+/// would hold.
+pub trait Sink {
+    /// Appends `text`.
+    fn put(&mut self, text: &str);
+}
+
+impl Sink for String {
+    #[inline]
+    fn put(&mut self, text: &str) {
+        self.push_str(text);
+    }
+}
+
+impl Sink for Vec<u8> {
+    #[inline]
+    fn put(&mut self, text: &str) {
+        self.extend_from_slice(text.as_bytes());
+    }
+}
+
+/// Lets `write!` format into any [`Sink`].
+struct Fmt<'s, S>(&'s mut S);
+
+impl<S: Sink> fmt::Write for Fmt<'_, S> {
+    fn write_str(&mut self, text: &str) -> fmt::Result {
+        self.0.put(text);
+        Ok(())
+    }
+}
+
+/// Writes one object to `out` at nesting level `indent` (`None`: compact):
+/// `members` adds its members through the [`ObjectWriter`]. This is the
+/// layout [`Json::write`] gives every object, because it writes them
+/// through here.
+pub fn write_object<S: Sink>(
+    out: &mut S,
+    indent: Option<usize>,
+    members: impl FnOnce(&mut ObjectWriter<'_, S>),
+) {
+    out.put("{");
+    let mut obj = ObjectWriter { out, indent, empty: true };
+    members(&mut obj);
+    if !obj.empty {
+        push_line_break(obj.out, indent);
+    }
+    obj.out.put("}");
+}
+
+/// The members of one object being written by [`write_object`], in the
+/// order they are added.
+pub struct ObjectWriter<'s, S: Sink> {
+    out: &'s mut S,
+    indent: Option<usize>,
+    empty: bool,
+}
+
+impl<S: Sink> ObjectWriter<'_, S> {
+    /// Writes a member's key; returns the nesting level of its value.
+    fn key(&mut self, key: &str) -> Option<usize> {
+        if !self.empty {
+            self.out.put(",");
+        }
+        self.empty = false;
+        let inner = self.indent.map(|levels| levels + 1);
+        push_line_break(self.out, inner);
+        write_string(self.out, key);
+        self.out.put(if self.indent.is_some() { ": " } else { ":" });
+        inner
+    }
+
+    /// A member whose value is a tree.
+    pub fn value(&mut self, key: &str, value: &Json) {
+        let inner = self.key(key);
+        value.write(self.out, inner);
+    }
+
+    /// A string member.
+    pub fn str(&mut self, key: &str, value: &str) {
+        self.key(key);
+        write_string(self.out, value);
+    }
+
+    /// A `u64` member, written as [`u64_json`] encodes it.
+    pub fn uint(&mut self, key: &str, value: u64) {
+        self.key(key);
+        write_u64_str(self.out, value);
     }
 }
 
 /// A newline plus `indent` levels of two spaces; nothing in compact mode.
-fn push_line_break(out: &mut String, indent: Option<usize>) {
+fn push_line_break(out: &mut impl Sink, indent: Option<usize>) {
     if let Some(levels) = indent {
-        out.push('\n');
+        out.put("\n");
         for _ in 0..levels {
-            out.push_str("  ");
+            out.put("  ");
         }
     }
 }
 
-fn write_number(out: &mut String, n: f64) {
+fn write_number(out: &mut impl Sink, n: f64) {
     if !n.is_finite() {
         // JSON has no NaN/Infinity; persist as null like serde_json does.
-        out.push_str("null");
+        out.put("null");
     } else if n.fract() == 0.0 && n.abs() < 1e15 {
-        let _ = write!(out, "{}", n as i64);
+        let _ = write!(Fmt(out), "{}", n as i64);
     } else {
         // `{:?}` is Rust's shortest representation that round-trips through
         // `str::parse::<f64>()` exactly.
-        let _ = write!(out, "{n:?}");
+        let _ = write!(Fmt(out), "{n:?}");
     }
 }
 
-fn write_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
+/// Writes `s` quoted, escaping what JSON requires. Runs between escapes are
+/// copied whole: the bytes that need one are all ASCII, so every run starts
+/// and ends on a character boundary.
+fn write_string(out: &mut impl Sink, s: &str) {
+    out.put("\"");
+    let mut rest = s;
+    while let Some(at) = rest.bytes().position(|b| b == b'"' || b == b'\\' || b < 0x20) {
+        out.put(&rest[..at]);
+        match rest.as_bytes()[at] {
+            b'"' => out.put("\\\""),
+            b'\\' => out.put("\\\\"),
+            b'\n' => out.put("\\n"),
+            b'\r' => out.put("\\r"),
+            b'\t' => out.put("\\t"),
+            c => {
+                let _ = write!(Fmt(out), "\\u{c:04x}");
             }
-            c => out.push(c),
+        }
+        rest = &rest[at + 1..];
+    }
+    out.put(rest);
+    out.put("\"");
+}
+
+/// Writes `v` as [`u64_json`] encodes it — its decimal digits, quoted —
+/// without formatting machinery.
+fn write_u64_str(out: &mut impl Sink, mut v: u64) {
+    // 20 digits at most, between two quotes the buffer starts out holding.
+    let mut buf = [b'"'; 22];
+    let mut at = buf.len() - 1;
+    loop {
+        at -= 1;
+        buf[at] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
         }
     }
-    out.push('"');
+    if let Ok(text) = std::str::from_utf8(&buf[at - 1..]) {
+        out.put(text);
+    }
 }
 
 /// Deepest array/object nesting [`parse`] accepts.
@@ -213,14 +327,171 @@ pub const MAX_DEPTH: usize = 128;
 /// non-whitespace after the top-level value is an error, and so is nesting
 /// deeper than [`MAX_DEPTH`].
 pub fn parse(input: &str) -> Result<Json, String> {
-    let mut p = Parser { src: input, pos: 0, depth: 0 };
-    p.skip_ws();
-    let v = p.value()?;
-    p.skip_ws();
-    if p.pos != input.len() {
-        return Err(format!("trailing characters at byte {}", p.pos));
-    }
+    let mut reader = Reader::new(input);
+    let v = reader.value()?;
+    reader.finish()?;
     Ok(v)
+}
+
+/// A pull reader over one JSON document: the parser behind [`parse`],
+/// walked one value at a time so that a decoder keeps only what it needs.
+///
+/// Object members are visited in document order, each key borrowed from
+/// the input (decoded into an owned string only when it holds an escape).
+/// The caller consumes each value exactly once: builds it
+/// ([`Reader::value`]), reads it as a scalar ([`Reader::uint`],
+/// [`Reader::str`]), walks into it ([`Reader::object`], [`Reader::array`])
+/// or validates and drops it ([`Reader::skip`]). Whichever it picks, every
+/// byte is held to the grammar and the [`MAX_DEPTH`] cap of [`parse`], so a
+/// document walked to [`Reader::finish`] is accepted exactly when `parse`
+/// accepts it, and refused with the same message. After an error the reader
+/// is spent.
+pub struct Reader<'a> {
+    p: Parser<'a>,
+}
+
+impl<'a> Reader<'a> {
+    /// A reader at the top-level value of `input`.
+    pub fn new(input: &'a str) -> Reader<'a> {
+        let mut p = Parser { src: input, pos: 0, depth: 0 };
+        p.skip_ws();
+        Reader { p }
+    }
+
+    /// Builds the next value as a tree.
+    ///
+    /// # Errors
+    /// The first syntax error in it, as [`parse`] reports it.
+    pub fn value(&mut self) -> Result<Json, String> {
+        self.p.value()
+    }
+
+    /// Validates the next value and drops it.
+    ///
+    /// # Errors
+    /// The first syntax error in it, as [`parse`] reports it.
+    pub fn skip(&mut self) -> Result<(), String> {
+        if self.object(|_, r| r.skip())? || self.array(Self::skip)? {
+            return Ok(());
+        }
+        match self.p.peek() {
+            Some(b'"') => self.p.str_cow().map(drop),
+            _ => self.p.value().map(drop),
+        }
+    }
+
+    /// Reads the next value as a `u64`: a string of decimal digits (what
+    /// [`u64_json`] writes, read by [`Json::as_u64_str`]), else a number
+    /// [`Json::as_u64`] accepts. Any other valid value is `Ok(None)`.
+    ///
+    /// # Errors
+    /// The first syntax error in the value, as [`parse`] reports it.
+    pub fn uint(&mut self) -> Result<Option<u64>, String> {
+        match self.p.peek() {
+            Some(b'"') => Ok(digits_as_u64(&self.p.str_cow()?)),
+            Some(c) if c == b'-' || c.is_ascii_digit() => Ok(self.p.number()?.as_u64()),
+            _ => self.skip().map(|()| None),
+        }
+    }
+
+    /// Reads the next value if it is a string, borrowed from the input
+    /// unless it holds an escape. Any other valid value is `Ok(None)`.
+    ///
+    /// # Errors
+    /// The first syntax error in the value, as [`parse`] reports it.
+    pub fn str(&mut self) -> Result<Option<Cow<'a, str>>, String> {
+        if self.p.peek() == Some(b'"') {
+            self.p.str_cow().map(Some)
+        } else {
+            self.skip().map(|()| None)
+        }
+    }
+
+    /// If the next value is an object, calls `member` with each key in
+    /// document order — `member` consumes that member's value — and returns
+    /// `true`. Returns `false`, consuming nothing, if it is not an object.
+    ///
+    /// # Errors
+    /// The first syntax error in the object, or an error `member` returns.
+    pub fn object(
+        &mut self,
+        mut member: impl FnMut(&str, &mut Self) -> Result<(), String>,
+    ) -> Result<bool, String> {
+        if self.p.peek() != Some(b'{') {
+            return Ok(false);
+        }
+        self.items(b'}', |r| {
+            let key = r.p.str_cow()?;
+            r.p.skip_ws();
+            r.p.expect(b':')?;
+            r.p.skip_ws();
+            member(&key, r)
+        })?;
+        Ok(true)
+    }
+
+    /// If the next value is an array, calls `item` for each element —
+    /// `item` consumes it — and returns `true`. Returns `false`, consuming
+    /// nothing, if it is not an array.
+    ///
+    /// # Errors
+    /// The first syntax error in the array, or an error `item` returns.
+    pub fn array(
+        &mut self,
+        item: impl FnMut(&mut Self) -> Result<(), String>,
+    ) -> Result<bool, String> {
+        if self.p.peek() != Some(b'[') {
+            return Ok(false);
+        }
+        self.items(b']', item)?;
+        Ok(true)
+    }
+
+    /// The comma-separated items of the container whose opening bracket is
+    /// next, one nesting level deeper, up to and including `close`.
+    fn items(
+        &mut self,
+        close: u8,
+        mut item: impl FnMut(&mut Self) -> Result<(), String>,
+    ) -> Result<(), String> {
+        self.p.enter()?;
+        self.p.pos += 1;
+        self.p.skip_ws();
+        if self.p.peek() == Some(close) {
+            self.p.pos += 1;
+        } else {
+            loop {
+                self.p.skip_ws();
+                item(self)?;
+                self.p.skip_ws();
+                match self.p.peek() {
+                    Some(b',') => self.p.pos += 1,
+                    Some(c) if c == close => {
+                        self.p.pos += 1;
+                        break;
+                    }
+                    _ => {
+                        let close = close as char;
+                        return Err(format!("expected ',' or '{close}' at byte {}", self.p.pos));
+                    }
+                }
+            }
+        }
+        self.p.depth -= 1;
+        Ok(())
+    }
+
+    /// Checks that only whitespace follows the top-level value.
+    ///
+    /// # Errors
+    /// The offset of the first trailing character.
+    pub fn finish(mut self) -> Result<(), String> {
+        self.p.skip_ws();
+        if self.p.pos != self.p.src.len() {
+            return Err(format!("trailing characters at byte {}", self.p.pos));
+        }
+        Ok(())
+    }
 }
 
 struct Parser<'a> {
@@ -231,11 +502,15 @@ struct Parser<'a> {
     depth: usize,
 }
 
+// The `#[inline]`s let a `Reader` walk, which is instantiated in the crate
+// that calls it, inline the tokenizer's smallest steps as `parse` does.
 impl<'a> Parser<'a> {
+    #[inline]
     fn peek(&self) -> Option<u8> {
         self.src.as_bytes().get(self.pos).copied()
     }
 
+    #[inline]
     fn skip_ws(&mut self) {
         while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
             self.pos += 1;
@@ -245,6 +520,7 @@ impl<'a> Parser<'a> {
     // Named `expect` is fine now: rotary-lint matches P001 on tokens and
     // exempts `.expect(<byte/char literal>)` calls, so this parser-style
     // method no longer needs the `expect_byte` workaround name (PR 4).
+    #[inline]
     fn expect(&mut self, b: u8) -> Result<(), String> {
         if self.peek() == Some(b) {
             self.pos += 1;
@@ -276,16 +552,24 @@ impl<'a> Parser<'a> {
         }
     }
 
-    /// Parses one array or object, one level deeper. The only recursion in
-    /// the parser goes through here, so this is where it is bounded.
+    /// Parses one array or object, one level deeper.
     fn nested(&mut self, container: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        self.enter()?;
+        let v = container(self);
+        self.depth -= 1;
+        v
+    }
+
+    /// Enters the container whose opening bracket is next. Every recursion
+    /// of the parser, and of a [`Reader`]'s walk, enters a level here, so
+    /// this is where it is bounded.
+    #[inline]
+    fn enter(&mut self) -> Result<(), String> {
         if self.depth == MAX_DEPTH {
             return Err(format!("nesting deeper than {MAX_DEPTH} levels at byte {}", self.pos));
         }
         self.depth += 1;
-        let v = container(self);
-        self.depth -= 1;
-        v
+        Ok(())
     }
 
     fn object(&mut self) -> Result<Json, String> {
@@ -387,6 +671,24 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// A string borrowed from the input when it holds no escape; one that
+    /// does is decoded by [`Parser::string`].
+    fn str_cow(&mut self) -> Result<Cow<'a, str>, String> {
+        let start = self.pos;
+        self.expect(b'"')?;
+        let body = &self.src[self.pos..];
+        match body.bytes().position(|b| b == b'"' || b == b'\\') {
+            Some(end) if body.as_bytes()[end] == b'"' => {
+                self.pos += end + 1;
+                Ok(Cow::Borrowed(&body[..end]))
+            }
+            _ => {
+                self.pos = start;
+                self.string().map(Cow::Owned)
+            }
+        }
+    }
+
     fn number(&mut self) -> Result<Json, String> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
@@ -414,12 +716,24 @@ impl Json {
     /// decimal integer. Rejects signs, whitespace, and non-string values.
     pub fn as_u64_str(&self) -> Option<u64> {
         match self {
-            Json::Str(s) if !s.is_empty() && s.bytes().all(|b| b.is_ascii_digit()) => {
-                s.parse::<u64>().ok()
-            }
+            Json::Str(s) => digits_as_u64(s),
             _ => None,
         }
     }
+}
+
+/// The rule of [`Json::as_u64_str`], shared with [`Reader::uint`].
+fn digits_as_u64(s: &str) -> Option<u64> {
+    if s.is_empty() || !s.bytes().all(|b| b.is_ascii_digit()) {
+        return None;
+    }
+    s.parse().ok()
+}
+
+/// The rule of [`Json::as_u64`], shared with [`Reader::uint`]. The bound is
+/// strict: `u64::MAX as f64` rounds up to 2⁶⁴, which does not fit.
+fn num_as_u64(n: f64) -> Option<u64> {
+    (n >= 0.0 && n.fract() == 0.0 && n < u64::MAX as f64).then_some(n as u64)
 }
 
 /// The compact text of the first elements of an append-only list, kept
@@ -628,6 +942,111 @@ mod tests {
         assert_eq!(Json::Str(" 7".into()).as_u64_str(), None);
         assert_eq!(Json::Str("18446744073709551616".into()).as_u64_str(), None);
         assert_eq!(Json::Num(7.0).as_u64_str(), None);
+    }
+
+    #[test]
+    fn as_u64_refuses_two_to_the_sixty_four() {
+        // `u64::MAX as f64` is 2⁶⁴ itself, so a `<=` bound read this number
+        // as u64::MAX.
+        assert_eq!(parse("18446744073709551616").unwrap().as_u64(), None);
+        assert_eq!(Reader::new("18446744073709551616").uint(), Ok(None));
+        // The largest f64 below 2⁶⁴ still fits, and so does -0.
+        assert_eq!(Json::Num(18446744073709549568.0).as_u64(), Some(18446744073709549568));
+        assert_eq!(Json::Num(-0.0).as_u64(), Some(0));
+        for n in [-1.0, 0.5, 1e300, f64::NAN, f64::INFINITY] {
+            assert_eq!(Json::Num(n).as_u64(), None, "{n}");
+        }
+    }
+
+    #[test]
+    fn the_object_writer_writes_what_the_tree_writes() {
+        let nested = Json::obj(vec![("k", Json::Arr(vec![Json::Num(1.5), Json::Null]))]);
+        let tree = Json::obj(vec![
+            ("zero", u64_json(0)),
+            ("wide", u64_json((1 << 53) + 1)),
+            ("max", u64_json(u64::MAX)),
+            ("s", Json::Str("q\" b\\ nl\n c\u{1} µ".into())),
+            ("nested", nested.clone()),
+            ("empty", Json::Obj(vec![])),
+        ]);
+        for indent in [None, Some(0), Some(2)] {
+            let mut typed = Vec::new();
+            write_object(&mut typed, indent, |obj| {
+                obj.uint("zero", 0);
+                obj.uint("wide", (1 << 53) + 1);
+                obj.uint("max", u64::MAX);
+                obj.str("s", "q\" b\\ nl\n c\u{1} µ");
+                obj.value("nested", &nested);
+                obj.value("empty", &Json::Obj(vec![]));
+            });
+            let mut text = String::new();
+            tree.write(&mut text, indent);
+            assert_eq!(String::from_utf8(typed).unwrap(), text, "indent {indent:?}");
+        }
+        let mut empty = String::new();
+        write_object(&mut empty, Some(1), |_| {});
+        assert_eq!(empty, "{}");
+    }
+
+    #[test]
+    fn the_reader_visits_members_in_order_with_decoded_keys() {
+        let text =
+            r#" { "n": "17", "k\u0041": [1, {"x": null}], "f": 2.0, "s": "a\nb", "t": true } "#;
+        let mut r = Reader::new(text);
+        let mut seen = Vec::new();
+        let walked = r.object(|key, r| {
+            let got = match key {
+                "n" | "f" | "t" => format!("{:?}", r.uint()?),
+                "kA" => format!("{:?}", r.value()?),
+                _ => format!("{:?}", r.str()?),
+            };
+            seen.push(format!("{key}={got}"));
+            Ok(())
+        });
+        assert_eq!(walked, Ok(true));
+        assert_eq!(r.finish(), Ok(()));
+        assert_eq!(
+            seen,
+            [
+                "n=Some(17)",
+                r#"kA=Arr([Num(1.0), Obj([("x", Null)])])"#,
+                "f=Some(2)",
+                r#"s=Some("a\nb")"#,
+                "t=None",
+            ]
+        );
+        // Not an object: nothing is consumed.
+        let mut r = Reader::new("[1]");
+        assert_eq!(r.object(|_, r| r.skip()), Ok(false));
+        assert_eq!(r.array(|r| r.skip()), Ok(true));
+        assert_eq!(r.finish(), Ok(()));
+    }
+
+    #[test]
+    fn a_skipped_document_fails_exactly_where_parse_fails() {
+        let deep = "[".repeat(MAX_DEPTH + 1);
+        for text in [
+            "{bad",
+            "{\"a\":}",
+            "{\"a\":1,}",
+            "{\"a\" 1}",
+            "[1,2",
+            "[1 2]",
+            "\"unterminated",
+            "[\"\\q\"]",
+            "{\"\\u12\": 0}",
+            "12x",
+            "-",
+            "",
+            "{} trailing",
+            "[tru]",
+            &deep,
+            "{\"ok\": [null, false, \"\\u00e9\", -1.5e3, {}]}",
+        ] {
+            let mut r = Reader::new(text);
+            let skipped = r.skip().and_then(|()| r.finish());
+            assert_eq!(skipped, parse(text).map(drop), "{text:?}");
+        }
     }
 
     #[test]

@@ -37,7 +37,7 @@
 
 use crate::backend::Backend;
 use crate::daemon::Daemon;
-use crate::wire::{decode_frame, encode_frame, ConnClosed, Frame, WireError};
+use crate::wire::{decode_frame, encode_frame_into, ConnClosed, Frame, WireError};
 use crate::{Notice, SubmitResponse};
 use rotary_core::error::{Result, RotaryError};
 use rotary_core::json::{u64_json, Json};
@@ -404,36 +404,44 @@ impl<B: Backend, C: Clock> Listener<B, C> {
         }
     }
 
+    /// Decodes and dispatches every complete frame in the read buffer,
+    /// then drops the decoded bytes in one move: a read can carry many
+    /// frames, and compacting after each would copy the rest once per
+    /// frame.
     fn decode_conn(&mut self, conn: &mut Conn, now_ms: u64, now: SimTime) {
+        let mut used = 0;
         loop {
-            match decode_frame(&conn.read_buf) {
-                Ok(Some((frame, used))) => {
-                    conn.read_buf.drain(..used);
+            match decode_frame(&conn.read_buf[used..]) {
+                Ok(Some((frame, len))) => {
+                    used += len;
                     conn.frame_start_ms = None;
                     conn.last_frame_ms = now_ms;
                     self.stats.frames_in += 1;
                     self.handle_frame(conn, frame, now_ms, now);
                     if conn.closing.is_some() {
-                        return;
+                        break;
                     }
                 }
                 Ok(None) => {
-                    if conn.read_buf.is_empty() {
+                    // Only a partial frame left over starts (or keeps) the
+                    // per-frame deadline.
+                    if used == conn.read_buf.len() {
                         conn.frame_start_ms = None;
                     } else if conn.frame_start_ms.is_none() {
                         conn.frame_start_ms = Some(now_ms);
                     }
-                    return;
+                    break;
                 }
                 Err(err) => {
                     self.stats.wire_errors += 1;
                     let reason = close_reason_of(&err);
                     self.queue_frame(conn, &Frame::Bye(reason));
                     conn.closing = Some((reason, now_ms));
-                    return;
+                    break;
                 }
             }
         }
+        conn.read_buf.drain(..used);
     }
 
     fn handle_frame(&mut self, conn: &mut Conn, frame: Frame, now_ms: u64, now: SimTime) {
@@ -536,7 +544,7 @@ impl<B: Backend, C: Clock> Listener<B, C> {
     }
 
     fn queue_frame(&mut self, conn: &mut Conn, frame: &Frame) {
-        conn.write_buf.extend_from_slice(&encode_frame(frame));
+        encode_frame_into(frame, &mut conn.write_buf);
         self.stats.frames_out += 1;
     }
 

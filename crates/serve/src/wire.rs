@@ -27,9 +27,17 @@
 //! frame itself is the authority on payload size, so the decoder stamps
 //! `bytes` with the actual wire payload length. A client cannot
 //! under-declare its way past the daemon's size cap.
+//!
+//! Payloads are pretty-printed JSON, but no JSON tree is built for them
+//! except a `Submit`'s own `payload` member. The decoder walks the text
+//! once with [`json::Reader`], keeping the fields its kind defines and
+//! validating every other byte; the encoder writes the text straight into
+//! its output with [`json::write_object`], the writer `Json::to_pretty`
+//! uses for every object. The bytes are those of the tree encoding, and
+//! the first occurrence of a duplicated key wins, as with `Json::get`.
 
 use crate::{CompletionKind, Notice, RejectReason, ShedReason, Submission, SubmitResponse};
-use rotary_core::json::{self, u64_json, Json};
+use rotary_core::json::{self, write_object, Json, Reader, Sink};
 use rotary_core::SimTime;
 use rotary_store::crc32;
 use std::fmt;
@@ -218,99 +226,164 @@ fn kind_of(frame: &Frame) -> u8 {
     }
 }
 
-fn submission_json(sub: &Submission) -> Json {
-    Json::obj(vec![
-        ("tenant", u64_json(sub.tenant)),
-        ("seq", u64_json(sub.seq)),
-        ("attempt", u64_json(u64::from(sub.attempt))),
-        ("deadline_ms", u64_json(sub.deadline.as_millis())),
-        ("cost_milli", u64_json(sub.cost_milli)),
-        ("payload", sub.payload.clone()),
-    ])
-}
-
-fn response_json(resp: &SubmitResponse) -> Json {
-    match resp {
-        SubmitResponse::Admitted { ticket } => Json::obj(vec![("admitted", u64_json(*ticket))]),
-        SubmitResponse::Rejected { reason, retry_after } => Json::obj(vec![
-            ("rejected", Json::Str(reason.label().into())),
-            ("retry_ms", u64_json(retry_after.as_millis())),
-        ]),
-    }
-}
-
-fn notice_json(notice: &Notice) -> Json {
-    let mut pairs =
-        vec![("ticket", u64_json(notice.ticket)), ("at_ms", u64_json(notice.at.as_millis()))];
-    match &notice.fate {
-        Ok(kind) => pairs.push(("completed", Json::Str(kind.label().into()))),
-        Err((reason, retry_after)) => {
-            pairs.push(("shed", Json::Str(reason.label().into())));
-            pairs.push(("retry_ms", u64_json(retry_after.as_millis())));
-        }
-    }
-    Json::obj(pairs)
-}
-
-fn payload_text(frame: &Frame) -> String {
+/// Writes a frame's payload — the pretty-printed JSON its kind defines —
+/// straight into `out`, in the layout `Json::to_pretty` gives the same
+/// object as a tree (`json::write_object` is the writer both use).
+fn write_payload(frame: &Frame, out: &mut impl Sink) {
     match frame {
-        Frame::Submit(sub) => submission_json(sub).to_pretty(),
-        Frame::Drain | Frame::Stats | Frame::DrainResp => String::new(),
-        Frame::SubmitResp(resp) => response_json(resp).to_pretty(),
-        Frame::StatsResp(json) => json.to_pretty(),
-        Frame::Notice(notice) => notice_json(notice).to_pretty(),
-        Frame::Bye(reason) => {
-            Json::obj(vec![("reason", Json::Str(reason.label().into()))]).to_pretty()
+        Frame::Submit(sub) => write_object(out, Some(0), |obj| {
+            obj.uint("tenant", sub.tenant);
+            obj.uint("seq", sub.seq);
+            obj.uint("attempt", u64::from(sub.attempt));
+            obj.uint("deadline_ms", sub.deadline.as_millis());
+            obj.uint("cost_milli", sub.cost_milli);
+            obj.value("payload", &sub.payload);
+        }),
+        Frame::Drain | Frame::Stats | Frame::DrainResp => {}
+        Frame::SubmitResp(SubmitResponse::Admitted { ticket }) => {
+            write_object(out, Some(0), |obj| obj.uint("admitted", *ticket));
         }
+        Frame::SubmitResp(SubmitResponse::Rejected { reason, retry_after }) => {
+            write_object(out, Some(0), |obj| {
+                obj.str("rejected", reason.label());
+                obj.uint("retry_ms", retry_after.as_millis());
+            });
+        }
+        Frame::StatsResp(json) => json.write(out, Some(0)),
+        Frame::Notice(notice) => write_object(out, Some(0), |obj| {
+            obj.uint("ticket", notice.ticket);
+            obj.uint("at_ms", notice.at.as_millis());
+            match notice.fate {
+                Ok(kind) => obj.str("completed", kind.label()),
+                Err((reason, retry_after)) => {
+                    obj.str("shed", reason.label());
+                    obj.uint("retry_ms", retry_after.as_millis());
+                }
+            }
+        }),
+        Frame::Bye(reason) => write_object(out, Some(0), |obj| obj.str("reason", reason.label())),
     }
+}
+
+/// Appends one encoded frame to `out`. The payload is written in place and
+/// its length and CRC filled in after it, so a connection's write buffer
+/// takes a frame with no intermediate allocation.
+pub fn encode_frame_into(frame: &Frame, out: &mut Vec<u8>) {
+    let start = out.len();
+    out.extend_from_slice(&WIRE_MAGIC);
+    out.extend_from_slice(&WIRE_VERSION.to_le_bytes());
+    out.push(kind_of(frame));
+    out.extend_from_slice(&[0; 4]); // payload_len, known once it is written
+    let body = out.len();
+    write_payload(frame, out);
+    // The codec never *produces* an oversized frame: payloads the daemon
+    // accepts are already capped well below MAX_FRAME_PAYLOAD, and the
+    // length field below is what the decoder checks.
+    out.truncate(body + MAX_FRAME_PAYLOAD as usize);
+    let len = (out.len() - body) as u32;
+    out[body - 4..body].copy_from_slice(&len.to_le_bytes());
+    let crc = crc32(&out[start + WIRE_MAGIC.len()..]);
+    out.extend_from_slice(&crc.to_le_bytes());
 }
 
 /// Encodes one frame. The inverse of [`decode_frame`] up to the
 /// [`Submission::bytes`] convention documented at module level.
+///
+/// Callers keep encoded frames by the hundred thousand, so the payload is
+/// measured first and the frame allocated once at its exact size — no
+/// growing buffer is left behind or copied out of (DESIGN.md §15, "Payload
+/// rules").
 pub fn encode_frame(frame: &Frame) -> Vec<u8> {
-    let payload = payload_text(frame);
-    let payload = payload.as_bytes();
-    // The codec never *produces* an oversized frame: payloads the daemon
-    // accepts are already capped well below MAX_FRAME_PAYLOAD, and the
-    // length field below is what the decoder checks.
-    let len = payload.len().min(MAX_FRAME_PAYLOAD as usize) as u32;
-    let payload = &payload[..len as usize];
-    let mut out = Vec::with_capacity(FRAME_HEADER_LEN + payload.len() + FRAME_TRAILER_LEN);
-    out.extend_from_slice(&WIRE_MAGIC);
-    out.extend_from_slice(&WIRE_VERSION.to_le_bytes());
-    out.push(kind_of(frame));
-    out.extend_from_slice(&len.to_le_bytes());
-    out.extend_from_slice(payload);
-    let crc = crc32(&out[4..]);
-    out.extend_from_slice(&crc.to_le_bytes());
+    let mut payload = Measure(0);
+    write_payload(frame, &mut payload);
+    let len = payload.0.min(MAX_FRAME_PAYLOAD as usize);
+    let mut out = Vec::with_capacity(FRAME_HEADER_LEN + len + FRAME_TRAILER_LEN);
+    encode_frame_into(frame, &mut out);
     out
+}
+
+/// A sink that keeps only the length of what is written to it.
+struct Measure(usize);
+
+impl Sink for Measure {
+    fn put(&mut self, text: &str) {
+        self.0 += text.len();
+    }
 }
 
 fn bad(detail: &str) -> WireError {
     WireError::BadPayload { detail: detail.to_string() }
 }
 
-fn parse_payload(text: &str, what: &str) -> Result<Json, WireError> {
-    json::parse(text).map_err(|e| bad(&format!("{what}: {e}")))
+/// Walks a payload's top-level members: `member` sees each key in document
+/// order and reads or skips its value. Every byte is validated — unknown
+/// members too, and a document that is not an object as a whole (its
+/// fields then read as missing) — so a payload is refused exactly when, and
+/// with the message with which, `json::parse` would refuse it.
+fn members<'a>(
+    text: &'a str,
+    what: &str,
+    member: impl FnMut(&str, &mut Reader<'a>) -> Result<(), String>,
+) -> Result<(), WireError> {
+    let mut r = Reader::new(text);
+    let walked = match r.object(member) {
+        Ok(true) => Ok(()),
+        Ok(false) => r.skip(),
+        Err(e) => Err(e),
+    };
+    walked.and_then(|()| r.finish()).map_err(|e| bad(&format!("{what}: {e}")))
 }
 
-fn uint(json: &Json, key: &str) -> Option<u64> {
-    // Accept both the exact-width string encoding (u64_json) and a plain
-    // JSON number, so hand-written payloads (the nc quick-start) work.
-    let v = json.get(key)?;
-    v.as_u64_str().or_else(|| v.as_u64())
+/// Reads a member's value into `slot` unless a member with the same key
+/// came first: the first occurrence wins, as with `Json::get`, whatever the
+/// type of its value.
+fn first<'a, T>(
+    slot: &mut Option<T>,
+    r: &mut Reader<'a>,
+    read: impl FnOnce(&mut Reader<'a>) -> Result<T, String>,
+) -> Result<(), String> {
+    match slot {
+        Some(_) => r.skip(),
+        None => read(r).map(|v| *slot = Some(v)),
+    }
 }
 
+/// Reads a value as a label of `from_label`'s set; `None` for a string
+/// outside it or a value that is not a string.
+fn label<'a, T>(
+    from_label: fn(&str) -> Option<T>,
+) -> impl FnOnce(&mut Reader<'a>) -> Result<Option<T>, String> {
+    move |r| Ok(r.str()?.and_then(|s| from_label(&s)))
+}
+
+// The `uint` fields accept both the exact-width string encoding (what the
+// encoder writes) and a plain JSON number, so hand-written payloads (the nc
+// quick-start) work.
 fn decode_submission(text: &str, wire_bytes: u64) -> Result<Submission, WireError> {
-    let json = parse_payload(text, "submit")?;
-    let tenant = uint(&json, "tenant").ok_or_else(|| bad("submit: missing tenant"))?;
-    let seq = uint(&json, "seq").ok_or_else(|| bad("submit: missing seq"))?;
-    let attempt = uint(&json, "attempt")
+    let (mut tenant, mut seq, mut attempt, mut deadline, mut cost_milli, mut payload) =
+        (None, None, None, None, None, None);
+    members(text, "submit", |key, r| match key {
+        "tenant" => first(&mut tenant, r, Reader::uint),
+        "seq" => first(&mut seq, r, Reader::uint),
+        "attempt" => first(&mut attempt, r, Reader::uint),
+        "deadline_ms" => first(&mut deadline, r, Reader::uint),
+        "cost_milli" => first(&mut cost_milli, r, Reader::uint),
+        "payload" => first(&mut payload, r, Reader::value),
+        _ => r.skip(),
+    })?;
+    let tenant = tenant.flatten().ok_or_else(|| bad("submit: missing tenant"))?;
+    let seq = seq.flatten().ok_or_else(|| bad("submit: missing seq"))?;
+    let attempt = attempt
+        .flatten()
         .and_then(|a| u32::try_from(a).ok())
         .ok_or_else(|| bad("submit: attempt must fit in u32"))?;
-    let deadline = uint(&json, "deadline_ms").ok_or_else(|| bad("submit: missing deadline_ms"))?;
-    let cost_milli = uint(&json, "cost_milli").ok_or_else(|| bad("submit: missing cost_milli"))?;
-    let payload = json.get("payload").ok_or_else(|| bad("submit: missing payload"))?.clone();
+    let deadline = deadline.flatten().ok_or_else(|| bad("submit: missing deadline_ms"))?;
+    let cost_milli = cost_milli.flatten().ok_or_else(|| bad("submit: missing cost_milli"))?;
+    // Submissions can be held for long (queued, retained, replayed), so the
+    // payload is copied out of the parser's growing buffers into exact-size
+    // ones. A copy, not a shrink in place: shrinking splits each buffer and
+    // leaves a hole beside every kept payload.
+    let payload = payload.ok_or_else(|| bad("submit: missing payload"))?.clone();
     Ok(Submission {
         tenant,
         seq,
@@ -323,31 +396,39 @@ fn decode_submission(text: &str, wire_bytes: u64) -> Result<Submission, WireErro
 }
 
 fn decode_response(text: &str) -> Result<SubmitResponse, WireError> {
-    let json = parse_payload(text, "submit-resp")?;
-    if let Some(ticket) = uint(&json, "admitted") {
+    let (mut admitted, mut rejected, mut retry) = (None, None, None);
+    members(text, "submit-resp", |key, r| match key {
+        "admitted" => first(&mut admitted, r, Reader::uint),
+        "rejected" => first(&mut rejected, r, label(RejectReason::from_label)),
+        "retry_ms" => first(&mut retry, r, Reader::uint),
+        _ => r.skip(),
+    })?;
+    if let Some(ticket) = admitted.flatten() {
         return Ok(SubmitResponse::Admitted { ticket });
     }
-    let reason = json
-        .get("rejected")
-        .and_then(Json::as_str)
-        .and_then(RejectReason::from_label)
+    let reason = rejected
+        .flatten()
         .ok_or_else(|| bad("submit-resp: neither admitted nor a known rejection"))?;
-    let retry = uint(&json, "retry_ms").ok_or_else(|| bad("submit-resp: missing retry_ms"))?;
+    let retry = retry.flatten().ok_or_else(|| bad("submit-resp: missing retry_ms"))?;
     Ok(SubmitResponse::Rejected { reason, retry_after: SimTime::from_millis(retry) })
 }
 
 fn decode_notice(text: &str) -> Result<Notice, WireError> {
-    let json = parse_payload(text, "notice")?;
-    let ticket = uint(&json, "ticket").ok_or_else(|| bad("notice: missing ticket"))?;
-    let at = uint(&json, "at_ms").ok_or_else(|| bad("notice: missing at_ms"))?;
-    let fate = if let Some(kind) =
-        json.get("completed").and_then(Json::as_str).and_then(CompletionKind::from_label)
-    {
+    let (mut ticket, mut at, mut completed, mut shed, mut retry) = (None, None, None, None, None);
+    members(text, "notice", |key, r| match key {
+        "ticket" => first(&mut ticket, r, Reader::uint),
+        "at_ms" => first(&mut at, r, Reader::uint),
+        "completed" => first(&mut completed, r, label(CompletionKind::from_label)),
+        "shed" => first(&mut shed, r, label(ShedReason::from_label)),
+        "retry_ms" => first(&mut retry, r, Reader::uint),
+        _ => r.skip(),
+    })?;
+    let ticket = ticket.flatten().ok_or_else(|| bad("notice: missing ticket"))?;
+    let at = at.flatten().ok_or_else(|| bad("notice: missing at_ms"))?;
+    let fate = if let Some(kind) = completed.flatten() {
         Ok(kind)
-    } else if let Some(reason) =
-        json.get("shed").and_then(Json::as_str).and_then(ShedReason::from_label)
-    {
-        let retry = uint(&json, "retry_ms").ok_or_else(|| bad("notice: shed without retry_ms"))?;
+    } else if let Some(reason) = shed.flatten() {
+        let retry = retry.flatten().ok_or_else(|| bad("notice: shed without retry_ms"))?;
         Err((reason, SimTime::from_millis(retry)))
     } else {
         return Err(bad("notice: neither completed nor shed"));
@@ -356,11 +437,12 @@ fn decode_notice(text: &str) -> Result<Notice, WireError> {
 }
 
 fn decode_bye(text: &str) -> Result<ConnClosed, WireError> {
-    let json = parse_payload(text, "bye")?;
-    json.get("reason")
-        .and_then(Json::as_str)
-        .and_then(ConnClosed::from_label)
-        .ok_or_else(|| bad("bye: unknown close reason"))
+    let mut reason = None;
+    members(text, "bye", |key, r| match key {
+        "reason" => first(&mut reason, r, label(ConnClosed::from_label)),
+        _ => r.skip(),
+    })?;
+    reason.flatten().ok_or_else(|| bad("bye: unknown close reason"))
 }
 
 /// Incrementally decodes the first frame in `buf`.
@@ -413,7 +495,9 @@ pub fn decode_frame(buf: &[u8]) -> Result<Option<(Frame, usize)>, WireError> {
         KIND_STATS => Frame::Stats,
         KIND_SUBMIT_RESP => Frame::SubmitResp(decode_response(text)?),
         KIND_DRAIN_RESP => Frame::DrainResp,
-        KIND_STATS_RESP => Frame::StatsResp(parse_payload(text, "stats-resp")?),
+        KIND_STATS_RESP => {
+            Frame::StatsResp(json::parse(text).map_err(|e| bad(&format!("stats-resp: {e}")))?)
+        }
         KIND_NOTICE => Frame::Notice(decode_notice(text)?),
         KIND_BYE => Frame::Bye(decode_bye(text)?),
         other => return Err(WireError::UnknownKind(other)),
@@ -424,6 +508,7 @@ pub fn decode_frame(buf: &[u8]) -> Result<Option<(Frame, usize)>, WireError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rotary_core::json::u64_json;
 
     fn sub(tenant: u64, seq: u64) -> Submission {
         Submission {

@@ -274,6 +274,68 @@ fn a_stalled_partial_frame_trips_the_slowloris_deadline() {
 }
 
 #[test]
+fn back_to_back_frames_in_one_write_are_all_answered_in_order() {
+    let config = TransportConfig::small();
+    let (mut listener, clock, addr) = fresh_listener(config.clone());
+
+    // Two clients each write 300 submit frames as one buffer; the second
+    // adds half of one more. The listener decodes each batch from one read
+    // buffer, and keeps only the second one's torn tail.
+    let (mut whole, mut torn) = (Client::connect(addr), Client::connect(addr));
+    for (client, tenant, tail) in [(&mut whole, 1, false), (&mut torn, 2, true)] {
+        let mut bytes = Vec::new();
+        for seq in 1..=300 {
+            bytes.extend_from_slice(&encode_frame(&submit(tenant, seq, 50)));
+        }
+        if tail {
+            let next = encode_frame(&submit(tenant, 301, 50));
+            bytes.extend_from_slice(&next[..next.len() / 2]);
+        }
+        assert!(bytes.len() < config.read_buf_limit);
+        let mut sent = 0;
+        while sent < bytes.len() {
+            match client.stream.write(&bytes[sent..]) {
+                Ok(n) => sent += n,
+                Err(e) if e.kind() == ErrorKind::WouldBlock => {
+                    listener.poll();
+                }
+                Err(e) => panic!("client write: {e}"),
+            }
+        }
+        let mut tickets = Vec::new();
+        for _ in 0..300 {
+            match client.recv(|| {
+                listener.poll();
+            }) {
+                Frame::SubmitResp(SubmitResponse::Admitted { ticket }) => tickets.push(ticket),
+                other => panic!("expected admission, got {other:?}"),
+            }
+        }
+        let first = tickets[0];
+        assert_eq!(tickets, (first..first + 300).collect::<Vec<_>>(), "answers out of order");
+    }
+
+    // The torn tail arms the per-frame deadline, and trips it only once the
+    // deadline has passed; a buffer that ended on a frame boundary arms
+    // nothing, so that connection outlives the deadline.
+    clock.advance_ms(config.frame_deadline.as_millis() - 1);
+    for _ in 0..5 {
+        listener.poll();
+    }
+    assert_eq!(listener.connections(), 2);
+    clock.advance_ms(1);
+    let frames = torn.drain_to_close(|| {
+        listener.poll();
+    });
+    let (bye, notices) = frames.split_last().expect("a goodbye");
+    assert_eq!(*bye, Frame::Bye(ConnClosed::IdleTimeout));
+    assert!(notices.iter().all(|f| matches!(f, Frame::Notice(_))), "{notices:?}");
+    assert_eq!(listener.stats().closed_for(ConnClosed::IdleTimeout), 1);
+    assert_eq!(listener.connections(), 1, "the connection with no partial frame stays open");
+    assert_eq!(listener.daemon().counters().admitted, 600);
+}
+
+#[test]
 fn corrupt_bytes_get_a_typed_goodbye() {
     let (mut listener, _clock, addr) = fresh_listener(TransportConfig::small());
     let mut client = Client::connect(addr);

@@ -9,8 +9,10 @@
 //! documents must be rejected with an error — never a panic. The parser
 //! copies strings run by run, so it is also held to a char-at-a-time
 //! reference on arbitrary text, to its nesting cap, and to linear time.
+//! Its second entry point, the pull `Reader` the wire codec walks payloads
+//! with, is held to `parse`: the same values, the same errors.
 
-use rotary::core::json::{self, u64_json, Json};
+use rotary::core::json::{self, u64_json, Json, Reader};
 use rotary_check::{check, Source};
 use std::collections::BTreeMap;
 
@@ -372,27 +374,126 @@ fn arbitrary_text(src: &mut Source, depth: usize) -> String {
     }
 }
 
+/// [`arbitrary_text`] plus a suffix, and a third of the time damaged at a
+/// random character: one removed, or a structural token dropped in.
+fn arbitrary_document(src: &mut Source) -> String {
+    let mut text = format!("{}{}", arbitrary_text(src, 3), *src.pick(&["", " ", "\n", " x"]));
+    if src.bool(0.33) && !text.is_empty() {
+        let mut at = src.usize_in(0, text.len() - 1);
+        while !text.is_char_boundary(at) {
+            at -= 1;
+        }
+        if src.bool(0.5) {
+            text.remove(at);
+        } else {
+            text.insert_str(at, src.pick::<&str>(&["\"", "\\", "[", "]", "{", "}", ",", ":", "µ"]));
+        }
+    }
+    text
+}
+
 #[test]
 fn parser_agrees_with_a_char_at_a_time_reference_on_arbitrary_text() {
     check("json_vs_reference", |src| {
-        let mut text = format!("{}{}", arbitrary_text(src, 3), *src.pick(&["", " ", "\n", " x"]));
-        // A third of the documents are then damaged at a random character:
-        // one removed, or a structural token dropped in.
-        if src.bool(0.33) && !text.is_empty() {
-            let mut at = src.usize_in(0, text.len() - 1);
-            while !text.is_char_boundary(at) {
-                at -= 1;
-            }
-            if src.bool(0.5) {
-                text.remove(at);
+        let text = arbitrary_document(src);
+        assert_eq!(json::parse(&text).ok(), Reference::parse(&text), "{text:?}");
+    });
+}
+
+// ---------------------------------------------------------------------------
+// The pull reader against `parse`.
+// ---------------------------------------------------------------------------
+
+/// What a walk learnt about one value, by the way it chose to consume it.
+#[derive(Debug, PartialEq)]
+enum Seen {
+    Tree(Json),
+    Obj(Vec<(String, Seen)>),
+    Arr(Vec<Seen>),
+    Uint(Option<u64>),
+    Str(Option<String>),
+    Skipped,
+}
+
+/// Consumes the next value with a reader method drawn from `src` — build,
+/// skip, read as u64, read as string, or walk into it — and records each
+/// choice so [`seen_in`] can replay the walk over a parsed tree.
+fn walk(r: &mut Reader, src: &mut Source, choices: &mut Vec<u64>) -> Result<Seen, String> {
+    let choice = src.u64_in(0, 4);
+    choices.push(choice);
+    Ok(match choice {
+        0 => Seen::Tree(r.value()?),
+        1 => {
+            r.skip()?;
+            Seen::Skipped
+        }
+        2 => Seen::Uint(r.uint()?),
+        3 => Seen::Str(r.str()?.map(|s| s.into_owned())),
+        _ => {
+            let mut members = Vec::new();
+            let mut items = Vec::new();
+            if r.object(|key, r| {
+                members.push((key.to_string(), walk(r, src, choices)?));
+                Ok(())
+            })? {
+                Seen::Obj(members)
+            } else if r.array(|r| {
+                items.push(walk(r, src, choices)?);
+                Ok(())
+            })? {
+                Seen::Arr(items)
             } else {
-                text.insert_str(
-                    at,
-                    src.pick::<&str>(&["\"", "\\", "[", "]", "{", "}", ",", ":", "µ"]),
-                );
+                Seen::Tree(r.value()?)
             }
         }
-        assert_eq!(json::parse(&text).ok(), Reference::parse(&text), "{text:?}");
+    })
+}
+
+/// The same walk over a tree `parse` built, by the tree API.
+fn seen_in(tree: &Json, choices: &mut impl Iterator<Item = u64>) -> Seen {
+    match choices.next().expect("the walk made a choice per value") {
+        0 => Seen::Tree(tree.clone()),
+        1 => Seen::Skipped,
+        2 => Seen::Uint(tree.as_u64_str().or_else(|| tree.as_u64())),
+        3 => Seen::Str(tree.as_str().map(str::to_string)),
+        _ => match tree {
+            Json::Obj(pairs) => {
+                Seen::Obj(pairs.iter().map(|(k, v)| (k.clone(), seen_in(v, choices))).collect())
+            }
+            Json::Arr(items) => Seen::Arr(items.iter().map(|v| seen_in(v, choices)).collect()),
+            scalar => Seen::Tree(scalar.clone()),
+        },
+    }
+}
+
+#[test]
+fn the_reader_sees_what_parse_builds_and_fails_where_parse_fails() {
+    check("json_reader_vs_parse", |src| {
+        let text = match src.u64_in(0, 3) {
+            0 => arbitrary_json(src, 3).to_pretty(),
+            1 => arbitrary_json(src, 3).to_compact(),
+            2 => arbitrary_document(src),
+            // Around the nesting cap, where a walk must refuse what parse does.
+            _ => {
+                let (open, close) =
+                    *src.pick(&[("[", "]"), ("{\"k\": ", "}"), ("[{\"a\":0,\"k\":", "}]")]);
+                let units =
+                    (json::MAX_DEPTH - 3 + src.usize_in(0, 4)) / open.matches(['[', '{']).count();
+                let inner = arbitrary_document(src);
+                format!("{}{inner}{}", open.repeat(units), close.repeat(units))
+            }
+        };
+        let mut choices = Vec::new();
+        let mut r = Reader::new(&text);
+        let walked = walk(&mut r, src, &mut choices).and_then(|seen| r.finish().map(|()| seen));
+        match json::parse(&text) {
+            Ok(tree) => {
+                let mut replay = choices.into_iter();
+                assert_eq!(walked, Ok(seen_in(&tree, &mut replay)), "{text:?}");
+                assert_eq!(replay.next(), None);
+            }
+            Err(e) => assert_eq!(walked, Err(e), "{text:?}"),
+        }
     });
 }
 
