@@ -6,7 +6,8 @@
 # Usage:
 #   ./ci.sh                 format + clippy (`unsafe_code` is forbidden
 #                           workspace-wide, so this is also the
-#                           memory-safety gate) + rotary-lint + release
+#                           memory-safety gate) + rustdoc links +
+#                           rotary-lint + release
 #                           build + `--locked` check of the frozen e2e
 #                           benchmark crate + workspace tests + the
 #                           pinned 256-case property suites
@@ -34,6 +35,10 @@ cargo fmt --check
 
 echo "== cargo clippy -D warnings =="
 cargo clippy --workspace --all-targets -- -D warnings
+
+# Clippy never resolves intra-doc links: a doc link to a deleted or private item fails only here.
+echo "== cargo doc -D warnings =="
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
 
 # Determinism & robustness invariants (DESIGN.md §11): fails on any
 # D/U/A/R/L-rule violation and on ratchet drift (P001/F001/F002/F003) in

@@ -40,6 +40,13 @@ use crate::workload::AqpJobSpec;
 
 mod snapshot;
 
+/// Batches per epoch for the baselines and the Rotary reference point.
+const BASE_EPOCH_BATCHES: usize = 3;
+/// Cap on an adaptive epoch's length, in batches.
+const MAX_EPOCH_BATCHES: usize = 12;
+/// Max threads a single job may hold.
+const MAX_THREADS_PER_JOB: u32 = 6;
+
 /// The arbitration policy driving the run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AqpPolicy {
@@ -94,14 +101,8 @@ pub struct AqpSystemConfig {
     pub pool: CpuPoolSpec,
     /// Batch size as a fraction of the fact table (default 1%).
     pub batch_fraction: f64,
-    /// Batches per epoch for baselines / the Rotary reference point.
-    pub base_epoch_batches: usize,
-    /// Cap on adaptive epoch length, in batches.
-    pub max_epoch_batches: usize,
     /// Envelope window, in epochs.
     pub envelope_window: usize,
-    /// Max threads a single job may hold.
-    pub max_threads_per_job: u32,
     /// Top-k similar historical jobs pooled into the estimator.
     pub top_k: usize,
     /// Enables Rotary's adaptive running epochs (longer epochs for jobs
@@ -151,10 +152,7 @@ impl Default for AqpSystemConfig {
         AqpSystemConfig {
             pool: CpuPoolSpec::paper_aqp_testbed(),
             batch_fraction: 0.01,
-            base_epoch_batches: 3,
-            max_epoch_batches: 12,
             envelope_window: 5,
-            max_threads_per_job: 6,
             top_k: 5,
             adaptive_epochs: true,
             feasibility_check: true,
@@ -438,12 +436,6 @@ impl<'a> AqpSystem<'a> {
         self.history = history;
     }
 
-    /// Replaces the fault plan for subsequent runs (chaos testing reuses one
-    /// bound system across many plans — binding is the expensive part).
-    pub fn set_fault_plan(&mut self, plan: FaultPlan) {
-        self.config.faults = plan;
-    }
-
     /// The memory estimate for a query, in MB.
     pub fn memory_estimate(&self, id: QueryId) -> u64 {
         self.memory[&id.0]
@@ -454,9 +446,8 @@ impl<'a> AqpSystem<'a> {
     /// Returns the number of records inserted.
     ///
     /// # Errors
-    /// [`RotaryError::PlanBind`](rotary_core::RotaryError::PlanBind) when a
-    /// built-in plan fails to bind against the dataset — the dataset is
-    /// unusable and nothing was inserted.
+    /// [`RotaryError::PlanBind`] when a built-in plan fails to bind against
+    /// the dataset — the dataset is unusable and nothing was inserted.
     pub fn prepopulate_history(&mut self, seed: u64) -> rotary_core::Result<usize> {
         // Control plane: bind every query serially (the index cache is a
         // shared mutable resource), carrying the per-query features along.
@@ -479,15 +470,14 @@ impl<'a> AqpSystem<'a> {
 
         // Data plane: the 22 uncontended historical runs are independent, so
         // they execute concurrently, one sequential run per host thread.
-        let base_epoch_batches = self.config.base_epoch_batches;
         let envelope_window = self.config.envelope_window;
         let host = rotary_par::ThreadPool::new(self.config.threads);
         let curves: Vec<Vec<(f64, f64)>> = host.map_mut(&mut runs, |_, (_, online)| {
             let mut envelopes: Vec<EnvelopeDetector> = (0..online.agg_funcs().len())
-                .map(|_| EnvelopeDetector::new(envelope_window, 0.01))
+                .map(|_| EnvelopeDetector::new(envelope_window))
                 .collect();
             let mut curve = Vec::new();
-            while let Some(report) = online.process_epoch(base_epoch_batches) {
+            while let Some(report) = online.process_epoch(BASE_EPOCH_BATCHES) {
                 for (env, v) in envelopes.iter_mut().zip(&report.values) {
                     env.observe(v.unwrap_or(0.0));
                 }
@@ -517,8 +507,8 @@ impl<'a> AqpSystem<'a> {
     /// Runs a workload under a policy.
     ///
     /// # Errors
-    /// [`RotaryError::PlanBind`](rotary_core::RotaryError::PlanBind) when a
-    /// spec fails to bind against the dataset; no partial run happens.
+    /// [`RotaryError::PlanBind`] when a spec fails to bind against the
+    /// dataset; no partial run happens.
     pub fn run(
         &mut self,
         specs: &[AqpJobSpec],
@@ -693,7 +683,7 @@ impl<'a> AqpSystem<'a> {
         // Project at the best-case grant: feasibility asks whether *any*
         // allocation could still save the job, not whether its current
         // (possibly starved) rate suffices.
-        let best_case = Self::best_case_epoch_secs(job, self.config.max_threads_per_job);
+        let best_case = Self::best_case_epoch_secs(job, MAX_THREADS_PER_JOB);
         let projected = SimTime::from_secs_f64(Self::epochs_needed(job, frac_needed) * best_case);
         // Feasible ⟺ projected ≤ deadline − now ∧ now < deadline, i.e.
         // now ≤ deadline − max(projected, 1ms).
@@ -736,9 +726,8 @@ impl<'a> AqpSystem<'a> {
     /// state changes, which is what lets the indexed control plane keep the
     /// order standing.
     fn priority_key(&self, job: &RunJob<'_>, policy: AqpPolicy, avg_epoch_secs: f64) -> f64 {
-        let remaining =
-            Self::estimated_remaining_secs(job, avg_epoch_secs, self.config.max_threads_per_job)
-                .unwrap_or(f64::INFINITY);
+        let remaining = Self::estimated_remaining_secs(job, avg_epoch_secs, MAX_THREADS_PER_JOB)
+            .unwrap_or(f64::INFINITY);
         match policy {
             AqpPolicy::Relaqs => remaining,
             _ => job.deadline_at().as_secs_f64() - 1.25 * remaining,
@@ -856,7 +845,7 @@ impl<'a> AqpSystem<'a> {
                         break;
                     }
                     if let Some(t) = target.get_mut(&i) {
-                        if *t < self.config.max_threads_per_job {
+                        if *t < MAX_THREADS_PER_JOB {
                             *t += 1;
                             threads_left -= 1;
                             progressed = true;
@@ -873,7 +862,7 @@ impl<'a> AqpSystem<'a> {
                     break;
                 }
                 if let Some(t) = target.get_mut(&i) {
-                    let extra = (self.config.max_threads_per_job - *t).min(threads_left);
+                    let extra = (MAX_THREADS_PER_JOB - *t).min(threads_left);
                     *t += extra;
                     threads_left -= extra;
                 }
@@ -1176,7 +1165,7 @@ impl<'a> Arbiter for AqpSystem<'a> {
             batch_rows,
         )?;
         let envelopes = (0..plan.aggregates.len())
-            .map(|_| EnvelopeDetector::new(self.config.envelope_window, 0.01))
+            .map(|_| EnvelopeDetector::new(self.config.envelope_window))
             .collect();
         let memory_mb = self.memory[&spec.query.0];
         let features = QueryFeatures::of(plan, memory_mb);
@@ -1194,12 +1183,11 @@ impl<'a> Arbiter for AqpSystem<'a> {
                 // (§IV-A). The base length is the floor — lighter jobs
                 // keep the baseline epoch; heavier jobs get epochs
                 // proportional to their memory footprint.
-                let scaled = self.config.base_epoch_batches as f64 * memory_mb as f64
-                    / self.reference_memory.max(1.0);
-                (scaled.round() as usize)
-                    .clamp(self.config.base_epoch_batches, self.config.max_epoch_batches)
+                let scaled =
+                    BASE_EPOCH_BATCHES as f64 * memory_mb as f64 / self.reference_memory.max(1.0);
+                (scaled.round() as usize).clamp(BASE_EPOCH_BATCHES, MAX_EPOCH_BATCHES)
             }
-            _ => self.config.base_epoch_batches,
+            _ => BASE_EPOCH_BATCHES,
         };
         let mut core = JobState::new(JobId(i as u64), JobKind::Aqp, spec.criterion(), spec.arrival);
         core.status = JobStatus::Pending;
@@ -1255,8 +1243,7 @@ impl<'a> Arbiter for AqpSystem<'a> {
         // What this epoch would have cost isolated with a full grant — the
         // baseline of the Fig. 7b waiting-time metric.
         job.base.core.add_isolated_service(service.scale(
-            Self::grant_speedup(job.last_threads)
-                / Self::grant_speedup(self.config.max_threads_per_job),
+            Self::grant_speedup(job.last_threads) / Self::grant_speedup(MAX_THREADS_PER_JOB),
         ));
         job.threads = 0;
 
@@ -1436,9 +1423,9 @@ impl<'a> Arbiter for AqpSystem<'a> {
             // resourced heavy job runs its long epoch, but a starved job
             // runs a short one so it returns to arbitration quickly instead
             // of blocking on a single thread for the epoch's whole length.
-            let mut batches = if job.epoch_batches > self.config.base_epoch_batches {
-                (job.epoch_batches * threads as usize / self.config.max_threads_per_job as usize)
-                    .clamp(self.config.base_epoch_batches, self.config.max_epoch_batches)
+            let mut batches = if job.epoch_batches > BASE_EPOCH_BATCHES {
+                (job.epoch_batches * threads as usize / MAX_THREADS_PER_JOB as usize)
+                    .clamp(BASE_EPOCH_BATCHES, MAX_EPOCH_BATCHES)
             } else {
                 job.epoch_batches
             };

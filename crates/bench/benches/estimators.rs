@@ -43,7 +43,7 @@ fn bench_joint_estimator() {
 }
 
 fn bench_envelope() {
-    let mut env = EnvelopeDetector::new(5, 0.01);
+    let mut env = EnvelopeDetector::new(5);
     let mut x = 0.0f64;
     bench("envelope_observe_and_progress", || {
         x += 1.0;

@@ -14,6 +14,10 @@
 //!
 //! Deadlines and runtimes can be expressed in *epochs* or in *time units*
 //! (seconds / minutes / hours of virtual time).
+//!
+//! Every criterion obeys one value rule, whatever its source — the surface
+//! syntax ([`crate::parser`]) or a structural wire payload:
+//! [`CompletionCriterion::validate`].
 
 use crate::job::IntermediateState;
 use crate::time::SimTime;
@@ -65,6 +69,18 @@ impl Metric {
             _ => Metric::Custom(word.to_ascii_uppercase()),
         }
     }
+
+    /// The value rule for a threshold or delta over this metric: finite and
+    /// non-negative, and at most 1 for the ratio metrics ACC and F1.
+    pub fn check_value(&self, value: f64) -> Result<(), &'static str> {
+        if !value.is_finite() || value < 0.0 {
+            return Err("threshold must be a finite non-negative number");
+        }
+        if matches!(self, Metric::Accuracy | Metric::F1) && value > 1.0 {
+            return Err("accuracy/F1 thresholds must be ≤ 1 (use a percentage like 95%)");
+        }
+        Ok(())
+    }
 }
 
 impl fmt::Display for Metric {
@@ -105,6 +121,16 @@ impl Deadline {
         match *self {
             Deadline::Time(t) => Some(t),
             Deadline::Epochs(_) => None,
+        }
+    }
+
+    /// The value rule for a deadline: positive, i.e. at least one epoch or
+    /// at least one millisecond.
+    pub fn check(&self) -> Result<(), &'static str> {
+        match *self {
+            Deadline::Epochs(0) => Err("deadline must be positive"),
+            Deadline::Time(t) if t.is_zero() => Err("deadline must be positive"),
+            _ => Ok(()),
         }
     }
 }
@@ -216,6 +242,19 @@ impl CompletionCriterion {
                     CriterionCheck::Continue
                 }
             }
+        }
+    }
+
+    /// Checks the criterion against the value rule: its threshold or delta
+    /// by [`Metric::check_value`], its deadline by [`Deadline::check`].
+    pub fn validate(&self) -> Result<(), &'static str> {
+        match self {
+            CompletionCriterion::Accuracy { metric, threshold: value, deadline }
+            | CompletionCriterion::Convergence { metric, delta: value, deadline } => {
+                metric.check_value(*value)?;
+                deadline.check()
+            }
+            CompletionCriterion::Runtime { runtime } => runtime.check(),
         }
     }
 

@@ -4,8 +4,8 @@
 //! within a time window (e.g., t epochs) and uses this gap to determine
 //! convergence". With `p` the least and `q` the largest aggregate in the
 //! window, the accuracy progress is approximated by `p/q`; the gap shrinks as
-//! the aggregate converges, and the job is declared converged once
-//! `1 − p/q` drops below a tolerance.
+//! the aggregate converges; the AQP system declares a job attained once the
+//! window is full and `p/q` clears the job's accuracy threshold.
 //!
 //! The detector *can make mistakes* — a temporarily flat aggregate (e.g. a
 //! run of batches that barely touch the query's selective predicate) looks
@@ -19,25 +19,18 @@ use std::collections::VecDeque;
 #[derive(Debug, Clone)]
 pub struct EnvelopeDetector {
     window: usize,
-    tolerance: f64,
     values: VecDeque<f64>,
 }
 
 impl EnvelopeDetector {
-    /// Creates a detector over a window of `window` epochs declaring
-    /// convergence when the relative gap `1 − p/q` falls to or below
-    /// `tolerance`.
+    /// Creates a detector over a window of `window` epochs.
     ///
     /// # Panics
-    /// Panics if `window == 0` or `tolerance` is negative/non-finite; these
-    /// are static configuration errors, not runtime conditions.
-    pub fn new(window: usize, tolerance: f64) -> Self {
+    /// Panics if `window == 0`; that is a static configuration error, not a
+    /// runtime condition.
+    pub fn new(window: usize) -> Self {
         assert!(window > 0, "envelope window must be positive");
-        assert!(
-            tolerance.is_finite() && tolerance >= 0.0,
-            "envelope tolerance must be a finite non-negative number"
-        );
-        EnvelopeDetector { window, tolerance, values: VecDeque::with_capacity(window + 1) }
+        EnvelopeDetector { window, values: VecDeque::with_capacity(window + 1) }
     }
 
     /// Records the aggregate observed at the end of an epoch.
@@ -85,19 +78,6 @@ impl EnvelopeDetector {
         }
     }
 
-    /// Whether the detector currently declares convergence: the window is
-    /// full *and* the relative gap is within tolerance. Requiring a full
-    /// window prevents declaring convergence off a single observation.
-    pub fn is_converged(&self) -> bool {
-        if self.values.len() < self.window {
-            return false;
-        }
-        match self.progress() {
-            Some(p) => 1.0 - p <= self.tolerance,
-            None => false,
-        }
-    }
-
     /// Number of observations currently in the window.
     pub fn len(&self) -> usize {
         self.values.len()
@@ -131,106 +111,114 @@ impl EnvelopeDetector {
 mod tests {
     use super::*;
 
+    /// The AQP system's declaration condition at a 99% threshold: a full
+    /// window whose envelope progress clears it.
+    fn declares_99(d: &EnvelopeDetector) -> bool {
+        d.len() >= d.window() && d.progress().is_some_and(|p| p >= 0.99)
+    }
+
     #[test]
     fn empty_detector_reports_nothing() {
-        let d = EnvelopeDetector::new(3, 0.01);
+        let d = EnvelopeDetector::new(3);
         assert!(d.is_empty());
         assert_eq!(d.progress(), None);
-        assert!(!d.is_converged());
+        assert!(!declares_99(&d));
     }
 
     #[test]
     fn window_slides() {
-        let mut d = EnvelopeDetector::new(3, 0.01);
+        let mut d = EnvelopeDetector::new(3);
         for v in [10.0, 20.0, 30.0, 40.0] {
             d.observe(v);
         }
         assert_eq!(d.len(), 3);
         assert_eq!(d.least(), Some(20.0));
         assert_eq!(d.largest(), Some(40.0));
+        assert_eq!(d.values().collect::<Vec<_>>(), [20.0, 30.0, 40.0]);
     }
 
     #[test]
     fn progress_is_p_over_q() {
-        let mut d = EnvelopeDetector::new(4, 0.01);
+        let mut d = EnvelopeDetector::new(4);
         d.observe(90.0);
         d.observe(100.0);
         assert!((d.progress().unwrap() - 0.9).abs() < 1e-12);
     }
 
     #[test]
-    fn converges_when_gap_shrinks() {
-        let mut d = EnvelopeDetector::new(3, 0.01);
+    fn progress_rises_as_gap_shrinks() {
+        let mut d = EnvelopeDetector::new(3);
         d.observe(50.0);
         d.observe(80.0);
         d.observe(100.0);
-        assert!(!d.is_converged());
+        assert_eq!(d.progress(), Some(0.5));
+        assert!(!declares_99(&d));
         // The aggregate settles near 100.
         for v in [99.5, 99.8, 100.0] {
             d.observe(v);
         }
-        assert!(d.is_converged());
+        assert_eq!(d.progress(), Some(0.995));
+        assert!(declares_99(&d));
     }
 
     #[test]
-    fn does_not_converge_on_partial_window() {
-        let mut d = EnvelopeDetector::new(5, 0.01);
+    fn partial_window_is_not_full() {
+        let mut d = EnvelopeDetector::new(5);
         d.observe(100.0);
         d.observe(100.0);
         // Gap is zero but the window is not full yet.
-        assert!(!d.is_converged());
+        assert_eq!(d.progress(), Some(1.0));
+        assert!(d.len() < d.window());
+        assert!(!declares_99(&d));
     }
 
     #[test]
     fn false_attainment_scenario() {
-        // A flat stretch inside a short window triggers convergence even
-        // though the true aggregate later moves: the paper's Fig. 7a mistake.
-        let mut short = EnvelopeDetector::new(2, 0.01);
+        // A flat stretch inside a short window looks converged even though
+        // the true aggregate later moves: the paper's Fig. 7a mistake.
+        let mut short = EnvelopeDetector::new(2);
         short.observe(50.0);
         short.observe(50.1);
-        assert!(short.is_converged(), "short window is fooled by a plateau");
+        assert!(declares_99(&short), "short window is fooled by a plateau");
 
         // A longer window sees the earlier variation and is not fooled —
         // "this issue can be mitigated by lengthening the time window".
-        let mut long = EnvelopeDetector::new(4, 0.01);
+        let mut long = EnvelopeDetector::new(4);
         long.observe(30.0);
         long.observe(42.0);
         long.observe(50.0);
         long.observe(50.1);
-        assert!(!long.is_converged());
+        assert!(!declares_99(&long));
     }
 
     #[test]
     fn negative_aggregates_are_handled() {
-        let mut d = EnvelopeDetector::new(2, 0.05);
+        let mut d = EnvelopeDetector::new(2);
         d.observe(-100.0);
         d.observe(-98.0);
         let p = d.progress().unwrap();
         assert!((p - 0.98).abs() < 1e-12);
-        assert!(d.is_converged());
     }
 
     #[test]
     fn mixed_sign_window_is_zero_progress() {
-        let mut d = EnvelopeDetector::new(2, 0.05);
+        let mut d = EnvelopeDetector::new(2);
         d.observe(-10.0);
         d.observe(10.0);
         assert_eq!(d.progress(), Some(0.0));
-        assert!(!d.is_converged());
     }
 
     #[test]
-    fn zero_aggregate_is_converged() {
-        let mut d = EnvelopeDetector::new(2, 0.0);
+    fn zero_aggregate_is_full_progress() {
+        let mut d = EnvelopeDetector::new(2);
         d.observe(0.0);
         d.observe(0.0);
         assert_eq!(d.progress(), Some(1.0));
-        assert!(d.is_converged());
     }
 
     #[test]
     fn non_finite_observations_ignored() {
-        let mut d = EnvelopeDetector::new(3, 0.01);
+        let mut d = EnvelopeDetector::new(3);
         d.observe(f64::NAN);
         d.observe(f64::INFINITY);
         assert!(d.is_empty());
@@ -240,24 +228,18 @@ mod tests {
 
     #[test]
     fn reset_clears_state() {
-        let mut d = EnvelopeDetector::new(2, 0.01);
+        let mut d = EnvelopeDetector::new(2);
         d.observe(1.0);
         d.observe(1.0);
-        assert!(d.is_converged());
+        assert!(declares_99(&d));
         d.reset();
         assert!(d.is_empty());
-        assert!(!d.is_converged());
+        assert_eq!(d.progress(), None);
     }
 
     #[test]
     #[should_panic(expected = "window must be positive")]
     fn zero_window_panics() {
-        let _ = EnvelopeDetector::new(0, 0.01);
-    }
-
-    #[test]
-    #[should_panic(expected = "tolerance")]
-    fn negative_tolerance_panics() {
-        let _ = EnvelopeDetector::new(2, -0.5);
+        let _ = EnvelopeDetector::new(0);
     }
 }

@@ -166,38 +166,14 @@ impl JointCurveEstimator {
         Some(estimator)
     }
 
-    /// Number of real-time observations recorded so far.
-    pub fn realtime_len(&self) -> usize {
-        self.realtime.len()
-    }
-
     /// The basis the estimator fits in. Captured by durable snapshots.
     pub fn basis(&self) -> CurveBasis {
         self.basis
     }
 
-    /// The historical points backing the estimator, post-filtering. Captured
-    /// by durable snapshots so a restored estimator fits identical curves.
-    pub fn historical_points(&self) -> &[(f64, f64)] {
-        &self.historical
-    }
-
-    /// The real-time observations recorded so far, in observation order.
-    /// Captured by durable snapshots.
-    pub fn realtime_points(&self) -> &[(f64, f64)] {
-        &self.realtime
-    }
-
     /// Number of historical points backing the estimator.
     pub fn historical_len(&self) -> usize {
         self.historical.len()
-    }
-
-    /// The weight granted to *each* real-time point (and to the historical
-    /// combination as a whole): `1/(r+1)` for `r` real-time points, or 1.0
-    /// when only historical data exists.
-    pub fn realtime_weight(&self) -> f64 {
-        1.0 / (self.realtime.len() as f64 + 1.0)
     }
 
     /// Assembles the weighted point set in the transformed basis.
@@ -289,13 +265,6 @@ impl FittedCurve {
     }
 }
 
-/// Convenience: builds an estimator whose historical points come from several
-/// completed jobs' curves concatenated together (the paper treats "the
-/// combination of all the historical data" as one pool).
-pub fn pool_historical_curves(curves: &[Vec<(f64, f64)>]) -> Vec<(f64, f64)> {
-    curves.iter().flatten().copied().collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -316,22 +285,28 @@ mod tests {
         assert!((y - truth(50.0)).abs() < 1e-9, "got {y}, want {}", truth(50.0));
     }
 
+    /// The historical block's total weight and each real-time point's.
+    fn shares(est: &JointCurveEstimator) -> (f64, Vec<f64>) {
+        let pts = est.weighted_points();
+        let (hist, rt) = pts.split_at(est.historical_len());
+        (hist.iter().map(|p| p.weight).sum(), rt.iter().map(|p| p.weight).collect())
+    }
+
     #[test]
     fn equal_share_weighting_matches_paper_example() {
         // Paper: with one recorded real-time result, it gets 0.5 and the
         // historical data as a whole gets 0.5; with three, 0.25 each.
         let mut est = JointCurveEstimator::new(CurveBasis::LogShifted, historical());
-        assert_eq!(est.realtime_weight(), 1.0);
+        let (hist_total, rt_weights) = shares(&est);
+        assert!((hist_total - 1.0).abs() < 1e-12);
+        assert!(rt_weights.is_empty());
         est.observe(5.0, truth(5.0));
-        assert_eq!(est.realtime_weight(), 0.5);
+        let (hist_total, rt_weights) = shares(&est);
+        assert!((hist_total - 0.5).abs() < 1e-12);
+        assert_eq!(rt_weights, vec![0.5]);
         est.observe(10.0, truth(10.0));
         est.observe(15.0, truth(15.0));
-        assert_eq!(est.realtime_weight(), 0.25);
-
-        let pts = est.weighted_points();
-        let hist_total: f64 = pts.iter().take(est.historical_len()).map(|p| p.weight).sum();
-        let rt_weights: Vec<f64> =
-            pts.iter().skip(est.historical_len()).map(|p| p.weight).collect();
+        let (hist_total, rt_weights) = shares(&est);
         assert!((hist_total - 0.25).abs() < 1e-12);
         assert_eq!(rt_weights, vec![0.25, 0.25, 0.25]);
     }
@@ -395,9 +370,9 @@ mod tests {
         est.observe(f64::NAN, 0.9); // crashed epoch reporting garbage
         est.observe(10.0, f64::INFINITY);
         est.observe(10.0, truth(10.0));
-        assert_eq!(est.realtime_len(), 2, "poisoned points never enter the set");
-        // Weights re-share over the two surviving points: 1/(2+1) each.
-        assert!((est.realtime_weight() - 1.0 / 3.0).abs() < 1e-12);
+        // Poisoned points never enter the set, and the weights re-share over
+        // the two surviving points: 1/(2+1) each.
+        assert_eq!(shares(&est).1, vec![1.0 / 3.0; 2]);
         let y = est.predict(50.0).unwrap();
         assert!(y.is_finite());
         assert!((y - truth(50.0)).abs() < 0.05, "fit stays sane: got {y}");
@@ -428,17 +403,11 @@ mod tests {
         // identical fold, so an incremental fit is bit-identical to a full
         // re-fit — the invariant durable snapshot restore relies on.
         let mut rebuilt = JointCurveEstimator::new(CurveBasis::LogShifted, historical());
-        for &(x, y) in est.realtime_points() {
+        for &(x, y) in &est.realtime {
             rebuilt.observe(x, y);
         }
         let re = rebuilt.fit().unwrap();
         assert_eq!(re.predict(33.0).to_bits(), inc.predict(33.0).to_bits());
         assert_eq!(re.slope().to_bits(), inc.slope().to_bits());
-    }
-
-    #[test]
-    fn pooling_concatenates() {
-        let pooled = pool_historical_curves(&[vec![(0.0, 0.1), (1.0, 0.2)], vec![(0.0, 0.15)]]);
-        assert_eq!(pooled.len(), 3);
     }
 }

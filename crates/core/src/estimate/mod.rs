@@ -14,7 +14,7 @@
 //!    batch-size→memory curve over similar historical jobs (DLT's TME,
 //!    which uses [`similarity`] weighting).
 //!
-//! Rotary-AQP additionally uses a non-parametric [envelope](envelope)
+//! Rotary-AQP additionally uses a non-parametric [envelope]
 //! detector over a sliding window of aggregation results to decide
 //! convergence — which "can make mistakes" and produce the false attainment
 //! of Fig. 7a.

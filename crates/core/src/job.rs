@@ -241,11 +241,6 @@ impl JobState {
         self.history.last()
     }
 
-    /// Second-to-latest intermediate state (for convergence checks).
-    pub fn previous(&self) -> Option<&IntermediateState> {
-        self.history.len().checked_sub(2).and_then(|i| self.history.get(i))
-    }
-
     /// Current attainment progress `φ` (0 before the first epoch).
     pub fn progress(&self) -> f64 {
         self.latest().map(|s| s.progress).unwrap_or(0.0)
@@ -384,7 +379,7 @@ mod tests {
         assert_eq!(j.status, JobStatus::Pending);
         assert_eq!(j.progress(), 0.0);
         assert!(j.latest().is_none());
-        assert!(j.previous().is_none());
+        assert!(j.history.is_empty());
     }
 
     #[test]
@@ -411,7 +406,7 @@ mod tests {
         assert_eq!(j.epochs_run, 2);
         assert_eq!(j.service_time, SimTime::from_secs(120));
         assert_eq!(j.latest().unwrap().metric_value, 0.7);
-        assert_eq!(j.previous().unwrap().metric_value, 0.5);
+        assert_eq!(j.history[0].metric_value, 0.5);
         assert!((j.progress() - 0.77).abs() < 1e-12);
     }
 

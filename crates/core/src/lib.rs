@@ -25,19 +25,17 @@
 //!   convergence detector used by Rotary-AQP;
 //! * the historical-job repository ([`history`]) and the in-tree JSON
 //!   reader/writer backing its persistence ([`json`]);
-//! * resource descriptions ([`resources`]) and the arbitration policy
-//!   abstraction ([`policy`]);
-//! * the cost model balancing progress improvement against resource
-//!   consumption ([`cost`]).
+//! * resource descriptions ([`resources`]).
 //!
 //! The application-specific halves live in the `rotary-aqp` and `rotary-dlt`
 //! crates, which instantiate this framework for approximate query processing
-//! and deep learning training respectively.
+//! and deep learning training respectively. They also hold the paper's
+//! policies and cost model: the laxity and threshold rankings of each
+//! system, and its adaptive epochs, which weigh progress against resources.
 
 #![warn(missing_docs)]
 
 pub mod arb;
-pub mod cost;
 pub mod criteria;
 pub mod error;
 pub mod estimate;
@@ -45,7 +43,6 @@ pub mod history;
 pub mod job;
 pub mod json;
 pub mod parser;
-pub mod policy;
 pub mod progress;
 pub mod resources;
 pub mod time;

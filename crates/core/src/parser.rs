@@ -121,40 +121,37 @@ fn parse_value(token: &str, metric: &Metric) -> Result<f64> {
         None => (token, false),
     };
     let raw: f64 = body.parse().map_err(|_| err(token, "expected a number like 0.95 or 95%"))?;
-    if !raw.is_finite() || raw < 0.0 {
-        return Err(err(token, "threshold must be a finite non-negative number"));
-    }
     let value = if percent { raw / 100.0 } else { raw };
-    // Ratio metrics live in [0,1]; catch `ACC MIN 95` (missing the `%`).
-    if matches!(metric, Metric::Accuracy | Metric::F1) && value > 1.0 {
-        return Err(err(token, "accuracy/F1 thresholds must be ≤ 1 (use a percentage like 95%)"));
-    }
+    // Ratio metrics live in [0,1]; this also catches `ACC MIN 95` (missing
+    // the `%`).
+    metric.check_value(value).map_err(|message| err(token, message))?;
     Ok(value)
 }
 
 fn parse_deadline(n: &str, unit: &str) -> Result<Deadline> {
     let count: f64 = n.parse().map_err(|_| err(n, "expected a number before the time unit"))?;
-    if !count.is_finite() || count <= 0.0 {
-        return Err(err(n, "deadline must be positive"));
-    }
-    match unit.to_ascii_uppercase().as_str() {
+    let deadline = match unit.to_ascii_uppercase().as_str() {
         "EPOCH" | "EPOCHS" => {
             if count.fract() != 0.0 {
                 return Err(err(n, "epoch counts must be whole numbers"));
             }
-            Ok(Deadline::Epochs(count as u64))
+            Deadline::Epochs(count as u64)
         }
         "SECOND" | "SECONDS" | "SEC" | "SECS" | "S" => {
-            Ok(Deadline::Time(SimTime::from_secs_f64(count)))
+            Deadline::Time(SimTime::from_secs_f64(count))
         }
         "MINUTE" | "MINUTES" | "MIN" | "MINS" => {
-            Ok(Deadline::Time(SimTime::from_secs_f64(count * 60.0)))
+            Deadline::Time(SimTime::from_secs_f64(count * 60.0))
         }
         "HOUR" | "HOURS" | "H" | "HR" | "HRS" => {
-            Ok(Deadline::Time(SimTime::from_secs_f64(count * 3600.0)))
+            Deadline::Time(SimTime::from_secs_f64(count * 3600.0))
         }
-        other => Err(err(other, "expected EPOCHS, SECONDS, MINUTES, or HOURS")),
-    }
+        other => return Err(err(other, "expected EPOCHS, SECONDS, MINUTES, or HOURS")),
+    };
+    // Zero, negative and sub-millisecond counts all land on a zero deadline
+    // (`as u64` saturates, `from_secs_f64` clamps and rounds).
+    deadline.check().map_err(|message| err(n, message))?;
+    Ok(deadline)
 }
 
 fn err(input: &str, message: &str) -> RotaryError {
@@ -280,6 +277,13 @@ mod tests {
         assert!(parse_criterion("ACC MIN 90% WITHIN 10 FORTNIGHTS").is_err());
         assert!(parse_criterion("FOR -2 HOURS").is_err());
         assert!(parse_criterion("FOR 1.5 EPOCHS").is_err());
+        // The value rule shared with the wire decoder.
+        assert!(parse_criterion("FOR 0 EPOCHS").is_err());
+        assert!(parse_criterion("FOR 0.0004 SECONDS").is_err(), "rounds to 0 ms");
+        assert!(parse_criterion("ACC MIN NaN WITHIN 10 EPOCHS").is_err());
+        assert!(parse_criterion("LOSS MIN inf WITHIN 10 EPOCHS").is_err());
+        assert!(parse_criterion("LOSS DELTA -1 WITHIN 10 EPOCHS").is_err());
+        assert!(parse_criterion("F1 DELTA 150% WITHIN 10 EPOCHS").is_err());
     }
 
     #[test]

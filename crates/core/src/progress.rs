@@ -19,11 +19,6 @@ use crate::job::JobState;
 pub struct Progress(f64);
 
 impl Progress {
-    /// Zero progress.
-    pub const ZERO: Progress = Progress(0.0);
-    /// Complete (`φ = 100%`).
-    pub const COMPLETE: Progress = Progress(1.0);
-
     /// Builds a progress value, clamping to `[0, 1]` and mapping NaN to 0.
     pub fn new(value: f64) -> Progress {
         if value.is_nan() {
@@ -33,24 +28,9 @@ impl Progress {
         }
     }
 
-    /// Builds progress from a ratio `numerator / denominator`, treating a
-    /// non-positive denominator as zero progress.
-    pub fn from_ratio(numerator: f64, denominator: f64) -> Progress {
-        if denominator <= 0.0 || !denominator.is_finite() {
-            Progress::ZERO
-        } else {
-            Progress::new(numerator / denominator)
-        }
-    }
-
     /// The raw value in `[0, 1]`.
     pub fn value(self) -> f64 {
         self.0
-    }
-
-    /// True when `φ = 100%`.
-    pub fn is_complete(self) -> bool {
-        self.0 >= 1.0
     }
 }
 
@@ -97,20 +77,11 @@ pub fn attainment_rate(jobs: &[JobState]) -> f64 {
     attained as f64 / jobs.len() as f64
 }
 
-/// Minimum attainment progress across jobs (the fairness objective's
-/// quantity of interest). Terminal jobs count as complete.
-pub fn min_progress(jobs: &[JobState]) -> f64 {
-    jobs.iter()
-        .map(|j| if j.status.is_terminal() { 1.0 } else { j.progress() })
-        .fold(f64::INFINITY, f64::min)
-        .clamp(0.0, 1.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::criteria::{CompletionCriterion, Deadline, Metric};
-    use crate::job::{IntermediateState, JobId, JobKind, JobStatus};
+    use crate::job::{JobId, JobKind, JobStatus};
     use crate::time::SimTime;
 
     fn job(id: u64) -> JobState {
@@ -132,18 +103,16 @@ mod tests {
         assert_eq!(Progress::new(1.5).value(), 1.0);
         assert_eq!(Progress::new(f64::NAN).value(), 0.0);
         assert_eq!(Progress::new(0.42).value(), 0.42);
-        assert!(Progress::new(1.0).is_complete());
-        assert!(!Progress::new(0.999).is_complete());
+        assert_eq!(Progress::new(1.0).value(), 1.0);
+        assert_eq!(Progress::new(0.999).value(), 0.999);
+        assert_eq!(Progress::new(f64::NEG_INFINITY).value(), 0.0);
     }
 
     #[test]
-    fn ratio_handles_degenerate_denominator() {
-        assert_eq!(Progress::from_ratio(5.0, 0.0), Progress::ZERO);
-        assert_eq!(Progress::from_ratio(5.0, -1.0), Progress::ZERO);
-        assert_eq!(Progress::from_ratio(5.0, f64::INFINITY), Progress::ZERO);
-        assert_eq!(Progress::from_ratio(5.0, 15.0).value(), 1.0 / 3.0);
+    fn progress_displays_as_a_percentage() {
         // Paper's example: 5 of 15 epochs = 33.3%.
-        assert_eq!(Progress::from_ratio(5.0, 15.0).to_string(), "33.3%");
+        assert_eq!(Progress::new(5.0 / 15.0).to_string(), "33.3%");
+        assert_eq!(Progress::new(1.0).to_string(), "100.0%");
     }
 
     #[test]
@@ -162,33 +131,5 @@ mod tests {
         jobs[2].finish(JobStatus::DeadlineMissed, SimTime::from_secs(3));
         assert_eq!(attainment_rate(&jobs), 0.25);
         assert_eq!(attainment_rate(&[]), 0.0);
-    }
-
-    #[test]
-    fn min_progress_over_workload() {
-        let mut jobs = vec![job(0), job(1)];
-        jobs[0].record_epoch(
-            IntermediateState {
-                epoch: 1,
-                at: SimTime::from_secs(1),
-                metric_value: 0.3,
-                progress: 0.4,
-            },
-            SimTime::from_secs(1),
-        );
-        assert_eq!(min_progress(&jobs), 0.0); // job 1 has not run yet
-        jobs[1].record_epoch(
-            IntermediateState {
-                epoch: 1,
-                at: SimTime::from_secs(1),
-                metric_value: 0.6,
-                progress: 0.7,
-            },
-            SimTime::from_secs(1),
-        );
-        assert!((min_progress(&jobs) - 0.4).abs() < 1e-12);
-        // Terminal jobs no longer hold the minimum down.
-        jobs[0].finish(JobStatus::DeadlineMissed, SimTime::from_secs(9));
-        assert!((min_progress(&jobs) - 0.7).abs() < 1e-12);
     }
 }

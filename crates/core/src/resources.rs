@@ -69,23 +69,6 @@ impl GpuPoolSpec {
     }
 }
 
-/// A CPU-side grant: how many threads and how much of the shared memory a
-/// job holds for the next running epoch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CpuGrant {
-    /// Hardware threads granted (≥ 1 while running).
-    pub threads: u32,
-    /// Shared memory reserved, in megabytes.
-    pub memory_mb: u64,
-}
-
-/// A GPU-side grant: which device the job occupies for the next epoch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GpuGrant {
-    /// Index into the pool's device list.
-    pub device: usize,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -2,15 +2,13 @@
 //! motivating scenario ("a set of hyperparameter configurations are sampled
 //! from a hyperparameter space and formed a number of training trials …
 //! resource arbitration could stop the trials that contain unpromising
-//! hyperparameter configurations prematurely"), in the style of the
-//! Hyperband work the paper cites.
+//! hyperparameter configurations prematurely").
 //!
 //! [`SuccessiveHalving`] runs candidate configurations in rungs: every
 //! trial gets the rung's epoch budget as a runtime-oriented completion
 //! criterion, the arbitration system schedules the rung on the GPU pool,
 //! and only the top `1/eta` of trials (by observed accuracy) are promoted
-//! to the next rung with an `eta`-times larger budget. [`hyperband`] runs
-//! several such brackets with different aggressiveness.
+//! to the next rung with an `eta`-times larger budget.
 //!
 //! Trial learning curves are deterministic per configuration, so a promoted
 //! trial re-trained under a larger budget reproduces its earlier epochs —
@@ -141,42 +139,6 @@ impl SuccessiveHalving {
     }
 }
 
-/// Hyperband: several successive-halving brackets trading off breadth
-/// (many candidates, small budgets) against depth (few candidates, large
-/// budgets). Returns the best trial across brackets.
-///
-/// `candidates` is consumed bracket by bracket in chunks; a production
-/// system would sample fresh configurations per bracket — callers control
-/// that by how they build the slice.
-pub fn hyperband(
-    system: &mut DltSystem,
-    candidates: &[TrainingConfig],
-    max_epochs: u64,
-    eta: usize,
-    policy: DltPolicy,
-) -> HpoOutcome {
-    assert!(!candidates.is_empty(), "need at least one candidate");
-    let mut brackets = Vec::new();
-    let mut budget = 2u64.max(max_epochs / (eta as u64).pow(2));
-    while budget <= max_epochs {
-        brackets.push(SuccessiveHalving { eta, initial_epochs: budget, max_epochs });
-        budget = budget.saturating_mul(eta as u64);
-    }
-    let chunk = candidates.len().div_ceil(brackets.len().max(1)).max(1);
-    let mut best: Option<TrialResult> = None;
-    let mut rungs = Vec::new();
-    let mut total_time = SimTime::ZERO;
-    for (bracket, configs) in brackets.iter().zip(candidates.chunks(chunk)) {
-        let outcome = bracket.run(system, configs, policy);
-        total_time += outcome.total_time;
-        rungs.extend(outcome.rungs);
-        if best.as_ref().map(|b| outcome.best.accuracy > b.accuracy).unwrap_or(true) {
-            best = Some(outcome.best);
-        }
-    }
-    HpoOutcome { best: best.expect("at least one bracket ran"), rungs, total_time }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -256,15 +218,6 @@ mod tests {
         let outcome = SuccessiveHalving::default().run(&mut sys, &grid[..1], DltPolicy::Srf);
         assert_eq!(outcome.rungs.len(), 1);
         assert_eq!(outcome.best.config, grid[0]);
-    }
-
-    #[test]
-    fn hyperband_runs_multiple_brackets() {
-        let mut sys = system();
-        let outcome =
-            hyperband(&mut sys, &lr_grid(), 18, 3, DltPolicy::Rotary(Objective::Efficiency));
-        assert!(outcome.rungs.len() >= 2, "several rungs across brackets");
-        assert!(outcome.best.accuracy > 0.4);
     }
 
     #[test]

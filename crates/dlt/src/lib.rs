@@ -28,7 +28,7 @@ pub mod system;
 pub mod workload;
 
 pub use estimators::{build_tee, estimate_epochs_to_accuracy, OverheadMeter, Tme, Ttr};
-pub use hpo::{hyperband, HpoOutcome, SuccessiveHalving, TrialResult};
+pub use hpo::{HpoOutcome, SuccessiveHalving, TrialResult};
 pub use models::{Architecture, Dataset, Domain, Optimizer};
 pub use parse::parse_train_statement;
 pub use simulator::{TrainingConfig, TrainingSim};

@@ -119,21 +119,15 @@ impl TrainingConfig {
         samples.div_ceil(self.batch_size as u64)
     }
 
-    /// Duration of a single optimisation step on a device with relative
-    /// speed `device_speed` (1.0 = the reference RTX 2080).
-    pub fn step_time(&self, device_speed: f64) -> SimTime {
-        let p = self.arch.profile();
-        // Larger batches amortise kernel launches: sub-linear in batch.
-        let scale = (self.batch_size as f64 / 32.0).powf(0.7);
-        SimTime::from_secs_f64(p.base_step_ms * scale / 1000.0 / device_speed.max(0.05))
-    }
-
     /// Duration of a full training epoch (all steps plus a 10% evaluation
-    /// pass); the CUDA warm-up applies to a job's very first step only and
-    /// is added by the caller. Computed in floating point end-to-end so the
-    /// millisecond quantisation of a single step does not accumulate.
+    /// pass) on a device with relative speed `device_speed` (1.0 = the
+    /// reference RTX 2080); the CUDA warm-up applies to a job's very first
+    /// step only and is added by the caller. Computed in floating point
+    /// end-to-end so the millisecond quantisation of a single step does not
+    /// accumulate.
     pub fn epoch_time(&self, device_speed: f64) -> SimTime {
         let p = self.arch.profile();
+        // Larger batches amortise kernel launches: sub-linear in batch.
         let scale = (self.batch_size as f64 / 32.0).powf(0.7);
         let step_secs = p.base_step_ms * scale / 1000.0 / device_speed.max(0.05);
         SimTime::from_secs_f64(self.steps_per_epoch() as f64 * step_secs * 1.1)
@@ -295,7 +289,9 @@ mod tests {
         let c = tuned(Architecture::ResNet18);
         let small = TrainingConfig { batch_size: 8, ..c };
         // Bigger batches: slower steps but fewer of them → faster epochs.
-        assert!(c.step_time(1.0) > small.step_time(1.0));
+        let step_secs =
+            |c: &TrainingConfig| c.epoch_time(1.0).as_secs_f64() / c.steps_per_epoch() as f64;
+        assert!(step_secs(&c) > step_secs(&small));
         assert!(c.epoch_time(1.0) < small.epoch_time(1.0));
         // Faster device → faster epoch.
         assert!(c.epoch_time(2.0) < c.epoch_time(1.0));

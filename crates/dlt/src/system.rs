@@ -306,11 +306,6 @@ impl DltSystem {
         &mut self.history
     }
 
-    /// Installs a fault-injection plan for subsequent runs.
-    pub fn set_fault_plan(&mut self, plan: FaultPlan) {
-        self.config.faults = plan;
-    }
-
     /// Runs every workload job once, uncontended, to populate the
     /// repository — the completed historical jobs the estimators rely on.
     /// Returns the number of records inserted.

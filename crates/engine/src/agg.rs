@@ -132,14 +132,6 @@ impl Accumulator {
         self.variance().map(|v| (v / self.count as f64).sqrt())
     }
 
-    /// A 95% confidence interval for the *mean* of the fed values,
-    /// `mean ± 1.96·SE`. Meaningful for `Avg` aggregates (online
-    /// aggregation's classic error bound).
-    pub fn confidence_interval_95(&self) -> Option<(f64, f64)> {
-        let se = self.std_error()?;
-        Some((self.mean - 1.96 * se, self.mean + 1.96 * se))
-    }
-
     /// Rows folded in.
     pub fn rows(&self) -> u64 {
         self.count
@@ -389,9 +381,6 @@ mod tests {
         assert!((a.variance().unwrap() - two_pass).abs() < 1e-12);
         let se = a.std_error().unwrap();
         assert!((se - (two_pass / values.len() as f64).sqrt()).abs() < 1e-12);
-        let (lo, hi) = a.confidence_interval_95().unwrap();
-        assert!(lo < mean && mean < hi);
-        assert!((hi - lo - 2.0 * 1.96 * se).abs() < 1e-12);
     }
 
     #[test]
@@ -400,7 +389,7 @@ mod tests {
         assert_eq!(a.variance(), None);
         a.update(5.0);
         assert_eq!(a.variance(), None);
-        assert_eq!(a.confidence_interval_95(), None);
+        assert_eq!(a.std_error(), None);
         a.update(5.0);
         assert_eq!(a.variance(), Some(0.0));
     }

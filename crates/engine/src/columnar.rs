@@ -6,7 +6,7 @@
 //! never on the order a job samples rows in. The data plane is therefore
 //! split in two:
 //!
-//! * [`scan_verdicts`] — the **build scan**. It runs once per (dataset,
+//! * `scan_verdicts` — the **build scan**. It runs once per (dataset,
 //!   plan shape) over `0..n` in row order and records a [`RowVerdicts`]: one
 //!   survivor bit per fact row, plus a per-row probe count where that count
 //!   is not constant. `IndexCache` shares the set with every executor bound
@@ -25,7 +25,7 @@
 //!   3. **Compact** — when a stage dropped anything, every resolved slot is
 //!      narrowed to the survivors, so every later probe and predicate leaf
 //!      touches *m ≤ n* rows. Nothing left means nothing more is looked up.
-//! * [`project_chunk`] — the **epoch path**. A chunk of delivered rows is
+//! * `project_chunk` — the **epoch path**. A chunk of delivered rows is
 //!   reduced to its survivors by the verdicts (in delivery order), the join
 //!   edges are resolved for the survivors only, and group keys and aggregate
 //!   expressions are gathered and evaluated column-at-a-time, laid out
@@ -66,7 +66,7 @@ use crate::kernels::{self, Bitmap};
 
 /// The order-independent per-row result of one plan on one dataset: which
 /// fact rows survive its joins and filter, and how many probes the row loop
-/// spends on each. Built once by [`scan_verdicts`], shared through
+/// spends on each. Built once by `scan_verdicts`, shared through
 /// `IndexCache`, read by every epoch.
 #[derive(Debug)]
 pub struct RowVerdicts {

@@ -220,12 +220,6 @@ impl IndexCache {
         });
         Ok(set)
     }
-
-    /// Total entries across all cached indexes (for memory estimation).
-    pub fn total_entries(&self) -> usize {
-        self.single.values().map(|c| c.index.len()).sum::<usize>()
-            + self.composite.values().map(|c| c.index.len()).sum::<usize>()
-    }
 }
 
 /// A bound join index — shared, deterministic, probe-only.
@@ -1056,11 +1050,15 @@ mod tests {
             aggregates: vec![AggSpec::count("n")],
             class: QueryClass::Light,
         };
+        let orders_pk = |cache: &IndexCache| {
+            Arc::clone(&cache.single[&("orders".to_string(), "o_orderkey".to_string())].index)
+        };
         let _a = Executor::bind(&plan, &d, &mut cache).unwrap();
-        let entries_after_one = cache.total_entries();
+        let first = orders_pk(&cache);
         let _b = Executor::bind(&plan, &d, &mut cache).unwrap();
-        assert_eq!(cache.total_entries(), entries_after_one, "index rebuilt instead of shared");
-        assert_eq!(entries_after_one, d.orders.rows());
+        assert!(Arc::ptr_eq(&orders_pk(&cache), &first), "index rebuilt instead of shared");
+        assert_eq!((cache.single.len(), cache.composite.len()), (1, 0));
+        assert_eq!(first.len(), d.orders.rows());
     }
 
     /// Brute-force totality of edge `i` of `plan`: does every row of the

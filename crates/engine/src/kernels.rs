@@ -214,24 +214,6 @@ pub fn gather_numeric(col: &Column, rows: &[u32], out: &mut Vec<f64>) {
     }
 }
 
-/// Gathers the numeric view of `col` at the *selected* positions:
-/// `out[k] = numeric(col, rows[positions[k]])`.
-pub fn gather_numeric_at(col: &Column, rows: &[u32], positions: &[u32], out: &mut Vec<f64>) {
-    out.clear();
-    match col {
-        Column::Int(v) => {
-            out.extend(positions.iter().map(|&p| v[rows[p as usize] as usize] as f64))
-        }
-        Column::Float(v) => out.extend(positions.iter().map(|&p| v[rows[p as usize] as usize])),
-        Column::Date(v) => {
-            out.extend(positions.iter().map(|&p| v[rows[p as usize] as usize] as f64))
-        }
-        Column::Cat { codes, .. } => {
-            out.extend(positions.iter().map(|&p| codes[rows[p as usize] as usize] as i64 as f64))
-        }
-    }
-}
-
 /// Gathers raw group-key values (`i64`) at the selected positions. Float
 /// columns are rejected at bind time; the debug assertion mirrors the
 /// row-path's unreachable arm.

@@ -10,7 +10,7 @@
 //!
 //! computed per aggregate column and averaged with equal weights ("based on
 //! the assumption that all columns are of equal importance", which the
-//! evaluation uses; per-column weights are supported). Ratios are oriented
+//! evaluation uses). Ratios are oriented
 //! so accuracy lives in `[0, 1]`: running averages can overshoot their final
 //! value, so each column contributes `min(|α_c|, |α_f|) / max(|α_c|, |α_f|)`
 //! and mixed-sign estimates contribute 0.
@@ -69,12 +69,11 @@ pub struct OnlineAggregation<'a> {
     executor: Executor<'a>,
     source: BatchSource,
     ground_truth: GroundTruth,
-    weights: Vec<f64>,
     funcs: Vec<crate::agg::AggFunc>,
 }
 
 impl<'a> OnlineAggregation<'a> {
-    /// Creates a progressive execution with equal column weights.
+    /// Creates a progressive execution.
     ///
     /// `seed` shuffles the batch order (a different progressive sample per
     /// job, as with Kafka consumption order); `batch_rows` is the paper's
@@ -99,9 +98,8 @@ impl<'a> OnlineAggregation<'a> {
             });
         }
         let source = BatchSource::new(seed, executor.fact_rows(), batch_rows);
-        let weights = vec![1.0; ground_truth.len()];
         let funcs = plan.aggregates.iter().map(|a| a.func).collect();
-        Ok(OnlineAggregation { executor, source, ground_truth, weights, funcs })
+        Ok(OnlineAggregation { executor, source, ground_truth, funcs })
     }
 
     /// The aggregate function of each output column, in order — schedulers
@@ -109,23 +107,6 @@ impl<'a> OnlineAggregation<'a> {
     /// SUM/COUNT, envelope for AVG/MIN/MAX).
     pub fn agg_funcs(&self) -> &[crate::agg::AggFunc] {
         &self.funcs
-    }
-
-    /// Overrides per-column importance weights (paper: "Rotary-AQP also
-    /// allows the users to specify the importance of each column by
-    /// assigning weights"). Weights are normalised internally.
-    ///
-    /// # Panics
-    /// Panics if the arity does not match or all weights are zero/negative.
-    pub fn set_column_weights(&mut self, weights: Vec<f64>) {
-        assert_eq!(weights.len(), self.weights.len(), "weight arity mismatch");
-        assert!(
-            // rotary-lint: allow(F003) validation-only sum over the caller's
-            // Vec in slice order; the result never reaches query output.
-            weights.iter().all(|w| *w >= 0.0) && weights.iter().sum::<f64>() > 0.0,
-            "weights must be non-negative and not all zero"
-        );
-        self.weights = weights;
     }
 
     /// Runs one epoch of `batches` batches. Returns `None` when the query
@@ -144,12 +125,12 @@ impl<'a> OnlineAggregation<'a> {
     }
 
     fn accuracy_of(&self, values: &[Option<f64>]) -> f64 {
-        let total_weight: f64 = self.weights.iter().sum();
-        let mut acc = 0.0;
-        for ((current, truth), w) in values.iter().zip(&self.ground_truth).zip(&self.weights) {
-            acc += w * column_accuracy(*current, *truth);
+        let (mut acc, mut columns) = (0.0, 0.0);
+        for (current, truth) in values.iter().zip(&self.ground_truth) {
+            acc += column_accuracy(*current, *truth);
+            columns += 1.0;
         }
-        acc / total_weight
+        acc / columns
     }
 
     /// Current accuracy without processing more data.
@@ -221,20 +202,6 @@ impl<'a> OnlineAggregation<'a> {
     pub fn restore_released(&mut self, rows: usize) {
         self.source.release_at(rows);
         self.executor.release();
-    }
-
-    /// 95% confidence intervals for the mean of each aggregate column's
-    /// input stream (paper §III-B's optional error bounds). Meaningful for
-    /// AVG columns; `None` per column until two rows have arrived.
-    pub fn confidence_intervals_95(&self) -> Vec<Option<(f64, f64)>> {
-        (0..self.ground_truth.len())
-            .map(|i| {
-                self.executor
-                    .state()
-                    .combined_accumulator(i)
-                    .and_then(|a| a.confidence_interval_95())
-            })
-            .collect()
     }
 
     /// Relative half-widths of the 95% confidence intervals: `1.96·SE /
@@ -340,21 +307,6 @@ mod tests {
     }
 
     #[test]
-    fn weighted_columns_change_accuracy() {
-        let (data, mut cache) = setup();
-        let plan = query(QueryId(14)); // promo_revenue + total_revenue
-        let truth = compute_ground_truth(&plan, &data, &mut cache).unwrap();
-        let mut oa = OnlineAggregation::new(&plan, &data, &mut cache, truth, 4, 500).unwrap();
-        oa.process_epoch(2).unwrap();
-        let balanced = oa.current_accuracy();
-        oa.set_column_weights(vec![0.0, 1.0]);
-        let total_only = oa.current_accuracy();
-        // They must differ unless both columns happen to be equally accurate.
-        assert!(balanced >= 0.0 && total_only >= 0.0);
-        assert!(balanced <= 1.0 && total_only <= 1.0);
-    }
-
-    #[test]
     fn ground_truth_arity_is_checked() {
         let (data, mut cache) = setup();
         let plan = query(QueryId(6));
@@ -422,15 +374,5 @@ mod tests {
             before
         );
         assert_eq!(restored.executor().totals().rows_scanned, 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "weight arity mismatch")]
-    fn weight_arity_mismatch_panics() {
-        let (data, mut cache) = setup();
-        let plan = query(QueryId(6));
-        let truth = compute_ground_truth(&plan, &data, &mut cache).unwrap();
-        let mut oa = OnlineAggregation::new(&plan, &data, &mut cache, truth, 1, 100).unwrap();
-        oa.set_column_weights(vec![1.0, 2.0]);
     }
 }

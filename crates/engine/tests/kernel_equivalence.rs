@@ -11,9 +11,8 @@ use rotary_check::{check, Source};
 use rotary_engine::expr::CmpOp;
 use rotary_engine::kernels::{
     add_assign, cat_mask_bitmap, cmp_bitmap, date_range_bitmap, div_assign_guarded,
-    float_range_bitmap, gather_group_keys, gather_numeric, gather_numeric_at, int_in_bitmap,
-    int_range_bitmap, mul_assign, probe_composite, probe_single, sub_assign, Bitmap, PkIndex,
-    PkIndex2,
+    float_range_bitmap, gather_group_keys, gather_numeric, int_in_bitmap, int_range_bitmap,
+    mul_assign, probe_composite, probe_single, sub_assign, Bitmap, PkIndex, PkIndex2,
 };
 use rotary_tpch::Column;
 use std::collections::BTreeSet;
@@ -306,14 +305,6 @@ fn gathers_match_per_row_accessors_bitwise() {
         assert_eq!(full.len(), rows.len());
         for (i, &r) in rows.iter().enumerate() {
             assert_eq!(full[i].to_bits(), col.numeric(r as usize).to_bits(), "position {i}");
-        }
-
-        let mut at = Vec::new();
-        gather_numeric_at(&col, &rows, &positions, &mut at);
-        assert_eq!(at.len(), positions.len());
-        for (k, &p) in positions.iter().enumerate() {
-            let expect = col.numeric(rows[p as usize] as usize);
-            assert_eq!(at[k].to_bits(), expect.to_bits(), "selected {k}");
         }
 
         if !matches!(col, Column::Float(_)) {

@@ -673,27 +673,6 @@ impl<'a> Lexed<'a> {
     pub fn comments_on(&self, line: usize) -> &str {
         self.comment_text.get(line).map(String::as_str).unwrap_or("")
     }
-
-    /// True when `line`, or the contiguous run of comment-only lines
-    /// directly above it, carries text matching `pred`. A blank line (no
-    /// code, no comment) breaks the run.
-    pub fn comment_run_matches(&self, line: usize, pred: impl Fn(&str) -> bool) -> bool {
-        if pred(self.comments_on(line)) {
-            return true;
-        }
-        let mut l = line;
-        while l > 1 {
-            l -= 1;
-            let comment = self.comments_on(l);
-            if self.line_has_code(l) || comment.is_empty() {
-                return false;
-            }
-            if pred(comment) {
-                return true;
-            }
-        }
-        false
-    }
 }
 
 /// Strips `//`-family and `/*`/`*/` markers from one comment fragment.
@@ -860,12 +839,13 @@ mod tests {
     }
 
     #[test]
-    fn comment_lines_and_runs() {
+    fn comment_and_code_lines() {
         let src = "// SAFETY: checked\nlet x = 1;\n\n// stale\n\nlet y = unsafe_op();\n";
         let lx = Lexed::new(src);
         assert!(lx.comments_on(1).contains("SAFETY:"));
         assert!(lx.line_has_code(2));
-        assert!(lx.comment_run_matches(2, |c| c.contains("SAFETY:")));
-        assert!(!lx.comment_run_matches(6, |c| c.contains("stale")), "blank line breaks the run");
+        assert!(!lx.line_has_code(3) && lx.comments_on(3).is_empty());
+        assert!(lx.comments_on(4).contains("stale"));
+        assert!(lx.comments_on(6).is_empty());
     }
 }

@@ -68,24 +68,6 @@ pub struct LoadGenConfig {
 }
 
 impl LoadGenConfig {
-    /// A small clean open-loop workload for tests.
-    pub fn small_open(seed: u64) -> LoadGenConfig {
-        LoadGenConfig {
-            seed,
-            users: 8,
-            submissions_per_user: 4,
-            mode: LoadMode::Open { arrivals_per_sec: 4.0 },
-            service_ms: (200, 2_000),
-            deadline_slack: (4.0, 12.0),
-            cost_milli: 1000,
-            bytes: 64,
-            oversize_bytes: 1 << 20,
-            window: SimTime::from_secs(10),
-            max_resubmits: 3,
-            faults: FaultPlan::none(),
-        }
-    }
-
     fn root(&self) -> Rng {
         Rng::seed_from_u64(self.seed)
     }
@@ -336,9 +318,27 @@ mod tests {
     use crate::daemon::ServeConfig;
     use rotary_faults::FaultConfig;
 
+    /// A small clean open-loop workload.
+    fn clean_open(seed: u64) -> LoadGenConfig {
+        LoadGenConfig {
+            seed,
+            users: 8,
+            submissions_per_user: 4,
+            mode: LoadMode::Open { arrivals_per_sec: 4.0 },
+            service_ms: (200, 2_000),
+            deadline_slack: (4.0, 12.0),
+            cost_milli: 1000,
+            bytes: 64,
+            oversize_bytes: 1 << 20,
+            window: SimTime::from_secs(10),
+            max_resubmits: 3,
+            faults: FaultPlan::none(),
+        }
+    }
+
     #[test]
     fn open_schedule_is_pure_ordered_and_monotone_per_user() {
-        let cfg = LoadGenConfig::small_open(77);
+        let cfg = clean_open(77);
         let a = open_schedule(&cfg).unwrap();
         let b = open_schedule(&cfg).unwrap();
         assert_eq!(a, b, "same seed, same schedule");
@@ -356,7 +356,7 @@ mod tests {
 
     #[test]
     fn hostile_schedule_carries_typed_garbage() {
-        let mut cfg = LoadGenConfig::small_open(5);
+        let mut cfg = clean_open(5);
         cfg.users = 20;
         cfg.submissions_per_user = 40;
         cfg.faults = FaultPlan::new(FaultConfig::chaos(5));
@@ -379,7 +379,7 @@ mod tests {
     #[test]
     fn closed_loop_completes_every_user_deterministically() {
         let run = || {
-            let mut lg_cfg = LoadGenConfig::small_open(11);
+            let mut lg_cfg = clean_open(11);
             lg_cfg.users = 6;
             lg_cfg.submissions_per_user = 3;
             lg_cfg.mode = LoadMode::Closed { think_mean: SimTime::from_secs(2) };

@@ -3,8 +3,7 @@
 //! The paper's AQP workload simulates "users submitting approximate queries
 //! to the shared cluster" with Poisson arrivals at a mean inter-arrival time
 //! of 160 seconds (Table I); the DLT workload submits everything at once.
-//! [`PoissonArrivals`] generates the former; all-at-once is just an arrival
-//! list of zeros.
+//! [`PoissonArrivals`] generates the former.
 
 use crate::rng::{sample_exponential, Rng};
 use rotary_core::SimTime;
@@ -31,11 +30,6 @@ impl PoissonArrivals {
         PoissonArrivals { rng, mean_gap: mean_gap_secs, next: 0.0 }
     }
 
-    /// The paper's Table I configuration: mean arrival gap 160 seconds.
-    pub fn paper_aqp(seed: u64) -> Self {
-        Self::new(seed, 160.0)
-    }
-
     /// Draws the next arrival instant.
     pub fn next_arrival(&mut self) -> SimTime {
         self.next += sample_exponential(&mut self.rng, self.mean_gap);
@@ -48,18 +42,13 @@ impl PoissonArrivals {
     }
 }
 
-/// All-at-once submission: `n` arrivals at time zero (the DLT workload).
-pub fn all_at_once(n: usize) -> Vec<SimTime> {
-    vec![SimTime::ZERO; n]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn arrivals_are_monotone() {
-        let mut p = PoissonArrivals::paper_aqp(3);
+        let mut p = PoissonArrivals::new(3, 160.0);
         let times = p.take(100);
         assert!(times.windows(2).all(|w| w[0] <= w[1]));
         assert!(times[0] > SimTime::ZERO);
@@ -67,7 +56,8 @@ mod tests {
 
     #[test]
     fn mean_gap_is_approximately_160s() {
-        let mut p = PoissonArrivals::paper_aqp(5);
+        // The paper's Table I configuration: mean arrival gap 160 seconds.
+        let mut p = PoissonArrivals::new(5, 160.0);
         let times = p.take(5000);
         let total = times.last().unwrap().as_secs_f64();
         let mean_gap = total / 5000.0;
@@ -81,11 +71,5 @@ mod tests {
         assert_eq!(a, b);
         let c = PoissonArrivals::new(10, 30.0).take(50);
         assert_ne!(a, c);
-    }
-
-    #[test]
-    fn all_at_once_is_zeroes() {
-        let times = all_at_once(4);
-        assert_eq!(times, vec![SimTime::ZERO; 4]);
     }
 }

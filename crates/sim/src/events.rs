@@ -69,11 +69,6 @@ impl<E> EventQueue<E> {
         self.seq += 1;
     }
 
-    /// Schedules a payload `delay` after the current time.
-    pub fn schedule_after(&mut self, delay: SimTime, payload: E) {
-        self.schedule(self.now + delay, payload);
-    }
-
     /// Pops the earliest event, advancing the clock to its timestamp.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         let Reverse(entry) = self.heap.pop()?;
@@ -152,18 +147,18 @@ mod tests {
     }
 
     #[test]
-    fn ties_break_fifo_across_schedule_and_schedule_after() {
-        // Fault events (scheduled relative via schedule_after) interleave
-        // with epoch events (scheduled at absolute times); at the same
+    fn ties_break_fifo_across_absolute_and_relative_times() {
+        // Fault events (scheduled relative to the clock) interleave with
+        // epoch events (scheduled at absolute times); at the same
         // timestamp, the queue must replay them in exact insertion order
-        // regardless of which entry point enqueued them.
+        // regardless of how their time was computed.
         let mut q = EventQueue::new();
         q.schedule(SimTime::from_secs(1), "warm-up");
         q.pop(); // now = 1 s
         q.schedule(SimTime::from_secs(4), "epoch-done");
-        q.schedule_after(SimTime::from_secs(3), "retry-ready"); // also t = 4 s
+        q.schedule(q.now() + SimTime::from_secs(3), "retry-ready"); // also t = 4 s
         q.schedule(SimTime::from_secs(4), "deadline-check");
-        q.schedule_after(SimTime::from_secs(3), "epoch-failed"); // also t = 4 s
+        q.schedule(q.now() + SimTime::from_secs(3), "epoch-failed"); // also t = 4 s
         let order: Vec<(SimTime, &str)> = std::iter::from_fn(|| q.pop()).collect();
         assert_eq!(
             order,
@@ -183,8 +178,8 @@ mod tests {
         q.schedule(SimTime::from_secs(7), ());
         q.pop();
         assert_eq!(q.now(), SimTime::from_secs(7));
-        // schedule_after is relative to the advanced clock.
-        q.schedule_after(SimTime::from_secs(3), ());
+        // Times relative to the clock build on the advanced value.
+        q.schedule(q.now() + SimTime::from_secs(3), ());
         assert_eq!(q.peek_time(), Some(SimTime::from_secs(10)));
     }
 

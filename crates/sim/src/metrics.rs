@@ -306,11 +306,6 @@ impl WorkloadMetrics {
         &self.recovery
     }
 
-    /// Total completed-epoch work lost to rollbacks, across all jobs.
-    pub fn total_epochs_lost(&self) -> u64 {
-        self.recovery.values().map(|c| c.epochs_lost).sum()
-    }
-
     /// The spans of one job (its row in Fig. 11).
     pub fn spans_of(&self, job: JobId) -> Vec<&PlacementSpan> {
         self.spans.iter().filter(|s| s.job == job).collect()
@@ -319,17 +314,6 @@ impl WorkloadMetrics {
     /// Total busy time per resource label — a utilisation view.
     pub fn busy_time(&self, resource: &str) -> SimTime {
         self.spans.iter().filter(|s| s.resource == resource).map(|s| s.end - s.start).sum()
-    }
-
-    /// Utilisation of a resource over `[0, horizon]`: busy time divided by
-    /// the horizon, in `[0, 1]` for unit resources. For pooled labels (the
-    /// AQP system records all thread occupancy under `"cpu"`) the value is
-    /// the average number of *jobs* concurrently holding the resource.
-    pub fn utilization(&self, resource: &str, horizon: SimTime) -> f64 {
-        if horizon.is_zero() {
-            return 0.0;
-        }
-        self.busy_time(resource).as_secs_f64() / horizon.as_secs_f64()
     }
 
     /// All distinct resource labels seen in the trace, sorted.
@@ -618,7 +602,7 @@ mod tests {
     }
 
     #[test]
-    fn utilization_and_resources() {
+    fn resources_lists_span_labels() {
         let mut m = WorkloadMetrics::new();
         m.record_span(PlacementSpan {
             job: JobId(1),
@@ -634,11 +618,6 @@ mod tests {
             end: SimTime::from_secs(100),
             attained_at_end: true,
         });
-        let horizon = SimTime::from_secs(100);
-        assert!((m.utilization("gpu0", horizon) - 0.5).abs() < 1e-12);
-        assert!((m.utilization("gpu1", horizon) - 0.8).abs() < 1e-12);
-        assert_eq!(m.utilization("gpu2", horizon), 0.0);
-        assert_eq!(m.utilization("gpu0", SimTime::ZERO), 0.0);
         assert_eq!(m.resources(), vec!["gpu0".to_string(), "gpu1".to_string()]);
     }
 
@@ -687,11 +666,11 @@ mod tests {
         m.recovery_of(JobId(3)).crashes = 2;
         m.recovery_of(JobId(3)).epochs_lost = 2;
         m.recovery_of(JobId(5)).stragglers = 1;
-        assert_eq!(m.total_epochs_lost(), 2);
         let json = m.to_json().unwrap();
         let restored = WorkloadMetrics::from_json(&json).unwrap();
         assert_eq!(restored.recovery(), m.recovery());
         assert_eq!(restored.recovery()[&JobId(3)].crashes, 2);
+        assert_eq!(restored.recovery()[&JobId(3)].epochs_lost, 2);
         assert!(restored.recovery()[&JobId(5)].crashes == 0);
         assert!(!restored.recovery()[&JobId(5)].is_zero());
     }

@@ -68,23 +68,6 @@ impl CpuPool {
         true
     }
 
-    /// Adds extra threads to an existing grant (Algorithm 2's second pass).
-    /// Returns `false` if not enough free threads remain.
-    ///
-    /// # Panics
-    /// Panics if the job holds no grant.
-    pub fn grant_extra_threads(&mut self, job: JobId, extra: u32) -> bool {
-        if extra > self.free_threads() {
-            return false;
-        }
-        let grant = self
-            .grants
-            .get_mut(&job)
-            .unwrap_or_else(|| panic!("{job} holds no CPU grant to extend"));
-        grant.0 += extra;
-        true
-    }
-
     /// Releases a job's grant (at an epoch boundary). Returns
     /// [`RotaryError::UnknownJob`] — and changes nothing — if the job holds
     /// no grant.
@@ -229,16 +212,6 @@ mod tests {
         // Failed grants must not leak partial state.
         assert_eq!(pool.free_threads(), 3);
         assert_eq!(pool.free_memory_mb(), 100);
-    }
-
-    #[test]
-    fn cpu_extra_threads() {
-        let mut pool = cpu();
-        pool.grant(JobId(1), 1, 100);
-        assert!(pool.grant_extra_threads(JobId(1), 2));
-        assert_eq!(pool.threads_of(JobId(1)), 3);
-        assert!(!pool.grant_extra_threads(JobId(1), 2), "only 1 thread free");
-        assert_eq!(pool.threads_of(JobId(1)), 3);
     }
 
     #[test]

@@ -58,11 +58,6 @@ impl Rng {
         Rng { s, root: seed }
     }
 
-    /// The seed this stream was created from.
-    pub fn root_seed(&self) -> u64 {
-        self.root
-    }
-
     /// Captures the full generator state — the four xoshiro256++ words plus
     /// the root seed — for durable snapshots.
     pub fn snapshot_state(&self) -> ([u64; 4], u64) {
@@ -143,30 +138,12 @@ impl Rng {
         }
     }
 
-    /// A uniformly chosen reference into a non-empty slice.
-    ///
-    /// # Panics
-    /// Panics on an empty slice.
-    pub fn choose<'a, T>(&mut self, items: &'a [T]) -> &'a T {
-        assert!(!items.is_empty(), "cannot choose from an empty slice");
-        &items[self.bounded_u64(items.len() as u64) as usize]
-    }
-
     /// Shuffles a slice in place (Fisher–Yates).
     pub fn shuffle<T>(&mut self, items: &mut [T]) {
         for i in (1..items.len()).rev() {
             let j = self.bounded_u64(i as u64 + 1) as usize;
             items.swap(i, j);
         }
-    }
-
-    /// Samples `k` distinct indices from `0..n` (a uniform k-subset, in
-    /// selection order). `k > n` returns all `n` indices shuffled.
-    pub fn sample_indices(&mut self, n: usize, k: usize) -> Vec<usize> {
-        let mut pool: Vec<usize> = (0..n).collect();
-        self.shuffle(&mut pool);
-        pool.truncate(k.min(n));
-        pool
     }
 }
 
@@ -410,21 +387,6 @@ mod tests {
             }
             assert_eq!(fast, reference, "bound {bound}: streams consumed differently");
         }
-    }
-
-    #[test]
-    fn choose_and_sample_indices() {
-        let mut rng = Rng::seed_from_u64(29);
-        let items = [10, 20, 30];
-        for _ in 0..100 {
-            assert!(items.contains(rng.choose(&items)));
-        }
-        let picked = rng.sample_indices(10, 4);
-        assert_eq!(picked.len(), 4);
-        let unique: std::collections::HashSet<_> = picked.iter().collect();
-        assert_eq!(unique.len(), 4);
-        assert!(picked.iter().all(|&i| i < 10));
-        assert_eq!(rng.sample_indices(3, 10).len(), 3);
     }
 
     #[test]

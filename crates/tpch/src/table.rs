@@ -108,14 +108,6 @@ impl Column {
         }
     }
 
-    /// Looks up a dictionary code by string, if present.
-    pub fn code_of(&self, value: &str) -> Option<u32> {
-        match self {
-            Column::Cat { dict, .. } => dict.iter().position(|s| s == value).map(|i| i as u32),
-            _ => None,
-        }
-    }
-
     /// A numeric view of the value at `row` (codes for categories) — used by
     /// generic expression evaluation.
     pub fn numeric(&self, row: usize) -> f64 {
@@ -176,11 +168,6 @@ impl Table {
     /// Column by name, panicking with a clear message when absent.
     pub fn column_required(&self, name: &str) -> &Column {
         self.column(name).unwrap_or_else(|| panic!("table {} has no column {name}", self.name))
-    }
-
-    /// True if the table has a column of this name.
-    pub fn has_column(&self, name: &str) -> bool {
-        self.index.contains_key(name)
     }
 
     /// Iterates `(name, column)` pairs in declaration order.
@@ -256,10 +243,7 @@ mod tests {
         assert_eq!(t.column_required("price").float(2), 3.5);
         assert_eq!(t.column_required("d").date_at(1), 10);
         assert_eq!(t.column_required("flag").cat_str(1), "B");
-        assert_eq!(t.column_required("flag").code_of("B"), Some(1));
-        assert_eq!(t.column_required("flag").code_of("Z"), None);
-        assert!(t.has_column("id"));
-        assert!(!t.has_column("nope"));
+        assert!(t.column("id").is_some());
         assert!(t.column("nope").is_none());
     }
 

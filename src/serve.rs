@@ -326,14 +326,16 @@ pub fn criterion_json(criterion: &CompletionCriterion) -> Json {
     }
 }
 
-/// Decodes a criterion written by [`criterion_json`].
+/// Decodes a criterion written by [`criterion_json`]; `None` when it is
+/// malformed or breaks the value rule the surface syntax enforces
+/// ([`CompletionCriterion::validate`]).
 pub fn criterion_of(json: &Json) -> Option<CompletionCriterion> {
     let deadline = match json.get("deadline_kind")?.as_str()? {
         "epochs" => Deadline::Epochs(json.get("deadline_value")?.as_u64_str()?),
         "time" => Deadline::Time(SimTime::from_millis(json.get("deadline_value")?.as_u64_str()?)),
         _ => return None,
     };
-    Some(match json.get("kind")?.as_str()? {
+    let criterion = match json.get("kind")?.as_str()? {
         "acc" => CompletionCriterion::Accuracy {
             metric: Metric::from_keyword(json.get("metric")?.as_str()?),
             threshold: f64::from_bits(json.get("value_bits")?.as_u64_str()?),
@@ -346,7 +348,9 @@ pub fn criterion_of(json: &Json) -> Option<CompletionCriterion> {
         },
         "runtime" => CompletionCriterion::Runtime { runtime: deadline },
         _ => return None,
-    })
+    };
+    criterion.validate().ok()?;
+    Some(criterion)
 }
 
 /// The structural encoding of a DLT spec, shared by submission payloads
@@ -435,6 +439,7 @@ impl ServeCodec for DltSystem {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rotary_core::parser::parse_criterion;
     use rotary_dlt::DltWorkloadBuilder;
 
     #[test]
@@ -509,8 +514,48 @@ mod tests {
                 }
             }
         }
-        for payload in [Json::Null, Json::obj(vec![]), wrong_arch] {
-            assert!(matches!(dlt_spec_of(&payload), Err(RotaryError::InvalidConfig(_))));
+        // Criteria the surface syntax rejects: a NaN threshold would make
+        // progress NaN, which the durable metrics cannot store.
+        let with_criterion = |criterion: CompletionCriterion| {
+            let mut payload = good.clone();
+            if let Json::Obj(pairs) = &mut payload {
+                for (k, v) in pairs.iter_mut() {
+                    if k == "criterion" {
+                        *v = criterion_json(&criterion);
+                    }
+                }
+            }
+            payload
+        };
+        let acc = |threshold: f64| CompletionCriterion::Accuracy {
+            metric: Metric::Accuracy,
+            threshold,
+            deadline: Deadline::Epochs(30),
+        };
+        let out_of_rule = [
+            acc(f64::NAN),
+            acc(f64::INFINITY),
+            acc(f64::NEG_INFINITY),
+            acc(-1.0),
+            acc(1.5),
+            CompletionCriterion::Convergence {
+                metric: Metric::Loss,
+                delta: f64::NAN,
+                deadline: Deadline::Epochs(30),
+            },
+            CompletionCriterion::Runtime { runtime: Deadline::Epochs(0) },
+            CompletionCriterion::Accuracy {
+                metric: Metric::Accuracy,
+                threshold: 0.9,
+                deadline: Deadline::Time(SimTime::ZERO),
+            },
+        ]
+        .map(with_criterion);
+        for payload in [Json::Null, Json::obj(vec![]), wrong_arch].into_iter().chain(out_of_rule) {
+            assert!(
+                matches!(dlt_spec_of(&payload), Err(RotaryError::InvalidConfig(_))),
+                "{payload:?} should be malformed"
+            );
         }
     }
 
@@ -537,6 +582,51 @@ mod tests {
         for c in cases {
             let reparsed = rotary_core::json::parse(&criterion_json(&c).to_pretty()).unwrap();
             assert_eq!(criterion_of(&reparsed), Some(c));
+        }
+
+        // At the rule's boundaries the wire accepts exactly what the shared
+        // value rule accepts, and so does the surface syntax.
+        let values =
+            [0.0, 1.0, 1.0 + f64::EPSILON, f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -1.0];
+        let deadlines = [
+            (Deadline::Epochs(0), "0 EPOCHS"),
+            (Deadline::Epochs(1), "1 EPOCHS"),
+            (Deadline::Time(SimTime::ZERO), "0 SECONDS"),
+            (Deadline::Time(SimTime::from_millis(1)), "0.001 SECONDS"),
+        ];
+        for (deadline, within) in deadlines {
+            let mut cases =
+                vec![(CompletionCriterion::Runtime { runtime: deadline }, format!("FOR {within}"))];
+            for metric in
+                [Metric::Accuracy, Metric::F1, Metric::Loss, Metric::Custom("BLEU".into())]
+            {
+                for value in values {
+                    cases.push((
+                        CompletionCriterion::Accuracy {
+                            metric: metric.clone(),
+                            threshold: value,
+                            deadline,
+                        },
+                        format!("{metric} MIN {value} WITHIN {within}"),
+                    ));
+                    cases.push((
+                        CompletionCriterion::Convergence {
+                            metric: metric.clone(),
+                            delta: value,
+                            deadline,
+                        },
+                        format!("{metric} DELTA {value} WITHIN {within}"),
+                    ));
+                }
+            }
+            for (c, text) in cases {
+                let decoded = criterion_of(&criterion_json(&c));
+                assert_eq!(decoded.is_some(), c.validate().is_ok(), "{c:?}");
+                assert_eq!(decoded.is_some(), parse_criterion(&text).is_ok(), "{text}");
+                if let Some(d) = decoded {
+                    assert_eq!(d, c);
+                }
+            }
         }
     }
 }

@@ -17,7 +17,6 @@
 use crate::serve::{aqp_payload, dlt_payload, AqpServeBackend, DltServeBackend};
 use rotary_aqp::{AqpJobSpec, AqpPolicy, AqpRunResult, AqpSystem, AqpSystemConfig};
 use rotary_core::error::Result;
-use rotary_core::job::JobStatus;
 use rotary_core::json::Json;
 use rotary_core::SimTime;
 use rotary_dlt::{DltJobSpec, DltPolicy, DltRunResult, DltSystem, DltSystemConfig};
@@ -66,28 +65,6 @@ impl UnifiedRunResult {
     pub fn makespan(&self) -> SimTime {
         self.aqp.makespan.max(self.dlt.makespan)
     }
-
-    /// Jobs (from either pool) still unfinished — always zero after `run`.
-    pub fn unfinished(&self) -> usize {
-        self.aqp
-            .jobs
-            .iter()
-            .map(|(_, s)| s)
-            .chain(self.dlt.jobs.iter().map(|(_, s)| s))
-            .filter(|s| !s.status.is_terminal())
-            .count()
-    }
-
-    /// Deadline misses across both pools.
-    pub fn total_missed(&self) -> usize {
-        self.aqp
-            .jobs
-            .iter()
-            .map(|(_, s)| s)
-            .chain(self.dlt.jobs.iter().map(|(_, s)| s))
-            .filter(|s| s.status == JobStatus::DeadlineMissed)
-            .count()
-    }
 }
 
 /// Outcome of a combined run routed through the serve layer: one
@@ -105,17 +82,6 @@ impl UnifiedServeReport {
     /// Genuinely attained jobs across both pools.
     pub fn total_attained(&self) -> u64 {
         self.aqp.metrics.counters.completed_attained + self.dlt.metrics.counters.completed_attained
-    }
-
-    /// Deadline misses across both pools.
-    pub fn total_missed(&self) -> u64 {
-        self.aqp.metrics.counters.completed_missed + self.dlt.metrics.counters.completed_missed
-    }
-
-    /// Terminal outcomes (rejections, sheds, completions) across both
-    /// pools — equals total submissions once both daemons have drained.
-    pub fn total_terminals(&self) -> u64 {
-        self.aqp.metrics.counters.terminals() + self.dlt.metrics.counters.terminals()
     }
 
     /// Combined attainment rate `ψ` over everything submitted.
@@ -262,6 +228,7 @@ fn open_config(jobs: usize) -> ServeConfig {
 mod tests {
     use super::*;
     use rotary_aqp::WorkloadBuilder;
+    use rotary_core::job::JobStatus;
     use rotary_core::progress::Objective;
     use rotary_dlt::DltWorkloadBuilder;
     use rotary_tpch::Generator;
@@ -283,15 +250,20 @@ mod tests {
             )
             .unwrap();
         assert_eq!(result.total_jobs(), 12);
-        assert_eq!(result.unfinished(), 0);
+        let statuses: Vec<JobStatus> = result
+            .aqp
+            .jobs
+            .iter()
+            .map(|(_, s)| s.status)
+            .chain(result.dlt.jobs.iter().map(|(_, s)| s.status))
+            .collect();
+        assert!(statuses.iter().all(|s| s.is_terminal()));
         assert!(result.makespan() >= result.aqp.makespan);
         assert!(result.makespan() >= result.dlt.makespan);
         let psi = result.combined_attainment_rate();
         assert!((0.0..=1.0).contains(&psi));
-        assert_eq!(
-            result.total_attained() + result.total_missed() + result.aqp.summary.falsely_attained,
-            12
-        );
+        let missed = statuses.iter().filter(|&&s| s == JobStatus::DeadlineMissed).count();
+        assert_eq!(result.total_attained() + missed + result.aqp.summary.falsely_attained, 12);
     }
 
     #[test]
@@ -325,7 +297,10 @@ mod tests {
 
         // Every submission is accounted for by exactly one terminal
         // outcome, and none were rejected or shed on the open config.
-        assert_eq!(report.total_terminals(), 10);
+        assert_eq!(
+            report.aqp.metrics.counters.terminals() + report.dlt.metrics.counters.terminals(),
+            10
+        );
         assert_eq!(report.aqp.metrics.counters.rejected(), 0);
         assert_eq!(report.dlt.metrics.counters.rejected(), 0);
         assert_eq!(report.aqp.metrics.counters.shed(), 0);
@@ -345,7 +320,11 @@ mod tests {
             report.dlt.metrics.counters.completed_attained,
             expect.dlt.summary.attained as u64
         );
-        assert_eq!(report.total_missed(), expect.total_missed() as u64);
+        assert_eq!(
+            report.aqp.metrics.counters.completed_missed
+                + report.dlt.metrics.counters.completed_missed,
+            (expect.aqp.summary.deadline_missed + expect.dlt.summary.deadline_missed) as u64
+        );
         assert_eq!(report.total_attained(), expect.total_attained() as u64);
     }
 

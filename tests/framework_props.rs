@@ -76,7 +76,7 @@ fn envelope_p_le_q() {
     check("envelope_p_le_q", |src| {
         let values = src.vec_of(1, 199, |s| s.f64_in(-1e9, 1e9));
         let window = src.usize_in(1, 19);
-        let mut env = EnvelopeDetector::new(window, 0.01);
+        let mut env = EnvelopeDetector::new(window);
         for v in values {
             env.observe(v);
             let (p, q) = (env.least().unwrap(), env.largest().unwrap());
