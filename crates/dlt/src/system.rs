@@ -561,12 +561,15 @@ impl DltSystem {
         now: SimTime,
     ) {
         marks.built = true;
-        marks.enabled = !self.config.dense_control_plane && matches!(policy, DltPolicy::Rotary(_));
-        if !marks.enabled {
-            return;
-        }
+        let objective = match policy {
+            DltPolicy::Rotary(objective) if !self.config.dense_control_plane => objective,
+            _ => {
+                marks.enabled = false;
+                return;
+            }
+        };
+        marks.enabled = true;
         let DltRunExt { arb, meter, .. } = ext;
-        let DltPolicy::Rotary(objective) = policy else { unreachable!("enabled implies Rotary") };
         arb.trial.clear();
         arb.fair.clear();
         arb.eff.clear();

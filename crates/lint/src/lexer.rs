@@ -644,26 +644,6 @@ impl<'a> Lexed<'a> {
         self.code.get(k).map(|&ti| self.tokens[ti].in_test).unwrap_or(false)
     }
 
-    /// Code-position of the punct matching the opener at code-position
-    /// `open_at` (e.g. `(`/`)`), or `None` when unbalanced.
-    pub fn cmatch(&self, open_at: usize, open: &str, close: &str) -> Option<usize> {
-        let mut depth = 0i64;
-        for k in open_at..self.code.len() {
-            if self.ckind(k) == Some(TokenKind::Punct) {
-                let s = self.ctext(k);
-                if s == open {
-                    depth += 1;
-                } else if s == close {
-                    depth -= 1;
-                    if depth == 0 {
-                        return Some(k);
-                    }
-                }
-            }
-        }
-        None
-    }
-
     /// True when any code token starts on `line` (1-based).
     pub fn line_has_code(&self, line: usize) -> bool {
         self.has_code.get(line).copied().unwrap_or(false)

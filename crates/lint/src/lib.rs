@@ -8,7 +8,7 @@
 //! bug), so this crate machine-checks it on every CI run. The analyzer is
 //! token-level: [`lexer`] produces a full Rust token stream (identifiers,
 //! puncts, literals, lifetimes, comments) with byte spans and
-//! `#[cfg(test)]` flags, and [`rules`] walks it with three rule families
+//! `#[cfg(test)]` flags, and [`rules`] walks it with two rule families
 //! beyond the original determinism set:
 //!
 //! - **D001–D003** — determinism: no arbitrary-order collections,
@@ -16,13 +16,16 @@
 //! - **P001** — panic-freedom, ratcheted per file via
 //!   `LINT_baseline.json`.
 //! - **A001** — the allow-annotation grammar.
-//! - **R003** — race patterns: cross-function Mutex lock-order cycles (a
-//!   workspace-wide graph, assembled here from per-file edges). `unsafe`
-//!   itself is the compiler's to police: the workspace forbids
-//!   `unsafe_code`.
+//! - **R003** — race patterns: every `Mutex`/`RwLock` in non-test code
+//!   carries a justified allow. `unsafe` itself is the compiler's to
+//!   police: the workspace forbids `unsafe_code`.
 //! - **F001–F003** — float determinism: libm transcendentals, truncating
 //!   casts, unpinned accumulation (all ratcheted).
-//! - **L001** — the DESIGN.md §3 dependency layering.
+//!
+//! Crate layering is not a lint rule: rustc rejects a path into a crate
+//! that is not a declared dependency, and a test in `tests/rules.rs` pins
+//! the declared graph (read with `cargo metadata`) to the DESIGN.md §3
+//! layers.
 //!
 //! `--explain RULE` prints the long-form rationale; `--json PATH` writes
 //! the machine-readable report CI uploads next to the bench baselines.
@@ -35,7 +38,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
 use std::path::Path;
 
-pub use rules::{FileScan, LockEdge, Violation};
+pub use rules::{FileScan, Violation};
 
 /// The ratchet baseline file, at the workspace root.
 pub const BASELINE_FILE: &str = "LINT_baseline.json";
@@ -46,16 +49,13 @@ pub type RatchetCounts = BTreeMap<&'static str, BTreeMap<String, u64>>;
 /// Everything learned from one pass over the workspace sources.
 #[derive(Debug, Default)]
 pub struct Analysis {
-    /// Hard violations (non-ratcheted rules, R003 cycles included),
-    /// sorted by (path, line, col, rule).
+    /// Hard violations (non-ratcheted rules), sorted by (path, line, col,
+    /// rule).
     pub violations: Vec<Violation>,
     /// Every site of a ratcheted rule, sorted; gated by [`gate`].
     pub ratchet_sites: Vec<Violation>,
     /// Per-rule per-file ratchet counts.
     pub ratchet_counts: RatchetCounts,
-    /// All lock-order edges observed (inputs of the R003 cycle check;
-    /// kept for the JSON report).
-    pub lock_edges: Vec<LockEdge>,
     /// Number of `.rs` files scanned.
     pub files_scanned: usize,
 }
@@ -172,66 +172,10 @@ pub fn analyze_workspace(root: &Path) -> Result<Analysis, String> {
         }
         analysis.violations.extend(scan.violations);
         analysis.ratchet_sites.extend(scan.ratchet_sites);
-        analysis.lock_edges.extend(scan.lock_edges);
     }
-    analysis.violations.extend(lock_cycle_violations(&analysis.lock_edges));
     analysis.violations.sort();
     analysis.ratchet_sites.sort();
-    analysis.lock_edges.sort();
     Ok(analysis)
-}
-
-/// R003, the workspace half: merges per-file lock-order edges into one
-/// graph and flags every edge that participates in a cycle (including
-/// self-loops — re-acquiring a lock already held).
-pub fn lock_cycle_violations(edges: &[LockEdge]) -> Vec<Violation> {
-    let mut graph: BTreeMap<&str, BTreeSet<&str>> = BTreeMap::new();
-    for e in edges {
-        graph.entry(e.held.as_str()).or_default().insert(e.acquired.as_str());
-    }
-    let reaches = |from: &str, to: &str| -> bool {
-        let mut seen = BTreeSet::new();
-        let mut stack = vec![from];
-        while let Some(node) = stack.pop() {
-            for &next in graph.get(node).into_iter().flatten() {
-                if next == to {
-                    return true;
-                }
-                if seen.insert(next) {
-                    stack.push(next);
-                }
-            }
-        }
-        false
-    };
-    let mut out = Vec::new();
-    for e in edges {
-        let cyclic = e.held == e.acquired || reaches(&e.acquired, &e.held);
-        if cyclic {
-            let message = if e.held == e.acquired {
-                format!(
-                    "lock '{}' acquired in {}() while already held — self-deadlock on a \
-                     non-reentrant Mutex",
-                    e.acquired, e.func
-                )
-            } else {
-                format!(
-                    "lock '{}' acquired in {}() while '{}' is held, but another site \
-                     orders them the other way (lock-order cycle); acquire locks in one \
-                     global order or add a justified allow",
-                    e.acquired, e.func, e.held
-                )
-            };
-            out.push(Violation {
-                path: e.path.clone(),
-                line: e.line,
-                col: e.col,
-                rule: "R003",
-                message,
-            });
-        }
-    }
-    out
 }
 
 /// Deterministic recursive walk: entries sorted by name, directories named
@@ -301,7 +245,7 @@ pub fn gate(analysis: &Analysis, baseline: &Baseline) -> GateReport {
 
 /// The machine-readable report written by `--json` (schema documented in
 /// DESIGN.md §11): file count, gated violations (spans included), stale
-/// ratchet cells, current ratchet counts, and the lock-order edges.
+/// ratchet cells, and current ratchet counts.
 pub fn report_json(analysis: &Analysis, report: &GateReport) -> String {
     let violations: Vec<Json> = report
         .violations
@@ -328,25 +272,11 @@ pub fn report_json(analysis: &Analysis, report: &GateReport) -> String {
             (id, Json::Obj(pairs))
         })
         .collect();
-    let lock_edges: Vec<Json> = analysis
-        .lock_edges
-        .iter()
-        .map(|e| {
-            Json::obj(vec![
-                ("path", Json::Str(e.path.clone())),
-                ("line", Json::Num(e.line as f64)),
-                ("func", Json::Str(e.func.clone())),
-                ("held", Json::Str(e.held.clone())),
-                ("acquired", Json::Str(e.acquired.clone())),
-            ])
-        })
-        .collect();
     let mut text = Json::obj(vec![
         ("files_scanned", Json::Num(analysis.files_scanned as f64)),
         ("violations", Json::Arr(violations)),
         ("stale", Json::Arr(report.stale.iter().map(|s| Json::Str(s.clone())).collect())),
         ("ratchet", Json::obj(ratchet)),
-        ("lock_edges", Json::Arr(lock_edges)),
     ])
     .to_pretty();
     text.push('\n');
@@ -475,55 +405,6 @@ mod tests {
         let report = gate(&analysis, &baseline);
         assert_eq!(report.violations.len(), 1);
         assert_eq!(report.violations[0].rule, "F002");
-    }
-
-    fn edge(path: &str, func: &str, held: &str, acquired: &str) -> LockEdge {
-        LockEdge {
-            path: path.into(),
-            line: 1,
-            col: 1,
-            func: func.into(),
-            held: held.into(),
-            acquired: acquired.into(),
-        }
-    }
-
-    #[test]
-    fn consistent_lock_order_is_clean() {
-        // a→b everywhere, plus unrelated b→c: a DAG, no cycle.
-        let edges = vec![
-            edge("x.rs", "f", "a", "b"),
-            edge("y.rs", "g", "a", "b"),
-            edge("y.rs", "g", "b", "c"),
-        ];
-        assert!(lock_cycle_violations(&edges).is_empty());
-    }
-
-    #[test]
-    fn inverted_order_across_functions_is_a_cycle() {
-        let edges = vec![edge("x.rs", "f", "a", "b"), edge("y.rs", "g", "b", "a")];
-        let got = lock_cycle_violations(&edges);
-        assert_eq!(got.len(), 2, "both edges of the cycle fire: {got:?}");
-        assert!(got.iter().all(|v| v.rule == "R003"));
-        assert!(got[0].message.contains("lock-order cycle"));
-    }
-
-    #[test]
-    fn self_loop_is_a_self_deadlock() {
-        let edges = vec![edge("x.rs", "f", "a", "a")];
-        let got = lock_cycle_violations(&edges);
-        assert_eq!(got.len(), 1);
-        assert!(got[0].message.contains("self-deadlock"), "{}", got[0].message);
-    }
-
-    #[test]
-    fn three_party_cycle_is_detected() {
-        let edges = vec![
-            edge("x.rs", "f", "a", "b"),
-            edge("y.rs", "g", "b", "c"),
-            edge("z.rs", "h", "c", "a"),
-        ];
-        assert_eq!(lock_cycle_violations(&edges).len(), 3);
     }
 
     #[test]

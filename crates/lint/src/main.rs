@@ -17,7 +17,7 @@ usage: rotary-lint [--root PATH] [--update-baseline] [--json PATH] [--explain RU
   --update-baseline    rewrite LINT_baseline.json with current ratcheted-rule
                        counts; hard violations still fail the run
   --json PATH          also write the machine-readable report (violations with
-                       spans, ratchet counts, lock-order edges) to PATH
+                       spans, stale cells, ratchet counts) to PATH
   --explain RULE       print a rule's rationale and exact scope, then exit
 
 rules ('*' = ratcheted via LINT_baseline.json):";

@@ -14,13 +14,11 @@
 //!   reads, or ambient randomness.
 //! - **P** — panic-freedom (ratcheted via `LINT_baseline.json`).
 //! - **A** — the allow-annotation grammar itself.
-//! - **R** — race patterns: cross-function lock-order cycles (the per-file
-//!   half lives here; the workspace-wide graph is assembled in `lib.rs`).
+//! - **R** — race patterns: every lock in non-test code carries a
+//!   justified allow.
 //! - **F** — float determinism: libm transcendentals, truncating casts,
 //!   and unpinned float accumulation (all ratcheted — the existing sites
 //!   are baselined and may only go down).
-//! - **L** — layering: `use`/path tokens must respect the DESIGN.md §3
-//!   dependency flow (`engine` must never name `serve` items, etc.).
 //!
 //! Suppressions: a comment of the form `allow(RULE[, RULE]) <reason>`,
 //! prefixed by the marker in [`ALLOW_MARKER`], disables the named rules on
@@ -43,7 +41,7 @@ pub struct Violation {
     pub line: usize,
     /// 1-based byte column of the triggering token.
     pub col: usize,
-    /// Rule identifier (`D001` … `L001`).
+    /// Rule identifier (`D001` … `F003`).
     pub rule: &'static str,
     /// Human-readable description.
     pub message: String,
@@ -101,7 +99,7 @@ pub const RULES: &[RuleInfo] = &[
     },
     RuleInfo {
         id: "P001",
-        summary: "no unwrap()/expect()/panic! in control-plane code (ratcheted)",
+        summary: "no unwrap()/expect()/panic!/unreachable!/todo!/unimplemented! in control-plane code (ratcheted)",
         ratcheted: true,
         scope: "non-test code everywhere",
         explain: "Panics in the control plane take down arbitration for every tenant. \
@@ -109,8 +107,9 @@ pub const RULES: &[RuleInfo] = &[
                   decrease. Matching is token-exact: `.unwrap()` needs a preceding dot \
                   (a fn named unwrap does not fire), `.expect(...)` is exempt when its \
                   first argument is a char/byte/number literal (that is a parser-style \
-                  `expect(b'{')` method, not Result::expect), and unwrap_or_else-style \
-                  adapters never fire.",
+                  `expect(b'{')` method, not Result::expect), unwrap_or_else-style \
+                  adapters never fire, and panic!, unreachable!, todo! and \
+                  unimplemented! count as macro invocations (`!` after the name).",
     },
     RuleInfo {
         id: "A001",
@@ -123,17 +122,16 @@ pub const RULES: &[RuleInfo] = &[
     },
     RuleInfo {
         id: "R003",
-        summary: "Mutex lock order must be globally consistent (cycle detection)",
+        summary: "every Mutex/RwLock carries a justified allow",
         ratcheted: false,
-        scope: "non-test code everywhere; edges are merged into one workspace-wide lock-order graph",
-        explain: "Each function is walked for held lock guards (`let g = x.lock()...;` \
-                  holds until drop(g), end of block, or end of statement for chained \
-                  temporaries). Acquiring lock B while holding lock A contributes edge \
-                  A→B to a workspace-wide graph; any cycle — including re-acquiring a \
-                  lock already held — is a potential deadlock and fires on every edge in \
-                  the cycle. Locks are keyed by receiver field name, which is \
-                  deliberately conservative: rename the field or add an allow if two \
-                  unrelated locks collide.",
+        scope: "non-test code everywhere",
+        explain: "A lock is where a deadlock or a schedule-dependent result can start, and \
+                  the workspace needs almost none: host threads are a start-up resource \
+                  with no shared state beyond one work cursor. So every `Mutex` or \
+                  `RwLock` token (type, import or constructor) must carry a per-line \
+                  allow whose reason says why no other lock can be taken while its \
+                  guard lives. Code review reads each new lock instead of trusting a \
+                  nesting heuristic; strings, comments and test code never fire.",
     },
     RuleInfo {
         id: "F001",
@@ -169,18 +167,6 @@ pub const RULES: &[RuleInfo] = &[
                   explicitly and are the one blessed home for float accumulation; \
                   `.sum::<f32/f64>()` / `.product::<…>()` anywhere else is ratcheted.",
     },
-    RuleInfo {
-        id: "L001",
-        summary: "crate references must follow the DESIGN.md dependency flow",
-        ratcheted: false,
-        scope: "non-test code in crate sources and root src/ (dev-only tree like tests/ is exempt)",
-        explain: "The layering in DESIGN.md §3 is what keeps the deterministic core \
-                  auditable: core/engine must never name serve/bench items, sim sits \
-                  above core only, and so on. Any `rotary_<crate>` path token in a file \
-                  whose crate does not declare that dependency fires. The map is \
-                  hardcoded here and cross-checked against the Cargo.toml manifests by a \
-                  test, so it cannot drift silently.",
-    },
 ];
 
 /// Looks a rule up by id.
@@ -198,36 +184,14 @@ pub fn ratcheted_rules() -> impl Iterator<Item = &'static str> {
     RULES.iter().filter(|r| r.ratcheted).map(|r| r.id)
 }
 
-/// One observed "lock B acquired while lock A is held" event. Per-file
-/// halves of R003; `lib.rs` merges them into the workspace lock-order
-/// graph and runs cycle detection.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
-pub struct LockEdge {
-    /// Workspace-relative path of the acquisition site.
-    pub path: String,
-    /// 1-based line of the inner (`acquired`) lock call.
-    pub line: usize,
-    /// 1-based column of the inner lock call.
-    pub col: usize,
-    /// Enclosing function name ("?" at module scope).
-    pub func: String,
-    /// Receiver name of the lock already held.
-    pub held: String,
-    /// Receiver name of the lock being acquired.
-    pub acquired: String,
-}
-
 /// Result of scanning one file. Ratcheted sites are kept separate from
-/// hard violations because they are gated per file by the baseline;
-/// lock edges are inputs to the workspace-wide R003 graph.
+/// hard violations because they are gated per file by the baseline.
 #[derive(Debug, Default)]
 pub struct FileScan {
     /// Hard violations (everything except the ratcheted rules).
     pub violations: Vec<Violation>,
     /// Individual sites of ratcheted rules (P001/F001/F002/F003).
     pub ratchet_sites: Vec<Violation>,
-    /// Lock-order observations for the R003 graph.
-    pub lock_edges: Vec<LockEdge>,
 }
 
 /// Crates whose `src/` trees carry the bit-identical replay guarantee.
@@ -263,32 +227,6 @@ const F001_FNS: &[&str] = &[
 /// The one blessed home for float accumulation (fixed-order folds).
 const F003_EXEMPT_FILE: &str = "crates/engine/src/kernels.rs";
 
-/// Result/guard adapters that may trail a `.lock()` call without ending
-/// the guard's life at that expression.
-const LOCK_ADAPTERS: &[&str] =
-    &["unwrap", "expect", "unwrap_or_else", "unwrap_or_default", "map_err", "ok"];
-
-/// The DESIGN.md §3 dependency flow, as (crate, allowed dependencies).
-/// "rotary" is the root crate (src/ at the workspace root). A test in
-/// `tests/rules.rs` cross-checks this table against the Cargo.toml
-/// manifests so it cannot drift.
-pub const LAYERS: &[(&str, &[&str])] = &[
-    ("core", &[]),
-    ("par", &[]),
-    ("check", &[]),
-    ("sim", &["core"]),
-    ("store", &["core"]),
-    ("tpch", &["sim"]),
-    ("engine", &["core", "par", "tpch"]),
-    ("faults", &["core", "sim", "store"]),
-    ("serve", &["core", "sim", "faults", "store"]),
-    ("dlt", &["core", "par", "sim", "faults", "store"]),
-    ("aqp", &["core", "par", "sim", "tpch", "engine", "faults", "store"]),
-    ("lint", &["core"]),
-    ("bench", &["core", "sim", "tpch", "engine", "aqp", "dlt", "faults", "serve", "store"]),
-    ("rotary", &["core", "par", "sim", "tpch", "engine", "aqp", "dlt", "faults", "store", "serve"]),
-];
-
 /// Dev-only trees: crate `tests/`, `benches/`, `examples/` directories
 /// and the root `tests/`. Code there is still linted, but the rules that
 /// exempt test code treat the whole file as test code.
@@ -310,19 +248,6 @@ fn d003_applies(path: &str) -> bool {
     path != "crates/sim/src/rng.rs"
 }
 
-/// The crate a path belongs to, for L001: `Some(crate)` for crate `src/`
-/// trees and the root `src/`, `None` for dev-only or out-of-tree files.
-fn l001_crate_of(path: &str) -> Option<&str> {
-    if let Some(rest) = path.strip_prefix("crates/") {
-        let (name, tail) = rest.split_once('/')?;
-        return if tail.starts_with("src/") { Some(name) } else { None };
-    }
-    if path.starts_with("src/") {
-        return Some("rotary");
-    }
-    None
-}
-
 /// Scans one file. `path` must be workspace-relative with `/` separators —
 /// rule scoping keys off it.
 pub fn scan_file(path: &str, src: &str) -> FileScan {
@@ -332,7 +257,6 @@ pub fn scan_file(path: &str, src: &str) -> FileScan {
     let ctx = Ctx { path, lx: &lx, allows: &allows, test_path: is_test_path(path) };
 
     scan_token_rules(&ctx, &mut scan);
-    scan_lock_order(&ctx, &mut scan);
 
     scan.violations.sort();
     scan.ratchet_sites.sort();
@@ -362,12 +286,11 @@ impl Ctx<'_> {
     }
 }
 
-/// The single-token and short-window rules: D001–D003, P001, F001–F003,
-/// L001. One pass over the code tokens.
+/// The single-token and short-window rules: D001–D003, P001, R003,
+/// F001–F003. One pass over the code tokens.
 fn scan_token_rules(ctx: &Ctx, scan: &mut FileScan) {
     let lx = ctx.lx;
     let det = det_applies(ctx.path);
-    let l001_crate = l001_crate_of(ctx.path).filter(|_| !ctx.test_path);
 
     for k in 0..lx.code.len() {
         if lx.ckind(k) != Some(TokenKind::Ident) {
@@ -423,8 +346,8 @@ fn scan_token_rules(ctx: &Ctx, scan: &mut FileScan) {
 
         // P001 — panic-capable calls (ratcheted).
         if !in_test && !ctx.allowed(line, "P001") {
-            let hit = match text {
-                "unwrap" if prev_dot && next_paren => Some("unwrap()"),
+            let call = match text {
+                "unwrap" if prev_dot && next_paren => Some("()"),
                 "expect" if prev_dot && next_paren => {
                     // `expect(b'{')` / `expect(42)` is a parser-style byte
                     // method, not Result::expect (whose argument is a &str
@@ -434,18 +357,32 @@ fn scan_token_rules(ctx: &Ctx, scan: &mut FileScan) {
                         lx.ckind(k + 2),
                         Some(TokenKind::Char | TokenKind::Int | TokenKind::Float)
                     );
-                    (!arg_literal).then_some("expect()")
+                    (!arg_literal).then_some("()")
                 }
-                "panic" if lx.cpunct(k + 1, "!") => Some("panic!"),
+                "panic" | "unreachable" | "todo" | "unimplemented" if lx.cpunct(k + 1, "!") => {
+                    Some("!")
+                }
                 _ => None,
             };
-            if let Some(what) = hit {
+            if let Some(call) = call {
                 scan.ratchet_sites.push(ctx.violation(
                     k,
                     "P001",
-                    format!("{what} may panic in control-plane code"),
+                    format!("{text}{call} may panic in control-plane code"),
                 ));
             }
+        }
+
+        // R003 — every lock is justified where it is written.
+        if !in_test && (text == "Mutex" || text == "RwLock") && !ctx.allowed(line, "R003") {
+            scan.violations.push(ctx.violation(
+                k,
+                "R003",
+                format!(
+                    "{text} needs a justified allow(R003): say why no other lock is \
+                     taken while its guard lives"
+                ),
+            ));
         }
 
         // F001 — libm transcendentals (ratcheted).
@@ -505,178 +442,7 @@ fn scan_token_rules(ctx: &Ctx, scan: &mut FileScan) {
                 ),
             ));
         }
-
-        // L001 — layering.
-        if let Some(own) = l001_crate {
-            if !in_test && !ctx.allowed(line, "L001") {
-                if let Some(dep) = text.strip_prefix("rotary_") {
-                    let known = LAYERS.iter().any(|(c, _)| *c == dep);
-                    let allowed_dep = dep == own
-                        || LAYERS
-                            .iter()
-                            .find(|(c, _)| *c == own)
-                            .is_some_and(|(_, deps)| deps.contains(&dep));
-                    if known && !allowed_dep {
-                        scan.violations.push(ctx.violation(
-                            k,
-                            "L001",
-                            format!(
-                                "{text} names a rotary-{dep} item, but the DESIGN.md \
-                                 dependency flow forbids crate '{own}' -> '{dep}'"
-                            ),
-                        ));
-                    }
-                }
-            }
-        }
     }
-}
-
-/// R003 extraction — walks functions tracking held Mutex guards and
-/// records an edge whenever a lock is acquired while another is held.
-///
-/// A guard is *held* from its `.lock()` call until:
-/// - `drop(var)` for `let var = <chain>.lock()<adapters>;` bindings,
-/// - the closing `}` of the block the binding lives in, or
-/// - the end of the statement (`;`) for chained temporaries like
-///   `x.lock().unwrap().field.push(…)` (the guard lives to the semicolon).
-///
-/// Locks are keyed by receiver name: the identifier before `.lock(`
-/// (`self.shared.state.lock()` → `state`, `slots[i].lock()` → `slots`).
-fn scan_lock_order(ctx: &Ctx, scan: &mut FileScan) {
-    let lx = ctx.lx;
-    struct Guard {
-        var: Option<String>,
-        lock: String,
-        depth: i64,
-        temp: bool,
-    }
-    let mut guards: Vec<Guard> = Vec::new();
-    let mut depth = 0i64;
-    let mut func = String::from("?");
-    let mut pending_let: Option<String> = None;
-
-    for k in 0..lx.code.len() {
-        let kind = lx.ckind(k);
-        let text = lx.ctext(k);
-        if kind == Some(TokenKind::Punct) {
-            match text {
-                "{" => depth += 1,
-                "}" => {
-                    depth -= 1;
-                    guards.retain(|g| g.depth <= depth);
-                }
-                ";" => {
-                    pending_let = None;
-                    guards.retain(|g| !g.temp);
-                }
-                _ => {}
-            }
-            continue;
-        }
-        if kind != Some(TokenKind::Ident) {
-            continue;
-        }
-        match text {
-            "fn" if lx.ckind(k + 1) == Some(TokenKind::Ident) => {
-                func = lx.ctext(k + 1).to_string();
-            }
-            "let" => {
-                let j = if lx.ctext(k + 1) == "mut" { k + 2 } else { k + 1 };
-                if lx.ckind(j) == Some(TokenKind::Ident) {
-                    pending_let = Some(lx.ctext(j).to_string());
-                }
-            }
-            "drop" if lx.cpunct(k + 1, "(") && lx.cpunct(k + 3, ")") => {
-                let dropped = lx.ctext(k + 2);
-                guards.retain(|g| g.var.as_deref() != Some(dropped));
-            }
-            "lock" if k >= 2 && lx.cpunct(k - 1, ".") && lx.cpunct(k + 1, "(") => {
-                if ctx.in_test(k) {
-                    continue;
-                }
-                let lock = receiver_name(lx, k - 1);
-                let line = lx.cspan(k).line;
-                if !ctx.allowed(line, "R003") {
-                    for g in &guards {
-                        let span = lx.cspan(k);
-                        scan.lock_edges.push(LockEdge {
-                            path: ctx.path.to_string(),
-                            line: span.line,
-                            col: span.col,
-                            func: func.clone(),
-                            held: g.lock.clone(),
-                            acquired: lock.clone(),
-                        });
-                    }
-                }
-                // Held or momentary? Walk the adapter chain after `()`.
-                let Some(close) = lx.cmatch(k + 1, "(", ")") else { continue };
-                let after = adapter_chain_end(lx, close + 1);
-                let durable = lx.cpunct(after, ";") && pending_let.is_some();
-                guards.push(Guard {
-                    var: if durable { pending_let.clone() } else { None },
-                    lock,
-                    depth,
-                    temp: !durable,
-                });
-            }
-            _ => {}
-        }
-    }
-}
-
-/// Code position just past a `.adapter(...)` chain starting at `k`.
-fn adapter_chain_end(lx: &Lexed, mut k: usize) -> usize {
-    while lx.cpunct(k, ".")
-        && lx.ckind(k + 1) == Some(TokenKind::Ident)
-        && LOCK_ADAPTERS.contains(&lx.ctext(k + 1))
-        && lx.cpunct(k + 2, "(")
-    {
-        match lx.cmatch(k + 2, "(", ")") {
-            Some(close) => k = close + 1,
-            None => return k,
-        }
-    }
-    k
-}
-
-/// Receiver name of a method call whose `.` sits at code position
-/// `k_dot`: the identifier before the dot, looking through one `[...]` or
-/// `(...)` group (`slots[i].lock()` → `slots`). Falls back to `"<expr>"`.
-fn receiver_name(lx: &Lexed, k_dot: usize) -> String {
-    if k_dot == 0 {
-        return "<expr>".to_string();
-    }
-    let j = k_dot - 1;
-    if lx.ckind(j) == Some(TokenKind::Ident) {
-        return lx.ctext(j).to_string();
-    }
-    for (open, close) in [("[", "]"), ("(", ")")] {
-        if lx.cpunct(j, close) {
-            // Walk back to the matching opener.
-            let mut depth = 0i64;
-            let mut i = j;
-            loop {
-                if lx.cpunct(i, close) {
-                    depth += 1;
-                } else if lx.cpunct(i, open) {
-                    depth -= 1;
-                    if depth == 0 {
-                        if i >= 1 && lx.ckind(i - 1) == Some(TokenKind::Ident) {
-                            return lx.ctext(i - 1).to_string();
-                        }
-                        break;
-                    }
-                }
-                if i == 0 {
-                    break;
-                }
-                i -= 1;
-            }
-        }
-    }
-    "<expr>".to_string()
 }
 
 /// Collects allow annotations per line (1-indexed). A same-line annotation

@@ -1,13 +1,15 @@
 //! Per-rule fixtures: each rule fires on its violating fixture, stays
 //! silent on the clean twin, and respects both allow annotations and
 //! `#[cfg(test)]` scoping — plus a workspace-level test asserting the tree
-//! this crate ships in is lint-clean under the checked-in baseline, and a
-//! cross-check pinning the hardcoded `LAYERS` table to the Cargo.toml
-//! manifests.
+//! this crate ships in is lint-clean under the checked-in baseline, and the
+//! crate-layering guard: the workspace's declared dependency graph, read
+//! with `cargo metadata`, must equal the DESIGN.md §3 `LAYERS` table.
 
-use rotary_lint::rules::{rule, scan_file, Violation, LAYERS, RULES};
-use rotary_lint::{analyze_workspace, gate, lock_cycle_violations, Baseline, BASELINE_FILE};
-use std::collections::BTreeSet;
+use rotary_core::json::{self, Json};
+use rotary_lint::rules::{rule, scan_file, Violation, RULES};
+use rotary_lint::{analyze_workspace, gate, Baseline, BASELINE_FILE};
+use std::collections::{BTreeMap, BTreeSet};
+use std::path::{Path, PathBuf};
 
 /// Scans a fixture and returns the rule ids of the *hard* violations that
 /// fired (ratcheted sites are returned separately by `scan_file`).
@@ -166,8 +168,9 @@ fn d003_matches_whole_tokens_not_substrings() {
 
 #[test]
 fn p001_counts_panic_capable_calls() {
-    let src = "let a = x.unwrap();\nlet b = y.expect(\"msg\");\npanic!(\"boom\");\n";
-    assert_eq!(sites(ENGINE_PATH, src, "P001"), 3);
+    let src = "let a = x.unwrap();\nlet b = y.expect(\"msg\");\npanic!(\"boom\");\n\
+               unreachable!(\"checked above\");\ntodo!();\nunimplemented!();\n";
+    assert_eq!(sites(ENGINE_PATH, src, "P001"), 6);
     assert!(fired(ENGINE_PATH, src).is_empty(), "P001 sites are ratcheted, not hard errors");
 }
 
@@ -219,6 +222,8 @@ fn a001_rejects_unknown_rules_missing_reasons_and_malformed_markers() {
     assert_eq!(fired(ENGINE_PATH, no_reason), vec!["A001"]);
     let malformed = "x(); // rotary-lint: disable everything\n";
     assert_eq!(fired(ENGINE_PATH, malformed), vec!["A001"]);
+    let retired = "x(); // rotary-lint: allow(L001) layering is the compiler's now\n";
+    assert_eq!(fired(ENGINE_PATH, retired), vec!["A001"], "a retired rule id is unknown");
 }
 
 #[test]
@@ -231,7 +236,7 @@ fn a001_multi_rule_allow_with_reason_is_accepted() {
 
 #[test]
 fn a001_knows_the_new_rule_families() {
-    for id in ["R003", "F001", "F002", "F003", "L001"] {
+    for id in ["R003", "F001", "F002", "F003"] {
         let src = format!("x(); // rotary-lint: allow({id}) fixture reason\n");
         assert!(fired(ENGINE_PATH, &src).is_empty(), "{id} must be a known rule");
     }
@@ -240,97 +245,27 @@ fn a001_knows_the_new_rule_families() {
 // ---------------------------------------------------------------- R003 --
 
 #[test]
-fn r003_records_edges_for_nested_lock_acquisitions() {
-    let src = "fn first(&self) {\n\
-               \x20   let g = self.a.lock().unwrap();\n\
-               \x20   let h = self.b.lock().unwrap();\n\
-               }\n";
-    let scan = scan_file(ENGINE_PATH, src);
-    assert_eq!(scan.lock_edges.len(), 1);
-    let e = &scan.lock_edges[0];
-    assert_eq!((e.held.as_str(), e.acquired.as_str(), e.func.as_str()), ("a", "b", "first"));
-    assert!(lock_cycle_violations(&scan.lock_edges).is_empty(), "one direction is no cycle");
+fn r003_fires_on_every_lock_token_in_non_test_code() {
+    let src = "use std::sync::{Mutex, RwLock};\nlet m = std::sync::Mutex::new(0);\n";
+    assert_eq!(fired(ENGINE_PATH, src), vec!["R003", "R003", "R003"]);
+    assert_eq!(fired("crates/par/src/lib.rs", src).len(), 3, "every crate is in scope");
+    assert_eq!(fired("src/bin/rotary-cli.rs", src).len(), 3, "root src/ is in scope");
 }
 
 #[test]
-fn r003_detects_an_order_inversion_across_functions() {
-    let src = "fn first(&self) {\n\
-               \x20   let g = self.a.lock().unwrap();\n\
-               \x20   let h = self.b.lock().unwrap();\n\
-               }\n\
-               fn second(&self) {\n\
-               \x20   let g = self.b.lock().unwrap();\n\
-               \x20   let h = self.a.lock().unwrap();\n\
-               }\n";
-    let scan = scan_file(ENGINE_PATH, src);
-    assert_eq!(scan.lock_edges.len(), 2);
-    let cycles = lock_cycle_violations(&scan.lock_edges);
-    assert_eq!(cycles.len(), 2, "every edge on the a<->b cycle fires");
-    assert!(cycles.iter().all(|v| v.rule == "R003"));
-}
-
-#[test]
-fn r003_detects_reacquiring_a_lock_already_held() {
-    let src = "fn twice(&self) {\n\
-               \x20   let g = self.a.lock().unwrap();\n\
-               \x20   let h = self.a.lock().unwrap();\n\
-               }\n";
-    let scan = scan_file(ENGINE_PATH, src);
-    let cycles = lock_cycle_violations(&scan.lock_edges);
-    assert_eq!(cycles.len(), 1, "self-loop is an immediate deadlock");
-}
-
-#[test]
-fn r003_chained_temporaries_release_at_the_semicolon() {
-    let src = "fn seq(&self) {\n\
-               \x20   self.a.lock().unwrap().x = 1;\n\
-               \x20   self.b.lock().unwrap().y = 2;\n\
-               }\n";
-    assert!(scan_file(ENGINE_PATH, src).lock_edges.is_empty(), "sequential, never nested");
-}
-
-#[test]
-fn r003_drop_and_block_end_release_durable_guards() {
-    let dropped = "fn f(&self) {\n\
-                   \x20   let g = self.a.lock().unwrap();\n\
-                   \x20   drop(g);\n\
-                   \x20   let h = self.b.lock().unwrap();\n\
-                   }\n";
-    assert!(scan_file(ENGINE_PATH, dropped).lock_edges.is_empty());
-    let scoped = "fn f(&self) {\n\
-                  \x20   {\n\
-                  \x20       let g = self.a.lock().unwrap();\n\
-                  \x20   }\n\
-                  \x20   let h = self.b.lock().unwrap();\n\
-                  }\n";
-    assert!(scan_file(ENGINE_PATH, scoped).lock_edges.is_empty());
-}
-
-#[test]
-fn r003_keys_locks_by_receiver_through_index_expressions() {
-    let src = "fn f(&self) {\n\
-               \x20   let g = self.slots[i].lock().unwrap();\n\
-               \x20   let h = self.queue.lock().unwrap();\n\
-               }\n";
-    let scan = scan_file(ENGINE_PATH, src);
-    assert_eq!(scan.lock_edges.len(), 1);
-    assert_eq!(scan.lock_edges[0].held, "slots");
-    assert_eq!(scan.lock_edges[0].acquired, "queue");
-}
-
-#[test]
-fn r003_is_test_exempt_and_respects_allow() {
-    let in_test = "#[cfg(test)]\nmod t {\n\
-                   \x20   fn f(s: &S) {\n\
-                   \x20       let g = s.a.lock().unwrap();\n\
-                   \x20       let h = s.b.lock().unwrap();\n\
-                   \x20   }\n}\n";
-    assert!(scan_file(ENGINE_PATH, in_test).lock_edges.is_empty());
-    let allowed = "fn f(&self) {\n\
-                   \x20   let g = self.a.lock().unwrap();\n\
-                   \x20   let h = self.b.lock().unwrap(); // rotary-lint: allow(R003) doc-ordered\n\
-                   }\n";
-    assert!(scan_file(ENGINE_PATH, allowed).lock_edges.is_empty());
+fn r003_is_silent_in_tests_strings_comments_and_under_allow() {
+    let lock = "let m = Mutex::new(0);\n";
+    assert!(fired("crates/par/tests/fixture.rs", lock).is_empty(), "tests dir is exempt");
+    assert!(fired("tests/fixture.rs", lock).is_empty(), "root tests/ are exempt");
+    let in_test = "#[cfg(test)]\nmod t {\n    use std::sync::RwLock;\n}\n";
+    assert!(fired(ENGINE_PATH, in_test).is_empty());
+    let text = "// a Mutex would serialise the lanes\nconst DOC: &str = \"RwLock\";\n";
+    assert!(fired(ENGINE_PATH, text).is_empty());
+    let allowed = "// rotary-lint: allow(R003) one guard per call, never nested\n\
+                   let m = Mutex::new(0);\n";
+    assert!(fired(ENGINE_PATH, allowed).is_empty());
+    let twin = "let m = MutexLike::new(0);\nlet n = locked_rw_lock();\n";
+    assert!(fired(ENGINE_PATH, twin).is_empty(), "whole tokens only");
 }
 
 // ---------------------------------------------------------------- F001 --
@@ -413,84 +348,80 @@ fn f003_scope_is_det_crates_non_test_only() {
     assert_eq!(sites(ENGINE_PATH, allowed, "F003"), 0);
 }
 
-// ---------------------------------------------------------------- L001 --
+// ------------------------------------------------------------ layering --
 
-#[test]
-fn l001_fires_on_dependency_flow_inversions() {
-    let src = "use rotary_serve::ServeDaemon;\n";
-    assert_eq!(fired(ENGINE_PATH, src), vec!["L001"], "engine must not name serve items");
-    let core_up = "use rotary_engine::Engine;\n";
-    assert_eq!(fired("crates/core/src/fixture.rs", core_up), vec!["L001"]);
+/// The DESIGN.md §3 dependency flow, as (crate, allowed dependencies):
+/// names drop the `rotary-` prefix, and "rotary" is the root package.
+const LAYERS: &[(&str, &[&str])] = &[
+    ("core", &[]),
+    ("par", &[]),
+    ("check", &[]),
+    ("sim", &["core"]),
+    ("store", &["core"]),
+    ("tpch", &["sim"]),
+    ("engine", &["core", "par", "tpch"]),
+    ("faults", &["core", "sim", "store"]),
+    ("serve", &["core", "sim", "faults", "store"]),
+    ("dlt", &["core", "par", "sim", "faults", "store"]),
+    ("aqp", &["core", "par", "sim", "tpch", "engine", "faults", "store"]),
+    ("lint", &["core"]),
+    ("bench", &["core", "sim", "tpch", "engine", "aqp", "dlt", "faults", "serve", "store"]),
+    ("rotary", &["core", "par", "sim", "tpch", "engine", "aqp", "dlt", "faults", "store", "serve"]),
+];
+
+/// The `LAYERS` key of a workspace package name, `None` for other crates.
+fn layer(package: &str) -> Option<&str> {
+    if package == "rotary" {
+        Some(package)
+    } else {
+        package.strip_prefix("rotary-")
+    }
 }
 
-#[test]
-fn l001_accepts_declared_dependencies_and_self_references() {
-    let src = "use rotary_core::json::Json;\nuse rotary_par::Pool;\nuse rotary_tpch::gen;\n";
-    assert!(fired(ENGINE_PATH, src).is_empty(), "engine declares core, par, tpch");
-    let own = "use rotary_engine::columnar::Column;\n";
-    assert!(fired(ENGINE_PATH, own).is_empty(), "self-reference (doc examples) is fine");
+fn workspace_root() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("..").join("..")
 }
 
+/// Guards crate layering: rustc rejects a path into any crate that is not
+/// a declared dependency, so the declared graph is the whole layering.
+/// Cargo resolves it from every table form (`[dependencies]`,
+/// `[dependencies.rotary-x]`, `[target.'cfg(..)'.dependencies]`,
+/// workspace inheritance, renames); the test reads cargo's view and holds
+/// it to `LAYERS`: the same member set, and per member its non-dev
+/// `rotary-*` dependencies equal to its row.
 #[test]
-fn l001_covers_the_root_crate() {
-    let ok = "use rotary_serve::ServeDaemon;\nuse rotary_aqp::Controller;\n";
-    assert!(fired("src/fixture.rs", ok).is_empty(), "the root crate sits above everything");
-    let bad = "use rotary_lint::rules::scan_file;\n";
-    assert_eq!(fired("src/fixture.rs", bad), vec!["L001"], "lint is a dev tool, not a dep");
-}
+fn declared_crate_graph_matches_the_design_layers() {
+    let manifest = workspace_root().join("Cargo.toml");
+    let out = std::process::Command::new(env!("CARGO"))
+        .args(["metadata", "--no-deps", "--offline", "--format-version", "1", "--manifest-path"])
+        .arg(&manifest)
+        .output()
+        .expect("cargo metadata runs");
+    assert!(out.status.success(), "cargo metadata: {}", String::from_utf8_lossy(&out.stderr));
+    let doc = json::parse(&String::from_utf8_lossy(&out.stdout)).expect("metadata is JSON");
+    let packages = doc.get("packages").and_then(Json::as_arr).expect("packages array");
 
-#[test]
-fn l001_ignores_unknown_suffixes_tests_and_allows() {
-    let unknown = "use rotary_widgets::Gadget;\n";
-    assert!(fired(ENGINE_PATH, unknown).is_empty(), "not a workspace crate");
-    let in_tests_dir = "use rotary_serve::ServeDaemon;\n";
-    assert!(fired("crates/engine/tests/fixture.rs", in_tests_dir).is_empty());
-    assert!(fired("tests/fixture.rs", in_tests_dir).is_empty(), "root tests/ are dev-only");
-    let in_cfg_test = "#[cfg(test)]\nmod t {\n    use rotary_serve::ServeDaemon;\n}\n";
-    assert!(fired(ENGINE_PATH, in_cfg_test).is_empty());
-    let allowed = "use rotary_serve::ServeDaemon; // rotary-lint: allow(L001) doc example only\n";
-    assert!(fired(ENGINE_PATH, allowed).is_empty());
-}
+    let mut graph: BTreeMap<&str, BTreeSet<&str>> = BTreeMap::new();
+    for package in packages {
+        let name = package.get("name").and_then(Json::as_str).expect("package name");
+        let deps = package.get("dependencies").and_then(Json::as_arr).expect("dependency array");
+        let row = deps
+            .iter()
+            .filter(|d| d.get("kind").and_then(Json::as_str) != Some("dev"))
+            .filter_map(|d| layer(d.get("name").and_then(Json::as_str)?))
+            .collect();
+        graph.insert(layer(name).unwrap_or(name), row);
+    }
 
-/// Pins the hardcoded `LAYERS` table to the actual Cargo.toml manifests:
-/// for every crate, the set of `rotary-*` entries in `[dependencies]` must
-/// equal the table row. The promise in rules.rs ("cross-checked against
-/// the Cargo.toml manifests so it cannot drift") lives here.
-#[test]
-fn l001_layer_table_matches_the_cargo_manifests() {
-    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("..").join("..");
-    for (krate, deps) in LAYERS {
-        let manifest = if *krate == "rotary" {
-            root.join("Cargo.toml")
-        } else {
-            root.join("crates").join(krate).join("Cargo.toml")
-        };
-        let text = std::fs::read_to_string(&manifest)
-            .unwrap_or_else(|e| panic!("read {}: {e}", manifest.display()));
-        let mut in_deps = false;
-        let mut found: BTreeSet<String> = BTreeSet::new();
-        for line in text.lines() {
-            let line = line.trim();
-            if line.starts_with('[') {
-                in_deps = line == "[dependencies]";
-                continue;
-            }
-            if !in_deps {
-                continue;
-            }
-            if let Some(rest) = line.strip_prefix("rotary-") {
-                let name: String =
-                    rest.chars().take_while(|c| c.is_ascii_alphanumeric() || *c == '-').collect();
-                found.insert(name.replace('-', "_"));
-            }
-        }
-        let expected: BTreeSet<String> = deps.iter().map(|d| d.to_string()).collect();
-        assert_eq!(
-            found,
-            expected,
-            "LAYERS row for '{krate}' disagrees with {}",
-            manifest.display()
-        );
+    let expected: BTreeMap<&str, BTreeSet<&str>> =
+        LAYERS.iter().map(|(krate, deps)| (*krate, deps.iter().copied().collect())).collect();
+    assert_eq!(
+        graph.keys().collect::<Vec<_>>(),
+        expected.keys().collect::<Vec<_>>(),
+        "workspace members vs LAYERS rows"
+    );
+    for (krate, row) in &expected {
+        assert_eq!(&graph[krate], row, "LAYERS row for '{krate}' disagrees with its manifest");
     }
 }
 
@@ -500,7 +431,7 @@ fn l001_layer_table_matches_the_cargo_manifests() {
 /// baseline: no hard violations, no ratchet overshoot, no staleness.
 #[test]
 fn workspace_is_lint_clean_under_the_checked_in_baseline() {
-    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("..").join("..");
+    let root = workspace_root();
     let analysis = analyze_workspace(&root).expect("workspace scan");
     let text = std::fs::read_to_string(root.join(BASELINE_FILE)).expect("baseline present");
     let baseline = Baseline::parse(&text).expect("baseline parses");

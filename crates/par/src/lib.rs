@@ -21,6 +21,7 @@
 #![warn(missing_docs)]
 
 use std::panic::resume_unwind;
+// rotary-lint: allow(R003) for the work cursor in `run`, the crate's one lock
 use std::sync::{Mutex, PoisonError};
 
 /// Upper bound on the pool size (a valve against `ROTARY_THREADS=999999`).
@@ -94,6 +95,7 @@ impl ThreadPool {
         if lanes <= 1 {
             return work.map(|(i, item)| f(i, item)).collect();
         }
+        // rotary-lint: allow(R003) each guard is a temporary held for one `next()`; never nested
         let work = Mutex::new(work);
         let lane = || {
             let mut done: Vec<(usize, R)> = Vec::new();
