@@ -26,7 +26,7 @@ use rotary_core::SimTime;
 use rotary_engine::memory::{estimate_memory_mb, BatchCostModel};
 use rotary_engine::online::{GroundTruth, OnlineAggregation};
 use rotary_engine::{query, Executor, IndexCache, QueryClass, QueryId, QueryPlan};
-use rotary_faults::arbiter::{self as arb, Arbiter, Event, Job, JobBase, Loop, Marks, Run};
+use rotary_faults::arbiter::{self as arb, Arbiter, Event, Job, JobBase, Loop, Run};
 use rotary_faults::{EpochFault, FaultPlan};
 use rotary_sim::{
     CheckpointModel, CpuPool, MaterializationManager, MaterializationPolicy, PlacementSpan,
@@ -139,11 +139,12 @@ pub struct AqpSystemConfig {
     /// Defaults to `ROTARY_THREADS` (1 when unset); every metric is
     /// bit-identical across values.
     pub threads: usize,
-    /// Forces the retired dense (full re-sort per event) control plane for
-    /// the Rotary and Relaqs policies instead of the incrementally
-    /// maintained priority index. The two paths are proven byte-equivalent
-    /// by the property suite; this switch exists so whole-run equivalence
-    /// stays testable and as an escape hatch while profiling.
+    /// Ranks the Rotary and Relaqs queues with the dense full re-sort per
+    /// event that the baselines use, instead of the incrementally
+    /// maintained priority index and decision memo. The two paths are
+    /// proven byte-equivalent by the property suite; this switch exists so
+    /// whole-run equivalence stays testable and as an escape hatch while
+    /// profiling.
     pub dense_control_plane: bool,
 }
 
@@ -301,9 +302,9 @@ pub struct AqpRunExt {
     pool: CpuPool,
     material: MaterializationManager,
     random_est: RandomEstimator,
-    /// Incremental control-plane state; rebuilt lazily, never snapshotted
-    /// (the indexed and dense paths are byte-equivalent, so a restored run
-    /// rebuilds the caches from job state at the first post-resume event).
+    /// Incremental control-plane state, never snapshotted: a started or
+    /// restored run marks every job, so its first pass keys them all from
+    /// job state.
     arb: AqpArbCaches,
 }
 
@@ -331,10 +332,12 @@ struct AqpFingerprint {
 /// Incrementally maintained control-plane caches for the Rotary and Relaqs
 /// policies: a standing priority order (split by feasibility), exact integer
 /// fleet sums behind the cold-start average, a queue of scheduled
-/// feasibility flip times, and decision memoization. Jobs touched by an
-/// event are marked dirty and re-keyed at the next arbitration; everything
-/// else keeps its cached key, making one epoch's control-plane cost
-/// O(changes × log n) instead of O(n log n).
+/// feasibility flip times, and decision memoization. The jobs the shared
+/// change tracking marked dirty (an event, an admission, a launch) are
+/// re-keyed at the next arbitration, and a job index seen for the first
+/// time grows the caches; everything else keeps its cached key, making one
+/// epoch's control-plane cost O(changes × log n) instead of O(n log n).
+/// The other policies leave the caches empty.
 #[derive(Debug, Default)]
 struct AqpArbCaches {
     /// Standing priority order over feasible arbitrable jobs.
@@ -871,50 +874,15 @@ impl<'a> AqpSystem<'a> {
         target
     }
 
-    /// First build of the incremental control-plane caches. Lazy on
-    /// purpose: the first arbitration decides whether the indexed path
-    /// applies to this run at all, so durable snapshot restore needs no
-    /// special casing — a restored run simply rebuilds here from job state
-    /// at its first post-resume event.
-    fn build_caches(
-        &self,
-        arb: &mut AqpArbCaches,
-        marks: &mut Marks,
-        jobs: &[RunJob<'_>],
-        now: SimTime,
-        policy: AqpPolicy,
-    ) {
-        marks.built = true;
-        marks.enabled = !self.config.dense_control_plane
-            && matches!(policy, AqpPolicy::Rotary | AqpPolicy::Relaqs);
-        if !marks.enabled {
-            // EDF keys are already cheap; LAF/RoundRobin/RandomEstimator
-            // mutate rank-time state (cursor, RNG draws), which memoization
-            // must not skip. They keep the dense path.
-            return;
-        }
-        arb.contrib = vec![(0, 0); jobs.len()];
-        for i in 0..jobs.len() {
-            Self::update_contrib(arb, jobs, i);
-        }
-        let avg = Self::fleet_avg_epoch_secs(arb.sum_service_ms, arb.sum_epochs);
-        arb.avg_bucket = avg;
-        for i in 0..jobs.len() {
-            self.refresh_job(arb, jobs, i, now, policy, avg);
-        }
-        // A build absorbs marks that were dropped while the caches were
-        // down (the event preceding a lazy rebuild after a durable restore
-        // fires before `enabled` is known): every job is a metrics
-        // candidate for the next row; the recorder's bit-compare drops the
-        // unchanged ones.
-        marks.touched = (0..jobs.len() as u32).collect();
-    }
-
     /// Folds job `i`'s `(service_ms, epochs_run)` into the exact fleet
-    /// sums, replacing its previous contribution. Terminal and pending jobs
-    /// contribute nothing — the dense path averages over the alive set
-    /// only, and the two must key identically.
+    /// sums, replacing its previous contribution (none, the first time the
+    /// index is seen). Terminal and pending jobs contribute nothing — the
+    /// dense path averages over the alive set only, and the two must key
+    /// identically.
     fn update_contrib(arb: &mut AqpArbCaches, jobs: &[RunJob<'_>], i: usize) {
+        if arb.contrib.len() <= i {
+            arb.contrib.resize(i + 1, (0, 0));
+        }
         let j = &jobs[i];
         let alive = !j.base.core.status.is_terminal() && j.base.core.status != JobStatus::Pending;
         let new = if alive {
@@ -1010,7 +978,7 @@ impl<'a> AqpSystem<'a> {
     fn indexed_ranked(
         &self,
         arb: &mut AqpArbCaches,
-        marks: &mut Marks,
+        dirty: &[u32],
         jobs: &[RunJob<'_>],
         now: SimTime,
         policy: AqpPolicy,
@@ -1030,8 +998,7 @@ impl<'a> AqpSystem<'a> {
                 break;
             }
         }
-        let dirty = std::mem::take(&mut marks.dirty);
-        for &id in &dirty {
+        for &id in dirty {
             Self::update_contrib(arb, jobs, id as usize);
         }
         let avg = Self::fleet_avg_epoch_secs(arb.sum_service_ms, arb.sum_epochs);
@@ -1090,30 +1057,6 @@ impl<'a> AqpSystem<'a> {
             return None;
         }
         Some(ranked)
-    }
-
-    /// Pauses a job that finished an epoch but was not re-granted:
-    /// persisted per the materialization policy (paper §VI).
-    fn pause_if_idle(
-        config: &AqpSystemConfig,
-        job: &mut RunJob<'_>,
-        material: &mut MaterializationManager,
-        metrics: &mut WorkloadMetrics,
-    ) {
-        if job.base.core.status == JobStatus::Active && job.base.in_memory {
-            job.base.in_memory = false;
-            job.base.core.checkpoints += 1;
-            job.base.core.status = JobStatus::Checkpointed;
-            job.pending_persist = material.pause(job.base.core.id.0, job.memory_mb);
-            job.base.ckpt_writes += 1;
-            if config.faults.checkpoint_write(job.base.core.id.0, job.base.ckpt_writes).is_err() {
-                // The write failed once; the retry repeats the full disk
-                // write, deferred to the job's next resume like the
-                // original persist cost.
-                job.pending_persist += config.checkpoint.checkpoint_cost(job.memory_mb);
-                metrics.recovery_of(job.base.core.id).checkpoint_failures += 1;
-            }
-        }
     }
 }
 
@@ -1215,17 +1158,9 @@ impl<'a> Arbiter for AqpSystem<'a> {
     }
 
     /// The job bound exactly as it would at the same index in a batch run;
-    /// here the control-plane caches grow in place: the indexed path keeps
-    /// its standing order and re-keys only the newcomer.
-    fn admit(&mut self, lp: &mut Loop<RunJob<'a>>, ext: &mut AqpRunExt, i: usize, _now: SimTime) {
+    /// it waits for its arrival like any batch job.
+    fn admit(&mut self, lp: &mut Loop<RunJob<'a>>, _ext: &mut AqpRunExt, i: usize, _now: SimTime) {
         Self::schedule_job(lp, i);
-        if lp.marks.built && lp.marks.enabled {
-            // The first cache build sized `contrib` to the job count it
-            // saw; grow it before marking so the re-key can fold the
-            // newcomer into the fleet sums.
-            ext.arb.contrib.push((0, 0));
-            lp.marks.mark(i);
-        }
     }
 
     fn complete_epoch(
@@ -1236,7 +1171,14 @@ impl<'a> Arbiter for AqpSystem<'a> {
         now: SimTime,
     ) {
         let (job, metrics) = (&mut lp.jobs[i], &mut lp.metrics);
-        ext.pool.release(job.base.core.id).expect("completing job must hold a grant");
+        if let Err(e) = ext.pool.release(job.base.core.id) {
+            // Only a damaged-but-well-formed snapshot gets here (its events
+            // name a job its pool record does not hold): the job fails with
+            // the pool's typed error, as in the shared crash path.
+            job.base.core.failure = Some(e);
+            lp.terminals.finish(i, job, JobStatus::Failed, now);
+            return self.retire(ext, job);
+        }
         let service = now - job.base.epoch_start;
         job.last_threads = job.threads.max(1);
         job.base.fault_attempts = 0;
@@ -1311,13 +1253,17 @@ impl<'a> Arbiter for AqpSystem<'a> {
         // hand out for the duration of the current pressure slot. Computed
         // up front because it is part of the decision fingerprint.
         let spike = self.config.faults.memory_pressure_mb(now);
-        if !marks.built {
-            self.build_caches(arb, marks, jobs, now, policy);
-        }
+        let dirty = std::mem::take(&mut marks.dirty);
+        // Rotary and ReLAQS read a standing order. EDF keys are already
+        // cheap; LAF/RoundRobin/RandomEstimator mutate rank-time state
+        // (cursor, RNG draws), which memoization must not skip — they, and
+        // the `dense_control_plane` oracle, re-rank every pass.
+        let indexed = !self.config.dense_control_plane
+            && matches!(policy, AqpPolicy::Rotary | AqpPolicy::Relaqs);
         // The queue Q_t: every arrived, unfinished job — including running
         // ones, whose grants are re-evaluated at their epoch boundaries.
-        let ranked: Vec<usize> = if marks.enabled {
-            match self.indexed_ranked(arb, marks, jobs, now, policy, pool, material, spike) {
+        let ranked: Vec<usize> = if indexed {
+            match self.indexed_ranked(arb, &dirty, jobs, now, policy, pool, material, spike) {
                 Some(r) => r,
                 None => return,
             }
@@ -1465,17 +1411,14 @@ impl<'a> Arbiter for AqpSystem<'a> {
             if !job.base.in_memory && job.base.core.epochs_run > 0 {
                 // Resuming a paused job: pay the deferred persist cost plus
                 // the restore (zero when the state stayed memory-resident).
-                let mut resume_cost =
+                duration +=
                     job.pending_persist + material.resume(job.base.core.id.0, job.memory_mb);
                 job.pending_persist = SimTime::ZERO;
-                job.base.restores += 1;
-                if self.config.faults.restore(job.base.core.id.0, job.base.restores).is_err() {
+                if job.base.restore_attempt(&self.config.faults, metrics) {
                     // The read failed once; the retry repeats the full
                     // disk restore (bounded: exactly one extra read).
-                    resume_cost += self.config.checkpoint.restore_cost(job.memory_mb);
-                    metrics.recovery_of(job.base.core.id).restore_failures += 1;
+                    duration += self.config.checkpoint.restore_cost(job.memory_mb);
                 }
-                duration += resume_cost;
             }
             job.base.in_memory = true;
             job.threads = threads;
@@ -1484,36 +1427,33 @@ impl<'a> Arbiter for AqpSystem<'a> {
             events.schedule(now + duration, Event::EpochDone(i));
         }
 
-        // Jobs that just finished an epoch but were not re-granted get
-        // persisted per the materialization policy (paper §VI).
-        if marks.enabled {
-            // Between two arbitrations only an epoch completion can leave a
-            // job Active *and* in memory (arrivals are not resident yet,
-            // failures clear residency), so the triggering event's own job
-            // is the only pause candidate. The dense full scan below stays
-            // as the oracle for the equivalence suite.
-            if let Some(i) = ckpt_candidate {
-                Self::pause_if_idle(&self.config, &mut jobs[i], material, metrics);
-            }
-        } else {
-            for job in jobs.iter_mut() {
-                Self::pause_if_idle(&self.config, job, material, metrics);
+        // The job that just finished an epoch, if it was not re-granted, is
+        // persisted per the materialization policy (paper §VI); a failed
+        // write repeats the full disk write, deferred to the job's next
+        // resume like the original persist cost.
+        if let Some(i) = ckpt_candidate {
+            let job = &mut jobs[i];
+            if let Some(write_failed) = job.base.pause_if_idle(&self.config.faults, metrics) {
+                job.pending_persist = material.pause(job.base.core.id.0, job.memory_mb);
+                if write_failed {
+                    job.pending_persist += self.config.checkpoint.checkpoint_cost(job.memory_mb);
+                }
             }
         }
 
-        if marks.enabled {
-            // A launched job's epoch executes inside arbitration, advancing
-            // its processed fraction — which feeds both its priority key and
-            // its reported progress — so launched jobs are re-marked dirty
-            // and touched, as are jobs retired by the exhaustion pre-pass.
-            // (Crash-granted jobs schedule no data-plane work and keep
-            // their key inputs; their mark comes with the failure event.)
-            for &(i, _, _, _) in &launches {
-                marks.mark(i);
-            }
-            for &i in &finished_early {
-                marks.mark(i);
-            }
+        // A launched job's epoch executes inside arbitration, advancing its
+        // processed fraction — which feeds both its priority key and its
+        // reported progress — so launched jobs are re-marked dirty and
+        // touched, as are jobs retired by the exhaustion pre-pass.
+        // (Crash-granted jobs schedule no data-plane work and keep their key
+        // inputs; their mark comes with the failure event.)
+        for &(i, _, _, _) in &launches {
+            marks.mark(i);
+        }
+        for &i in &finished_early {
+            marks.mark(i);
+        }
+        if indexed {
             arb.memo.store(AqpFingerprint {
                 free_threads: pool.free_threads(),
                 free_memory_mb: pool.free_memory_mb(),
@@ -1566,6 +1506,7 @@ impl<'a> Arbiter for AqpSystem<'a> {
 mod tests {
     use super::*;
     use crate::workload::{ClassMix, WorkloadBuilder};
+    use rotary_core::json::{self, Json};
     use rotary_tpch::Generator;
 
     fn small_data() -> TpchData {
@@ -1590,6 +1531,42 @@ mod tests {
         );
         assert!(state.epochs_run > 0);
         assert!(result.makespan > SimTime::ZERO);
+    }
+
+    #[test]
+    fn an_epoch_completion_for_a_job_holding_no_grant_fails_that_job_without_panicking() {
+        // Reachable from a damaged-but-well-formed snapshot: its events name
+        // a job its pool record does not hold. Snapshotted before any event,
+        // job 3 of four has not even arrived; forge an epoch completion for
+        // it.
+        let data = small_data();
+        let specs = WorkloadBuilder::paper().jobs(4).seed(3).build();
+        let mut sys = AqpSystem::new(&data, quick_config());
+        let live = arb::Run::start(&mut sys, &specs, AqpPolicy::Rotary).expect("start");
+        let mut records = live.snapshot(&sys, 1).expect("snapshot");
+        let events = records.iter_mut().find(|(name, _)| name == "events").expect("events record");
+        let text = String::from_utf8(events.1.clone()).expect("utf-8");
+        let mut doc = json::parse(&text).expect("events parse");
+        if let Json::Obj(pairs) = &mut doc {
+            if let Some((_, Json::Arr(entries))) = pairs.iter_mut().find(|(k, _)| k == "entries") {
+                let forged_entry =
+                    [("at", "1"), ("seq", "999"), ("kind", "epoch-done"), ("job", "3")]
+                        .map(|(k, v)| (k, Json::Str(v.to_string())));
+                entries.insert(0, Json::obj(forged_entry.to_vec()));
+            }
+        }
+        let forged = doc.to_compact();
+        assert_ne!(forged, text);
+        events.1 = forged.into_bytes();
+
+        let mut sys = AqpSystem::new(&data, quick_config());
+        let resumed =
+            arb::Run::restore(&mut sys, specs, AqpPolicy::Rotary, &records).expect("restore");
+        let result = resumed.finish(&mut sys);
+        let (_, forged_job) = &result.jobs[3];
+        assert_eq!(forged_job.status, JobStatus::Failed);
+        assert!(matches!(forged_job.failure, Some(RotaryError::UnknownJob(3))));
+        assert!(result.jobs.iter().all(|(_, state)| state.status.is_terminal()));
     }
 
     #[test]

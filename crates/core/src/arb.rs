@@ -186,11 +186,6 @@ impl<F: PartialEq> DecisionCache<F> {
     pub fn store(&mut self, fingerprint: F) {
         self.last = Some(fingerprint);
     }
-
-    /// Forgets the stored fingerprint (next check misses).
-    pub fn invalidate(&mut self) {
-        self.last = None;
-    }
 }
 
 #[cfg(test)]
@@ -267,7 +262,5 @@ mod tests {
         cache.store((1, 2));
         assert!(cache.hit(&(1, 2)));
         assert!(!cache.hit(&(1, 3)));
-        cache.invalidate();
-        assert!(!cache.hit(&(1, 2)));
     }
 }

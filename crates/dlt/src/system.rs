@@ -23,7 +23,7 @@ use rotary_core::job::{IntermediateState, JobId, JobKind, JobState, JobStatus};
 use rotary_core::progress::Objective;
 use rotary_core::resources::GpuPoolSpec;
 use rotary_core::SimTime;
-use rotary_faults::arbiter::{self as arb, Arbiter, Event, Job, JobBase, Loop, Marks};
+use rotary_faults::arbiter::{self as arb, Arbiter, Event, Job, JobBase, Loop};
 use rotary_faults::{EpochFault, FaultPlan};
 use rotary_sim::{
     CheckpointModel, EventQueue, GpuPool, PlacementSpan, WorkloadMetrics, WorkloadSummary,
@@ -105,10 +105,11 @@ pub struct DltSystemConfig {
     /// default) keeps the arbitration loop free of wall-clock reads; the
     /// Table III harness installs `rotary_bench::timing::monotonic_probe`.
     pub overhead_probe: Option<crate::estimators::ProbeClock>,
-    /// Forces the retired dense (full re-sort per event) control plane for
-    /// the Rotary policy instead of the incrementally maintained priority
-    /// index. The two paths are proven byte-equivalent by the property
-    /// suite; this switch keeps whole-run equivalence testable.
+    /// Ranks the Rotary queue with the dense full re-sort per event that
+    /// the baselines use, instead of the incrementally maintained priority
+    /// index and decision memo. The two paths are proven byte-equivalent by
+    /// the property suite; this switch keeps whole-run equivalence
+    /// testable.
     pub dense_control_plane: bool,
 }
 
@@ -237,8 +238,9 @@ pub struct DltRunExt {
     pool: GpuPool,
     meter: OverheadMeter,
     ttr: Ttr,
-    /// Incremental control-plane state; derived, rebuilt lazily after a
-    /// durable restore, never snapshotted.
+    /// Incremental control-plane state, never snapshotted: a started or
+    /// restored run marks every job, so its first pass keys them all from
+    /// job state.
     arb: DltArbCaches,
 }
 
@@ -255,8 +257,10 @@ struct DltFingerprint {
 /// threshold policy: the trial FIFO, standing fairness- and
 /// efficiency-phase orders (both maintained at once — the phase flip just
 /// selects which to read), a counter-based phase predicate, and decision
-/// memoization. Baselines (SRF/BCF/LAF) mutate rank-time state (the
-/// round-robin cursor) and keep the dense path.
+/// memoization. Each pass re-keys the jobs the shared change tracking
+/// marked dirty; a job index seen for the first time grows the predicate.
+/// Baselines (SRF/BCF/LAF) mutate rank-time state (the round-robin cursor)
+/// and re-rank every pass, leaving the caches empty.
 #[derive(Debug, Default)]
 struct DltArbCaches {
     /// Arbitrable never-run jobs, served FIFO (ascending id) first so
@@ -550,49 +554,10 @@ impl DltSystem {
         )
     }
 
-    /// First-touch build of the control-plane caches: decides whether the
-    /// indexed path is active and, if so, keys every job.
-    fn build_dlt_caches(
-        &self,
-        ext: &mut DltRunExt,
-        marks: &mut Marks,
-        jobs: &[RunJob],
-        policy: DltPolicy,
-        now: SimTime,
-    ) {
-        marks.built = true;
-        let objective = match policy {
-            DltPolicy::Rotary(objective) if !self.config.dense_control_plane => objective,
-            _ => {
-                marks.enabled = false;
-                return;
-            }
-        };
-        marks.enabled = true;
-        let DltRunExt { arb, meter, .. } = ext;
-        arb.trial.clear();
-        arb.fair.clear();
-        arb.eff.clear();
-        arb.eff_dynamic.clear();
-        arb.satisfied = vec![false; jobs.len()];
-        arb.n_satisfied = 0;
-        marks.dirty.clear();
-        arb.memo.invalidate();
-        let threshold = objective.threshold();
-        for i in 0..jobs.len() {
-            Self::dlt_refresh_job(arb, jobs, i, threshold, now, meter);
-        }
-        // A build absorbs marks that were dropped while the caches were
-        // down (the event preceding a lazy rebuild after a durable restore
-        // fires before `enabled` is known): every job is a metrics
-        // candidate for the next row; the recorder's bit-compare drops the
-        // unchanged ones.
-        marks.touched = (0..jobs.len() as u32).collect();
-    }
-
     /// Re-derives one job's control-plane entries from its current state:
     /// the phase-predicate counter, trial membership, and the standing
-    /// fairness/efficiency keys. Idempotent; O(log n).
+    /// fairness/efficiency keys. Idempotent; O(log n). The first refresh of
+    /// a job index folds it into the phase predicate.
     fn dlt_refresh_job(
         arb: &mut DltArbCaches,
         jobs: &[RunJob],
@@ -603,6 +568,9 @@ impl DltSystem {
     ) {
         let id = i as u32;
         let j = &jobs[i];
+        if arb.satisfied.len() <= i {
+            arb.satisfied.resize(i + 1, false);
+        }
         let sat = Self::phase_satisfied(j, threshold);
         if sat != arb.satisfied[i] {
             arb.satisfied[i] = sat;
@@ -720,15 +688,12 @@ impl DltSystem {
             }
             let same_device = job.last_device == Some(device);
             if job.base.core.epochs_run > 0 && (!job.base.in_memory || !same_device) {
-                let mut restore = self.config.checkpoint.restore_cost(job.true_memory_mb);
-                job.base.restores += 1;
-                if self.config.faults.restore(job.base.core.id.0, job.base.restores).is_err() {
+                duration += self.config.checkpoint.restore_cost(job.true_memory_mb);
+                if job.base.restore_attempt(&self.config.faults, metrics) {
                     // A corrupt read is retried from the replica; the job
                     // pays the restore path twice.
-                    restore += self.config.checkpoint.restore_cost(job.true_memory_mb);
-                    metrics.recovery_of(job.base.core.id).restore_failures += 1;
+                    duration += self.config.checkpoint.restore_cost(job.true_memory_mb);
                 }
-                duration += restore;
             }
             job.base.in_memory = true;
             job.last_device = Some(device);
@@ -757,27 +722,6 @@ impl DltSystem {
         (placed, oom)
     }
 
-    /// A job that just finished an epoch but was not re-placed is
-    /// checkpointed to disk.
-    fn pause_if_idle(&self, job: &mut RunJob, metrics: &mut WorkloadMetrics) {
-        if job.base.core.status == JobStatus::Active && job.base.in_memory {
-            job.base.in_memory = false;
-            job.base.core.checkpoints += 1;
-            job.base.ckpt_writes += 1;
-            if self
-                .config
-                .faults
-                .checkpoint_write(job.base.core.id.0, job.base.ckpt_writes)
-                .is_err()
-            {
-                // The write is retried against the replica off the
-                // critical path; only the failure is recorded.
-                metrics.recovery_of(job.base.core.id).checkpoint_failures += 1;
-            }
-            job.base.core.status = JobStatus::Checkpointed;
-        }
-    }
-
     /// If transient pressure (and nothing else) is what kept a queued job
     /// off an otherwise-fitting device, make sure the system re-arbitrates
     /// when the pressure slot ends — the event queue may otherwise drain.
@@ -799,85 +743,6 @@ impl DltSystem {
                 events.schedule(boundary, Event::Wake);
             }
         }
-    }
-
-    /// The indexed control plane: re-keys only dirtied jobs, reads the
-    /// standing order for the current phase, and memoizes the decision when
-    /// nothing changed.
-    fn arbitrate_indexed(
-        &self,
-        lp: &mut Loop<RunJob>,
-        ext: &mut DltRunExt,
-        policy: DltPolicy,
-        now: SimTime,
-        ckpt_candidate: Option<usize>,
-        spike: u64,
-    ) {
-        let DltPolicy::Rotary(objective) = policy else { return };
-        let Loop { jobs, events, metrics, marks, .. } = lp;
-        let DltRunExt { pool, meter, arb, .. } = ext;
-        let threshold = objective.threshold();
-        let dirty = std::mem::take(&mut marks.dirty);
-        for &id in &dirty {
-            Self::dlt_refresh_job(arb, jobs, id as usize, threshold, now, meter);
-        }
-        // `fair` and `eff ∪ eff_dynamic` hold exactly the warm arbitrable
-        // jobs, `trial` the cold ones — together, the dense path's
-        // arbitrable filter.
-        if arb.trial.is_empty() && arb.fair.is_empty() {
-            return;
-        }
-        // Decision memo. Only consulted at zero pressure: a hit while a
-        // spike is active would skip re-scheduling the wake at the next
-        // pressure-slot boundary and the queue could drain with jobs still
-        // blocked. At spike == 0 the previous identical pass proved every
-        // queued job unplaceable, and the wake tail is a no-op anyway.
-        if dirty.is_empty() && spike == 0 {
-            let fingerprint = DltFingerprint { free_devices: pool.free_devices(), spike };
-            if arb.memo.hit(&fingerprint) {
-                return;
-            }
-        }
-        let efficiency = arb.n_satisfied == jobs.len();
-        let (placed, oom) = if efficiency {
-            // Clock-dependent φ̂ keys cannot stand in the index; key them
-            // fresh and merge with the standing order.
-            let mut dyn_keyed: Vec<((OrdF64, SimTime), u32)> = arb
-                .eff_dynamic
-                .iter()
-                .map(|&id| {
-                    let j = &jobs[id as usize];
-                    let phi_hat =
-                        Self::progress_at(j, j.base.core.epochs_run + 1, None, now, meter);
-                    ((OrdF64::new(-phi_hat), j.base.core.arrival), id)
-                })
-                .collect();
-            dyn_keyed.sort_unstable();
-            let order = arb
-                .trial
-                .iter()
-                .map(|&id| id as usize)
-                .chain(Self::merge_orders(arb.eff.iter(), dyn_keyed.into_iter()));
-            self.place_jobs(jobs, order, now, pool, events, metrics, spike)
-        } else {
-            let order = arb
-                .trial
-                .iter()
-                .map(|&id| id as usize)
-                .chain(arb.fair.iter().map(|(_, id)| id as usize));
-            self.place_jobs(jobs, order, now, pool, events, metrics, spike)
-        };
-        // Placed jobs left the arbitrable set (Running) and OOM launches
-        // corrected their memory estimate: both must be re-examined before
-        // the next pass can trust the standing state.
-        for &i in placed.iter().chain(oom.iter()) {
-            marks.mark(i);
-        }
-        if let Some(i) = ckpt_candidate {
-            self.pause_if_idle(&mut jobs[i], metrics);
-        }
-        arb.memo.store(DltFingerprint { free_devices: pool.free_devices(), spike });
-        self.schedule_wake_if_blocked(jobs, now, pool, events, spike);
     }
 }
 
@@ -960,14 +825,7 @@ impl Arbiter for DltSystem {
     /// [`Event::Wake`] makes the next step re-arbitrate with it in the
     /// trial queue. A job no device could host was finished
     /// `DeadlineMissed` on the spot and surfaces at the next drain.
-    fn admit(&mut self, lp: &mut Loop<RunJob>, ext: &mut DltRunExt, i: usize, now: SimTime) {
-        if lp.marks.built && lp.marks.enabled {
-            // The first cache build sized `satisfied` to the job count it
-            // saw; grow it before marking so the re-key can fold the
-            // newcomer into the phase predicate.
-            ext.arb.satisfied.push(false);
-            lp.marks.mark(i);
-        }
+    fn admit(&mut self, lp: &mut Loop<RunJob>, _ext: &mut DltRunExt, _i: usize, now: SimTime) {
         lp.events.schedule(now, Event::Wake);
     }
 
@@ -1043,6 +901,11 @@ impl Arbiter for DltSystem {
         }
     }
 
+    /// One pass for every policy; only the order differs. Rotary-DLT reads
+    /// its standing order for the current phase after re-keying the dirty
+    /// jobs, and memoizes the decision when nothing changed; the baselines
+    /// (whose round-robin cursor moves per pass) and the
+    /// `dense_control_plane` oracle re-rank every arbitrable job.
     fn arbitrate(
         &mut self,
         lp: &mut Loop<RunJob>,
@@ -1054,34 +917,85 @@ impl Arbiter for DltSystem {
         // Transient co-located pressure shrinks what a device can host this
         // slot; zero under an inert plan.
         let spike = self.config.faults.memory_pressure_mb(now);
-        if !lp.marks.built {
-            self.build_dlt_caches(ext, &mut lp.marks, &lp.jobs, policy, now);
+        let Loop { jobs, events, metrics, rr_cursor, marks, .. } = lp;
+        let DltRunExt { pool, meter, arb, .. } = ext;
+        let dirty = std::mem::take(&mut marks.dirty);
+        let indexed = match policy {
+            DltPolicy::Rotary(objective) if !self.config.dense_control_plane => Some(objective),
+            _ => None,
+        };
+        let (placed, oom) = if let Some(objective) = indexed {
+            let threshold = objective.threshold();
+            for &id in &dirty {
+                Self::dlt_refresh_job(arb, jobs, id as usize, threshold, now, meter);
+            }
+            // `fair` and `eff ∪ eff_dynamic` hold exactly the warm
+            // arbitrable jobs, `trial` the cold ones — together, the dense
+            // path's arbitrable filter.
+            if arb.trial.is_empty() && arb.fair.is_empty() {
+                return;
+            }
+            // Decision memo. Only consulted at zero pressure: a hit while a
+            // spike is active would skip re-scheduling the wake at the next
+            // pressure-slot boundary and the queue could drain with jobs
+            // still blocked. At spike == 0 the previous identical pass
+            // proved every queued job unplaceable, and the wake tail is a
+            // no-op anyway.
+            if dirty.is_empty() && spike == 0 {
+                let fingerprint = DltFingerprint { free_devices: pool.free_devices(), spike };
+                if arb.memo.hit(&fingerprint) {
+                    return;
+                }
+            }
+            let trial = arb.trial.iter().map(|&id| id as usize);
+            if arb.n_satisfied == jobs.len() {
+                // Efficiency phase. Clock-dependent φ̂ keys cannot stand in
+                // the index; key them fresh and merge with the standing
+                // order.
+                let mut dyn_keyed: Vec<((OrdF64, SimTime), u32)> = arb
+                    .eff_dynamic
+                    .iter()
+                    .map(|&id| {
+                        let j = &jobs[id as usize];
+                        let phi_hat =
+                            Self::progress_at(j, j.base.core.epochs_run + 1, None, now, meter);
+                        ((OrdF64::new(-phi_hat), j.base.core.arrival), id)
+                    })
+                    .collect();
+                dyn_keyed.sort_unstable();
+                let order = trial.chain(Self::merge_orders(arb.eff.iter(), dyn_keyed.into_iter()));
+                self.place_jobs(jobs, order, now, pool, events, metrics, spike)
+            } else {
+                let order = trial.chain(arb.fair.iter().map(|(_, id)| id as usize));
+                self.place_jobs(jobs, order, now, pool, events, metrics, spike)
+            }
+        } else {
+            let arbitrable: Vec<usize> = jobs
+                .iter()
+                .enumerate()
+                .filter(|(_, j)| j.base.core.status.is_arbitrable())
+                .map(|(i, _)| i)
+                .collect();
+            if arbitrable.is_empty() {
+                return;
+            }
+            let ranked = self.rank(jobs, arbitrable, now, policy, meter, rr_cursor);
+            self.place_jobs(jobs, ranked.into_iter(), now, pool, events, metrics, spike)
+        };
+        // Placed jobs left the arbitrable set (Running) and OOM launches
+        // corrected their memory estimate: both must be re-examined before
+        // the next pass can trust the standing state.
+        for &i in placed.iter().chain(&oom) {
+            marks.mark(i);
         }
-        if lp.marks.enabled {
-            return self.arbitrate_indexed(lp, ext, policy, now, ckpt_candidate, spike);
+        // A job that just finished an epoch but was not re-placed is
+        // checkpointed to disk; a failed write is retried against the
+        // replica off the critical path, so only the failure is recorded.
+        if let Some(i) = ckpt_candidate {
+            jobs[i].base.pause_if_idle(&self.config.faults, metrics);
         }
-        let Loop { jobs, events, metrics, rr_cursor, .. } = lp;
-        let DltRunExt { pool, meter, .. } = ext;
-
-        // Dense control plane: full re-rank per event (the baselines'
-        // round-robin cursor requires it; the Rotary policy keeps it
-        // reachable as the oracle behind `dense_control_plane`).
-        let arbitrable: Vec<usize> = jobs
-            .iter()
-            .enumerate()
-            .filter(|(_, j)| j.base.core.status.is_arbitrable())
-            .map(|(i, _)| i)
-            .collect();
-        if arbitrable.is_empty() {
-            return;
-        }
-        let ranked = self.rank(jobs, arbitrable, now, policy, meter, rr_cursor);
-        let _ = self.place_jobs(jobs, ranked.into_iter(), now, pool, events, metrics, spike);
-
-        // Jobs that just finished an epoch but were not re-placed are
-        // checkpointed to disk.
-        for job in jobs.iter_mut() {
-            self.pause_if_idle(job, metrics);
+        if indexed.is_some() {
+            arb.memo.store(DltFingerprint { free_devices: pool.free_devices(), spike });
         }
         self.schedule_wake_if_blocked(jobs, now, pool, events, spike);
     }

@@ -92,6 +92,42 @@ impl JobBase {
         }
     }
 
+    /// Checkpoints a job that finished an epoch and was not re-granted
+    /// (`Active` and resident): it waits `Checkpointed`, evicted, and its
+    /// checkpoint write is drawn from the plan's write-fault stream.
+    /// `None` when the job was not idle; otherwise whether that write
+    /// failed — the system decides what a failed write costs.
+    pub fn pause_if_idle(
+        &mut self,
+        faults: &FaultPlan,
+        metrics: &mut WorkloadMetrics,
+    ) -> Option<bool> {
+        if self.core.status != JobStatus::Active || !self.in_memory {
+            return None;
+        }
+        self.core.status = JobStatus::Checkpointed;
+        self.in_memory = false;
+        self.core.checkpoints += 1;
+        self.ckpt_writes += 1;
+        let failed = faults.checkpoint_write(self.core.id.0, self.ckpt_writes).is_err();
+        if failed {
+            metrics.recovery_of(self.core.id).checkpoint_failures += 1;
+        }
+        Some(failed)
+    }
+
+    /// One restore of the job from its last checkpoint, drawn from the
+    /// plan's restore-fault stream. Returns whether the read failed and
+    /// must be repeated — the system decides what the repeat costs.
+    pub fn restore_attempt(&mut self, faults: &FaultPlan, metrics: &mut WorkloadMetrics) -> bool {
+        self.restores += 1;
+        let failed = faults.restore(self.core.id.0, self.restores).is_err();
+        if failed {
+            metrics.recovery_of(self.core.id).restore_failures += 1;
+        }
+        failed
+    }
+
     fn save(&self) -> Vec<(&'static str, Json)> {
         vec![
             ("core", self.core.to_json()),
@@ -122,17 +158,14 @@ pub trait Job {
     fn base_mut(&mut self) -> &mut JobBase;
 }
 
-/// Which jobs changed since the last arbitration / metrics row. The
-/// indexed control planes re-key only the `dirty` jobs and the sparse
-/// progress row reports only the `touched` ones.
+/// Which jobs changed since the last arbitration / metrics row — one
+/// protocol for every policy. The shell marks every job an event changed,
+/// every admitted job, and every job of a started or restored run; a
+/// system marks what its own pass changed. A pass consumes `dirty` (the
+/// indexed control planes re-key exactly those jobs; a dense pass drops
+/// them), and each step's progress row reports only the `touched` jobs.
 #[derive(Debug, Default)]
 pub struct Marks {
-    /// True once the system's lazy first cache build ran (it decides
-    /// `enabled`). A restored run starts unbuilt and rebuilds from job
-    /// state at its first event — caches are never snapshotted.
-    pub built: bool,
-    /// The system's indexed control plane is active for this run.
-    pub enabled: bool,
     /// Jobs whose state changed since the last arbitration.
     pub dirty: Vec<u32>,
     /// Jobs whose progress may have changed since the last metrics row
@@ -141,13 +174,16 @@ pub struct Marks {
 }
 
 impl Marks {
-    /// Marks a job dirty and touched. No-op until the first build decides
-    /// the indexed path is active — the build re-keys everything anyway.
+    /// Marks a job dirty and touched.
     pub fn mark(&mut self, i: usize) {
-        if self.enabled {
-            self.dirty.push(i as u32);
-            self.touched.push(i as u32);
-        }
+        self.dirty.push(i as u32);
+        self.touched.push(i as u32);
+    }
+
+    /// Jobs `0..n` all marked: a run whose caches and rows start empty.
+    fn all(n: usize) -> Marks {
+        let dirty: Vec<u32> = (0..n as u32).collect();
+        Marks { touched: dirty.clone(), dirty }
     }
 }
 
@@ -180,7 +216,7 @@ pub struct Loop<J> {
     pub makespan: SimTime,
     /// Completed epochs across all jobs — the snapshot cadence counter.
     pub epochs_done: u64,
-    /// Change tracking for the indexed control planes.
+    /// Change tracking: what the next pass re-keys and the next row reports.
     pub marks: Marks,
     /// Jobs that ended since the last drain.
     pub terminals: Terminals,
@@ -223,8 +259,9 @@ pub trait Arbiter: Sized {
     /// Starts a batch run once every job is bound (schedule the arrivals,
     /// or arbitrate at t = 0).
     fn begin(&mut self, lp: &mut Loop<Self::Job>, ext: &mut Self::Ext, policy: Self::Policy);
-    /// Job `i` was just pushed by a streaming admission at `now`: schedule
-    /// what brings it into arbitration and grow the caches in place.
+    /// Job `i` was just pushed (and marked) by a streaming admission at
+    /// `now`: schedule what brings it into arbitration. The next pass
+    /// keys it in like any other marked job.
     fn admit(&mut self, lp: &mut Loop<Self::Job>, ext: &mut Self::Ext, i: usize, now: SimTime);
     /// Job `i`'s epoch completed at `now`: release its grant, observe the
     /// result, record the span, and finish the job if its criterion says so.
@@ -235,9 +272,11 @@ pub trait Arbiter: Sized {
         i: usize,
         now: SimTime,
     );
-    /// Ranks the queue, grants resources and launches epochs.
-    /// `ckpt_candidate` is the job whose epoch completion triggered this
-    /// pass — the only job that can need pausing.
+    /// Ranks the queue, grants resources and launches epochs. The pass
+    /// consumes `marks.dirty`, marks every job whose state or progress it
+    /// changed, and pauses `ckpt_candidate` — the job whose epoch
+    /// completion triggered it, and the only job that can need pausing —
+    /// when it was not re-granted. Debug builds check both after the pass.
     fn arbitrate(
         &mut self,
         lp: &mut Loop<Self::Job>,
@@ -349,13 +388,13 @@ impl<A: Arbiter> Run<A> {
             .filter(|&i| jobs[i as usize].base().core.status.is_terminal())
             .collect();
         let mut lp = Loop {
+            marks: Marks::all(jobs.len()),
             jobs,
             events: EventQueue::new(),
             metrics: WorkloadMetrics::new(),
             rr_cursor: 0,
             makespan: SimTime::ZERO,
             epochs_done: 0,
-            marks: Marks::default(),
             terminals: Terminals(born_terminal),
         };
         sys.begin(&mut lp, &mut ext, policy);
@@ -393,6 +432,7 @@ impl<A: Arbiter> Run<A> {
             self.lp.terminals.0.push(i as u32);
         }
         self.lp.jobs.push(job);
+        self.lp.marks.mark(i);
         sys.admit(&mut self.lp, &mut self.ext, i, now);
         self.specs.push(spec);
         Ok(i)
@@ -478,18 +518,19 @@ impl<A: Arbiter> Run<A> {
         }
 
         sys.arbitrate(lp, ext, self.policy, now, ckpt_candidate);
+        #[cfg(debug_assertions)]
+        check_tracking::<A>(lp, ckpt_candidate);
 
-        let row = |j: &A::Job| (j.base().core.id, A::progress_of(j));
-        if lp.marks.enabled && lp.metrics.snapshot_count() > 0 {
-            // Delta row: only jobs an event or a grant touched can have
-            // moved; the recorder bit-compares and drops the unchanged.
-            let touched = std::mem::take(&mut lp.marks.touched);
-            let candidates: Vec<_> = touched.iter().map(|&id| row(&lp.jobs[id as usize])).collect();
-            lp.metrics.record_snapshot_sparse(now, &candidates);
-        } else {
-            lp.marks.touched.clear();
-            lp.metrics.record_snapshot(now, lp.jobs.iter().map(row).collect());
-        }
+        // Only jobs an event or a pass touched can have moved; the recorder
+        // bit-compares and drops the unchanged. Every job enters a run
+        // marked, so a trace's first row lists them all.
+        let touched = std::mem::take(&mut lp.marks.touched);
+        let row = |&id: &u32| {
+            let job = &lp.jobs[id as usize];
+            (job.base().core.id, A::progress_of(job))
+        };
+        let candidates: Vec<_> = touched.iter().map(row).collect();
+        lp.metrics.record_snapshot_sparse(now, &candidates);
         true
     }
 
@@ -689,9 +730,41 @@ impl<A: Durable> Run<A> {
             cursor("makespan").map(SimTime::from_millis).ok_or_else(|| bad("loop.makespan"))?;
 
         let n_reported = jobs.iter().filter(|j| j.base().core.status.is_terminal()).count();
-        let (marks, terminals) = (Marks::default(), Terminals::default());
+        // Caches are never snapshotted: the first pass keys every job
+        // afresh, and the first row re-reads them all (a job admitted after
+        // the last row has no recorded value yet).
+        let (marks, terminals) = (Marks::all(jobs.len()), Terminals::default());
         let lp = Loop { jobs, events, metrics, rr_cursor, makespan, epochs_done, marks, terminals };
         Ok(Run { policy, specs, lp, ext, n_reported, frozen: RefCell::default() })
+    }
+}
+
+/// The two invariants the tracking protocol rests on, checked after every
+/// pass in debug builds: only the pass's checkpoint candidate can still be
+/// `Active` and resident (an arrival is not resident yet, a crash clears
+/// residency, a grant makes the job `Running`), so pausing it alone pauses
+/// what a scan of every job would; and every job outside `touched` still
+/// reports the progress the recorder last saw, so a row built from
+/// `touched` materializes to the full row.
+#[cfg(debug_assertions)]
+fn check_tracking<A: Arbiter>(lp: &Loop<A::Job>, ckpt_candidate: Option<usize>) {
+    let mut touched = vec![false; lp.jobs.len()];
+    for &i in &lp.marks.touched {
+        touched[i as usize] = true;
+    }
+    for (i, job) in lp.jobs.iter().enumerate() {
+        let base = job.base();
+        debug_assert!(
+            Some(i) == ckpt_candidate || base.core.status != JobStatus::Active || !base.in_memory,
+            "job {i} was left active and resident by a pass it did not trigger"
+        );
+        if !touched[i] {
+            debug_assert_eq!(
+                lp.metrics.last_progress(base.core.id).map(f64::to_bits),
+                Some(A::progress_of(job).to_bits()),
+                "job {i}'s progress moved without a mark"
+            );
+        }
     }
 }
 
@@ -1028,6 +1101,7 @@ mod tests {
             now: SimTime,
             _: Option<usize>,
         ) {
+            lp.marks.dirty.clear();
             for (i, job) in lp.jobs.iter_mut().enumerate() {
                 let base = &mut job.base;
                 if *free == 0 || !base.core.status.is_arbitrable() {

@@ -248,7 +248,7 @@ impl WorkloadMetrics {
 
     /// Records a progress snapshot of the whole workload. `progress` must
     /// list every job (ascending id) — the row is stored fully materialized.
-    pub fn record_snapshot(&mut self, at: SimTime, progress: Vec<(JobId, f64)>) {
+    fn record_snapshot(&mut self, at: SimTime, progress: Vec<(JobId, f64)>) {
         for &(job, p) in &progress {
             self.last.insert(job, p);
         }
@@ -256,14 +256,15 @@ impl WorkloadMetrics {
     }
 
     /// Records a progress row from `candidates` — a superset of the jobs
-    /// whose φ may have changed since the previous row. Unchanged candidates
-    /// (bit-identical φ) are dropped, so the row stores only real movement;
-    /// a first row (empty trace) must therefore pass the full workload.
-    /// Materializes identically to [`record_snapshot`](Self::record_snapshot)
-    /// with the full job list.
+    /// whose φ may have changed since the previous row, in any order and
+    /// possibly repeated. Unchanged candidates (bit-identical φ) are
+    /// dropped, so the row stores only real movement; a first row (empty
+    /// trace) must therefore pass the full workload. Materializes
+    /// identically to a full row listing every job.
     pub fn record_snapshot_sparse(&mut self, at: SimTime, candidates: &[(JobId, f64)]) {
         if self.rows.is_empty() {
-            self.record_snapshot(at, candidates.to_vec());
+            let full: BTreeMap<JobId, f64> = candidates.iter().copied().collect();
+            self.record_snapshot(at, full.into_iter().collect());
             return;
         }
         let mut changed = Vec::new();
@@ -274,6 +275,14 @@ impl WorkloadMetrics {
             }
         }
         self.rows.push(ProgressRow::Delta { at, changed });
+    }
+
+    /// The job's φ as of the latest row (`None` before its first) — what
+    /// a sparse row compares against. Debug builds only: the arbitration
+    /// shell asserts that no unmarked job moved.
+    #[cfg(debug_assertions)]
+    pub fn last_progress(&self, job: JobId) -> Option<f64> {
+        self.last.get(&job).copied()
     }
 
     /// All placement spans, in recording order.

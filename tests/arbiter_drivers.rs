@@ -366,6 +366,10 @@ fn aqp_arrivals(specs: Vec<AqpJobSpec>) -> Vec<(SimTime, AqpJobSpec)> {
     specs.into_iter().map(|spec| (spec.arrival, spec)).collect()
 }
 
+/// Rotary reads the indexed control plane; RoundRobin ranks densely and
+/// carries its cursor through every pass and every snapshot.
+const AQP_STREAM_POLICIES: [AqpPolicy; 2] = [AqpPolicy::Rotary, AqpPolicy::RoundRobin];
+
 #[test]
 fn aqp_streaming_admission_matches_batch_run() {
     let secs = SimTime::from_secs;
@@ -374,8 +378,10 @@ fn aqp_streaming_admission_matches_batch_run() {
         AqpJobSpec::new(QueryId(1), 0.6, secs(900), secs(30)),
         AqpJobSpec::new(QueryId(14), 0.6, secs(1200), secs(70)),
     ];
-    let batch = aqp(false).run(&specs, AqpPolicy::Rotary).unwrap();
-    check_stream(&aqp, &aqp_arrivals(specs), AqpPolicy::Rotary, Some(&batch.states()));
+    for policy in AQP_STREAM_POLICIES {
+        let batch = aqp(false).run(&specs, policy).unwrap();
+        check_stream(&aqp, &aqp_arrivals(specs.clone()), policy, Some(&batch.states()));
+    }
 }
 
 #[test]
@@ -384,7 +390,9 @@ fn aqp_streaming_snapshot_restores_to_identical_outcomes() {
         AqpJobSpec::new(QueryId(6), 0.6, SimTime::from_secs(600), SimTime::ZERO),
         AqpJobSpec::new(QueryId(14), 0.6, SimTime::from_secs(900), SimTime::from_secs(5)),
     ];
-    check_stream_snapshot(&|| aqp(false), &aqp_arrivals(specs), AqpPolicy::Rotary, 40);
+    for policy in AQP_STREAM_POLICIES {
+        check_stream_snapshot(&|| aqp(false), &aqp_arrivals(specs.clone()), policy, 40);
+    }
 }
 
 #[test]
@@ -511,6 +519,10 @@ fn aqp_resume_rejects_mismatched_workload() {
 
 const DLT_POLICY: DltPolicy = DltPolicy::Rotary(Objective::Threshold(0.5));
 
+/// Rotary reads the indexed control plane; SRF ranks densely and carries
+/// its round-robin cursor through every pass and every snapshot.
+const DLT_STREAM_POLICIES: [DltPolicy; 2] = [DLT_POLICY, DltPolicy::Srf];
+
 fn dlt(dense: bool) -> DltSystem {
     DltSystem::new(DltSystemConfig { seed: 5, dense_control_plane: dense, ..Default::default() })
 }
@@ -525,6 +537,9 @@ fn dlt_streaming_admission_at_zero_matches_batch_run() {
     // Admitting the whole workload at t = 0 through the streaming seam
     // must reproduce the batch run exactly: same statuses, same finish
     // times (the Wake events it adds are no-ops).
+    // Not for SRF: its round-robin cursor turns on every pass, the Wakes
+    // included, so its stream is not the batch run; the mid-run test below
+    // streams it.
     let arrivals = dlt_arrivals(6, 3);
     let specs: Vec<DltJobSpec> = arrivals.iter().map(|(_, spec)| spec.clone()).collect();
     let batch = dlt(false).run(&specs, DLT_POLICY);
@@ -536,12 +551,16 @@ fn dlt_mid_run_admission_grows_indexed_caches_consistently() {
     let mut arrivals = dlt_arrivals(5, 7);
     arrivals[3].0 = SimTime::from_secs(120);
     arrivals[4].0 = SimTime::from_secs(600);
-    check_stream(&dlt, &arrivals, DLT_POLICY, None);
+    for policy in DLT_STREAM_POLICIES {
+        check_stream(&dlt, &arrivals, policy, None);
+    }
 }
 
 #[test]
 fn dlt_streaming_snapshot_restores_to_identical_outcomes() {
-    check_stream_snapshot(&|| dlt(false), &dlt_arrivals(4, 13), DLT_POLICY, 30);
+    for policy in DLT_STREAM_POLICIES {
+        check_stream_snapshot(&|| dlt(false), &dlt_arrivals(4, 13), policy, 30);
+    }
 }
 
 #[test]

@@ -3,8 +3,9 @@
 //! overrides): every run terminates with every job in a terminal state and
 //! never panics; fixed chaos plans stay bit-identical across
 //! `ROTARY_THREADS` ∈ {1, 2, 4, 8}; an inert plan — regardless of its
-//! seed — changes nothing at all relative to the fault-free default; and a
-//! durable run's snapshot memo changes no byte of any generation.
+//! seed — changes nothing at all relative to the fault-free default; a
+//! durable run's snapshot memo changes no byte of any generation; and a
+//! baseline-policy run killed at any generation resumes to its plain trace.
 
 use rotary::aqp::{AqpPolicy, AqpSystem, AqpSystemConfig, WorkloadBuilder};
 use rotary::arb::{self, Durable};
@@ -439,6 +440,93 @@ fn snapshot_memo_is_transparent_at_durable_boundaries_under_arbitrary_fault_plan
         let specs = DltWorkloadBuilder::paper().jobs(4).seed(wl_seed).build();
         let policy = DltPolicy::Rotary(Objective::Threshold(0.5));
         check_memo_at_durable_boundary(&dlt, &specs, policy, cadence, &dir);
+    });
+}
+
+/// Runs `specs` under `policy` plainly, then durably — a generation every
+/// `every` completed epochs, killed after generation `halt` and resumed in
+/// a fresh system — and returns both metrics traces. A run too short to
+/// reach the halt completes in its first leg.
+fn plain_and_resumed<A: Durable>(
+    make: &dyn Fn() -> A,
+    specs: &[A::Spec],
+    policy: A::Policy,
+    (every, halt): (u64, u64),
+    dir: &Path,
+    trace: fn(&A::Outcome) -> (WorkloadSummary, String),
+) -> ((WorkloadSummary, String), String)
+where
+    A::BindError: std::fmt::Debug,
+{
+    let plain = trace(&arb::run(&mut make(), specs, policy).unwrap());
+    let _ = std::fs::remove_dir_all(dir);
+    let mut durable = DurableConfig::new(dir, every);
+    durable.halt_after = Some(halt);
+    let resumed = match arb::run_durable(&mut make(), specs, policy, &durable).unwrap() {
+        DurableOutcome::Completed(outcome) => outcome,
+        DurableOutcome::Halted { .. } => {
+            durable.halt_after = None;
+            let outcome = arb::resume_durable(&mut make(), specs, policy, &durable).unwrap();
+            outcome.completed().expect("resume runs to completion")
+        }
+    };
+    let _ = std::fs::remove_dir_all(dir);
+    (plain, trace(&resumed).1)
+}
+
+#[test]
+fn baselines_survive_arbitrary_fault_plans_and_resume_identically() {
+    // The baselines rank densely and keep rank-time state (AQP's cursor
+    // and random estimates, DLT's cursor) yet share the change tracking,
+    // the candidate-only pause and the sparse progress rows with Rotary:
+    // under any plan every job must end, and a run killed at any
+    // generation must resume to the plain run's trace.
+    let dir = temp_store("baselines");
+    check("baseline_chaos", |src| {
+        let config = random_config(src);
+        let wl_seed = src.u64_in(0, 1 << 20);
+        let kill = (src.u64_in(2, 8), src.u64_in(1, 4));
+        let ((summary, plain), resumed, jobs) = if src.bool(0.5) {
+            let policies = [
+                AqpPolicy::Edf,
+                AqpPolicy::Laf,
+                AqpPolicy::RoundRobin,
+                AqpPolicy::RotaryRandomEstimator,
+            ];
+            let policy = *src.pick(&policies);
+            let specs = WorkloadBuilder::paper().jobs(3).seed(wl_seed).build();
+            let make = || {
+                let faults = FaultPlan::new(config.clone());
+                let config =
+                    AqpSystemConfig { seed: wl_seed, threads: 1, faults, ..Default::default() };
+                AqpSystem::new(data(), config)
+            };
+            let trace =
+                |r: &rotary::aqp::AqpRunResult| (r.summary.clone(), r.metrics.to_json().unwrap());
+            let (plain, resumed) = plain_and_resumed(&make, &specs, policy, kill, &dir, trace);
+            (plain, resumed, specs.len())
+        } else {
+            let policy = *src.pick(&[DltPolicy::Srf, DltPolicy::Bcf, DltPolicy::Laf]);
+            let specs = DltWorkloadBuilder::paper().jobs(4).seed(wl_seed).build();
+            let make = || {
+                let faults = FaultPlan::new(config.clone());
+                DltSystem::new(DltSystemConfig {
+                    seed: wl_seed,
+                    threads: 1,
+                    faults,
+                    ..Default::default()
+                })
+            };
+            let trace =
+                |r: &rotary::dlt::DltRunResult| (r.summary.clone(), r.metrics.to_json().unwrap());
+            let (plain, resumed) = plain_and_resumed(&make, &specs, policy, kill, &dir, trace);
+            (plain, resumed, specs.len())
+        };
+        assert_all_terminal(&summary, jobs);
+        assert_eq!(
+            resumed, plain,
+            "a run killed at {kill:?} (every, generation) resumed differently"
+        );
     });
 }
 
