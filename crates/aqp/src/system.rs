@@ -16,7 +16,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use rotary_core::arb::{quantize_log2, DecisionCache, OrdF64, PriorityIndex};
+use rotary_core::arb::{quantize_log2, OrdF64, PriorityIndex};
 use rotary_core::error::RotaryError;
 use rotary_core::estimate::{CurveBasis, EnvelopeDetector, JointCurveEstimator};
 use rotary_core::history::{HistoryRepository, JobRecord};
@@ -139,13 +139,6 @@ pub struct AqpSystemConfig {
     /// Defaults to `ROTARY_THREADS` (1 when unset); every metric is
     /// bit-identical across values.
     pub threads: usize,
-    /// Ranks the Rotary and Relaqs queues with the dense full re-sort per
-    /// event that the baselines use, instead of the incrementally
-    /// maintained priority index and decision memo. The two paths are
-    /// proven byte-equivalent by the property suite; this switch exists so
-    /// whole-run equivalence stays testable and as an escape hatch while
-    /// profiling.
-    pub dense_control_plane: bool,
 }
 
 impl Default for AqpSystemConfig {
@@ -163,7 +156,6 @@ impl Default for AqpSystemConfig {
             seed: 0,
             faults: FaultPlan::from_env(),
             threads: rotary_par::configured_threads(),
-            dense_control_plane: false,
         }
     }
 }
@@ -295,6 +287,11 @@ impl RunJob<'_> {
     fn deadline_at(&self) -> SimTime {
         self.spec.arrival + self.spec.deadline
     }
+
+    /// Arrived and unfinished: in the queue Q_t, running or not.
+    fn is_alive(&self) -> bool {
+        !self.base.core.status.is_terminal() && self.base.core.status != JobStatus::Pending
+    }
 }
 
 /// The AQP-specific half of a run, next to the shared [`Loop`].
@@ -318,26 +315,15 @@ enum Feasibility {
     Never,
 }
 
-/// The inputs an arbitration pass reads besides per-job state. When neither
-/// any job nor this fingerprint changed since the previous pass, re-running
-/// arbitration would grant nothing — the pass is skipped entirely.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-struct AqpFingerprint {
-    free_threads: u32,
-    free_memory_mb: u64,
-    spike: u64,
-    resident_mb: u64,
-}
-
 /// Incrementally maintained control-plane caches for the Rotary and Relaqs
 /// policies: a standing priority order (split by feasibility), exact integer
-/// fleet sums behind the cold-start average, a queue of scheduled
-/// feasibility flip times, and decision memoization. The jobs the shared
-/// change tracking marked dirty (an event, an admission, a launch) are
-/// re-keyed at the next arbitration, and a job index seen for the first
-/// time grows the caches; everything else keeps its cached key, making one
-/// epoch's control-plane cost O(changes × log n) instead of O(n log n).
-/// The other policies leave the caches empty.
+/// fleet sums behind the cold-start average, and a queue of scheduled
+/// feasibility flip times. The jobs the shared change tracking marked dirty
+/// (an event, an admission, a launch) are re-keyed at the next arbitration,
+/// and a job index seen for the first time grows the caches; everything
+/// else keeps its cached key, making one epoch's control-plane cost
+/// O(changes × log n) instead of O(n log n). The other policies leave the
+/// caches empty.
 #[derive(Debug, Default)]
 struct AqpArbCaches {
     /// Standing priority order over feasible arbitrable jobs.
@@ -363,8 +349,6 @@ struct AqpArbCaches {
     sum_epochs: u64,
     /// Quantized fleet-average epoch duration the cold set is keyed on.
     avg_bucket: f64,
-    /// Decision memoization over the non-job arbitration inputs.
-    memo: DecisionCache<AqpFingerprint>,
 }
 
 /// The multi-tenant AQP system bound to one dataset.
@@ -884,8 +868,7 @@ impl<'a> AqpSystem<'a> {
             arb.contrib.resize(i + 1, (0, 0));
         }
         let j = &jobs[i];
-        let alive = !j.base.core.status.is_terminal() && j.base.core.status != JobStatus::Pending;
-        let new = if alive {
+        let new = if j.is_alive() {
             (j.base.core.service_time.as_millis(), j.base.core.epochs_run)
         } else {
             (0, 0)
@@ -914,8 +897,7 @@ impl<'a> AqpSystem<'a> {
     ) {
         let id = i as u32;
         let j = &jobs[i];
-        let alive = !j.base.core.status.is_terminal() && j.base.core.status != JobStatus::Pending;
-        if !alive {
+        if !j.is_alive() {
             arb.feasible.remove(id);
             arb.infeasible.remove(id);
             arb.cold.remove(&id);
@@ -969,12 +951,10 @@ impl<'a> AqpSystem<'a> {
 
     /// The indexed control plane's replacement for the alive filter +
     /// [`rank`](Self::rank): applies queued feasibility flips, re-keys
-    /// dirty jobs, refreshes the fleet average, consults the decision memo,
-    /// and walks the standing order lazily — only as far as the two-pass
-    /// allocator can possibly look. Returns `None` when the pass is
-    /// memoized away (or nothing is alive), which skips arbitration
-    /// entirely.
-    #[allow(clippy::too_many_arguments)]
+    /// dirty jobs, refreshes the fleet average, and walks the standing
+    /// order lazily — only as far as the two-pass allocator can possibly
+    /// look. Empty when nothing is alive or the pool has no thread. Debug
+    /// builds hold the walk to the dense `rank` of every alive job.
     fn indexed_ranked(
         &self,
         arb: &mut AqpArbCaches,
@@ -982,10 +962,7 @@ impl<'a> AqpSystem<'a> {
         jobs: &[RunJob<'_>],
         now: SimTime,
         policy: AqpPolicy,
-        pool: &CpuPool,
-        material: &MaterializationManager,
-        spike: u64,
-    ) -> Option<Vec<usize>> {
+    ) -> Vec<usize> {
         // Feasibility flips that came due strictly before this instant (a
         // job stays feasible *through* its flip time).
         let mut flipped: Vec<u32> = Vec::new();
@@ -1002,27 +979,7 @@ impl<'a> AqpSystem<'a> {
             Self::update_contrib(arb, jobs, id as usize);
         }
         let avg = Self::fleet_avg_epoch_secs(arb.sum_service_ms, arb.sum_epochs);
-        let bucket_moved = avg.to_bits() != arb.avg_bucket.to_bits();
-        // Decision memoization: no job changed, no feasibility flip came
-        // due, the fleet average sits on the same grid point (the priority
-        // keys are clock-free, so the standing order is exactly the one the
-        // previous pass ranked), and the pool/materialization/pressure
-        // fingerprint matches the state that pass left behind. Re-running
-        // arbitration would then reproduce its own fixpoint — grant nothing
-        // and pause nothing — so skip it (DESIGN.md §13 has the soundness
-        // argument).
-        if dirty.is_empty() && flipped.is_empty() && !bucket_moved {
-            let fp = AqpFingerprint {
-                free_threads: pool.free_threads(),
-                free_memory_mb: pool.free_memory_mb(),
-                spike,
-                resident_mb: material.resident_mb(),
-            };
-            if arb.memo.hit(&fp) {
-                return None;
-            }
-        }
-        if bucket_moved {
+        if avg.to_bits() != arb.avg_bucket.to_bits() {
             arb.avg_bucket = avg;
             // Only cold jobs key off the fleet average; re-key exactly them.
             let cold: Vec<u32> = arb.cold.iter().copied().collect();
@@ -1043,20 +1000,38 @@ impl<'a> AqpSystem<'a> {
         let mut threads_left = self.config.pool.threads;
         let mut mem_left = self.config.pool.memory_mb;
         for (_, id) in arb.feasible.iter().chain(arb.infeasible.iter()) {
+            if threads_left == 0 {
+                break;
+            }
             let i = id as usize;
             ranked.push(i);
             if jobs[i].memory_mb <= mem_left {
                 mem_left -= jobs[i].memory_mb;
                 threads_left -= 1;
-                if threads_left == 0 {
-                    break;
-                }
             }
         }
-        if ranked.is_empty() {
-            return None;
-        }
-        Some(ranked)
+        #[cfg(debug_assertions)]
+        self.check_prefix(jobs, &ranked, now, policy);
+        ranked
+    }
+
+    /// The indexed plane's reference: the lazy prefix is the same-length
+    /// prefix of the dense `rank` over every alive job, and the allocator
+    /// targets the same grants from either. Pure — a fresh cursor and
+    /// estimator (neither policy with a standing order reads them).
+    #[cfg(debug_assertions)]
+    fn check_prefix(&self, jobs: &[RunJob<'_>], ranked: &[usize], now: SimTime, policy: AqpPolicy) {
+        let alive: Vec<usize> = (0..jobs.len()).filter(|&i| jobs[i].is_alive()).collect();
+        let dense = self.rank(jobs, alive, now, policy, &mut RandomEstimator::new(0), &mut 0);
+        assert!(
+            dense.starts_with(ranked),
+            "indexed prefix {ranked:?} is not a prefix of the dense rank {dense:?} at {now:?}"
+        );
+        assert_eq!(
+            self.target_allocation(jobs, ranked, policy),
+            self.target_allocation(jobs, &dense, policy),
+            "the indexed prefix changed the allocator's targets at {now:?}"
+        );
     }
 }
 
@@ -1250,37 +1225,26 @@ impl<'a> Arbiter for AqpSystem<'a> {
         let Loop { jobs, events, metrics, rr_cursor, marks, terminals, .. } = lp;
         let AqpRunExt { pool, material, random_est, arb } = ext;
         // Injected transient memory pressure shrinks what the arbiter may
-        // hand out for the duration of the current pressure slot. Computed
-        // up front because it is part of the decision fingerprint.
+        // hand out for the duration of the current pressure slot.
         let spike = self.config.faults.memory_pressure_mb(now);
         let dirty = std::mem::take(&mut marks.dirty);
-        // Rotary and ReLAQS read a standing order. EDF keys are already
-        // cheap; LAF/RoundRobin/RandomEstimator mutate rank-time state
-        // (cursor, RNG draws), which memoization must not skip — they, and
-        // the `dense_control_plane` oracle, re-rank every pass.
-        let indexed = !self.config.dense_control_plane
-            && matches!(policy, AqpPolicy::Rotary | AqpPolicy::Relaqs);
         // The queue Q_t: every arrived, unfinished job — including running
         // ones, whose grants are re-evaluated at their epoch boundaries.
-        let ranked: Vec<usize> = if indexed {
-            match self.indexed_ranked(arb, &dirty, jobs, now, policy, pool, material, spike) {
-                Some(r) => r,
-                None => return,
-            }
+        // Rotary and ReLAQS read a standing order. EDF keys are already
+        // cheap; LAF/RoundRobin/RandomEstimator mutate rank-time state
+        // (cursor, RNG draws) and re-rank every pass.
+        let ranked: Vec<usize> = if matches!(policy, AqpPolicy::Rotary | AqpPolicy::Relaqs) {
+            self.indexed_ranked(arb, &dirty, jobs, now, policy)
         } else {
-            let alive: Vec<usize> = jobs
-                .iter()
-                .enumerate()
-                .filter(|(_, j)| {
-                    !j.base.core.status.is_terminal() && j.base.core.status != JobStatus::Pending
-                })
-                .map(|(i, _)| i)
-                .collect();
+            let alive: Vec<usize> = (0..jobs.len()).filter(|&i| jobs[i].is_alive()).collect();
             if alive.is_empty() {
                 return;
             }
             self.rank(jobs, alive, now, policy, random_est, rr_cursor)
         };
+        if ranked.is_empty() {
+            return;
+        }
         let target = self.target_allocation(jobs, &ranked, policy);
 
         // Enforce the target for jobs that are free to (re)start now; the
@@ -1453,14 +1417,6 @@ impl<'a> Arbiter for AqpSystem<'a> {
         for &i in &finished_early {
             marks.mark(i);
         }
-        if indexed {
-            arb.memo.store(AqpFingerprint {
-                free_threads: pool.free_threads(),
-                free_memory_mb: pool.free_memory_mb(),
-                spike,
-                resident_mb: material.resident_mb(),
-            });
-        }
     }
 
     /// The per-job value reported in progress snapshots.
@@ -1611,30 +1567,63 @@ mod tests {
         }
     }
 
+    /// The per-pass check has teeth: a standing key that no longer matches
+    /// its job reorders the lazy prefix, and a debug build refuses the pass.
+    #[cfg(debug_assertions)]
     #[test]
-    fn dense_and_indexed_control_planes_match() {
-        // The retired dense (full re-sort) control plane and the indexed
-        // one must produce byte-identical runs: the progress-metrics JSON
-        // captures every snapshot row of every job, so byte equality there
-        // pins ranking, grants, epoch sizing, and event timing at once.
+    #[should_panic(expected = "is not a prefix of the dense rank")]
+    fn a_corrupted_standing_key_fails_the_pass() {
         let data = small_data();
-        let specs = WorkloadBuilder::paper().jobs(10).seed(11).build();
-        for policy in [AqpPolicy::Rotary, AqpPolicy::Relaqs] {
-            let mut dense_sys = AqpSystem::new(
-                &data,
-                AqpSystemConfig { dense_control_plane: true, ..quick_config() },
-            );
-            let dense = dense_sys.run(&specs, policy).unwrap();
-            let mut indexed_sys = AqpSystem::new(&data, quick_config());
-            let indexed = indexed_sys.run(&specs, policy).unwrap();
-            assert_eq!(dense.makespan, indexed.makespan, "{}", policy.name());
-            assert_eq!(dense.summary, indexed.summary, "{}", policy.name());
-            assert_eq!(
-                dense.metrics.to_json().expect("metrics json"),
-                indexed.metrics.to_json().expect("metrics json"),
-                "{}: metrics diverged",
-                policy.name()
-            );
+        let mut sys = AqpSystem::new(&data, quick_config());
+        let policy = AqpPolicy::Rotary;
+        let specs = WorkloadBuilder::paper().jobs(4).seed(5).build();
+        let mut ext = sys.open(policy);
+        let jobs = specs
+            .iter()
+            .enumerate()
+            .map(|(i, spec)| sys.bind(&mut ext, i, spec, policy, SimTime::ZERO).unwrap())
+            .collect();
+        let mut lp = Loop {
+            jobs,
+            events: rotary_sim::EventQueue::new(),
+            metrics: WorkloadMetrics::new(),
+            rr_cursor: 0,
+            makespan: SimTime::ZERO,
+            epochs_done: 0,
+            marks: arb::Marks::default(),
+            terminals: arb::Terminals::default(),
+        };
+        for i in 0..lp.jobs.len() {
+            lp.jobs[i].base.core.status = JobStatus::Active;
+            lp.marks.mark(i);
+        }
+        // The first pass launches every job; the second re-keys them.
+        sys.arbitrate(&mut lp, &mut ext, policy, SimTime::ZERO, None);
+        sys.arbitrate(&mut lp, &mut ext, policy, SimTime::ZERO, None);
+        assert!(lp.marks.dirty.is_empty() && ext.arb.feasible.len() >= 2);
+        // A NaN key sinks the head of the order below every other job.
+        let (_, first) = ext.arb.feasible.iter().next().unwrap();
+        ext.arb.feasible.upsert(first, OrdF64::new(f64::NAN));
+        sys.arbitrate(&mut lp, &mut ext, policy, SimTime::ZERO, None);
+    }
+
+    #[test]
+    fn a_pool_without_threads_misses_every_deadline() {
+        let data = small_data();
+        let pool = CpuPoolSpec { threads: 0, memory_mb: 64 * 1024 };
+        let specs = WorkloadBuilder::paper().jobs(4).seed(5).build();
+        for policy in [AqpPolicy::Rotary, AqpPolicy::Relaqs, AqpPolicy::Edf] {
+            let mut sys = AqpSystem::new(&data, AqpSystemConfig { pool, ..quick_config() });
+            let result = sys.run(&specs, policy).unwrap();
+            for (spec, state) in &result.jobs {
+                assert_eq!(
+                    state.status,
+                    JobStatus::DeadlineMissed,
+                    "{} {}",
+                    policy.name(),
+                    spec.query
+                );
+            }
         }
     }
 

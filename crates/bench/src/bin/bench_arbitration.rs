@@ -10,9 +10,10 @@
 //! `ln(cost_100k / cost_1k) / ln(100)` and fails — in every mode — unless
 //! both systems stay sub-linear (exponent below [`SUBLINEAR_CEILING`]).
 //! A full per-epoch re-sort would put the exponent near 1; the indexed
-//! control plane (incremental refits, priority indexes, decision
-//! memoization) keeps per-event cost near-flat, so the exponent hovers
-//! around 0.
+//! control plane (incremental refits, priority indexes) keeps per-event
+//! cost near-flat, so the exponent hovers around 0. Measure release
+//! builds only: debug builds check every indexed pass against a full
+//! re-sort.
 //!
 //! Two more costs sit on the serve path beside the event step, and each gets
 //! the same treatment (keys, exponent, ceiling): **admission** into a run

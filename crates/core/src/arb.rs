@@ -1,5 +1,6 @@
-//! Control-plane arbitration primitives: total-order float keys, an
-//! incrementally maintained priority index, and decision memoization.
+//! Control-plane arbitration primitives: total-order float keys, a
+//! logarithmic grid for fleet-level inputs, and an incrementally maintained
+//! priority index.
 //!
 //! Production-scale arbitration (ROADMAP: 100k concurrent jobs) makes the
 //! per-epoch control-plane cost itself the hot path. The arbitration loops
@@ -9,13 +10,14 @@
 //! *standing* between events instead, in the spirit of Execution Templates'
 //! validate-and-patch: a job's key is recomputed only when one of its inputs
 //! changed, and the ordered structure absorbs that single update in
-//! O(log n).
+//! O(log n). Each system keeps its dense re-sort as the reference, and in
+//! debug builds every pass that reads a standing order asserts that order
+//! against it.
 //!
 //! Everything is deterministic and zero-dependency: the index is a
-//! `BTreeSet` over `(key, id)` pairs, the key is a [total order over
+//! `BTreeSet` over `(key, id)` pairs, and the key is a [total order over
 //! f64](OrdF64) (so `NaN` cannot panic a comparator — the historical
-//! `partial_cmp(..).unwrap()` sites are replaced by this type), and the
-//! memo cache is a plain fingerprint comparison with no hashing involved.
+//! `partial_cmp(..).unwrap()` sites are replaced by this type).
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -150,44 +152,6 @@ impl<K: Ord + Copy> PriorityIndex<K> {
     }
 }
 
-/// Memoizes the previous arbitration decision behind a caller-built
-/// fingerprint.
-///
-/// The fingerprint must capture *every* input the arbitration pass reads:
-/// whichever job states changed (callers pass a dirty-set-empty flag), pool
-/// occupancy, transient memory pressure, and any fleet-level estimator
-/// inputs. When the fingerprint matches the one stored after the previous
-/// pass, re-running the pass would reproduce it verbatim and grant nothing
-/// new — so the caller skips it entirely. No hashing: the fingerprint is
-/// compared field-for-field, so a hit can never be a collision.
-#[derive(Debug, Clone)]
-pub struct DecisionCache<F: PartialEq> {
-    last: Option<F>,
-}
-
-impl<F: PartialEq> Default for DecisionCache<F> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<F: PartialEq> DecisionCache<F> {
-    /// An empty cache (first check always misses).
-    pub fn new() -> Self {
-        DecisionCache { last: None }
-    }
-
-    /// Whether `fingerprint` matches the stored post-decision state.
-    pub fn hit(&self, fingerprint: &F) -> bool {
-        self.last.as_ref() == Some(fingerprint)
-    }
-
-    /// Stores the fingerprint captured *after* an arbitration pass ran.
-    pub fn store(&mut self, fingerprint: F) {
-        self.last = Some(fingerprint);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -253,14 +217,5 @@ mod tests {
         }
         let order: Vec<u32> = idx.iter().map(|(_, id)| id).collect();
         assert_eq!(order, vec![1, 3, 5, 9]);
-    }
-
-    #[test]
-    fn decision_cache_round_trip() {
-        let mut cache: DecisionCache<(u32, u64)> = DecisionCache::new();
-        assert!(!cache.hit(&(1, 2)));
-        cache.store((1, 2));
-        assert!(cache.hit(&(1, 2)));
-        assert!(!cache.hit(&(1, 3)));
     }
 }

@@ -35,13 +35,6 @@ pub enum RotaryError {
     },
     /// A job referenced by id does not exist in the system.
     UnknownJob(u64),
-    /// A job cannot fit on any available resource.
-    ResourceExhausted {
-        /// Memory the job was estimated to need, in megabytes.
-        requested_mb: u64,
-        /// Largest amount any single resource could offer, in megabytes.
-        available_mb: u64,
-    },
     /// An invalid configuration value was supplied.
     InvalidConfig(String),
     /// History-repository persistence failed.
@@ -106,18 +99,13 @@ impl fmt::Display for RotaryError {
             RotaryError::Parse { input, message } => {
                 write!(f, "failed to parse completion criterion {input:?}: {message}")
             }
-            RotaryError::InsufficientData { estimator, have, need } => write!(
-                f,
-                "estimator {estimator} needs at least {need} observation(s), has {have}"
-            ),
+            RotaryError::InsufficientData { estimator, have, need } => {
+                write!(f, "estimator {estimator} needs at least {need} observation(s), has {have}")
+            }
             RotaryError::PlanBind { plan, message } => {
                 write!(f, "failed to bind plan {plan}: {message}")
             }
             RotaryError::UnknownJob(id) => write!(f, "unknown job id {id}"),
-            RotaryError::ResourceExhausted { requested_mb, available_mb } => write!(
-                f,
-                "job needs {requested_mb} MB but the largest available resource offers {available_mb} MB"
-            ),
             RotaryError::InvalidConfig(msg) => write!(f, "invalid configuration: {msg}"),
             RotaryError::Persistence(msg) => write!(f, "history persistence failed: {msg}"),
             RotaryError::CheckpointFailed { job, operation } => {
@@ -127,10 +115,9 @@ impl fmt::Display for RotaryError {
                 f,
                 "job {job} lost epoch {epoch} (attempt {attempts}); rolling back to last checkpoint"
             ),
-            RotaryError::RetriesExhausted { job, epoch, attempts } => write!(
-                f,
-                "job {job} exhausted {attempts} attempts at epoch {epoch}; giving up"
-            ),
+            RotaryError::RetriesExhausted { job, epoch, attempts } => {
+                write!(f, "job {job} exhausted {attempts} attempts at epoch {epoch}; giving up")
+            }
             RotaryError::SnapshotCorrupt { detail } => {
                 write!(f, "snapshot failed validation: {detail}")
             }
@@ -141,10 +128,9 @@ impl fmt::Display for RotaryError {
             RotaryError::SnapshotMismatch { detail } => {
                 write!(f, "snapshot does not belong to this system: {detail}")
             }
-            RotaryError::Stalled { site, outstanding } => write!(
-                f,
-                "{site} stopped making progress with {outstanding} ticket(s) outstanding"
-            ),
+            RotaryError::Stalled { site, outstanding } => {
+                write!(f, "{site} stopped making progress with {outstanding} ticket(s) outstanding")
+            }
         }
     }
 }
@@ -185,13 +171,6 @@ impl RotaryError {
                 vec![("plan", Json::Str(plan.clone())), ("message", Json::Str(message.clone()))],
             ),
             RotaryError::UnknownJob(id) => kind("unknown-job", vec![("job", u64_json(*id))]),
-            RotaryError::ResourceExhausted { requested_mb, available_mb } => kind(
-                "resource-exhausted",
-                vec![
-                    ("requested_mb", u64_json(*requested_mb)),
-                    ("available_mb", u64_json(*available_mb)),
-                ],
-            ),
             RotaryError::InvalidConfig(msg) => {
                 kind("invalid-config", vec![("message", Json::Str(msg.clone()))])
             }
@@ -257,10 +236,6 @@ impl RotaryError {
             }),
             "plan-bind" => Some(RotaryError::PlanBind { plan: s("plan")?, message: s("message")? }),
             "unknown-job" => Some(RotaryError::UnknownJob(u("job")?)),
-            "resource-exhausted" => Some(RotaryError::ResourceExhausted {
-                requested_mb: u("requested_mb")?,
-                available_mb: u("available_mb")?,
-            }),
             "invalid-config" => Some(RotaryError::InvalidConfig(s("message")?)),
             "persistence" => Some(RotaryError::Persistence(s("message")?)),
             "checkpoint-failed" => Some(RotaryError::CheckpointFailed {
@@ -334,9 +309,6 @@ mod tests {
         let e = RotaryError::InsufficientData { estimator: "wlr", have: 1, need: 2 };
         assert!(e.to_string().contains("wlr"));
 
-        let e = RotaryError::ResourceExhausted { requested_mb: 9000, available_mb: 8192 };
-        assert!(e.to_string().contains("9000"));
-
         let e = RotaryError::PlanBind { plan: "q6".into(), message: "unknown alias o".into() };
         let s = e.to_string();
         assert!(s.contains("q6") && s.contains("unknown alias o"), "{s}");
@@ -380,7 +352,6 @@ mod tests {
             RotaryError::InsufficientData { estimator: "wlr", have: 1, need: 2 },
             RotaryError::PlanBind { plan: "q6".into(), message: "unknown alias".into() },
             RotaryError::UnknownJob(u64::MAX),
-            RotaryError::ResourceExhausted { requested_mb: 1 << 60, available_mb: 8192 },
             RotaryError::InvalidConfig("bad bandwidth".into()),
             RotaryError::Persistence("disk full".into()),
             RotaryError::CheckpointFailed { job: 7, operation: "restore" },

@@ -15,7 +15,7 @@
 
 use std::collections::BTreeSet;
 
-use rotary_core::arb::{DecisionCache, OrdF64, PriorityIndex};
+use rotary_core::arb::{OrdF64, PriorityIndex};
 use rotary_core::criteria::{CompletionCriterion, CriterionCheck};
 use rotary_core::estimate::JointCurveEstimator;
 use rotary_core::history::HistoryRepository;
@@ -105,12 +105,6 @@ pub struct DltSystemConfig {
     /// default) keeps the arbitration loop free of wall-clock reads; the
     /// Table III harness installs `rotary_bench::timing::monotonic_probe`.
     pub overhead_probe: Option<crate::estimators::ProbeClock>,
-    /// Ranks the Rotary queue with the dense full re-sort per event that
-    /// the baselines use, instead of the incrementally maintained priority
-    /// index and decision memo. The two paths are proven byte-equivalent by
-    /// the property suite; this switch keeps whole-run equivalence
-    /// testable.
-    pub dense_control_plane: bool,
 }
 
 impl Default for DltSystemConfig {
@@ -123,7 +117,6 @@ impl Default for DltSystemConfig {
             faults: FaultPlan::from_env(),
             threads: rotary_par::configured_threads(),
             overhead_probe: None,
-            dense_control_plane: false,
         }
     }
 }
@@ -244,21 +237,12 @@ pub struct DltRunExt {
     arb: DltArbCaches,
 }
 
-/// The non-job inputs a DLT arbitration pass reads. Matching the state the
-/// previous pass left behind (with no job dirtied since) proves re-running
-/// the pass would place nothing.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-struct DltFingerprint {
-    free_devices: Vec<usize>,
-    spike: u64,
-}
-
 /// Incrementally maintained control-plane caches for the Rotary-DLT
 /// threshold policy: the trial FIFO, standing fairness- and
 /// efficiency-phase orders (both maintained at once — the phase flip just
-/// selects which to read), a counter-based phase predicate, and decision
-/// memoization. Each pass re-keys the jobs the shared change tracking
-/// marked dirty; a job index seen for the first time grows the predicate.
+/// selects which to read), and a counter-based phase predicate. Each pass
+/// re-keys the jobs the shared change tracking marked dirty; a job index
+/// seen for the first time grows the predicate.
 /// Baselines (SRF/BCF/LAF) mutate rank-time state (the round-robin cursor)
 /// and re-rank every pass, leaving the caches empty.
 #[derive(Debug, Default)]
@@ -282,8 +266,6 @@ struct DltArbCaches {
     /// Jobs currently satisfying the predicate; the efficiency phase holds
     /// iff this equals the job count (Algorithm 3's phase switch).
     n_satisfied: usize,
-    /// Decision memoization over the non-job inputs.
-    memo: DecisionCache<DltFingerprint>,
 }
 
 /// The Rotary-DLT system.
@@ -449,7 +431,7 @@ impl DltSystem {
     #[allow(clippy::too_many_arguments)]
     fn rank(
         &self,
-        jobs: &mut [RunJob],
+        jobs: &[RunJob],
         indices: Vec<usize>,
         now: SimTime,
         policy: DltPolicy,
@@ -606,6 +588,48 @@ impl DltSystem {
             arb.eff.upsert(id, (OrdF64::new(-phi_hat), j.base.core.arrival));
             arb.eff_dynamic.remove(&id);
         }
+    }
+
+    /// The standing order for the current phase: the trial FIFO, then the
+    /// fairness order, or in the efficiency phase the standing efficiency
+    /// order merged with the clock-dependent jobs keyed fresh at `now`.
+    fn standing_order<'a>(
+        arb: &'a DltArbCaches,
+        jobs: &[RunJob],
+        now: SimTime,
+        meter: &mut OverheadMeter,
+    ) -> impl Iterator<Item = usize> + 'a {
+        let efficiency = arb.n_satisfied == jobs.len();
+        // Clock-dependent φ̂ keys cannot stand in the index.
+        let mut dyn_keyed: Vec<((OrdF64, SimTime), u32)> = Vec::new();
+        if efficiency {
+            dyn_keyed.extend(arb.eff_dynamic.iter().map(|&id| {
+                let j = &jobs[id as usize];
+                let phi_hat = Self::progress_at(j, j.base.core.epochs_run + 1, None, now, meter);
+                ((OrdF64::new(-phi_hat), j.base.core.arrival), id)
+            }));
+            dyn_keyed.sort_unstable();
+        }
+        let eff = efficiency.then(|| Self::merge_orders(arb.eff.iter(), dyn_keyed.into_iter()));
+        let fair = (!efficiency).then(|| arb.fair.iter().map(|(_, id)| id as usize));
+        arb.trial
+            .iter()
+            .map(|&id| id as usize)
+            .chain(eff.into_iter().flatten())
+            .chain(fair.into_iter().flatten())
+    }
+
+    /// The indexed plane's reference: the standing order equals the dense
+    /// `rank` over every arbitrable job. Pure — its own inert meter and a
+    /// fresh cursor, so a debug build cannot drift from release.
+    #[cfg(debug_assertions)]
+    fn check_order(&self, arb: &DltArbCaches, jobs: &[RunJob], now: SimTime, policy: DltPolicy) {
+        let meter = &mut OverheadMeter::default();
+        let standing: Vec<usize> = Self::standing_order(arb, jobs, now, meter).collect();
+        let arbitrable: Vec<usize> =
+            (0..jobs.len()).filter(|&i| jobs[i].base.core.status.is_arbitrable()).collect();
+        let dense = self.rank(jobs, arbitrable, now, policy, meter, &mut 0);
+        assert_eq!(standing, dense, "the standing order diverged from the dense rank at {now:?}");
     }
 
     /// Merges two ascending `((key, arrival), id)` streams into one
@@ -903,9 +927,8 @@ impl Arbiter for DltSystem {
 
     /// One pass for every policy; only the order differs. Rotary-DLT reads
     /// its standing order for the current phase after re-keying the dirty
-    /// jobs, and memoizes the decision when nothing changed; the baselines
-    /// (whose round-robin cursor moves per pass) and the
-    /// `dense_control_plane` oracle re-rank every arbitrable job.
+    /// jobs (debug builds hold it to the dense `rank`); the baselines, whose
+    /// round-robin cursor moves per pass, re-rank every arbitrable job.
     fn arbitrate(
         &mut self,
         lp: &mut Loop<RunJob>,
@@ -920,11 +943,7 @@ impl Arbiter for DltSystem {
         let Loop { jobs, events, metrics, rr_cursor, marks, .. } = lp;
         let DltRunExt { pool, meter, arb, .. } = ext;
         let dirty = std::mem::take(&mut marks.dirty);
-        let indexed = match policy {
-            DltPolicy::Rotary(objective) if !self.config.dense_control_plane => Some(objective),
-            _ => None,
-        };
-        let (placed, oom) = if let Some(objective) = indexed {
+        let (placed, oom) = if let DltPolicy::Rotary(objective) = policy {
             let threshold = objective.threshold();
             for &id in &dirty {
                 Self::dlt_refresh_job(arb, jobs, id as usize, threshold, now, meter);
@@ -935,40 +954,10 @@ impl Arbiter for DltSystem {
             if arb.trial.is_empty() && arb.fair.is_empty() {
                 return;
             }
-            // Decision memo. Only consulted at zero pressure: a hit while a
-            // spike is active would skip re-scheduling the wake at the next
-            // pressure-slot boundary and the queue could drain with jobs
-            // still blocked. At spike == 0 the previous identical pass
-            // proved every queued job unplaceable, and the wake tail is a
-            // no-op anyway.
-            if dirty.is_empty() && spike == 0 {
-                let fingerprint = DltFingerprint { free_devices: pool.free_devices(), spike };
-                if arb.memo.hit(&fingerprint) {
-                    return;
-                }
-            }
-            let trial = arb.trial.iter().map(|&id| id as usize);
-            if arb.n_satisfied == jobs.len() {
-                // Efficiency phase. Clock-dependent φ̂ keys cannot stand in
-                // the index; key them fresh and merge with the standing
-                // order.
-                let mut dyn_keyed: Vec<((OrdF64, SimTime), u32)> = arb
-                    .eff_dynamic
-                    .iter()
-                    .map(|&id| {
-                        let j = &jobs[id as usize];
-                        let phi_hat =
-                            Self::progress_at(j, j.base.core.epochs_run + 1, None, now, meter);
-                        ((OrdF64::new(-phi_hat), j.base.core.arrival), id)
-                    })
-                    .collect();
-                dyn_keyed.sort_unstable();
-                let order = trial.chain(Self::merge_orders(arb.eff.iter(), dyn_keyed.into_iter()));
-                self.place_jobs(jobs, order, now, pool, events, metrics, spike)
-            } else {
-                let order = trial.chain(arb.fair.iter().map(|(_, id)| id as usize));
-                self.place_jobs(jobs, order, now, pool, events, metrics, spike)
-            }
+            #[cfg(debug_assertions)]
+            self.check_order(arb, jobs, now, policy);
+            let order = Self::standing_order(arb, jobs, now, meter);
+            self.place_jobs(jobs, order, now, pool, events, metrics, spike)
         } else {
             let arbitrable: Vec<usize> = jobs
                 .iter()
@@ -993,9 +982,6 @@ impl Arbiter for DltSystem {
         // replica off the critical path, so only the failure is recorded.
         if let Some(i) = ckpt_candidate {
             jobs[i].base.pause_if_idle(&self.config.faults, metrics);
-        }
-        if indexed.is_some() {
-            arb.memo.store(DltFingerprint { free_devices: pool.free_devices(), spike });
         }
         self.schedule_wake_if_blocked(jobs, now, pool, events, spike);
     }
@@ -1304,27 +1290,48 @@ mod tests {
         assert_eq!(r.summary.unfinished, 0);
     }
 
+    /// The per-pass check has teeth: a standing fairness key that no
+    /// longer matches its job's progress reorders the pass, and a debug
+    /// build refuses it.
+    #[cfg(debug_assertions)]
     #[test]
-    fn dense_and_indexed_control_planes_match() {
-        let specs = DltWorkloadBuilder::paper().jobs(10).seed(21).build();
-        for objective in [Objective::Threshold(0.5), Objective::Fairness, Objective::Efficiency] {
-            let policy = DltPolicy::Rotary(objective);
-            let mut dense_sys =
-                DltSystem::new(DltSystemConfig { dense_control_plane: true, ..quick() });
-            dense_sys.prepopulate_history(&specs, 77);
-            let dense = dense_sys.run(&specs, policy);
-            let mut indexed_sys = DltSystem::new(quick());
-            indexed_sys.prepopulate_history(&specs, 77);
-            let indexed = indexed_sys.run(&specs, policy);
-            assert_eq!(dense.makespan, indexed.makespan, "{}", policy.name());
-            assert_eq!(dense.summary, indexed.summary, "{}", policy.name());
-            assert_eq!(
-                dense.metrics.to_json().expect("metrics json"),
-                indexed.metrics.to_json().expect("metrics json"),
-                "{} traces must be byte-identical",
-                policy.name()
-            );
+    #[should_panic(expected = "the standing order diverged from the dense rank")]
+    fn a_corrupted_standing_key_fails_the_pass() {
+        let policy = DltPolicy::Rotary(Objective::Fairness);
+        let specs = DltWorkloadBuilder::paper().jobs(8).seed(3).build();
+        let mut sys = DltSystem::new(quick());
+        let mut ext = sys.open(policy);
+        let jobs = specs
+            .iter()
+            .enumerate()
+            .map(|(i, spec)| sys.bind(&mut ext, i, spec, policy, SimTime::ZERO).unwrap())
+            .collect();
+        let mut lp = Loop {
+            jobs,
+            events: EventQueue::new(),
+            metrics: WorkloadMetrics::new(),
+            rr_cursor: 0,
+            makespan: SimTime::ZERO,
+            epochs_done: 0,
+            marks: arb::Marks::default(),
+            terminals: arb::Terminals::default(),
+        };
+        // Every job has trained one epoch, each to a different progress.
+        for i in 0..lp.jobs.len() {
+            let progress = 0.1 + 0.05 * i as f64;
+            let state =
+                IntermediateState { epoch: 1, at: SimTime::ZERO, metric_value: progress, progress };
+            lp.jobs[i].base.core.record_epoch(state, SimTime::from_secs(60));
+            lp.marks.mark(i);
         }
+        // The first pass fills every device; the second re-keys what it
+        // placed, leaving the rest queued in the fairness order.
+        sys.arbitrate(&mut lp, &mut ext, policy, SimTime::ZERO, None);
+        sys.arbitrate(&mut lp, &mut ext, policy, SimTime::ZERO, None);
+        assert!(lp.marks.dirty.is_empty() && ext.arb.fair.len() >= 2);
+        let (_, last) = ext.arb.fair.iter().last().unwrap();
+        ext.arb.fair.upsert(last, (OrdF64::new(-1.0), SimTime::ZERO));
+        sys.arbitrate(&mut lp, &mut ext, policy, SimTime::ZERO, None);
     }
 
     #[test]

@@ -106,11 +106,6 @@ impl GpuPool {
         &self.spec
     }
 
-    /// Indices of idle devices.
-    pub fn free_devices(&self) -> Vec<usize> {
-        self.occupants.iter().enumerate().filter_map(|(i, o)| o.is_none().then_some(i)).collect()
-    }
-
     /// True when at least one device is idle.
     pub fn has_free(&self) -> bool {
         self.occupants.iter().any(Option::is_none)
@@ -242,10 +237,9 @@ mod tests {
     #[test]
     fn gpu_place_and_vacate() {
         let mut pool = gpu();
-        assert_eq!(pool.free_devices(), vec![0, 1]);
-        assert!(pool.has_free() && pool.is_free(1) && !pool.is_free(2));
+        assert!(pool.has_free() && pool.is_free(0) && pool.is_free(1) && !pool.is_free(2));
         pool.place(JobId(1), 0);
-        assert_eq!(pool.free_devices(), vec![1]);
+        assert!(!pool.is_free(0) && pool.is_free(1));
         assert_eq!(pool.device_of(JobId(1)), Some(0));
         assert_eq!(pool.vacate(JobId(1)), Ok(0));
         assert_eq!(pool.device_of(JobId(1)), None);

@@ -1,10 +1,11 @@
 //! The three drivers of `rotary::arb` on the two real systems.
 //!
 //! Each property is one generic body, instantiated for AQP and for DLT:
-//! a stream of admissions equals the batch run (and the indexed control
-//! plane, whose caches grow in place, equals the dense one); a streaming
-//! run snapshotted mid-flight restores to identical outcomes, from compact
-//! records and from the same records re-indented; a durable
+//! a stream of admissions equals the batch run (the indexed control
+//! plane's caches grow in place, and debug builds hold every pass to the
+//! dense re-sort); a streaming run snapshotted mid-flight restores to
+//! identical outcomes, from compact records and from the same records
+//! re-indented; a durable
 //! run — uninterrupted, or killed and resumed — reproduces the plain run
 //! byte for byte; snapshots reusing earlier snapshots' text equal a cold
 //! full encoding; and a snapshot refuses to resume a different run. The
@@ -83,22 +84,19 @@ where
 }
 
 /// A job admitted mid-run through the streaming seam must be arbitrated
-/// from its admission instant on, and the indexed control plane (whose
-/// caches grow in place) must agree with the dense full-scan path outcome
-/// for outcome. Where a batch run over the same arrivals exists, the job
-/// must also bind and complete exactly as the same spec at the same index
-/// of that run.
+/// from its admission instant on; the indexed control plane's caches grow
+/// in place, and every pass is held to the dense re-sort in debug builds.
+/// Where a batch run over the same arrivals exists, the job must also bind
+/// and complete exactly as the same spec at the same index of that run.
 fn check_stream<A: Arbiter>(
-    make: &dyn Fn(bool) -> A,
+    make: &dyn Fn() -> A,
     arrivals: &[(SimTime, A::Spec)],
     policy: A::Policy,
     batch: Option<&[&JobState]>,
 ) where
     A::BindError: Debug,
 {
-    let streamed = stream_run(&mut make(false), arrivals, policy);
-    let dense = stream_run(&mut make(true), arrivals, policy);
-    assert_eq!(streamed, dense, "indexed cache growth diverged from dense");
+    let streamed = stream_run(&mut make(), arrivals, policy);
     assert_eq!(streamed.len(), arrivals.len());
     for (i, status, at) in &streamed {
         assert!(status.is_terminal(), "job {i} ended {status:?}");
@@ -357,8 +355,8 @@ fn data() -> &'static TpchData {
     DATA.get_or_init(|| Generator::new(77, 0.002).generate())
 }
 
-fn aqp(dense: bool) -> AqpSystem<'static> {
-    let config = AqpSystemConfig { seed: 42, dense_control_plane: dense, ..Default::default() };
+fn aqp() -> AqpSystem<'static> {
+    let config = AqpSystemConfig { seed: 42, ..Default::default() };
     AqpSystem::new(data(), config)
 }
 
@@ -379,7 +377,7 @@ fn aqp_streaming_admission_matches_batch_run() {
         AqpJobSpec::new(QueryId(14), 0.6, secs(1200), secs(70)),
     ];
     for policy in AQP_STREAM_POLICIES {
-        let batch = aqp(false).run(&specs, policy).unwrap();
+        let batch = aqp().run(&specs, policy).unwrap();
         check_stream(&aqp, &aqp_arrivals(specs.clone()), policy, Some(&batch.states()));
     }
 }
@@ -391,7 +389,7 @@ fn aqp_streaming_snapshot_restores_to_identical_outcomes() {
         AqpJobSpec::new(QueryId(14), 0.6, SimTime::from_secs(900), SimTime::from_secs(5)),
     ];
     for policy in AQP_STREAM_POLICIES {
-        check_stream_snapshot(&|| aqp(false), &aqp_arrivals(specs.clone()), policy, 40);
+        check_stream_snapshot(&aqp, &aqp_arrivals(specs.clone()), policy, 40);
     }
 }
 
@@ -403,13 +401,13 @@ fn aqp_drain_after_every_event_equals_the_full_scan() {
         AqpJobSpec::new(QueryId(1), 0.6, secs(1), secs(2)),
         AqpJobSpec::new(QueryId(14), 0.6, secs(900), secs(5)),
     ];
-    check_drain_equals_full_scan(&|| aqp(false), &aqp_arrivals(specs), AqpPolicy::Rotary, 20);
+    check_drain_equals_full_scan(&aqp, &aqp_arrivals(specs), AqpPolicy::Rotary, 20);
 }
 
 #[test]
 fn aqp_durable_runs_match_the_plain_run() {
     let specs = rotary::aqp::WorkloadBuilder::paper().jobs(4).seed(21).build();
-    check_durable(&|| aqp(false), &specs, AqpPolicy::Rotary, (2, 3), "aqp");
+    check_durable(&aqp, &specs, AqpPolicy::Rotary, (2, 3), "aqp");
 }
 
 /// Terminal AQP jobs hand their data-plane memory back (`retire` releases
@@ -432,16 +430,16 @@ fn aqp_release_at_terminal_changes_no_byte() {
         (fnv1a(&result.metrics.to_json().expect("metrics json")), result.makespan.as_millis())
     };
 
-    let plain = aqp(false).run(&specs, AqpPolicy::Rotary).unwrap();
+    let plain = aqp().run(&specs, AqpPolicy::Rotary).unwrap();
     assert_eq!(fingerprint(&plain), (METRICS_FNV1A, MAKESPAN_MS));
 
     let dir = temp_store("aqp-release");
     let mut cfg = DurableConfig::new(&dir, 2);
     cfg.halt_after = Some(3);
-    let halted = aqp(false).run_durable(&specs, AqpPolicy::Rotary, &cfg).unwrap();
+    let halted = aqp().run_durable(&specs, AqpPolicy::Rotary, &cfg).unwrap();
     assert!(matches!(halted, DurableOutcome::Halted { .. }));
     cfg.halt_after = None;
-    let resumed = aqp(false)
+    let resumed = aqp()
         .resume_durable(&specs, AqpPolicy::Rotary, &cfg)
         .unwrap()
         .completed()
@@ -496,7 +494,7 @@ fn aqp_burst_launches_are_byte_identical_at_any_host_thread_count() {
 #[test]
 fn aqp_snapshot_memo_is_transparent_clean_and_under_chaos() {
     let specs = rotary::aqp::WorkloadBuilder::paper().jobs(6).seed(21).build();
-    check_snapshot_memo_is_transparent(&|| aqp(false), &specs, AqpPolicy::Rotary);
+    check_snapshot_memo_is_transparent(&aqp, &specs, AqpPolicy::Rotary);
     let chaos = || {
         let config =
             AqpSystemConfig { seed: 42, faults: FaultPlan::chaos(42), ..Default::default() };
@@ -510,7 +508,7 @@ fn aqp_resume_rejects_mismatched_workload() {
     let written = rotary::aqp::WorkloadBuilder::paper().jobs(3).seed(9).build();
     let other = rotary::aqp::WorkloadBuilder::paper().jobs(3).seed(10).build();
     let policy = AqpPolicy::Rotary;
-    check_resume_rejects(&|| aqp(false), (&written, policy), (&other, policy), "aqp-mismatch");
+    check_resume_rejects(&aqp, (&written, policy), (&other, policy), "aqp-mismatch");
 }
 
 // ---------------------------------------------------------------------------
@@ -523,8 +521,8 @@ const DLT_POLICY: DltPolicy = DltPolicy::Rotary(Objective::Threshold(0.5));
 /// its round-robin cursor through every pass and every snapshot.
 const DLT_STREAM_POLICIES: [DltPolicy; 2] = [DLT_POLICY, DltPolicy::Srf];
 
-fn dlt(dense: bool) -> DltSystem {
-    DltSystem::new(DltSystemConfig { seed: 5, dense_control_plane: dense, ..Default::default() })
+fn dlt() -> DltSystem {
+    DltSystem::new(DltSystemConfig { seed: 5, ..Default::default() })
 }
 
 fn dlt_arrivals(jobs: usize, seed: u64) -> Vec<(SimTime, DltJobSpec)> {
@@ -542,7 +540,7 @@ fn dlt_streaming_admission_at_zero_matches_batch_run() {
     // streams it.
     let arrivals = dlt_arrivals(6, 3);
     let specs: Vec<DltJobSpec> = arrivals.iter().map(|(_, spec)| spec.clone()).collect();
-    let batch = dlt(false).run(&specs, DLT_POLICY);
+    let batch = dlt().run(&specs, DLT_POLICY);
     check_stream(&dlt, &arrivals, DLT_POLICY, Some(&batch.states()));
 }
 
@@ -559,7 +557,7 @@ fn dlt_mid_run_admission_grows_indexed_caches_consistently() {
 #[test]
 fn dlt_streaming_snapshot_restores_to_identical_outcomes() {
     for policy in DLT_STREAM_POLICIES {
-        check_stream_snapshot(&|| dlt(false), &dlt_arrivals(4, 13), policy, 30);
+        check_stream_snapshot(&dlt, &dlt_arrivals(4, 13), policy, 30);
     }
 }
 
@@ -572,19 +570,19 @@ fn dlt_drain_after_every_event_equals_the_full_scan() {
     unplaceable.config.arch = rotary::dlt::Architecture::Bert;
     unplaceable.config.batch_size = 1 << 20;
     arrivals[6] = (SimTime::from_secs(300), unplaceable);
-    check_drain_equals_full_scan(&|| dlt(false), &arrivals, DLT_POLICY, 25);
+    check_drain_equals_full_scan(&dlt, &arrivals, DLT_POLICY, 25);
 }
 
 #[test]
 fn dlt_durable_runs_match_the_plain_run() {
     let specs = DltWorkloadBuilder::paper().jobs(6).seed(17).build();
-    check_durable(&|| dlt(false), &specs, DLT_POLICY, (3, 2), "dlt");
+    check_durable(&dlt, &specs, DLT_POLICY, (3, 2), "dlt");
 }
 
 #[test]
 fn dlt_snapshot_memo_is_transparent_clean_and_under_chaos() {
     let specs = DltWorkloadBuilder::paper().jobs(6).seed(17).build();
-    check_snapshot_memo_is_transparent(&|| dlt(false), &specs, DLT_POLICY);
+    check_snapshot_memo_is_transparent(&dlt, &specs, DLT_POLICY);
     let chaos = || {
         DltSystem::new(DltSystemConfig {
             seed: 5,
@@ -598,6 +596,5 @@ fn dlt_snapshot_memo_is_transparent_clean_and_under_chaos() {
 #[test]
 fn dlt_resume_rejects_mismatched_policy() {
     let specs = DltWorkloadBuilder::paper().jobs(4).seed(3).build();
-    let make = || dlt(false);
-    check_resume_rejects(&make, (&specs, DltPolicy::Srf), (&specs, DltPolicy::Bcf), "dlt-mismatch");
+    check_resume_rejects(&dlt, (&specs, DltPolicy::Srf), (&specs, DltPolicy::Bcf), "dlt-mismatch");
 }
