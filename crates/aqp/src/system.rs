@@ -46,6 +46,10 @@ const BASE_EPOCH_BATCHES: usize = 3;
 const MAX_EPOCH_BATCHES: usize = 12;
 /// Max threads a single job may hold.
 const MAX_THREADS_PER_JOB: u32 = 6;
+/// Top-k similar historical jobs pooled into the estimator.
+const TOP_K: usize = 5;
+/// Checkpoint/restore cost model: paused jobs go to a SATA SSD.
+const CHECKPOINT: CheckpointModel = CheckpointModel::ssd();
 
 /// The arbitration policy driving the run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -103,8 +107,6 @@ pub struct AqpSystemConfig {
     pub batch_fraction: f64,
     /// Envelope window, in epochs.
     pub envelope_window: usize,
-    /// Top-k similar historical jobs pooled into the estimator.
-    pub top_k: usize,
     /// Enables Rotary's adaptive running epochs (longer epochs for jobs
     /// with larger memory footprints). Disable to ablate the paper's third
     /// design opportunity; baselines ignore this flag.
@@ -119,25 +121,21 @@ pub struct AqpSystemConfig {
     /// against ground truth; a small margin keeps false attainment at the
     /// paper's "generally reliable, still makes mistakes" level.
     pub declaration_margin: f64,
-    /// Checkpoint/restore cost model.
-    pub checkpoint: CheckpointModel,
     /// Where paused jobs are persisted (paper §VI: always-disk is the
     /// paper's implementation; memory-first explores the trade-off).
     pub materialization: MaterializationPolicy,
     /// Seed for per-job sampling orders and the random estimator.
     pub seed: u64,
-    /// Fault-injection plan consulted by the control plane. Defaults to
-    /// `ROTARY_FAULT_SEED` (the chaos profile at that seed; inert when
-    /// unset). An inert plan injects nothing and leaves the run
-    /// byte-identical to a build without the fault layer.
+    /// Fault-injection plan consulted by the control plane (default: the
+    /// inert plan, which injects nothing and leaves the run byte-identical
+    /// to a build without the fault layer).
     pub faults: FaultPlan,
     /// Host threads for *start-up work*: the ground-truth scans of
     /// [`AqpSystem::new`] and the historical runs of
     /// [`AqpSystem::prepopulate_history`]. A run itself is serial — an
     /// arbitration pass launches one epoch of (almost always) one job.
     /// Distinct from `pool`, which models the simulated testbed's threads.
-    /// Defaults to `ROTARY_THREADS` (1 when unset); every metric is
-    /// bit-identical across values.
+    /// Default 1; every metric is bit-identical across values.
     pub threads: usize,
 }
 
@@ -147,15 +145,13 @@ impl Default for AqpSystemConfig {
             pool: CpuPoolSpec::paper_aqp_testbed(),
             batch_fraction: 0.01,
             envelope_window: 5,
-            top_k: 5,
             adaptive_epochs: true,
             feasibility_check: true,
             declaration_margin: 0.02,
-            checkpoint: CheckpointModel::ssd(),
             materialization: MaterializationPolicy::AlwaysDisk,
             seed: 0,
-            faults: FaultPlan::from_env(),
-            threads: rotary_par::configured_threads(),
+            faults: FaultPlan::none(),
+            threads: 1,
         }
     }
 }
@@ -588,12 +584,6 @@ impl<'a> AqpSystem<'a> {
         });
     }
 
-    /// How much faster an epoch runs on a grant of `threads` than on one
-    /// thread (the cost model's 85 % scaling per extra thread).
-    fn grant_speedup(threads: u32) -> f64 {
-        1.0 + (threads.max(1) - 1) as f64 * 0.85
-    }
-
     /// Epochs until the job has processed `frac_needed` of its table — what
     /// the fitted progress curve says its declaration accuracy takes, or 1.0
     /// (exhaustion makes the answer exact) when the curve is flat.
@@ -609,7 +599,7 @@ impl<'a> AqpSystem<'a> {
     /// by how starved they have been so far. Only for a job that has run.
     fn best_case_epoch_secs(job: &RunJob<'_>, max_threads: u32) -> f64 {
         let observed = job.base.core.service_time.as_secs_f64() / job.base.core.epochs_run as f64;
-        observed * Self::grant_speedup(job.last_threads) / Self::grant_speedup(max_threads)
+        observed * BatchCostModel::speedup(job.last_threads) / BatchCostModel::speedup(max_threads)
     }
 
     /// Estimated seconds until the job reaches its declaration accuracy:
@@ -1050,10 +1040,7 @@ impl<'a> Arbiter for AqpSystem<'a> {
     fn open(&mut self, _policy: AqpPolicy) -> AqpRunExt {
         AqpRunExt {
             pool: CpuPool::new(self.config.pool),
-            material: MaterializationManager::new(
-                self.config.materialization,
-                self.config.checkpoint,
-            ),
+            material: MaterializationManager::new(self.config.materialization, CHECKPOINT),
             random_est: RandomEstimator::new(self.config.seed ^ 0xabcd),
             arb: AqpArbCaches::default(),
         }
@@ -1089,7 +1076,7 @@ impl<'a> Arbiter for AqpSystem<'a> {
         let features = QueryFeatures::of(plan, memory_mb);
         let estimator = match policy {
             AqpPolicy::Rotary | AqpPolicy::RotaryRandomEstimator => {
-                build_estimator(&features, &mut self.history, self.config.top_k)
+                build_estimator(&features, &mut self.history, TOP_K)
             }
             // ReLAQS and the others estimate from real-time data only.
             _ => JointCurveEstimator::new(CurveBasis::LogShifted, Vec::new()),
@@ -1160,7 +1147,8 @@ impl<'a> Arbiter for AqpSystem<'a> {
         // What this epoch would have cost isolated with a full grant — the
         // baseline of the Fig. 7b waiting-time metric.
         job.base.core.add_isolated_service(service.scale(
-            Self::grant_speedup(job.last_threads) / Self::grant_speedup(MAX_THREADS_PER_JOB),
+            BatchCostModel::speedup(job.last_threads)
+                / BatchCostModel::speedup(MAX_THREADS_PER_JOB),
         ));
         job.threads = 0;
 
@@ -1381,7 +1369,7 @@ impl<'a> Arbiter for AqpSystem<'a> {
                 if job.base.restore_attempt(&self.config.faults, metrics) {
                     // The read failed once; the retry repeats the full
                     // disk restore (bounded: exactly one extra read).
-                    duration += self.config.checkpoint.restore_cost(job.memory_mb);
+                    duration += CHECKPOINT.restore_cost(job.memory_mb);
                 }
             }
             job.base.in_memory = true;
@@ -1400,7 +1388,7 @@ impl<'a> Arbiter for AqpSystem<'a> {
             if let Some(write_failed) = job.base.pause_if_idle(&self.config.faults, metrics) {
                 job.pending_persist = material.pause(job.base.core.id.0, job.memory_mb);
                 if write_failed {
-                    job.pending_persist += self.config.checkpoint.checkpoint_cost(job.memory_mb);
+                    job.pending_persist += CHECKPOINT.checkpoint_cost(job.memory_mb);
                 }
             }
         }

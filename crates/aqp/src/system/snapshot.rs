@@ -38,7 +38,7 @@ impl Durable for AqpSystem<'_> {
     const FORMAT: &'static str = "rotary-aqp-run/v1";
 
     fn checkpoint(&self) -> &CheckpointModel {
-        &self.config.checkpoint
+        &super::CHECKPOINT
     }
 
     fn history(&self) -> &HistoryRepository {

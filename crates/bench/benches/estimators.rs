@@ -81,13 +81,12 @@ fn bench_dlt_estimators() {
         print_rows_scored(history, &specs, |config, history| {
             black_box(build_tee(config, history, 5));
         });
-        let tme = Tme::default();
         bench(&format!("tme_estimate_mb/{n}_records_{classes}_classes"), || {
             let config = &targets.next().expect("cycle never ends").config;
-            black_box(tme.estimate_mb(black_box(config), history));
+            black_box(Tme::estimate_mb(black_box(config), history, 5));
         });
         print_rows_scored(history, &specs, |config, history| {
-            black_box(tme.estimate_mb(config, history));
+            black_box(Tme::estimate_mb(config, history, 5));
         });
     }
 }

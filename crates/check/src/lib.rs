@@ -197,6 +197,7 @@ impl Source {
 }
 
 fn cases_from_env() -> usize {
+    // rotary-lint: allow(D002) test-harness root: ROTARY_CHECK_CASES scales every property run.
     std::env::var("ROTARY_CHECK_CASES")
         .ok()
         .and_then(|v| v.parse().ok())
@@ -205,6 +206,7 @@ fn cases_from_env() -> usize {
 }
 
 fn replay_seed_from_env() -> Option<u64> {
+    // rotary-lint: allow(D002) test-harness root: ROTARY_CHECK_SEED replays one failing case.
     let raw = std::env::var("ROTARY_CHECK_SEED").ok()?;
     let raw = raw.trim();
     let parsed = if let Some(hex) = raw.strip_prefix("0x") {

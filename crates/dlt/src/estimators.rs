@@ -279,30 +279,22 @@ pub fn estimate_epochs_to_accuracy(estimator: &JointCurveEstimator, target: f64)
 
 /// The training memory estimator.
 #[derive(Debug, Clone)]
-pub struct Tme {
-    /// Top-k similar jobs fitted.
-    pub top_k: usize,
-    /// Padding applied to the prediction ("we pad the estimated memory by
-    /// an additional offset to minimise the likelihood of OOM").
-    pub pad_fraction: f64,
-}
-
-impl Default for Tme {
-    fn default() -> Self {
-        Tme { top_k: 5, pad_fraction: 0.10 }
-    }
-}
+pub struct Tme;
 
 impl Tme {
-    /// Predicts the job's peak GPU memory in MB from historical jobs on the
-    /// same dataset, or `None` when no history exists (the caller falls
-    /// back to a parameter-count heuristic).
+    /// Padding applied to the prediction ("we pad the estimated memory by
+    /// an additional offset to minimise the likelihood of OOM").
+    const PAD_FRACTION: f64 = 0.10;
+
+    /// Predicts the job's peak GPU memory in MB from the `top_k` most
+    /// similar historical jobs on the same dataset, or `None` when no
+    /// history exists (the caller falls back to [`Tme::cold_start_mb`]).
     pub fn estimate_mb(
-        &self,
         config: &TrainingConfig,
         history: &mut HistoryRepository,
+        top_k: usize,
     ) -> Option<u64> {
-        let scored = TmeQuery::of(config).top_k(history, self.top_k);
+        let scored = TmeQuery::of(config).top_k(history, top_k);
         // Fit memory = a + b·batch with similarity weights: "the more
         // similar a historical job is, the higher weights".
         let points: Vec<WeightedPoint> = scored
@@ -318,15 +310,15 @@ impl Tme {
         if !raw.is_finite() || raw <= 0.0 {
             return None;
         }
-        Some((raw * (1.0 + self.pad_fraction)).ceil() as u64)
+        Some((raw * (1.0 + Self::PAD_FRACTION)).ceil() as u64)
     }
 
     /// The fallback heuristic when no history exists: parameter memory with
     /// optimizer state plus a generous activation allowance.
-    pub fn cold_start_mb(&self, config: &TrainingConfig) -> u64 {
+    pub fn cold_start_mb(config: &TrainingConfig) -> u64 {
         let p = config.arch.profile();
         let params_mb = p.params_m * 4.0 * (2.0 + config.optimizer.state_copies());
-        ((params_mb + 20.0 * config.batch_size as f64 + 600.0) * (1.0 + self.pad_fraction)).ceil()
+        ((params_mb + 20.0 * config.batch_size as f64 + 600.0) * (1.0 + Self::PAD_FRACTION)).ceil()
             as u64
     }
 }
@@ -523,8 +515,10 @@ mod tests {
         let target = config(Architecture::ResNet18, 32);
         let tee = |history: &mut HistoryRepository| build_tee(&target, history, 3).to_json();
         assert_eq!(tee(&mut small), tee(&mut large));
-        let tme = Tme::default();
-        assert_eq!(tme.estimate_mb(&target, &mut small), tme.estimate_mb(&target, &mut large));
+        assert_eq!(
+            Tme::estimate_mb(&target, &mut small, 5),
+            Tme::estimate_mb(&target, &mut large, 5)
+        );
     }
 
     /// Every Table II configuration: each architecture at each of its batch
@@ -622,13 +616,12 @@ mod tests {
         }
         let classes = history.class_count() as u64;
         assert_eq!(classes, 1233);
-        let tme = Tme::default();
         let (mut tee_rows, mut tme_rows) = (Vec::new(), Vec::new());
         for spec in &specs {
             let before = history.rows_scored();
             build_tee(&spec.config, &mut history, 5);
             let between = history.rows_scored();
-            tme.estimate_mb(&spec.config, &mut history);
+            Tme::estimate_mb(&spec.config, &mut history, 5);
             tee_rows.push(between - before);
             tme_rows.push(history.rows_scored() - between);
         }
@@ -647,9 +640,8 @@ mod tests {
             let c = config(Architecture::ResNet18, batch);
             history.insert(job_record(&c, vec![(1.0, 0.5)], 1));
         }
-        let tme = Tme::default();
         let target = config(Architecture::ResNet18, 16);
-        let est = tme.estimate_mb(&target, &mut history).expect("estimate");
+        let est = Tme::estimate_mb(&target, &mut history, 5).expect("estimate");
         let truth = target.memory_mb();
         // Padded estimate: at or above truth, within ~25%.
         assert!(est >= truth, "est {est} ≥ truth {truth} (padding)");
@@ -663,9 +655,8 @@ mod tests {
         for batch in [32, 64, 128] {
             history.insert(job_record(&config(Architecture::Bert, batch), vec![], 1));
         }
-        let tme = Tme::default();
-        assert_eq!(tme.estimate_mb(&config(Architecture::ResNet18, 16), &mut history), None);
-        let cold = tme.cold_start_mb(&config(Architecture::ResNet18, 16));
+        assert_eq!(Tme::estimate_mb(&config(Architecture::ResNet18, 16), &mut history, 5), None);
+        let cold = Tme::cold_start_mb(&config(Architecture::ResNet18, 16));
         assert!(cold > 0);
     }
 

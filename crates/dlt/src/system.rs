@@ -91,15 +91,14 @@ pub struct DltSystemConfig {
     pub top_k: usize,
     /// Seed for evaluation noise.
     pub seed: u64,
-    /// Fault-injection plan consulted by the control plane. Defaults to
-    /// `ROTARY_FAULT_SEED` (the chaos profile at that seed; inert when
-    /// unset). An inert plan injects nothing and leaves the run
-    /// byte-identical to a build without the fault layer.
+    /// Fault-injection plan consulted by the control plane (default: the
+    /// inert plan, which injects nothing and leaves the run byte-identical
+    /// to a build without the fault layer).
     pub faults: FaultPlan,
     /// Host threads for start-up work — the uncontended training runs of
     /// [`DltSystem::prepopulate_history`] — not the simulated GPUs; a run
-    /// itself is serial. Defaults to `ROTARY_THREADS` (1 when unset);
-    /// results are bit-identical across values.
+    /// itself is serial. Default 1; results are bit-identical across
+    /// values.
     pub threads: usize,
     /// Monotonic probe for Table III overhead accounting. `None` (the
     /// default) keeps the arbitration loop free of wall-clock reads; the
@@ -114,8 +113,8 @@ impl Default for DltSystemConfig {
             checkpoint: CheckpointModel::ssd(),
             top_k: 5,
             seed: 0,
-            faults: FaultPlan::from_env(),
-            threads: rotary_par::configured_threads(),
+            faults: FaultPlan::none(),
+            threads: 1,
             overhead_probe: None,
         }
     }
@@ -272,14 +271,12 @@ struct DltArbCaches {
 pub struct DltSystem {
     config: DltSystemConfig,
     history: HistoryRepository,
-    tme: Tme,
 }
 
 impl DltSystem {
     /// Creates a system with an empty history repository.
     pub fn new(config: DltSystemConfig) -> DltSystem {
-        let tme = Tme { top_k: config.top_k, ..Tme::default() };
-        DltSystem { config, history: HistoryRepository::new(), tme }
+        DltSystem { config, history: HistoryRepository::new() }
     }
 
     /// Read access to the repository.
@@ -814,9 +811,8 @@ impl Arbiter for DltSystem {
             build_tee(&spec.config, &mut self.history, self.config.top_k)
         });
         let memory_estimate_mb = ext.meter.measure(Component::Tme, || {
-            self.tme
-                .estimate_mb(&spec.config, &mut self.history)
-                .unwrap_or_else(|| self.tme.cold_start_mb(&spec.config))
+            Tme::estimate_mb(&spec.config, &mut self.history, self.config.top_k)
+                .unwrap_or_else(|| Tme::cold_start_mb(&spec.config))
         });
         let mut core =
             JobState::new(JobId(i as u64), JobKind::Dlt, spec.criterion.clone(), arrival);
@@ -1072,7 +1068,6 @@ mod tests {
             let mut sys = DltSystem::new(DltSystemConfig { top_k, ..quick() });
             sys.prepopulate_history(&specs, 1);
             let mut ext = sys.open(policy);
-            let tme = Tme { top_k, ..Tme::default() };
             let bound = specs.iter().enumerate().map(|(i, spec)| {
                 match sys.bind(&mut ext, i, spec, policy, SimTime::ZERO) {
                     Ok(job) => job.memory_estimate_mb,
@@ -1081,8 +1076,8 @@ mod tests {
             });
             let bound: Vec<u64> = bound.collect();
             let direct = specs.iter().map(|spec| {
-                tme.estimate_mb(&spec.config, &mut sys.history)
-                    .unwrap_or_else(|| tme.cold_start_mb(&spec.config))
+                Tme::estimate_mb(&spec.config, &mut sys.history, top_k)
+                    .unwrap_or_else(|| Tme::cold_start_mb(&spec.config))
             });
             (bound, direct.collect())
         };

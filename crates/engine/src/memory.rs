@@ -132,9 +132,6 @@ pub struct BatchCostModel {
     /// Virtual seconds per row operation on one thread, already corrected
     /// for the simulated scale factor.
     pub secs_per_row_op: f64,
-    /// Fraction of each additional thread that turns into useful speedup
-    /// (Amdahl-style parallel efficiency).
-    pub parallel_efficiency: f64,
 }
 
 impl BatchCostModel {
@@ -147,6 +144,10 @@ impl BatchCostModel {
     /// when arbitration gives a job enough threads.
     pub const BASE_OPS_PER_SEC: f64 = 3_500.0;
 
+    /// Fraction of each additional thread that turns into useful speedup
+    /// (Amdahl-style parallel efficiency).
+    const PARALLEL_EFFICIENCY: f64 = 0.85;
+
     /// A model for a dataset generated at `sim_scale_factor`: each simulated
     /// row stands for `1 / SF` real rows.
     ///
@@ -156,14 +157,20 @@ impl BatchCostModel {
         assert!(sim_scale_factor > 0.0, "scale factor must be positive");
         BatchCostModel {
             secs_per_row_op: 1.0 / (Self::BASE_OPS_PER_SEC * sim_scale_factor.min(1.0)),
-            parallel_efficiency: 0.85,
         }
+    }
+
+    /// How much faster a batch runs on `threads` hardware threads than on
+    /// one.
+    pub fn speedup(threads: u32) -> f64 {
+        1.0 + (threads.max(1) - 1) as f64 * Self::PARALLEL_EFFICIENCY
     }
 
     /// Virtual time to process a batch with `threads` hardware threads.
     pub fn batch_time(&self, stats: BatchStats, threads: u32) -> SimTime {
-        let effective = 1.0 + (threads.max(1) - 1) as f64 * self.parallel_efficiency;
-        SimTime::from_secs_f64(stats.row_ops() as f64 * self.secs_per_row_op / effective)
+        SimTime::from_secs_f64(
+            stats.row_ops() as f64 * self.secs_per_row_op / Self::speedup(threads),
+        )
     }
 }
 

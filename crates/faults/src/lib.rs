@@ -33,7 +33,7 @@
 //! never depends on how many other decisions were made, in what order, or
 //! on which thread. Both systems consult the plan only from their *serial*
 //! control-plane passes, which keeps multi-thread runs bit-identical
-//! (`ROTARY_THREADS=1,2,4,8`) under any plan.
+//! (`threads` 1, 2, 4, 8) under any plan.
 //!
 //! An inert plan (all probabilities zero — [`FaultPlan::none`]) injects
 //! nothing, schedules nothing, and charges nothing: runs are byte-identical
@@ -256,8 +256,8 @@ pub enum NetFault {
 }
 
 /// How a faulted frame should be put on the wire: the deterministic byte
-/// transform behind [`NetFault`], shared by the chaos tests and the
-/// bench shim so both damage frames identically.
+/// transform behind [`NetFault`], which the socket chaos suite
+/// (`crates/serve/tests/net_chaos.rs`) applies to each frame it sends.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NetEffect {
     /// The bytes that actually go out (possibly truncated or flipped).
@@ -369,7 +369,7 @@ impl FaultConfig {
     }
 
     /// A moderately hostile configuration seeded by `seed` — the default
-    /// chaos profile behind `ROTARY_FAULT_SEED`.
+    /// chaos profile.
     pub fn chaos(seed: u64) -> FaultConfig {
         FaultConfig {
             seed,
@@ -443,16 +443,6 @@ impl FaultPlan {
     /// The default chaos profile at the given seed.
     pub fn chaos(seed: u64) -> FaultPlan {
         FaultPlan::new(FaultConfig::chaos(seed))
-    }
-
-    /// Reads `ROTARY_FAULT_SEED` from the environment: set to an integer it
-    /// yields [`FaultPlan::chaos`] at that seed, unset (or unparsable) the
-    /// inert plan.
-    pub fn from_env() -> FaultPlan {
-        match std::env::var("ROTARY_FAULT_SEED").ok().and_then(|v| v.parse::<u64>().ok()) {
-            Some(seed) => FaultPlan::chaos(seed),
-            None => FaultPlan::none(),
-        }
     }
 
     /// The configuration behind the plan.
@@ -673,6 +663,7 @@ mod tests {
     fn inert_plan_injects_nothing() {
         let plan = FaultPlan::none();
         assert!(plan.is_inert());
+        assert!(FaultPlan::default().is_inert());
         for job in 0..50u64 {
             for epoch in 1..20u64 {
                 assert_eq!(plan.epoch_fault(job, epoch, 0), EpochFault::None);
@@ -708,6 +699,7 @@ mod tests {
     fn chaos_plan_actually_injects() {
         let plan = FaultPlan::chaos(7);
         assert!(!plan.is_inert());
+        assert_eq!(plan.config().seed, 7);
         let mut crashes = 0;
         let mut stragglers = 0;
         let n = 2000u64;
@@ -945,14 +937,5 @@ mod tests {
         // Degenerate inputs stay total.
         assert_eq!(NetFault::BitFlip { offset_fraction: 0.9, bit: 12 }.apply(&[]).bytes, vec![]);
         assert_eq!(NetFault::Torn { keep_fraction: 0.9 }.apply(&[7]).bytes, vec![]);
-    }
-
-    #[test]
-    fn env_plan_round_trips() {
-        // `from_env` is read-only on the environment; exercise both parses
-        // without mutating the process env (tests run concurrently).
-        assert!(FaultPlan::from_env().is_inert() || !FaultPlan::from_env().is_inert());
-        assert_eq!(FaultPlan::chaos(3).config().seed, 3);
-        assert!(FaultPlan::default().is_inert());
     }
 }

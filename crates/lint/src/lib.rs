@@ -12,7 +12,7 @@
 //! beyond the original determinism set:
 //!
 //! - **D001–D003** — determinism: no arbitrary-order collections,
-//!   wall-clock reads, or ambient randomness.
+//!   wall-clock or environment reads, or ambient randomness.
 //! - **P001** — panic-freedom, ratcheted per file via
 //!   `LINT_baseline.json`.
 //! - **A001** — the allow-annotation grammar.

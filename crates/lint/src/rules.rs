@@ -11,7 +11,7 @@
 //! Rule families:
 //!
 //! - **D** — determinism: no arbitrary-order collections, wall-clock
-//!   reads, or ambient randomness.
+//!   or environment reads, or ambient randomness.
 //! - **P** — panic-freedom (ratcheted via `LINT_baseline.json`).
 //! - **A** — the allow-annotation grammar itself.
 //! - **R** — race patterns: every lock in non-test code carries a
@@ -79,13 +79,15 @@ pub const RULES: &[RuleInfo] = &[
     },
     RuleInfo {
         id: "D002",
-        summary: "no wall-clock reads outside rotary-bench",
+        summary: "no wall-clock or environment reads outside rotary-bench",
         ratcheted: false,
         scope: "non-test code everywhere except crates/bench",
         explain: "Instant and SystemTime make control flow depend on the host's clock, \
                   which breaks bit-identical replay. rotary-bench owns the only blessed \
                   wall-clock probe; everything else runs on sim time or an injected \
-                  ProbeClock.",
+                  ProbeClock. env::var / env::var_os make it depend on the shell: every \
+                  run input is a config field, read from the environment only at a \
+                  composition root that carries a justified allow.",
     },
     RuleInfo {
         id: "D003",
@@ -212,6 +214,9 @@ const DET_SCOPES: &[&str] = &[
 /// Identifiers whose presence means the code reads the wall clock.
 const D002_TOKENS: &[&str] = &["Instant", "SystemTime"];
 
+/// Functions that, called as `env::<name>`, read the process environment.
+const D002_ENV_FNS: &[&str] = &["var", "var_os"];
+
 /// Identifiers that smuggle ambient (non-replayable) randomness in.
 const D003_TOKENS: &[&str] =
     &["thread_rng", "OsRng", "StdRng", "SmallRng", "from_entropy", "getrandom", "RandomState"];
@@ -315,20 +320,29 @@ fn scan_token_rules(ctx: &Ctx, scan: &mut FileScan) {
             ));
         }
 
-        // D002 — wall-clock reads.
+        // D002 — wall-clock and environment reads.
+        let env_read = D002_ENV_FNS.contains(&text)
+            && k >= 3
+            && lx.cpunct(k - 1, ":")
+            && lx.cpunct(k - 2, ":")
+            && lx.ctext(k - 3) == "env";
         if d002_applies(ctx.path)
             && !in_test
-            && D002_TOKENS.contains(&text)
+            && (env_read || D002_TOKENS.contains(&text))
             && !ctx.allowed(line, "D002")
         {
-            scan.violations.push(ctx.violation(
-                k,
-                "D002",
+            let message = if env_read {
+                format!(
+                    "env::{text} reads the process environment outside rotary-bench; \
+                     take the value as a config field"
+                )
+            } else {
                 format!(
                     "{text} reads the wall clock outside rotary-bench; use sim \
                      time or accept an injected ProbeClock"
-                ),
-            ));
+                )
+            };
+            scan.violations.push(ctx.violation(k, "D002", message));
         }
 
         // D003 — ambient randomness. Applies to test code too: a test that

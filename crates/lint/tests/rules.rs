@@ -137,6 +137,30 @@ fn d002_matches_whole_tokens_not_substrings() {
     assert!(fired("crates/dlt/src/fixture.rs", s).is_empty(), "string literals never fire");
 }
 
+#[test]
+fn d002_fires_on_environment_reads_outside_bench() {
+    // Every run input is a config field; a library default that reads the
+    // shell would make the same config run differently per process.
+    let src = "let seed = std::env::var(\"ROTARY_FAULT_SEED\");\n\
+               let t = env::var_os(\"ROTARY_THREADS\");\n";
+    assert_eq!(fired("crates/faults/src/fixture.rs", src), vec!["D002", "D002"]);
+    assert_eq!(fired("crates/par/src/lib.rs", src), vec!["D002", "D002"]);
+    assert!(fired("crates/bench/src/timing.rs", src).is_empty(), "rotary-bench is exempt");
+    assert!(fired("examples/fixture.rs", src).is_empty(), "examples are composition roots");
+    let allowed = "// rotary-lint: allow(D002) composition root: the shell's run inputs\n\
+                   let var = |name| std::env::var(name).ok();\n";
+    assert!(fired("src/bin/rotary-cli.rs", allowed).is_empty());
+}
+
+#[test]
+fn d002_env_reads_match_the_path_not_the_name() {
+    // Only `env::var` / `env::var_os` read the environment: a field or
+    // method named `var`, and other `env::` items, are clean.
+    let src = "let v = self.var;\nlet w = stats.var(3);\nlet args = std::env::args();\n\
+               let x = envelope::var(2);\nlet dir = env::temp_dir();\n";
+    assert!(fired("crates/faults/src/fixture.rs", src).is_empty());
+}
+
 // ---------------------------------------------------------------- D003 --
 
 #[test]

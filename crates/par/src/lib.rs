@@ -24,19 +24,8 @@ use std::panic::resume_unwind;
 // rotary-lint: allow(R003) for the work cursor in `run`, the crate's one lock
 use std::sync::{Mutex, PoisonError};
 
-/// Upper bound on the pool size (a valve against `ROTARY_THREADS=999999`).
+/// Upper bound on the pool size (a valve against `threads: 999999`).
 pub const MAX_THREADS: usize = 256;
-
-/// `ROTARY_THREADS` parsed as a positive integer, clamped to [`MAX_THREADS`];
-/// anything unset or unparsable means 1, which spawns nothing.
-pub fn configured_threads() -> usize {
-    std::env::var("ROTARY_THREADS")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&n| n >= 1)
-        .map(|n| n.min(MAX_THREADS))
-        .unwrap_or(1)
-}
 
 /// A lane count for [`ThreadPool::map`] / [`ThreadPool::map_mut`]. Holds no
 /// threads: each call spawns its lanes inside a `std::thread::scope` and
@@ -186,9 +175,11 @@ mod tests {
     }
 
     #[test]
-    fn configured_threads_stays_in_bounds() {
-        // The suite cannot mutate the process environment safely.
-        assert!((1..=MAX_THREADS).contains(&configured_threads()));
+    fn lane_counts_are_clamped_into_bounds() {
+        // Callers pass shell input straight through (`rotary-cli`'s
+        // `ROTARY_THREADS`); zero and absurd counts must stay usable.
+        assert_eq!(ThreadPool::new(0).threads(), 1);
+        assert_eq!(ThreadPool::new(usize::MAX).threads(), MAX_THREADS);
     }
 
     #[test]

@@ -70,8 +70,10 @@ pub trait Backend {
 
     /// Rebuilds state from records written by [`Backend::snapshot`].
     /// `admitted` is the daemon's replay of every admitted entry in
-    /// admission order — adapters that must re-bind jobs (AQP/DLT) use it
-    /// to reconstruct specs before overlaying the serialized run state.
+    /// admission order: ticket metadata only, each `payload` is
+    /// [`Json::Null`]. A backend that must re-bind jobs (AQP/DLT) keeps
+    /// its own typed record of what it admitted and checks it against
+    /// the replay.
     fn restore(&mut self, records: &SnapshotRecords, admitted: &[Pending]) -> Result<()>;
 }
 

@@ -94,8 +94,8 @@ pub struct ServeConfig {
     /// Keep the full typed outcome ledger (the byte-identity trace).
     /// Counters and waiting times are always kept.
     pub record_outcomes: bool,
-    /// Retain admitted payloads for snapshot/restore. Required for
-    /// durable runs; the ~1M-user benchmark turns it off.
+    /// Allow snapshots: [`Daemon::snapshot_records`] refuses to run
+    /// without it. The ~1M-user benchmark turns it off.
     pub retain_payloads: bool,
 }
 
@@ -231,8 +231,6 @@ pub struct Daemon<B: Backend> {
     queue: VecDeque<Pending>,
     tenants: Vec<TenantState>,
     tickets: Vec<TicketInfo>,
-    /// Admitted payloads by ticket (only when `retain_payloads`).
-    payloads: Vec<Json>,
     counters: Counters,
     waits_ms: Vec<u32>,
     ledger: Vec<OutcomeRecord>,
@@ -252,7 +250,6 @@ impl<B: Backend> Daemon<B> {
             queue: VecDeque::new(),
             tenants: Vec::new(),
             tickets: Vec::new(),
-            payloads: Vec::new(),
             counters: Counters::default(),
             waits_ms: Vec::new(),
             ledger: Vec::new(),
@@ -540,9 +537,6 @@ impl<B: Backend> Daemon<B> {
             service_estimate: estimate,
             admitted_ms: NOT_ADMITTED,
         });
-        if self.config.retain_payloads {
-            self.payloads.push(sub.payload.clone());
-        }
         self.counters.admitted += 1;
         self.queue.push_back(Pending {
             ticket,
@@ -552,11 +546,7 @@ impl<B: Backend> Daemon<B> {
             submitted_at: now,
             deadline_at: now + sub.deadline,
             service_estimate: estimate,
-            payload: if self.config.retain_payloads {
-                self.payloads[ticket as usize].clone()
-            } else {
-                sub.payload.clone()
-            },
+            payload: sub.payload.clone(),
         });
         self.shed_overload();
         self.pump();
@@ -603,9 +593,8 @@ impl<B: Backend> Daemon<B> {
     /// (prefixed `be/`).
     ///
     /// # Errors
-    /// [`RotaryError::InvalidConfig`] unless `retain_payloads` is set
-    /// (restore must be able to re-bind admitted jobs); backend
-    /// serialization errors pass through.
+    /// [`RotaryError::InvalidConfig`] unless `retain_payloads` is set;
+    /// backend serialization errors pass through.
     pub fn snapshot_records(&self) -> Result<SnapshotRecords> {
         if !self.config.retain_payloads {
             return Err(RotaryError::InvalidConfig(
@@ -633,8 +622,7 @@ impl<B: Backend> Daemon<B> {
         let tickets = Json::Arr(
             self.tickets
                 .iter()
-                .enumerate()
-                .map(|(i, t)| {
+                .map(|t| {
                     let mut pairs = vec![
                         ("tenant", u64_json(t.tenant)),
                         ("seq", u64_json(t.seq)),
@@ -643,7 +631,6 @@ impl<B: Backend> Daemon<B> {
                         ("submitted", u64_json(t.submitted_at.as_millis())),
                         ("deadline", u64_json(t.deadline_at.as_millis())),
                         ("estimate", u64_json(t.service_estimate.as_millis())),
-                        ("payload", self.payloads[i].clone()),
                     ];
                     if t.admitted_ms != NOT_ADMITTED {
                         pairs.push(("admitted", u64_json(t.admitted_ms)));
@@ -734,31 +721,26 @@ impl<B: Backend> Daemon<B> {
 
         let tickets_json = record_json(records, "serve/tickets")?;
         let mut tickets = Vec::new();
-        let mut payloads = Vec::new();
         for row in tickets_json.as_arr().ok_or_else(|| corrupt("tickets is not an array".into()))? {
-            let parsed = (|| {
+            let ticket = (|| {
                 let u = |k: &str| row.get(k).and_then(Json::as_u64_str);
                 let admitted_ms = match row.get("admitted") {
                     Some(v) => v.as_u64_str()?,
                     None => NOT_ADMITTED,
                 };
-                Some((
-                    TicketInfo {
-                        tenant: u("tenant")?,
-                        seq: u("seq")?,
-                        attempt: u32::try_from(row.get("attempt")?.as_u64()?).ok()?,
-                        closed: row.get("closed")?.as_bool()?,
-                        submitted_at: SimTime::from_millis(u("submitted")?),
-                        deadline_at: SimTime::from_millis(u("deadline")?),
-                        service_estimate: SimTime::from_millis(u("estimate")?),
-                        admitted_ms,
-                    },
-                    row.get("payload")?.clone(),
-                ))
+                Some(TicketInfo {
+                    tenant: u("tenant")?,
+                    seq: u("seq")?,
+                    attempt: u32::try_from(row.get("attempt")?.as_u64()?).ok()?,
+                    closed: row.get("closed")?.as_bool()?,
+                    submitted_at: SimTime::from_millis(u("submitted")?),
+                    deadline_at: SimTime::from_millis(u("deadline")?),
+                    service_estimate: SimTime::from_millis(u("estimate")?),
+                    admitted_ms,
+                })
             })()
             .ok_or_else(|| corrupt("malformed ticket row".into()))?;
-            tickets.push(parsed.0);
-            payloads.push(parsed.1);
+            tickets.push(ticket);
         }
 
         let waits_json = record_json(records, "serve/waits")?;
@@ -778,7 +760,8 @@ impl<B: Backend> Daemon<B> {
         }
 
         // Replay of every admitted-to-backend entry, in ticket order, for
-        // adapters that must re-bind jobs before overlaying run state.
+        // adapters that must re-bind jobs before overlaying run state. The
+        // daemon keeps no admitted payload, so each carries `Json::Null`.
         let admitted: Vec<Pending> = tickets
             .iter()
             .enumerate()
@@ -791,7 +774,7 @@ impl<B: Backend> Daemon<B> {
                 submitted_at: t.submitted_at,
                 deadline_at: t.deadline_at,
                 service_estimate: t.service_estimate,
-                payload: payloads[i].clone(),
+                payload: Json::Null,
             })
             .collect();
         let be_records: SnapshotRecords = records
@@ -809,7 +792,6 @@ impl<B: Backend> Daemon<B> {
             queue,
             tenants,
             tickets,
-            payloads,
             counters,
             waits_ms,
             ledger,

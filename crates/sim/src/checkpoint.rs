@@ -23,7 +23,7 @@ pub struct CheckpointModel {
 
 impl CheckpointModel {
     /// A model calibrated to a SATA SSD: 2 ms latency, 500 MB/s.
-    pub fn ssd() -> Self {
+    pub const fn ssd() -> Self {
         CheckpointModel { latency: SimTime::from_millis(2), bandwidth_mb_per_s: 500.0 }
     }
 

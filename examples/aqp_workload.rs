@@ -4,12 +4,17 @@
 //!
 //! ```text
 //! cargo run --release --example aqp_workload
+//! ROTARY_FAULT_SEED=7 cargo run --release --example aqp_workload
 //! ```
 
 use rotary::aqp::{AqpPolicy, AqpSystem, AqpSystemConfig, WorkloadBuilder};
+use rotary::faults::FaultPlan;
 use rotary::tpch::Generator;
 
 fn main() -> rotary::core::error::Result<()> {
+    // `ROTARY_FAULT_SEED=n` runs every policy under the chaos profile seeded at `n`.
+    let seed = std::env::var("ROTARY_FAULT_SEED").ok().and_then(|v| v.parse().ok());
+    let faults = seed.map_or_else(FaultPlan::none, FaultPlan::chaos);
     let data = Generator::new(1, 0.005).generate();
     let specs = WorkloadBuilder::paper().seed(7).build();
 
@@ -35,7 +40,8 @@ fn main() -> rotary::core::error::Result<()> {
         AqpPolicy::Relaqs,
         AqpPolicy::Rotary,
     ] {
-        let mut sys = AqpSystem::new(&data, AqpSystemConfig { seed: 3, ..Default::default() });
+        let config = AqpSystemConfig { seed: 3, faults: faults.clone(), ..Default::default() };
+        let mut sys = AqpSystem::new(&data, config);
         if policy == AqpPolicy::Rotary {
             // Rotary's estimators draw on completed historical jobs.
             sys.prepopulate_history(9)?;

@@ -4,13 +4,18 @@
 //!
 //! ```text
 //! cargo run --release --example dlt_workload
+//! ROTARY_FAULT_SEED=7 cargo run --release --example dlt_workload
 //! ```
 
 use rotary::core::SimTime;
 use rotary::dlt::{DltPolicy, DltSystem, DltSystemConfig, DltWorkloadBuilder};
+use rotary::faults::FaultPlan;
 use rotary::sim::metrics::Distribution;
 
 fn main() {
+    // `ROTARY_FAULT_SEED=n` runs every policy under the chaos profile seeded at `n`.
+    let seed = std::env::var("ROTARY_FAULT_SEED").ok().and_then(|v| v.parse().ok());
+    let faults = seed.map_or_else(FaultPlan::none, FaultPlan::chaos);
     let specs = DltWorkloadBuilder::paper().seed(7).build();
     println!("workload: {} jobs", specs.len());
     for (i, spec) in specs.iter().take(6).enumerate() {
@@ -29,7 +34,8 @@ fn main() {
         "policy", "attained", "makespan"
     );
     for policy in DltPolicy::all() {
-        let mut sys = DltSystem::new(DltSystemConfig { seed: 3, ..Default::default() });
+        let config = DltSystemConfig { seed: 3, faults: faults.clone(), ..Default::default() };
+        let mut sys = DltSystem::new(config);
         sys.prepopulate_history(&specs, 99);
         let r = sys.run(&specs, policy);
         let phis = r.attainment_progress_at(SimTime::from_mins(120));

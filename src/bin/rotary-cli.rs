@@ -16,6 +16,11 @@
 //! same command with `--resume` to pick the run back up from the newest
 //! valid snapshot — the finished trace is identical to an uninterrupted
 //! run.
+//!
+//! Environment: `ROTARY_FAULT_SEED=n` runs every mode but `serve --listen`
+//! under the default chaos fault profile seeded at `n` (unset: no faults);
+//! `ROTARY_THREADS=n` gives start-up work (ground-truth scans, history)
+//! `n` host threads (unset: 1; results are identical at any value).
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -25,8 +30,10 @@ use rotary::core::parser::parse_statement;
 use rotary::core::progress::Objective;
 use rotary::dlt::{parse_train_statement, DltPolicy, DltSystem, DltSystemConfig};
 use rotary::engine::QueryId;
+use rotary::faults::FaultPlan;
 use rotary::store::DurableConfig;
 use rotary::tpch::Generator;
+use rotary::unified::UnifiedConfig;
 
 struct Options {
     statement: String,
@@ -37,6 +44,21 @@ struct Options {
     snapshot_every: u64,
     resume: bool,
     listen: Option<String>,
+}
+
+/// The system configs every mode starts from, carrying the run inputs the
+/// shell passes in the environment (see the module docs); read once, in
+/// `main`.
+fn shell_config() -> UnifiedConfig {
+    // rotary-lint: allow(D002) composition root: the shell's run inputs enter here.
+    let var = |name| std::env::var(name).ok();
+    let seed = var("ROTARY_FAULT_SEED").and_then(|v| v.parse().ok());
+    let faults = seed.map_or_else(FaultPlan::none, FaultPlan::chaos);
+    let threads = var("ROTARY_THREADS").and_then(|v| v.trim().parse().ok()).unwrap_or(1);
+    UnifiedConfig {
+        aqp: AqpSystemConfig { faults: faults.clone(), threads, ..Default::default() },
+        dlt: DltSystemConfig { faults, threads, ..Default::default() },
+    }
 }
 
 fn usage() -> ExitCode {
@@ -151,7 +173,7 @@ fn parse_query_id(command: &str) -> Result<QueryId, String> {
     }
 }
 
-fn run_aqp(opts: &Options) -> Result<(), String> {
+fn run_aqp(opts: &Options, base: &UnifiedConfig) -> Result<(), String> {
     let (command, criterion) = parse_statement(&opts.statement).map_err(|e| e.to_string())?;
     let query = parse_query_id(&command)?;
     let rotary::core::CompletionCriterion::Accuracy { threshold, deadline, .. } = &criterion else {
@@ -162,8 +184,7 @@ fn run_aqp(opts: &Options) -> Result<(), String> {
 
     eprintln!("generating TPC-H (SF {})…", opts.scale_factor);
     let data = Generator::new(opts.seed, opts.scale_factor).generate();
-    let mut system =
-        AqpSystem::new(&data, AqpSystemConfig { seed: opts.seed, ..Default::default() });
+    let mut system = AqpSystem::new(&data, AqpSystemConfig { seed: opts.seed, ..base.aqp.clone() });
     system.prepopulate_history(opts.seed ^ 0xf00d).map_err(|e| e.to_string())?;
     let spec = AqpJobSpec::new(query, *threshold, deadline, rotary::core::SimTime::ZERO);
     let result = match &opts.snapshot_dir {
@@ -193,9 +214,9 @@ fn run_aqp(opts: &Options) -> Result<(), String> {
     Ok(())
 }
 
-fn run_dlt(opts: &Options) -> Result<(), String> {
+fn run_dlt(opts: &Options, base: &UnifiedConfig) -> Result<(), String> {
     let spec = parse_train_statement(&opts.statement).map_err(|e| e.to_string())?;
-    let mut system = DltSystem::new(DltSystemConfig { seed: opts.seed, ..Default::default() });
+    let mut system = DltSystem::new(DltSystemConfig { seed: opts.seed, ..base.dlt.clone() });
     let policy = DltPolicy::Rotary(Objective::Threshold(0.5));
     let result = match &opts.snapshot_dir {
         Some(dir) => {
@@ -232,14 +253,14 @@ fn run_dlt(opts: &Options) -> Result<(), String> {
     Ok(())
 }
 
-fn run_demo(opts: &Options) -> Result<(), String> {
+fn run_demo(opts: &Options, base: &UnifiedConfig) -> Result<(), String> {
     use rotary::aqp::WorkloadBuilder;
     use rotary::dlt::DltWorkloadBuilder;
-    use rotary::unified::{UnifiedCluster, UnifiedConfig};
+    use rotary::unified::UnifiedCluster;
 
     eprintln!("generating TPC-H (SF {})…", opts.scale_factor);
     let data = Generator::new(opts.seed, opts.scale_factor).generate();
-    let mut cluster = UnifiedCluster::new(&data, UnifiedConfig::default());
+    let mut cluster = UnifiedCluster::new(&data, base.clone());
     let queries = WorkloadBuilder::paper().jobs(10).seed(opts.seed).build();
     let trainings = DltWorkloadBuilder::paper().jobs(10).seed(opts.seed).build();
     cluster.prepopulate_history(&trainings, opts.seed ^ 0xbeef).map_err(|e| e.to_string())?;
@@ -264,14 +285,14 @@ fn run_demo(opts: &Options) -> Result<(), String> {
     Ok(())
 }
 
-fn run_serve(opts: &Options) -> Result<(), String> {
+fn run_serve(opts: &Options, base: &UnifiedConfig) -> Result<(), String> {
     use rotary::aqp::WorkloadBuilder;
     use rotary::dlt::DltWorkloadBuilder;
-    use rotary::unified::{UnifiedCluster, UnifiedConfig};
+    use rotary::unified::UnifiedCluster;
 
     eprintln!("generating TPC-H (SF {})…", opts.scale_factor);
     let data = Generator::new(opts.seed, opts.scale_factor).generate();
-    let mut cluster = UnifiedCluster::new(&data, UnifiedConfig::default());
+    let mut cluster = UnifiedCluster::new(&data, base.clone());
     let queries = WorkloadBuilder::paper().jobs(opts.jobs).seed(opts.seed).build();
     let trainings = DltWorkloadBuilder::paper().jobs(opts.jobs).seed(opts.seed).build();
     cluster.prepopulate_history(&trainings, opts.seed ^ 0xbeef).map_err(|e| e.to_string())?;
@@ -391,13 +412,14 @@ fn main() -> ExitCode {
             return usage();
         }
     };
+    let base = shell_config();
     let outcome = match mode.as_str() {
-        "aqp" if !opts.statement.is_empty() => run_aqp(&opts),
-        "dlt" if !opts.statement.is_empty() => run_dlt(&opts),
-        "demo" => run_demo(&opts),
+        "aqp" if !opts.statement.is_empty() => run_aqp(&opts, &base),
+        "dlt" if !opts.statement.is_empty() => run_dlt(&opts, &base),
+        "demo" => run_demo(&opts, &base),
         "serve" => match &opts.listen {
             Some(addr) => run_listen(addr),
-            None => run_serve(&opts),
+            None => run_serve(&opts, &base),
         },
         _ => return usage(),
     };

@@ -14,7 +14,7 @@
 //! * [`tpch`] — deterministic TPC-H-style data generation and the
 //!   progressive batch source.
 //! * [`par`] — ordered `map`/`map_mut` over scoped host threads for
-//!   start-up work (`ROTARY_THREADS`).
+//!   start-up work (the configs' `threads`).
 //! * [`engine`] — the mini relational engine with online aggregation that
 //!   stands in for the paper's Spark-based AQP executor.
 //! * [`aqp`] — Rotary-AQP (Algorithm 2) and its baselines (ReLAQS, EDF,
@@ -23,7 +23,8 @@
 //!   TME / TTR, and its baselines (SRF, BCF, LAF).
 //! * [`faults`] — deterministic seed-driven fault injection (crashes,
 //!   stragglers, checkpoint failures, memory-pressure spikes) and the
-//!   retry/backoff recovery policy (`ROTARY_FAULT_SEED`).
+//!   retry/backoff recovery policy (the configs' `faults`). The library
+//!   reads no environment variable: every run input is a config field.
 //! * [`arb`] — the one arbitration run loop both systems plug into: the
 //!   [`arb::Arbiter`] / [`arb::Durable`] traits, the [`arb::Run`] handle,
 //!   and its three drivers — batch [`arb::run`], durable

@@ -448,6 +448,22 @@ fn aqp_release_at_terminal_changes_no_byte() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Every run input is a config field: the library reads no environment
+/// variable. This binary re-runs the pinned trace above with the chaos
+/// seed and thread count a shell might export, and it must still match.
+#[test]
+fn the_pinned_trace_ignores_the_process_environment() {
+    let exe = std::env::current_exe().expect("test binary path");
+    let out = std::process::Command::new(exe)
+        .args(["--exact", "aqp_release_at_terminal_changes_no_byte"])
+        .env("ROTARY_FAULT_SEED", "7")
+        .env("ROTARY_THREADS", "4")
+        .output()
+        .expect("re-run this test binary");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(out.status.success() && stdout.contains(" 1 passed"), "{stdout}");
+}
+
 /// Host threads are a start-up resource (DESIGN.md §5). Ten jobs arriving
 /// at t = 0 make single arbitration passes launch several epochs — the case
 /// the per-pass fan-out served until it was deleted. Launching them one

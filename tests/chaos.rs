@@ -1,8 +1,8 @@
 //! Chaos suite: both systems must survive arbitrary deterministic fault
 //! plans. Properties (256 seeded cases by default, `ROTARY_CHECK_CASES`
 //! overrides): every run terminates with every job in a terminal state and
-//! never panics; fixed chaos plans stay bit-identical across
-//! `ROTARY_THREADS` ∈ {1, 2, 4, 8}; an inert plan — regardless of its
+//! never panics; fixed chaos plans stay bit-identical across the configs'
+//! `threads` ∈ {1, 2, 4, 8}; an inert plan — regardless of its
 //! seed — changes nothing at all relative to the fault-free default; a
 //! durable run's snapshot memo changes no byte of any generation; and a
 //! baseline-policy run killed at any generation resumes to its plain trace.

@@ -79,14 +79,6 @@ fn dlt_run_is_bit_identical_across_thread_counts() {
     }
 }
 
-#[test]
-fn rotary_threads_env_is_picked_up_by_default_config() {
-    // `ROTARY_THREADS` is read once per config construction; the default
-    // of 1 keeps single-threaded runs reproducing historical numbers.
-    assert_eq!(AqpSystemConfig::default().threads, rotary::par::configured_threads());
-    assert_eq!(DltSystemConfig::default().threads, rotary::par::configured_threads());
-}
-
 /// Grouped results with each aggregate as raw `f64` bits.
 type GroupBits = Vec<(Vec<i64>, Vec<Option<u64>>)>;
 
