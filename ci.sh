@@ -8,7 +8,8 @@
 #                           workspace-wide, so this is also the
 #                           memory-safety gate) + rustdoc links +
 #                           rotary-lint + release
-#                           build + `--locked` check of the frozen e2e
+#                           build + FIGURES.json regenerated and
+#                           compared + `--locked` check of the frozen e2e
 #                           benchmark crate + workspace tests + the
 #                           pinned 256-case property suites
 #   ./ci.sh --bench         ... then run the engine, arbitration, and
@@ -57,6 +58,30 @@ fi
 
 echo "== cargo build --release =="
 cargo build --release
+
+# EXPERIMENTS.md's figure tables are rendered from FIGURES.json, and tier-1
+# (tests/figures.rs) re-runs the experiment table at the population's first
+# seed only. Re-running the whole population here catches a change that
+# moves any other seed: the regenerated files must equal the committed ones.
+# `cargo build --release` above builds only the root package, so the
+# figures binary is built here. On a mismatch the committed files are put
+# back (the regenerated ones stay in target/), so a rerun fails again until
+# the regenerated files are committed.
+echo "== figures: FIGURES.json reproduces over the whole population =="
+cargo build --release -q -p rotary-bench --bin figures
+for f in FIGURES.json EXPERIMENTS.md; do cp "$f" "target/$f.committed"; done
+if ! ./target/release/figures >/dev/null ||
+    ! cmp target/FIGURES.json.committed FIGURES.json ||
+    ! cmp target/EXPERIMENTS.md.committed EXPERIMENTS.md; then
+    for f in FIGURES.json EXPERIMENTS.md; do
+        cp "$f" "target/$f.regenerated"
+        cp "target/$f.committed" "$f"
+    done
+    echo "FIGURES.json or EXPERIMENTS.md is stale: regenerate with" \
+        "'cargo run --release -p rotary-bench --bin figures' and commit;" \
+        "this run's output is in target/*.regenerated" >&2
+    exit 1
+fi
 
 # The end-to-end benchmark (BENCHMARK.json) is a detached crate that is
 # frozen between benchmark PRs, lock file included. Checking it --locked

@@ -1,18 +1,17 @@
-//! Shared helpers for the experiment harnesses that regenerate every table
-//! and figure of the Rotary paper. Each binary under `src/bin/` prints the
-//! paper's rows/series next to the values measured in this reproduction;
-//! `EXPERIMENTS.md` records both.
+//! Experiment harnesses that regenerate every table and figure of the
+//! Rotary paper, plus the timing benches.
+//!
+//! Figs 6–10 and the two ablations come from one table of runs, views and
+//! claims ([`figures`]), judged over a declared seed population: the
+//! `figures` binary writes `FIGURES.json` and renders `EXPERIMENTS.md`'s
+//! tables from it. `fig1a`, `fig1b`, `fig11` and `table1`–`table3` are one
+//! binary each, printing the paper's rows next to the measured ones.
 
 #![warn(missing_docs)]
 
 pub mod codec;
+pub mod figures;
 pub mod timing;
-
-use rotary_sim::metrics::Distribution;
-
-/// Seeds used when an experiment averages over independent runs (the paper
-/// averages DLT results over 3 runs).
-pub const SEEDS: [u64; 3] = [11, 23, 47];
 
 /// Renders a unicode bar of `value` out of `max` with the given width.
 pub fn bar(value: f64, max: f64, width: usize) -> String {
@@ -23,14 +22,6 @@ pub fn bar(value: f64, max: f64, width: usize) -> String {
     let mut s = "█".repeat(filled.min(width));
     s.push_str(&"·".repeat(width.saturating_sub(filled)));
     s
-}
-
-/// Formats a five-number distribution summary on one line (a text violin).
-pub fn violin(d: &Distribution) -> String {
-    format!(
-        "min {:>5.2}  q1 {:>5.2}  med {:>5.2}  q3 {:>5.2}  max {:>5.2}  mean {:>5.2}",
-        d.min, d.q1, d.median, d.q3, d.max, d.mean
-    )
 }
 
 /// Unwraps a harness-setup result, exiting with a one-line message on
@@ -44,15 +35,6 @@ pub fn must<T, E: std::fmt::Display>(what: &str, result: Result<T, E>) -> T {
             eprintln!("{what}: {e}");
             std::process::exit(1);
         }
-    }
-}
-
-/// Mean of a slice.
-pub fn mean(values: &[f64]) -> f64 {
-    if values.is_empty() {
-        0.0
-    } else {
-        values.iter().sum::<f64>() / values.len() as f64
     }
 }
 
@@ -74,19 +56,5 @@ mod tests {
         assert_eq!(bar(10.0, 10.0, 4), "████");
         assert_eq!(bar(0.0, 10.0, 4), "····");
         assert_eq!(bar(1.0, 0.0, 4), "");
-    }
-
-    #[test]
-    fn mean_of_values() {
-        assert_eq!(mean(&[1.0, 2.0, 3.0]), 2.0);
-        assert_eq!(mean(&[]), 0.0);
-    }
-
-    #[test]
-    fn violin_formats() {
-        let d = Distribution::of(&[0.0, 0.5, 1.0]).unwrap();
-        let s = violin(&d);
-        assert!(s.contains("med"));
-        assert!(s.contains("0.50"));
     }
 }
