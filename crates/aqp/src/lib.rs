@@ -21,6 +21,6 @@ pub mod estimator;
 pub mod system;
 pub mod workload;
 
-pub use estimator::{build_estimator, QueryFeatures, RandomEstimator};
+pub use estimator::{build_estimator, random_estimate, QueryFeatures};
 pub use system::{AqpPolicy, AqpRunResult, AqpSystem, AqpSystemConfig};
 pub use workload::{AqpJobSpec, ClassMix, WorkloadBuilder};

@@ -16,7 +16,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use rotary_core::arb::{quantize_log2, OrdF64, PriorityIndex};
+use rotary_core::arb::{OrdF64, PriorityIndex};
 use rotary_core::error::RotaryError;
 use rotary_core::estimate::{CurveBasis, EnvelopeDetector, JointCurveEstimator};
 use rotary_core::history::{HistoryRepository, JobRecord};
@@ -35,7 +35,7 @@ use rotary_sim::{
 use rotary_store::{DurableConfig, DurableOutcome};
 use rotary_tpch::TpchData;
 
-use crate::estimator::{build_estimator, QueryFeatures, RandomEstimator};
+use crate::estimator::{build_estimator, random_estimate, QueryFeatures};
 use crate::workload::AqpJobSpec;
 
 mod snapshot;
@@ -55,11 +55,14 @@ const CHECKPOINT: CheckpointModel = CheckpointModel::ssd();
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AqpPolicy {
     /// Rotary-AQP (Algorithm 2): joint historical+real-time progress
-    /// estimation, memory-aware grants, adaptive running epochs, extra
-    /// threads to the highest estimated progress.
+    /// estimation gating feasibility, memory-aware grants, adaptive running
+    /// epochs, extra threads to the feasible jobs with the earliest
+    /// deadlines.
     Rotary,
-    /// Rotary-AQP with the Fig. 9 ablation: uniform-random progress
-    /// estimates.
+    /// Rotary-AQP with the Fig. 9 ablation: the feasibility gate projects
+    /// a uniform-random remaining time (U·3600 s, a pure function of the run
+    /// seed, the job index and its epoch count) instead of the fitted
+    /// estimate. Everything else, the deadline key included, is Rotary's.
     RotaryRandomEstimator,
     /// ReLAQS: real-time-only progress estimation, fixed epochs, extra
     /// threads to the largest estimated *improvement*.
@@ -124,7 +127,7 @@ pub struct AqpSystemConfig {
     /// Where paused jobs are persisted (paper §VI: always-disk is the
     /// paper's implementation; memory-first explores the trade-off).
     pub materialization: MaterializationPolicy,
-    /// Seed for per-job sampling orders and the random estimator.
+    /// Seed for per-job sampling orders and the random arm's draws.
     pub seed: u64,
     /// Fault-injection plan consulted by the control plane (default: the
     /// inert plan, which injects nothing and leaves the run byte-identical
@@ -202,8 +205,11 @@ pub struct RunJob<'a> {
     features: QueryFeatures,
     memory_mb: u64,
     epoch_batches: usize,
-    fraction_per_epoch: f64,
+    fraction_per_batch: f64,
     declaration_margin: f64,
+    /// The Fig. 9 random arm: feasibility projects a uniform draw instead
+    /// of the fitted estimate.
+    random_arm: bool,
     threads: u32,
     last_threads: u32,
     pending_persist: SimTime,
@@ -294,7 +300,6 @@ impl RunJob<'_> {
 pub struct AqpRunExt {
     pool: CpuPool,
     material: MaterializationManager,
-    random_est: RandomEstimator,
     /// Incremental control-plane state, never snapshotted: a started or
     /// restored run marks every job, so its first pass keys them all from
     /// job state.
@@ -311,15 +316,14 @@ enum Feasibility {
     Never,
 }
 
-/// Incrementally maintained control-plane caches for the Rotary and Relaqs
-/// policies: a standing priority order (split by feasibility), exact integer
-/// fleet sums behind the cold-start average, and a queue of scheduled
-/// feasibility flip times. The jobs the shared change tracking marked dirty
-/// (an event, an admission, a launch) are re-keyed at the next arbitration,
-/// and a job index seen for the first time grows the caches; everything
-/// else keeps its cached key, making one epoch's control-plane cost
-/// O(changes × log n) instead of O(n log n). The other policies leave the
-/// caches empty.
+/// Incrementally maintained control-plane caches for the Rotary (both arms)
+/// and Relaqs policies: a standing priority order (split by feasibility)
+/// and a queue of scheduled feasibility flip times. The jobs the shared
+/// change tracking marked dirty (an event, an admission, a launch) are
+/// re-keyed at the next arbitration, and a job index seen for the first
+/// time grows the caches; everything else keeps its cached key, making one
+/// epoch's control-plane cost O(changes × log n) instead of O(n log n).
+/// The other policies leave the caches empty.
 #[derive(Debug, Default)]
 struct AqpArbCaches {
     /// Standing priority order over feasible arbitrable jobs.
@@ -327,24 +331,12 @@ struct AqpArbCaches {
     /// Standing priority order over infeasible arbitrable jobs (ranked
     /// after every feasible job, matching the dense sort).
     infeasible: PriorityIndex<OrdF64>,
-    /// Jobs whose priority key depends on the fleet-average epoch duration
-    /// (cold jobs under Rotary); re-keyed only when the quantized average
-    /// moves to a different grid point.
-    cold: BTreeSet<u32>,
     /// Scheduled feasibility flip times: a warm feasible job becomes
     /// infeasible the first arbitration strictly after its flip time, with
     /// no state change involved.
     flips: BTreeSet<(SimTime, u32)>,
     /// Reverse map of `flips` for O(log n) rescheduling.
     flip_of: BTreeMap<u32, SimTime>,
-    /// Per-job `(service_ms, epochs_run)` contribution to the fleet sums.
-    contrib: Vec<(u64, u64)>,
-    /// Exact integer fleet sums: total isolated service time (ms) and total
-    /// completed epochs over alive jobs.
-    sum_service_ms: u128,
-    sum_epochs: u64,
-    /// Quantized fleet-average epoch duration the cold set is keyed on.
-    avg_bucket: f64,
 }
 
 /// The multi-tenant AQP system bound to one dataset.
@@ -568,8 +560,8 @@ impl<'a> AqpSystem<'a> {
             .history
             .iter()
             .zip(std::iter::successors(
-                Some(job.fraction_per_epoch * job.epoch_batches as f64),
-                |f| Some(f + job.fraction_per_epoch * job.epoch_batches as f64),
+                Some(job.fraction_per_batch * job.epoch_batches as f64),
+                |f| Some(f + job.fraction_per_batch * job.epoch_batches as f64),
             ))
             .map(|(s, frac)| (frac.min(1.0), s.metric_value))
             .collect();
@@ -590,7 +582,7 @@ impl<'a> AqpSystem<'a> {
     fn epochs_needed(job: &RunJob<'_>, frac_needed: Option<f64>) -> f64 {
         let frac_now = job.online.fraction_processed();
         let frac_needed = frac_needed.map_or(1.0, |f| f.clamp(frac_now, 1.0));
-        let per_epoch_frac = job.fraction_per_epoch * job.epoch_batches as f64;
+        let per_epoch_frac = job.fraction_per_batch * job.epoch_batches as f64;
         ((frac_needed - frac_now) / per_epoch_frac.max(1e-9)).ceil()
     }
 
@@ -600,28 +592,6 @@ impl<'a> AqpSystem<'a> {
     fn best_case_epoch_secs(job: &RunJob<'_>, max_threads: u32) -> f64 {
         let observed = job.base.core.service_time.as_secs_f64() / job.base.core.epochs_run as f64;
         observed * BatchCostModel::speedup(job.last_threads) / BatchCostModel::speedup(max_threads)
-    }
-
-    /// Estimated seconds until the job reaches its declaration accuracy:
-    /// solve the fitted progress curve for the target, convert the missing
-    /// data fraction into epochs, and extrapolate from the job's observed
-    /// epoch durations (or the fleet-average duration for jobs that have
-    /// not run yet). `None` when the estimator has no data at all — the
-    /// cold-start case Rotary avoids via historical jobs but ReLAQS cannot.
-    fn estimated_remaining_secs(
-        job: &RunJob<'_>,
-        avg_epoch_secs: f64,
-        max_threads: u32,
-    ) -> Option<f64> {
-        let target = job.spec.threshold + job.declaration_margin;
-        // No observations and no history: unknown.
-        let frac_needed = job.estimator.solve_for_x(target).ok()?;
-        let per_epoch_secs = if job.base.core.epochs_run > 0 {
-            Self::best_case_epoch_secs(job, max_threads)
-        } else {
-            avg_epoch_secs
-        };
-        Some(Self::epochs_needed(job, frac_needed) * per_epoch_secs)
     }
 
     /// Introspection on whether a job can still reach its threshold before
@@ -654,14 +624,21 @@ impl<'a> AqpSystem<'a> {
             // Jobs that have not run yet are optimistically feasible.
             return Feasibility::Always;
         }
-        let target = job.spec.threshold + job.declaration_margin;
-        // Flat or unknown curve: exhaustion makes the answer exact.
-        let frac_needed = job.estimator.solve_for_x(target).ok().flatten();
-        // Project at the best-case grant: feasibility asks whether *any*
-        // allocation could still save the job, not whether its current
-        // (possibly starved) rate suffices.
-        let best_case = Self::best_case_epoch_secs(job, MAX_THREADS_PER_JOB);
-        let projected = SimTime::from_secs_f64(Self::epochs_needed(job, frac_needed) * best_case);
+        let projected = if job.random_arm {
+            // Fig. 9: a uniform draw stands in for the whole estimate.
+            let core = &job.base.core;
+            let u = random_estimate(self.config.seed, core.id.0, core.epochs_run);
+            SimTime::from_secs_f64(u * 3600.0)
+        } else {
+            let target = job.spec.threshold + job.declaration_margin;
+            // Flat or unknown curve: exhaustion makes the answer exact.
+            let frac_needed = job.estimator.solve_for_x(target).ok().flatten();
+            // Project at the best-case grant: feasibility asks whether *any*
+            // allocation could still save the job, not whether its current
+            // (possibly starved) rate suffices.
+            let best_case = Self::best_case_epoch_secs(job, MAX_THREADS_PER_JOB);
+            SimTime::from_secs_f64(Self::epochs_needed(job, frac_needed) * best_case)
+        };
         // Feasible ⟺ projected ≤ deadline − now ∧ now < deadline, i.e.
         // now ≤ deadline − max(projected, 1ms).
         let blocker = projected.max(SimTime::from_millis(1));
@@ -673,41 +650,34 @@ impl<'a> AqpSystem<'a> {
         }
     }
 
-    /// Fleet-average epoch duration (seconds) from exact integer sums,
-    /// snapped onto a ~1.1% log grid. Exact sums make the value independent
-    /// of summation order (the dense path folds, the indexed path maintains
-    /// per-job contributions); the snap means cold jobs' cached priority
-    /// keys only move when the average genuinely drifts, not by a few ULPs
-    /// per completed epoch.
-    fn fleet_avg_epoch_secs(sum_service_ms: u128, sum_epochs: u64) -> f64 {
-        if sum_epochs == 0 {
-            60.0
-        } else {
-            quantize_log2(sum_service_ms as f64 / 1000.0 / sum_epochs as f64, 64)
-        }
-    }
-
     /// The Rotary/ReLAQS priority key (smaller runs first), shared verbatim
     /// by the dense and indexed control planes.
     ///
     /// ReLAQS minimises average latency: shortest estimated remaining work
-    /// first. Rotary maximises attainment: least *laxity* first — the
-    /// feasible job with the smallest deadline slack (deadline minus
-    /// buffered work left) runs first. The 1.25 buffer scales with job
-    /// length: a long (heavy) job cannot be compressed into its final
-    /// epochs, so its slack must be banked earlier. (Calibrated against a
-    /// 20-seed Fig. 6 sweep; see DESIGN.md §7.) The key is deliberately
-    /// clock-free — `deadline − 1.25·work`, not `(deadline − now) −
-    /// 1.25·work` — because subtracting the common `now` term cannot change
-    /// the order of two jobs, and a clock-free key stays valid between job
-    /// state changes, which is what lets the indexed control plane keep the
-    /// order standing.
-    fn priority_key(&self, job: &RunJob<'_>, policy: AqpPolicy, avg_epoch_secs: f64) -> f64 {
-        let remaining = Self::estimated_remaining_secs(job, avg_epoch_secs, MAX_THREADS_PER_JOB)
-            .unwrap_or(f64::INFINITY);
+    /// first. It solves the fitted curve for the declaration accuracy,
+    /// converts the missing data fraction into epochs and extrapolates from
+    /// the job's best-case epoch duration. A job that has not run has no
+    /// real-time curve (ReLAQS keeps no history), so it keys to +∞.
+    ///
+    /// Rotary (both arms) runs the earliest absolute deadline first among
+    /// feasible jobs: the feasibility gate is what keeps a doomed job from
+    /// holding threads a savable one could use, and DESIGN.md §8 records the
+    /// populations on which this key beat a least-laxity one. Both keys are
+    /// clock-free and move only with job state, which is what lets the
+    /// indexed control plane keep the order standing.
+    fn priority_key(job: &RunJob<'_>, policy: AqpPolicy) -> f64 {
         match policy {
-            AqpPolicy::Relaqs => remaining,
-            _ => job.deadline_at().as_secs_f64() - 1.25 * remaining,
+            AqpPolicy::Relaqs => {
+                let target = job.spec.threshold + job.declaration_margin;
+                match job.estimator.solve_for_x(target) {
+                    Ok(frac_needed) => {
+                        Self::epochs_needed(job, frac_needed)
+                            * Self::best_case_epoch_secs(job, MAX_THREADS_PER_JOB)
+                    }
+                    Err(_) => f64::INFINITY,
+                }
+            }
+            _ => job.deadline_at().as_secs_f64(),
         }
     }
 
@@ -718,38 +688,14 @@ impl<'a> AqpSystem<'a> {
         mut indices: Vec<usize>,
         now: SimTime,
         policy: AqpPolicy,
-        random_est: &mut RandomEstimator,
         rr_cursor: &mut usize,
     ) -> Vec<usize> {
         match policy {
             AqpPolicy::Rotary | AqpPolicy::RotaryRandomEstimator | AqpPolicy::Relaqs => {
-                // Fleet-average epoch duration, for jobs with no epochs yet
-                // (exact integer sums shared with the indexed path, so both
-                // paths key identically).
-                let (sum_ms, sum_epochs) = indices.iter().fold((0u128, 0u64), |(s, e), &i| {
-                    (
-                        s + jobs[i].base.core.service_time.as_millis() as u128,
-                        e + jobs[i].base.core.epochs_run,
-                    )
-                });
-                let avg_epoch_secs = Self::fleet_avg_epoch_secs(sum_ms, sum_epochs);
                 let mut keyed: Vec<(usize, bool, OrdF64)> = indices
                     .iter()
                     .map(|&i| {
-                        // The priority: which job can reach its completion
-                        // criterion in the least remaining time. Rotary
-                        // estimates this from history + real-time data;
-                        // ReLAQS from real-time only, so freshly arrived
-                        // jobs are unrankable (cold start) and sort last;
-                        // the Fig. 9 ablation replaces the estimate with
-                        // uniform noise.
-                        let key = match policy {
-                            AqpPolicy::RotaryRandomEstimator => {
-                                let remaining = random_est.estimate() * 3600.0;
-                                jobs[i].deadline_at().as_secs_f64() - 1.25 * remaining
-                            }
-                            _ => self.priority_key(&jobs[i], policy, avg_epoch_secs),
-                        };
+                        let key = Self::priority_key(&jobs[i], policy);
                         // Rotary's completion-criteria awareness: feasible
                         // jobs outrank doomed ones. ReLAQS has no deadline
                         // introspection, so every job counts as feasible.
@@ -848,29 +794,6 @@ impl<'a> AqpSystem<'a> {
         target
     }
 
-    /// Folds job `i`'s `(service_ms, epochs_run)` into the exact fleet
-    /// sums, replacing its previous contribution (none, the first time the
-    /// index is seen). Terminal and pending jobs contribute nothing — the
-    /// dense path averages over the alive set only, and the two must key
-    /// identically.
-    fn update_contrib(arb: &mut AqpArbCaches, jobs: &[RunJob<'_>], i: usize) {
-        if arb.contrib.len() <= i {
-            arb.contrib.resize(i + 1, (0, 0));
-        }
-        let j = &jobs[i];
-        let new = if j.is_alive() {
-            (j.base.core.service_time.as_millis(), j.base.core.epochs_run)
-        } else {
-            (0, 0)
-        };
-        let old = arb.contrib[i];
-        if new != old {
-            arb.sum_service_ms = arb.sum_service_ms + new.0 as u128 - old.0 as u128;
-            arb.sum_epochs = arb.sum_epochs + new.1 - old.1;
-            arb.contrib[i] = new;
-        }
-    }
-
     /// Re-derives job `i`'s position in the standing priority order from
     /// its current state: drops terminal/pending jobs, re-keys the rest
     /// onto the feasible or infeasible side, and (re)schedules the
@@ -883,27 +806,18 @@ impl<'a> AqpSystem<'a> {
         i: usize,
         now: SimTime,
         policy: AqpPolicy,
-        avg_epoch_secs: f64,
     ) {
         let id = i as u32;
         let j = &jobs[i];
         if !j.is_alive() {
             arb.feasible.remove(id);
             arb.infeasible.remove(id);
-            arb.cold.remove(&id);
             if let Some(t) = arb.flip_of.remove(&id) {
                 arb.flips.remove(&(t, id));
             }
             return;
         }
-        // Cold jobs (no epochs yet) key off the fleet average under Rotary;
-        // track the set so a fleet-average drift re-keys exactly them.
-        if j.base.core.epochs_run == 0 && policy != AqpPolicy::Relaqs {
-            arb.cold.insert(id);
-        } else {
-            arb.cold.remove(&id);
-        }
-        let key = OrdF64::new(self.priority_key(j, policy, avg_epoch_secs));
+        let key = OrdF64::new(Self::priority_key(j, policy));
         let feasibility = match policy {
             // ReLAQS has no deadline introspection: every job is feasible.
             AqpPolicy::Relaqs => Feasibility::Always,
@@ -941,9 +855,8 @@ impl<'a> AqpSystem<'a> {
 
     /// The indexed control plane's replacement for the alive filter +
     /// [`rank`](Self::rank): applies queued feasibility flips, re-keys
-    /// dirty jobs, refreshes the fleet average, and walks the standing
-    /// order lazily — only as far as the two-pass allocator can possibly
-    /// look. Empty when nothing is alive or the pool has no thread. Debug
+    /// dirty jobs, and walks the standing order lazily — only as far as the
+    /// two-pass allocator can possibly look. Empty when nothing is alive or the pool has no thread. Debug
     /// builds hold the walk to the dense `rank` of every alive job.
     fn indexed_ranked(
         &self,
@@ -965,20 +878,8 @@ impl<'a> AqpSystem<'a> {
                 break;
             }
         }
-        for &id in dirty {
-            Self::update_contrib(arb, jobs, id as usize);
-        }
-        let avg = Self::fleet_avg_epoch_secs(arb.sum_service_ms, arb.sum_epochs);
-        if avg.to_bits() != arb.avg_bucket.to_bits() {
-            arb.avg_bucket = avg;
-            // Only cold jobs key off the fleet average; re-key exactly them.
-            let cold: Vec<u32> = arb.cold.iter().copied().collect();
-            for id in cold {
-                self.refresh_job(arb, jobs, id as usize, now, policy, avg);
-            }
-        }
         for &id in dirty.iter().chain(flipped.iter()) {
-            self.refresh_job(arb, jobs, id as usize, now, policy, avg);
+            self.refresh_job(arb, jobs, id as usize, now, policy);
         }
         // Lazy prefix: pass one of the allocator examines ranked jobs only
         // until it runs out of threads; reproduce that walk against the
@@ -1007,12 +908,12 @@ impl<'a> AqpSystem<'a> {
 
     /// The indexed plane's reference: the lazy prefix is the same-length
     /// prefix of the dense `rank` over every alive job, and the allocator
-    /// targets the same grants from either. Pure — a fresh cursor and
-    /// estimator (neither policy with a standing order reads them).
+    /// targets the same grants from either. Pure — a fresh cursor (no
+    /// policy with a standing order reads it).
     #[cfg(debug_assertions)]
     fn check_prefix(&self, jobs: &[RunJob<'_>], ranked: &[usize], now: SimTime, policy: AqpPolicy) {
         let alive: Vec<usize> = (0..jobs.len()).filter(|&i| jobs[i].is_alive()).collect();
-        let dense = self.rank(jobs, alive, now, policy, &mut RandomEstimator::new(0), &mut 0);
+        let dense = self.rank(jobs, alive, now, policy, &mut 0);
         assert!(
             dense.starts_with(ranked),
             "indexed prefix {ranked:?} is not a prefix of the dense rank {dense:?} at {now:?}"
@@ -1041,7 +942,6 @@ impl<'a> Arbiter for AqpSystem<'a> {
         AqpRunExt {
             pool: CpuPool::new(self.config.pool),
             material: MaterializationManager::new(self.config.materialization, CHECKPOINT),
-            random_est: RandomEstimator::new(self.config.seed ^ 0xabcd),
             arb: AqpArbCaches::default(),
         }
     }
@@ -1105,8 +1005,9 @@ impl<'a> Arbiter for AqpSystem<'a> {
             features,
             memory_mb,
             epoch_batches,
-            fraction_per_epoch: batch_rows as f64 / fact_rows as f64,
+            fraction_per_batch: batch_rows as f64 / fact_rows as f64,
             declaration_margin: self.config.declaration_margin,
+            random_arm: policy == AqpPolicy::RotaryRandomEstimator,
             threads: 0,
             last_threads: 1,
             pending_persist: SimTime::ZERO,
@@ -1211,24 +1112,27 @@ impl<'a> Arbiter for AqpSystem<'a> {
         ckpt_candidate: Option<usize>,
     ) {
         let Loop { jobs, events, metrics, rr_cursor, marks, terminals, .. } = lp;
-        let AqpRunExt { pool, material, random_est, arb } = ext;
+        let AqpRunExt { pool, material, arb } = ext;
         // Injected transient memory pressure shrinks what the arbiter may
         // hand out for the duration of the current pressure slot.
         let spike = self.config.faults.memory_pressure_mb(now);
         let dirty = std::mem::take(&mut marks.dirty);
         // The queue Q_t: every arrived, unfinished job — including running
         // ones, whose grants are re-evaluated at their epoch boundaries.
-        // Rotary and ReLAQS read a standing order. EDF keys are already
-        // cheap; LAF/RoundRobin/RandomEstimator mutate rank-time state
-        // (cursor, RNG draws) and re-rank every pass.
-        let ranked: Vec<usize> = if matches!(policy, AqpPolicy::Rotary | AqpPolicy::Relaqs) {
+        // Rotary (both arms) and ReLAQS read a standing order. EDF keys are
+        // already cheap; LAF keys move with every epoch and RoundRobin
+        // advances its cursor, so they re-rank every pass.
+        let ranked: Vec<usize> = if matches!(
+            policy,
+            AqpPolicy::Rotary | AqpPolicy::RotaryRandomEstimator | AqpPolicy::Relaqs
+        ) {
             self.indexed_ranked(arb, &dirty, jobs, now, policy)
         } else {
             let alive: Vec<usize> = (0..jobs.len()).filter(|&i| jobs[i].is_alive()).collect();
             if alive.is_empty() {
                 return;
             }
-            self.rank(jobs, alive, now, policy, random_est, rr_cursor)
+            self.rank(jobs, alive, now, policy, rr_cursor)
         };
         if ranked.is_empty() {
             return;
@@ -1335,9 +1239,8 @@ impl<'a> Arbiter for AqpSystem<'a> {
                 && matches!(policy, AqpPolicy::Rotary | AqpPolicy::RotaryRandomEstimator)
                 && job.base.core.epochs_run > 0
             {
-                let frac_per_batch = job.fraction_per_epoch;
                 let batches_done =
-                    (job.online.fraction_processed() / frac_per_batch.max(1e-12)).max(1.0);
+                    (job.online.fraction_processed() / job.fraction_per_batch.max(1e-12)).max(1.0);
                 let per_batch_secs = job.base.core.service_time.as_secs_f64() / batches_done;
                 let remaining = job.deadline_at().saturating_sub(now).as_secs_f64() * 0.95;
                 if per_batch_secs > 0.0 {

@@ -9,8 +9,11 @@
 //!   a pure function of the delivered prefix, so restore *replays* it rather
 //!   than serializing raw accumulators), envelope windows, estimator points,
 //!   and the thread grant;
-//! * `pool` / `material` — CPU grants and memory-resident paused state;
-//! * `loop.random_est` — the random-estimator RNG position.
+//! * `pool` / `material` — CPU grants and memory-resident paused state.
+//!
+//! The random arm's draws are a pure function of the seed, the job index
+//! and its epoch count, so no RNG position is stored; a `loop.random_est`
+//! key that an older snapshot carries is ignored.
 //!
 //! Everything deterministic and derivable (plans, ground truths, memory
 //! estimates, batch permutations) is rebuilt from the config instead of
@@ -26,12 +29,11 @@ use rotary_core::history::HistoryRepository;
 use rotary_core::job::JobId;
 use rotary_core::json::{u64_json, Json};
 use rotary_core::SimTime;
-use rotary_faults::arbiter::{corrupt, rng_from_json, rng_json, Durable};
+use rotary_faults::arbiter::{corrupt, Durable};
 use rotary_sim::{CheckpointModel, CpuPool, MaterializationManager};
 use rotary_store::record_json;
 
 use super::{AqpPolicy, AqpRunExt, AqpSystem, RunJob};
-use crate::estimator::RandomEstimator;
 use crate::workload::AqpJobSpec;
 
 impl Durable for AqpSystem<'_> {
@@ -115,11 +117,7 @@ impl Durable for AqpSystem<'_> {
         Some(())
     }
 
-    fn save(
-        &self,
-        ext: &AqpRunExt,
-        loop_doc: &mut Vec<(&'static str, Json)>,
-    ) -> Vec<(&'static str, Json)> {
+    fn save(&self, ext: &AqpRunExt) -> Vec<(&'static str, Json)> {
         let grant = |(job, threads, memory_mb): (JobId, u32, u64)| {
             Json::obj(vec![
                 ("job", u64_json(job.0)),
@@ -128,8 +126,6 @@ impl Durable for AqpSystem<'_> {
             ])
         };
         let resident = |(job, mb)| Json::obj(vec![("job", u64_json(job)), ("mb", u64_json(mb))]);
-        let (rng_state, rng_root) = ext.random_est.snapshot_state();
-        loop_doc.push(("random_est", rng_json(rng_state, rng_root)));
         vec![
             (
                 "pool",
@@ -150,13 +146,7 @@ impl Durable for AqpSystem<'_> {
         ext.pool =
             restore_pool(self, &record_json(records, "pool")?).ok_or_else(|| bad("pool record"))?;
         restore_material(&mut ext.material, &record_json(records, "material")?)
-            .ok_or_else(|| bad("material record"))?;
-        let (rng_state, rng_root) = record_json(records, "loop")?
-            .get("random_est")
-            .and_then(rng_from_json)
-            .ok_or_else(|| bad("loop.random_est"))?;
-        ext.random_est = RandomEstimator::from_snapshot(rng_state, rng_root);
-        Ok(())
+            .ok_or_else(|| bad("material record"))
     }
 }
 

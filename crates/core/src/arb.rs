@@ -1,6 +1,5 @@
-//! Control-plane arbitration primitives: total-order float keys, a
-//! logarithmic grid for fleet-level inputs, and an incrementally maintained
-//! priority index.
+//! Control-plane arbitration primitives: total-order float keys and an
+//! incrementally maintained priority index.
 //!
 //! Production-scale arbitration (ROADMAP: 100k concurrent jobs) makes the
 //! per-epoch control-plane cost itself the hot path. The arbitration loops
@@ -46,24 +45,6 @@ impl OrdF64 {
         // above them.
         OrdF64(if bits >> 63 == 1 { !bits } else { bits ^ (1 << 63) })
     }
-}
-
-/// Snaps a positive duration (or any positive quantity) onto a fixed
-/// logarithmic grid with `steps` steps per octave.
-///
-/// The arbitration loops use this for *fleet-level* estimator inputs (the
-/// average epoch duration): the raw average moves a few ULPs on every
-/// completed epoch, which would invalidate every cold job's cached priority
-/// key on every event. Snapped to a ~1% grid, the shared input only changes
-/// when the fleet average genuinely drifts, so re-keying the cold set is
-/// amortised away. The function is pure (no state), so snapshot-restored
-/// runs recompute the identical grid point.
-pub fn quantize_log2(x: f64, steps: u32) -> f64 {
-    if !x.is_finite() || x <= 0.0 {
-        return if x.is_nan() { x } else { x.max(0.0) };
-    }
-    let steps = steps.max(1) as f64;
-    ((x.log2() * steps).round() / steps).exp2()
 }
 
 /// An incrementally maintained priority order over job ids.
@@ -173,22 +154,6 @@ mod tests {
     fn ordf64_nan_sorts_last() {
         assert!(OrdF64::new(f64::INFINITY) < OrdF64::new(f64::NAN));
         assert!(OrdF64::new(-f64::NAN) == OrdF64::new(f64::NAN));
-    }
-
-    #[test]
-    fn quantize_is_idempotent_and_monotone() {
-        let xs = [1e-6, 0.5, 59.7, 60.0, 61.3, 1e9];
-        for &x in &xs {
-            let q = quantize_log2(x, 64);
-            assert_eq!(quantize_log2(q, 64), q, "idempotent at {x}");
-            assert!((q / x - 1.0).abs() < 0.011, "within one grid step at {x}");
-        }
-        for w in xs.windows(2) {
-            assert!(quantize_log2(w[0], 64) <= quantize_log2(w[1], 64));
-        }
-        assert_eq!(quantize_log2(0.0, 64), 0.0);
-        assert_eq!(quantize_log2(-3.0, 64), 0.0);
-        assert_eq!(quantize_log2(f64::INFINITY, 64), f64::INFINITY);
     }
 
     #[test]

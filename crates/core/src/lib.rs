@@ -30,7 +30,7 @@
 //! The application-specific halves live in the `rotary-aqp` and `rotary-dlt`
 //! crates, which instantiate this framework for approximate query processing
 //! and deep learning training respectively. They also hold the paper's
-//! policies and cost model: the laxity and threshold rankings of each
+//! policies and cost model: the deadline and threshold rankings of each
 //! system, and its adaptive epochs, which weigh progress against resources.
 
 #![warn(missing_docs)]

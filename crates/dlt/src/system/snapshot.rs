@@ -89,11 +89,7 @@ impl Durable for DltSystem {
         Some(())
     }
 
-    fn save(
-        &self,
-        ext: &DltRunExt,
-        _loop_doc: &mut Vec<(&'static str, Json)>,
-    ) -> Vec<(&'static str, Json)> {
+    fn save(&self, ext: &DltRunExt) -> Vec<(&'static str, Json)> {
         let occupants = ext.pool.occupants().iter().enumerate().filter_map(|(device, job)| {
             let pairs = vec![("job", u64_json((*job)?.0)), ("device", u64_json(device as u64))];
             Some(Json::obj(pairs))

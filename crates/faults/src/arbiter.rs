@@ -334,13 +334,8 @@ pub trait Durable: Arbiter {
     fn save_job(job: &Self::Job) -> Vec<(&'static str, Json)>;
     /// Overwrites a freshly bound job with its snapshot entry.
     fn load_job(job: &mut Self::Job, entry: &Json) -> Option<()>;
-    /// The system's own snapshot records, in commit order; may add keys to
-    /// the shared `loop` record.
-    fn save(
-        &self,
-        ext: &Self::Ext,
-        loop_doc: &mut Vec<(&'static str, Json)>,
-    ) -> Vec<(&'static str, Json)>;
+    /// The system's own snapshot records, in commit order.
+    fn save(&self, ext: &Self::Ext) -> Vec<(&'static str, Json)>;
     /// Overwrites freshly opened state from the records [`Durable::save`]
     /// wrote.
     ///
@@ -613,11 +608,11 @@ impl<A: Durable> Run<A> {
             ("generation", u64_json(generation)),
             ("epochs_done", u64_json(lp.epochs_done)),
         ]);
-        let mut loop_doc = vec![
+        let loop_doc = Json::obj(vec![
             ("rr_cursor", u64_json(lp.rr_cursor as u64)),
             ("makespan", u64_json(lp.makespan.as_millis())),
-        ];
-        let own = sys.save(&self.ext, &mut loop_doc);
+        ]);
+        let own = sys.save(&self.ext);
         let record = |name: &str, doc: Json| json_record(name, &doc);
         let text = |name: &str, text: String| (name.to_string(), text.into_bytes());
         let mut records = vec![
@@ -626,7 +621,7 @@ impl<A: Durable> Run<A> {
             record("events", events_json(&lp.events)),
         ];
         records.extend(own.into_iter().map(|(name, doc)| record(name, doc)));
-        records.push(record("loop", Json::obj(loop_doc)));
+        records.push(record("loop", loop_doc));
         records.push(text("metrics", lp.metrics.to_compact()));
         records.push(text("history", sys.history().to_compact()));
         Ok(records)
@@ -1170,11 +1165,7 @@ mod tests {
             job.need = entry.get("need")?.as_u64_str()?;
             Some(())
         }
-        fn save(
-            &self,
-            free: &usize,
-            _: &mut Vec<(&'static str, Json)>,
-        ) -> Vec<(&'static str, Json)> {
+        fn save(&self, free: &usize) -> Vec<(&'static str, Json)> {
             vec![("free", u64_json(*free as u64))]
         }
         fn load(&self, free: &mut usize, records: &[(String, Vec<u8>)]) -> Result<()> {

@@ -8,7 +8,7 @@
 //! * [`core`] — the application-independent framework: completion-criteria
 //!   DSL, attainment progress `φ`, estimators, history repository. The
 //!   paper's policies and cost model live in [`aqp`] and [`dlt`]: their
-//!   laxity and threshold rankings and their adaptive running epochs.
+//!   deadline and threshold rankings and their adaptive running epochs.
 //! * [`sim`] — the discrete-event substrate: virtual clock, Poisson
 //!   arrivals, resource pools, checkpoint costs, evaluation metrics.
 //! * [`tpch`] — deterministic TPC-H-style data generation and the

@@ -194,7 +194,11 @@ fn aqp_every_indexed_pass_matches_the_dense_rank() {
     check("aqp_indexed_passes", |src| {
         let plan = draw_plan(src);
         let seed = src.u64_in(0, 1 << 20);
-        let policy = if src.bool(0.5) { AqpPolicy::Rotary } else { AqpPolicy::Relaqs };
+        let policy = match src.usize_in(0, 2) {
+            0 => AqpPolicy::Rotary,
+            1 => AqpPolicy::RotaryRandomEstimator,
+            _ => AqpPolicy::Relaqs,
+        };
         let warm = src.bool(0.5);
         let specs = WorkloadBuilder::paper().jobs(3).seed(seed).build();
         let config = AqpSystemConfig { seed, threads: 1, faults: plan, ..Default::default() };

@@ -84,26 +84,26 @@ const AQP_PINS: &[(&str, u64, u64)] = &[
     ("EDF none 3", 0x27b5c3bd4577fa5d, 1930800),
     ("LAF none 3", 0xc4e541bf21f9ab27, 1957055),
     ("ReLAQS none 3", 0x62fefc976fc10eac, 2082994),
-    ("Rotary-AQP none 3", 0x26a167ffd0c2c781, 1876072),
-    ("Rotary-AQP(random-est) none 3", 0x768b071ed1df722d, 2070938),
+    ("Rotary-AQP none 3", 0xf320fff5e2fbee7f, 2042753),
+    ("Rotary-AQP(random-est) none 3", 0x7c15159df474a890, 2067943),
     ("Round-robin chaos 3", 0x0f5a0c59e9fa2949, 2031697),
     ("EDF chaos 3", 0x588a07d315572f12, 2065012),
     ("LAF chaos 3", 0xfce29df020eb5d34, 2140177),
     ("ReLAQS chaos 3", 0x5ed00e7f12d39621, 2087927),
-    ("Rotary-AQP chaos 3", 0x4f91bf23bff62ac5, 2069979),
-    ("Rotary-AQP(random-est) chaos 3", 0x6a6c9ea92cda707d, 2069979),
+    ("Rotary-AQP chaos 3", 0x5cd7f58636d11c0f, 2064908),
+    ("Rotary-AQP(random-est) chaos 3", 0x950fa98cd3dbdca6, 2205697),
     ("Round-robin none 21", 0x09a79a01ea7581af, 2790974),
     ("EDF none 21", 0xacf185a890d6ba4f, 2842323),
     ("LAF none 21", 0xf28cd817fdacbabb, 2869571),
     ("ReLAQS none 21", 0xfa23df45d9c17060, 2839684),
-    ("Rotary-AQP none 21", 0xc1b208d673c24c5e, 2803122),
-    ("Rotary-AQP(random-est) none 21", 0x4a844dbe8c5e9e27, 2801821),
+    ("Rotary-AQP none 21", 0x6c540ff17d44c663, 2790897),
+    ("Rotary-AQP(random-est) none 21", 0x2c69c9b58f78af85, 2808793),
     ("Round-robin chaos 21", 0xaca698aa906ad14c, 2864144),
     ("EDF chaos 21", 0x0387402bc60513b0, 2900144),
     ("LAF chaos 21", 0xbb64d121bfd74856, 2847705),
     ("ReLAQS chaos 21", 0x94ac689e6261f52d, 2795936),
-    ("Rotary-AQP chaos 21", 0x388fed83d142491f, 2834184),
-    ("Rotary-AQP(random-est) chaos 21", 0x03a08c001f010821, 2795310),
+    ("Rotary-AQP chaos 21", 0x5ea0610a2bd5b92a, 2793591),
+    ("Rotary-AQP(random-est) chaos 21", 0x388f68d34c5d30fc, 2806739),
 ];
 
 /// Recorded alongside [`AQP_PINS`].
