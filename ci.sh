@@ -105,11 +105,12 @@ echo "== chaos property suite (256 fault plans) =="
 ROTARY_CHECK_CASES=256 cargo test -q --test chaos
 
 # Control-plane equivalence gate (DESIGN.md §13): the indexed ranking
-# (priority indexes, incremental refits) of Rotary-AQP and its random-
-# estimator arm, ReLAQS and Rotary-DLT must stay identical to the dense
-# re-sort the other baselines use, including under chaos fault plans. Test
-# builds assert that inside every indexed pass, and these runs drive the
-# check; the change tracking is one protocol for every policy. Pinned for
+# (priority indexes, incremental refits) of every keyed policy — Rotary-AQP
+# and its random-estimator arm, ReLAQS, EDF, LAF and Rotary-DLT — must stay
+# identical to the dense re-sort of the same key (the only ranking AQP
+# round-robin and the DLT baselines run), including under chaos fault
+# plans. Test builds assert that inside every indexed pass, and these runs
+# drive the check; the change tracking is one protocol for every policy. Pinned for
 # the same reason as the chaos suite. arbiter_drivers is rerun by name: it
 # is the streaming/snapshot oracle for admissions, which mark the newcomer
 # for the next pass under every policy.

@@ -201,15 +201,14 @@ pub struct RunJob<'a> {
     spec: AqpJobSpec,
     online: OnlineAggregation<'a>,
     envelopes: Vec<EnvelopeDetector>,
-    estimator: JointCurveEstimator,
+    /// The fitted progress curve of the policies that read one (Rotary,
+    /// ReLAQS); under Rotary's gate, a job without one is the Fig. 9 arm.
+    estimator: Option<JointCurveEstimator>,
     features: QueryFeatures,
     memory_mb: u64,
     epoch_batches: usize,
     fraction_per_batch: f64,
     declaration_margin: f64,
-    /// The Fig. 9 random arm: feasibility projects a uniform draw instead
-    /// of the fitted estimate.
-    random_arm: bool,
     threads: u32,
     last_threads: u32,
     pending_persist: SimTime,
@@ -316,14 +315,25 @@ enum Feasibility {
     Never,
 }
 
-/// Incrementally maintained control-plane caches for the Rotary (both arms)
-/// and Relaqs policies: a standing priority order (split by feasibility)
-/// and a queue of scheduled feasibility flip times. The jobs the shared
-/// change tracking marked dirty (an event, an admission, a launch) are
-/// re-keyed at the next arbitration, and a job index seen for the first
-/// time grows the caches; everything else keeps its cached key, making one
-/// epoch's control-plane cost O(changes × log n) instead of O(n log n).
-/// The other policies leave the caches empty.
+impl Feasibility {
+    /// Whether the job is feasible at `now` (through its flip instant).
+    fn holds_at(self, now: SimTime) -> bool {
+        match self {
+            Feasibility::Always => true,
+            Feasibility::Until(t) => now <= t,
+            Feasibility::Never => false,
+        }
+    }
+}
+
+/// Incrementally maintained control-plane caches for every keyed policy: a
+/// standing priority order (split by feasibility) and a queue of scheduled
+/// feasibility flip times. The jobs the shared change tracking marked dirty
+/// (an event, an admission, a launch) are re-keyed at the next arbitration,
+/// and a job index seen for the first time grows the caches; everything
+/// else keeps its cached key, making one epoch's control-plane cost
+/// O(changes × log n) instead of O(n log n). Round-robin, which rotates
+/// on every pass, re-ranks densely and leaves the caches empty.
 #[derive(Debug, Default)]
 struct AqpArbCaches {
     /// Standing priority order over feasible arbitrable jobs.
@@ -594,50 +604,40 @@ impl<'a> AqpSystem<'a> {
         observed * BatchCostModel::speedup(job.last_threads) / BatchCostModel::speedup(max_threads)
     }
 
-    /// Introspection on whether a job can still reach its threshold before
-    /// its deadline, using the progress estimator: solve the fitted curve
-    /// for the declaration accuracy, convert the remaining data fraction to
-    /// epochs, and extrapolate from the job's observed epoch durations. Jobs
-    /// that have not run yet are optimistically feasible; an unknown curve
-    /// solution means the job attains at stream exhaustion at the latest.
-    ///
-    /// This is the "detect and preempt such anomalies" capability the paper
-    /// motivates Rotary with: a doomed job should not hold resources that a
-    /// feasible job could use.
-    fn is_feasible(&self, job: &RunJob<'_>, now: SimTime) -> bool {
-        match self.feasible_until(job) {
-            Feasibility::Always => true,
-            Feasibility::Never => false,
-            Feasibility::Until(t) => now <= t,
-        }
-    }
-
-    /// The feasibility *schedule* of a job: the virtual instant up to which
-    /// it can still reach its threshold before its deadline. Feasibility is
-    /// a function of job state and the clock only — between state changes a
-    /// job flips from feasible to infeasible exactly once, at a time
-    /// computable in advance (virtual time is integer milliseconds, so the
-    /// flip instant is exact). The indexed control plane queues these flip
-    /// times instead of re-evaluating every job per event.
-    fn feasible_until(&self, job: &RunJob<'_>) -> Feasibility {
-        if !self.config.feasibility_check || job.base.core.epochs_run == 0 {
-            // Jobs that have not run yet are optimistically feasible.
+    /// Rotary's feasibility gate as a *schedule*: the virtual instant up to
+    /// which the job can still reach its threshold before its deadline — the
+    /// "detect and preempt such anomalies" capability the paper motivates
+    /// Rotary with. Solve the fitted curve for the declaration accuracy
+    /// (stream exhaustion when it has no solution), convert the remaining
+    /// data fraction to epochs, and extrapolate from the job's observed
+    /// epoch durations; a job without a curve (the Fig. 9 random arm)
+    /// projects a uniform draw instead. A job that has not run, and every
+    /// job of a policy without the gate, is always feasible. Between state
+    /// changes a job flips to infeasible at most once, at an exact
+    /// millisecond, so the indexed control plane queues flip times instead
+    /// of re-evaluating every job per event.
+    fn feasible_until(&self, job: &RunJob<'_>, policy: AqpPolicy) -> Feasibility {
+        let gated = matches!(policy, AqpPolicy::Rotary | AqpPolicy::RotaryRandomEstimator);
+        if !gated || !self.config.feasibility_check || job.base.core.epochs_run == 0 {
             return Feasibility::Always;
         }
-        let projected = if job.random_arm {
-            // Fig. 9: a uniform draw stands in for the whole estimate.
-            let core = &job.base.core;
-            let u = random_estimate(self.config.seed, core.id.0, core.epochs_run);
-            SimTime::from_secs_f64(u * 3600.0)
-        } else {
-            let target = job.spec.threshold + job.declaration_margin;
-            // Flat or unknown curve: exhaustion makes the answer exact.
-            let frac_needed = job.estimator.solve_for_x(target).ok().flatten();
-            // Project at the best-case grant: feasibility asks whether *any*
-            // allocation could still save the job, not whether its current
-            // (possibly starved) rate suffices.
-            let best_case = Self::best_case_epoch_secs(job, MAX_THREADS_PER_JOB);
-            SimTime::from_secs_f64(Self::epochs_needed(job, frac_needed) * best_case)
+        let projected = match &job.estimator {
+            Some(estimator) => {
+                let target = job.spec.threshold + job.declaration_margin;
+                // Flat or unknown curve: exhaustion makes the answer exact.
+                let frac_needed = estimator.solve_for_x(target).ok().flatten();
+                // Project at the best-case grant: feasibility asks whether
+                // *any* allocation could still save the job, not whether its
+                // current (possibly starved) rate suffices.
+                let best_case = Self::best_case_epoch_secs(job, MAX_THREADS_PER_JOB);
+                SimTime::from_secs_f64(Self::epochs_needed(job, frac_needed) * best_case)
+            }
+            None => {
+                // Fig. 9: a uniform draw stands in for the whole estimate.
+                let core = &job.base.core;
+                let u = random_estimate(self.config.seed, core.id.0, core.epochs_run);
+                SimTime::from_secs_f64(u * 3600.0)
+            }
         };
         // Feasible ⟺ projected ≤ deadline − now ∧ now < deadline, i.e.
         // now ≤ deadline − max(projected, 1ms).
@@ -650,38 +650,38 @@ impl<'a> AqpSystem<'a> {
         }
     }
 
-    /// The Rotary/ReLAQS priority key (smaller runs first), shared verbatim
-    /// by the dense and indexed control planes.
+    /// The priority key of every keyed policy (smaller runs first), shared
+    /// verbatim by the dense and indexed control planes:
     ///
-    /// ReLAQS minimises average latency: shortest estimated remaining work
-    /// first. It solves the fitted curve for the declaration accuracy,
-    /// converts the missing data fraction into epochs and extrapolates from
-    /// the job's best-case epoch duration. A job that has not run has no
-    /// real-time curve (ReLAQS keeps no history), so it keys to +∞.
+    /// * ReLAQS: the estimated remaining service — the fitted curve solved
+    ///   for the declaration accuracy, in epochs at the best-case epoch
+    ///   duration; +∞ before its first epoch (no real-time curve, no history);
+    /// * LAF: the estimated accuracy;
+    /// * EDF and Rotary (both arms): the absolute deadline (DESIGN.md §8
+    ///   records the populations on which it beat a least-laxity key).
     ///
-    /// Rotary (both arms) runs the earliest absolute deadline first among
-    /// feasible jobs: the feasibility gate is what keeps a doomed job from
-    /// holding threads a savable one could use, and DESIGN.md §8 records the
-    /// populations on which this key beat a least-laxity one. Both keys are
-    /// clock-free and move only with job state, which is what lets the
-    /// indexed control plane keep the order standing.
+    /// Every key is clock-free and moves only at the job's own epoch
+    /// completion or launch, both of which mark it dirty, so the indexed
+    /// control plane keeps the order standing.
     fn priority_key(job: &RunJob<'_>, policy: AqpPolicy) -> f64 {
         match policy {
             AqpPolicy::Relaqs => {
                 let target = job.spec.threshold + job.declaration_margin;
-                match job.estimator.solve_for_x(target) {
-                    Ok(frac_needed) => {
+                match job.estimator.as_ref().map(|e| e.solve_for_x(target)) {
+                    Some(Ok(frac_needed)) => {
                         Self::epochs_needed(job, frac_needed)
                             * Self::best_case_epoch_secs(job, MAX_THREADS_PER_JOB)
                     }
-                    Err(_) => f64::INFINITY,
+                    _ => f64::INFINITY,
                 }
             }
+            AqpPolicy::Laf => job.estimated_accuracy(),
             _ => job.deadline_at().as_secs_f64(),
         }
     }
 
-    /// Ranks a set of job indices by the policy's priority (best first).
+    /// Ranks job indices best first: round-robin rotates, every other policy
+    /// sorts by (doomed, key, index) — the reference of the standing orders.
     fn rank(
         &self,
         jobs: &[RunJob<'_>],
@@ -691,36 +691,6 @@ impl<'a> AqpSystem<'a> {
         rr_cursor: &mut usize,
     ) -> Vec<usize> {
         match policy {
-            AqpPolicy::Rotary | AqpPolicy::RotaryRandomEstimator | AqpPolicy::Relaqs => {
-                let mut keyed: Vec<(usize, bool, OrdF64)> = indices
-                    .iter()
-                    .map(|&i| {
-                        let key = Self::priority_key(&jobs[i], policy);
-                        // Rotary's completion-criteria awareness: feasible
-                        // jobs outrank doomed ones. ReLAQS has no deadline
-                        // introspection, so every job counts as feasible.
-                        let feasible = match policy {
-                            AqpPolicy::Relaqs => true,
-                            _ => self.is_feasible(&jobs[i], now),
-                        };
-                        (i, feasible, OrdF64::new(key))
-                    })
-                    .collect();
-                keyed.sort_by(|a, b| b.1.cmp(&a.1).then(a.2.cmp(&b.2)).then(a.0.cmp(&b.0)));
-                keyed.into_iter().map(|(i, _, _)| i).collect()
-            }
-            AqpPolicy::Edf => {
-                indices.sort_by_key(|&i| (jobs[i].deadline_at(), i));
-                indices
-            }
-            AqpPolicy::Laf => {
-                let mut keyed: Vec<(usize, OrdF64)> = indices
-                    .iter()
-                    .map(|&i| (i, OrdF64::new(jobs[i].estimated_accuracy())))
-                    .collect();
-                keyed.sort_by(|a, b| a.1.cmp(&b.1).then(a.0.cmp(&b.0)));
-                keyed.into_iter().map(|(i, _)| i).collect()
-            }
             AqpPolicy::RoundRobin => {
                 // Rotate the id-ordered list by the cursor.
                 indices.sort_unstable();
@@ -728,6 +698,17 @@ impl<'a> AqpSystem<'a> {
                 indices.rotate_left(*rr_cursor % n.max(1));
                 *rr_cursor = (*rr_cursor + 1) % n.max(1);
                 indices
+            }
+            _ => {
+                let mut keyed: Vec<(bool, OrdF64, usize)> = indices
+                    .iter()
+                    .map(|&i| {
+                        let doomed = !self.feasible_until(&jobs[i], policy).holds_at(now);
+                        (doomed, OrdF64::new(Self::priority_key(&jobs[i], policy)), i)
+                    })
+                    .collect();
+                keyed.sort_unstable();
+                keyed.into_iter().map(|(_, _, i)| i).collect()
             }
         }
     }
@@ -818,16 +799,8 @@ impl<'a> AqpSystem<'a> {
             return;
         }
         let key = OrdF64::new(Self::priority_key(j, policy));
-        let feasibility = match policy {
-            // ReLAQS has no deadline introspection: every job is feasible.
-            AqpPolicy::Relaqs => Feasibility::Always,
-            _ => self.feasible_until(j),
-        };
-        let feasible_now = match feasibility {
-            Feasibility::Always => true,
-            Feasibility::Never => false,
-            Feasibility::Until(t) => now <= t,
-        };
+        let feasibility = self.feasible_until(j, policy);
+        let feasible_now = feasibility.holds_at(now);
         // Only a currently feasible job with a finite horizon needs a
         // scheduled flip; everything else sits still until its next state
         // change.
@@ -975,11 +948,11 @@ impl<'a> Arbiter for AqpSystem<'a> {
         let memory_mb = self.memory[&spec.query.0];
         let features = QueryFeatures::of(plan, memory_mb);
         let estimator = match policy {
-            AqpPolicy::Rotary | AqpPolicy::RotaryRandomEstimator => {
-                build_estimator(&features, &mut self.history, TOP_K)
-            }
-            // ReLAQS and the others estimate from real-time data only.
-            _ => JointCurveEstimator::new(CurveBasis::LogShifted, Vec::new()),
+            AqpPolicy::Rotary => Some(build_estimator(&features, &mut self.history, TOP_K)),
+            // ReLAQS estimates from real-time data only.
+            AqpPolicy::Relaqs => Some(JointCurveEstimator::new(CurveBasis::LogShifted, Vec::new())),
+            // The others read no curve, so they fit none.
+            _ => None,
         };
         let epoch_batches = match policy {
             AqpPolicy::Rotary | AqpPolicy::RotaryRandomEstimator if self.config.adaptive_epochs => {
@@ -1007,7 +980,6 @@ impl<'a> Arbiter for AqpSystem<'a> {
             epoch_batches,
             fraction_per_batch: batch_rows as f64 / fact_rows as f64,
             declaration_margin: self.config.declaration_margin,
-            random_arm: policy == AqpPolicy::RotaryRandomEstimator,
             threads: 0,
             last_threads: 1,
             pending_persist: SimTime::ZERO,
@@ -1059,7 +1031,9 @@ impl<'a> Arbiter for AqpSystem<'a> {
             env.observe(v.unwrap_or(0.0));
         }
         let est_acc = job.estimated_accuracy();
-        job.estimator.observe(job.online.fraction_processed(), est_acc);
+        if let Some(estimator) = job.estimator.as_mut() {
+            estimator.observe(job.online.fraction_processed(), est_acc);
+        }
 
         let epoch = job.base.core.epochs_run + 1;
         job.base.core.record_epoch(
@@ -1119,20 +1093,16 @@ impl<'a> Arbiter for AqpSystem<'a> {
         let dirty = std::mem::take(&mut marks.dirty);
         // The queue Q_t: every arrived, unfinished job — including running
         // ones, whose grants are re-evaluated at their epoch boundaries.
-        // Rotary (both arms) and ReLAQS read a standing order. EDF keys are
-        // already cheap; LAF keys move with every epoch and RoundRobin
-        // advances its cursor, so they re-rank every pass.
-        let ranked: Vec<usize> = if matches!(
-            policy,
-            AqpPolicy::Rotary | AqpPolicy::RotaryRandomEstimator | AqpPolicy::Relaqs
-        ) {
-            self.indexed_ranked(arb, &dirty, jobs, now, policy)
-        } else {
+        // Every keyed policy reads a standing order; round-robin advances
+        // its cursor on every pass, so it re-ranks densely.
+        let ranked: Vec<usize> = if policy == AqpPolicy::RoundRobin {
             let alive: Vec<usize> = (0..jobs.len()).filter(|&i| jobs[i].is_alive()).collect();
             if alive.is_empty() {
                 return;
             }
             self.rank(jobs, alive, now, policy, rr_cursor)
+        } else {
+            self.indexed_ranked(arb, &dirty, jobs, now, policy)
         };
         if ranked.is_empty() {
             return;
@@ -1496,6 +1466,66 @@ mod tests {
         let (_, first) = ext.arb.feasible.iter().next().unwrap();
         ext.arb.feasible.upsert(first, OrdF64::new(f64::NAN));
         sys.arbitrate(&mut lp, &mut ext, policy, SimTime::ZERO, None);
+    }
+
+    /// Only Rotary and ReLAQS read a progress curve, so only their jobs fit
+    /// one: the other policies' binds score no history row and their
+    /// snapshots store no estimator points. A snapshot whose entries still
+    /// carry the key (the layout every policy once wrote) restores to the
+    /// uninterrupted run.
+    #[test]
+    fn a_policy_that_reads_no_curve_fits_none() {
+        let data = small_data();
+        let specs = WorkloadBuilder::paper().jobs(4).seed(5).build();
+        let mut sys = AqpSystem::new(&data, quick_config());
+        sys.prepopulate_history(3).unwrap();
+        let entries = |records: &[(String, Vec<u8>)]| {
+            let (_, bytes) = records.iter().find(|(name, _)| name == "jobs").expect("jobs record");
+            let doc = json::parse(std::str::from_utf8(bytes).expect("utf-8")).expect("jobs parse");
+            doc.as_arr().expect("jobs array").to_vec()
+        };
+        let mut edf = None;
+        for policy in AqpPolicy::all() {
+            let scored = sys.history().rows_scored();
+            let mut run = arb::Run::start(&mut sys, &specs, policy).expect("start");
+            for _ in 0..12 {
+                run.step(&mut sys);
+            }
+            assert!(run.peek().is_some(), "{} finished before its snapshot", policy.name());
+            let records = run.snapshot(&sys, 1).expect("snapshot");
+            let result = run.finish(&mut sys);
+            let fits = matches!(policy, AqpPolicy::Rotary | AqpPolicy::Relaqs);
+            for entry in entries(&records) {
+                assert_eq!(entry.get("estimator").is_some(), fits, "{}", policy.name());
+            }
+            let scores = sys.history().rows_scored() > scored;
+            assert_eq!(scores, policy == AqpPolicy::Rotary, "{}", policy.name());
+            if policy == AqpPolicy::Edf {
+                edf = Some((records, result));
+            }
+        }
+
+        let (mut records, result) = edf.expect("EDF ran");
+        let stale = JointCurveEstimator::new(CurveBasis::LogShifted, Vec::new()).to_json();
+        let jobs = records.iter_mut().find(|(name, _)| name == "jobs").expect("jobs record");
+        let forged: Vec<Json> = entries(std::slice::from_ref(jobs))
+            .into_iter()
+            .map(|entry| match entry {
+                Json::Obj(mut pairs) => {
+                    let at = pairs.iter().position(|(k, _)| k == "threads").expect("threads");
+                    pairs.insert(at, ("estimator".to_string(), stale.clone()));
+                    Json::Obj(pairs)
+                }
+                other => panic!("job entry {other:?}"),
+            })
+            .collect();
+        jobs.1 = Json::Arr(forged).to_compact().into_bytes();
+        let mut sys = AqpSystem::new(&data, quick_config());
+        let resumed =
+            arb::Run::restore(&mut sys, specs, AqpPolicy::Edf, &records).expect("restore");
+        let replayed = resumed.finish(&mut sys);
+        assert_eq!(replayed.metrics.to_compact(), result.metrics.to_compact());
+        assert_eq!(format!("{:?}", replayed.jobs), format!("{:?}", result.jobs));
     }
 
     #[test]

@@ -7,13 +7,15 @@
 //!
 //! * per job — the delivered row count (the executor's aggregation state is
 //!   a pure function of the delivered prefix, so restore *replays* it rather
-//!   than serializing raw accumulators), envelope windows, estimator points,
-//!   and the thread grant;
+//!   than serializing raw accumulators), envelope windows, estimator points
+//!   (for Rotary and ReLAQS jobs, the only ones that fit a curve), and the
+//!   thread grant;
 //! * `pool` / `material` — CPU grants and memory-resident paused state.
 //!
 //! The random arm's draws are a pure function of the seed, the job index
 //! and its epoch count, so no RNG position is stored; a `loop.random_est`
-//! key that an older snapshot carries is ignored.
+//! key that an older snapshot carries is ignored, as is the `estimator` key
+//! it wrote for the jobs of policies that read no curve.
 //!
 //! Everything deterministic and derivable (plans, ground truths, memory
 //! estimates, batch permutations) is rebuilt from the config instead of
@@ -79,14 +81,19 @@ impl Durable for AqpSystem<'_> {
         let window = |env: &rotary_core::estimate::EnvelopeDetector| {
             Json::Arr(env.values().map(Json::Num).collect())
         };
-        vec![
+        let mut pairs = vec![
             ("delivered", u64_json(job.online.rows_delivered() as u64)),
             ("envelopes", Json::Arr(job.envelopes.iter().map(window).collect())),
-            ("estimator", job.estimator.to_json()),
+        ];
+        if let Some(estimator) = &job.estimator {
+            pairs.push(("estimator", estimator.to_json()));
+        }
+        pairs.extend([
             ("threads", Json::Num(job.threads as f64)),
             ("last_threads", Json::Num(job.last_threads as f64)),
             ("pending_persist", u64_json(job.pending_persist.as_millis())),
-        ]
+        ]);
+        pairs
     }
 
     fn load_job(job: &mut RunJob<'_>, entry: &Json) -> Option<()> {
@@ -110,7 +117,9 @@ impl Durable for AqpSystem<'_> {
                 env.observe(value.as_f64()?);
             }
         }
-        job.estimator = JointCurveEstimator::from_json(entry.get("estimator")?)?;
+        if let Some(estimator) = &mut job.estimator {
+            *estimator = JointCurveEstimator::from_json(entry.get("estimator")?)?;
+        }
         job.threads = u32::try_from(entry.get("threads")?.as_u64()?).ok()?;
         job.last_threads = u32::try_from(entry.get("last_threads")?.as_u64()?).ok()?;
         job.pending_persist = SimTime::from_millis(entry.get("pending_persist")?.as_u64_str()?);

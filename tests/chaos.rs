@@ -476,11 +476,12 @@ where
 
 #[test]
 fn baselines_survive_arbitrary_fault_plans_and_resume_identically() {
-    // The baselines rank densely, some with rank-time state (the
-    // round-robin cursors), yet share the change tracking, the
-    // candidate-only pause and the sparse progress rows with Rotary: under
-    // any plan every job must end, and a run killed at any generation must
-    // resume to the plain run's trace. The Fig. 9 random arm rides along:
+    // Round-robin and the DLT baselines rank densely, some with rank-time
+    // state (the round-robin cursors), and AQP EDF and LAF read a standing
+    // order; all share the change tracking, the candidate-only pause and
+    // the sparse progress rows with Rotary: under any plan every job must
+    // end, and a run killed at any generation must resume to the plain
+    // run's trace. The Fig. 9 random arm rides along:
     // its draws are recomputed from job state, not restored from an RNG.
     let dir = temp_store("baselines");
     check("baseline_chaos", |src| {

@@ -194,10 +194,12 @@ fn aqp_every_indexed_pass_matches_the_dense_rank() {
     check("aqp_indexed_passes", |src| {
         let plan = draw_plan(src);
         let seed = src.u64_in(0, 1 << 20);
-        let policy = match src.usize_in(0, 2) {
+        let policy = match src.usize_in(0, 4) {
             0 => AqpPolicy::Rotary,
             1 => AqpPolicy::RotaryRandomEstimator,
-            _ => AqpPolicy::Relaqs,
+            2 => AqpPolicy::Relaqs,
+            3 => AqpPolicy::Edf,
+            _ => AqpPolicy::Laf,
         };
         let warm = src.bool(0.5);
         let specs = WorkloadBuilder::paper().jobs(3).seed(seed).build();
