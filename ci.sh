@@ -143,11 +143,22 @@ ROTARY_CHECK_CASES=256 cargo test -q -p rotary-engine --test kernel_equivalence 
 
 # Durable-recovery gate (DESIGN.md §12): the store's corrupted-fixture
 # suite must keep turning damaged generation files (torn writes, bit
-# flips, truncated headers) into typed errors with newest-valid fallback —
-# rerun by name so a fixture regression is called out here rather than
-# buried in the workspace test run.
-echo "== rotary-store corrupted-fixture suite =="
+# flips, truncated headers) into typed errors with newest-valid fallback,
+# and the snapshot-format suite must keep resuming the checked-in AQP v2
+# and DLT v1 generations to their uninterrupted traces and refusing the
+# AQP v1 one with a typed error — rerun by name so a fixture or format
+# regression is called out here rather than buried in the workspace test
+# run.
+echo "== rotary-store corrupted-fixture + snapshot-format suites =="
 cargo test -q -p rotary-store
+cargo test -q --test snapshot_format
+
+# Sampling gate (DESIGN.md §5, "One order per table, one offset per job"):
+# a job's stream over its table's shared row order must stay a uniform
+# sample — χ² over the 256 cases' rows at fixed positions and first pairs.
+# Pinned at 256 cases: the statistic is taken over the cases that ran.
+echo "== shared-order uniformity property (256 cases) =="
+ROTARY_CHECK_CASES=256 cargo test -q --test framework_props shared_order_streams_are_uniform
 
 # Service-layer gate (DESIGN.md §14): admission edge cases (quota refill
 # boundaries, drain-time queue pressure, shed/complete races, resume with

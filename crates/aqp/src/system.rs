@@ -33,7 +33,7 @@ use rotary_sim::{
     WorkloadMetrics, WorkloadSummary,
 };
 use rotary_store::{DurableConfig, DurableOutcome};
-use rotary_tpch::TpchData;
+use rotary_tpch::{BatchSource, TpchData};
 
 use crate::estimator::{build_estimator, random_estimate, QueryFeatures};
 use crate::workload::AqpJobSpec;
@@ -224,32 +224,37 @@ impl Job for RunJob<'_> {
     }
 }
 
+/// The system's belief about a query's accuracy (running jobs and the
+/// historical runs alike), per column:
+///
+/// * SUM/COUNT columns accumulate mass in proportion to the data
+///   consumed, and the stream consumer knows its offset exactly, so the
+///   estimate is the fraction of the stream processed;
+/// * AVG/MIN/MAX columns converge by distribution, so their estimate is
+///   the envelope progress `p/q` (paper §IV-A).
+///
+/// Either estimator can deviate from the true `α_c / α_f` — selective
+/// queries accumulate qualifying mass unevenly, and envelope plateaus
+/// fake convergence — which is exactly the Fig. 7a false-attainment
+/// mechanism.
+fn estimated_accuracy(online: &OnlineAggregation<'_>, envelopes: &[EnvelopeDetector]) -> f64 {
+    if online.is_exhausted() {
+        return 1.0;
+    }
+    let frac = online.fraction_processed();
+    let mut total = 0.0;
+    for (env, func) in envelopes.iter().zip(online.agg_funcs()) {
+        total += match func {
+            rotary_engine::AggFunc::Sum | rotary_engine::AggFunc::Count => frac,
+            _ => env.progress().unwrap_or(0.0),
+        };
+    }
+    total / envelopes.len() as f64
+}
+
 impl RunJob<'_> {
-    /// The system's current belief about the job's accuracy, per column:
-    ///
-    /// * SUM/COUNT columns accumulate mass in proportion to the data
-    ///   consumed, and the stream consumer knows its offset exactly, so the
-    ///   estimate is the fraction of the stream processed;
-    /// * AVG/MIN/MAX columns converge by distribution, so their estimate is
-    ///   the envelope progress `p/q` (paper §IV-A).
-    ///
-    /// Either estimator can deviate from the true `α_c / α_f` — selective
-    /// queries accumulate qualifying mass unevenly, and envelope plateaus
-    /// fake convergence — which is exactly the Fig. 7a false-attainment
-    /// mechanism.
     fn estimated_accuracy(&self) -> f64 {
-        if self.online.is_exhausted() {
-            return 1.0;
-        }
-        let frac = self.online.fraction_processed();
-        let mut total = 0.0;
-        for (env, func) in self.envelopes.iter().zip(self.online.agg_funcs()) {
-            total += match func {
-                rotary_engine::AggFunc::Sum | rotary_engine::AggFunc::Count => frac,
-                _ => env.progress().unwrap_or(0.0),
-            };
-        }
-        total / self.envelopes.len() as f64
+        estimated_accuracy(&self.online, &self.envelopes)
     }
 
     /// Attainment progress φ = estimated accuracy / threshold, in [0, 1].
@@ -439,18 +444,8 @@ impl<'a> AqpSystem<'a> {
         let ids: Vec<QueryId> = QueryId::all().collect();
         let mut runs: Vec<(QueryFeatures, OnlineAggregation<'a>)> = Vec::with_capacity(ids.len());
         for (i, id) in ids.iter().enumerate() {
-            let plan = self.plans[&id.0].clone();
-            let batch_rows = Self::batch_rows_for(&plan, self.data, self.config.batch_fraction);
-            let truth = self.truths[&id.0].clone();
-            let online = OnlineAggregation::new(
-                &plan,
-                self.data,
-                &mut self.cache,
-                truth,
-                seed ^ (i as u64 + 1),
-                batch_rows,
-            )?;
-            runs.push((QueryFeatures::of(&plan, self.memory[&id.0]), online));
+            let online = self.bind_online(*id, seed ^ (i as u64 + 1))?;
+            runs.push((QueryFeatures::of(&self.plans[&id.0], self.memory[&id.0]), online));
         }
 
         // Data plane: the 22 uncontended historical runs are independent, so
@@ -466,9 +461,7 @@ impl<'a> AqpSystem<'a> {
                 for (env, v) in envelopes.iter_mut().zip(&report.values) {
                     env.observe(v.unwrap_or(0.0));
                 }
-                let est: f64 = envelopes.iter().map(|e| e.progress().unwrap_or(0.0)).sum::<f64>()
-                    / envelopes.len() as f64;
-                curve.push((report.fraction_processed, est));
+                curve.push((report.fraction_processed, estimated_accuracy(online, &envelopes)));
             }
             curve
         });
@@ -487,6 +480,25 @@ impl<'a> AqpSystem<'a> {
             });
         }
         Ok(self.history.len())
+    }
+
+    /// Binds query `id` as a progressive query over its fact table's shared
+    /// row order (one per table under the run seed), read from an offset
+    /// `stream_seed` draws.
+    fn bind_online(
+        &mut self,
+        id: QueryId,
+        stream_seed: u64,
+    ) -> rotary_core::Result<OnlineAggregation<'a>> {
+        let plan = &self.plans[&id.0];
+        let fact = self.data.table(&plan.fact).ok_or_else(|| RotaryError::PlanBind {
+            plan: plan.label.clone(),
+            message: format!("unknown fact table {}", plan.fact),
+        })?;
+        let order = self.cache.row_order(fact, self.config.seed);
+        let batch_rows = Self::batch_rows_for(plan, self.data, self.config.batch_fraction);
+        let source = BatchSource::at_offset(&order, stream_seed, batch_rows);
+        OnlineAggregation::new(plan, self.data, &mut self.cache, self.truths[&id.0].clone(), source)
     }
 
     /// Runs a workload under a policy.
@@ -552,8 +564,9 @@ impl<'a> AqpSystem<'a> {
     }
 
     /// The one terminal hook: forgets the job's materialised state, archives
-    /// its curve, and returns its data-plane memory — at most a pool's worth
-    /// of jobs is ever alive, so permutations must not outlive their jobs.
+    /// its curve, and frees its aggregate groups and chunk scratch — at most
+    /// a pool's worth of jobs is ever alive, so their data-plane memory must
+    /// not outlive them.
     /// Takes the materialization manager alone because `arbitrate` retires
     /// jobs while it holds the rest of the extension state apart.
     fn retire_job(&mut self, material: &mut MaterializationManager, job: &mut RunJob<'_>) {
@@ -920,9 +933,10 @@ impl<'a> Arbiter for AqpSystem<'a> {
     }
 
     /// Binds one spec at global job index `i`. The index seeds the job's
-    /// batch permutation, so a job admitted mid-run through the streaming
-    /// seam binds identically to the same spec at the same position in a
-    /// batch run — the property the serve-restore path relies on.
+    /// offset into its fact table's shared order, so a job admitted mid-run
+    /// through the streaming seam binds identically to the same spec at the
+    /// same position in a batch run — the property the serve-restore path
+    /// relies on.
     fn bind(
         &mut self,
         _ext: &mut AqpRunExt,
@@ -931,17 +945,10 @@ impl<'a> Arbiter for AqpSystem<'a> {
         policy: AqpPolicy,
         _now: SimTime,
     ) -> rotary_core::Result<RunJob<'a>> {
+        let online = self.bind_online(spec.query, self.config.seed ^ ((i as u64 + 1) * 0x9e37))?;
         let plan = &self.plans[&spec.query.0];
-        let batch_rows = Self::batch_rows_for(plan, self.data, self.config.batch_fraction);
-        let fact_rows = self.data.table(&plan.fact).map(|t| t.rows()).unwrap_or(1);
-        let online = OnlineAggregation::new(
-            plan,
-            self.data,
-            &mut self.cache,
-            self.truths[&spec.query.0].clone(),
-            self.config.seed ^ ((i as u64 + 1) * 0x9e37),
-            batch_rows,
-        )?;
+        let batch_rows = online.source().batch_size();
+        let fact_rows = online.source().total_rows();
         let envelopes = (0..plan.aggregates.len())
             .map(|_| EnvelopeDetector::new(self.config.envelope_window))
             .collect();
@@ -1572,6 +1579,32 @@ mod tests {
         let (flat_heavy, flat_light) = epochs(false);
         assert!(flat_heavy > heavy, "heavy {flat_heavy} flat vs {heavy} adaptive");
         assert!(flat_light.abs_diff(flat_heavy) < light - heavy);
+    }
+
+    #[test]
+    fn jobs_over_one_fact_table_share_one_order_allocation() {
+        let data = small_data();
+        let mut sys = AqpSystem::new(&data, quick_config());
+        let mut ext = sys.open(AqpPolicy::Rotary);
+        let secs = SimTime::from_secs;
+        let specs = [
+            AqpJobSpec::new(QueryId(6), 0.6, secs(900), SimTime::ZERO),
+            AqpJobSpec::new(QueryId(1), 0.6, secs(900), secs(30)),
+            AqpJobSpec::new(QueryId(22), 0.6, secs(900), secs(60)),
+        ];
+        let jobs: Vec<RunJob<'_>> = specs
+            .iter()
+            .enumerate()
+            .map(|(i, spec)| sys.bind(&mut ext, i, spec, AqpPolicy::Rotary, SimTime::ZERO).unwrap())
+            .collect();
+        let source = |i: usize| jobs[i].online.source();
+        // q6 and q1 both stream lineitem: one allocation, two offsets.
+        assert!(source(0).shares_order_with(source(1)), "the lineitem order was copied");
+        // q22 streams customer, another table and so another order.
+        assert!(!source(0).shares_order_with(source(2)));
+        let mut a = source(0).clone();
+        let mut b = source(1).clone();
+        assert_ne!(a.next_batch(), b.next_batch(), "two jobs read from one offset");
     }
 
     #[test]

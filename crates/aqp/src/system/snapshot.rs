@@ -18,8 +18,9 @@
 //! it wrote for the jobs of policies that read no curve.
 //!
 //! Everything deterministic and derivable (plans, ground truths, memory
-//! estimates, batch permutations) is rebuilt from the config instead of
-//! being stored. All parsing is panic-free: malformed input surfaces as
+//! estimates, row orders and job offsets) is rebuilt from the config; v1
+//! snapshots (per-job orders) are refused (DESIGN.md §12). All parsing is
+//! panic-free: malformed input surfaces as
 //! [`RotaryError::SnapshotCorrupt`](rotary_core::RotaryError::SnapshotCorrupt),
 //! never as a crash.
 
@@ -39,7 +40,7 @@ use super::{AqpPolicy, AqpRunExt, AqpSystem, RunJob};
 use crate::workload::AqpJobSpec;
 
 impl Durable for AqpSystem<'_> {
-    const FORMAT: &'static str = "rotary-aqp-run/v1";
+    const FORMAT: &'static str = "rotary-aqp-run/v2";
 
     fn checkpoint(&self) -> &CheckpointModel {
         &super::CHECKPOINT
@@ -82,7 +83,7 @@ impl Durable for AqpSystem<'_> {
             Json::Arr(env.values().map(Json::Num).collect())
         };
         let mut pairs = vec![
-            ("delivered", u64_json(job.online.rows_delivered() as u64)),
+            ("delivered", u64_json(job.online.source().delivered() as u64)),
             ("envelopes", Json::Arr(job.envelopes.iter().map(window).collect())),
         ];
         if let Some(estimator) = &job.estimator {
@@ -98,12 +99,12 @@ impl Durable for AqpSystem<'_> {
 
     fn load_job(job: &mut RunJob<'_>, entry: &Json) -> Option<()> {
         let delivered = usize::try_from(entry.get("delivered")?.as_u64_str()?).ok()?;
-        if delivered > job.online.total_rows() {
+        if delivered > job.online.source().total_rows() {
             return None;
         }
         if job.base.core.status.is_terminal() {
             // Nobody reads a terminal job's aggregates again: record the
-            // position and leave it released, as `retire` left the original.
+            // position without replaying, as `retire` left the original.
             job.online.restore_released(delivered);
         } else {
             job.online.replay_delivered(delivered);

@@ -9,7 +9,7 @@ use rotary_bench::header;
 use rotary_engine::memory::BatchCostModel;
 use rotary_engine::online::{compute_ground_truth, OnlineAggregation};
 use rotary_engine::{query, IndexCache, QueryId};
-use rotary_tpch::Generator;
+use rotary_tpch::{BatchSource, Generator};
 
 fn main() {
     header(
@@ -25,8 +25,8 @@ fn main() {
         let plan = query(QueryId(qid));
         let truth = compute_ground_truth(&plan, &data, &mut cache).unwrap();
         let batch_rows = (data.lineitem.rows() / 100).max(1);
-        let mut oa =
-            OnlineAggregation::new(&plan, &data, &mut cache, truth, 7, batch_rows).unwrap();
+        let source = BatchSource::new(7, data.lineitem.rows(), batch_rows);
+        let mut oa = OnlineAggregation::new(&plan, &data, &mut cache, truth, source).unwrap();
 
         // Run batch-by-batch on one thread; sample at the check interval.
         let mut elapsed = 0.0;

@@ -551,7 +551,7 @@ pub fn table() -> Table {
             ),
             vec![
                 claim("3 → 5 epochs", FalselyAttained, "mixed/rotary", &["mixed/window-3"], Holds),
-                claim("5 → 8 epochs", FalselyAttained, "mixed/window-8", &["mixed/rotary"], Tie),
+                claim("5 → 8 epochs", FalselyAttained, "mixed/window-8", &["mixed/rotary"], Holds),
             ],
         ),
         view(

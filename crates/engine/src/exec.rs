@@ -47,7 +47,7 @@ use std::sync::{Arc, OnceLock};
 use rotary_core::RotaryError;
 use rotary_par::ThreadPool;
 use rotary_tpch::date::year_of;
-use rotary_tpch::{Column, Table, TpchData};
+use rotary_tpch::{Column, RowOrder, Table, TpchData};
 
 use crate::agg::AggState;
 use crate::columnar::{self, ChunkScratch, RowVerdicts};
@@ -140,8 +140,8 @@ struct CachedVerdicts {
 
 /// Everything a bound plan derives from the data alone, built once per
 /// dataset and shared: primary-key indexes keyed by `(table, key-columns)`,
-/// each with the totality verdicts of the join edges that probe it, and
-/// each plan's [`RowVerdicts`].
+/// each with the totality verdicts of the join edges that probe it, each
+/// plan's [`RowVerdicts`], and each fact table's [`RowOrder`] per seed.
 ///
 /// One cache serves one dataset. Every artefact records the size of the
 /// table it was built from, and a bind that meets a table of another size
@@ -152,6 +152,7 @@ pub struct IndexCache {
     single: BTreeMap<(String, String), Cached<PkIndex>>,
     composite: BTreeMap<(String, String, String), Cached<PkIndex2>>,
     verdicts: Vec<CachedVerdicts>,
+    orders: BTreeMap<(String, usize, u64), RowOrder>,
 }
 
 impl IndexCache {
@@ -194,6 +195,13 @@ impl IndexCache {
         };
         same_rows(table.name(), cached.index.len(), table.rows())?;
         Ok(cached)
+    }
+
+    /// The row order of `table` under `seed`, shuffled by the first request
+    /// and shared by every progressive query over the table.
+    pub fn row_order(&mut self, table: &Table, seed: u64) -> RowOrder {
+        let key = (table.name().to_string(), table.rows(), seed);
+        self.orders.entry(key).or_insert_with(|| RowOrder::shuffled(seed, table.rows())).clone()
     }
 
     /// The shared verdict set of `plan` over a fact table of `rows` rows.

@@ -15,17 +15,15 @@
 //! value, so each column contributes `min(|α_c|, |α_f|) / max(|α_c|, |α_f|)`
 //! and mixed-sign estimates contribute 0.
 //!
-//! **Lifetime of the data-plane state.** The shuffled permutation, the
-//! aggregate groups and the chunk scratch exist to run the *next* epoch.
-//! The permutation is drawn by the first epoch (or the restore replay of a
-//! delivered prefix), not at binding, so a query that never runs one never
-//! pays its shuffle. A query that will never run another — its job reached
-//! a terminal state — is [`OnlineAggregation::release`]d: those three are
-//! freed (the permutation alone is 4 bytes per fact row per job) while the
-//! accounting a finished job is still asked for (`fraction_processed`,
-//! `rows_delivered`, `total_rows`, `is_exhausted`, `agg_funcs`) keeps
-//! answering. A restore that finds the job terminal
-//! ([`OnlineAggregation::restore_released`]) draws no permutation at all.
+//! **Lifetime of the data-plane state.** The rows come from the caller's
+//! [`BatchSource`], typically a window of its table's shared row order.
+//! The aggregate groups and the chunk scratch exist to run the *next*
+//! epoch; a query whose job reached a terminal state is
+//! [`OnlineAggregation::release`]d, freeing both, while the accounting a
+//! finished job is still asked for (`fraction_processed`, `is_exhausted`,
+//! `agg_funcs`, the source's counts) keeps answering. A restore that finds
+//! the job terminal ([`OnlineAggregation::restore_released`]) replays
+//! nothing.
 
 use rotary_core::RotaryError;
 use rotary_tpch::{BatchSource, TpchData};
@@ -73,20 +71,20 @@ pub struct OnlineAggregation<'a> {
 }
 
 impl<'a> OnlineAggregation<'a> {
-    /// Creates a progressive execution.
+    /// Creates a progressive execution reading the fact table's rows from
+    /// `source` (its batch size is the paper's fixed batch size).
     ///
-    /// `seed` shuffles the batch order (a different progressive sample per
-    /// job, as with Kafka consumption order); `batch_rows` is the paper's
-    /// fixed batch size.
+    /// # Panics
+    /// Panics if `source` does not cover the plan's fact table.
     pub fn new(
         plan: &QueryPlan,
         data: &'a TpchData,
         cache: &mut IndexCache,
         ground_truth: GroundTruth,
-        seed: u64,
-        batch_rows: usize,
+        source: BatchSource,
     ) -> rotary_core::Result<OnlineAggregation<'a>> {
         let executor = Executor::bind(plan, data, cache)?;
+        assert_eq!(source.total_rows(), executor.fact_rows(), "source over another table");
         if ground_truth.len() != plan.aggregates.len() {
             return Err(RotaryError::PlanBind {
                 plan: plan.label.clone(),
@@ -97,7 +95,6 @@ impl<'a> OnlineAggregation<'a> {
                 ),
             });
         }
-        let source = BatchSource::new(seed, executor.fact_rows(), batch_rows);
         let funcs = plan.aggregates.iter().map(|a| a.func).collect();
         Ok(OnlineAggregation { executor, source, ground_truth, funcs })
     }
@@ -153,22 +150,9 @@ impl<'a> OnlineAggregation<'a> {
         &self.executor
     }
 
-    /// Rows delivered by the batch source so far. Captured by durable
-    /// snapshots: the executor's aggregation state is a pure function of the
-    /// delivered row sequence, so this one number (plus the seed) is enough
-    /// to rebuild it.
-    pub fn rows_delivered(&self) -> usize {
-        self.source.delivered()
-    }
-
-    /// Total rows in the fact table — the upper bound a snapshot's delivered
-    /// count must respect before [`OnlineAggregation::replay_delivered`].
-    pub fn total_rows(&self) -> usize {
-        self.source.total_rows()
-    }
-
-    /// Replays the first `rows` of the batch permutation through the
-    /// executor — durable snapshot restore for a freshly bound query. It is
+    /// Replays the first `rows` of the source's stream through the
+    /// executor — durable snapshot restore for a freshly bound query: the
+    /// aggregation state is a pure function of the delivered prefix. It is
     /// the epoch path run once over the whole prefix: survivors selected
     /// from the plan's shared row verdicts, projected and folded in delivery
     /// order, so the state equals the one the epochs built, bit for bit.
@@ -183,12 +167,17 @@ impl<'a> OnlineAggregation<'a> {
         executor.process_rows(source.replay_prefix(rows));
     }
 
-    /// Frees what only a further epoch would need — the batch permutation,
-    /// the aggregate groups and the chunk scratch. For a query whose job is
-    /// terminal: no more epochs run and the running aggregates are no longer
-    /// read, but the delivered/total accounting stays. Idempotent.
+    /// The source the query reads its rows from: what it delivered, of how
+    /// many rows.
+    pub fn source(&self) -> &BatchSource {
+        &self.source
+    }
+
+    /// Frees what only a further epoch would need — the aggregate groups
+    /// and the chunk scratch. For a query whose job is terminal: no more
+    /// epochs run and the running aggregates are no longer read, but the
+    /// delivered/total accounting stays. Idempotent.
     pub fn release(&mut self) {
-        self.source.release();
         self.executor.release();
     }
 
@@ -200,7 +189,7 @@ impl<'a> OnlineAggregation<'a> {
     /// Panics if `rows` exceeds the table size (the caller validates
     /// snapshot integrity first).
     pub fn restore_released(&mut self, rows: usize) {
-        self.source.release_at(rows);
+        self.source.replay_prefix(rows);
         self.executor.release();
     }
 
@@ -255,12 +244,24 @@ mod tests {
         (Generator::new(33, 0.005).generate(), IndexCache::new())
     }
 
+    /// Binds `plan` reading its own permutation of the fact table.
+    fn bind<'a>(
+        plan: &QueryPlan,
+        data: &'a TpchData,
+        cache: &mut IndexCache,
+        truth: GroundTruth,
+        (seed, batch_rows): (u64, usize),
+    ) -> rotary_core::Result<OnlineAggregation<'a>> {
+        let source = BatchSource::new(seed, data.table(&plan.fact).unwrap().rows(), batch_rows);
+        OnlineAggregation::new(plan, data, cache, truth, source)
+    }
+
     #[test]
     fn accuracy_converges_to_one() {
         let (data, mut cache) = setup();
         let plan = query(QueryId(1));
         let truth = compute_ground_truth(&plan, &data, &mut cache).unwrap();
-        let mut oa = OnlineAggregation::new(&plan, &data, &mut cache, truth, 9, 1000).unwrap();
+        let mut oa = bind(&plan, &data, &mut cache, truth, (9, 1000)).unwrap();
 
         let mut last_report = None;
         let mut accuracies = Vec::new();
@@ -285,8 +286,7 @@ mod tests {
         let (data, mut cache) = setup();
         let plan = query(QueryId(1));
         let truth = compute_ground_truth(&plan, &data, &mut cache).unwrap();
-        let mut oa =
-            OnlineAggregation::new(&plan, &data, &mut cache, truth.clone(), 10, 1000).unwrap();
+        let mut oa = bind(&plan, &data, &mut cache, truth.clone(), (10, 1000)).unwrap();
         let report = oa.process_epoch(3).unwrap(); // ~10% of ~31k rows
                                                    // Column 4 is avg_qty.
         let avg_now = report.values[4].unwrap();
@@ -310,8 +310,7 @@ mod tests {
     fn ground_truth_arity_is_checked() {
         let (data, mut cache) = setup();
         let plan = query(QueryId(6));
-        let err = OnlineAggregation::new(&plan, &data, &mut cache, vec![Some(1.0); 5], 1, 100)
-            .unwrap_err();
+        let err = bind(&plan, &data, &mut cache, vec![Some(1.0); 5], (1, 100)).unwrap_err();
         assert!(err.to_string().contains("ground truth"));
     }
 
@@ -320,7 +319,7 @@ mod tests {
         let (data, mut cache) = setup();
         let plan = query(QueryId(22)); // fact = customer (small)
         let truth = compute_ground_truth(&plan, &data, &mut cache).unwrap();
-        let mut oa = OnlineAggregation::new(&plan, &data, &mut cache, truth, 2, 10_000).unwrap();
+        let mut oa = bind(&plan, &data, &mut cache, truth, (2, 10_000)).unwrap();
         assert!(oa.process_epoch(1000).is_some());
         assert!(oa.is_exhausted());
         assert!(oa.process_epoch(1).is_none());
@@ -331,15 +330,14 @@ mod tests {
         let (data, mut cache) = setup();
         let plan = query(QueryId(6));
         let truth = compute_ground_truth(&plan, &data, &mut cache).unwrap();
-        let mut oa =
-            OnlineAggregation::new(&plan, &data, &mut cache, truth.clone(), 7, 500).unwrap();
+        let mut oa = bind(&plan, &data, &mut cache, truth.clone(), (7, 500)).unwrap();
         oa.process_epoch(2).unwrap();
         oa.process_epoch(3).unwrap();
-        let delivered = oa.rows_delivered();
+        let delivered = oa.source().delivered();
 
-        let mut resumed = OnlineAggregation::new(&plan, &data, &mut cache, truth, 7, 500).unwrap();
+        let mut resumed = bind(&plan, &data, &mut cache, truth, (7, 500)).unwrap();
         resumed.replay_delivered(delivered);
-        assert_eq!(resumed.rows_delivered(), delivered);
+        assert_eq!(resumed.source().delivered(), delivered);
         assert_eq!(resumed.current_accuracy().to_bits(), oa.current_accuracy().to_bits());
         assert_eq!(resumed.executor().state().combined_all(), oa.executor().state().combined_all());
         // And the next epoch is identical too.
@@ -353,24 +351,28 @@ mod tests {
         let (data, mut cache) = setup();
         let plan = query(QueryId(1));
         let truth = compute_ground_truth(&plan, &data, &mut cache).unwrap();
-        let mut oa =
-            OnlineAggregation::new(&plan, &data, &mut cache, truth.clone(), 9, 1000).unwrap();
+        let mut oa = bind(&plan, &data, &mut cache, truth.clone(), (9, 1000)).unwrap();
         oa.process_epoch(2).unwrap();
-        let before = (oa.fraction_processed(), oa.rows_delivered(), oa.total_rows());
+        let before = (oa.fraction_processed(), oa.source().delivered(), oa.source().total_rows());
         oa.release();
         oa.release();
-        assert_eq!((oa.fraction_processed(), oa.rows_delivered(), oa.total_rows()), before);
+        assert_eq!(
+            (oa.fraction_processed(), oa.source().delivered(), oa.source().total_rows()),
+            before
+        );
         assert!(!oa.is_exhausted());
         assert_eq!(oa.agg_funcs().len(), plan.aggregates.len());
         assert_eq!(oa.executor().state().group_count(), 0, "groups were not freed");
-        assert!(oa.process_epoch(1).is_none(), "a released query runs no further epoch");
 
         // A restore that finds the job terminal never replays.
-        let mut restored =
-            OnlineAggregation::new(&plan, &data, &mut cache, truth, 9, 1000).unwrap();
+        let mut restored = bind(&plan, &data, &mut cache, truth, (9, 1000)).unwrap();
         restored.restore_released(before.1);
         assert_eq!(
-            (restored.fraction_processed(), restored.rows_delivered(), restored.total_rows()),
+            (
+                restored.fraction_processed(),
+                restored.source().delivered(),
+                restored.source().total_rows()
+            ),
             before
         );
         assert_eq!(restored.executor().totals().rows_scanned, 0);

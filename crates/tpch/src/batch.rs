@@ -1,85 +1,108 @@
 //! Progressive batch source — the Kafka stand-in.
 //!
 //! The paper streams the TPC-H dataset "in batches from a data source" (an
-//! Apache Kafka cluster). Online aggregation requires each batch to be a
-//! progressive *sample* of the whole table: [`BatchSource`] shuffles the
-//! fact table's row indices once (seeded, so reproducible) and serves them
-//! in fixed-size slices. Each batch is "a subset of the entire dataset …
-//! each batch has the (approximately) same batch size" (§III-A); the final
-//! batch may be smaller.
-//!
-//! The permutation (4 bytes per fact row) is the bulk of a progressive
-//! query's memory and its shuffle the bulk of binding one. It is a pure
-//! function of (seed, rows), so it is drawn on the first read — the first
-//! batch or a restore's prefix replay — and a source nobody reads (a job
-//! a restore finds already terminal) never draws it. A consumer that has
-//! reached a terminal state calls [`BatchSource::release`] to hand it back;
-//! the source keeps answering how much was delivered of how much, which is
-//! all anyone asks of a finished stream.
+//! Apache Kafka cluster): one log per dataset, each job reading it from its
+//! own offset. A [`RowOrder`] is that log: a fact table's row indices
+//! shuffled once (seeded, so reproducible), stored twice over so the window
+//! read from any offset is one contiguous slice. A [`BatchSource`] serves
+//! an order from offset `b` — `P[b]`, `P[b + 1]`, … wrapping past the end,
+//! every row once — in fixed-size batches ("each batch has the
+//! (approximately) same batch size", §III-A; the last may be smaller). For
+//! any fixed `b` the rotation of a uniform `P` is uniform, so every stream
+//! is the progressive sample online aggregation needs (DESIGN.md §5).
+//! [`BatchSource::new`] is the one-stream case: a source owning its
+//! permutation and reading it from offset 0.
+
+use std::sync::Arc;
 
 use rotary_sim::rng::Rng;
 
-/// The shuffled row order, by lifecycle stage.
+/// The row indices `0..rows` in the order `seed` shuffles them.
+fn permutation(seed: u64, rows: usize) -> Vec<u32> {
+    assert!(rows <= u32::MAX as usize, "row count exceeds u32 index space");
+    let mut permutation: Vec<u32> = (0..rows as u32).collect();
+    Rng::seed_from_u64(seed).fork("batch-order").shuffle(&mut permutation);
+    permutation
+}
+
+/// One shuffled order of a table's rows, stored twice over; clones share
+/// the storage.
 #[derive(Debug, Clone)]
-enum Order {
-    /// Not drawn yet: nothing has been read.
-    Unread,
-    Drawn(Vec<u32>),
-    /// Handed back; no further row is served.
-    Released,
+pub struct RowOrder {
+    doubled: Arc<[u32]>,
+}
+
+impl RowOrder {
+    /// The order of a `rows`-row table under `seed`: the permutation
+    /// [`BatchSource::new`] serves for the same seed. Panics past
+    /// `u32::MAX` rows.
+    pub fn shuffled(seed: u64, rows: usize) -> RowOrder {
+        let mut doubled = permutation(seed, rows);
+        doubled.extend_from_within(..);
+        RowOrder { doubled: doubled.into() }
+    }
+
+    /// Rows in the table.
+    pub fn rows(&self) -> usize {
+        self.doubled.len() / 2
+    }
 }
 
 /// A shuffled, batched view over `0..rows` of a fact table.
 #[derive(Debug, Clone)]
 pub struct BatchSource {
-    order: Order,
-    seed: u64,
-    /// Rows in the underlying table; outlives the permutation.
+    /// The order read from; `offset + total` never exceeds its length.
+    order: Arc<[u32]>,
+    offset: usize,
     total: usize,
     batch_size: usize,
     cursor: usize,
 }
 
 impl BatchSource {
-    /// Creates a source over `rows` rows with the given batch size. The
-    /// permutation is drawn on the first read.
+    /// Creates a source over `rows` rows with the given batch size, owning
+    /// its own permutation under `seed` and reading it from the start.
     ///
     /// # Panics
     /// Panics if `batch_size == 0` or `rows` exceeds `u32::MAX` (tables at
     /// the paper's SF=1 are well under that).
     pub fn new(seed: u64, rows: usize, batch_size: usize) -> Self {
-        assert!(batch_size > 0, "batch size must be positive");
-        assert!(rows <= u32::MAX as usize, "row count exceeds u32 index space");
-        BatchSource { order: Order::Unread, seed, total: rows, batch_size, cursor: 0 }
+        BatchSource::reading(permutation(seed, rows).into(), 0, rows, batch_size)
     }
 
-    /// The permutation, drawn now if nothing was read before; empty once
-    /// released.
-    fn drawn(&mut self) -> &[u32] {
-        if let Order::Unread = self.order {
-            let mut permutation: Vec<u32> = (0..self.total as u32).collect();
-            Rng::seed_from_u64(self.seed).fork("batch-order").shuffle(&mut permutation);
-            self.order = Order::Drawn(permutation);
-        }
-        match &self.order {
-            Order::Drawn(permutation) => permutation,
-            _ => &[],
-        }
+    /// A source reading the shared `order` from an offset drawn uniformly
+    /// from `seed` — one job's stream over its fact table.
+    ///
+    /// # Panics
+    /// Panics if `batch_size == 0`.
+    pub fn at_offset(order: &RowOrder, seed: u64, batch_size: usize) -> Self {
+        let rows = order.rows();
+        let offset = Rng::seed_from_u64(seed).fork("batch-offset").gen_range(0..rows.max(1));
+        BatchSource::reading(Arc::clone(&order.doubled), offset, rows, batch_size)
+    }
+
+    fn reading(order: Arc<[u32]>, offset: usize, total: usize, batch_size: usize) -> Self {
+        assert!(batch_size > 0, "batch size must be positive");
+        BatchSource { order, offset, total, batch_size, cursor: 0 }
+    }
+
+    /// Whether `self` and `other` read one order allocation.
+    pub fn shares_order_with(&self, other: &BatchSource) -> bool {
+        Arc::ptr_eq(&self.order, &other.order)
     }
 
     /// Serves the next `rows` rows (fewer at the end of the table).
     fn take(&mut self, rows: usize) -> Option<&[u32]> {
-        if self.cursor >= self.total || matches!(self.order, Order::Released) {
+        if self.cursor >= self.total {
             return None;
         }
         let start = self.cursor;
         let end = start.saturating_add(rows).min(self.total);
         self.cursor = end;
-        Some(&self.drawn()[start..end])
+        Some(&self.order[self.offset + start..self.offset + end])
     }
 
-    /// The next batch of row indices, or `None` when the table is exhausted
-    /// (or the source released).
+    /// The next batch of row indices, or `None` when the table is exhausted.
     pub fn next_batch(&mut self) -> Option<&[u32]> {
         self.take(self.batch_size)
     }
@@ -120,48 +143,19 @@ impl BatchSource {
         self.batch_size
     }
 
-    /// Rewinds to the beginning with the *same* permutation — used when a
-    /// checkpointed job restores and replays its delivered prefix.
-    pub fn reset(&mut self) {
-        self.cursor = 0;
-    }
-
     /// The first `rows` delivered row indices in delivery order, advancing
     /// the cursor past them — used by durable snapshot restore to replay a
-    /// resumed job's delivered prefix through a fresh executor. An empty
-    /// prefix draws nothing.
+    /// resumed job's delivered prefix through a fresh executor, or to
+    /// position the stream of a job it finds terminal.
     ///
     /// # Panics
-    /// Panics if `rows` exceeds the table size, or is positive on a
-    /// released source; snapshots record a delivered count that came from
-    /// this very source, so a larger value is corrupt input the caller must
-    /// reject first.
+    /// Panics if `rows` exceeds the table size; snapshots record a
+    /// delivered count that came from this very source, so a larger value
+    /// is corrupt input the caller must reject first.
     pub fn replay_prefix(&mut self, rows: usize) -> &[u32] {
         assert!(rows <= self.total, "replay prefix exceeds table size");
         self.cursor = rows;
-        if rows == 0 {
-            return &[];
-        }
-        &self.drawn()[..rows]
-    }
-
-    /// Frees the permutation, if it was ever drawn. The source serves no
-    /// further batches; the delivered/total accounting keeps answering.
-    /// Idempotent.
-    pub fn release(&mut self) {
-        self.order = Order::Released;
-    }
-
-    /// Releases the source with `rows` recorded as delivered — restoring a
-    /// stream nobody will read from again, without drawing its permutation.
-    ///
-    /// # Panics
-    /// Panics if `rows` exceeds the table size (see
-    /// [`BatchSource::replay_prefix`]).
-    pub fn release_at(&mut self, rows: usize) {
-        assert!(rows <= self.total, "delivered count exceeds table size");
-        self.release();
-        self.cursor = rows;
+        &self.order[self.offset..self.offset + rows]
     }
 }
 
@@ -227,16 +221,6 @@ mod tests {
     }
 
     #[test]
-    fn reset_replays_same_permutation() {
-        let mut src = BatchSource::new(4, 50, 10);
-        let first: Vec<u32> = src.next_batch().unwrap().to_vec();
-        src.next_batch();
-        src.reset();
-        assert_eq!(src.fraction_delivered(), 0.0);
-        assert_eq!(src.next_batch().unwrap(), first.as_slice());
-    }
-
-    #[test]
     fn replay_prefix_matches_delivery_order() {
         let mut src = BatchSource::new(4, 50, 10);
         let mut delivered: Vec<u32> = Vec::new();
@@ -249,71 +233,49 @@ mod tests {
         assert_eq!(resumed.next_batch().unwrap(), src.next_batch().unwrap());
     }
 
-    /// The order an eager shuffle at construction would have served.
-    fn eager(seed: u64, rows: u32) -> Vec<u32> {
-        let mut permutation: Vec<u32> = (0..rows).collect();
-        Rng::seed_from_u64(seed).fork("batch-order").shuffle(&mut permutation);
-        permutation
-    }
-
     #[test]
-    fn the_permutation_is_drawn_on_first_read_only() {
-        let drawn = |src: &BatchSource| matches!(src.order, Order::Drawn(_));
-        let mut src = BatchSource::new(8, 50, 10);
-        assert!(!drawn(&src), "an unread source holds no permutation");
-        assert_eq!(src.replay_prefix(0), &[] as &[u32]);
-        assert!(!drawn(&src), "an empty replay draws nothing");
-        let mut released = src.clone();
-        released.release_at(30);
-        assert!(!drawn(&released) && released.delivered() == 30);
-        assert!(released.next_batch().is_none());
-        src.next_batch();
-        assert!(drawn(&src));
-    }
-
-    #[test]
-    fn lazy_sources_deliver_the_eager_order_through_reset_and_replay() {
-        let order = eager(9, 95);
-        let mut src = BatchSource::new(9, 95, 10);
+    fn a_source_at_an_offset_serves_the_rotation_of_the_shared_order() {
+        let p = permutation(9, 95);
+        let order = RowOrder::shuffled(9, 95);
+        assert_eq!(order.rows(), 95);
+        let mut own = BatchSource::new(9, 95, 10);
         let mut served = Vec::new();
-        while let Some(batch) = src.next_batches(2) {
+        while let Some(batch) = own.next_batches(2) {
             served.extend_from_slice(batch);
         }
-        assert_eq!(served, order);
-        src.reset();
-        assert_eq!(src.next_batch().unwrap(), &order[..10]);
+        assert_eq!(served, p, "the one-stream source reads its permutation from offset 0");
 
-        let mut resumed = BatchSource::new(9, 95, 10);
-        assert_eq!(resumed.replay_prefix(37), &order[..37]);
-        assert_eq!(resumed.next_batch().unwrap(), &order[37..47]);
-        resumed.reset();
-        assert_eq!(resumed.replay_prefix(95), order.as_slice());
-        assert!(resumed.next_batch().is_none());
-    }
+        let mut offsets = HashSet::new();
+        for seed in 0..20 {
+            let mut src = BatchSource::at_offset(&order, seed, 10);
+            let b = src.offset;
+            offsets.insert(b);
+            let rotation: Vec<u32> = p[b..].iter().chain(&p[..b]).copied().collect();
+            let mut served = Vec::new();
+            while let Some(batch) = src.next_batches(2) {
+                served.extend_from_slice(batch);
+            }
+            assert_eq!(served, rotation);
 
-    #[test]
-    fn released_source_keeps_its_accounting() {
-        let mut src = BatchSource::new(4, 50, 10);
-        src.next_batch();
-        src.release();
-        src.release();
-        assert_eq!((src.delivered(), src.total_rows()), (10, 50));
-        assert_eq!(src.fraction_delivered(), 0.2);
-        assert!(!src.is_exhausted());
-        assert!(src.next_batch().is_none() && src.next_batches(3).is_none());
-
-        let mut restored = BatchSource::new(4, 50, 10);
-        restored.release_at(50);
-        assert!(restored.is_exhausted());
-        assert_eq!(restored.fraction_delivered(), 1.0);
+            let mut resumed = BatchSource::at_offset(&order, seed, 10);
+            assert!(resumed.shares_order_with(&src) && !resumed.shares_order_with(&own));
+            assert_eq!(resumed.replay_prefix(37), &rotation[..37]);
+            assert_eq!(resumed.next_batch().unwrap(), &rotation[37..47]);
+            assert_eq!(resumed.replay_prefix(95), rotation.as_slice());
+            assert!(resumed.next_batch().is_none());
+        }
+        assert!(offsets.len() > 10, "offsets drawn per seed: {offsets:?}");
     }
 
     #[test]
     fn empty_table_is_exhausted_immediately() {
-        let mut src = BatchSource::new(1, 0, 10);
-        assert!(src.is_exhausted());
-        assert_eq!(src.fraction_delivered(), 1.0);
-        assert!(src.next_batch().is_none());
+        let shared = BatchSource::at_offset(&RowOrder::shuffled(1, 0), 1, 10);
+        for mut src in [BatchSource::new(1, 0, 10), shared] {
+            assert!(src.is_exhausted());
+            assert_eq!(src.fraction_delivered(), 1.0);
+            assert!(src.next_batch().is_none());
+            assert_eq!(src.replay_prefix(0), &[] as &[u32]);
+        }
     }
 
     #[test]

@@ -22,7 +22,7 @@ pub mod date;
 pub mod gen;
 pub mod table;
 
-pub use batch::BatchSource;
+pub use batch::{BatchSource, RowOrder};
 pub use date::{date, Date};
 pub use gen::{Generator, TpchData};
 pub use table::{Column, ColumnType, Table};

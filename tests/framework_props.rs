@@ -5,8 +5,9 @@ use rotary::core::estimate::{CurveBasis, EnvelopeDetector, JointCurveEstimator};
 use rotary::core::parser::parse_criterion;
 use rotary::core::progress::Progress;
 use rotary::core::SimTime;
-use rotary::tpch::BatchSource;
+use rotary::tpch::{BatchSource, RowOrder};
 use rotary_check::{check, Source};
+use std::sync::Mutex;
 
 const METRICS: [Metric; 4] = [Metric::Accuracy, Metric::Loss, Metric::F1, Metric::Perplexity];
 
@@ -127,6 +128,64 @@ fn batch_source_partitions() {
         assert!(seen.iter().all(|&s| s));
         assert!(bs.is_exhausted());
     });
+}
+
+/// Pearson's χ² statistic of `observed` counts against a uniform spread of
+/// their total over the cells.
+fn chi_square(observed: &[u32]) -> f64 {
+    let expected = observed.iter().sum::<u32>() as f64 / observed.len() as f64;
+    observed.iter().map(|&o| (o as f64 - expected).powi(2) / expected).sum()
+}
+
+/// A job's stream over its table's shared order is a uniform sample (the
+/// P∘rot_b argument of DESIGN.md §5). Each case is one run over a 7-row
+/// table: a run seed shuffles the order, a job seed draws the offset, and
+/// the stream must serve every row once. Over the cases (256 by default,
+/// pinned by `ci.sh`), the row served at positions 0, 3 and 6 must be
+/// uniform over the 7 rows, and the first two rows uniform over the 42
+/// ordered pairs: χ² below its p = 0.001 critical value (22.458 at 6
+/// degrees of freedom, 74.745 at 41). With fewer than five expected
+/// samples a pair cell (a lowered case count, or a one-case replay), the
+/// χ² approximation does not hold and only the per-case check runs.
+#[test]
+fn shared_order_streams_are_uniform() {
+    const ROWS: usize = 7;
+    const POSITIONS: [usize; 3] = [0, 3, 6];
+    // Per position, the count of each row served there; then the count of
+    // each (first, second) pair, indexed first × ROWS + second.
+    let counts = Mutex::new(([[0u32; ROWS]; 3], [0u32; ROWS * ROWS]));
+    check("shared_order_streams_are_uniform", |src| {
+        let order = RowOrder::shuffled(src.raw(), ROWS);
+        let mut stream = BatchSource::at_offset(&order, src.raw(), src.usize_in(1, ROWS));
+        let mut served = Vec::new();
+        while let Some(batch) = stream.next_batch() {
+            served.extend_from_slice(batch);
+        }
+        let mut sorted = served.clone();
+        sorted.sort_unstable();
+        assert_eq!(sorted, (0..ROWS as u32).collect::<Vec<_>>(), "served {served:?}");
+        let mut counts = counts.lock().unwrap();
+        for (k, &pos) in POSITIONS.iter().enumerate() {
+            counts.0[k][served[pos] as usize] += 1;
+        }
+        counts.1[served[0] as usize * ROWS + served[1] as usize] += 1;
+    });
+    let (positions, pairs) = counts.into_inner().unwrap();
+    let cases = positions[0].iter().sum::<u32>();
+    if (cases as usize) < 5 * ROWS * (ROWS - 1) {
+        return;
+    }
+    for (pos, observed) in POSITIONS.iter().zip(&positions) {
+        let chi2 = chi_square(observed);
+        assert!(chi2 < 22.458, "row at position {pos}: χ² {chi2:.2} over {observed:?}");
+    }
+    // Cell first × ROWS + second: the diagonal is a row served twice.
+    let twice = |cell: usize| cell / ROWS == cell % ROWS;
+    assert!(pairs.iter().enumerate().all(|(cell, &n)| !twice(cell) || n == 0));
+    let distinct: Vec<u32> =
+        pairs.iter().enumerate().filter(|&(cell, _)| !twice(cell)).map(|(_, &n)| n).collect();
+    let chi2 = chi_square(&distinct);
+    assert!(chi2 < 74.745, "first two rows: χ² {chi2:.2} over {distinct:?}");
 }
 
 /// SimTime arithmetic never panics and stays ordered.

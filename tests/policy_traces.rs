@@ -80,30 +80,30 @@ fn data() -> &'static TpchData {
 /// Every AQP policy's trace. Change tracking, pausing and progress rows
 /// are shared by all policies; a change there must not move a byte here.
 const AQP_PINS: &[(&str, u64, u64)] = &[
-    ("Round-robin none 3", 0x091e99daecf1fb50, 1822306),
-    ("EDF none 3", 0x27b5c3bd4577fa5d, 1930800),
-    ("LAF none 3", 0xc4e541bf21f9ab27, 1957055),
-    ("ReLAQS none 3", 0x62fefc976fc10eac, 2082994),
-    ("Rotary-AQP none 3", 0xf320fff5e2fbee7f, 2042753),
-    ("Rotary-AQP(random-est) none 3", 0x7c15159df474a890, 2067943),
-    ("Round-robin chaos 3", 0x0f5a0c59e9fa2949, 2031697),
-    ("EDF chaos 3", 0x588a07d315572f12, 2065012),
-    ("LAF chaos 3", 0xfce29df020eb5d34, 2140177),
-    ("ReLAQS chaos 3", 0x5ed00e7f12d39621, 2087927),
-    ("Rotary-AQP chaos 3", 0x5cd7f58636d11c0f, 2064908),
-    ("Rotary-AQP(random-est) chaos 3", 0x950fa98cd3dbdca6, 2205697),
-    ("Round-robin none 21", 0x09a79a01ea7581af, 2790974),
-    ("EDF none 21", 0xacf185a890d6ba4f, 2842323),
-    ("LAF none 21", 0xf28cd817fdacbabb, 2869571),
-    ("ReLAQS none 21", 0xfa23df45d9c17060, 2839684),
-    ("Rotary-AQP none 21", 0x6c540ff17d44c663, 2790897),
-    ("Rotary-AQP(random-est) none 21", 0x2c69c9b58f78af85, 2808793),
-    ("Round-robin chaos 21", 0xaca698aa906ad14c, 2864144),
-    ("EDF chaos 21", 0x0387402bc60513b0, 2900144),
-    ("LAF chaos 21", 0xbb64d121bfd74856, 2847705),
-    ("ReLAQS chaos 21", 0x94ac689e6261f52d, 2795936),
-    ("Rotary-AQP chaos 21", 0x5ea0610a2bd5b92a, 2793591),
-    ("Rotary-AQP(random-est) chaos 21", 0x388f68d34c5d30fc, 2806739),
+    ("Round-robin none 3", 0xa43cf8923616b026, 1823272),
+    ("EDF none 3", 0xa6827860ede48edc, 1931766),
+    ("LAF none 3", 0x07fc342d84361e4f, 1958021),
+    ("ReLAQS none 3", 0xbd35429ea4f830f5, 2083960),
+    ("Rotary-AQP none 3", 0x8cc86e213f595ee7, 2043719),
+    ("Rotary-AQP(random-est) none 3", 0x2af02bdaf9671ef2, 2068909),
+    ("Round-robin chaos 3", 0x0d31c94b17ff4a6a, 2056145),
+    ("EDF chaos 3", 0xd24b5e080bfd26f8, 2065012),
+    ("LAF chaos 3", 0xd289cbc8f1617c12, 2115778),
+    ("ReLAQS chaos 3", 0x6ab83bd748ba3b6a, 2100004),
+    ("Rotary-AQP chaos 3", 0x626ac8abeaed9a71, 2066764),
+    ("Rotary-AQP(random-est) chaos 3", 0xb107f959c728e193, 2080369),
+    ("Round-robin none 21", 0xa539e09065bc38da, 2800807),
+    ("EDF none 21", 0x43a594b8c8a6b47a, 2842894),
+    ("LAF none 21", 0xc91f1badf29420dc, 2870778),
+    ("ReLAQS none 21", 0x0804e93b0f69ffe3, 2840255),
+    ("Rotary-AQP none 21", 0x4d3299086a0bdea5, 2791468),
+    ("Rotary-AQP(random-est) none 21", 0x3d1055500da814c0, 2794938),
+    ("Round-robin chaos 21", 0xa4e78a90ee268a5c, 2866121),
+    ("EDF chaos 21", 0xc2cd4103dc3e0053, 2900715),
+    ("LAF chaos 21", 0x5ac94ca719ee23d5, 2848696),
+    ("ReLAQS chaos 21", 0x3eaa733fed37c5e1, 2796507),
+    ("Rotary-AQP chaos 21", 0xa5860bae89872d8b, 2794162),
+    ("Rotary-AQP(random-est) chaos 21", 0x1fbe411fafb4399c, 2807310),
 ];
 
 /// Recorded alongside [`AQP_PINS`].

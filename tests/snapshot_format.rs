@@ -1,20 +1,27 @@
-//! Pins the v1 on-disk snapshot format (`rotary-aqp-run/v1`,
+//! Pins the on-disk snapshot formats (`rotary-aqp-run/v2`,
 //! `rotary-dlt-run/v1`).
 //!
-//! `tests/fixtures/snapshots/` holds one generation per system, written
-//! by the commit *before* the arbitration loop was unified (PR 11,
-//! 423b626) from exactly the specs and configs below. Each must still
-//! restore, and the resumed run must end in the same trace as an
-//! uninterrupted one — so a later change that bends a record name, a key,
-//! or an event encoding fails here instead of stranding snapshots in the
-//! field. To replace a fixture after a deliberate format bump, write it
-//! with `run_durable` (`halt_after` = the generation in the file name,
-//! `every` as in the test) and bump the format tag.
+//! `tests/fixtures/snapshots/` holds generations written from exactly the
+//! specs and configs below. Each current one must still restore, and the
+//! resumed run must end in the same trace as an uninterrupted one — so a
+//! later change that bends a record name, a key, or an event encoding
+//! fails here instead of stranding snapshots in the field. To replace a
+//! fixture after a deliberate format bump, write it with `run_durable`
+//! (`halt_after` = the generation in the file name, `every` as in the
+//! test) and bump the format tag.
+//!
+//! * `dlt/snap-5.rsnp` and `aqp/snap-3.rsnp` were written by commit
+//!   423b626, before the arbitration loop was unified.
+//! * `aqp-v2/snap-3.rsnp` is the AQP fixture of format v2, the first in
+//!   which every job reads its fact table's shared row order from its own
+//!   offset. `aqp/snap-3.rsnp` (v1) records delivered prefixes of per-job
+//!   permutations that no longer exist, so it must be refused with a typed
+//!   error, never resumed into a run that reads another order.
 
 use rotary::aqp::{AqpJobSpec, AqpPolicy, AqpSystem, AqpSystemConfig};
 use rotary::core::criteria::{CompletionCriterion, Deadline, Metric};
 use rotary::core::resources::GpuPoolSpec;
-use rotary::core::{Objective, SimTime};
+use rotary::core::{Objective, RotaryError, SimTime};
 use rotary::dlt::{Architecture, DltJobSpec, DltPolicy, DltSystem, DltSystemConfig};
 use rotary::dlt::{Optimizer, TrainingConfig};
 use rotary::engine::QueryId;
@@ -39,35 +46,55 @@ fn store_with(fixture: &str, generation: u64, tag: &str) -> PathBuf {
     dir
 }
 
-#[test]
-fn aqp_snapshot_written_by_the_parent_commit_resumes_to_the_same_trace() {
+fn aqp_specs() -> Vec<AqpJobSpec> {
     let secs = SimTime::from_secs;
-    let specs = vec![
+    vec![
         AqpJobSpec::new(QueryId(6), 0.6, secs(900), SimTime::ZERO),
         AqpJobSpec::new(QueryId(1), 0.6, secs(900), secs(30)),
         AqpJobSpec::new(QueryId(14), 0.6, secs(1200), secs(70)),
         AqpJobSpec::new(QueryId(7), 0.9, secs(40), secs(5)),
-    ];
-    let config = || AqpSystemConfig {
-        seed: 42,
-        faults: FaultPlan::none(),
-        threads: 1,
-        ..Default::default()
-    };
-    let data = Generator::new(77, 0.002).generate();
-    let expected = AqpSystem::new(&data, config()).run(&specs, AqpPolicy::Rotary).unwrap();
+    ]
+}
 
-    // Generation 3 of a run snapshotting every 2 epochs: two jobs running,
+fn aqp_config() -> AqpSystemConfig {
+    AqpSystemConfig { seed: 42, faults: FaultPlan::none(), threads: 1, ..Default::default() }
+}
+
+#[test]
+fn aqp_v2_snapshot_resumes_to_the_same_trace() {
+    let specs = aqp_specs();
+    let data = Generator::new(77, 0.002).generate();
+    let expected = AqpSystem::new(&data, aqp_config()).run(&specs, AqpPolicy::Rotary).unwrap();
+
+    // Generation 3 of a run snapshotting every 2 epochs: three jobs running,
     // one still pending its arrival, deadline checks queued.
-    let dir = store_with("aqp/snap-3.rsnp", 3, "aqp");
-    let resumed = AqpSystem::new(&data, config())
+    let dir = store_with("aqp-v2/snap-3.rsnp", 3, "aqp-v2");
+    let resumed = AqpSystem::new(&data, aqp_config())
         .resume_durable(&specs, AqpPolicy::Rotary, &DurableConfig::new(&dir, 2))
-        .expect("the v1 AQP fixture must restore")
+        .expect("the v2 AQP fixture must restore")
         .completed()
         .expect("no halt requested");
     assert!(resumed.summary.attained > 0 && resumed.summary.deadline_missed > 0);
     assert_eq!(resumed.metrics.to_json().unwrap(), expected.metrics.to_json().unwrap());
     assert_eq!(resumed.makespan, expected.makespan);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn aqp_v1_snapshot_is_refused_with_a_typed_error() {
+    let data = Generator::new(77, 0.002).generate();
+    let dir = store_with("aqp/snap-3.rsnp", 3, "aqp-v1");
+    let refused = AqpSystem::new(&data, aqp_config()).resume_durable(
+        &aqp_specs(),
+        AqpPolicy::Rotary,
+        &DurableConfig::new(&dir, 2),
+    );
+    let Err(err) = refused else { panic!("a v1 AQP snapshot must be refused, not resumed") };
+    assert!(
+        matches!(&err, RotaryError::SnapshotCorrupt { detail }
+            if detail == "rotary-aqp-run/v2: unknown meta.format"),
+        "{err}"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
