@@ -14,9 +14,9 @@
 //! the final aggregate) and *verified* against ground truth by the
 //! simulator, which is how false attainment (Fig. 7a) is measured.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
-use rotary_core::arb::{OrdF64, PriorityIndex};
+use rotary_core::arb::{OrdF64, Standing, StandingOrder};
 use rotary_core::error::RotaryError;
 use rotary_core::estimate::{CurveBasis, EnvelopeDetector, JointCurveEstimator};
 use rotary_core::history::{HistoryRepository, JobRecord};
@@ -304,10 +304,12 @@ impl RunJob<'_> {
 pub struct AqpRunExt {
     pool: CpuPool,
     material: MaterializationManager,
-    /// Incremental control-plane state, never snapshotted: a started or
+    /// Every keyed policy's standing order over the alive jobs, keyed
+    /// (doomed, priority key); round-robin, which rotates on every pass,
+    /// re-ranks densely and leaves it empty. Never snapshotted: a started or
     /// restored run marks every job, so its first pass keys them all from
     /// job state.
-    arb: AqpArbCaches,
+    order: StandingOrder<(bool, OrdF64)>,
 }
 
 /// A job's feasibility schedule as a function of the clock (job state
@@ -329,29 +331,6 @@ impl Feasibility {
             Feasibility::Never => false,
         }
     }
-}
-
-/// Incrementally maintained control-plane caches for every keyed policy: a
-/// standing priority order (split by feasibility) and a queue of scheduled
-/// feasibility flip times. The jobs the shared change tracking marked dirty
-/// (an event, an admission, a launch) are re-keyed at the next arbitration,
-/// and a job index seen for the first time grows the caches; everything
-/// else keeps its cached key, making one epoch's control-plane cost
-/// O(changes × log n) instead of O(n log n). Round-robin, which rotates
-/// on every pass, re-ranks densely and leaves the caches empty.
-#[derive(Debug, Default)]
-struct AqpArbCaches {
-    /// Standing priority order over feasible arbitrable jobs.
-    feasible: PriorityIndex<OrdF64>,
-    /// Standing priority order over infeasible arbitrable jobs (ranked
-    /// after every feasible job, matching the dense sort).
-    infeasible: PriorityIndex<OrdF64>,
-    /// Scheduled feasibility flip times: a warm feasible job becomes
-    /// infeasible the first arbitration strictly after its flip time, with
-    /// no state change involved.
-    flips: BTreeSet<(SimTime, u32)>,
-    /// Reverse map of `flips` for O(log n) rescheduling.
-    flip_of: BTreeMap<u32, SimTime>,
 }
 
 /// The multi-tenant AQP system bound to one dataset.
@@ -536,9 +515,9 @@ impl<'a> AqpSystem<'a> {
         arb::resume_durable(self, specs, policy, durable)
     }
 
-    /// Benchmark hook: starts a run without driving it, so a harness can
-    /// time individual control-plane steps. Not part of the public API
-    /// contract.
+    /// Benchmark hook: [`Run::start`], kept because the frozen end-to-end
+    /// benchmark crate (`crates/bench/e2e`) times control-plane steps
+    /// through it and this pair. Not part of the public API contract.
     #[doc(hidden)]
     pub fn bench_start(
         &mut self,
@@ -548,8 +527,9 @@ impl<'a> AqpSystem<'a> {
         Run::start(self, specs, policy)
     }
 
-    /// Benchmark hook: processes one event of a [`AqpSystem::bench_start`]
-    /// run; returns `false` once the event queue has drained.
+    /// Benchmark hook: [`Run::step`] of a [`AqpSystem::bench_start`] run;
+    /// returns `false` once the event queue has drained. `_policy` is
+    /// unused; the frozen end-to-end benchmark passes it.
     #[doc(hidden)]
     pub fn bench_step(&mut self, run: &mut Run<Self>, _policy: AqpPolicy) -> bool {
         run.step(self)
@@ -627,8 +607,8 @@ impl<'a> AqpSystem<'a> {
     /// projects a uniform draw instead. A job that has not run, and every
     /// job of a policy without the gate, is always feasible. Between state
     /// changes a job flips to infeasible at most once, at an exact
-    /// millisecond, so the indexed control plane queues flip times instead
-    /// of re-evaluating every job per event.
+    /// millisecond, so its standing key asks to be re-keyed after that
+    /// instant instead of every job being re-evaluated per event.
     fn feasible_until(&self, job: &RunJob<'_>, policy: AqpPolicy) -> Feasibility {
         let gated = matches!(policy, AqpPolicy::Rotary | AqpPolicy::RotaryRandomEstimator);
         if !gated || !self.config.feasibility_check || job.base.core.epochs_run == 0 {
@@ -693,37 +673,27 @@ impl<'a> AqpSystem<'a> {
         }
     }
 
-    /// Ranks job indices best first: round-robin rotates, every other policy
-    /// sorts by (doomed, key, index) — the reference of the standing orders.
-    fn rank(
+    /// A keyed policy's standing key for `job` at `now`: alive jobs only,
+    /// keyed (doomed, priority key), so doomed jobs sink below every
+    /// feasible one. A feasible job with a finite horizon asks to be
+    /// re-keyed once the horizon has passed, when it turns doomed with no
+    /// state change; every other key stands until the job's next mark.
+    fn standing_key(
         &self,
-        jobs: &[RunJob<'_>],
-        mut indices: Vec<usize>,
+        job: &RunJob<'_>,
         now: SimTime,
         policy: AqpPolicy,
-        rr_cursor: &mut usize,
-    ) -> Vec<usize> {
-        match policy {
-            AqpPolicy::RoundRobin => {
-                // Rotate the id-ordered list by the cursor.
-                indices.sort_unstable();
-                let n = indices.len();
-                indices.rotate_left(*rr_cursor % n.max(1));
-                *rr_cursor = (*rr_cursor + 1) % n.max(1);
-                indices
-            }
-            _ => {
-                let mut keyed: Vec<(bool, OrdF64, usize)> = indices
-                    .iter()
-                    .map(|&i| {
-                        let doomed = !self.feasible_until(&jobs[i], policy).holds_at(now);
-                        (doomed, OrdF64::new(Self::priority_key(&jobs[i], policy)), i)
-                    })
-                    .collect();
-                keyed.sort_unstable();
-                keyed.into_iter().map(|(_, _, i)| i).collect()
-            }
+    ) -> Standing<(bool, OrdF64)> {
+        if !job.is_alive() {
+            return None;
         }
+        let feasibility = self.feasible_until(job, policy);
+        let feasible = feasibility.holds_at(now);
+        let rekey_after = match feasibility {
+            Feasibility::Until(t) if feasible => Some(t),
+            _ => None,
+        };
+        Some(((!feasible, OrdF64::new(Self::priority_key(job, policy))), rekey_after))
     }
 
     /// Computes the policy's *target allocation* over all alive jobs:
@@ -788,85 +758,20 @@ impl<'a> AqpSystem<'a> {
         target
     }
 
-    /// Re-derives job `i`'s position in the standing priority order from
-    /// its current state: drops terminal/pending jobs, re-keys the rest
-    /// onto the feasible or infeasible side, and (re)schedules the
-    /// feasibility flip that will later move it across without any state
-    /// change.
-    fn refresh_job(
-        &self,
-        arb: &mut AqpArbCaches,
-        jobs: &[RunJob<'_>],
-        i: usize,
-        now: SimTime,
-        policy: AqpPolicy,
-    ) {
-        let id = i as u32;
-        let j = &jobs[i];
-        if !j.is_alive() {
-            arb.feasible.remove(id);
-            arb.infeasible.remove(id);
-            if let Some(t) = arb.flip_of.remove(&id) {
-                arb.flips.remove(&(t, id));
-            }
-            return;
-        }
-        let key = OrdF64::new(Self::priority_key(j, policy));
-        let feasibility = self.feasible_until(j, policy);
-        let feasible_now = feasibility.holds_at(now);
-        // Only a currently feasible job with a finite horizon needs a
-        // scheduled flip; everything else sits still until its next state
-        // change.
-        let want_flip = match feasibility {
-            Feasibility::Until(t) if feasible_now => Some(t),
-            _ => None,
-        };
-        if arb.flip_of.get(&id) != want_flip.as_ref() {
-            if let Some(t) = arb.flip_of.remove(&id) {
-                arb.flips.remove(&(t, id));
-            }
-            if let Some(t) = want_flip {
-                arb.flip_of.insert(id, t);
-                arb.flips.insert((t, id));
-            }
-        }
-        if feasible_now {
-            arb.infeasible.remove(id);
-            arb.feasible.upsert(id, key);
-        } else {
-            arb.feasible.remove(id);
-            arb.infeasible.upsert(id, key);
-        }
-    }
-
-    /// The indexed control plane's replacement for the alive filter +
-    /// [`rank`](Self::rank): applies queued feasibility flips, re-keys
-    /// dirty jobs, and walks the standing order lazily — only as far as the
-    /// two-pass allocator can possibly look. Empty when nothing is alive or the pool has no thread. Debug
-    /// builds hold the walk to the dense `rank` of every alive job.
+    /// A keyed policy's ranking: re-keys the marked jobs and those whose
+    /// feasibility horizon has passed, then walks the standing order lazily
+    /// — only as far as the two-pass allocator can possibly look. Empty when
+    /// nothing is alive or the pool has no thread. Debug builds hold the
+    /// walk to the dense sort of every job by the same key.
     fn indexed_ranked(
         &self,
-        arb: &mut AqpArbCaches,
+        order: &mut StandingOrder<(bool, OrdF64)>,
         dirty: &[u32],
         jobs: &[RunJob<'_>],
         now: SimTime,
         policy: AqpPolicy,
     ) -> Vec<usize> {
-        // Feasibility flips that came due strictly before this instant (a
-        // job stays feasible *through* its flip time).
-        let mut flipped: Vec<u32> = Vec::new();
-        while let Some((t, id)) = arb.flips.pop_first() {
-            if t < now {
-                arb.flip_of.remove(&id);
-                flipped.push(id);
-            } else {
-                arb.flips.insert((t, id));
-                break;
-            }
-        }
-        for &id in dirty.iter().chain(flipped.iter()) {
-            self.refresh_job(arb, jobs, id as usize, now, policy);
-        }
+        order.refresh(dirty, now, |id| self.standing_key(&jobs[id as usize], now, policy));
         // Lazy prefix: pass one of the allocator examines ranked jobs only
         // until it runs out of threads; reproduce that walk against the
         // standing order and stop at the same point. Downstream sees an
@@ -876,7 +781,7 @@ impl<'a> AqpSystem<'a> {
         let mut ranked: Vec<usize> = Vec::new();
         let mut threads_left = self.config.pool.threads;
         let mut mem_left = self.config.pool.memory_mb;
-        for (_, id) in arb.feasible.iter().chain(arb.infeasible.iter()) {
+        for id in order.iter() {
             if threads_left == 0 {
                 break;
             }
@@ -893,13 +798,16 @@ impl<'a> AqpSystem<'a> {
     }
 
     /// The indexed plane's reference: the lazy prefix is the same-length
-    /// prefix of the dense `rank` over every alive job, and the allocator
-    /// targets the same grants from either. Pure — a fresh cursor (no
-    /// policy with a standing order reads it).
+    /// prefix of the dense sort of every job by the standing key, and the
+    /// allocator targets the same grants from either.
     #[cfg(debug_assertions)]
     fn check_prefix(&self, jobs: &[RunJob<'_>], ranked: &[usize], now: SimTime, policy: AqpPolicy) {
-        let alive: Vec<usize> = (0..jobs.len()).filter(|&i| jobs[i].is_alive()).collect();
-        let dense = self.rank(jobs, alive, now, policy, &mut 0);
+        let dense: Vec<usize> = StandingOrder::dense(0..jobs.len() as u32, |id| {
+            self.standing_key(&jobs[id as usize], now, policy)
+        })
+        .into_iter()
+        .map(|id| id as usize)
+        .collect();
         assert!(
             dense.starts_with(ranked),
             "indexed prefix {ranked:?} is not a prefix of the dense rank {dense:?} at {now:?}"
@@ -928,7 +836,7 @@ impl<'a> Arbiter for AqpSystem<'a> {
         AqpRunExt {
             pool: CpuPool::new(self.config.pool),
             material: MaterializationManager::new(self.config.materialization, CHECKPOINT),
-            arb: AqpArbCaches::default(),
+            order: StandingOrder::default(),
         }
     }
 
@@ -1093,7 +1001,7 @@ impl<'a> Arbiter for AqpSystem<'a> {
         ckpt_candidate: Option<usize>,
     ) {
         let Loop { jobs, events, metrics, rr_cursor, marks, terminals, .. } = lp;
-        let AqpRunExt { pool, material, arb } = ext;
+        let AqpRunExt { pool, material, order } = ext;
         // Injected transient memory pressure shrinks what the arbiter may
         // hand out for the duration of the current pressure slot.
         let spike = self.config.faults.memory_pressure_mb(now);
@@ -1103,13 +1011,17 @@ impl<'a> Arbiter for AqpSystem<'a> {
         // Every keyed policy reads a standing order; round-robin advances
         // its cursor on every pass, so it re-ranks densely.
         let ranked: Vec<usize> = if policy == AqpPolicy::RoundRobin {
-            let alive: Vec<usize> = (0..jobs.len()).filter(|&i| jobs[i].is_alive()).collect();
+            // The id-ordered queue, rotated by the cursor.
+            let mut alive: Vec<usize> = (0..jobs.len()).filter(|&i| jobs[i].is_alive()).collect();
             if alive.is_empty() {
                 return;
             }
-            self.rank(jobs, alive, now, policy, rr_cursor)
+            let n = alive.len();
+            alive.rotate_left(*rr_cursor % n);
+            *rr_cursor = (*rr_cursor + 1) % n;
+            alive
         } else {
-            self.indexed_ranked(arb, &dirty, jobs, now, policy)
+            self.indexed_ranked(order, &dirty, jobs, now, policy)
         };
         if ranked.is_empty() {
             return;
@@ -1468,10 +1380,12 @@ mod tests {
         // The first pass launches every job; the second re-keys them.
         sys.arbitrate(&mut lp, &mut ext, policy, SimTime::ZERO, None);
         sys.arbitrate(&mut lp, &mut ext, policy, SimTime::ZERO, None);
-        assert!(lp.marks.dirty.is_empty() && ext.arb.feasible.len() >= 2);
-        // A NaN key sinks the head of the order below every other job.
-        let (_, first) = ext.arb.feasible.iter().next().unwrap();
-        ext.arb.feasible.upsert(first, OrdF64::new(f64::NAN));
+        assert!(lp.marks.dirty.is_empty() && ext.order.len() >= 2);
+        // A NaN key sinks the head of the order below every other feasible
+        // job (none has run, so none is doomed).
+        let first = ext.order.iter().next().unwrap();
+        ext.order
+            .refresh(&[first], SimTime::ZERO, |_| Some(((false, OrdF64::new(f64::NAN)), None)));
         sys.arbitrate(&mut lp, &mut ext, policy, SimTime::ZERO, None);
     }
 

@@ -3,15 +3,14 @@
 //! Measures the arbitration cost per control-plane event (arrival, epoch
 //! completion, wake, deadline check) for both systems at 100 / 1k / 10k /
 //! 100k concurrent jobs, stepping the shared run handle
-//! (`rotary_faults::arbiter::Run`, via `AqpSystem::bench_start` /
-//! `bench_step` for AQP) one event at a time through the real event loop. Each scale's
-//! ns/event lands in `BENCH_arbitration.json`; on top of the per-scale
-//! ±tolerance comparison the gate fits a 1k→100k scaling exponent
-//! `ln(cost_100k / cost_1k) / ln(100)` and fails — in every mode — unless
-//! both systems stay sub-linear (exponent below [`SUBLINEAR_CEILING`]).
-//! A full per-epoch re-sort would put the exponent near 1; the indexed
-//! control plane (incremental refits, priority indexes) keeps per-event
-//! cost near-flat, so the exponent hovers around 0. Measure release
+//! (`rotary_faults::arbiter::Run`) one event at a time through the real
+//! event loop. Each scale's ns/event lands in `BENCH_arbitration.json`; on
+//! top of the per-scale ±tolerance comparison the gate fits a 1k→100k
+//! scaling exponent `ln(cost_100k / cost_1k) / ln(100)` and fails — in
+//! every mode — unless both systems stay sub-linear (exponent below
+//! [`SUBLINEAR_CEILING`]). A full per-epoch re-sort would put the exponent
+//! near 1; the indexed control plane (incremental refits, standing orders)
+//! keeps per-event cost near-flat, so the exponent hovers around 0. Measure release
 //! builds only: debug builds check every indexed pass against a full
 //! re-sort.
 //!
@@ -160,13 +159,13 @@ fn bench_aqp(metrics: &mut BTreeMap<String, f64>) {
                 AqpJobSpec::new(QueryId(6), 0.55 + 0.05 * (i % 8) as f64, deadline, SimTime::ZERO)
             })
             .collect();
-        let mut run = must("bench_start", sys.bench_start(&specs, AqpPolicy::Rotary));
+        let mut run = must("aqp start", Run::start(&mut sys, &specs, AqpPolicy::Rotary));
         // Drain every t = 0 arrival plus a settling margin: the steady
         // state under measurement is "full queue, busy pool".
         for _ in 0..jobs + WARMUP_EVENTS {
-            assert!(sys.bench_step(&mut run, AqpPolicy::Rotary), "aqp {tag}: drained in warmup");
+            assert!(run.step(&mut sys), "aqp {tag}: drained in warmup");
         }
-        let ns = ns_per_event(|| sys.bench_step(&mut run, AqpPolicy::Rotary), "aqp");
+        let ns = ns_per_event(|| run.step(&mut sys), "aqp");
         black_box(&run);
         report(metrics, format!("arbitration/aqp_epoch_ns_{tag}"), ns);
     }
@@ -186,7 +185,7 @@ fn bench_aqp_admit(metrics: &mut BTreeMap<String, f64>) {
             history.insert(record.clone());
         }
         sys.set_history(history);
-        let mut run = must("bench_start", sys.bench_start(&[], AqpPolicy::Rotary));
+        let mut run = must("aqp start", Run::start(&mut sys, &[], AqpPolicy::Rotary));
         let mut i = 0u8;
         let admit = || {
             i = i % 22 + 1;

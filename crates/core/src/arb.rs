@@ -1,24 +1,28 @@
-//! Control-plane arbitration primitives: total-order float keys and an
-//! incrementally maintained priority index.
+//! Control-plane arbitration primitives: total-order float keys, an
+//! incrementally maintained priority index, and the standing order both
+//! systems rank their queues with.
 //!
 //! Production-scale arbitration (ROADMAP: 100k concurrent jobs) makes the
 //! per-epoch control-plane cost itself the hot path. The arbitration loops
 //! in `rotary-aqp` and `rotary-dlt` historically re-derived their priority
 //! order from scratch on every event — an O(n log n) sort over O(n)
-//! recomputed keys per event. The primitives here let them keep the order
-//! *standing* between events instead, in the spirit of Execution Templates'
-//! validate-and-patch: a job's key is recomputed only when one of its inputs
-//! changed, and the ordered structure absorbs that single update in
-//! O(log n). Each system keeps its dense re-sort as the reference, and in
-//! debug builds every pass that reads a standing order asserts that order
-//! against it.
+//! recomputed keys per event. A [`StandingOrder`] keeps the order standing
+//! between events instead, in the spirit of Execution Templates'
+//! validate-and-patch: a system supplies one key function, a job is re-keyed
+//! only when one of its inputs changed (the caller marks it dirty) or when
+//! the time it asked to be re-keyed after has passed, and the ordered
+//! structure absorbs each update in O(log n). [`StandingOrder::dense`], a
+//! sort by the same key function, is the reference: in debug builds every
+//! pass that reads a standing order asserts that order against it.
 //!
 //! Everything is deterministic and zero-dependency: the index is a
-//! `BTreeSet` over `(key, id)` pairs, and the key is a [total order over
+//! `BTreeSet` over `(key, id)` pairs, and float keys use a [total order over
 //! f64](OrdF64) (so `NaN` cannot panic a comparator — the historical
 //! `partial_cmp(..).unwrap()` sites are replaced by this type).
 
 use std::collections::{BTreeMap, BTreeSet};
+
+use crate::SimTime;
 
 /// An `f64` wrapped into a *total* order, for use as a sort or B-tree key.
 ///
@@ -73,12 +77,6 @@ impl<K: Ord + Copy> PriorityIndex<K> {
         PriorityIndex { set: BTreeSet::new(), current: BTreeMap::new() }
     }
 
-    /// Removes every entry.
-    pub fn clear(&mut self) {
-        self.set.clear();
-        self.current.clear();
-    }
-
     /// Inserts `id` with `key`, replacing any previous entry for `id`.
     /// Returns `true` if the index changed (new id, or key moved).
     pub fn upsert(&mut self, id: u32, key: K) -> bool {
@@ -130,6 +128,96 @@ impl<K: Ord + Copy> PriorityIndex<K> {
     /// Entries in priority order (ascending `(key, id)`).
     pub fn iter(&self) -> impl Iterator<Item = (K, u32)> + '_ {
         self.set.iter().copied()
+    }
+}
+
+/// Where a job stands in a [`StandingOrder`]: `None` when it is not in the
+/// order, else its key and the instant after which it must be re-keyed
+/// although nothing marked it (`None`: only a mark re-keys it).
+pub type Standing<K> = Option<(K, Option<SimTime>)>;
+
+/// A priority order over job ids that stands between events.
+///
+/// A system supplies one key function (job id → [`Standing`]). `refresh`
+/// re-keys the ids the caller marked dirty and those whose re-key time has
+/// passed; every other id keeps the key it was last given. As long as the
+/// caller marks every job whose key inputs changed, and a key that moves
+/// with the clock alone asks to be re-keyed no later than it moves, `iter`
+/// walks exactly what [`StandingOrder::dense`] sorts from scratch.
+#[derive(Debug, Clone)]
+pub struct StandingOrder<K: Ord + Copy> {
+    order: PriorityIndex<K>,
+    rekeys: PriorityIndex<SimTime>,
+}
+
+impl<K: Ord + Copy> Default for StandingOrder<K> {
+    fn default() -> Self {
+        StandingOrder { order: PriorityIndex::new(), rekeys: PriorityIndex::new() }
+    }
+}
+
+impl<K: Ord + Copy> StandingOrder<K> {
+    /// Re-keys every id in `dirty` and every id whose re-key time is
+    /// strictly before `now` (a key stands *through* its re-key time); an
+    /// id both dirty and due is keyed once. O((dirty + due) · log n).
+    pub fn refresh(
+        &mut self,
+        dirty: &[u32],
+        now: SimTime,
+        mut key: impl FnMut(u32) -> Standing<K>,
+    ) {
+        let mut due: Vec<u32> =
+            self.rekeys.iter().take_while(|&(t, _)| t < now).map(|(_, id)| id).collect();
+        let ids = if due.is_empty() {
+            dirty
+        } else {
+            due.extend_from_slice(dirty);
+            due.sort_unstable();
+            due.dedup();
+            &due
+        };
+        for &id in ids {
+            match key(id) {
+                Some((k, rekey_after)) => {
+                    self.order.upsert(id, k);
+                    match rekey_after {
+                        Some(t) => self.rekeys.upsert(id, t),
+                        None => self.rekeys.remove(id),
+                    };
+                }
+                None => {
+                    self.order.remove(id);
+                    self.rekeys.remove(id);
+                }
+            }
+        }
+    }
+
+    /// The ids in the order, best (smallest `(key, id)`) first.
+    pub fn iter(&self) -> impl Iterator<Item = u32> + '_ {
+        self.order.iter().map(|(_, id)| id)
+    }
+
+    /// Number of ids in the order.
+    pub fn len(&self) -> usize {
+        self.order.len()
+    }
+
+    /// True when no id is in the order.
+    pub fn is_empty(&self) -> bool {
+        self.order.is_empty()
+    }
+
+    /// The reference order: the ids of `ids` that `key` puts in the order,
+    /// sorted by `(key, id)` from scratch.
+    pub fn dense(
+        ids: impl IntoIterator<Item = u32>,
+        mut key: impl FnMut(u32) -> Standing<K>,
+    ) -> Vec<u32> {
+        let mut keyed: Vec<(K, u32)> =
+            ids.into_iter().filter_map(|id| key(id).map(|(k, _)| (k, id))).collect();
+        keyed.sort_unstable();
+        keyed.into_iter().map(|(_, id)| id).collect()
     }
 }
 

@@ -2,6 +2,7 @@
 //! criteria coherence, and similarity-order properties.
 
 use rotary_check::check;
+use rotary_core::arb::{Standing, StandingOrder};
 use rotary_core::criteria::{CompletionCriterion, CriterionCheck, Deadline, Metric};
 use rotary_core::estimate::similarity::{scalar_similarity, top_k_by};
 use rotary_core::estimate::wlr::{LinearFit, WeightedPoint};
@@ -309,6 +310,62 @@ fn indexed_top_k_equals_the_linear_scan() {
                 ),
             };
             assert_eq!(identity(picked), expected, "k = {k}, query = {query}");
+        }
+    });
+}
+
+/// A standing order walks what the dense sort by the same key function
+/// walks, after every refresh: under random key changes (each marked
+/// dirty, as the systems mark what an event changed), removals, and keys
+/// that move with the clock alone — one that turns doomed after its re-key
+/// time (AQP's feasibility horizon), one keyed on the clock that asks to be
+/// re-keyed after every pass (DLT's time-budget φ̂). The clock and the
+/// re-key times share a few-millisecond domain, so a pass at exactly a
+/// re-key time, which must leave the key standing, is common.
+#[test]
+fn standing_order_walks_the_dense_sort() {
+    /// One id's key inputs.
+    #[derive(Clone, Copy)]
+    enum Input {
+        Fixed(u8),
+        DoomedAfter(u8, SimTime),
+        Clocked(u8),
+    }
+    fn key(input: Option<Input>, now: SimTime) -> Standing<(bool, u8, SimTime)> {
+        match input? {
+            Input::Fixed(k) => Some(((false, k, SimTime::ZERO), None)),
+            Input::DoomedAfter(k, t) => {
+                let doomed = now > t;
+                Some(((doomed, k, SimTime::ZERO), (!doomed).then_some(t)))
+            }
+            Input::Clocked(k) => Some(((false, k, now), Some(now))),
+        }
+    }
+
+    check("standing_order_walks_the_dense_sort", |src| {
+        let n = src.usize_in(1, 12);
+        let mut inputs: Vec<Option<Input>> = vec![None; n];
+        let mut order: StandingOrder<(bool, u8, SimTime)> = StandingOrder::default();
+        let mut now = SimTime::ZERO;
+        for _ in 0..src.usize_in(1, 40) {
+            let mut dirty = Vec::new();
+            for _ in 0..src.usize_in(0, 3) {
+                let id = src.usize_in(0, n - 1);
+                // Three key values, so ties are the common case.
+                let k = src.usize_in(0, 2) as u8;
+                inputs[id] = match src.usize_in(0, 3) {
+                    0 => None,
+                    1 => Some(Input::Fixed(k)),
+                    2 => Some(Input::DoomedAfter(k, now + SimTime::from_millis(src.u64_in(0, 4)))),
+                    _ => Some(Input::Clocked(k)),
+                };
+                dirty.push(id as u32);
+            }
+            now += SimTime::from_millis(src.u64_in(0, 3));
+            order.refresh(&dirty, now, |id| key(inputs[id as usize], now));
+            let dense = StandingOrder::dense(0..n as u32, |id| key(inputs[id as usize], now));
+            assert_eq!(order.iter().collect::<Vec<u32>>(), dense, "at {now:?}");
+            assert_eq!(order.len(), dense.len());
         }
     });
 }

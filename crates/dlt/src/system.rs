@@ -13,9 +13,7 @@
 //! The baselines (SRF, BCF, LAF) prioritise one criterion family and
 //! round-robin the rest, exactly as §V-B2 describes.
 
-use std::collections::BTreeSet;
-
-use rotary_core::arb::{OrdF64, PriorityIndex};
+use rotary_core::arb::{OrdF64, Standing, StandingOrder};
 use rotary_core::criteria::{CompletionCriterion, CriterionCheck};
 use rotary_core::estimate::JointCurveEstimator;
 use rotary_core::history::HistoryRepository;
@@ -236,29 +234,25 @@ pub struct DltRunExt {
     arb: DltArbCaches,
 }
 
-/// Incrementally maintained control-plane caches for the Rotary-DLT
-/// threshold policy: the trial FIFO, standing fairness- and
-/// efficiency-phase orders (both maintained at once — the phase flip just
-/// selects which to read), and a counter-based phase predicate. Each pass
-/// re-keys the jobs the shared change tracking marked dirty; a job index
-/// seen for the first time grows the predicate.
-/// Baselines (SRF/BCF/LAF) mutate rank-time state (the round-robin cursor)
-/// and re-rank every pass, leaving the caches empty.
+/// A Rotary-DLT phase order's key: never-run jobs first, all keyed alike so
+/// they stand in id (FIFO) order; then warm jobs by (phase score, arrival).
+type PhaseKey = (bool, OrdF64, SimTime);
+
+/// Incrementally maintained control-plane state for the Rotary-DLT
+/// threshold policy: the fairness- and efficiency-phase orders (both
+/// maintained at once — the phase flip just selects which to read) and a
+/// counter-based phase predicate. Each pass re-keys the jobs the shared
+/// change tracking marked dirty; a job index seen for the first time grows
+/// the predicate. Baselines (SRF/BCF/LAF) mutate rank-time state (the
+/// round-robin cursor) and re-rank every pass, leaving this empty.
 #[derive(Debug, Default)]
 struct DltArbCaches {
-    /// Arbitrable never-run jobs, served FIFO (ascending id) first so
-    /// estimates get real-time grounding.
-    trial: BTreeSet<u32>,
-    /// Fairness-phase order over arbitrable warm jobs:
-    /// (progress, arrival) ascending.
-    fair: PriorityIndex<(OrdF64, SimTime)>,
-    /// Efficiency-phase order over arbitrable warm jobs whose φ̂ is
-    /// clock-free: (−φ̂, arrival) ascending.
-    eff: PriorityIndex<(OrdF64, SimTime)>,
-    /// Arbitrable warm jobs whose φ̂ depends on the clock (time-budget
-    /// runtime criteria); re-keyed fresh and merged into the efficiency
-    /// order at each pass.
-    eff_dynamic: BTreeSet<u32>,
+    /// Fairness-phase order over arbitrable jobs: warm ones by current
+    /// progress, lowest first.
+    fairness: StandingOrder<PhaseKey>,
+    /// Efficiency-phase order over arbitrable jobs: warm ones by estimated
+    /// next-epoch progress φ̂, highest first.
+    efficiency: StandingOrder<PhaseKey>,
     /// Per-job phase predicate (progress ≥ T, considered converged, or
     /// terminal) as last folded into `n_satisfied`.
     satisfied: Vec<bool>,
@@ -424,96 +418,50 @@ impl DltSystem {
         self.history.insert(job_record(&job.spec.config, curve, job.base.core.epochs_run));
     }
 
-    /// Ranks arbitrable job indices per the policy.
-    #[allow(clippy::too_many_arguments)]
+    /// The baselines' ranking of arbitrable job indices: the policy's
+    /// criterion family by its key, then everything else round-robin.
     fn rank(
-        &self,
         jobs: &[RunJob],
         indices: Vec<usize>,
-        now: SimTime,
         policy: DltPolicy,
-        meter: &mut OverheadMeter,
         rr_cursor: &mut usize,
     ) -> Vec<usize> {
-        match policy {
-            DltPolicy::Rotary(objective) => {
-                // Algorithm 3 on explicit total-order keys: the phase is
-                // decided over the WHOLE workload (efficiency once every job
-                // reaches T progress or is considered converged), then
-                // arbitrable jobs sort under that phase — lowest current
-                // progress first in the fairness phase, highest estimated
-                // next-epoch progress first in the efficiency phase, FIFO
-                // (arrival, then id) breaking ties.
-                let threshold = objective.threshold();
-                let efficiency = jobs.iter().all(|j| Self::phase_satisfied(j, threshold));
-
-                // Trial phase: never-run jobs go first (FIFO) so estimates
-                // get real-time grounding.
-                let (trial, rest): (Vec<usize>, Vec<usize>) =
-                    indices.into_iter().partition(|&i| jobs[i].base.core.epochs_run == 0);
-                let mut keyed: Vec<((OrdF64, SimTime), usize)> = rest
-                    .into_iter()
-                    .map(|i| {
-                        let key = if efficiency {
-                            let phi_hat = Self::progress_at(
-                                &jobs[i],
-                                jobs[i].base.core.epochs_run + 1,
-                                None,
-                                now,
-                                meter,
-                            );
-                            // Negated: highest estimated progress first.
-                            OrdF64::new(-phi_hat)
-                        } else {
-                            OrdF64::new(jobs[i].base.core.progress())
-                        };
-                        ((key, jobs[i].base.core.arrival), i)
+        // Priority group by criterion family, round-robin the rest.
+        let group_key = |spec: &DltJobSpec| -> Option<f64> {
+            match (&spec.criterion, policy) {
+                (CompletionCriterion::Runtime { runtime }, DltPolicy::Srf) => {
+                    // Shortest *runtime* first: commensurate epoch
+                    // and time budgets via the job's own epoch cost.
+                    Some(match runtime {
+                        rotary_core::criteria::Deadline::Epochs(e) => {
+                            *e as f64 * spec.config.epoch_time(1.0).as_secs_f64()
+                        }
+                        rotary_core::criteria::Deadline::Time(t) => t.as_secs_f64(),
                     })
-                    .collect();
-                keyed.sort_unstable();
-                trial.into_iter().chain(keyed.into_iter().map(|(_, i)| i)).collect()
+                }
+                (CompletionCriterion::Convergence { delta, .. }, DltPolicy::Bcf) => Some(-*delta),
+                (CompletionCriterion::Accuracy { threshold, .. }, DltPolicy::Laf) => {
+                    Some(*threshold)
+                }
+                _ => None,
             }
-            DltPolicy::Srf | DltPolicy::Bcf | DltPolicy::Laf => {
-                // Priority group by criterion family, round-robin the rest.
-                let group_key = |spec: &DltJobSpec| -> Option<f64> {
-                    match (&spec.criterion, policy) {
-                        (CompletionCriterion::Runtime { runtime }, DltPolicy::Srf) => {
-                            // Shortest *runtime* first: commensurate epoch
-                            // and time budgets via the job's own epoch cost.
-                            Some(match runtime {
-                                rotary_core::criteria::Deadline::Epochs(e) => {
-                                    *e as f64 * spec.config.epoch_time(1.0).as_secs_f64()
-                                }
-                                rotary_core::criteria::Deadline::Time(t) => t.as_secs_f64(),
-                            })
-                        }
-                        (CompletionCriterion::Convergence { delta, .. }, DltPolicy::Bcf) => {
-                            Some(-*delta)
-                        }
-                        (CompletionCriterion::Accuracy { threshold, .. }, DltPolicy::Laf) => {
-                            Some(*threshold)
-                        }
-                        _ => None,
-                    }
-                };
-                let mut priority: Vec<(usize, f64)> = Vec::new();
-                let mut rest: Vec<usize> = Vec::new();
-                for &i in &indices {
-                    match group_key(&jobs[i].spec) {
-                        Some(k) => priority.push((i, k)),
-                        None => rest.push(i),
-                    }
-                }
-                priority.sort_by_key(|&(i, k)| (OrdF64::new(k), i));
-                rest.sort_unstable();
-                if !rest.is_empty() {
-                    let n = rest.len();
-                    rest.rotate_left(*rr_cursor % n);
-                    *rr_cursor = (*rr_cursor + 1) % n;
-                }
-                priority.into_iter().map(|(i, _)| i).chain(rest).collect()
+        };
+        let mut priority: Vec<(usize, f64)> = Vec::new();
+        let mut rest: Vec<usize> = Vec::new();
+        for &i in &indices {
+            match group_key(&jobs[i].spec) {
+                Some(k) => priority.push((i, k)),
+                None => rest.push(i),
             }
         }
+        priority.sort_by_key(|&(i, k)| (OrdF64::new(k), i));
+        rest.sort_unstable();
+        if !rest.is_empty() {
+            let n = rest.len();
+            rest.rotate_left(*rr_cursor % n);
+            *rr_cursor = (*rr_cursor + 1) % n;
+        }
+        priority.into_iter().map(|(i, _)| i).chain(rest).collect()
     }
 
     /// Algorithm 3's per-job phase predicate: the job no longer holds the
@@ -522,35 +470,45 @@ impl DltSystem {
         j.base.core.progress() >= threshold || j.converged_flag || j.base.core.status.is_terminal()
     }
 
-    /// Whether the job's estimated next-epoch progress φ̂ depends on the
-    /// clock (time-budget runtime criteria) rather than on job state alone.
-    /// Such keys cannot stand in an index between events; they are re-keyed
-    /// fresh at every efficiency-phase pass.
-    fn phi_hat_is_dynamic(j: &RunJob) -> bool {
-        matches!(
-            &j.spec.criterion,
-            CompletionCriterion::Runtime { runtime: rotary_core::criteria::Deadline::Time(_) }
-        )
-    }
-
-    /// Re-derives one job's control-plane entries from its current state:
-    /// the phase-predicate counter, trial membership, and the standing
-    /// fairness/efficiency keys. Idempotent; O(log n). The first refresh of
-    /// a job index folds it into the phase predicate.
-    fn dlt_refresh_job(
-        arb: &mut DltArbCaches,
-        jobs: &[RunJob],
-        i: usize,
-        threshold: f64,
+    /// A Rotary-DLT phase order's standing key for `j`: arbitrable jobs
+    /// only; never-run jobs first, in id (FIFO) order, so estimates get
+    /// real-time grounding; then warm jobs by lowest current progress in the
+    /// fairness phase, or by highest estimated next-epoch progress φ̂ in the
+    /// efficiency phase, arrival breaking ties. A φ̂ that moves with the
+    /// clock (a time-budget runtime criterion) asks to be re-keyed at the
+    /// next later pass.
+    fn phase_key(
+        j: &RunJob,
+        efficiency: bool,
         now: SimTime,
         meter: &mut OverheadMeter,
-    ) {
-        let id = i as u32;
-        let j = &jobs[i];
+    ) -> Standing<PhaseKey> {
+        let core = &j.base.core;
+        if !core.status.is_arbitrable() {
+            return None;
+        }
+        if core.epochs_run == 0 {
+            return Some(((false, OrdF64::new(0.0), SimTime::ZERO), None));
+        }
+        if !efficiency {
+            return Some(((true, OrdF64::new(core.progress()), core.arrival), None));
+        }
+        let phi_hat = Self::progress_at(j, core.epochs_run + 1, None, now, meter);
+        let clock_dependent = matches!(
+            &j.spec.criterion,
+            CompletionCriterion::Runtime { runtime: rotary_core::criteria::Deadline::Time(_) }
+        );
+        // Negated: highest estimated progress first.
+        Some(((true, OrdF64::new(-phi_hat), core.arrival), clock_dependent.then_some(now)))
+    }
+
+    /// Folds job `i`'s phase predicate into the counter. Idempotent; the
+    /// first fold of a job index grows the predicate.
+    fn fold_phase(arb: &mut DltArbCaches, jobs: &[RunJob], i: usize, threshold: f64) {
         if arb.satisfied.len() <= i {
             arb.satisfied.resize(i + 1, false);
         }
-        let sat = Self::phase_satisfied(j, threshold);
+        let sat = Self::phase_satisfied(&jobs[i], threshold);
         if sat != arb.satisfied[i] {
             arb.satisfied[i] = sat;
             if sat {
@@ -559,95 +517,30 @@ impl DltSystem {
                 arb.n_satisfied -= 1;
             }
         }
-        if !j.base.core.status.is_arbitrable() {
-            arb.trial.remove(&id);
-            arb.fair.remove(id);
-            arb.eff.remove(id);
-            arb.eff_dynamic.remove(&id);
-            return;
-        }
-        if j.base.core.epochs_run == 0 {
-            // Trial phase: FIFO by id, no keys needed.
-            arb.trial.insert(id);
-            arb.fair.remove(id);
-            arb.eff.remove(id);
-            arb.eff_dynamic.remove(&id);
-            return;
-        }
-        arb.trial.remove(&id);
-        arb.fair.upsert(id, (OrdF64::new(j.base.core.progress()), j.base.core.arrival));
-        if Self::phi_hat_is_dynamic(j) {
-            arb.eff.remove(id);
-            arb.eff_dynamic.insert(id);
-        } else {
-            let phi_hat = Self::progress_at(j, j.base.core.epochs_run + 1, None, now, meter);
-            // Negated: highest estimated progress first.
-            arb.eff.upsert(id, (OrdF64::new(-phi_hat), j.base.core.arrival));
-            arb.eff_dynamic.remove(&id);
-        }
     }
 
-    /// The standing order for the current phase: the trial FIFO, then the
-    /// fairness order, or in the efficiency phase the standing efficiency
-    /// order merged with the clock-dependent jobs keyed fresh at `now`.
-    fn standing_order<'a>(
-        arb: &'a DltArbCaches,
-        jobs: &[RunJob],
-        now: SimTime,
-        meter: &mut OverheadMeter,
-    ) -> impl Iterator<Item = usize> + 'a {
-        let efficiency = arb.n_satisfied == jobs.len();
-        // Clock-dependent φ̂ keys cannot stand in the index.
-        let mut dyn_keyed: Vec<((OrdF64, SimTime), u32)> = Vec::new();
-        if efficiency {
-            dyn_keyed.extend(arb.eff_dynamic.iter().map(|&id| {
-                let j = &jobs[id as usize];
-                let phi_hat = Self::progress_at(j, j.base.core.epochs_run + 1, None, now, meter);
-                ((OrdF64::new(-phi_hat), j.base.core.arrival), id)
-            }));
-            dyn_keyed.sort_unstable();
-        }
-        let eff = efficiency.then(|| Self::merge_orders(arb.eff.iter(), dyn_keyed.into_iter()));
-        let fair = (!efficiency).then(|| arb.fair.iter().map(|(_, id)| id as usize));
-        arb.trial
-            .iter()
-            .map(|&id| id as usize)
-            .chain(eff.into_iter().flatten())
-            .chain(fair.into_iter().flatten())
-    }
-
-    /// The indexed plane's reference: the standing order equals the dense
-    /// `rank` over every arbitrable job. Pure — its own inert meter and a
-    /// fresh cursor, so a debug build cannot drift from release.
+    /// The indexed plane's reference: the phase re-derived from every job
+    /// is the one the counter selects, and the standing order of that phase
+    /// equals the dense sort of every job by the same key. Pure — its own
+    /// inert meter, so a debug build cannot drift from release.
     #[cfg(debug_assertions)]
-    fn check_order(&self, arb: &DltArbCaches, jobs: &[RunJob], now: SimTime, policy: DltPolicy) {
+    fn check_order(arb: &DltArbCaches, jobs: &[RunJob], now: SimTime, threshold: f64) {
         let meter = &mut OverheadMeter::default();
-        let standing: Vec<usize> = Self::standing_order(arb, jobs, now, meter).collect();
-        let arbitrable: Vec<usize> =
-            (0..jobs.len()).filter(|&i| jobs[i].base.core.status.is_arbitrable()).collect();
-        let dense = self.rank(jobs, arbitrable, now, policy, meter, &mut 0);
-        assert_eq!(standing, dense, "the standing order diverged from the dense rank at {now:?}");
-    }
-
-    /// Merges two ascending `((key, arrival), id)` streams into one
-    /// ascending id stream — the standing efficiency order and the
-    /// freshly-keyed clock-dependent jobs.
-    fn merge_orders<'a>(
-        a: impl Iterator<Item = ((OrdF64, SimTime), u32)> + 'a,
-        b: impl Iterator<Item = ((OrdF64, SimTime), u32)> + 'a,
-    ) -> impl Iterator<Item = usize> + 'a {
-        let mut a = a.peekable();
-        let mut b = b.peekable();
-        std::iter::from_fn(move || {
-            let take_a = match (a.peek(), b.peek()) {
-                (Some(x), Some(y)) => x <= y,
-                (Some(_), None) => true,
-                (None, Some(_)) => false,
-                (None, None) => return None,
-            };
-            let (_, id) = if take_a { a.next()? } else { b.next()? };
-            Some(id as usize)
-        })
+        let efficiency = jobs.iter().all(|j| Self::phase_satisfied(j, threshold));
+        assert_eq!(
+            efficiency,
+            arb.n_satisfied == jobs.len(),
+            "the phase counter diverged from the phase predicate at {now:?}"
+        );
+        let standing = if efficiency { &arb.efficiency } else { &arb.fairness };
+        let dense = StandingOrder::dense(0..jobs.len() as u32, |id| {
+            Self::phase_key(&jobs[id as usize], efficiency, now, meter)
+        });
+        assert_eq!(
+            standing.iter().collect::<Vec<u32>>(),
+            dense,
+            "the standing order diverged from the dense rank at {now:?}"
+        );
     }
 
     /// Walks the priority order, placing every job that fits a free device
@@ -922,9 +815,10 @@ impl Arbiter for DltSystem {
     }
 
     /// One pass for every policy; only the order differs. Rotary-DLT reads
-    /// its standing order for the current phase after re-keying the dirty
-    /// jobs (debug builds hold it to the dense `rank`); the baselines, whose
-    /// round-robin cursor moves per pass, re-rank every arbitrable job.
+    /// its standing order for the current phase after refreshing both
+    /// (debug builds hold it to the dense sort by the same key); the
+    /// baselines, whose round-robin cursor moves per pass, re-rank every
+    /// arbitrable job.
     fn arbitrate(
         &mut self,
         lp: &mut Loop<RunJob>,
@@ -942,17 +836,20 @@ impl Arbiter for DltSystem {
         let (placed, oom) = if let DltPolicy::Rotary(objective) = policy {
             let threshold = objective.threshold();
             for &id in &dirty {
-                Self::dlt_refresh_job(arb, jobs, id as usize, threshold, now, meter);
+                Self::fold_phase(arb, jobs, id as usize, threshold);
             }
-            // `fair` and `eff ∪ eff_dynamic` hold exactly the warm
-            // arbitrable jobs, `trial` the cold ones — together, the dense
-            // path's arbitrable filter.
-            if arb.trial.is_empty() && arb.fair.is_empty() {
+            arb.fairness
+                .refresh(&dirty, now, |id| Self::phase_key(&jobs[id as usize], false, now, meter));
+            arb.efficiency
+                .refresh(&dirty, now, |id| Self::phase_key(&jobs[id as usize], true, now, meter));
+            // Either order holds exactly the arbitrable jobs.
+            if arb.fairness.is_empty() {
                 return;
             }
             #[cfg(debug_assertions)]
-            self.check_order(arb, jobs, now, policy);
-            let order = Self::standing_order(arb, jobs, now, meter);
+            Self::check_order(arb, jobs, now, threshold);
+            let order = if arb.n_satisfied == jobs.len() { &arb.efficiency } else { &arb.fairness };
+            let order = order.iter().map(|id| id as usize);
             self.place_jobs(jobs, order, now, pool, events, metrics, spike)
         } else {
             let arbitrable: Vec<usize> = jobs
@@ -964,7 +861,7 @@ impl Arbiter for DltSystem {
             if arbitrable.is_empty() {
                 return;
             }
-            let ranked = self.rank(jobs, arbitrable, now, policy, meter, rr_cursor);
+            let ranked = Self::rank(jobs, arbitrable, policy, rr_cursor);
             self.place_jobs(jobs, ranked.into_iter(), now, pool, events, metrics, spike)
         };
         // Placed jobs left the arbitrable set (Running) and OOM launches
@@ -1323,9 +1220,10 @@ mod tests {
         // placed, leaving the rest queued in the fairness order.
         sys.arbitrate(&mut lp, &mut ext, policy, SimTime::ZERO, None);
         sys.arbitrate(&mut lp, &mut ext, policy, SimTime::ZERO, None);
-        assert!(lp.marks.dirty.is_empty() && ext.arb.fair.len() >= 2);
-        let (_, last) = ext.arb.fair.iter().last().unwrap();
-        ext.arb.fair.upsert(last, (OrdF64::new(-1.0), SimTime::ZERO));
+        assert!(lp.marks.dirty.is_empty() && ext.arb.fairness.len() >= 2);
+        let last = ext.arb.fairness.iter().last().unwrap();
+        let corrupt = ((true, OrdF64::new(-1.0), SimTime::ZERO), None);
+        ext.arb.fairness.refresh(&[last], SimTime::ZERO, |_| Some(corrupt));
         sys.arbitrate(&mut lp, &mut ext, policy, SimTime::ZERO, None);
     }
 

@@ -13,11 +13,13 @@
 //!   observations, and track the dense two-pass solver within float noise;
 //! * whole-system: AQP and DLT runs with the indexed control plane, across
 //!   policies and under arbitrary chaos fault plans, end every job. Debug
-//!   builds hold every indexed pass of those runs to the dense re-sort
-//!   (the systems' own `rank`), so a pass that diverges panics the case.
+//!   builds hold every indexed pass of those runs to the dense re-sort by
+//!   the same key function (`StandingOrder::dense`), so a pass that
+//!   diverges panics the case.
 
 use rotary::aqp::{AqpPolicy, AqpSystem, AqpSystemConfig, WorkloadBuilder};
 use rotary::core::arb::{OrdF64, PriorityIndex};
+use rotary::core::criteria::{CompletionCriterion, Deadline};
 use rotary::core::estimate::wlr::{LinearFit, WeightedPoint, WlrStats};
 use rotary::core::progress::Objective;
 use rotary::core::SimTime;
@@ -232,7 +234,18 @@ fn dlt_every_indexed_pass_matches_the_dense_rank() {
             _ => Objective::Efficiency,
         };
         let warm = src.bool(0.5);
-        let specs = DltWorkloadBuilder::paper().jobs(4).seed(seed).build();
+        // More jobs than the four devices, so warm jobs wait in the order
+        // across passes; the paper mix has epoch budgets only, so some jobs
+        // get a time budget, whose φ̂ moves with the clock and stands only
+        // through the order's timed re-key.
+        let mut specs = DltWorkloadBuilder::paper().jobs(src.usize_in(4, 8)).seed(seed).build();
+        for spec in &mut specs {
+            if src.bool(0.4) {
+                let epochs = src.f64_in(0.5, 8.0);
+                let budget = spec.config.epoch_time(1.0).scale(epochs);
+                spec.criterion = CompletionCriterion::Runtime { runtime: Deadline::Time(budget) };
+            }
+        }
         let config = DltSystemConfig { seed, threads: 1, faults: plan, ..Default::default() };
         let mut sys = DltSystem::new(config);
         if warm {
