@@ -29,8 +29,8 @@ use rotary_engine::{query, Executor, IndexCache, QueryClass, QueryId, QueryPlan}
 use rotary_faults::arbiter::{self as arb, Arbiter, Event, Job, JobBase, Loop, Run};
 use rotary_faults::{EpochFault, FaultPlan};
 use rotary_sim::{
-    CheckpointModel, CpuPool, MaterializationManager, MaterializationPolicy, PlacementSpan,
-    WorkloadMetrics, WorkloadSummary,
+    CheckpointModel, CpuPool, MaterializationManager, MaterializationPolicy, WorkloadMetrics,
+    WorkloadSummary,
 };
 use rotary_store::{DurableConfig, DurableOutcome};
 use rotary_tpch::{BatchSource, TpchData};
@@ -696,25 +696,29 @@ impl<'a> AqpSystem<'a> {
         Some(((!feasible, OrdF64::new(Self::priority_key(job, policy))), rekey_after))
     }
 
-    /// Computes the policy's *target allocation* over all alive jobs:
-    /// Algorithm 2's two passes (one thread to every job that fits in
-    /// memory, then extra threads in priority order up to the per-job cap).
-    /// Grants converge to the target lazily — a running job keeps its
-    /// current grant until its epoch boundary, honouring "a job holds on to
-    /// a particular resource for at least an epoch".
+    /// Walks `ranking` to the policy's *target allocation*: Algorithm 2's
+    /// two passes (one thread to every job that fits in memory, then extra
+    /// threads in priority order up to the per-job cap). Pass one stops once
+    /// every thread is targeted and pass two only tops up what it admitted,
+    /// so only the returned prefix of the ranking is read. Grants converge
+    /// to the target lazily — a running job keeps its current grant until
+    /// its epoch boundary, honouring "a job holds on to a particular
+    /// resource for at least an epoch".
     fn target_allocation(
         &self,
         jobs: &[RunJob<'_>],
-        ranked: &[usize],
+        ranking: impl Iterator<Item = usize>,
         policy: AqpPolicy,
-    ) -> BTreeMap<usize, u32> {
+    ) -> (Vec<usize>, BTreeMap<usize, u32>) {
+        let mut ranked = Vec::new();
         let mut target = BTreeMap::new();
         let mut threads_left = self.config.pool.threads;
         let mut mem_left = self.config.pool.memory_mb;
-        for &i in ranked {
+        for i in ranking {
             if threads_left == 0 {
                 break;
             }
+            ranked.push(i);
             if jobs[i].memory_mb <= mem_left {
                 target.insert(i, 1);
                 threads_left -= 1;
@@ -727,7 +731,7 @@ impl<'a> AqpSystem<'a> {
             let mut progressed = true;
             while threads_left > 0 && progressed {
                 progressed = false;
-                for &i in ranked {
+                for &i in &ranked {
                     if threads_left == 0 {
                         break;
                     }
@@ -744,7 +748,7 @@ impl<'a> AqpSystem<'a> {
             // Ranked policies concentrate: fill each job to the cap in
             // priority order, so the scarce extra threads go to whoever the
             // policy believes in most.
-            for &i in ranked {
+            for &i in &ranked {
                 if threads_left == 0 {
                     break;
                 }
@@ -755,53 +759,21 @@ impl<'a> AqpSystem<'a> {
                 }
             }
         }
-        target
+        (ranked, target)
     }
 
-    /// A keyed policy's ranking: re-keys the marked jobs and those whose
-    /// feasibility horizon has passed, then walks the standing order lazily
-    /// — only as far as the two-pass allocator can possibly look. Empty when
-    /// nothing is alive or the pool has no thread. Debug builds hold the
-    /// walk to the dense sort of every job by the same key.
-    fn indexed_ranked(
-        &self,
-        order: &mut StandingOrder<(bool, OrdF64)>,
-        dirty: &[u32],
-        jobs: &[RunJob<'_>],
-        now: SimTime,
-        policy: AqpPolicy,
-    ) -> Vec<usize> {
-        order.refresh(dirty, now, |id| self.standing_key(&jobs[id as usize], now, policy));
-        // Lazy prefix: pass one of the allocator examines ranked jobs only
-        // until it runs out of threads; reproduce that walk against the
-        // standing order and stop at the same point. Downstream sees an
-        // identical outcome — unexamined jobs get no quota, quota-less
-        // entries are side-effect-free, and pass two only tops up jobs pass
-        // one admitted.
-        let mut ranked: Vec<usize> = Vec::new();
-        let mut threads_left = self.config.pool.threads;
-        let mut mem_left = self.config.pool.memory_mb;
-        for id in order.iter() {
-            if threads_left == 0 {
-                break;
-            }
-            let i = id as usize;
-            ranked.push(i);
-            if jobs[i].memory_mb <= mem_left {
-                mem_left -= jobs[i].memory_mb;
-                threads_left -= 1;
-            }
-        }
-        #[cfg(debug_assertions)]
-        self.check_prefix(jobs, &ranked, now, policy);
-        ranked
-    }
-
-    /// The indexed plane's reference: the lazy prefix is the same-length
-    /// prefix of the dense sort of every job by the standing key, and the
+    /// The indexed plane's reference: the walk's prefix is the same-length
+    /// prefix of the dense sort of every job by the standing key, the walk
+    /// stopped only where pass one ran out of threads or jobs, and the
     /// allocator targets the same grants from either.
     #[cfg(debug_assertions)]
-    fn check_prefix(&self, jobs: &[RunJob<'_>], ranked: &[usize], now: SimTime, policy: AqpPolicy) {
+    fn check_prefix(
+        &self,
+        jobs: &[RunJob<'_>],
+        (ranked, target): &(Vec<usize>, BTreeMap<usize, u32>),
+        now: SimTime,
+        policy: AqpPolicy,
+    ) {
         let dense: Vec<usize> = StandingOrder::dense(0..jobs.len() as u32, |id| {
             self.standing_key(&jobs[id as usize], now, policy)
         })
@@ -812,9 +784,13 @@ impl<'a> AqpSystem<'a> {
             dense.starts_with(ranked),
             "indexed prefix {ranked:?} is not a prefix of the dense rank {dense:?} at {now:?}"
         );
+        assert!(
+            ranked.len() == dense.len() || target.len() == self.config.pool.threads as usize,
+            "the walk stopped at {ranked:?} with threads left at {now:?}"
+        );
         assert_eq!(
-            self.target_allocation(jobs, ranked, policy),
-            self.target_allocation(jobs, &dense, policy),
+            *target,
+            self.target_allocation(jobs, dense.into_iter(), policy).1,
             "the indexed prefix changed the allocator's targets at {now:?}"
         );
     }
@@ -915,30 +891,19 @@ impl<'a> Arbiter for AqpSystem<'a> {
 
     fn complete_epoch(
         &mut self,
-        lp: &mut Loop<RunJob<'a>>,
         ext: &mut AqpRunExt,
-        i: usize,
+        job: &mut RunJob<'a>,
         now: SimTime,
-    ) {
-        let (job, metrics) = (&mut lp.jobs[i], &mut lp.metrics);
-        if let Err(e) = ext.pool.release(job.base.core.id) {
-            // Only a damaged-but-well-formed snapshot gets here (its events
-            // name a job its pool record does not hold): the job fails with
-            // the pool's typed error, as in the shared crash path.
-            job.base.core.failure = Some(e);
-            lp.terminals.finish(i, job, JobStatus::Failed, now);
-            return self.retire(ext, job);
-        }
-        let service = now - job.base.epoch_start;
-        job.last_threads = job.threads.max(1);
-        job.base.fault_attempts = 0;
+    ) -> rotary_core::Result<(String, IntermediateState, Option<JobStatus>)> {
+        let threads = job.threads; // `release` zeroes it
+        let resource = self.release(ext, job)?;
+        job.last_threads = threads.max(1);
         // What this epoch would have cost isolated with a full grant — the
         // baseline of the Fig. 7b waiting-time metric.
-        job.base.core.add_isolated_service(service.scale(
+        job.base.core.add_isolated_service((now - job.base.epoch_start).scale(
             BatchCostModel::speedup(job.last_threads)
                 / BatchCostModel::speedup(MAX_THREADS_PER_JOB),
         ));
-        job.threads = 0;
 
         // Observe the epoch's results: envelope per column, estimator point.
         let values = job.online.executor().state().combined_all();
@@ -951,45 +916,24 @@ impl<'a> Arbiter for AqpSystem<'a> {
         }
 
         let epoch = job.base.core.epochs_run + 1;
-        job.base.core.record_epoch(
-            IntermediateState { epoch, at: now, metric_value: est_acc, progress: job.progress() },
-            service,
-        );
+        let state =
+            IntermediateState { epoch, at: now, metric_value: est_acc, progress: job.progress() };
 
         // Criterion check: declaration by envelope, verification by ground
         // truth (the simulator's oracle) — Fig. 7a's false attainment.
         // The deadline takes precedence: Fig. 6 counts "jobs that met their
         // convergence criteria *before* their deadline", so a declaration
         // landing on an epoch that finishes late is still a miss.
-        let declared = job.declares_attained();
-        let missed = now >= job.deadline_at();
-        let status = if missed {
+        let verdict = if now >= job.deadline_at() {
             Some(JobStatus::DeadlineMissed)
-        } else if declared {
-            if job.online.current_accuracy() >= job.spec.threshold {
-                Some(JobStatus::Attained)
-            } else {
-                Some(JobStatus::FalselyAttained)
-            }
-        } else {
+        } else if !job.declares_attained() {
             None
+        } else if job.online.current_accuracy() >= job.spec.threshold {
+            Some(JobStatus::Attained)
+        } else {
+            Some(JobStatus::FalselyAttained)
         };
-
-        metrics.record_span(PlacementSpan {
-            job: job.base.core.id,
-            resource: "cpu".into(),
-            start: job.base.epoch_start,
-            end: now,
-            attained_at_end: matches!(status, Some(JobStatus::Attained)),
-        });
-
-        match status {
-            Some(s) => {
-                lp.terminals.finish(i, job, s, now);
-                self.retire(ext, job);
-            }
-            None => job.base.core.status = JobStatus::Active,
-        }
+        Ok((resource, state, verdict))
     }
 
     fn arbitrate(
@@ -1010,7 +954,7 @@ impl<'a> Arbiter for AqpSystem<'a> {
         // ones, whose grants are re-evaluated at their epoch boundaries.
         // Every keyed policy reads a standing order; round-robin advances
         // its cursor on every pass, so it re-ranks densely.
-        let ranked: Vec<usize> = if policy == AqpPolicy::RoundRobin {
+        let (ranked, target) = if policy == AqpPolicy::RoundRobin {
             // The id-ordered queue, rotated by the cursor.
             let mut alive: Vec<usize> = (0..jobs.len()).filter(|&i| jobs[i].is_alive()).collect();
             if alive.is_empty() {
@@ -1019,14 +963,21 @@ impl<'a> Arbiter for AqpSystem<'a> {
             let n = alive.len();
             alive.rotate_left(*rr_cursor % n);
             *rr_cursor = (*rr_cursor + 1) % n;
-            alive
+            self.target_allocation(jobs, alive.into_iter(), policy)
         } else {
-            self.indexed_ranked(order, &dirty, jobs, now, policy)
+            // Re-key the marked jobs and those whose feasibility horizon
+            // has passed; debug builds hold the walk to the dense sort of
+            // every job by the same key.
+            order.refresh(&dirty, now, |id| self.standing_key(&jobs[id as usize], now, policy));
+            let walk = self.target_allocation(jobs, order.iter().map(|id| id as usize), policy);
+            #[cfg(debug_assertions)]
+            self.check_prefix(jobs, &walk, now, policy);
+            walk
         };
+        // Nothing is alive, or the pool has no thread.
         if ranked.is_empty() {
             return;
         }
-        let target = self.target_allocation(jobs, &ranked, policy);
 
         // Enforce the target for jobs that are free to (re)start now; the
         // quota may exceed what is currently free because running jobs still

@@ -20,7 +20,6 @@
 #![warn(missing_docs)]
 
 pub mod estimators;
-pub mod hpo;
 pub mod models;
 pub mod parse;
 pub mod simulator;
@@ -28,7 +27,6 @@ pub mod system;
 pub mod workload;
 
 pub use estimators::{build_tee, estimate_epochs_to_accuracy, OverheadMeter, Tme, Ttr};
-pub use hpo::{HpoOutcome, SuccessiveHalving, TrialResult};
 pub use models::{Architecture, Dataset, Domain, Optimizer};
 pub use parse::parse_train_statement;
 pub use simulator::{TrainingConfig, TrainingSim};

@@ -23,9 +23,7 @@ use rotary_core::resources::GpuPoolSpec;
 use rotary_core::SimTime;
 use rotary_faults::arbiter::{self as arb, Arbiter, Event, Job, JobBase, Loop};
 use rotary_faults::{EpochFault, FaultPlan};
-use rotary_sim::{
-    CheckpointModel, EventQueue, GpuPool, PlacementSpan, WorkloadMetrics, WorkloadSummary,
-};
+use rotary_sim::{CheckpointModel, EventQueue, GpuPool, WorkloadMetrics, WorkloadSummary};
 use rotary_store::{DurableConfig, DurableOutcome};
 
 use crate::estimators::{
@@ -144,7 +142,8 @@ impl DltRunResult {
     /// * accuracy-oriented: `current accuracy / target accuracy`;
     /// * convergence-oriented: `epochs at t / convergence-line` (the epoch
     ///   where the job converged), or `/ max epochs` if it never converged;
-    /// * runtime-oriented: `epochs at t / budget`.
+    /// * runtime-oriented: `epochs at t / budget`, or time since
+    ///   submission at t / budget.
     pub fn attainment_progress_at(&self, t: SimTime) -> Vec<f64> {
         self.jobs
             .iter()
@@ -179,9 +178,9 @@ impl DltRunResult {
                             (epochs_at as f64 / (*budget).max(1) as f64).clamp(0.0, 1.0)
                         }
                         rotary_core::criteria::Deadline::Time(budget) => {
-                            let end =
-                                state.finished_at.map(|f| f.min(t)).unwrap_or(t).as_secs_f64();
-                            (end / budget.as_secs_f64().max(1e-9)).clamp(0.0, 1.0)
+                            let end = state.finished_at.map(|f| f.min(t)).unwrap_or(t);
+                            let ran = (end - state.arrival).as_secs_f64();
+                            (ran / budget.as_secs_f64().max(1e-9)).clamp(0.0, 1.0)
                         }
                     },
                 }
@@ -328,7 +327,8 @@ impl DltSystem {
                     (epochs as f64 / (*budget).max(1) as f64).clamp(0.0, 1.0)
                 }
                 rotary_core::criteria::Deadline::Time(budget) => {
-                    (now.as_secs_f64() / budget.as_secs_f64().max(1e-9)).clamp(0.0, 1.0)
+                    let ran = (now - job.base.core.arrival).as_secs_f64();
+                    (ran / budget.as_secs_f64().max(1e-9)).clamp(0.0, 1.0)
                 }
             },
             CompletionCriterion::Accuracy { threshold, deadline, .. } => {
@@ -408,14 +408,6 @@ impl DltSystem {
         durable: &DurableConfig,
     ) -> rotary_core::error::Result<DurableOutcome<DltRunResult>> {
         arb::resume_durable(self, specs, policy, durable)
-    }
-
-    /// Archives a finished job's observed curve: "all the completed jobs'
-    /// information are stored".
-    fn archive(&mut self, job: &RunJob) {
-        let curve: Vec<(f64, f64)> =
-            job.base.core.history.iter().map(|s| (s.epoch as f64, s.metric_value)).collect();
-        self.history.insert(job_record(&job.spec.config, curve, job.base.core.epochs_run));
     }
 
     /// The baselines' ranking of arbitrable job indices: the policy's
@@ -744,27 +736,13 @@ impl Arbiter for DltSystem {
 
     fn complete_epoch(
         &mut self,
-        lp: &mut Loop<RunJob>,
         ext: &mut DltRunExt,
-        i: usize,
+        job: &mut RunJob,
         now: SimTime,
-    ) {
-        let Loop { jobs, metrics, terminals, .. } = lp;
-        let job = &mut jobs[i];
-        let device = match ext.pool.vacate(job.base.core.id) {
-            Ok(device) => device,
-            // Only a damaged-but-well-formed snapshot gets here (its events
-            // name a job its pool record does not hold): the job fails with
-            // the pool's typed error, as in the shared crash path.
-            Err(e) => {
-                job.base.core.failure = Some(e);
-                terminals.finish(i, job, JobStatus::Failed, now);
-                return self.retire(ext, job);
-            }
-        };
-        let DltRunExt { meter, ttr, .. } = ext;
+    ) -> rotary_core::Result<(String, IntermediateState, Option<JobStatus>)> {
+        let DltRunExt { pool, meter, ttr, .. } = ext;
+        let device = pool.vacate(job.base.core.id)?;
         let service = now - job.base.epoch_start;
-        job.base.fault_attempts = 0;
         // The isolated baseline: GPUs are not shared, so an epoch costs the
         // same alone; only queueing differs.
         job.base.core.add_isolated_service(service);
@@ -790,28 +768,15 @@ impl Arbiter for DltSystem {
 
         let progress = Self::progress_at(job, epoch, Some(accuracy), now, meter);
         let state = IntermediateState { epoch, at: now, metric_value: accuracy, progress };
-        let check = job.spec.criterion.check(&state, job.base.core.latest(), now);
-        job.base.core.record_epoch(state, service);
-
-        let status = match check {
+        // Time budgets run from submission. The loop records `state` only
+        // after this returns, so `latest()` is still the previous epoch.
+        let elapsed = now - job.base.core.arrival;
+        let verdict = match job.spec.criterion.check(&state, job.base.core.latest(), elapsed) {
             CriterionCheck::Attained => Some(JobStatus::Attained),
             CriterionCheck::DeadlineMissed => Some(JobStatus::DeadlineMissed),
             CriterionCheck::Continue => None,
         };
-        metrics.record_span(PlacementSpan {
-            job: job.base.core.id,
-            resource: format!("gpu{device}"),
-            start: job.base.epoch_start,
-            end: now,
-            attained_at_end: matches!(status, Some(JobStatus::Attained)),
-        });
-        match status {
-            Some(s) => {
-                terminals.finish(i, job, s, now);
-                self.archive(job);
-            }
-            None => job.base.core.status = JobStatus::Active,
-        }
+        Ok((format!("gpu{device}"), state, verdict))
     }
 
     /// One pass for every policy; only the order differs. Rotary-DLT reads
@@ -899,10 +864,14 @@ impl Arbiter for DltSystem {
         Ok(format!("gpu{device}"))
     }
 
+    /// Archives the observed curve of a job that ran: "all the completed
+    /// jobs' information are stored", and partial curves are still valid
+    /// history for estimators.
     fn retire(&mut self, _ext: &mut DltRunExt, job: &mut RunJob) {
         if job.base.core.epochs_run > 0 {
-            // Partial curves are still valid history for estimators.
-            self.archive(job);
+            let curve: Vec<(f64, f64)> =
+                job.base.core.history.iter().map(|s| (s.epoch as f64, s.metric_value)).collect();
+            self.history.insert(job_record(&job.spec.config, curve, job.base.core.epochs_run));
         }
     }
 
@@ -1020,6 +989,36 @@ mod tests {
         assert_eq!(forged_job.status, JobStatus::Failed);
         assert!(matches!(forged_job.failure, Some(rotary_core::RotaryError::UnknownJob(5))));
         assert!(result.jobs.iter().all(|(_, state)| state.status.is_terminal()));
+    }
+
+    #[test]
+    fn time_budgets_run_from_submission() {
+        use rotary_core::criteria::{Deadline, Metric};
+        // Two jobs streamed into a run ten hours in, with time budgets a
+        // few epochs long: measured from t = 0, each would be out of budget
+        // at its first epoch.
+        let mut specs = DltWorkloadBuilder::paper().jobs(2).seed(3).build();
+        let budget = |spec: &DltJobSpec| {
+            Deadline::Time(spec.config.epoch_time(1.0).scale(4.0) + CUDA_WARMUP)
+        };
+        specs[0].criterion = CompletionCriterion::Runtime { runtime: budget(&specs[0]) };
+        let deadline = budget(&specs[1]);
+        specs[1].criterion =
+            CompletionCriterion::Accuracy { metric: Metric::Accuracy, threshold: 1.0, deadline };
+        let policy = DltPolicy::Rotary(Objective::Efficiency);
+        let mut sys = DltSystem::new(quick());
+        let mut run = match arb::Run::start(&mut sys, &[], policy) {
+            Ok(run) => run,
+            Err(never) => match never {},
+        };
+        for spec in specs {
+            if let Err(never) = run.admit(&mut sys, spec, SimTime::from_secs(10 * 3600)) {
+                match never {}
+            }
+        }
+        let r = run.finish(&mut sys);
+        let ends: Vec<_> = r.jobs.iter().map(|(_, s)| (s.status, s.epochs_run > 1)).collect();
+        assert_eq!(ends, [(JobStatus::Attained, true), (JobStatus::DeadlineMissed, true)]);
     }
 
     #[test]

@@ -8,6 +8,11 @@
 //! spec binds to a job, what an epoch does, how the queue is ranked and
 //! granted, and its own snapshot records — and nothing else.
 //!
+//! An epoch ends the same way in both systems: the system releases the
+//! job's grant and reports what the epoch produced
+//! ([`Arbiter::complete_epoch`]); the loop records the epoch and its
+//! placement span, then ends the job or sends it back to the queue.
+//!
 //! The drivers all step the same [`Run`] handle:
 //!
 //! * **batch** — [`run`]: start with the whole workload, step until the
@@ -30,7 +35,7 @@ use std::cell::RefCell;
 
 use rotary_core::error::{Result, RotaryError};
 use rotary_core::history::HistoryRepository;
-use rotary_core::job::{JobState, JobStatus};
+use rotary_core::job::{IntermediateState, JobState, JobStatus};
 use rotary_core::json::{u64_json, Json};
 use rotary_core::SimTime;
 use rotary_sim::{CheckpointModel, EventQueue, PlacementSpan, WorkloadMetrics, WorkloadSummary};
@@ -128,6 +133,17 @@ impl JobBase {
         failed
     }
 
+    /// The placement span of the job's in-flight epoch, ending at `now`.
+    fn span(&self, resource: String, now: SimTime, attained_at_end: bool) -> PlacementSpan {
+        PlacementSpan {
+            job: self.core.id,
+            resource,
+            start: self.epoch_start,
+            end: now,
+            attained_at_end,
+        }
+    }
+
     fn save(&self) -> Vec<(&'static str, Json)> {
         vec![
             ("core", self.core.to_json()),
@@ -189,8 +205,9 @@ impl Marks {
 
 /// The jobs that reached a terminal status since the last
 /// [`Run::drain_finished`]. Every job that ends inside a run ends through
-/// [`Terminals::finish`], so a drain costs what finished, not a scan of the
-/// run. Derived state: a restored run starts with none pending.
+/// [`Terminals::finish`] — the loop's own sites, and AQP's early-exhaustion
+/// pre-pass — so a drain costs what finished, not a scan of the run.
+/// Derived state: a restored run starts with none pending.
 #[derive(Debug, Default)]
 pub struct Terminals(Vec<u32>);
 
@@ -224,8 +241,9 @@ pub struct Loop<J> {
 
 /// What a system supplies to be driven by [`Run`].
 ///
-/// Hooks receive the shared [`Loop`] and the system's own [`Arbiter::Ext`]
-/// side by side, so a hook can borrow fields of both at once.
+/// The hooks that schedule and grant receive the shared [`Loop`] and the
+/// system's own [`Arbiter::Ext`] side by side, so a hook can borrow fields
+/// of both at once; the per-job hooks see only the `Ext` and that job.
 pub trait Arbiter: Sized {
     /// One submitted job.
     type Spec: Clone;
@@ -263,15 +281,22 @@ pub trait Arbiter: Sized {
     /// `now`: schedule what brings it into arbitration. The next pass
     /// keys it in like any other marked job.
     fn admit(&mut self, lp: &mut Loop<Self::Job>, ext: &mut Self::Ext, i: usize, now: SimTime);
-    /// Job `i`'s epoch completed at `now`: release its grant, observe the
-    /// result, record the span, and finish the job if its criterion says so.
+    /// `job`'s epoch completed at `now`: release its grant and observe the
+    /// epoch. Returns the resource's name for the placement timeline, the
+    /// epoch's state, and its criterion's verdict (`None`: back to the
+    /// queue), taken before the loop records the state so that it can read
+    /// the previous one. The loop records the epoch and its span, and ends
+    /// the job through [`Arbiter::retire`] or re-queues it.
+    ///
+    /// # Errors
+    /// The pool's typed error when the job held nothing — the job then
+    /// finishes `Failed` with it.
     fn complete_epoch(
         &mut self,
-        lp: &mut Loop<Self::Job>,
         ext: &mut Self::Ext,
-        i: usize,
+        job: &mut Self::Job,
         now: SimTime,
-    );
+    ) -> Result<(String, IntermediateState, Option<JobStatus>)>;
     /// Ranks the queue, grants resources and launches epochs. The pass
     /// consumes `marks.dirty`, marks every job whose state or progress it
     /// changed, and pauses `ckpt_candidate` — the job whose epoch
@@ -289,16 +314,17 @@ pub trait Arbiter: Sized {
     fn progress_of(job: &Self::Job) -> f64;
     /// The job's absolute deadline, when waiting past it ends the job.
     fn deadline_of(job: &Self::Job) -> Option<SimTime>;
-    /// Frees whatever a crashed job held; returns the resource's name for
-    /// the placement timeline.
+    /// Frees whatever the job held when its epoch crashed; returns the
+    /// resource's name for the placement timeline.
     ///
     /// # Errors
     /// The pool's typed error when the job held nothing — the job then
     /// finishes `Failed` with it.
     fn release(&mut self, ext: &mut Self::Ext, job: &mut Self::Job) -> Result<String>;
-    /// `job` just ended (deadline, exhausted retries, a failed release):
-    /// drop its residual state — the job is mutable so the system can free
-    /// what only a further epoch would need — and archive what it produced.
+    /// `job` just ended (its criterion's verdict, deadline, exhausted
+    /// retries, a failed release): drop its residual state — the job is
+    /// mutable so the system can free what only a further epoch would need
+    /// — and archive what it produced.
     fn retire(&mut self, ext: &mut Self::Ext, job: &mut Self::Job);
     /// Condenses a drained run.
     fn outcome(
@@ -472,7 +498,7 @@ impl<A: Arbiter> Run<A> {
                 pending.then_some(i)
             }
             Event::EpochDone(i) => {
-                sys.complete_epoch(lp, ext, i, now);
+                end_epoch(sys, lp, ext, i, now);
                 lp.epochs_done += 1;
                 Some(i)
             }
@@ -777,6 +803,44 @@ fn finish<A: Arbiter>(
     sys.retire(ext, job);
 }
 
+/// Ends job `i` `Failed` with `error`.
+fn fail<A: Arbiter>(
+    sys: &mut A,
+    terminals: &mut Terminals,
+    ext: &mut A::Ext,
+    i: usize,
+    job: &mut A::Job,
+    error: RotaryError,
+    now: SimTime,
+) {
+    job.base_mut().core.failure = Some(error);
+    finish(sys, terminals, ext, i, job, JobStatus::Failed, now);
+}
+
+/// Ends job `i`'s completed epoch for either system; a release error
+/// fails the job as in the crash path.
+fn end_epoch<A: Arbiter>(
+    sys: &mut A,
+    lp: &mut Loop<A::Job>,
+    ext: &mut A::Ext,
+    i: usize,
+    now: SimTime,
+) {
+    let (job, terminals) = (&mut lp.jobs[i], &mut lp.terminals);
+    let (resource, state, verdict) = match sys.complete_epoch(ext, job, now) {
+        Ok(epoch) => epoch,
+        Err(e) => return fail(sys, terminals, ext, i, job, e, now),
+    };
+    let base = job.base_mut();
+    base.fault_attempts = 0;
+    base.core.record_epoch(state, now - base.epoch_start);
+    lp.metrics.record_span(base.span(resource, now, verdict == Some(JobStatus::Attained)));
+    match verdict {
+        Some(status) => finish(sys, terminals, ext, i, job, status, now),
+        None => base.core.status = JobStatus::Active,
+    }
+}
+
 /// Handles an injected epoch crash: the in-flight epoch's work is lost,
 /// the grant is released, and the job either backs off for a retry
 /// (restoring from its last checkpoint when re-granted), misses its
@@ -791,10 +855,7 @@ fn fail_epoch<A: Arbiter>(
     let (job, terminals) = (&mut lp.jobs[i], &mut lp.terminals);
     let resource = match sys.release(ext, job) {
         Ok(resource) => resource,
-        Err(e) => {
-            job.base_mut().core.failure = Some(e);
-            return finish(sys, terminals, ext, i, job, JobStatus::Failed, now);
-        }
+        Err(e) => return fail(sys, terminals, ext, i, job, e, now),
     };
     let deadline = A::deadline_of(job);
     let base = job.base_mut();
@@ -802,13 +863,7 @@ fn fail_epoch<A: Arbiter>(
     base.fault_attempts += 1;
     let (epoch, attempts) = (base.core.epochs_run + 1, base.fault_attempts);
     // The wasted occupancy still shows in the placement timeline.
-    lp.metrics.record_span(PlacementSpan {
-        job: id,
-        resource,
-        start: base.epoch_start,
-        end: now,
-        attained_at_end: false,
-    });
+    lp.metrics.record_span(base.span(resource, now, false));
     base.core.record_lost_epoch(RotaryError::EpochFailed { job: id.0, epoch, attempts });
     let counters = lp.metrics.recovery_of(id);
     counters.crashes += 1;
@@ -832,10 +887,7 @@ fn fail_epoch<A: Arbiter>(
             base.core.status = JobStatus::Recovering;
             lp.events.schedule(now + backoff, Event::RetryReady(i));
         }
-        Err(e) => {
-            base.core.failure = Some(e);
-            finish(sys, terminals, ext, i, job, JobStatus::Failed, now);
-        }
+        Err(e) => fail(sys, terminals, ext, i, job, e, now),
     }
 }
 
@@ -1007,7 +1059,7 @@ mod tests {
     use crate::{EpochFault, FaultConfig};
     use rotary_core::criteria::{CompletionCriterion, Deadline};
     use rotary_core::history::JobRecord;
-    use rotary_core::job::{IntermediateState, JobId, JobKind};
+    use rotary_core::job::{JobId, JobKind};
     use std::convert::Infallible;
     use std::fmt::Write as _;
 
@@ -1070,23 +1122,15 @@ mod tests {
         }
         fn complete_epoch(
             &mut self,
-            lp: &mut Loop<ToyJob>,
             free: &mut usize,
-            i: usize,
+            job: &mut ToyJob,
             now: SimTime,
-        ) {
-            *free += 1;
-            let ToyJob { base, need } = &mut lp.jobs[i];
-            base.fault_attempts = 0;
-            let epoch = base.core.epochs_run + 1;
-            let progress = epoch as f64 / *need as f64;
+        ) -> Result<(String, IntermediateState, Option<JobStatus>)> {
+            let resource = self.release(free, job)?;
+            let epoch = job.base.core.epochs_run + 1;
+            let progress = epoch as f64 / job.need as f64;
             let state = IntermediateState { epoch, at: now, metric_value: progress, progress };
-            base.core.record_epoch(state, now - base.epoch_start);
-            if epoch == *need {
-                lp.terminals.finish(i, &mut lp.jobs[i], JobStatus::Attained, now);
-            } else {
-                base.core.status = JobStatus::Active;
-            }
+            Ok((resource, state, (epoch == job.need).then_some(JobStatus::Attained)))
         }
         fn arbitrate(
             &mut self,
@@ -1214,6 +1258,24 @@ mod tests {
         let (states, _) = live.finish(&mut sys);
         assert!(states[5].contains("\"failed\"") && states[5].contains("job holds no slot"));
         assert!(states[..5].iter().all(|s| s.contains("\"attained\"") || s.contains("\"failed\"")));
+    }
+
+    #[test]
+    fn an_epoch_completion_for_a_job_holding_nothing_fails_that_job_once() {
+        // The same damaged snapshot, naming a completion instead: job 5 is
+        // queued behind the two slots when its forged epoch ends.
+        let mut sys = toy();
+        let mut live = ok(Run::start(&mut sys, &SPECS, ()));
+        live.lp.events.schedule(SimTime::from_millis(1), Event::EpochDone(5));
+        let mut reported = live.drain_finished();
+        while live.step(&mut sys) {
+            reported.extend(live.drain_finished());
+        }
+        let forged: Vec<_> = reported.iter().filter(|&&(i, _, _)| i == 5).collect();
+        assert_eq!(forged, [&(5, JobStatus::Failed, SimTime::from_millis(1))]);
+        let failure = &live.lp.jobs[5].base.core.failure;
+        assert!(matches!(failure, Some(RotaryError::InvalidConfig(m)) if m == "job holds no slot"));
+        assert_eq!(reported.len(), SPECS.len(), "a job never ended");
     }
 
     #[test]

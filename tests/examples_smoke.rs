@@ -5,8 +5,7 @@
 use std::path::Path;
 use std::process::Command;
 
-const EXAMPLES: [&str; 5] =
-    ["quickstart", "aqp_workload", "dlt_workload", "hyperparam_search", "unified_cluster"];
+const EXAMPLES: [&str; 4] = ["quickstart", "aqp_workload", "dlt_workload", "unified_cluster"];
 
 /// Runs `cargo run --example <name>` in the workspace root. The examples
 /// are tiny demos; the debug profile keeps the compile cheap and the run
