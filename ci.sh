@@ -145,13 +145,24 @@ ROTARY_CHECK_CASES=256 cargo test -q -p rotary-engine --test kernel_equivalence 
 # suite must keep turning damaged generation files (torn writes, bit
 # flips, truncated headers) into typed errors with newest-valid fallback,
 # and the snapshot-format suite must keep resuming the checked-in AQP v2
-# and DLT v1 generations to their uninterrupted traces and refusing the
+# and DLT v1 generations (every progress row full) and the AQP v2 one
+# written with delta rows to their uninterrupted traces, and refusing the
 # AQP v1 one with a typed error — rerun by name so a fixture or format
 # regression is called out here rather than buried in the workspace test
 # run.
 echo "== rotary-store corrupted-fixture + snapshot-format suites =="
 cargo test -q -p rotary-store
 cargo test -q --test snapshot_format
+
+# Trace-codec gate (DESIGN.md §12, "Encoding proportional to change"): the
+# `metrics` record stores progress rows as held in memory (full and delta
+# rows), so it is no longer the dense tree; a trace built from random
+# sparse rows, spans, recovery touches, clones and reloads (from either
+# text, the dense one giving full rows) must reload from that record to
+# the same trace, go on recording to byte-identical text, and load the same
+# from its dense export. Pinned for the same reason as the chaos suite.
+echo "== trace snapshot-text property (256 cases) =="
+ROTARY_CHECK_CASES=256 cargo test -q --test framework_props a_trace_reloads_from_its_snapshot_text
 
 # Sampling gate (DESIGN.md §5, "One order per table, one offset per job"):
 # a job's stream over its table's shared row order must stay a uniform

@@ -544,15 +544,18 @@ impl<'a> AqpSystem<'a> {
     }
 
     /// The one terminal hook: forgets the job's materialised state, archives
-    /// its curve, and frees its aggregate groups and chunk scratch — at most
-    /// a pool's worth of jobs is ever alive, so their data-plane memory must
-    /// not outlive them.
+    /// its curve, and frees its aggregate groups, chunk scratch and fitted
+    /// estimator — at most a pool's worth of jobs is ever alive, so neither
+    /// their data-plane memory nor their curve points (which no ranking
+    /// reads once the job is terminal, and no snapshot writes) may outlive
+    /// them.
     /// Takes the materialization manager alone because `arbitrate` retires
     /// jobs while it holds the rest of the extension state apart.
     fn retire_job(&mut self, material: &mut MaterializationManager, job: &mut RunJob<'_>) {
         material.forget(job.base.core.id.0);
         self.archive(job);
         job.online.release();
+        job.estimator = None;
     }
 
     /// Stores a finished job's observed curve in the repository.
@@ -1342,9 +1345,10 @@ mod tests {
 
     /// Only Rotary and ReLAQS read a progress curve, so only their jobs fit
     /// one: the other policies' binds score no history row and their
-    /// snapshots store no estimator points. A snapshot whose entries still
-    /// carry the key (the layout every policy once wrote) restores to the
-    /// uninterrupted run.
+    /// snapshots store no estimator points. `retire` drops a terminal job's
+    /// curve, so only live entries carry the key. A snapshot whose entries
+    /// all carry it (the layout every policy, and every terminal job, once
+    /// wrote) restores to the uninterrupted run.
     #[test]
     fn a_policy_that_reads_no_curve_fits_none() {
         let data = small_data();
@@ -1356,48 +1360,59 @@ mod tests {
             let doc = json::parse(std::str::from_utf8(bytes).expect("utf-8")).expect("jobs parse");
             doc.as_arr().expect("jobs array").to_vec()
         };
-        let mut edf = None;
+        let live = |entry: &Json| {
+            let status = entry.get("core").and_then(|core| core.get("status"));
+            let status = status.and_then(Json::as_str).and_then(JobStatus::from_name);
+            !status.expect("job status").is_terminal()
+        };
+        let mut kept = Vec::new();
         for policy in AqpPolicy::all() {
             let scored = sys.history().rows_scored();
             let mut run = arb::Run::start(&mut sys, &specs, policy).expect("start");
-            for _ in 0..12 {
-                run.step(&mut sys);
-            }
-            assert!(run.peek().is_some(), "{} finished before its snapshot", policy.name());
-            let records = run.snapshot(&sys, 1).expect("snapshot");
+            // Step until a snapshot holds live and terminal entries alike.
+            let records = loop {
+                assert!(run.step(&mut sys), "{} ended no job beside a live one", policy.name());
+                let records = run.snapshot(&sys, 1).expect("snapshot");
+                let alive: Vec<bool> = entries(&records).iter().map(live).collect();
+                if alive.contains(&true) && alive.contains(&false) {
+                    break records;
+                }
+            };
             let result = run.finish(&mut sys);
             let fits = matches!(policy, AqpPolicy::Rotary | AqpPolicy::Relaqs);
             for entry in entries(&records) {
-                assert_eq!(entry.get("estimator").is_some(), fits, "{}", policy.name());
+                let carries = fits && live(&entry);
+                assert_eq!(entry.get("estimator").is_some(), carries, "{}", policy.name());
             }
             let scores = sys.history().rows_scored() > scored;
             assert_eq!(scores, policy == AqpPolicy::Rotary, "{}", policy.name());
-            if policy == AqpPolicy::Edf {
-                edf = Some((records, result));
+            if matches!(policy, AqpPolicy::Edf | AqpPolicy::Rotary) {
+                kept.push((policy, records, result));
             }
         }
 
-        let (mut records, result) = edf.expect("EDF ran");
         let stale = JointCurveEstimator::new(CurveBasis::LogShifted, Vec::new()).to_json();
-        let jobs = records.iter_mut().find(|(name, _)| name == "jobs").expect("jobs record");
-        let forged: Vec<Json> = entries(std::slice::from_ref(jobs))
-            .into_iter()
-            .map(|entry| match entry {
-                Json::Obj(mut pairs) => {
-                    let at = pairs.iter().position(|(k, _)| k == "threads").expect("threads");
-                    pairs.insert(at, ("estimator".to_string(), stale.clone()));
+        for (policy, mut records, result) in kept {
+            let jobs = records.iter_mut().find(|(name, _)| name == "jobs").expect("jobs record");
+            let forged: Vec<Json> = entries(std::slice::from_ref(jobs))
+                .into_iter()
+                .map(|entry| {
+                    let Json::Obj(mut pairs) = entry else { panic!("job entry is not an object") };
+                    if !pairs.iter().any(|(k, _)| k == "estimator") {
+                        let at = pairs.iter().position(|(k, _)| k == "threads").expect("threads");
+                        pairs.insert(at, ("estimator".to_string(), stale.clone()));
+                    }
                     Json::Obj(pairs)
-                }
-                other => panic!("job entry {other:?}"),
-            })
-            .collect();
-        jobs.1 = Json::Arr(forged).to_compact().into_bytes();
-        let mut sys = AqpSystem::new(&data, quick_config());
-        let resumed =
-            arb::Run::restore(&mut sys, specs, AqpPolicy::Edf, &records).expect("restore");
-        let replayed = resumed.finish(&mut sys);
-        assert_eq!(replayed.metrics.to_compact(), result.metrics.to_compact());
-        assert_eq!(format!("{:?}", replayed.jobs), format!("{:?}", result.jobs));
+                })
+                .collect();
+            jobs.1 = Json::Arr(forged).to_compact().into_bytes();
+            let mut sys = AqpSystem::new(&data, quick_config());
+            let resumed =
+                arb::Run::restore(&mut sys, specs.clone(), policy, &records).expect("restore");
+            let replayed = resumed.finish(&mut sys);
+            assert_eq!(replayed.metrics.to_compact(), result.metrics.to_compact());
+            assert_eq!(format!("{:?}", replayed.jobs), format!("{:?}", result.jobs));
+        }
     }
 
     #[test]

@@ -8,14 +8,20 @@
 //! * per job — the delivered row count (the executor's aggregation state is
 //!   a pure function of the delivered prefix, so restore *replays* it rather
 //!   than serializing raw accumulators), envelope windows, estimator points
-//!   (for Rotary and ReLAQS jobs, the only ones that fit a curve), and the
-//!   thread grant;
+//!   (for live Rotary and ReLAQS jobs only: no other policy fits a curve,
+//!   and `retire` drops a terminal job's), and the thread grant;
 //! * `pool` / `material` — CPU grants and memory-resident paused state.
 //!
 //! The random arm's draws are a pure function of the seed, the job index
 //! and its epoch count, so no RNG position is stored; a `loop.random_est`
 //! key that an older snapshot carries is ignored, as is the `estimator` key
-//! it wrote for the jobs of policies that read no curve.
+//! it wrote for the jobs of policies that read no curve and for terminal
+//! jobs.
+//!
+//! The shared `metrics` record holds the progress rows as they are stored
+//! — one full row, then deltas of the jobs that moved — so, with terminal
+//! entries frozen and free of curves, a snapshot's bytes grow with what
+//! happened rather than with rows × jobs (DESIGN.md §12).
 //!
 //! Everything deterministic and derivable (plans, ground truths, memory
 //! estimates, row orders and job offsets) is rebuilt from the config; v1
@@ -103,9 +109,12 @@ impl Durable for AqpSystem<'_> {
             return None;
         }
         if job.base.core.status.is_terminal() {
-            // Nobody reads a terminal job's aggregates again: record the
-            // position without replaying, as `retire` left the original.
+            // Nobody reads a terminal job's aggregates or curve again:
+            // record the position without replaying, and drop the curve
+            // (older snapshots still carry its points), as `retire` left
+            // the original.
             job.online.restore_released(delivered);
+            job.estimator = None;
         } else {
             job.online.replay_delivered(delivered);
         }

@@ -617,11 +617,14 @@ impl<A: Durable> Run<A> {
     /// Everything deterministic and derivable is rebuilt from the config
     /// on restore instead of being stored.
     ///
-    /// Every record is the compact JSON of its tree, but a snapshot is
-    /// encoded in proportion to what changed since the previous one of the
-    /// same run: terminal jobs' entries (frozen once terminal) and the
-    /// append-only spans, progress rows and history records are encoded
-    /// once and their text reused.
+    /// Every record is compact JSON, and both its bytes and its encoding
+    /// grow with what happened rather than with the trace's rows × jobs:
+    /// `metrics` holds the progress rows as they are stored (one full row,
+    /// then deltas of the jobs that moved; see
+    /// [`WorkloadMetrics::to_compact`]), not the dense export; terminal
+    /// jobs' entries (frozen once terminal) and the append-only spans,
+    /// progress rows and history records are encoded once and their text
+    /// reused by every later snapshot of the same run.
     ///
     /// # Errors
     /// Serialization failures pass through as typed errors.

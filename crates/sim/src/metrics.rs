@@ -128,49 +128,45 @@ pub struct ProgressSnapshot {
 
 impl ProgressSnapshot {
     fn to_json_value(&self) -> Json {
-        Json::obj(vec![
-            ("at_ms", Json::Num(self.at.as_millis() as f64)),
-            (
-                "progress",
-                Json::Arr(
-                    self.progress
-                        .iter()
-                        .map(|&(job, p)| Json::Arr(vec![Json::Num(job.0 as f64), Json::Num(p)]))
-                        .collect(),
-                ),
-            ),
-        ])
+        row_json(self.at, "progress", &self.progress)
     }
+}
 
-    fn from_json_value(v: &Json) -> std::result::Result<ProgressSnapshot, String> {
-        let field = |name: &str| v.get(name).ok_or_else(|| format!("missing field '{name}'"));
-        let progress = field("progress")?
-            .as_arr()
-            .ok_or("'progress' is not an array")?
-            .iter()
-            .map(|p| {
-                let pair =
-                    p.as_arr().filter(|a| a.len() == 2).ok_or("progress entry is not a pair")?;
-                match (pair[0].as_u64(), pair[1].as_f64()) {
-                    (Some(job), Some(phi)) => Ok((JobId(job), phi)),
-                    _ => Err("progress entry is not numeric".to_string()),
-                }
-            })
-            .collect::<std::result::Result<Vec<_>, String>>()?;
-        Ok(ProgressSnapshot {
-            at: SimTime::from_millis(field("at_ms")?.as_u64().ok_or("'at_ms' not an integer")?),
-            progress,
+/// One progress row's JSON: its instant and, under `key`, its `(job, φ)`
+/// pairs as `[job, φ]` arrays — the layout of both row shapes.
+fn row_json(at: SimTime, key: &str, pairs: &[(JobId, f64)]) -> Json {
+    let pair = |&(job, p): &(JobId, f64)| Json::Arr(vec![Json::Num(job.0 as f64), Json::Num(p)]);
+    Json::obj(vec![
+        ("at_ms", Json::Num(at.as_millis() as f64)),
+        (key, Json::Arr(pairs.iter().map(pair).collect())),
+    ])
+}
+
+/// Reads the `(job, φ)` pairs [`row_json`] wrote under `key`.
+fn pairs_from_json(v: &Json, key: &str) -> std::result::Result<Vec<(JobId, f64)>, String> {
+    v.get(key)
+        .ok_or_else(|| format!("missing field '{key}'"))?
+        .as_arr()
+        .ok_or_else(|| format!("'{key}' is not an array"))?
+        .iter()
+        .map(|p| {
+            let pair = p.as_arr().filter(|a| a.len() == 2).ok_or("progress entry is not a pair")?;
+            match (pair[0].as_u64(), pair[1].as_f64()) {
+                (Some(job), Some(phi)) => Ok((JobId(job), phi)),
+                _ => Err("progress entry is not numeric".to_string()),
+            }
         })
-    }
+        .collect()
 }
 
 /// Internal storage for one progress row: either a fully materialized
 /// snapshot or the set of `(job, φ)` pairs that changed since the previous
-/// row. A workload of `n` jobs stepping through `e` events stores O(n + e·k)
-/// pairs (k = jobs changed per event, usually 0 or 1) instead of O(n·e) —
-/// the difference between megabytes and tens of gigabytes at 100k jobs.
-/// Rows materialize back to [`ProgressSnapshot`]s on read, byte-identical to
-/// the dense recording.
+/// row, ascending by job. A workload of `n` jobs stepping through `e`
+/// events stores O(n + e·k) pairs (k = jobs changed per event, usually 0
+/// or 1) instead of O(n·e) — the difference between megabytes and tens of
+/// gigabytes at 100k jobs. Rows materialize back to [`ProgressSnapshot`]s
+/// on read, byte-identical to the dense recording, and are written to
+/// snapshots in the shape they are stored in.
 #[derive(Debug, Clone, PartialEq)]
 enum ProgressRow {
     Full(ProgressSnapshot),
@@ -178,33 +174,59 @@ enum ProgressRow {
 }
 
 impl ProgressRow {
-    /// The row as a full snapshot, given `state` — each job's φ after the
-    /// previous row — which it advances past this row.
-    fn materialize(&self, state: &mut BTreeMap<JobId, f64>) -> ProgressSnapshot {
+    /// Advances `state` — each job's φ after the previous row — past this
+    /// row.
+    fn advance(&self, state: &mut BTreeMap<JobId, f64>) {
         match self {
-            ProgressRow::Full(snap) => {
-                *state = snap.progress.iter().copied().collect();
-                snap.clone()
-            }
-            ProgressRow::Delta { at, changed } => {
-                state.extend(changed.iter().copied());
-                ProgressSnapshot {
-                    at: *at,
-                    progress: state.iter().map(|(&j, &p)| (j, p)).collect(),
-                }
-            }
+            ProgressRow::Full(snap) => *state = snap.progress.iter().copied().collect(),
+            ProgressRow::Delta { changed, .. } => state.extend(changed.iter().copied()),
         }
+    }
+
+    /// The row as a full snapshot, given `state` (see
+    /// [`ProgressRow::advance`]), which it advances past this row.
+    fn materialize(&self, state: &mut BTreeMap<JobId, f64>) -> ProgressSnapshot {
+        self.advance(state);
+        match self {
+            ProgressRow::Full(snap) => snap.clone(),
+            ProgressRow::Delta { at, .. } => ProgressSnapshot {
+                at: *at,
+                progress: state.iter().map(|(&j, &p)| (j, p)).collect(),
+            },
+        }
+    }
+
+    /// The row as stored: a full row as `{"at_ms","progress"}`, a delta
+    /// row as `{"at_ms","changed"}`.
+    fn to_json_value(&self) -> Json {
+        match self {
+            ProgressRow::Full(snap) => snap.to_json_value(),
+            ProgressRow::Delta { at, changed } => row_json(*at, "changed", changed),
+        }
+    }
+
+    /// Reads either shape [`ProgressRow::to_json_value`] writes; the dense
+    /// export's rows (and every row of a snapshot written before rows were
+    /// stored as deltas) are full rows.
+    fn from_json_value(v: &Json) -> std::result::Result<ProgressRow, String> {
+        let at_ms = v.get("at_ms").ok_or("missing field 'at_ms'")?;
+        let at = SimTime::from_millis(at_ms.as_u64().ok_or("'at_ms' not an integer")?);
+        Ok(match v.get("changed") {
+            Some(_) => ProgressRow::Delta { at, changed: pairs_from_json(v, "changed")? },
+            None => ProgressRow::Full(ProgressSnapshot {
+                at,
+                progress: pairs_from_json(v, "progress")?,
+            }),
+        })
     }
 }
 
 /// What [`WorkloadMetrics::to_compact`] already encoded of the two
-/// append-only lists, and where materialising the next row starts.
+/// append-only lists.
 #[derive(Debug, Default)]
 struct Emitted {
     spans: CompactPrefix,
     rows: CompactPrefix,
-    /// Each job's φ after the rows encoded so far.
-    state: BTreeMap<JobId, f64>,
 }
 
 /// Trace collector for one simulated run.
@@ -249,18 +271,18 @@ impl WorkloadMetrics {
     /// Records a progress snapshot of the whole workload. `progress` must
     /// list every job (ascending id) — the row is stored fully materialized.
     fn record_snapshot(&mut self, at: SimTime, progress: Vec<(JobId, f64)>) {
-        for &(job, p) in &progress {
-            self.last.insert(job, p);
-        }
-        self.rows.push(ProgressRow::Full(ProgressSnapshot { at, progress }));
+        let row = ProgressRow::Full(ProgressSnapshot { at, progress });
+        row.advance(&mut self.last);
+        self.rows.push(row);
     }
 
     /// Records a progress row from `candidates` — a superset of the jobs
     /// whose φ may have changed since the previous row, in any order and
     /// possibly repeated. Unchanged candidates (bit-identical φ) are
-    /// dropped, so the row stores only real movement; a first row (empty
-    /// trace) must therefore pass the full workload. Materializes
-    /// identically to a full row listing every job.
+    /// dropped, so the row stores only real movement, ascending by job
+    /// whatever the candidates' order; a first row (empty trace) must
+    /// therefore pass the full workload. Materializes identically to a full
+    /// row listing every job.
     pub fn record_snapshot_sparse(&mut self, at: SimTime, candidates: &[(JobId, f64)]) {
         if self.rows.is_empty() {
             let full: BTreeMap<JobId, f64> = candidates.iter().copied().collect();
@@ -274,6 +296,7 @@ impl WorkloadMetrics {
                 changed.push((job, p));
             }
         }
+        changed.sort_by_key(|&(job, _)| job);
         self.rows.push(ProgressRow::Delta { at, changed });
     }
 
@@ -353,16 +376,21 @@ impl WorkloadMetrics {
         Json::obj(fields)
     }
 
-    /// [`WorkloadMetrics::to_json_value`] written compact, byte for byte,
-    /// with each span and progress row encoded once: a later call encodes
-    /// only what was recorded since (durable snapshots write the trace
-    /// every generation). The recovery counters, the one part that changes
-    /// in place, are encoded on every call.
+    /// The trace as the compact JSON a durable snapshot stores: the
+    /// layout of [`WorkloadMetrics::to_json_value`], except that each
+    /// progress row is written in the shape it is stored in — a delta row
+    /// as `{"at_ms","changed":[[job,φ],…]}`, listing only the jobs that
+    /// moved — so the text grows with what happened, not with rows × jobs.
+    /// [`WorkloadMetrics::from_json`] reads it back to the same rows. Each
+    /// span and row is encoded once: a later call encodes only what was
+    /// recorded since (durable snapshots write the trace every
+    /// generation). The recovery counters, the one part that changes in
+    /// place, are encoded on every call.
     pub fn to_compact(&self) -> String {
         let mut emitted = self.emitted.borrow_mut();
-        let Emitted { spans, rows, state } = &mut *emitted;
+        let Emitted { spans, rows } = &mut *emitted;
         spans.catch_up(&self.spans, PlacementSpan::to_json_value);
-        rows.catch_up(&self.rows, |row| row.materialize(state).to_json_value());
+        rows.catch_up(&self.rows, ProgressRow::to_json_value);
         let mut out = String::with_capacity(spans.bytes() + rows.bytes() + 64);
         out.push_str("{\"spans\":");
         spans.write_array(&mut out);
@@ -385,7 +413,10 @@ impl WorkloadMetrics {
         })
     }
 
-    /// Restores a trace from JSON.
+    /// Restores a trace from either rendering: the dense export of
+    /// [`WorkloadMetrics::to_json`] (every row full) or the snapshot text
+    /// of [`WorkloadMetrics::to_compact`] (full and delta rows, restored
+    /// as they were stored).
     pub fn from_json(text: &str) -> Result<WorkloadMetrics> {
         let doc = json::parse(text).map_err(RotaryError::Persistence)?;
         let arr = |name: &str| {
@@ -398,9 +429,9 @@ impl WorkloadMetrics {
             .map(PlacementSpan::from_json_value)
             .collect::<std::result::Result<Vec<_>, String>>()
             .map_err(RotaryError::Persistence)?;
-        let snapshots = arr("snapshots")?
+        let rows: Vec<ProgressRow> = arr("snapshots")?
             .iter()
-            .map(ProgressSnapshot::from_json_value)
+            .map(ProgressRow::from_json_value)
             .collect::<std::result::Result<Vec<_>, String>>()
             .map_err(RotaryError::Persistence)?;
         // Absent in fault-free traces (and in traces predating the fault
@@ -414,10 +445,9 @@ impl WorkloadMetrics {
             None => BTreeMap::new(),
         };
         let mut last = BTreeMap::new();
-        if let Some(final_row) = snapshots.last() {
-            last = final_row.progress.iter().copied().collect();
+        for row in &rows {
+            row.advance(&mut last);
         }
-        let rows = snapshots.into_iter().map(ProgressRow::Full).collect();
         Ok(WorkloadMetrics { spans, rows, last, recovery, emitted: RefCell::default() })
     }
 }
@@ -442,11 +472,9 @@ pub struct Distribution {
 impl Distribution {
     /// Computes the summary of a sample; `None` for an empty sample.
     pub fn of(values: &[f64]) -> Option<Distribution> {
-        if values.is_empty() {
-            return None;
-        }
         let mut sorted = values.to_vec();
         sorted.sort_by(f64::total_cmp);
+        let (&min, &max) = (sorted.first()?, sorted.last()?);
         let q = |p: f64| -> f64 {
             // Linear interpolation between closest ranks.
             let idx = p * (sorted.len() - 1) as f64;
@@ -456,11 +484,11 @@ impl Distribution {
             sorted[lo] * (1.0 - frac) + sorted[hi] * frac
         };
         Some(Distribution {
-            min: sorted[0],
+            min,
             q1: q(0.25),
             median: q(0.5),
             q3: q(0.75),
-            max: *sorted.last().unwrap(),
+            max,
             mean: sorted.iter().sum::<f64>() / sorted.len() as f64,
         })
     }
@@ -709,44 +737,25 @@ mod tests {
     }
 
     #[test]
-    fn compact_text_equals_the_tree_through_every_mutation_clone_and_reload() {
-        let same = |m: &WorkloadMetrics| assert_eq!(m.to_compact(), m.to_json_value().to_compact());
-        let span = |job: u64, start: u64| PlacementSpan {
-            job: JobId(job),
-            resource: "gpu\"0".into(),
-            start: SimTime::from_secs(start),
-            end: SimTime::from_secs(start + 1),
-            attained_at_end: job.is_multiple_of(2),
-        };
+    fn snapshot_text_writes_rows_as_stored() {
         let mut m = WorkloadMetrics::new();
-        same(&m);
-        m.record_snapshot_sparse(SimTime::from_secs(1), &[(JobId(0), 0.1), (JobId(1), 0.2)]);
-        same(&m);
-        m.record_span(span(0, 1));
-        m.record_snapshot_sparse(SimTime::from_secs(2), &[(JobId(1), 0.5)]);
-        same(&m);
-        same(&m);
-        m.recovery_of(JobId(1)).crashes += 1;
-        same(&m);
-        m.recovery_of(JobId(1)).retries += 1;
+        m.record_snapshot_sparse(SimTime::from_secs(1), &[(JobId(1), 0.2), (JobId(0), 0.1)]);
+        m.record_snapshot_sparse(SimTime::from_secs(2), &[(JobId(1), 0.5), (JobId(0), 0.25)]);
         m.record_snapshot_sparse(SimTime::from_secs(3), &[(JobId(1), 0.5)]);
-        same(&m);
-        // A full row resets the materialisation state: job 1 drops out.
-        m.record_snapshot(SimTime::from_secs(4), vec![(JobId(0), 0.7), (JobId(2), 0.25)]);
-        m.record_snapshot_sparse(SimTime::from_secs(5), &[(JobId(2), 0.3)]);
-        same(&m);
-
-        let mut copy = m.clone();
-        copy.record_span(span(2, 5));
-        copy.recovery_of(JobId(4)).stragglers += 1;
-        same(&copy);
-        same(&m);
-
-        let mut reloaded = WorkloadMetrics::from_json(&m.to_compact()).unwrap();
-        same(&reloaded);
-        reloaded.record_snapshot_sparse(SimTime::from_secs(6), &[(JobId(0), 1.0)]);
-        reloaded.record_span(span(1, 6));
-        same(&reloaded);
+        let text = m.to_compact();
+        assert_eq!(
+            text,
+            "{\"spans\":[],\"snapshots\":[{\"at_ms\":1000,\"progress\":[[0,0.1],[1,0.2]]},\
+             {\"at_ms\":2000,\"changed\":[[0,0.25],[1,0.5]]},{\"at_ms\":3000,\"changed\":[]}]}"
+        );
+        let reloaded = WorkloadMetrics::from_json(&text).unwrap();
+        assert_eq!(reloaded.rows, m.rows);
+        assert_eq!(reloaded.last, m.last);
+        // The dense export still lists every job in every row.
+        assert!(m
+            .to_json_value()
+            .to_compact()
+            .contains("{\"at_ms\":3000,\"progress\":[[0,0.25],[1,0.5]]}"));
     }
 
     #[test]

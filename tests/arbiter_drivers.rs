@@ -8,7 +8,8 @@
 //! re-indented; a durable
 //! run — uninterrupted, or killed and resumed — reproduces the plain run
 //! byte for byte; snapshots reusing earlier snapshots' text equal a cold
-//! full encoding; and a snapshot refuses to resume a different run. The
+//! full encoding; a run restored at every event writes the uninterrupted
+//! run's records; and a snapshot refuses to resume a different run. The
 //! same drivers on a toy arbiter (every event boundary, corrupt-generation
 //! fallback) are unit tests of the arbiter module itself.
 
@@ -283,6 +284,38 @@ fn check_snapshot_memo_is_transparent<A: Durable>(
     assert!(fresh.is_empty() && events == last, "boundaries left unchecked");
 }
 
+/// A run restored from its own records at every event boundary writes,
+/// at every boundary, exactly the records of the uninterrupted run stepped
+/// in lockstep. The `metrics` record holds progress rows as stored, and a
+/// restored run's first row re-reads every job where the uninterrupted
+/// run reads only what its pass marked, so both rows must store the same
+/// delta in the same order.
+fn check_restore_at_every_event_writes_the_same_records<A: Durable>(
+    make: &dyn Fn() -> A,
+    specs: &[A::Spec],
+    policy: A::Policy,
+) where
+    A::BindError: Debug,
+{
+    let start = |sys: &mut A| Run::start(sys, specs, policy).expect("start");
+    let (mut plain_sys, mut sys) = (make(), make());
+    let (mut plain, mut restored) = (start(&mut plain_sys), start(&mut sys));
+    let mut events = 0;
+    loop {
+        let records = restored.snapshot(&sys, 1).expect("snapshot");
+        let expected = plain.snapshot(&plain_sys, 1).expect("snapshot");
+        assert!(records == expected, "a restore changed a byte at event {events}");
+        sys = make();
+        restored = Run::restore(&mut sys, specs.to_vec(), policy, &records).expect("restore");
+        let stepped = restored.step(&mut sys);
+        assert_eq!(stepped, plain.step(&mut plain_sys), "event {events}");
+        if !stepped {
+            break;
+        }
+        events += 1;
+    }
+}
+
 fn temp_store(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("rotary-drivers-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -514,6 +547,16 @@ fn aqp_burst_launches_are_byte_identical_at_any_host_thread_count() {
     }
 }
 
+/// A burst of arrivals at t = 0 makes passes that move several jobs at
+/// once, marked out of job order; the recorder stores them ascending, as
+/// a restored run's first row lists them.
+#[test]
+fn aqp_restore_at_every_event_writes_the_uninterrupted_records() {
+    let specs =
+        rotary::aqp::WorkloadBuilder::paper().jobs(10).mean_arrival_gap(0.0).seed(5).build();
+    check_restore_at_every_event_writes_the_same_records(&aqp, &specs, AqpPolicy::Rotary);
+}
+
 #[test]
 fn aqp_snapshot_memo_is_transparent_clean_and_under_chaos() {
     let specs = rotary::aqp::WorkloadBuilder::paper().jobs(6).seed(21).build();
@@ -600,6 +643,12 @@ fn dlt_drain_after_every_event_equals_the_full_scan() {
 fn dlt_durable_runs_match_the_plain_run() {
     let specs = DltWorkloadBuilder::paper().jobs(6).seed(17).build();
     check_durable(&dlt, &specs, DLT_POLICY, (3, 2), "dlt");
+}
+
+#[test]
+fn dlt_restore_at_every_event_writes_the_uninterrupted_records() {
+    let specs = DltWorkloadBuilder::paper().jobs(6).seed(17).build();
+    check_restore_at_every_event_writes_the_same_records(&dlt, &specs, DLT_POLICY);
 }
 
 #[test]

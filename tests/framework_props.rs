@@ -2,9 +2,11 @@
 
 use rotary::core::criteria::{CompletionCriterion, Deadline, Metric};
 use rotary::core::estimate::{CurveBasis, EnvelopeDetector, JointCurveEstimator};
+use rotary::core::job::JobId;
 use rotary::core::parser::parse_criterion;
 use rotary::core::progress::Progress;
 use rotary::core::SimTime;
+use rotary::sim::{PlacementSpan, WorkloadMetrics};
 use rotary::tpch::{BatchSource, RowOrder};
 use rotary_check::{check, Source};
 use std::sync::Mutex;
@@ -199,5 +201,105 @@ fn simtime_arithmetic_total() {
         assert_eq!(ta + tb, tb + ta);
         assert!(ta + tb >= ta);
         assert!(ta.saturating_sub(tb) <= ta);
+    });
+}
+
+/// One step of a progress trace's life in a run.
+enum TraceOp {
+    /// A row from candidate `(job, φ)` pairs (a superset of what moved).
+    Row(Vec<(JobId, f64)>),
+    Span(PlacementSpan),
+    /// A fault fired against the job: one of its recovery counters grows.
+    Touch(JobId, usize),
+}
+
+fn arb_trace_op(src: &mut Source, jobs: u64, start: u64) -> TraceOp {
+    let job = |src: &mut Source| JobId(src.u64_in(0, jobs - 1));
+    match src.usize_in(0, 5) {
+        0..=2 => TraceOp::Row(src.vec_of(0, 2 * jobs as usize, |s| {
+            // A small palette, so rows often repeat what the trace holds.
+            // φ stays in [0, 1]: JSON writes −0 as 0.
+            let phi = if s.bool(0.5) { *s.pick(&[0.0, 0.5, 1.0]) } else { s.unit_f64() };
+            (job(s), phi)
+        })),
+        3 | 4 => TraceOp::Span(PlacementSpan {
+            job: job(src),
+            resource: src.pick(&["cpu", "gpu0", "gpu\"1"]).to_string(),
+            start: SimTime::from_millis(start),
+            end: SimTime::from_millis(start + src.u64_in(0, 5_000)),
+            attained_at_end: src.bool(0.3),
+        }),
+        _ => TraceOp::Touch(job(src), src.usize_in(0, 5)),
+    }
+}
+
+fn apply_trace_op(m: &mut WorkloadMetrics, op: &TraceOp, at: SimTime) {
+    match op {
+        TraceOp::Row(candidates) => m.record_snapshot_sparse(at, candidates),
+        TraceOp::Span(span) => m.record_span(span.clone()),
+        TraceOp::Touch(job, counter) => {
+            let c = m.recovery_of(*job);
+            *[
+                &mut c.crashes,
+                &mut c.stragglers,
+                &mut c.checkpoint_failures,
+                &mut c.restore_failures,
+                &mut c.retries,
+                &mut c.epochs_lost,
+            ][*counter] += 1;
+        }
+    }
+}
+
+fn same_trace(a: &WorkloadMetrics, b: &WorkloadMetrics) {
+    assert_eq!(a.snapshots(), b.snapshots());
+    assert_eq!(a.spans(), b.spans());
+    assert_eq!(a.recovery(), b.recovery());
+}
+
+/// A trace reloads from the text a durable snapshot stores of it
+/// (`to_compact`: full rows and delta rows as they are stored) to the same
+/// trace, and the reload goes on exactly as the original: the same next
+/// rows, spans and recovery touches give byte-identical snapshot text and
+/// the same dense export. The dense export loads to the same trace too.
+/// Traces are built through every path a run takes — sparse rows, spans,
+/// recovery touches, clones, and reloads from either text; a reload from
+/// the dense export stores every row full, as a snapshot written before
+/// rows were stored as deltas does — with the snapshot memo warmed at
+/// random points.
+#[test]
+fn a_trace_reloads_from_its_snapshot_text() {
+    check("trace_reloads_from_snapshot_text", |src| {
+        let jobs = src.u64_in(1, 6);
+        let mut m = WorkloadMetrics::new();
+        let mut at = 0;
+        for _ in 0..src.usize_in(0, 24) {
+            at += src.u64_in(0, 3) * 500;
+            match src.usize_in(0, 9) {
+                0 => m = m.clone(),
+                1 => m = WorkloadMetrics::from_json(&m.to_compact()).unwrap(),
+                2 => m = WorkloadMetrics::from_json(&m.to_json().unwrap()).unwrap(),
+                3 => {
+                    m.to_compact();
+                }
+                _ => apply_trace_op(&mut m, &arb_trace_op(src, jobs, at), SimTime::from_millis(at)),
+            }
+        }
+
+        let text = m.to_compact();
+        let mut reloaded = WorkloadMetrics::from_json(&text).unwrap();
+        same_trace(&reloaded, &m);
+        assert_eq!(reloaded.to_compact(), text);
+        same_trace(&WorkloadMetrics::from_json(&m.to_json().unwrap()).unwrap(), &m);
+
+        for _ in 0..src.usize_in(1, 8) {
+            at += src.u64_in(0, 3) * 500;
+            let op = arb_trace_op(src, jobs, at);
+            apply_trace_op(&mut m, &op, SimTime::from_millis(at));
+            apply_trace_op(&mut reloaded, &op, SimTime::from_millis(at));
+            assert_eq!(reloaded.to_compact(), m.to_compact());
+        }
+        assert_eq!(reloaded.to_json().unwrap(), m.to_json().unwrap());
+        same_trace(&WorkloadMetrics::from_json(&m.to_compact()).unwrap(), &m);
     });
 }

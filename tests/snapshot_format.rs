@@ -17,16 +17,23 @@
 //!   offset. `aqp/snap-3.rsnp` (v1) records delivered prefixes of per-job
 //!   permutations that no longer exist, so it must be refused with a typed
 //!   error, never resumed into a run that reads another order.
+//! * `aqp-v2-delta-rows/snap-18.rsnp` is a later generation of the same v2
+//!   run, written after the `metrics` record began storing progress rows
+//!   as they are held in memory (one full row, then `changed` deltas) and
+//!   terminal jobs stopped carrying an estimator. The reader takes both row
+//!   shapes, so `aqp-v2` and `dlt` (every row full) must still resume too.
 
 use rotary::aqp::{AqpJobSpec, AqpPolicy, AqpSystem, AqpSystemConfig};
 use rotary::core::criteria::{CompletionCriterion, Deadline, Metric};
+use rotary::core::job::JobStatus;
+use rotary::core::json::Json;
 use rotary::core::resources::GpuPoolSpec;
 use rotary::core::{Objective, RotaryError, SimTime};
 use rotary::dlt::{Architecture, DltJobSpec, DltPolicy, DltSystem, DltSystemConfig};
 use rotary::dlt::{Optimizer, TrainingConfig};
 use rotary::engine::QueryId;
 use rotary::faults::{FaultConfig, FaultPlan};
-use rotary::store::{DurableConfig, SnapshotStore};
+use rotary::store::{record_json, record_text, DurableConfig, SnapshotStore};
 use rotary::tpch::Generator;
 use std::path::PathBuf;
 
@@ -60,24 +67,61 @@ fn aqp_config() -> AqpSystemConfig {
     AqpSystemConfig { seed: 42, faults: FaultPlan::none(), threads: 1, ..Default::default() }
 }
 
-#[test]
-fn aqp_v2_snapshot_resumes_to_the_same_trace() {
+/// Resumes the AQP run of [`aqp_specs`] from a checked-in generation
+/// (written snapshotting every 2 epochs) and checks that it ends in the
+/// uninterrupted run's trace. Returns the generation's records.
+fn aqp_fixture_resumes_to_the_same_trace(
+    fixture: &str,
+    generation: u64,
+    tag: &str,
+) -> Vec<(String, Vec<u8>)> {
     let specs = aqp_specs();
     let data = Generator::new(77, 0.002).generate();
     let expected = AqpSystem::new(&data, aqp_config()).run(&specs, AqpPolicy::Rotary).unwrap();
 
-    // Generation 3 of a run snapshotting every 2 epochs: three jobs running,
-    // one still pending its arrival, deadline checks queued.
-    let dir = store_with("aqp-v2/snap-3.rsnp", 3, "aqp-v2");
+    let dir = store_with(fixture, generation, tag);
+    let records = SnapshotStore::open(&dir).and_then(|store| store.load(generation)).unwrap();
     let resumed = AqpSystem::new(&data, aqp_config())
         .resume_durable(&specs, AqpPolicy::Rotary, &DurableConfig::new(&dir, 2))
-        .expect("the v2 AQP fixture must restore")
+        .unwrap_or_else(|e| panic!("{fixture} must restore: {e}"))
         .completed()
         .expect("no halt requested");
     assert!(resumed.summary.attained > 0 && resumed.summary.deadline_missed > 0);
     assert_eq!(resumed.metrics.to_json().unwrap(), expected.metrics.to_json().unwrap());
     assert_eq!(resumed.makespan, expected.makespan);
     let _ = std::fs::remove_dir_all(&dir);
+    records
+}
+
+#[test]
+fn aqp_v2_snapshot_resumes_to_the_same_trace() {
+    // Generation 3: three jobs running, one still pending its arrival,
+    // deadline checks queued; every progress row written full.
+    let records = aqp_fixture_resumes_to_the_same_trace("aqp-v2/snap-3.rsnp", 3, "aqp-v2");
+    assert!(!record_text(&records, "metrics").unwrap().contains("\"changed\""));
+}
+
+#[test]
+fn aqp_v2_delta_row_snapshot_resumes_to_the_same_trace() {
+    // Generation 18: one full progress row, then deltas; two jobs ended
+    // (their entries carry no estimator) beside two running ones.
+    let records =
+        aqp_fixture_resumes_to_the_same_trace("aqp-v2-delta-rows/snap-18.rsnp", 18, "aqp-v2-delta");
+    let metrics = record_text(&records, "metrics").unwrap();
+    assert_eq!(metrics.matches("\"progress\"").count(), 1, "{metrics}");
+    assert!(metrics.contains("\"changed\""));
+    let jobs = record_json(&records, "jobs").unwrap();
+    let entries: Vec<(bool, bool)> = jobs
+        .as_arr()
+        .expect("jobs array")
+        .iter()
+        .map(|entry| {
+            let status = entry.get("core").and_then(|core| core.get("status"));
+            let status = status.and_then(Json::as_str).and_then(JobStatus::from_name);
+            (status.expect("job status").is_terminal(), entry.get("estimator").is_some())
+        })
+        .collect();
+    assert_eq!(entries, [(true, false), (false, true), (false, true), (true, false)]);
 }
 
 #[test]
